@@ -45,6 +45,15 @@ def _load_config(args) -> RunConfig:
     return RunConfig.load(args.config)
 
 
+def _profile_direction(profile: LoadProfile, path) -> str:
+    """'ch' when the first nonzero current is negative (charging), else 'dis'."""
+    nonzero = np.flatnonzero(profile.currents)
+    if nonzero.size == 0:
+        raise ConfigError(f"{path}: every current is zero, so the direction "
+                          "cannot be inferred")
+    return "ch" if profile.currents[nonzero[0]] < 0 else "dis"
+
+
 def _events_csv(events, path):
     import csv as _csv
     with open(path, "w", newline="") as fh:
@@ -63,10 +72,10 @@ def cmd_simulate(args) -> int:
     solver = cfg.solver
     if args.no_cutoffs:
         solver = dataclasses.replace(solver, cutoffs_enabled=False)
+    direction = _profile_direction(profile, args.profile)
     soc = args.soc if args.soc is not None else (
         cfg.initial_soc if cfg.initial_soc is not None else
-        (0.0 if profile.currents[np.nonzero(profile.currents)[0][0]] < 0 else 1.0))
-    direction = "ch" if profile.currents[np.nonzero(profile.currents)[0][0]] < 0 else "dis"
+        (0.0 if direction == "ch" else 1.0))
     init = initial_state(cfg.params, cfg.disc, soc, direction)
     result = simulate(profile, init, cfg.params, cfg.disc, solver,
                       ocp=cfg.ocp, phase_cfg=cfg.phase)
@@ -119,7 +128,7 @@ def cmd_observe(args) -> int:
     cfg = _load_config(args)
     disc = dataclasses.replace(cfg.disc, N_r=args.nr, scheme=args.scheme)
     profile = LoadProfile.from_csv(args.profile)
-    direction = "ch" if profile.currents[np.nonzero(profile.currents)[0][0]] < 0 else "dis"
+    direction = _profile_direction(profile, args.profile)
     soc = args.soc if args.soc is not None else (0.0 if direction == "ch" else 1.0)
     init = initial_state(cfg.params, disc, soc, direction)
     solver = dataclasses.replace(cfg.solver, cutoffs_enabled=False)
@@ -161,7 +170,7 @@ def cmd_identify(args) -> int:
 def cmd_compare_scheme(args) -> int:
     cfg = _load_config(args)
     profile = LoadProfile.from_csv(args.profile)
-    direction = "ch" if profile.currents[np.nonzero(profile.currents)[0][0]] < 0 else "dis"
+    direction = _profile_direction(profile, args.profile)
     soc = 0.0 if direction == "ch" else 1.0
     solver = dataclasses.replace(cfg.solver, cutoffs_enabled=False)
     results, sweeps, drifts = {}, {}, {}

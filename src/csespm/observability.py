@@ -124,9 +124,27 @@ def lie_stack(f, h, x0: np.ndarray, u0: float, u_derivs: tuple,
     recursion are evaluated only for nonzero multipliers.  Gradients use
     second-order central differences with steps jacobian_step *
     max(|x_i|, x_scale_i).
+
+    f, h and every lifted L^k are memoized for the duration of the call:
+    the nested stencils of successive orders revisit the same perturbed
+    states, and since f and h are pure a lookup returns the very float a
+    recomputation would, so the result is unchanged.  Keys are the exact
+    bytes of x and of the input(s), so 0.0/-0.0 and NaNs never collide.
     """
     eps = config.jacobian_step
     uvec = (u0,) + tuple(u_derivs)
+
+    def memo(fun):
+        cache = {}
+
+        def cached(x, u):
+            key = (x.tobytes(), np.asarray(u, dtype=float).tobytes())
+            if key not in cache:
+                cache[key] = fun(x, u)
+            return cache[key]
+        return cached
+
+    f, h = memo(f), memo(h)
 
     def grad_x(fun, x, uv):
         g = np.empty(len(x))
@@ -162,7 +180,7 @@ def lie_stack(f, h, x0: np.ndarray, u0: float, u_derivs: tuple,
         values.append(float(v))
         grads.append(g)
         if order < orders - 1:
-            L = lift(L)
+            L = memo(lift(L))
     return values, grads
 
 
@@ -276,7 +294,7 @@ def sweep(result: SimulationResult, params: CellParameters,
             i_dot = (result.current[i] - result.current[i - 1]) / (
                 result.time[i] - result.time[i - 1])
         c_e_avg = electrode_c_e_avg(params, state.elec, "pos",
-                                    _split_of(result))
+                                    result.meta["split"])
         try:
             f, h, x0, scales = positive_model(state, params, ocp, c_e_avg,
                                               config, scheme)
@@ -294,11 +312,3 @@ def sweep(result: SimulationResult, params: CellParameters,
             rank=rank, full_rank_needed=len(x0), cond_scaled=cond_s,
             cond_raw=cond_r, sigma_min_scaled=smin))
     return out
-
-
-def _split_of(result: SimulationResult):
-    split = result.meta.get("split")
-    if split is None:
-        n_e = len(result.elec_c[0])
-        split = (n_e // 3, n_e // 3, n_e - 2 * (n_e // 3))
-    return tuple(split)

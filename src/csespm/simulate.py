@@ -122,8 +122,19 @@ class LoadProfile:
         rows = list(csv.reader(io.StringIO(text)))
         if not rows or [c.strip().lower() for c in rows[0][:2]] != ["time_s", "current_a"]:
             raise ConfigError(f"{path}: expected header 'time_s,current_A'")
-        data = np.array([[float(r[0]), float(r[1])] for r in rows[1:] if r], dtype=float)
-        return cls(data[:, 0], data[:, 1])
+        data = []
+        for line, r in enumerate(rows[1:], start=2):
+            if not r:
+                continue
+            try:
+                data.append((float(r[0]), float(r[1])))
+            except (ValueError, IndexError):
+                raise ConfigError(f"{path}, line {line}: expected two numbers, "
+                                  f"got {','.join(r)!r}") from None
+        if not data:
+            raise ConfigError(f"{path}: no data rows after the header")
+        times, currents = np.array(data, dtype=float).T
+        return cls(times, currents)
 
 
 def cc_profile(params: CellParameters, c_rate: float, direction: str,

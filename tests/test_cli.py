@@ -111,3 +111,22 @@ def test_compare_scheme_command(tmp_path, short_profile):
     assert summary["mass_drift_rel"]["fdm"] > 10 * summary["mass_drift_rel"]["fvm"]
     assert (out / "cond_sweep_fvm.csv").exists()
     assert (out / "voltage_comparison.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "observe"])
+@pytest.mark.parametrize("body, needle", [
+    ("time_s,current_A\n0,1.0\n10,abc\n", "line 3"),
+    ("time_s,current_A\n", "no data rows"),
+    ("time_s,current_A\n0,0\n10,0\n", "every current is zero"),
+])
+def test_bad_profile_gives_exit_4(tmp_path, capsys, command, body, needle):
+    profile = tmp_path / "profile.csv"
+    profile.write_text(body)
+    argv = [command, "--profile", str(profile), "--out", str(tmp_path / "out")]
+    if command == "observe":
+        argv += ["--nr", "2"]
+    rc = main(argv)
+    assert rc == 4
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ConfigError" and record["exit_code"] == 4
+    assert str(profile) in record["message"] and needle in record["message"]

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from csespm import observability as observability_mod
 from csespm.observability import (LieDerivativeError, ObservabilityConfig,
                                   lie_stack, observability_matrix,
                                   positive_model, rank_and_condition,
                                   scale_columns, sweep)
+from csespm.output import electrode_c_e_avg
 from csespm.params import DiscretizationConfig
 from csespm.simulate import SolverConfig, cc_profile, initial_state, simulate
 from csespm.states import FullState, TWO_PHASE
@@ -190,3 +192,134 @@ def test_sweep_emits_points_and_csv(tmp_path, params, ocp):
     header = path.read_text().splitlines()[0]
     assert header == ("time_s,soc_p,regime,rank,full_rank_needed,"
                       "log10_cond_scaled,log10_cond_raw")
+
+
+# --- memoized Lie stack -------------------------------------------------------------
+
+def nested_lie_stack(f, h, x0, u0, u_derivs, orders, config, x_scales, u_scale):
+    """The plain nested central-difference recursion, every level recomputed
+    from scratch; the reference the memoized ``lie_stack`` must reproduce."""
+    eps = config.jacobian_step
+    uvec = (u0,) + tuple(u_derivs)
+
+    def grad_x(fun, x, uv):
+        g = np.empty(len(x))
+        for j in range(len(x)):
+            d = eps * max(abs(x[j]), x_scales[j])
+            xp = x.copy(); xp[j] += d
+            xm = x.copy(); xm[j] -= d
+            g[j] = (fun(xp, uv) - fun(xm, uv)) / (2.0 * d)
+        return g
+
+    def d_du(fun, x, uv, i):
+        d = eps * max(abs(uv[i]), u_scale)
+        up = list(uv); up[i] += d
+        um = list(uv); um[i] -= d
+        return (fun(x, tuple(up)) - fun(x, tuple(um))) / (2.0 * d)
+
+    def lift(prev):
+        def nxt(x, uv):
+            val = grad_x(prev, x, uv) @ f(x, uv[0])
+            for i in range(len(uv) - 1):
+                if uv[i + 1] != 0.0:
+                    val += d_du(prev, x, uv, i) * uv[i + 1]
+            return val
+        return nxt
+
+    L = lambda x, uv: h(x, uv[0])  # noqa: E731
+    values, grads = [], []
+    for order in range(orders):
+        values.append(float(L(x0, uvec)))
+        grads.append(grad_x(L, x0, uvec))
+        if order < orders - 1:
+            L = lift(L)
+    return values, grads
+
+
+@pytest.fixture(scope="module")
+def charge_1c(params, ocp):
+    """1C charges from SOC 0 at N_r = 3 and 4, keyed by N_r."""
+    out = {}
+    for N_r in (3, 4):
+        disc = DiscretizationConfig(N_r=N_r, N_e=6)
+        out[N_r] = simulate(cc_profile(params, 1.0, "ch"),
+                            initial_state(params, disc, 0.0, "ch"), params, disc,
+                            SolverConfig(cutoffs_enabled=False), ocp=ocp)
+    return out
+
+
+def model_at(res, i, params, ocp):
+    state = res.state_at(i)
+    c_e_avg = electrode_c_e_avg(params, state.elec, "pos", res.meta["split"])
+    return positive_model(state, params, ocp, c_e_avg, CFG)
+
+
+def first_two_phase(res):
+    """A record 300 s into the two-phase section."""
+    return next(i for i in range(len(res)) if res.regime[i] == TWO_PHASE) + 300
+
+
+@pytest.mark.parametrize("N_r, regime, u_derivs", [
+    (3, "one_phase", (0.0, 0.0)), (3, "one_phase", (0.02, 0.0)),
+    (3, TWO_PHASE, (0.0, 0.0)), (3, TWO_PHASE, (0.02, 0.0)),
+    (3, TWO_PHASE, (0.02, 1e-4)), (4, TWO_PHASE, (0.0, 0.0))])
+def test_memoized_lie_stack_is_bit_identical(params, ocp, charge_1c, N_r, regime,
+                                             u_derivs):
+    """Memoization only skips repeated evaluations of pure functions, so
+    every Lie value and gradient equals the plain recursion's exactly.  A
+    nonzero u' (and u'') exercises the input-derivative terms."""
+    res = charge_1c[N_r]
+    i = 200 if regime == "one_phase" else first_two_phase(res)
+    assert (res.regime[i] == TWO_PHASE) == (regime == TWO_PHASE)
+    f, h, x0, scales = model_at(res, i, params, ocp)
+    args = (x0, float(res.current[i]), u_derivs, len(x0), CFG, scales,
+            params.current_for_c_rate(1.0))
+    vals, grads = lie_stack(f, h, *args)
+    ref_vals, ref_grads = nested_lie_stack(f, h, *args)
+    assert vals == ref_vals
+    for g, ref in zip(grads, ref_grads):
+        assert g.tobytes() == ref.tobytes()
+
+
+def counting(f, h, counts):
+    def f_counted(x, u):
+        counts["f"] += 1
+        return f(x, u)
+
+    def h_counted(x, u):
+        counts["h"] += 1
+        return h(x, u)
+    return f_counted, h_counted
+
+
+def test_lie_stack_evaluates_each_perturbed_state_once(params, ocp, charge_1c):
+    """At a two-phase N_r = 3 point (n = 4 states, orders 0..3) the nested
+    stencil reaches the lattice points x0 + sum_j k_j d_j e_j with
+    |k|_1 <= 4 for h (321 points) and |k|_1 <= 3 for f (129 points); the
+    plain recursion evaluates h 5,265 and f 747 times there."""
+    res = charge_1c[3]
+    i = first_two_phase(res)
+    f, h, x0, scales = model_at(res, i, params, ocp)
+    counts = {"f": 0, "h": 0}
+    fc, hc = counting(f, h, counts)
+    observability_matrix(fc, hc, x0, float(res.current[i]), (0.0, 0.0), CFG,
+                         scales, params.current_for_c_rate(1.0))
+    assert counts["h"] <= 321 and counts["f"] <= 129
+
+
+def test_sweep_evaluation_counts(params, ocp, charge_1c, monkeypatch):
+    """Over the 1C N_r = 3 sweep at a 30 s stride the average per point stays
+    at most 300 h and 120 f evaluations (the plain recursion needs ~3,870
+    and ~553)."""
+    counts = {"f": 0, "h": 0, "points": 0}
+    model = observability_mod.positive_model
+
+    def counted_model(*args, **kwargs):
+        f, h, x0, scales = model(*args, **kwargs)
+        counts["points"] += 1
+        return (*counting(f, h, counts), x0, scales)
+
+    monkeypatch.setattr(observability_mod, "positive_model", counted_model)
+    sw = sweep(charge_1c[3], params, ObservabilityConfig(stride_s=30.0), ocp=ocp)
+    assert counts["points"] == len(sw) == 121
+    assert counts["h"] <= 300 * len(sw) and counts["f"] <= 120 * len(sw)
