@@ -8,7 +8,7 @@ analysis, and voltage-based parameter identification.
 from .params import CellParameters, DiscretizationConfig, params_for_rate
 from .systems import (AffineSystem, build_electrolyte_system,
                       build_one_phase_solid_system, build_two_phase_system,
-                      interface_concentration)
+                      interface_values)
 from .ocp import OcpSet, OcpTable, synthetic_ocp_set
 from .output import OutputSnapshot, cell_voltage
 from .states import FullState, TransitionEvent
@@ -25,7 +25,7 @@ __all__ = [
     "SimulationResult", "SolverConfig", "TransitionEvent",
     "build_electrolyte_system", "build_one_phase_solid_system",
     "build_two_phase_system", "cc_profile", "cell_voltage", "cycle_profile",
-    "initial_state", "interface_concentration", "mass_audit",
+    "initial_state", "interface_values", "mass_audit",
     "params_for_rate", "simulate", "synthetic_dynamic_profile",
     "synthetic_ocp_set",
 ]

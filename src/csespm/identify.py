@@ -12,16 +12,15 @@ evaluations are full simulations, so budgets are counted in evaluations.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .errors import BlowupError, ConfigError, ParameterError
+from .errors import ConfigError, CsespmError, ParameterError
 from .ocp import OcpSet, synthetic_ocp_set
 from .params import CellParameters, DiscretizationConfig, params_for_rate
-from .simulate import LoadProfile, SolverConfig, cc_profile, initial_state, simulate
+from .simulate import (LoadProfile, SolverConfig, cc_profile, initial_state,
+                       read_numeric_csv, simulate)
 
 PENALTY_RMSE = 10.0   # volts; returned when a candidate cannot be simulated
 
@@ -140,12 +139,7 @@ class Dataset:
     def from_csv(cls, path, direction: str | None = None,
                  c_rate_label: str | None = None,
                  initial_soc: float | None = None) -> "Dataset":
-        text = Path(path).read_text()
-        rows = list(csv.reader(io.StringIO(text)))
-        want = ["time_s", "current_a", "voltage_v"]
-        if not rows or [c.strip().lower() for c in rows[0][:3]] != want:
-            raise ConfigError(f"{path}: expected header 'time_s,current_A,voltage_V'")
-        data = np.array([[float(x) for x in r[:3]] for r in rows[1:] if r])
+        data = read_numeric_csv(path, ("time_s", "current_A", "voltage_V"))
         if direction is None:
             direction = "dis" if np.mean(data[:, 1]) > 0 else "ch"
         return cls(LoadProfile(data[:, 0], data[:, 1]), data[:, 2], direction,
@@ -159,14 +153,15 @@ def voltage_rmse(params: CellParameters, dataset: Dataset,
                  rate_overrides: dict | None = None) -> float:
     """Simulate the dataset's profile and compare voltages at its timestamps.
 
-    Early cutoff or numerical blowup returns a large finite penalty so
-    optimizers can keep moving.
+    Early cutoff or any failure of the candidate's simulation (a package
+    error, a singular matrix, a numeric domain error) returns a large
+    finite penalty so that one bad candidate never ends the search.
     """
     p_run = params_for_rate(params, dataset.c_rate_label, rate_overrides)
     try:
         init = initial_state(p_run, disc, dataset.start_soc, dataset.direction)
         result = simulate(dataset.profile, init, p_run, disc, solver, ocp=ocp)
-    except (BlowupError, ParameterError, ValueError):
+    except (CsespmError, np.linalg.LinAlgError, ValueError):
         return PENALTY_RMSE
     if result.status != "completed" or result.time[-1] < dataset.profile.times[-1] - 0.5:
         return PENALTY_RMSE

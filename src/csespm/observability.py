@@ -63,8 +63,8 @@ def positive_model(state: FullState, params: CellParameters, ocp: OcpSet,
 
     One-phase: x = CV averages, dynamics linear in x.  Two-phase:
     x = [shell averages, r_p]; the system matrices are rebuilt from the
-    state's own r_p at every evaluation.  Direction (hysteresis branch) and
-    the electrolyte average are frozen at the sweep point.
+    state's own r_p at every evaluation.  Direction (hysteresis branch),
+    core phase and the electrolyte average are frozen at the sweep point.
     """
     N_r = len(state.pos)
     direction = state.direction
@@ -94,11 +94,11 @@ def positive_model(state: FullState, params: CellParameters, ocp: OcpSet,
         scales = np.full(N_r, cmax)
         return f, h, x0, scales
 
-    core_conc = state.core_conc
+    core_conc, core_phase = state.core_conc, state.core_phase
 
     def f(x, u):
         sysm = systems.build_shell_system(params, float(x[-1]), u, N_r,
-                                          scheme, direction)
+                                          scheme, direction, core_phase)
         return sysm.rhs(x, u)
 
     def h(x, u):

@@ -95,13 +95,6 @@ def soc_from_theta(params: CellParameters, theta_bulk: float, electrode: str,
     return (theta_bulk - t0) / (t100 - t0)
 
 
-def shell_edge_conc(state: FullState, params: CellParameters) -> float:
-    """Equilibrium concentration of the shell phase at the interface."""
-    if state.core_phase == "alpha":
-        return params.c_beta(state.direction)
-    return params.c_alpha(state.direction)
-
-
 def positive_effective_theta(state: FullState, params: CellParameters,
                              current: float, N_r: int) -> tuple[float, float]:
     """(theta for the OCP lookup, c_eff for i0) of the positive electrode."""

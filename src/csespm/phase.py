@@ -58,7 +58,7 @@ def entry_bulk_threshold(params: CellParameters, direction: str,
     """Bulk concentration at which the two-phase regime is seeded.
 
     The seed places the core at the crossing plateau edge and the nucleated
-    shell at the interface value g(I); mass then fixes the front radius by
+    shell at the interface value g; mass then fixes the front radius by
     the lever rule.  Entry triggers at the bulk value whose lever-rule
     front sits exactly at the configured initial shell thickness, so the
     transition is mass-exact and free of seed transients.
@@ -108,7 +108,7 @@ def enter_two_phase(state: FullState, current: float, params: CellParameters,
     """Seed the two-phase regime from a one-phase state.
 
     The core is fixed at the crossing plateau edge and the shell CVs start
-    uniform at the nucleating phase value g(I); the front radius follows
+    uniform at the nucleating phase value g; the front radius follows
     from the lever rule so total particle lithium is preserved exactly.
     Any remainder (zero at a bisected crossing, small on hysteretic
     re-entry deep inside the plateau) is deposited into the shell CVs
@@ -117,10 +117,8 @@ def enter_two_phase(state: FullState, current: float, params: CellParameters,
     R = params.R_s_p
     N_r = len(state.pos)
     direction = systems.direction_for_current(current, state.direction)
-    core_phase = "alpha" if current > 0.0 else "beta"
-    c_a, c_b = params.c_alpha(direction), params.c_beta(direction)
-    core_conc = c_a if core_phase == "alpha" else c_b
-    shell_conc = c_b if core_phase == "alpha" else c_a
+    core_phase = systems.entry_core_phase(direction)
+    shell_conc, core_conc = systems.interface_values(params, core_phase, direction)
 
     pre_mass = systems.solid_moles(state.pos, R)
     bulk = systems.one_phase_bulk(state.pos, R)
@@ -202,9 +200,10 @@ def exit_two_phase(state: FullState, params: CellParameters, cfg: PhaseConfig,
 
 
 def apply_sign_flip(state: FullState, new_current: float, time: float) -> tuple[FullState, TransitionEvent]:
-    """Current sign change inside two-phase: the state is continuous; the
-    interface value g(I) and the sign(I) factor swap inside the system
-    builders, and the core phase is retained."""
+    """Current sign change inside two-phase: the state is continuous and the
+    core phase is retained, so the interface value g and the front's sign,
+    both set by the core phase, stay; only the hysteresis branch follows the
+    new direction and the same front moves back."""
     pre_mass = post_mass = float("nan")
     new = state.copy()
     new.direction = systems.direction_for_current(new_current, state.direction)

@@ -118,23 +118,37 @@ class LoadProfile:
 
     @classmethod
     def from_csv(cls, path) -> "LoadProfile":
-        text = Path(path).read_text()
-        rows = list(csv.reader(io.StringIO(text)))
-        if not rows or [c.strip().lower() for c in rows[0][:2]] != ["time_s", "current_a"]:
-            raise ConfigError(f"{path}: expected header 'time_s,current_A'")
-        data = []
-        for line, r in enumerate(rows[1:], start=2):
-            if not r:
-                continue
-            try:
-                data.append((float(r[0]), float(r[1])))
-            except (ValueError, IndexError):
-                raise ConfigError(f"{path}, line {line}: expected two numbers, "
-                                  f"got {','.join(r)!r}") from None
-        if not data:
-            raise ConfigError(f"{path}: no data rows after the header")
-        times, currents = np.array(data, dtype=float).T
+        times, currents = read_numeric_csv(path, ("time_s", "current_A")).T
         return cls(times, currents)
+
+
+def read_numeric_csv(path, header: tuple[str, ...]) -> np.ndarray:
+    """Data rows of a CSV file as a (rows, len(header)) float array.
+
+    The first row must start with ``header`` (case-insensitive); columns
+    past it are ignored and blank lines skipped.  A bad header, a row that
+    is short or not numeric, or no data row raises ConfigError naming the
+    file (and the line).
+    """
+    rows = list(csv.reader(io.StringIO(Path(path).read_text())))
+    n = len(header)
+    if not rows or [c.strip().lower() for c in rows[0][:n]] != [h.lower() for h in header]:
+        raise ConfigError(f"{path}: expected header {','.join(header)!r}")
+    data = []
+    for line, r in enumerate(rows[1:], start=2):
+        if not r:
+            continue
+        try:
+            values = [float(x) for x in r[:n]]
+        except ValueError:
+            values = []
+        if len(values) < n:
+            raise ConfigError(f"{path}, line {line}: expected {n} numbers, "
+                              f"got {','.join(r)!r}")
+        data.append(values)
+    if not data:
+        raise ConfigError(f"{path}: no data rows after the header")
+    return np.array(data)
 
 
 def cc_profile(params: CellParameters, c_rate: float, direction: str,
@@ -326,8 +340,8 @@ def _fvm_two_phase_substep(state: FullState, current: float, h: float,
     """One conservative substep; returns (shell, r_p, closure_rel)."""
     R = params.R_s_p
     r_p = state.r_p
-    direction = systems.direction_for_current(current, state.direction)
-    A_c, B_c, G_c = systems.shell_block(params, r_p, current, N_r, direction)
+    g, c_core = systems.interface_values(params, state.core_phase, state.direction)
+    A_c, B_c, G_c = systems.shell_block(params, r_p, current, N_r, g)
     faces, _, vols = systems.spherical_cells(r_p, R, N_r)
     prop = AffinePropagator(A_c, weights=vols)
     c_new = prop.step(state.pos, B_c * current + G_c, h)
@@ -342,9 +356,7 @@ def _fvm_two_phase_substep(state: FullState, current: float, h: float,
         c_new = c_new + (shell_old - float(vols @ c_new)) / vols.sum()
         return c_new, r_p, 0.0
 
-    g = systems.interface_concentration(params, current, direction)
-    core_eff = params.c_alpha(direction) if current > 0.0 else params.c_beta(direction)
-    dV = spill / (g - core_eff)
+    dV = spill / (g - c_core)
 
     v_core_new = (4.0 / 3.0) * np.pi * r_p**3 - dV
     v_core_new = min(max(v_core_new, 0.0), (4.0 / 3.0) * np.pi * R**3)
@@ -376,8 +388,8 @@ def _fvm_two_phase_substep(state: FullState, current: float, h: float,
 def _fdm_two_phase_substep(state: FullState, current: float, h: float,
                            params: CellParameters, N_r: int):
     """Naive collocated step of the FDM two-phase system (no remap)."""
-    direction = systems.direction_for_current(current, state.direction)
-    sysm = systems.build_fdm_two_phase(params, state.r_p, current, N_r, direction)
+    sysm = systems.build_fdm_two_phase(params, state.r_p, current, N_r,
+                                       state.direction, state.core_phase)
     A_c = sysm.A[:N_r, :N_r]
     b = sysm.B[:N_r] * current + sysm.G[:N_r]
     prop = AffinePropagator(A_c)
@@ -481,9 +493,8 @@ def initial_state(params: CellParameters, disc: DiscretizationConfig,
         return FullState(neg=neg, pos=np.full(disc.N_r, c_p), elec=elec,
                          regime=ONE_PHASE_BETA, direction=direction)
 
-    core_phase = "alpha" if direction == "dis" else "beta"
-    c_core = c_a if core_phase == "alpha" else c_b
-    c_shell = c_b if core_phase == "alpha" else c_a
+    core_phase = systems.entry_core_phase(direction)
+    c_shell, c_core = systems.interface_values(params, core_phase, direction)
     f_core = (c_shell - c_p) / (c_shell - c_core)
     f_core = min(max(f_core, 1e-6), 1.0 - 1e-6)
     R = params.R_s_p
@@ -513,7 +524,7 @@ class SimulationResult:
     r_p: np.ndarray
     regime: list
     direction: list
-    snapshots: list
+    core_phase: list                  # 'alpha'/'beta' while two-phase, else None
     neg_c: np.ndarray
     pos_c: np.ndarray
     elec_c: np.ndarray
@@ -535,10 +546,7 @@ class SimulationResult:
             neg=self.neg_c[i].copy(), pos=self.pos_c[i].copy(),
             elec=self.elec_c[i].copy(), regime=self.regime[i],
             r_p=float(self.r_p[i]) * self.meta["R_s_p"],
-            core_conc=float(self.core_conc[i]),
-            core_phase=("alpha" if self.regime[i] == TWO_PHASE and
-                        self.core_conc[i] <= self.meta["c_plateau_mid"] else
-                        "beta" if self.regime[i] == TWO_PHASE else None),
+            core_conc=float(self.core_conc[i]), core_phase=self.core_phase[i],
             direction=self.direction[i])
 
     def to_csv(self, path):
@@ -595,7 +603,7 @@ def simulate(profile: LoadProfile, init: FullState, params: CellParameters,
 
     cols = {k: [] for k in ("t", "i", "v", "sp", "sn", "rp", "q",
                             "mp", "mn", "me", "drift")}
-    regimes, directions, snapshots, events = [], [], [], []
+    regimes, directions, core_phases, events = [], [], [], []
     neg_h, pos_h, elec_h, core_h = [], [], [], []
 
     state = init.copy()
@@ -637,7 +645,7 @@ def simulate(profile: LoadProfile, init: FullState, params: CellParameters,
         cols["drift"].append(max(res_p, res_n, res_e))
         regimes.append(s.regime)
         directions.append(s.direction)
-        snapshots.append(snap)
+        core_phases.append(s.core_phase)
         neg_h.append(s.neg.copy())
         pos_h.append(s.pos.copy())
         elec_h.append(s.elec.copy())
@@ -715,20 +723,18 @@ def simulate(profile: LoadProfile, init: FullState, params: CellParameters,
                         status, stop = "cutoff_high", True
                         break
 
-    mid = 0.5 * (params.c_alpha("dis") + params.c_beta("dis"))
     return SimulationResult(
         time=np.asarray(cols["t"]), current=np.asarray(cols["i"]),
         voltage=np.asarray(cols["v"]), soc_p=np.asarray(cols["sp"]),
         soc_n=np.asarray(cols["sn"]), r_p=np.asarray(cols["rp"]),
-        regime=regimes, direction=directions, snapshots=snapshots,
+        regime=regimes, direction=directions, core_phase=core_phases,
         neg_c=np.asarray(neg_h), pos_c=np.asarray(pos_h),
         elec_c=np.asarray(elec_h), core_conc=np.asarray(core_h),
         charge=np.asarray(cols["q"]), mass_pos=np.asarray(cols["mp"]),
         mass_neg=np.asarray(cols["mn"]), mass_elec=np.asarray(cols["me"]),
         drift_rel=np.asarray(cols["drift"]), events=events, status=status,
-        meta={"R_s_p": params.R_s_p, "c_plateau_mid": mid,
-              "scheme": disc.scheme, "N_r": disc.N_r, "N_e": disc.N_e,
-              "split": split, "max_closure": integ.max_closure})
+        meta={"R_s_p": params.R_s_p, "scheme": disc.scheme, "N_r": disc.N_r,
+              "N_e": disc.N_e, "split": split, "max_closure": integ.max_closure})
 
 
 # --- mass audit --------------------------------------------------------------------

@@ -6,11 +6,14 @@ volume-weighted row sums vanish except where a physical boundary flux
 enters through B or G; that is what makes the scheme conservative.
 
 Two-phase positive electrode: the shell spans [r_p, R_s_p] with N_r equal
-width CVs (width recomputed from r_p), a Dirichlet interface value g(I) at
-the inner face and the applied current flux at the outer face.  The extra
-state r_p obeys the front ODE
-    dr_p/dt = sign(I) * D_s_p / (c_alpha - c_beta) * dc/dr|_{r_p}
+width CVs (width recomputed from r_p), a Dirichlet interface value g at the
+inner face and the applied current flux at the outer face.  The extra state
+r_p obeys the Stefan balance
+    dr_p/dt = D_s_p / (c_core - g) * dc/dr|_{r_p}
 with the gradient taken one-sided over the half cell next to the interface.
+g and c_core are the plateau edges of the shell and core phases, set by the
+stored core phase (`interface_values`), never by the sign of the current:
+after a reversal inside two-phase the same front moves back.
 """
 from __future__ import annotations
 
@@ -46,16 +49,6 @@ class AffineSystem:
         if self.G is not None:
             out = out + self.G
         return out
-
-    def validate(self):
-        n = self.A.shape[0]
-        if self.A.shape != (n, n) or self.B.shape != (n,):
-            raise ParameterError("A must be square and B a matching vector")
-        if self.G is not None and self.G.shape != (n,):
-            raise ParameterError("G must match the state dimension")
-        if not (np.isfinite(self.A).all() and np.isfinite(self.B).all()
-                and (self.G is None or np.isfinite(self.G).all())):
-            raise ParameterError("system matrices contain non-finite entries")
 
 
 _UNIT_FACES: dict[int, np.ndarray] = {}
@@ -147,14 +140,28 @@ def build_one_phase_solid_system(params: CellParameters, electrode: str,
     return AffineSystem(A, B)
 
 
-def interface_concentration(params: CellParameters, current: float,
-                            direction: str) -> float:
-    """Interface value g(I): c_beta for I > 0, c_alpha for I < 0, 0 at rest."""
-    if current > 0.0:
-        return params.c_beta(direction)
-    if current < 0.0:
-        return params.c_alpha(direction)
-    return 0.0
+def entry_core_phase(direction: str) -> str:
+    """Core phase of a particle that enters two-phase in this direction: a
+    discharge lithiates alpha from the surface in, a charge delithiates beta."""
+    return "alpha" if direction == "dis" else "beta"
+
+
+def interface_values(params: CellParameters, core_phase: str,
+                     direction: str) -> tuple[float, float]:
+    """(g, c_core): plateau edges of the shell and core phases.
+
+    g, the interface value of the shell, is c_beta around an alpha core and
+    c_alpha around a beta core; the direction only picks the hysteresis
+    branch.  The front speed D dc/dr / (c_core - g) thus carries the factor
+    +1/(c_alpha - c_beta) for an alpha core and -1/(c_alpha - c_beta) for a
+    beta core, whatever the sign of the current.
+    """
+    c_a, c_b = params.c_alpha(direction), params.c_beta(direction)
+    if core_phase == "alpha":
+        return c_b, c_a
+    if core_phase == "beta":
+        return c_a, c_b
+    raise PhaseDomainError(f"core phase {core_phase!r} is neither 'alpha' nor 'beta'")
 
 
 def direction_for_current(current: float, fallback: str = "dis") -> str:
@@ -166,8 +173,9 @@ def direction_for_current(current: float, fallback: str = "dis") -> str:
 
 
 def shell_block(params: CellParameters, r_p: float, current: float, N_r: int,
-                direction: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Shell rows (A, B, G) of the two-phase system on the N_r shell CVs."""
+                g: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Shell rows (A, B, G) of the two-phase system on the N_r shell CVs,
+    with the interface held at g under current and zero flux at rest."""
     R = params.R_s_p
     if not 0.0 < r_p < R:
         raise PhaseDomainError(f"r_p={r_p!r} outside (0, R_s_p); transition regimes first")
@@ -183,38 +191,42 @@ def shell_block(params: CellParameters, r_p: float, current: float, N_r: int,
         # Dirichlet value g at the inner face, one-sided over a half cell
         w = 2.0 * D * areas[0] / (dr * volumes[0])
         A[0, 0] -= w
-        G[0] = w * interface_concentration(params, current, direction)
+        G[0] = w * g
     B[N_r - 1] = areas[N_r] / (
         volumes[N_r - 1] * params.F * params.A_cell * params.L_p * params.a_s("pos"))
     return A, B, G
 
 
 def build_two_phase_system(params: CellParameters, r_p: float, current: float,
-                           N_r: int, direction: str | None = None) -> AffineSystem:
+                           N_r: int, direction: str | None = None,
+                           core_phase: str | None = None) -> AffineSystem:
     """Shell FVM diffusion plus the moving-boundary ODE, state [c_1..c_N, r_p].
 
-    The interface Dirichlet value g(I) enters through G; at I = 0 the g(I)=0
-    branch is realized as a zero-flux interface (no conversion) and a frozen
-    front, so a uniform shell stays uniform and dr_p/dt = 0.
+    The interface Dirichlet value g of `interface_values` enters through G;
+    at I = 0 the interface carries no flux (no conversion) and the front is
+    frozen, so a uniform shell stays uniform and dr_p/dt = 0.  direction
+    defaults to the current's, core_phase to the one entered in it.
     """
     if direction is None:
         direction = direction_for_current(current)
-    A_c, B_c, G_c = shell_block(params, r_p, current, N_r, direction)
+    if core_phase is None:
+        core_phase = entry_core_phase(direction)
+    g, c_core = interface_values(params, core_phase, direction)
+    A_c, B_c, G_c = shell_block(params, r_p, current, N_r, g)
     R = params.R_s_p
     D = params.D_s_p
     dr = (R - r_p) / N_r
-    g = interface_concentration(params, current, direction)
-    dc = params.c_alpha(direction) - params.c_beta(direction)
-    sgn = float(np.sign(current))
 
     n = N_r + 1
     A = np.zeros((n, n))
     A[:N_r, :N_r] = A_c
     B = np.append(B_c, 0.0)
     G = np.append(G_c, 0.0)
-    # front row: dr_p/dt = sign(I) D / (c_alpha - c_beta) * 2 (c_1 - g) / dr
-    A[N_r, 0] = 2.0 * sgn * D / (dr * dc)
-    G[N_r] = -2.0 * sgn * D * g / (dr * dc)
+    if current != 0.0:
+        # front row: dr_p/dt = D / (c_core - g) * 2 (c_1 - g) / dr
+        dc = c_core - g
+        A[N_r, 0] = 2.0 * D / (dr * dc)
+        G[N_r] = -2.0 * D * g / (dr * dc)
     return AffineSystem(A, B, G)
 
 
@@ -366,24 +378,26 @@ def build_fdm_one_phase(params: CellParameters, electrode: str,
 
 
 def build_fdm_two_phase(params: CellParameters, r_p: float, current: float,
-                        N_r: int, direction: str | None = None) -> AffineSystem:
+                        N_r: int, direction: str | None = None,
+                        core_phase: str | None = None) -> AffineSystem:
     """FDM counterpart of the two-phase system on shell cell-center nodes.
 
-    The ghost node below the interface realizes the Dirichlet value g(I)
-    (zero flux at rest), the surface ghost carries the applied current, and
-    the front row uses the same one-sided half-cell gradient as the FVM.
+    The ghost node below the interface realizes the Dirichlet value g of
+    `interface_values` (zero flux at rest), the surface ghost carries the
+    applied current, and the front row uses the same one-sided half-cell
+    gradient as the FVM.  Defaults as in `build_two_phase_system`.
     """
     R = params.R_s_p
     if not 0.0 < r_p < R:
         raise PhaseDomainError(f"r_p={r_p!r} outside (0, R_s_p)")
     if direction is None:
         direction = direction_for_current(current)
+    if core_phase is None:
+        core_phase = entry_core_phase(direction)
     D = params.D_s_p
     h = (R - r_p) / N_r
     r = r_p + (np.arange(N_r) + 0.5) * h
-    g = interface_concentration(params, current, direction)
-    dc = params.c_alpha(direction) - params.c_beta(direction)
-    sgn = float(np.sign(current))
+    g, c_core = interface_values(params, core_phase, direction)
 
     n = N_r + 1
     A = np.zeros((n, n))
@@ -409,8 +423,10 @@ def build_fdm_two_phase(params: CellParameters, r_p: float, current: float,
             B[i] += lap_hi * h * grad_per_amp
         else:
             A[i, i + 1] += lap_hi
-    A[N_r, 0] = 2.0 * sgn * D / (h * dc)
-    G[N_r] = -2.0 * sgn * D * g / (h * dc)
+    if current != 0.0:
+        dc = c_core - g
+        A[N_r, 0] = 2.0 * D / (h * dc)
+        G[N_r] = -2.0 * D * g / (h * dc)
     return AffineSystem(A, B, G)
 
 
@@ -425,9 +441,10 @@ def build_solid_system(params: CellParameters, electrode: str, N_r: int,
 
 def build_shell_system(params: CellParameters, r_p: float, current: float,
                        N_r: int, scheme: str = "fvm",
-                       direction: str | None = None) -> AffineSystem:
+                       direction: str | None = None,
+                       core_phase: str | None = None) -> AffineSystem:
     if scheme == "fvm":
-        return build_two_phase_system(params, r_p, current, N_r, direction)
+        return build_two_phase_system(params, r_p, current, N_r, direction, core_phase)
     if scheme == "fdm":
-        return build_fdm_two_phase(params, r_p, current, N_r, direction)
+        return build_fdm_two_phase(params, r_p, current, N_r, direction, core_phase)
     raise ParameterError(f"unknown scheme {scheme!r}")

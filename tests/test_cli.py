@@ -130,3 +130,19 @@ def test_bad_profile_gives_exit_4(tmp_path, capsys, command, body, needle):
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "ConfigError" and record["exit_code"] == 4
     assert str(profile) in record["message"] and needle in record["message"]
+
+
+@pytest.mark.parametrize("body, needle", [
+    ("time_s,current_A,voltage_V\n0,1.0,3.3\n10,abc,3.3\n", "line 3"),
+    ("time_s,current_A,voltage_V\n0,1.0,3.3\n10,1.0\n", "line 3"),
+    ("time_s,current_A,voltage_V\n", "no data rows"),
+])
+def test_bad_dataset_gives_exit_4(tmp_path, capsys, body, needle):
+    data = tmp_path / "data.csv"
+    data.write_text(body)
+    rc = main(["identify", "--data", str(data), "--subset", "c2-1c", "--budget", "2",
+               "--out", str(tmp_path / "out")])
+    assert rc == 4
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ConfigError" and record["exit_code"] == 4
+    assert str(data) in record["message"] and needle in record["message"]

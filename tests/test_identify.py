@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from csespm.errors import ConfigError, ParameterError
+from csespm import identify as identify_module
+from csespm.errors import (BlowupError, ConfigError, ParameterError,
+                           SaturationError, TransitionError)
 from csespm.identify import (Dataset, LAMBDA_C4, LAMBDA_C2_1C,
                              ParameterSubset, PENALTY_RMSE, identify,
                              make_synthetic_dataset, voltage_rmse)
@@ -81,6 +83,18 @@ def test_penalty_on_unsimulatable_candidate(params, c4_dataset):
     solver = dataclasses.replace(SOLVER, cutoffs_enabled=True, v_min=3.35)
     rmse = voltage_rmse(params, c4_dataset, DISC, solver)
     assert rmse == PENALTY_RMSE
+
+
+@pytest.mark.parametrize("error", [
+    TransitionError("exit lost mass"), SaturationError("c_eff at c_s_max"),
+    BlowupError("non-finite state"), np.linalg.LinAlgError("singular matrix")])
+def test_penalty_on_failing_simulation(params, c4_dataset, monkeypatch, error):
+    """Whatever a candidate's simulation raises, from the package or from
+    numpy's linear algebra, the candidate gets the penalty."""
+    def failing(*args, **kwargs):
+        raise error
+    monkeypatch.setattr(identify_module, "simulate", failing)
+    assert voltage_rmse(params, c4_dataset, DISC, SOLVER) == PENALTY_RMSE
 
 
 def test_identify_determinism_and_trace(params, c4_dataset):

@@ -4,8 +4,10 @@ import pytest
 from csespm.phase import (PhaseConfig, annulus_remap, apply_sign_flip,
                           detect_transition, enter_two_phase,
                           entry_bulk_threshold, exit_two_phase)
+from csespm.params import DiscretizationConfig
 from csespm.simulate import (LoadProfile, SolverConfig, cc_profile,
-                             initial_state, mass_audit, simulate)
+                             initial_state, mass_audit, simulate,
+                             synthetic_dynamic_profile)
 from csespm.states import TWO_PHASE
 from csespm import systems
 
@@ -145,22 +147,29 @@ def test_sign_flip_keeps_state(params, disc4):
 
 
 def test_sign_flip_reverses_front_velocity(params, disc4):
-    """Same shell profile and gradient sign: flipping the current direction
-    flips dr_p/dt through the sign(I) factor."""
+    """After a discharge-to-charge flip the alpha core keeps g = c_beta and
+    the front factor 1/(c_core - g): the front reverses because the shell
+    drains below g at the interface, not through a sign(I) factor."""
     st = initial_state(params, disc4, 0.5, "dis")
-    x = np.concatenate([st.pos, [st.r_p]])
-    dis = systems.build_two_phase_system(params, st.r_p, +5.0, disc4.N_r, "dis")
-    ch = systems.build_two_phase_system(params, st.r_p, -5.0, disc4.N_r, "dis")
-    v_dis = float(dis.A[-1] @ x + dis.G[-1])
-    v_ch = float(ch.A[-1] @ x + ch.G[-1])
-    # interface values g differ (c_beta vs c_alpha), so compare against the
-    # definition with each branch's own g
-    g_dis = systems.interface_concentration(params, +5.0, "dis")
-    g_ch = systems.interface_concentration(params, -5.0, "dis")
-    dr = (params.R_s_p - st.r_p) / disc4.N_r
-    dc = params.c_alpha("dis") - params.c_beta("dis")
-    assert v_dis == pytest.approx(2 * params.D_s_p * (st.pos[0] - g_dis) / (dr * dc))
-    assert v_ch == pytest.approx(-2 * params.D_s_p * (st.pos[0] - g_ch) / (dr * dc))
+    assert st.core_phase == "alpha"
+    flipped, _ = apply_sign_flip(st, -5.0, time=0.0)
+    assert flipped.core_phase == "alpha" and flipped.direction == "ch"
+    N = disc4.N_r
+    dr = (params.R_s_p - st.r_p) / N
+    for s, current in ((st, +5.0), (flipped, -5.0)):
+        sysm = systems.build_two_phase_system(params, s.r_p, current, N,
+                                              s.direction, s.core_phase)
+        g, c_core = systems.interface_values(params, s.core_phase, s.direction)
+        assert g == params.c_beta(s.direction)
+        # lithium arriving (c_1 > g) shrinks the core, draining (c_1 < g)
+        # grows it, under either current sign
+        velocities = []
+        for c_1 in (g + 100.0, g - 100.0):
+            x = np.concatenate([[c_1], s.pos[1:], [s.r_p]])
+            v = float(sysm.A[-1] @ x + sysm.G[-1])
+            assert v == pytest.approx(2 * params.D_s_p * (c_1 - g) / (dr * (c_core - g)))
+            velocities.append(v)
+        assert velocities[0] < 0.0 < velocities[1]
 
 
 def test_micro_cycling_tracks_coulomb_count(params, disc4):
@@ -249,3 +258,26 @@ def test_full_discharge_front_shape(params, disc4):
     assert np.all(np.diff(rp) <= 1e-12)
     # SOC decreases monotonically on discharge
     assert np.all(np.diff(res.soc_p) <= 1e-9)
+
+
+def test_reversals_inside_two_phase_stay_bounded(params):
+    """Charge-sustaining drive profiles with reversals both ways inside
+    two-phase: the shell stays inside (0, c_s_max), lithium follows the
+    coulomb count, and a reversal never ends in a shell exit and re-entry."""
+    rng = np.random.default_rng(2024)
+    for k in range(8):
+        disc = DiscretizationConfig(N_r=3 + k % 2, N_e=6)
+        seed = int(rng.integers(2**31))
+        soc = float(rng.uniform(0.3, 0.6))
+        prof = synthetic_dynamic_profile(params, duration=600.0, seed=seed, mean_c=0.0)
+        res = simulate(prof, initial_state(params, disc, soc, "dis"), params, disc,
+                       SolverConfig(cutoffs_enabled=False))
+        where = f"seed {seed}, N_r {disc.N_r}, SOC {soc:.3f}"
+        assert res.status == "completed", where
+        for c, cmax in ((res.pos_c, params.c_s_max_p), (res.neg_c, params.c_s_max_n)):
+            assert np.all(c > 0.0) and np.all(c < cmax), where
+        assert mass_audit(res, params).max_drift_rel <= 1e-12, where
+        assert all(r == TWO_PHASE for r in res.regime), where
+        flips = [e.detail["direction"] for e in res.events if e.kind == "sign_flip"]
+        assert len(flips) == len(res.events), where
+        assert {"ch", "dis"} <= set(flips), where

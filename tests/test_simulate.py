@@ -302,3 +302,48 @@ def test_grid_convergence_toward_reference(params):
         f_err.append(np.abs(res.r_p[:n]**3 - golden["r_p_over_R"][:n]**3).max())
     assert all(a > b for a, b in zip(v_err, v_err[1:]))
     assert all(a > b for a, b in zip(f_err, f_err[1:]))
+
+
+@pytest.mark.parametrize("duration, mean_c, soc", [(3600.0, 0.0, 0.3), (13700.0, 0.15, 0.6)])
+def test_reversal_inside_two_phase_regressions(params, disc4, duration, mean_c, soc):
+    """Two drive profiles whose discharge-to-charge reversals inside
+    two-phase once drove the shell to 1.9 c_s_max (3600 s) and into a mid-run
+    SaturationError (13,700 s, cutoffs on).  Both complete inside
+    (0, c_s_max) on the coulomb count."""
+    prof = synthetic_dynamic_profile(params, duration=duration, seed=7, mean_c=mean_c)
+    res = simulate(prof, initial_state(params, disc4, soc, "dis"), params, disc4,
+                   SolverConfig(dt=1.0))
+    assert res.status == "completed" and res.time[-1] == duration
+    assert 0.0 < res.pos_c.min() and res.pos_c.max() < params.c_s_max_p
+    assert mass_audit(res, params).max_drift_rel <= 1e-12
+    assert [e.kind for e in res.events].count("enter_two_phase") == 0
+
+
+def test_one_direction_charge_matches_current_sign_rule(params):
+    """Without a reversal the stored core phase gives, bit for bit, the
+    systems of the rule that took g, the core value and the front sign from
+    the sign of the current; so one-direction trajectories are unchanged."""
+    disc = DiscretizationConfig(N_r=3, N_e=6)
+    res = simulate(cc_profile(params, 1.0, "ch", duration=2400.0),
+                   initial_state(params, disc, 0.0, "ch"), params, disc,
+                   SolverConfig(cutoffs_enabled=False))
+    rows = [i for i, r in enumerate(res.regime) if r == "two_phase"]
+    assert len(rows) > 100
+    D, N = params.D_s_p, disc.N_r
+    for i in rows[::10]:
+        st = res.state_at(i)
+        assert (st.core_phase, st.direction) == ("beta", "ch")
+        current = float(res.current[i])
+        # the current-sign rule, kept here as the reference
+        g, sgn = params.c_alpha("ch"), float(np.sign(current))
+        dc = params.c_alpha("ch") - params.c_beta("ch")
+        dr = (params.R_s_p - st.r_p) / N
+        for build in (systems.build_two_phase_system, systems.build_fdm_two_phase):
+            stored = build(params, st.r_p, current, N, st.direction, st.core_phase)
+            default = build(params, st.r_p, current, N)
+            assert stored.A[N, 0] == 2.0 * sgn * D / (dr * dc)
+            assert stored.G[N] == -2.0 * sgn * D * g / (dr * dc)
+            for a, b in ((stored.A, default.A), (stored.B, default.B), (stored.G, default.G)):
+                assert np.array_equal(a, b)
+        _, c_core = systems.interface_values(params, st.core_phase, st.direction)
+        assert c_core == params.c_beta("ch") == st.core_conc

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -70,22 +72,41 @@ def test_builder_rejects_bad_inputs(params):
         systems.build_one_phase_solid_system(params, "sep", 4)
 
 
-# --- interface value g(I) ------------------------------------------------------
+# --- interface value g and front sign, set by the stored core phase ----------
 
 def test_interface_concentration_trichotomy(params):
-    assert systems.interface_concentration(params, 1.0, "dis") == pytest.approx(
-        0.804 * params.c_s_max_p)
-    assert systems.interface_concentration(params, -1.0, "ch") == pytest.approx(
-        0.220 * params.c_s_max_p)
-    assert systems.interface_concentration(params, 0.0, "dis") == 0.0
-    for current in (-1.0, 0.0, 1.0):
-        g = systems.interface_concentration(params, current, "dis")
-        if current > 0:
-            assert g == params.c_beta("dis")
-        elif current < 0:
-            assert g == params.c_alpha("dis")
-        else:
-            assert g == 0.0
+    """g is the shell phase's edge (c_beta around an alpha core, c_alpha
+    around a beta core) and the front factor is +1/(c_alpha - c_beta) for an
+    alpha core, -1/(c_alpha - c_beta) for a beta core and 0 at rest, under
+    either sign of the current."""
+    cmax = params.c_s_max_p
+    assert systems.interface_values(params, "alpha", "dis") == (
+        pytest.approx(0.804 * cmax), pytest.approx(0.196 * cmax))
+    assert systems.interface_values(params, "beta", "ch") == (
+        pytest.approx(0.220 * cmax), pytest.approx(0.817 * cmax))
+    for direction in ("dis", "ch"):
+        ca, cb = params.c_alpha(direction), params.c_beta(direction)
+        assert systems.interface_values(params, "alpha", direction) == (cb, ca)
+        assert systems.interface_values(params, "beta", direction) == (ca, cb)
+    with pytest.raises(PhaseDomainError):
+        systems.interface_values(params, None, "dis")
+
+    N, r_p = 4, 0.5 * params.R_s_p
+    dr = (params.R_s_p - r_p) / N
+    for direction, current in itertools.product(("dis", "ch"), (1.0, -1.0, 0.0)):
+        dc = params.c_alpha(direction) - params.c_beta(direction)
+        for core_phase, sign in (("alpha", 1.0), ("beta", -1.0)):
+            sysm = systems.build_two_phase_system(params, r_p, current, N,
+                                                  direction, core_phase)
+            g, _ = systems.interface_values(params, core_phase, direction)
+            want = sign if current != 0.0 else 0.0
+            assert sysm.A[N, 0] * dr * dc / (2.0 * params.D_s_p) == pytest.approx(want)
+            # Dirichlet face at g under current, zero flux at rest
+            rest = systems.build_two_phase_system(params, r_p, 0.0, N,
+                                                  direction, core_phase)
+            w = rest.A[0, 0] - sysm.A[0, 0]
+            assert sysm.G[0] == pytest.approx(w * g)
+            assert (w > 0.0) == (current != 0.0)
 
 
 # --- two-phase builder -----------------------------------------------------------
