@@ -89,7 +89,8 @@ def cmd_simulate(args) -> int:
         "final_soc_p": float(result.soc_p[-1]),
         "final_voltage_V": float(result.voltage[-1]),
         "max_mass_drift_rel": report.max_drift_rel,
-        "events": [e.kind for e in result.events]}, indent=2) + "\n")
+        "events": [e.kind for e in result.events],
+        "counters": result.meta["counters"]}, indent=2) + "\n")
     print(f"wrote {out / 'result.csv'} ({len(result)} records, status {result.status})")
     return 0
 

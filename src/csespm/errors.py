@@ -19,7 +19,10 @@ class PhaseDomainError(CsespmError, ValueError):
 
 class SaturationError(CsespmError, ValueError):
     """Effective solid concentration hit 0 or c_s_max; the voltage map left
-    its valid domain."""
+    its valid domain.  Raised for rows, ``before`` holds the output map of
+    the rows ahead of the failing one."""
+
+    before = None
 
 
 class TransitionError(CsespmError, RuntimeError):

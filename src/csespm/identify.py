@@ -11,7 +11,6 @@ evaluations are full simulations, so budgets are counted in evaluations.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,8 +18,9 @@ import numpy as np
 from .errors import ConfigError, CsespmError, ParameterError
 from .ocp import OcpSet, synthetic_ocp_set
 from .params import CellParameters, DiscretizationConfig, params_for_rate
+from .records import read_csv_columns, write_csv_columns
 from .simulate import (LoadProfile, SolverConfig, cc_profile, initial_state,
-                       read_numeric_csv, simulate)
+                       simulate)
 
 PENALTY_RMSE = 10.0   # volts; returned when a candidate cannot be simulated
 
@@ -119,8 +119,8 @@ class Dataset:
         self.voltage = np.asarray(self.voltage, dtype=float)
         if self.voltage.shape != self.profile.times.shape:
             raise ParameterError("voltage and profile must share timestamps")
-        if np.any(self.voltage < 1.5) or np.any(self.voltage > 4.0):
-            raise ParameterError("voltages outside the physical 1.5-4.0 V window")
+        if not np.all((self.voltage >= 1.5) & (self.voltage <= 4.0)):
+            raise ParameterError("voltages must be numbers in the physical 1.5-4.0 V window")
 
     @property
     def start_soc(self) -> float:
@@ -129,21 +129,19 @@ class Dataset:
         return 0.0 if self.direction == "ch" else 1.0
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["time_s", "current_A", "voltage_V"])
-            for t, i, v in zip(self.profile.times, self.profile.currents, self.voltage):
-                w.writerow([f"{t:.10g}", f"{i:.10g}", f"{v:.10g}"])
+        write_csv_columns(path, {"time_s": self.profile.times,
+                                 "current_A": self.profile.currents,
+                                 "voltage_V": self.voltage})
 
     @classmethod
     def from_csv(cls, path, direction: str | None = None,
                  c_rate_label: str | None = None,
                  initial_soc: float | None = None) -> "Dataset":
-        data = read_numeric_csv(path, ("time_s", "current_A", "voltage_V"))
+        cols = read_csv_columns(path, ("time_s", "current_A", "voltage_V"))
         if direction is None:
-            direction = "dis" if np.mean(data[:, 1]) > 0 else "ch"
-        return cls(LoadProfile(data[:, 0], data[:, 1]), data[:, 2], direction,
-                   c_rate_label=c_rate_label, initial_soc=initial_soc,
+            direction = "dis" if np.mean(cols["current_A"]) > 0 else "ch"
+        return cls(LoadProfile(cols["time_s"], cols["current_A"]), cols["voltage_V"],
+                   direction, c_rate_label=c_rate_label, initial_soc=initial_soc,
                    name=str(path))
 
 

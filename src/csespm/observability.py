@@ -17,7 +17,6 @@ analysis; raw values are reported alongside.
 """
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass, field
@@ -25,10 +24,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CsespmError
-from .ocp import OcpSet
+from .ocp import OcpSet, synthetic_ocp_set
 from .output import (electrode_c_e_avg, exchange_current_density,
                      overpotential)
 from .params import CellParameters
+from .records import write_csv_columns
 from .simulate import SimulationResult
 from .states import FullState, TWO_PHASE
 from . import systems
@@ -74,7 +74,7 @@ def positive_model(state: FullState, params: CellParameters, ocp: OcpSet,
     cmax = params.c_s_max_p
 
     if state.regime != TWO_PHASE:
-        sysm = systems.build_solid_system(params, "pos", N_r, scheme)
+        sysm = systems.SOLID_BUILDERS[scheme](params, "pos", N_r)
         A, B = sysm.A, sysm.B
 
         def f(x, u):
@@ -95,11 +95,10 @@ def positive_model(state: FullState, params: CellParameters, ocp: OcpSet,
         return f, h, x0, scales
 
     core_conc, core_phase = state.core_conc, state.core_phase
+    build_shell = systems.SHELL_BUILDERS[scheme]
 
     def f(x, u):
-        sysm = systems.build_shell_system(params, float(x[-1]), u, N_r,
-                                          scheme, direction, core_phase)
-        return sysm.rhs(x, u)
+        return build_shell(params, float(x[-1]), u, N_r, direction, core_phase).rhs(x, u)
 
     def h(x, u):
         c_bulk = systems.two_phase_bulk(x[:-1], float(x[-1]), core_conc, R)
@@ -252,14 +251,10 @@ class ObservabilitySweep:
         return all(p.rank == p.full_rank_needed for p in self.points)
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["time_s", "soc_p", "regime", "rank", "full_rank_needed",
-                        "log10_cond_scaled", "log10_cond_raw"])
-            for p in self.points:
-                w.writerow([f"{p.time:.10g}", f"{p.soc_p:.10g}", p.regime,
-                            p.rank, p.full_rank_needed,
-                            f"{p.log10_cond_scaled:.10g}", f"{p.log10_cond_raw:.10g}"])
+        names = ("time", "soc_p", "regime", "rank", "full_rank_needed",
+                 "log10_cond_scaled", "log10_cond_raw")
+        write_csv_columns(path, {("time_s" if n == "time" else n):
+                                 [getattr(p, n) for p in self.points] for n in names})
 
 
 def sweep(result: SimulationResult, params: CellParameters,
@@ -272,7 +267,6 @@ def sweep(result: SimulationResult, params: CellParameters,
     recorded current (zero under constant current); higher derivatives are
     taken as zero.  Per-point failures are logged and skipped.
     """
-    from .ocp import synthetic_ocp_set
     config = config or ObservabilityConfig()
     ocp = ocp or synthetic_ocp_set(params)
     scheme = scheme or result.meta.get("scheme", "fvm")

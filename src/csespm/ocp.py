@@ -7,17 +7,16 @@ CSV (theta, volts) with a header row can be substituted.
 """
 from __future__ import annotations
 
-import csv
-import io
 import logging
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .errors import CsespmError, ParameterError
 from .params import CellParameters
+from .records import read_csv_columns, tally, write_csv_columns
 
 log = logging.getLogger(__name__)
 
@@ -34,7 +33,6 @@ class OcpTable:
     direction: str              # 'ch' | 'dis' | 'shared'
     theta: np.ndarray
     volts: np.ndarray
-    _pchip: PchipInterpolator | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.theta = np.asarray(self.theta, dtype=float)
@@ -58,26 +56,35 @@ class OcpTable:
                         theta, self.electrode, self.direction, self.theta[0], self.theta[-1])
             theta = min(max(theta, self.theta[0]), self.theta[-1])
         if smooth:
-            if self._pchip is None:
-                self._pchip = PchipInterpolator(self.theta, self.volts, extrapolate=False)
             return float(self._pchip(theta))
         return float(np.interp(theta, self.theta, self.volts))
 
+    def lookup(self, theta: np.ndarray, smooth: bool = False,
+               counters: dict | None = None) -> np.ndarray:
+        """``__call__`` over an array of theta in [0, 1].  Entries past the
+        table ends are tallied as "ocp_extrapolations" (records.tally)."""
+        lo, hi = self.theta[0], self.theta[-1]
+        outside = (theta < lo) | (theta > hi)
+        if outside.any():
+            tally(counters, "ocp_extrapolations", int(outside.sum()), log,
+                  "OCP extrapolated at theta=%.4f (%s/%s table covers [%.3f, %.3f])",
+                  theta[outside][0], self.electrode, self.direction, lo, hi)
+            theta = np.clip(theta, lo, hi)
+        if smooth:
+            return self._pchip(theta)
+        return np.interp(theta, self.theta, self.volts)
+
+    @cached_property
+    def _pchip(self) -> PchipInterpolator:
+        return PchipInterpolator(self.theta, self.volts, extrapolate=False)
+
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["theta", "volts"])
-            for t, u in zip(self.theta, self.volts):
-                w.writerow([f"{t:.10g}", f"{u:.10g}"])
+        write_csv_columns(path, {"theta": self.theta, "volts": self.volts})
 
     @classmethod
     def from_csv(cls, path, electrode: str, direction: str) -> "OcpTable":
-        text = Path(path).read_text()
-        rows = list(csv.reader(io.StringIO(text)))
-        if not rows or [c.strip().lower() for c in rows[0][:2]] != ["theta", "volts"]:
-            raise ParameterError(f"{path}: expected header 'theta,volts'")
-        data = np.array([[float(r[0]), float(r[1])] for r in rows[1:] if r], dtype=float)
-        return cls(electrode, direction, data[:, 0], data[:, 1])
+        cols = read_csv_columns(path, ("theta", "volts"))
+        return cls(electrode, direction, cols["theta"], cols["volts"])
 
 
 @dataclass

@@ -26,23 +26,21 @@ purpose (it is the non-conservative reference).
 """
 from __future__ import annotations
 
-import csv
-import io
 import logging
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 import scipy.linalg
 
-from .errors import BlowupError, ConfigError, ParameterError
+from .errors import BlowupError, ParameterError, SaturationError
 from .ocp import OcpSet, synthetic_ocp_set
-from .output import cell_voltage
+from .output import OutputSnapshot, cell_voltage
 from .params import CellParameters, DiscretizationConfig
 from .phase import (PhaseConfig, annulus_remap, apply_sign_flip,
                     detect_transition, enter_two_phase, exit_two_phase,
                     transition_margin)
+from .records import read_csv_columns, tally, write_csv_columns
 from .states import FullState, ONE_PHASE_ALPHA, ONE_PHASE_BETA, TWO_PHASE
 from . import systems
 
@@ -110,45 +108,12 @@ class LoadProfile:
         return float(self.currents[idx])
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["time_s", "current_A"])
-            for t, i in zip(self.times, self.currents):
-                w.writerow([f"{t:.10g}", f"{i:.10g}"])
+        write_csv_columns(path, {"time_s": self.times, "current_A": self.currents})
 
     @classmethod
     def from_csv(cls, path) -> "LoadProfile":
-        times, currents = read_numeric_csv(path, ("time_s", "current_A")).T
-        return cls(times, currents)
-
-
-def read_numeric_csv(path, header: tuple[str, ...]) -> np.ndarray:
-    """Data rows of a CSV file as a (rows, len(header)) float array.
-
-    The first row must start with ``header`` (case-insensitive); columns
-    past it are ignored and blank lines skipped.  A bad header, a row that
-    is short or not numeric, or no data row raises ConfigError naming the
-    file (and the line).
-    """
-    rows = list(csv.reader(io.StringIO(Path(path).read_text())))
-    n = len(header)
-    if not rows or [c.strip().lower() for c in rows[0][:n]] != [h.lower() for h in header]:
-        raise ConfigError(f"{path}: expected header {','.join(header)!r}")
-    data = []
-    for line, r in enumerate(rows[1:], start=2):
-        if not r:
-            continue
-        try:
-            values = [float(x) for x in r[:n]]
-        except ValueError:
-            values = []
-        if len(values) < n:
-            raise ConfigError(f"{path}, line {line}: expected {n} numbers, "
-                              f"got {','.join(r)!r}")
-        data.append(values)
-    if not data:
-        raise ConfigError(f"{path}: no data rows after the header")
-    return np.array(data)
+        cols = read_csv_columns(path, ("time_s", "current_A"))
+        return cls(cols["time_s"], cols["current_A"])
 
 
 def cc_profile(params: CellParameters, c_rate: float, direction: str,
@@ -415,15 +380,18 @@ class Integrator:
         split = disc.electrolyte_split()
         self.split = split
         self.neg = _LtiBlock(
-            "neg", systems.build_solid_system(params, "neg", disc.N_r, disc.scheme),
+            "neg", systems.SOLID_BUILDERS[disc.scheme](params, "neg", disc.N_r),
             solver, weights=_solid_weights(params, "neg", disc))
         self.pos1p = _LtiBlock(
-            "pos", systems.build_solid_system(params, "pos", disc.N_r, disc.scheme),
+            "pos", systems.SOLID_BUILDERS[disc.scheme](params, "pos", disc.N_r),
             solver, weights=_solid_weights(params, "pos", disc))
         self.elec = _LtiBlock(
             "elec", systems.build_electrolyte_system(params, disc.N_e, split),
             solver, weights=_electrolyte_weights(params, disc.N_e, split))
         self.max_closure = 0.0
+        # numerical decisions of a run, see records.tally
+        self.counters = dict.fromkeys(("surface_clamps", "ocp_extrapolations",
+                                       "event_cap_hits", "front_floor_accepts"), 0)
 
     def advance(self, state: FullState, current: float, h: float) -> FullState:
         """Pure step of length h at constant current (no event handling)."""
@@ -444,7 +412,12 @@ class Integrator:
             while True:
                 shell, r_new, closure = substep(cur, current, hs, self.params, self.disc.N_r)
                 # keep the grid change per substep modest
-                if abs(r_new - cur.r_p) <= 0.25 * (R - cur.r_p) or hs <= 1e-6 * h:
+                if abs(r_new - cur.r_p) <= 0.25 * (R - cur.r_p):
+                    break
+                if hs <= 1e-6 * h:
+                    tally(self.counters, "front_floor_accepts", 1, log,
+                          "front move %.3g -> %.3g m accepted at the substep floor %.3g s",
+                          cur.r_p, r_new, hs)
                     break
                 hs *= 0.5
             cur.pos = shell
@@ -452,6 +425,49 @@ class Integrator:
             self.max_closure = max(self.max_closure, closure)
             remaining -= hs
         return cur
+
+    def advance_with_events(self, s: FullState, current: float, t: float, h: float,
+                            events: list) -> FullState:
+        """Step of length h from time t with phase transitions localized by
+        bisection and appended to ``events``; past 8 events in one step the
+        rest is advanced without detection (tallied as "event_cap_hits")."""
+        params, pcfg = self.params, self.phase_cfg
+        remaining = h
+        offset = 0.0
+        for _ in range(8):
+            post = self.advance(s, current, remaining)
+            kind = detect_transition(post, current, params, pcfg)
+            if kind is None:
+                return post
+            m0 = transition_margin(kind, s, current, params, pcfg)
+            if m0 >= 0.0:
+                tau, at = 0.0, s
+            else:
+                lo, hi = 0.0, remaining
+                while hi - lo > self.solver.event_tol:
+                    mid = 0.5 * (lo + hi)
+                    if transition_margin(kind, self.advance(s, current, mid),
+                                         current, params, pcfg) >= 0.0:
+                        hi = mid
+                    else:
+                        lo = mid
+                tau = hi
+                at = self.advance(s, current, tau)
+            t_event = t + offset + tau
+            if kind == "enter_two_phase":
+                s, ev = enter_two_phase(at, current, params, pcfg, t_event)
+            else:
+                vanished = "core" if kind == "exit_two_phase_core" else "shell"
+                s, ev = exit_two_phase(at, params, pcfg, t_event, vanished=vanished)
+            events.append(ev)
+            offset += tau
+            remaining -= tau
+            if remaining <= 1e-12:
+                return s
+        tally(self.counters, "event_cap_hits", 1, log,
+              "8 events in the step from t=%.3f s; the last %.3g s advance "
+              "without event detection", t, remaining)
+        return self.advance(s, current, remaining)
 
 
 def _solid_weights(params, electrode, disc):
@@ -550,32 +566,20 @@ class SimulationResult:
             direction=self.direction[i])
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(RESULT_COLUMNS)
-            for i in range(len(self.time)):
-                w.writerow([f"{self.time[i]:.10g}", f"{self.current[i]:.10g}",
-                            f"{self.voltage[i]:.10g}", f"{self.soc_p[i]:.10g}",
-                            f"{self.soc_n[i]:.10g}", f"{self.r_p[i]:.10g}",
-                            self.regime[i], f"{self.drift_rel[i]:.10g}"])
+        write_csv_columns(path, dict(zip(RESULT_COLUMNS, (
+            self.time, self.current, self.voltage, self.soc_p, self.soc_n,
+            self.r_p, self.regime, self.drift_rel))))
 
 
 def read_result_csv(path) -> dict:
     """Parse a result CSV back into column arrays (regime stays a list)."""
-    text = Path(path).read_text()
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or tuple(rows[0]) != RESULT_COLUMNS:
-        raise ConfigError(f"{path}: unexpected result header {rows[0] if rows else '<empty>'}")
-    out = {name: [] for name in RESULT_COLUMNS}
-    for r in rows[1:]:
-        if not r:
-            continue
-        for name, val in zip(RESULT_COLUMNS, r):
-            out[name].append(val if name == "regime" else float(val))
-    return {k: (v if k == "regime" else np.asarray(v)) for k, v in out.items()}
+    return read_csv_columns(path, RESULT_COLUMNS, text=("regime",))
 
 
 # --- the simulator ---------------------------------------------------------------
+
+_CHUNK = 64     # rows per output-map pass while voltage cutoffs are on
+
 
 def simulate(profile: LoadProfile, init: FullState, params: CellParameters,
              disc: DiscretizationConfig, solver: SolverConfig | None = None,
@@ -583,158 +587,135 @@ def simulate(profile: LoadProfile, init: FullState, params: CellParameters,
              phase_cfg: PhaseConfig | None = None) -> SimulationResult:
     """Integrate the cell over a load profile.
 
-    Records one row per accepted step (every solver.dt, plus profile
-    boundaries), handles phase transitions with bisection localization, and
-    stops early on voltage cutoffs (normal status) or a non-finite state
-    (BlowupError).
+    Records the raw state of one row per accepted step (every solver.dt,
+    plus profile boundaries) in preallocated columns, and handles phase
+    transitions with bisection localization.  The output map runs over the
+    rows once at the end or, with voltage cutoffs on, every _CHUNK rows: the
+    run stops at the first row past a cutoff (normal status), and the steps
+    integrated after that row leave no row, event, counter or error behind.
+    A non-finite state raises BlowupError.
     """
     solver = solver or SolverConfig()
     ocp = ocp or synthetic_ocp_set(params)
     integ = Integrator(params, disc, solver, phase_cfg)
-    pcfg = integ.phase_cfg
-    split = integ.split
-
-    dx, eps_e, _ = systems.electrolyte_geometry(params, disc.N_e, split)
-    elec_vol = params.A_cell * dx * eps_e
-    pos_scale = params.eps_p * params.A_cell * params.L_p / ((4.0 / 3.0) * np.pi * params.R_s_p**3)
-    neg_scale = params.eps_n * params.A_cell * params.L_n / ((4.0 / 3.0) * np.pi * params.R_s_n**3)
-    cap_pos = params.c_s_max_p * params.eps_p * params.A_cell * params.L_p
-    cap_neg = params.c_s_max_n * params.eps_n * params.A_cell * params.L_n
-
-    cols = {k: [] for k in ("t", "i", "v", "sp", "sn", "rp", "q",
-                            "mp", "mn", "me", "drift")}
-    regimes, directions, core_phases, events = [], [], [], []
-    neg_h, pos_h, elec_h, core_h = [], [], [], []
-
-    state = init.copy()
+    split, counters = integ.split, integ.counters
+    cutoffs = solver.cutoffs_enabled
+    v_lo = solver.v_min if cutoffs and solver.v_min is not None else -np.inf
+    v_hi = solver.v_max if cutoffs and solver.v_max is not None else np.inf
+    steps = np.ceil(np.diff(profile.times) / solver.dt) + 1
+    size = 1 + int(np.sum(steps // solver.record_every + 1))
+    # rows: time, current, charge, r_p, core_conc, then voltage, SOC_p, SOC_n
+    cols = np.empty((8, size))
+    conc = {k: np.empty((size, len(getattr(init, k)))) for k in ("neg", "pos", "elec")}
+    labels, events, marks = [], [], []    # labels: (regime, direction, core_phase)
     status = "completed"
-    q_total = 0.0
-    m_pos0 = m_neg0 = m_elec0 = None
+    done = 0          # rows the output map has seen
 
-    def solid_mass(s: FullState, electrode: str) -> float:
-        if electrode == "pos":
-            per_particle = systems.solid_moles(
-                s.pos, params.R_s_p, r_p=s.r_p if s.two_phase else 0.0,
-                core_conc=s.core_conc if s.two_phase else 0.0)
-            return per_particle * pos_scale
-        return systems.solid_moles(s.neg, params.R_s_n) * neg_scale
+    def record(t: float, current: float, q: float, s: FullState):
+        i = len(labels)
+        cols[:5, i] = t, current, q, s.r_p, s.core_conc
+        conc["neg"][i], conc["pos"][i], conc["elec"][i] = s.neg, s.pos, s.elec
+        labels.append((s.regime, s.direction, s.core_phase))
+        if cutoffs:
+            marks.append((len(events), integ.max_closure, dict(counters)))
 
-    def record(t: float, current: float, s: FullState):
-        nonlocal m_pos0, m_neg0, m_elec0
-        snap = cell_voltage(s, current, params, ocp, split)
-        mp = solid_mass(s, "pos")
-        mn = solid_mass(s, "neg")
-        me = float(elec_vol @ s.elec)
-        if m_pos0 is None:
-            m_pos0, m_neg0, m_elec0 = mp, mn, me
-        # normalize by the electrode saturation content, not the (possibly
-        # nearly empty) initial content
-        res_p = abs(mp - m_pos0 - q_total / params.F) / cap_pos
-        res_n = abs(mn - m_neg0 + q_total / params.F) / cap_neg
-        res_e = abs(me - m_elec0) / m_elec0
-        cols["t"].append(t)
-        cols["i"].append(current)
-        cols["v"].append(snap.V_cell)
-        cols["sp"].append(snap.SOC_p)
-        cols["sn"].append(snap.SOC_n)
-        cols["rp"].append(s.r_p / params.R_s_p)
-        cols["q"].append(q_total)
-        cols["mp"].append(mp)
-        cols["mn"].append(mn)
-        cols["me"].append(me)
-        cols["drift"].append(max(res_p, res_n, res_e))
-        regimes.append(s.regime)
-        directions.append(s.direction)
-        core_phases.append(s.core_phase)
-        neg_h.append(s.neg.copy())
-        pos_h.append(s.pos.copy())
-        elec_h.append(s.elec.copy())
-        core_h.append(s.core_conc)
-        return snap
+    def output_map(a: int, b: int) -> OutputSnapshot:
+        regime, direction, _ = zip(*labels[a:b])
+        rows = FullState(conc["neg"][a:b], conc["pos"][a:b], conc["elec"][a:b],
+                         np.array(regime), cols[3, a:b], cols[4, a:b], None,
+                         np.array(direction))
+        return cell_voltage(rows, cols[1, a:b], params, ocp, split, counters=counters)
 
-    def advance_with_events(s: FullState, current: float, t: float, h: float):
-        remaining = h
-        offset = 0.0
-        for _ in range(8):
-            post = integ.advance(s, current, remaining)
-            kind = detect_transition(post, current, params, pcfg)
-            if kind is None:
-                return post
-            m0 = transition_margin(kind, s, current, params, pcfg)
-            if m0 >= 0.0:
-                tau, at = 0.0, s
-            else:
-                lo, hi = 0.0, remaining
-                while hi - lo > solver.event_tol:
-                    mid = 0.5 * (lo + hi)
-                    if transition_margin(kind, integ.advance(s, current, mid),
-                                         current, params, pcfg) >= 0.0:
-                        hi = mid
+    def settle() -> bool:
+        """Output map of the pending rows; True when one crosses a cutoff."""
+        nonlocal done, status
+        a, b = done, len(labels)
+        if a == b:
+            return False
+        done = b
+        try:
+            snap, error = output_map(a, b), None
+        except SaturationError as exc:
+            snap, error = exc.before, exc
+        m = a + len(snap.V_cell)
+        cols[5:, a:m] = snap.V_cell, snap.SOC_p, snap.SOC_n
+        hits = np.flatnonzero((cols[5, a:m] < v_lo) | (cols[5, a:m] > v_hi))
+        hits = hits[hits + a > 0]     # the initial row is not tested
+        if hits.size:
+            k = a + int(hits[0])
+            status = "cutoff_low" if cols[5, k] < v_lo else "cutoff_high"
+            # undo what the steps after row k did, and recount its chunk
+            n_events, integ.max_closure, kept = marks[k]
+            del events[n_events:], labels[k + 1:]
+            counters.clear()
+            counters.update(kept)
+            done = k + 1
+            output_map(a, done)
+            return True
+        if error is not None:
+            raise error
+        return False
+
+    def run():
+        state = init.copy()
+        q_total = 0.0
+        record(float(profile.times[0]), next(iter(profile.segments()))[2], q_total, state)
+        for t0, t1, current in profile.segments():
+            if current != 0.0:
+                newdir = systems.direction_for_current(current)
+                if newdir != state.direction:
+                    if state.two_phase:
+                        state, ev = apply_sign_flip(state, current, t0)
+                        events.append(ev)
                     else:
-                        lo = mid
-                tau = hi
-                at = integ.advance(s, current, tau)
-            t_event = t + offset + tau
-            if kind == "enter_two_phase":
-                s, ev = enter_two_phase(at, current, params, pcfg, t_event)
-            else:
-                vanished = "core" if kind == "exit_two_phase_core" else "shell"
-                s, ev = exit_two_phase(at, params, pcfg, t_event, vanished=vanished)
-            events.append(ev)
-            offset += tau
-            remaining -= tau
-            if remaining <= 1e-12:
-                return s
-        return integ.advance(s, current, remaining)
+                        state = state.copy()
+                        state.direction = newdir
+            t = t0
+            k = 0
+            while t < t1 - 1e-9:
+                h = min(solver.dt, t1 - t)
+                state = integ.advance_with_events(state, current, t, h, events)
+                t += h
+                q_total += current * h
+                if not state.is_finite():
+                    raise BlowupError(f"non-finite state at t={t:.3f}s", last_good_time=t - h)
+                k += 1
+                if k % solver.record_every == 0 or t >= t1 - 1e-9:
+                    record(t, current, q_total, state)
+                    if cutoffs and len(labels) - done >= _CHUNK and settle():
+                        return
 
-    first_current = next(iter(profile.segments()))[2]
-    record(float(profile.times[0]), first_current, state)
+    try:
+        run()
+    except Exception:
+        # a step past a cutoff crossing in the pending rows raises nothing
+        if not settle():
+            raise
+    settle()
 
-    stop = False
-    for t0, t1, current in profile.segments():
-        if stop:
-            break
-        if current != 0.0:
-            newdir = systems.direction_for_current(current)
-            if newdir != state.direction:
-                if state.two_phase:
-                    state, ev = apply_sign_flip(state, current, t0)
-                    events.append(ev)
-                else:
-                    state = state.copy()
-                    state.direction = newdir
-        t = t0
-        k = 0
-        while t < t1 - 1e-9:
-            h = min(solver.dt, t1 - t)
-            state = advance_with_events(state, current, t, h)
-            t += h
-            q_total += current * h
-            if not state.is_finite():
-                raise BlowupError(f"non-finite state at t={t:.3f}s", last_good_time=t - h)
-            k += 1
-            if k % solver.record_every == 0 or t >= t1 - 1e-9:
-                snap = record(t, current, state)
-                if solver.cutoffs_enabled:
-                    if solver.v_min is not None and snap.V_cell < solver.v_min:
-                        status, stop = "cutoff_low", True
-                        break
-                    if solver.v_max is not None and snap.V_cell > solver.v_max:
-                        status, stop = "cutoff_high", True
-                        break
-
-    return SimulationResult(
-        time=np.asarray(cols["t"]), current=np.asarray(cols["i"]),
-        voltage=np.asarray(cols["v"]), soc_p=np.asarray(cols["sp"]),
-        soc_n=np.asarray(cols["sn"]), r_p=np.asarray(cols["rp"]),
-        regime=regimes, direction=directions, core_phase=core_phases,
-        neg_c=np.asarray(neg_h), pos_c=np.asarray(pos_h),
-        elec_c=np.asarray(elec_h), core_conc=np.asarray(core_h),
-        charge=np.asarray(cols["q"]), mass_pos=np.asarray(cols["mp"]),
-        mass_neg=np.asarray(cols["mn"]), mass_elec=np.asarray(cols["me"]),
-        drift_rel=np.asarray(cols["drift"]), events=events, status=status,
+    n = len(labels)
+    time, current, charge, r_p, core_conc, voltage, soc_p, soc_n = cols[:, :n]
+    neg_c, pos_c, elec_c = (conc[k][:n] for k in ("neg", "pos", "elec"))
+    regime, direction, core_phase = (list(x) for x in zip(*labels))
+    particle = (4.0 / 3.0) * np.pi
+    result = SimulationResult(
+        time=time, current=current, voltage=voltage, soc_p=soc_p, soc_n=soc_n,
+        r_p=r_p / params.R_s_p, regime=regime, direction=direction,
+        core_phase=core_phase, neg_c=neg_c, pos_c=pos_c, elec_c=elec_c,
+        core_conc=core_conc, charge=charge,
+        mass_pos=systems.solid_moles(pos_c, params.R_s_p, r_p, core_conc)
+        * (params.eps_p * params.A_cell * params.L_p / (particle * params.R_s_p**3)),
+        mass_neg=systems.solid_moles(neg_c, params.R_s_n)
+        * (params.eps_n * params.A_cell * params.L_n / (particle * params.R_s_n**3)),
+        mass_elec=elec_c @ (params.A_cell * _electrolyte_weights(params, disc.N_e, split)),
+        drift_rel=None, events=events, status=status,
         meta={"R_s_p": params.R_s_p, "scheme": disc.scheme, "N_r": disc.N_r,
-              "N_e": disc.N_e, "split": split, "max_closure": integ.max_closure})
+              "N_e": disc.N_e, "split": split, "max_closure": integ.max_closure,
+              "counters": dict(counters)})
+    audit = mass_audit(result, params)
+    result.drift_rel = np.maximum(np.maximum(audit.res_pos_rel, audit.res_neg_rel),
+                                  audit.res_elec_rel)
+    return result
 
 
 # --- mass audit --------------------------------------------------------------------

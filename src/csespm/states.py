@@ -19,7 +19,9 @@ class FullState:
     interface radius (0 in one-phase).  ``core_conc`` is the uniform core
     concentration, fixed at two-phase entry.  ``direction`` is the sign of
     the last nonzero current ('dis' for I > 0) and selects the hysteresis
-    branch of OCP curves and stoichiometric windows.
+    branch of OCP curves and stoichiometric windows.  The output map also
+    takes T states as rows: (T, N) concentrations and (T,) arrays of the
+    rest (core_phase unused).
     """
 
     neg: np.ndarray

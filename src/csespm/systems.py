@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import ParameterError, PhaseDomainError
 from .params import CellParameters
+from .records import tally
 
 log = logging.getLogger(__name__)
 
@@ -86,8 +87,30 @@ def spherical_cells(r_inner: float, r_outer: float, n: int):
     return cells
 
 
-def cell_volumes(R: float, n: int, r_inner: float = 0.0) -> np.ndarray:
-    return spherical_cells(r_inner, R, n)[2]
+def cell_volumes(R: float, n: int, r_inner=0.0) -> np.ndarray:
+    """CV volumes of n equal-width shells over [r_inner, R]; (T, n) rows for
+    a (T,) array of inner radii."""
+    if not isinstance(r_inner, np.ndarray):
+        return spherical_cells(r_inner, R, n)[2]
+    faces = r_inner[:, None] + (R - r_inner)[:, None] * unit_faces(n)
+    f3 = faces * faces * faces
+    return (4.0 / 3.0) * np.pi * (f3[:, 1:] - f3[:, :-1])
+
+
+def tridiagonal(w_lo: np.ndarray, w_hi: np.ndarray) -> np.ndarray:
+    """Nearest-neighbour coupling matrix: row i + 1 gains w_lo[i] x_i, row i
+    gains w_hi[i] x_{i+1}, and each diagonal entry loses what its row gains,
+    so every exchange between neighbours balances."""
+    n = len(w_lo) + 1
+    diag = np.zeros(n)
+    diag[1:] -= w_lo
+    diag[:-1] -= w_hi
+    A = np.zeros((n, n))
+    flat = A.reshape(-1)
+    flat[n::n + 1] = w_lo
+    flat[1::n + 1] = w_hi
+    flat[::n + 1] = diag
+    return A
 
 
 def spherical_fvm_block(D: float, dr: float, areas: np.ndarray,
@@ -98,18 +121,8 @@ def spherical_fvm_block(D: float, dr: float, areas: np.ndarray,
     volume of the CV it enters; the two outer faces carry no flux here, so
     volume-weighted column sums vanish.
     """
-    w_lo = D * areas[1:-1] / (dr * volumes[1:])     # row i couples to i - 1
-    w_hi = D * areas[1:-1] / (dr * volumes[:-1])    # row i couples to i + 1
-    n = len(volumes)
-    diag = np.zeros(n)
-    diag[1:] -= w_lo
-    diag[:-1] -= w_hi
-    A = np.zeros((n, n))
-    flat = A.reshape(-1)
-    flat[n::n + 1] = w_lo
-    flat[1::n + 1] = w_hi
-    flat[::n + 1] = diag
-    return A
+    return tridiagonal(D * areas[1:-1] / (dr * volumes[1:]),
+                       D * areas[1:-1] / (dr * volumes[:-1]))
 
 
 def molar_flux_density(params: CellParameters, electrode: str, current: float) -> float:
@@ -246,36 +259,16 @@ def build_electrolyte_system(params: CellParameters, N_e: int,
     if len(split) != 3 or any(n < 1 for n in split) or sum(split) != N_e:
         raise ParameterError("electrolyte split must be three counts >= 1 summing to N_e")
 
-    lengths = (params.L_n, params.L_s, params.L_p)
-    porosity = (params.eps_e_n, params.eps_e_s, params.eps_e_p)
-    deff = [params.D_e * e**params.brugg for e in porosity]
-
-    dx, eps_i, d_i, region = [], [], [], []
-    for r in range(3):
-        dx += [lengths[r] / split[r]] * split[r]
-        eps_i += [porosity[r]] * split[r]
-        d_i += [deff[r]] * split[r]
-        region += [r] * split[r]
-    dx = np.asarray(dx)
-    eps_i = np.asarray(eps_i)
-    d_i = np.asarray(d_i)
-
-    A = np.zeros((N_e, N_e))
-    for i in range(N_e - 1):
-        # series resistance of the two half cells meeting at the face
-        cond = 1.0 / (0.5 * dx[i] / d_i[i] + 0.5 * dx[i + 1] / d_i[i + 1])
-        A[i, i] -= cond / (eps_i[i] * dx[i])
-        A[i, i + 1] += cond / (eps_i[i] * dx[i])
-        A[i + 1, i + 1] -= cond / (eps_i[i + 1] * dx[i + 1])
-        A[i + 1, i] += cond / (eps_i[i + 1] * dx[i + 1])
-
-    B = np.zeros(N_e)
+    dx, eps, region = electrolyte_geometry(params, N_e, split)
+    deff = np.array([params.D_e * e**params.brugg
+                     for e in (params.eps_e_n, params.eps_e_s, params.eps_e_p)])[region]
+    # series resistance of the two half cells meeting at each face
+    cond = 1.0 / (0.5 * dx[:-1] / deff[:-1] + 0.5 * dx[1:] / deff[1:])
+    cap = eps * dx
+    A = tridiagonal(cond / cap[1:], cond / cap[:-1])
     src = (1.0 - params.t_plus) / (params.F * params.A_cell)
-    for i in range(N_e):
-        if region[i] == 0:
-            B[i] = src / (params.L_n * eps_i[i])
-        elif region[i] == 2:
-            B[i] = -src / (params.L_p * eps_i[i])
+    B = np.select([region == 0, region == 2],
+                  [src / (params.L_n * eps), -src / (params.L_p * eps)])
     return AffineSystem(A, B)
 
 
@@ -284,52 +277,52 @@ def electrolyte_geometry(params: CellParameters, N_e: int,
     """Per-CV width, porosity and region index (0=anode, 1=sep, 2=cathode)."""
     if split is None:
         split = (N_e // 3, N_e // 3, N_e // 3)
-    lengths = (params.L_n, params.L_s, params.L_p)
-    porosity = (params.eps_e_n, params.eps_e_s, params.eps_e_p)
-    dx, eps_i, region = [], [], []
-    for r in range(3):
-        dx += [lengths[r] / split[r]] * split[r]
-        eps_i += [porosity[r]] * split[r]
-        region += [r] * split[r]
-    return np.asarray(dx), np.asarray(eps_i), np.asarray(region)
+    widths = [length / n for length, n in zip((params.L_n, params.L_s, params.L_p), split)]
+    return (np.repeat(widths, split),
+            np.repeat([params.eps_e_n, params.eps_e_s, params.eps_e_p], split),
+            np.repeat([0, 1, 2], split))
 
 
 # --- concentration reconstructions -----------------------------------------
 
-def surface_concentration(c_bar: np.ndarray, current: float,
-                          params: CellParameters, electrode: str,
-                          dr: float) -> float:
+def surface_concentration(c_bar: np.ndarray, current, params: CellParameters,
+                          electrode: str, dr: float, counters: dict | None = None):
     """Surface value from the outermost CV average plus the half-cell
-    extrapolation along the flux boundary gradient.  Clamped to
-    [0, c_s_max] with a logged warning when the clamp activates."""
+    extrapolation along the flux boundary gradient, of one state or of rows
+    (c_bar (T, N), current (T,)).  Clamped to [0, c_s_max]; clamps are
+    tallied as "surface_clamps" (records.tally)."""
     D = params.D_s(electrode)
     grad = molar_flux_density(params, electrode, current) / D
-    c = float(c_bar[-1]) + 0.5 * dr * grad
+    c = c_bar[..., -1] + 0.5 * dr * grad
     cmax = params.c_s_max(electrode)
-    if c < 0.0 or c > cmax:
-        log.warning("surface concentration clamped (%s electrode): %.6g", electrode, c)
-        c = min(max(c, 0.0), cmax)
+    out = (c < 0.0) | (c > cmax)
+    if np.any(out):
+        tally(counters, "surface_clamps", int(np.sum(out)), log,
+              "surface concentration clamped (%s electrode): %.6g", electrode,
+              np.ravel(c)[np.ravel(out)][0])
+        c = np.clip(c, 0.0, cmax)
     return c
 
 
 def one_phase_bulk(c_bar: np.ndarray, R: float) -> float:
     """Volume-weighted particle average on the fixed grid."""
-    v = cell_volumes(R, len(c_bar))
-    return float(np.dot(v, c_bar) / v.sum())
+    return float(solid_moles(c_bar, R) / cell_volumes(R, len(c_bar)).sum())
 
 
 def two_phase_bulk(c_shell: np.ndarray, r_p: float, core_conc: float,
                    R: float) -> float:
     """Particle average: uniform core plus shell CV averages."""
-    v_core = (4.0 / 3.0) * np.pi * r_p**3
-    v = cell_volumes(R, len(c_shell), r_inner=r_p)
-    total = v_core * core_conc + float(np.dot(v, c_shell))
-    return total / ((4.0 / 3.0) * np.pi * R**3)
+    return solid_moles(c_shell, R, r_p, core_conc) / ((4.0 / 3.0) * np.pi * R**3)
 
 
-def solid_moles(c_bar: np.ndarray, R: float, r_p: float = 0.0,
-                core_conc: float = 0.0) -> float:
-    """Total lithium in a particle state [mol per particle volume basis]."""
+def solid_moles(c_bar: np.ndarray, R: float, r_p=0.0, core_conc=0.0):
+    """Total lithium in a particle state [mol per particle volume basis], or
+    in each row of (T, N) states with (T,) r_p and core_conc (r_p = 0 in
+    one-phase rows)."""
+    if c_bar.ndim == 2:
+        v = cell_volumes(R, c_bar.shape[1], r_inner=r_p)
+        core = np.where(r_p > 0.0, (4.0 / 3.0) * np.pi * r_p**3 * core_conc, 0.0)
+        return (v * c_bar).sum(axis=1) + core
     if r_p > 0.0:
         v = cell_volumes(R, len(c_bar), r_inner=r_p)
         return float(np.dot(v, c_bar)) + (4.0 / 3.0) * np.pi * r_p**3 * core_conc
@@ -338,6 +331,17 @@ def solid_moles(c_bar: np.ndarray, R: float, r_p: float = 0.0,
 
 
 # --- finite difference reference scheme -------------------------------------
+
+def _fdm_laplacian(D: float, h: float, r: np.ndarray):
+    """Central differences of D (c_rr + 2/r c_r) on nodes r spaced h, with
+    (lap_lo, lap_hi), the weights of the ghost nodes below and above each
+    node; the boundary rows' ghost weights are left to the caller."""
+    lap_lo = D / h**2 - D / (r * h)
+    lap_hi = D / h**2 + D / (r * h)
+    A = (np.diag(np.full(len(r), -2.0 * D / h**2))
+         + np.diag(lap_lo[1:], -1) + np.diag(lap_hi[:-1], 1))
+    return A, lap_lo, lap_hi
+
 
 def build_fdm_one_phase(params: CellParameters, electrode: str,
                         N_r: int) -> AffineSystem:
@@ -351,29 +355,16 @@ def build_fdm_one_phase(params: CellParameters, electrode: str,
     """
     if N_r < 2:
         raise ParameterError("N_r must be >= 2")
-    R = params.R_s(electrode)
     D = params.D_s(electrode)
-    h = R / N_r
-    r = (np.arange(N_r) + 0.5) * h
-    A = np.zeros((N_r, N_r))
+    h = params.R_s(electrode) / N_r
+    A, lap_lo, lap_hi = _fdm_laplacian(D, h, (np.arange(N_r) + 0.5) * h)
+    # symmetry ghost below the center, c_{-1} = c_0; flux ghost at the
+    # surface, c_N = c_{N-1} + h dc/dr|_R
+    A[0, 0] += lap_lo[0]
+    A[-1, -1] += lap_hi[-1]
     B = np.zeros(N_r)
-    grad_per_amp = FLUX_SIGN[electrode] / (
-        D * params.F * params.A_cell * params.L(electrode) * params.a_s(electrode))
-    for i in range(N_r):
-        lap_lo = D / h**2 - D / (r[i] * h)
-        lap_hi = D / h**2 + D / (r[i] * h)
-        A[i, i] += -2.0 * D / h**2
-        if i == 0:
-            # symmetry ghost below the center: c_{-1} = c_0
-            A[i, i] += lap_lo
-        else:
-            A[i, i - 1] += lap_lo
-        if i == N_r - 1:
-            # flux ghost: c_{N} = c_{N-1} + h dc/dr|_R
-            A[i, i] += lap_hi
-            B[i] += lap_hi * h * grad_per_amp
-        else:
-            A[i, i + 1] += lap_hi
+    B[-1] = lap_hi[-1] * h * (FLUX_SIGN[electrode] / (
+        D * params.F * params.A_cell * params.L(electrode) * params.a_s(electrode)))
     return AffineSystem(A, B)
 
 
@@ -399,52 +390,27 @@ def build_fdm_two_phase(params: CellParameters, r_p: float, current: float,
     r = r_p + (np.arange(N_r) + 0.5) * h
     g, c_core = interface_values(params, core_phase, direction)
 
+    A_c, lap_lo, lap_hi = _fdm_laplacian(D, h, r)
     n = N_r + 1
     A = np.zeros((n, n))
+    A[:N_r, :N_r] = A_c
     B = np.zeros(n)
     G = np.zeros(n)
-    grad_per_amp = 1.0 / (
-        D * params.F * params.A_cell * params.L_p * params.a_s("pos"))
-    for i in range(N_r):
-        lap_lo = D / h**2 - D / (r[i] * h)
-        lap_hi = D / h**2 + D / (r[i] * h)
-        A[i, i] += -2.0 * D / h**2
-        if i == 0:
-            if current != 0.0:
-                # Dirichlet ghost: c_{-1} = 2 g - c_0
-                A[i, i] -= lap_lo
-                G[i] += 2.0 * lap_lo * g
-            else:
-                A[i, i] += lap_lo   # rest: zero-flux interface
-        else:
-            A[i, i - 1] += lap_lo
-        if i == N_r - 1:
-            A[i, i] += lap_hi
-            B[i] += lap_hi * h * grad_per_amp
-        else:
-            A[i, i + 1] += lap_hi
-    if current != 0.0:
-        dc = c_core - g
-        A[N_r, 0] = 2.0 * D / (h * dc)
-        G[N_r] = -2.0 * D * g / (h * dc)
+    A[N_r - 1, N_r - 1] += lap_hi[-1]
+    B[N_r - 1] = lap_hi[-1] * h * (1.0 / (
+        D * params.F * params.A_cell * params.L_p * params.a_s("pos")))
+    if current == 0.0:
+        A[0, 0] += lap_lo[0]   # rest: zero-flux interface, frozen front
+        return AffineSystem(A, B, G)
+    # Dirichlet ghost c_{-1} = 2 g - c_0, and the front row
+    A[0, 0] -= lap_lo[0]
+    G[0] = 2.0 * lap_lo[0] * g
+    dc = c_core - g
+    A[N_r, 0] = 2.0 * D / (h * dc)
+    G[N_r] = -2.0 * D * g / (h * dc)
     return AffineSystem(A, B, G)
 
 
-def build_solid_system(params: CellParameters, electrode: str, N_r: int,
-                       scheme: str = "fvm") -> AffineSystem:
-    if scheme == "fvm":
-        return build_one_phase_solid_system(params, electrode, N_r)
-    if scheme == "fdm":
-        return build_fdm_one_phase(params, electrode, N_r)
-    raise ParameterError(f"unknown scheme {scheme!r}")
-
-
-def build_shell_system(params: CellParameters, r_p: float, current: float,
-                       N_r: int, scheme: str = "fvm",
-                       direction: str | None = None,
-                       core_phase: str | None = None) -> AffineSystem:
-    if scheme == "fvm":
-        return build_two_phase_system(params, r_p, current, N_r, direction, core_phase)
-    if scheme == "fdm":
-        return build_fdm_two_phase(params, r_p, current, N_r, direction, core_phase)
-    raise ParameterError(f"unknown scheme {scheme!r}")
+# builders by discretization scheme
+SOLID_BUILDERS = {"fvm": build_one_phase_solid_system, "fdm": build_fdm_one_phase}
+SHELL_BUILDERS = {"fvm": build_two_phase_system, "fdm": build_fdm_two_phase}

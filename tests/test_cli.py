@@ -146,3 +146,45 @@ def test_bad_dataset_gives_exit_4(tmp_path, capsys, body, needle):
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "ConfigError" and record["exit_code"] == 4
     assert str(data) in record["message"] and needle in record["message"]
+
+
+def test_simulate_summary_shows_counters(tmp_path, short_profile):
+    out = tmp_path / "sim"
+    assert main(["simulate", "--profile", str(short_profile), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["counters"] == {"surface_clamps": 0, "ocp_extrapolations": 0,
+                                   "event_cap_hits": 0, "front_floor_accepts": 0}
+
+
+@pytest.mark.parametrize("body, needle", [
+    ("theta,volts\n0,3.6\n0.5,abc\n1,3.0\n", "line 3"),
+    ("theta,volts\n0,3.6\n0.5\n1,3.0\n", "line 3"),
+    ("theta,volts\n", "no data rows"),
+])
+def test_bad_ocp_table_gives_exit_4(tmp_path, short_profile, capsys, body, needle):
+    table = tmp_path / "ocp_bad.csv"
+    table.write_text(body)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"ocp": {"pos_ch": "ocp_bad.csv"}}))
+    rc = main(["simulate", "--config", str(cfg), "--profile", str(short_profile),
+               "--out", str(tmp_path / "out")])
+    assert rc == 4
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ConfigError" and record["exit_code"] == 4
+    assert str(table) in record["message"] and needle in record["message"]
+
+
+def test_nan_dataset_voltage_gives_exit_4(tmp_path, params, capsys):
+    ds = make_synthetic_dataset(params, DiscretizationConfig(N_r=4, N_e=6),
+                                0.25, "dis", duration=600.0, dt=10.0)
+    data = tmp_path / "ds.csv"
+    ds.to_csv(data)
+    lines = data.read_text().splitlines()
+    time_s, current, _ = lines[5].split(",")
+    lines[5] = f"{time_s},{current},nan"
+    data.write_text("\n".join(lines) + "\n")
+    rc = main(["identify", "--data", str(data), "--subset", "c2-1c", "--budget", "4",
+               "--out", str(tmp_path / "fit")])
+    assert rc == 4
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ParameterError" and "1.5-4.0 V" in record["message"]

@@ -3,6 +3,7 @@ import pytest
 
 from csespm.errors import ParameterError
 from csespm.params import DiscretizationConfig
+from csespm.ocp import synthetic_ocp_set
 from csespm.simulate import (AffinePropagator, Integrator, LoadProfile,
                              SolverConfig, cc_profile, cycle_profile, initial_state,
                              mass_audit, read_result_csv, simulate,
@@ -347,3 +348,264 @@ def test_one_direction_charge_matches_current_sign_rule(params):
                 assert np.array_equal(a, b)
         _, c_core = systems.interface_values(params, st.core_phase, st.direction)
         assert c_core == params.c_beta("ch") == st.core_conc
+
+
+# --- the columnar output pass ------------------------------------------------------
+
+def _scalar_outputs(state, current, params, ocp, split):
+    """(V, SOC_p, SOC_n) of one state composed from the scalar helpers, the
+    way the output map was evaluated one recorded step at a time."""
+    from csespm.output import (electrode_c_e_avg, electrolyte_potential_drop,
+                               exchange_current_density, overpotential,
+                               soc_from_theta)
+    direction = systems.direction_for_current(current, state.direction)
+    if state.regime == "two_phase":
+        c_eff = bulk_p = systems.two_phase_bulk(state.pos, state.r_p, state.core_conc,
+                                                params.R_s_p)
+    else:
+        c_eff = systems.surface_concentration(state.pos, current, params, "pos",
+                                              params.R_s_p / len(state.pos))
+        bulk_p = systems.one_phase_bulk(state.pos, params.R_s_p)
+    c_n = systems.surface_concentration(state.neg, current, params, "neg",
+                                        params.R_s_n / len(state.neg))
+    i0_p = exchange_current_density(params, "pos", c_eff,
+                                    electrode_c_e_avg(params, state.elec, "pos", split))
+    i0_n = exchange_current_density(params, "neg", c_n,
+                                    electrode_c_e_avg(params, state.elec, "neg", split))
+    v = (ocp.pick("pos", direction)(min(max(c_eff / params.c_s_max_p, 0.0), 1.0))
+         + overpotential(params, "pos", current, i0_p)
+         - ocp.neg(min(max(c_n / params.c_s_max_n, 0.0), 1.0))
+         - overpotential(params, "neg", current, i0_n)
+         + electrolyte_potential_drop(params, state.elec) - params.R_l * current)
+    bulk_n = systems.one_phase_bulk(state.neg, params.R_s_n)
+    return (v, soc_from_theta(params, bulk_p / params.c_s_max_p, "pos", direction),
+            soc_from_theta(params, bulk_n / params.c_s_max_n, "neg", direction))
+
+
+@pytest.mark.parametrize("run", ["c4_cycle", "dynamic"])
+def test_columnar_outputs_match_scalar_replay(params, ocp, disc4, run):
+    """Every row's voltage and SOC equal those of its state replayed alone,
+    through cell_voltage and through the scalar helpers, to 1e-12."""
+    from csespm.output import cell_voltage
+    if run == "c4_cycle":
+        prof, soc, direction = cycle_profile(params, 0.25, 1), 0.0, "ch"
+        solver = SolverConfig(dt=10.0, cutoffs_enabled=False)
+    else:
+        prof, soc, direction = synthetic_dynamic_profile(params), 0.6, "dis"
+        solver = SolverConfig(cutoffs_enabled=False)
+    res = simulate(prof, initial_state(params, disc4, soc, direction), params, disc4,
+                   solver, ocp=ocp)
+    # both regimes in one pass; both directions (hysteresis branches) in one pass
+    assert len(set(res.regime)) == 3 if run == "c4_cycle" else set(res.direction) == {"ch", "dis"}
+    split = res.meta["split"]
+    for i in range(len(res)):
+        state, current = res.state_at(i), float(res.current[i])
+        snap = cell_voltage(state, current, params, ocp, split)
+        for got, want in zip((res.voltage[i], res.soc_p[i], res.soc_n[i]),
+                             _scalar_outputs(state, current, params, ocp, split)):
+            assert abs(got - want) <= 1e-12, (i, got, want)
+        assert abs(snap.V_cell - res.voltage[i]) <= 1e-12
+        assert abs(snap.SOC_p - res.soc_p[i]) <= 1e-12
+    if run == "c4_cycle":
+        # a normal cycle takes none of the counted numerical decisions
+        assert res.meta["counters"] == {"surface_clamps": 0, "ocp_extrapolations": 0,
+                                        "event_cap_hits": 0, "front_floor_accepts": 0}
+
+
+def _per_step_run(profile, init, params, disc, solver, ocp):
+    """Reference for the cutoff logic: the output map after every step, the
+    run ending at the first row past a cutoff.  One-segment profiles;
+    returns (status, rows, last time, charge, events, max_closure)."""
+    from csespm.output import cell_voltage
+    integ = Integrator(params, disc, solver)
+    split = disc.electrolyte_split()
+    (t0, t1, current), = profile.segments()
+    v_lo = -np.inf if solver.v_min is None else solver.v_min
+    v_hi = np.inf if solver.v_max is None else solver.v_max
+    state, events, t, q, rows = init.copy(), [], t0, 0.0, 1
+    cell_voltage(state, current, params, ocp, split)
+    while t < t1 - 1e-9:
+        h = min(solver.dt, t1 - t)
+        state = integ.advance_with_events(state, current, t, h, events)
+        t, q, rows = t + h, q + current * h, rows + 1
+        v = cell_voltage(state, current, params, ocp, split).V_cell
+        if v < v_lo or v > v_hi:
+            status = "cutoff_low" if v < v_lo else "cutoff_high"
+            return status, rows, t, q, events, integ.max_closure
+    return "completed", rows, t, q, events, integ.max_closure
+
+
+def _summary(res):
+    return (res.status, len(res), float(res.time[-1]), float(res.charge[-1]),
+            res.events, res.meta["max_closure"])
+
+
+def _event_keys(events):
+    return [(e.time, e.kind, e.r_p_pre, e.r_p_post) for e in events]
+
+
+@pytest.mark.parametrize("N_r", [3, 4])
+@pytest.mark.parametrize("direction", ["dis", "ch"])
+def test_cutoff_stop_matches_per_step_loop(params, ocp, N_r, direction):
+    """1C to v_min and to v_max: the chunked output pass stops at the same
+    row with the same status, time, charge, events and max_closure as a
+    per-step loop."""
+    disc = DiscretizationConfig(N_r=N_r, N_e=6)
+    prof = cc_profile(params, 1.0, direction)
+    init = initial_state(params, disc, 1.0 if direction == "dis" else 0.0, direction)
+    res = simulate(prof, init, params, disc, SolverConfig(), ocp=ocp)
+    want = _per_step_run(prof, init, params, disc, SolverConfig(), ocp)
+    got = _summary(res)
+    assert got[0] == ("cutoff_low" if direction == "dis" else "cutoff_high")
+    assert got[:4] == want[:4] and got[5] == want[5]
+    assert _event_keys(got[4]) == _event_keys(want[4])
+    assert len(want[4]) == 2
+
+
+def test_steps_past_the_cutoff_leave_nothing(params, ocp, monkeypatch):
+    """Steps integrated after the stop row inside its output chunk leave no
+    event, closure or error: a cutoff placed one row before two-phase
+    entry keeps the entry out, and a step that raises after the stop row
+    still ends the run at the cutoff.  At most one chunk of steps is
+    integrated past the stop."""
+    from csespm.simulate import _CHUNK
+    disc = DiscretizationConfig(N_r=3, N_e=6)
+    prof = cc_profile(params, 1.0, "dis", duration=900.0)
+    init = initial_state(params, disc, 1.0, "dis")
+    free = simulate(prof, init, params, disc, SolverConfig(cutoffs_enabled=False), ocp=ocp)
+    e = int(np.searchsorted(free.time, free.events[0].time))   # row of the entry step
+    assert free.events[0].kind == "enter_two_phase" and e % _CHUNK
+    k = e - 1
+    assert free.voltage[1:k].min() > free.voltage[k]
+    solver = SolverConfig(v_min=0.5 * (free.voltage[k] + free.voltage[1:k].min()))
+    step = Integrator.advance_with_events
+    steps = []
+
+    def counted(self, s, current, t, h, events):
+        steps.append(t)
+        return step(self, s, current, t, h, events)
+
+    monkeypatch.setattr(Integrator, "advance_with_events", counted)
+    res = simulate(prof, init, params, disc, solver, ocp=ocp)
+    assert k < len(steps) <= k + 64
+    assert (res.status, len(res), res.events) == ("cutoff_low", k + 1, [])
+    assert res.meta["max_closure"] == 0.0 < free.meta["max_closure"]
+    assert _summary(res)[:4] == _per_step_run(prof, init, params, disc, solver, ocp)[:4]
+
+    def failing(self, s, current, t, h, events):
+        if t >= free.time[k]:
+            raise RuntimeError("step after the stop row")
+        return step(self, s, current, t, h, events)
+
+    monkeypatch.setattr(Integrator, "advance_with_events", failing)
+    again = simulate(prof, init, params, disc, solver, ocp=ocp)
+    assert (again.status, len(again)) == ("cutoff_low", k + 1)
+    assert np.array_equal(again.voltage, res.voltage)
+
+
+def test_cutoff_counts_only_rows_it_keeps(params, disc4):
+    """OCP extrapolations are counted on the rows up to the stop row, those
+    of its own output chunk included, and not on the rows past it; the
+    initial row is never tested against the cutoffs."""
+    from csespm.ocp import OcpSet, OcpTable
+    from csespm.simulate import _CHUNK
+    neg = synthetic_ocp_set(params).neg
+    prof = cc_profile(params, 1.0, "dis", duration=400.0)
+    init = initial_state(params, disc4, 1.0, "dis")
+    free = simulate(prof, init, params, disc4, SolverConfig(cutoffs_enabled=False))
+    theta = systems.surface_concentration(free.pos_c, free.current, params, "pos",
+                                          params.R_s_p / disc4.N_r) / params.c_s_max_p
+    assert np.all(np.diff(theta) > 0.0)
+    k = 200
+    assert k // _CHUNK == (k - 4) // _CHUNK
+    # a table that covers rows k - 3 .. k only: rows before extrapolate low,
+    # rows after extrapolate high
+    lo, hi = 0.5 * (theta[k - 4] + theta[k - 3]), 0.5 * (theta[k] + theta[k + 1])
+    table = OcpTable("pos", "dis", np.array([lo, hi]), np.array([3.45, 3.40]))
+    ocp = OcpSet(neg=neg, pos_ch=table, pos_dis=table)
+    v = simulate(prof, init, params, disc4, SolverConfig(cutoffs_enabled=False),
+                 ocp=ocp).voltage
+    assert v[1:k].min() > v[k]
+    res = simulate(prof, init, params, disc4,
+                   SolverConfig(v_min=0.5 * (v[1:k].min() + v[k])), ocp=ocp)
+    assert (res.status, len(res)) == ("cutoff_low", k + 1)
+    assert res.meta["counters"]["ocp_extrapolations"] == k - 3
+    # the first row alone is past this upper cutoff
+    v_max = 0.5 * (v[0] + v[1])
+    assert v[0] > v_max > v[1:].max()
+    res = simulate(prof, init, params, disc4, SolverConfig(v_max=v_max), ocp=ocp)
+    assert (res.status, len(res)) == ("completed", len(free))
+
+
+def test_saturating_row_before_a_crossing_raises(params, ocp):
+    """A nearly empty negative electrode at 1C saturates two rows after its
+    voltage passes 2 V.  Without a lower cutoff the saturating row raises
+    the per-step loop's SaturationError; with it the run ends at the
+    crossing although the saturating row lies in the same output chunk."""
+    from csespm.errors import SaturationError
+    disc = DiscretizationConfig(N_r=3, N_e=6)
+    init = initial_state(params, disc, 1.0, "dis")
+    init.neg = np.full(3, 0.02 * params.c_s_max_n)
+    prof = cc_profile(params, 1.0, "dis", duration=600.0)
+    for solver in (SolverConfig(v_min=None), SolverConfig(v_min=None, cutoffs_enabled=False)):
+        with pytest.raises(SaturationError) as want:
+            _per_step_run(prof, init, params, disc, solver, ocp)
+        with pytest.raises(SaturationError) as got:
+            simulate(prof, init, params, disc, solver, ocp=ocp)
+        assert str(got.value) == str(want.value) == (
+            f"neg effective concentration 0 outside (0, {params.c_s_max_n:g})")
+    res = simulate(prof, init, params, disc, SolverConfig(), ocp=ocp)
+    assert _summary(res)[:4] == _per_step_run(prof, init, params, disc, SolverConfig(), ocp)[:4]
+    assert res.status == "cutoff_low" and len(res) == 49
+
+
+@pytest.mark.parametrize("cutoffs", [False, True])
+def test_row_counts_at_rest_and_with_record_every(params, disc4, cutoffs):
+    """One row per step at zero current, and with record_every = 7 one row
+    per seventh step of each segment plus its last step."""
+    init = initial_state(params, disc4, 0.5, "dis")
+    rest = simulate(LoadProfile(np.array([0.0, 50.0]), np.zeros(2)), init, params, disc4,
+                    SolverConfig(cutoffs_enabled=cutoffs))
+    assert len(rest) == 51 and np.array_equal(rest.time, np.arange(51.0))
+    current = params.current_for_c_rate(0.5)
+    prof = LoadProfile(np.array([0.0, 100.0, 130.0]), np.array([current, -current, -current]))
+    res = simulate(prof, init, params, disc4,
+                   SolverConfig(record_every=7, cutoffs_enabled=cutoffs))
+    want = [0.0] + [7.0 * j for j in range(1, 15)] + [100.0, 107.0, 114.0, 121.0, 128.0, 130.0]
+    assert np.array_equal(res.time, want)
+    assert res.charge[-1] == pytest.approx(100.0 * current - 30.0 * current)
+
+
+def test_event_cap_and_front_floor_are_counted(params, monkeypatch):
+    """The 8-event cap of one step and a front move accepted at the substep
+    floor each count once in Integrator.counters."""
+    import sys
+    sim = sys.modules["csespm.simulate"]
+    disc = DiscretizationConfig(N_r=3, N_e=6)
+    state = initial_state(params, disc, 0.5, "dis")
+    assert state.regime == "two_phase"
+    current = params.current_for_c_rate(1.0)
+    integ = Integrator(params, disc, SolverConfig())
+    real = sim._fvm_two_phase_substep
+    calls = []
+
+    def jumpy(s, current, h, params, N_r):
+        # a front move too large to accept until the halving reaches its floor
+        shell, r_new, closure = real(s, current, h, params, N_r)
+        calls.append(h)
+        return shell, (0.5 * s.r_p if len(calls) <= 21 else r_new), closure
+
+    monkeypatch.setattr(sim, "_fvm_two_phase_substep", jumpy)
+    integ.advance(state, current, 1.0)
+    assert integ.counters["front_floor_accepts"] == 1 and calls[20] <= 1e-6
+    monkeypatch.setattr(sim, "_fvm_two_phase_substep", real)
+
+    flip = lambda s, *args, **kw: (s, "event")   # noqa: E731
+    monkeypatch.setattr(sim, "detect_transition", lambda *args: "exit_two_phase_core")
+    monkeypatch.setattr(sim, "transition_margin", lambda *args: 0.0)
+    monkeypatch.setattr(sim, "exit_two_phase", flip)
+    events = []
+    integ.advance_with_events(state, current, 0.0, 1.0, events)
+    assert events == ["event"] * 8
+    assert integ.counters == {"surface_clamps": 0, "ocp_extrapolations": 0,
+                              "event_cap_hits": 1, "front_floor_accepts": 1}

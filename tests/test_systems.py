@@ -344,3 +344,25 @@ def test_fdm_mass_drifts_fvm_does_not(params):
         drift[scheme] = mass_audit(res, params).max_drift_rel
     assert drift["fdm"] > 10 * drift["fvm"]
     assert drift["fvm"] < 1e-8
+
+
+def test_surface_clamps_are_counted_over_rows(params, caplog):
+    """Over rows, each clamped surface value is counted and only the first
+    clamp of a run is logged; an OCP lookup counts its extrapolations."""
+    from csespm.ocp import OcpTable
+    dr = params.R_s_p / 4
+    rows = np.full((5, 4), 0.5 * params.c_s_max_p)
+    rows[[1, 3], -1] = params.c_s_max_p * 0.999999
+    current = np.array([0.0, 1e5, 0.0, 1e5, -1e5])   # rows 1 and 3 overfill, 4 empties
+    rows[4, -1] = 1.0
+    counters = {}
+    with caplog.at_level("WARNING"):
+        out = systems.surface_concentration(rows, current, params, "pos", dr, counters)
+        systems.surface_concentration(rows, current, params, "pos", dr, counters)
+    assert counters == {"surface_clamps": 6}
+    assert [r.message.startswith("surface concentration clamped") for r in caplog.records] == [True]
+    assert list(out[[1, 3, 4]]) == [params.c_s_max_p, params.c_s_max_p, 0.0]
+    assert np.all(out[[0, 2]] == 0.5 * params.c_s_max_p)
+    table = OcpTable("pos", "dis", np.array([0.2, 0.5, 0.8]), np.array([3.6, 3.4, 3.0]))
+    volts = table.lookup(np.array([0.1, 0.5, 0.9, 0.95]), counters=counters)
+    assert counters["ocp_extrapolations"] == 3 and list(volts) == [3.6, 3.4, 3.0, 3.0]
