@@ -39,9 +39,8 @@ def main():
             "pos_dis": "ocp_pos_discharge.csv",
         },
         "discretization": {"N_r": 4, "N_e": 6, "scheme": "fvm"},
-        "solver": {"dt": 1.0, "method": "rk4", "mass_tol": 1e-10,
-                   "event_tol": 1e-3, "v_min": 2.0, "v_max": 3.65,
-                   "cutoffs_enabled": True},
+        "solver": {"dt": 1.0, "mass_tol": 1e-10, "event_tol": 1e-3,
+                   "v_min": 2.0, "v_max": 3.65, "cutoffs_enabled": True},
         "phase": {"delta_init": 1e-3, "r_eps_rel": 1e-3, "shell_eps_rel": 1e-4},
         "observability": {"jacobian_step": 1e-6, "rank_tol": 1e-8,
                           "stride_s": 30.0, "smooth_ocp": True},

@@ -121,8 +121,8 @@ def cell_voltage(state: FullState, current, params: CellParameters, ocp: OcpSet,
     The first row outside the map's domain (an effective concentration
     outside (0, c_s_max), a non-positive electrolyte value) raises the
     SaturationError a single state raises; its ``before`` holds the
-    snapshot of the rows ahead of it.  ``counters`` tallies surface clamps
-    and OCP extrapolations (records.tally).
+    snapshot of the rows ahead of it.  ``counters`` tallies OCP
+    extrapolations (records.tally).
     """
     single = state.pos.ndim == 1
     rows = FullState(state.neg[None], state.pos[None], state.elec[None],
@@ -138,9 +138,9 @@ def cell_voltage(state: FullState, current, params: CellParameters, ocp: OcpSet,
         (4.0 / 3.0) * np.pi * params.R_s_p**3)
     c_eff_p = c_bulk_p.copy()
     c_eff_p[one] = systems.surface_concentration(
-        rows.pos[one], current[one], params, "pos", params.R_s_p / rows.pos.shape[1], counters)
+        rows.pos[one], current[one], params, "pos", params.R_s_p / rows.pos.shape[1])
     c_surf_n = systems.surface_concentration(
-        rows.neg, current, params, "neg", params.R_s_n / rows.neg.shape[1], counters)
+        rows.neg, current, params, "neg", params.R_s_n / rows.neg.shape[1])
     c_e_p = electrode_c_e_avg(params, rows.elec, "pos", split)
     c_e_n = electrode_c_e_avg(params, rows.elec, "neg", split)
     with np.errstate(invalid="ignore", divide="ignore"):

@@ -212,7 +212,5 @@ class DiscretizationConfig:
     def electrolyte_split(self) -> tuple[int, int, int]:
         if self.N_e_split is not None:
             return tuple(int(n) for n in self.N_e_split)
-        if self.N_e % 3 != 0:
-            raise ParameterError("N_e must be divisible by 3 unless N_e_split is given")
         n = self.N_e // 3
         return (n, n, n)

@@ -1,5 +1,5 @@
 """Plain records shared by every layer: CSV files of named columns, and the
-tally of numerical decisions (clamps, extrapolations, caps) a run takes."""
+tally of numerical decisions (extrapolations, caps) a run takes."""
 from __future__ import annotations
 
 import csv

@@ -1,28 +1,25 @@
 """Time integration of the coupled solid/electrolyte/moving-boundary model.
 
 Current profiles are zero-order-hold, so the current is constant inside
-every integrator step.  The three fixed-grid subsystems are linear
-time-invariant and are advanced with the configured explicit method (RK4 or
-forward Euler, sub-stepped inside their stability limit) or with the exact
-matrix-exponential propagator.  Subsystems whose spectrum makes explicit
-stepping impractical at the configured dt (the identified C/2 negative
-diffusivity is one) fall back to the exact propagator automatically.
-Because the blocks are time-invariant, the explicit substeps of one step
-compose to a fixed affine map of the step length; that map is built once
-per step length, cached, and applied with two matrix-vector products.
+every integrator step.  The three fixed-grid subsystems (negative solid,
+one-phase positive solid, electrolyte) are linear time-invariant, so each
+step has an exact closed form: an affine map of the step length, taken from
+one augmented-matrix exponential, built once per step length, cached, and
+applied in increment form with two matrix-vector products.  There is no
+explicit scheme, sub-stepping or stability limit, so stiff blocks (the
+identified C/2 negative diffusivity) need no special case.
 
 The two-phase positive block is integrated with a conservative
-diffuse/convert/remap scheme regardless of the configured method: shell
-concentrations advance exactly on the frozen grid, the lithium delivered to
-the interface converts core volume through the Stefan balance, and the
-swept annulus is remapped onto the new shell grid.  Explicit stepping is
-unusable here: the shell diffusion eigenvalues scale like D/dr^2 and exceed
-1e5 1/s right after two-phase entry, and naive collocation of the
-moving-grid ODEs leaks mass through the grid motion.  The conservative
-formulation integrates the same governing equations and keeps the
-per-electrode lithium balance at machine precision, which the mass audit
-checks.  The FDM scheme is integrated without the conservative remap on
-purpose (it is the non-conservative reference).
+diffuse/convert/remap scheme: shell concentrations advance exactly on the
+frozen grid, the lithium delivered to the interface converts core volume
+through the Stefan balance, and the swept annulus is remapped onto the new
+shell grid.  Explicit stepping is unusable here: the shell diffusion
+eigenvalues scale like D/dr^2 and exceed 1e5 1/s right after two-phase
+entry, and naive collocation of the moving-grid ODEs leaks mass through the
+grid motion.  The conservative formulation integrates the same governing
+equations and keeps the per-electrode lithium balance at machine precision,
+which the mass audit checks.  The FDM scheme is integrated without the
+conservative remap on purpose (it is the non-conservative reference).
 """
 from __future__ import annotations
 
@@ -46,29 +43,22 @@ from . import systems
 
 log = logging.getLogger(__name__)
 
-# widest stable real-axis step scaled by a safety factor
-_STABILITY_LIMIT = {"rk4": 2.2, "euler": 1.6}
-
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Fixed-step integrator settings."""
 
     dt: float = 1.0
-    method: str = "rk4"             # 'rk4' | 'euler' | 'exact'
     mass_tol: float = 1e-10
     event_tol: float = 1e-3         # bisection tolerance on event times [s]
     v_min: float | None = 2.0
     v_max: float | None = 3.65
     cutoffs_enabled: bool = True
-    max_explicit_substeps: int = 64
     record_every: int = 1           # keep every n-th step in the result
 
     def __post_init__(self):
         if self.dt <= 0.0:
             raise ParameterError("dt must be positive")
-        if self.method not in ("rk4", "euler", "exact"):
-            raise ParameterError("method must be 'rk4', 'euler' or 'exact'")
 
 
 # --- load profiles -----------------------------------------------------------
@@ -169,6 +159,16 @@ def synthetic_dynamic_profile(params: CellParameters, duration: float = 1370.0,
 
 # --- exact affine propagator --------------------------------------------------
 
+def _augmented_expm(A: np.ndarray, h: float) -> np.ndarray:
+    """expm([[A h, I h], [0, 0]]): its top blocks are e^{Ah} and the
+    integral of e^{As} ds over [0, h]."""
+    n = A.shape[0]
+    M = np.zeros((2 * n, 2 * n))
+    M[:n, :n] = A * h
+    M[:n, n:] = np.eye(n) * h
+    return scipy.linalg.expm(M)
+
+
 class AffinePropagator:
     """Exact step of dx/dt = A x + b for constant A.
 
@@ -197,19 +197,12 @@ class AffinePropagator:
                 self._back = V
             except np.linalg.LinAlgError:
                 self._fallback = True
-        if self._fallback:
-            self.spectral_bound = 2.0 * float(np.max(np.abs(self.A.diagonal())))
-        else:
-            self.spectral_bound = float(np.max(np.abs(self.lam.real)))
 
     def step(self, x: np.ndarray, b: np.ndarray, h: float) -> np.ndarray:
         """x(h) = e^{Ah} x + phi(h) b with phi = integral of e^{As} ds."""
         if self._fallback:
             n = len(x)
-            M = np.zeros((2 * n, 2 * n))
-            M[:n, :n] = self.A * h
-            M[:n, n:] = np.eye(n) * h
-            E = scipy.linalg.expm(M)
+            E = _augmented_expm(self.A, h)
             return E[:n, :n] @ x + E[:n, n:] @ b
         lam = self.lam
         z = self._to @ x
@@ -223,77 +216,36 @@ class AffinePropagator:
         return out.real if np.iscomplexobj(out) else out
 
 
-def _explicit_step_map(A: np.ndarray, h: float, n_sub: int, method: str):
-    """Increment form (D, N) of n_sub explicit substeps of length h/n_sub.
-
-    One substep of dx/dt = A x + b is x' = x + E x + Q b, with E = hs A,
-    Q = hs I for Euler and, with Z = hs A, E = P(Z) - I = Z + Z^2/2 + Z^3/6
-    + Z^4/24 = A Q, Q = hs (I + Z/2 + Z^2/6 + Z^3/24) for RK4.  The composed
-    step is x(h) = x + D x + N b.  D and N are accumulated as increments
-    rather than formed as P^n - I, which would lose the small increment to
-    cancellation and show up as mass drift.
-    """
-    n = A.shape[0]
-    hs = h / n_sub
-    eye = np.eye(n)
-    if method == "euler":
-        E, Q = hs * A, hs * eye
-    else:
-        Z = hs * A
-        Q = hs * (eye + Z @ (eye / 2.0 + Z @ (eye / 6.0 + Z / 24.0)))
-        E = A @ Q
-    D = np.zeros((n, n))
-    N = np.zeros((n, n))
-    for _ in range(n_sub):
-        D = D + E @ (eye + D)
-        N = N + E @ N + Q
-    return D, N
-
-
 class _LtiBlock:
-    """One constant-coefficient subsystem with its integrator strategy.
+    """One constant-coefficient subsystem dx/dt = A x + B I (+ G), stepped
+    exactly under zero-order-hold current.
 
-    Explicit methods take n_sub = ceil(h rho / limit) substeps inside the
-    stability limit.  The block is linear and time invariant, so those
-    substeps compose to one affine map per step length h; the map is built
-    on first use and cached, a few step lengths at a time (event bisection
-    asks for many lengths that never recur).
+    With Gamma_h = integral of e^{As} ds over [0, h], the step is
+    x(h) = x + D x + N b with N = Gamma_h and D = A Gamma_h (= e^{Ah} - I).
+    Gamma_h is a block of one augmented-matrix exponential (Van Loan, IEEE
+    TAC 1978).  D is formed as A Gamma_h, never as e^{Ah} - I, which would
+    lose the small increment to cancellation and show up as mass drift.
+    The map is built on first use and cached, a few step lengths at a time
+    (event bisection asks for many lengths that never recur).
     """
 
     _CACHE_SIZE = 8
 
-    def __init__(self, name, sys: systems.AffineSystem, cfg: SolverConfig,
-                 weights=None):
-        self.name = name
+    def __init__(self, sys: systems.AffineSystem):
         self.sys = sys
-        self.cfg = cfg
-        self.prop = AffinePropagator(sys.A, weights=weights)
-        self._warned = False
         self._maps: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-
-    def n_substeps(self, h: float) -> int:
-        limit = _STABILITY_LIMIT[self.cfg.method]
-        return max(1, int(math.ceil(h * self.prop.spectral_bound / limit)))
 
     def advance(self, x: np.ndarray, current: float, h: float) -> np.ndarray:
         b = self.sys.B * current
         if self.sys.G is not None:
             b = b + self.sys.G
-        if self.cfg.method == "exact":
-            return self.prop.step(x, b, h)
         step_map = self._maps.get(h)
         if step_map is None:
-            n_sub = self.n_substeps(h)
-            if n_sub > self.cfg.max_explicit_substeps:
-                if not self._warned:
-                    log.info("subsystem %s too stiff for %s at dt=%.3g (needs %d substeps); "
-                             "using the exact propagator", self.name, self.cfg.method, h, n_sub)
-                    self._warned = True
-                return self.prop.step(x, b, h)
             if len(self._maps) >= self._CACHE_SIZE:
                 del self._maps[next(iter(self._maps))]
-            step_map = self._maps[h] = _explicit_step_map(
-                self.sys.A, h, n_sub, self.cfg.method)
+            n = self.sys.dim
+            gamma = _augmented_expm(self.sys.A, h)[:n, n:]
+            step_map = self._maps[h] = (self.sys.A @ gamma, gamma)
         D, N = step_map
         return x + D @ x + N @ b
 
@@ -379,19 +331,13 @@ class Integrator:
         self.phase_cfg = phase_cfg or PhaseConfig(mass_tol=solver.mass_tol)
         split = disc.electrolyte_split()
         self.split = split
-        self.neg = _LtiBlock(
-            "neg", systems.SOLID_BUILDERS[disc.scheme](params, "neg", disc.N_r),
-            solver, weights=_solid_weights(params, "neg", disc))
-        self.pos1p = _LtiBlock(
-            "pos", systems.SOLID_BUILDERS[disc.scheme](params, "pos", disc.N_r),
-            solver, weights=_solid_weights(params, "pos", disc))
-        self.elec = _LtiBlock(
-            "elec", systems.build_electrolyte_system(params, disc.N_e, split),
-            solver, weights=_electrolyte_weights(params, disc.N_e, split))
+        self.neg = _LtiBlock(systems.SOLID_BUILDERS[disc.scheme](params, "neg", disc.N_r))
+        self.pos1p = _LtiBlock(systems.SOLID_BUILDERS[disc.scheme](params, "pos", disc.N_r))
+        self.elec = _LtiBlock(systems.build_electrolyte_system(params, disc.N_e, split))
         self.max_closure = 0.0
         # numerical decisions of a run, see records.tally
-        self.counters = dict.fromkeys(("surface_clamps", "ocp_extrapolations",
-                                       "event_cap_hits", "front_floor_accepts"), 0)
+        self.counters = dict.fromkeys(("ocp_extrapolations", "event_cap_hits",
+                                       "front_floor_accepts"), 0)
 
     def advance(self, state: FullState, current: float, h: float) -> FullState:
         """Pure step of length h at constant current (no event handling)."""
@@ -468,12 +414,6 @@ class Integrator:
               "8 events in the step from t=%.3f s; the last %.3g s advance "
               "without event detection", t, remaining)
         return self.advance(s, current, remaining)
-
-
-def _solid_weights(params, electrode, disc):
-    if disc.scheme != "fvm":
-        return None
-    return systems.cell_volumes(params.R_s(electrode), disc.N_r)
 
 
 def _electrolyte_weights(params, N_e, split):

@@ -1,6 +1,7 @@
 """State containers for the coupled cell model."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,8 +44,11 @@ class FullState:
         return self.regime == TWO_PHASE
 
     def is_finite(self) -> bool:
-        return (np.isfinite(self.neg).all() and np.isfinite(self.pos).all()
-                and np.isfinite(self.elec).all() and np.isfinite(self.r_p))
+        # one sum: concentrations are bounded far below overflow, so the sum
+        # of a finite state is finite and any NaN or inf propagates into it;
+        # Python sums of these few values beat numpy reductions
+        return math.isfinite(sum(self.neg.tolist()) + sum(self.pos.tolist())
+                             + sum(self.elec.tolist()) + self.r_p)
 
 
 @dataclass

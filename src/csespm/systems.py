@@ -17,16 +17,12 @@ after a reversal inside two-phase the same front moves back.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError, PhaseDomainError
 from .params import CellParameters
-from .records import tally
-
-log = logging.getLogger(__name__)
 
 # with I > 0 on discharge, lithium enters the positive particle and leaves
 # the negative particle
@@ -244,7 +240,7 @@ def build_two_phase_system(params: CellParameters, r_p: float, current: float,
 
 
 def build_electrolyte_system(params: CellParameters, N_e: int,
-                             split: tuple[int, int, int] | None = None) -> AffineSystem:
+                             split: tuple[int, int, int]) -> AffineSystem:
     """FVM electrolyte diffusion across anode/separator/cathode.
 
     Effective diffusivity D_e * eps^brugg per region, series (harmonic mean)
@@ -252,10 +248,6 @@ def build_electrolyte_system(params: CellParameters, N_e: int,
     a uniform volumetric source +-(1 - t_plus) I / (F A L eps_e) in the two
     electrode regions.
     """
-    if split is None:
-        if N_e < 3 or N_e % 3 != 0:
-            raise ParameterError("N_e must be >= 3 and divisible by 3 without an explicit split")
-        split = (N_e // 3, N_e // 3, N_e // 3)
     if len(split) != 3 or any(n < 1 for n in split) or sum(split) != N_e:
         raise ParameterError("electrolyte split must be three counts >= 1 summing to N_e")
 
@@ -273,10 +265,8 @@ def build_electrolyte_system(params: CellParameters, N_e: int,
 
 
 def electrolyte_geometry(params: CellParameters, N_e: int,
-                         split: tuple[int, int, int] | None = None):
+                         split: tuple[int, int, int]):
     """Per-CV width, porosity and region index (0=anode, 1=sep, 2=cathode)."""
-    if split is None:
-        split = (N_e // 3, N_e // 3, N_e // 3)
     widths = [length / n for length, n in zip((params.L_n, params.L_s, params.L_p), split)]
     return (np.repeat(widths, split),
             np.repeat([params.eps_e_n, params.eps_e_s, params.eps_e_p], split),
@@ -286,22 +276,14 @@ def electrolyte_geometry(params: CellParameters, N_e: int,
 # --- concentration reconstructions -----------------------------------------
 
 def surface_concentration(c_bar: np.ndarray, current, params: CellParameters,
-                          electrode: str, dr: float, counters: dict | None = None):
+                          electrode: str, dr: float):
     """Surface value from the outermost CV average plus the half-cell
     extrapolation along the flux boundary gradient, of one state or of rows
-    (c_bar (T, N), current (T,)).  Clamped to [0, c_s_max]; clamps are
-    tallied as "surface_clamps" (records.tally)."""
+    (c_bar (T, N), current (T,)).  Not clamped: the output map rejects a
+    value outside (0, c_s_max)."""
     D = params.D_s(electrode)
     grad = molar_flux_density(params, electrode, current) / D
-    c = c_bar[..., -1] + 0.5 * dr * grad
-    cmax = params.c_s_max(electrode)
-    out = (c < 0.0) | (c > cmax)
-    if np.any(out):
-        tally(counters, "surface_clamps", int(np.sum(out)), log,
-              "surface concentration clamped (%s electrode): %.6g", electrode,
-              np.ravel(c)[np.ravel(out)][0])
-        c = np.clip(c, 0.0, cmax)
-    return c
+    return c_bar[..., -1] + 0.5 * dr * grad
 
 
 def one_phase_bulk(c_bar: np.ndarray, R: float) -> float:

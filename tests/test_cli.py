@@ -44,6 +44,20 @@ def test_bad_config_gives_exit_4(tmp_path, short_profile, capsys):
     assert record["exit_code"] == 4
 
 
+@pytest.mark.parametrize("key, value", [("method", "rk4"), ("max_explicit_substeps", 64)])
+def test_removed_solver_setting_gives_exit_4(tmp_path, short_profile, capsys, key, value):
+    """A config that still selects an explicit method or its substep cap is
+    rejected, naming the key."""
+    cfg = tmp_path / "old.json"
+    cfg.write_text(json.dumps({"solver": {"dt": 1.0, key: value}}))
+    rc = main(["simulate", "--config", str(cfg), "--profile", str(short_profile),
+               "--out", str(tmp_path / "out")])
+    assert rc == 4
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ConfigError" and record["exit_code"] == 4
+    assert repr(key) in record["message"]
+
+
 def test_simulate_command(tmp_path, short_profile):
     out = tmp_path / "sim"
     rc = main(["simulate", "--profile", str(short_profile), "--out", str(out),
@@ -152,8 +166,8 @@ def test_simulate_summary_shows_counters(tmp_path, short_profile):
     out = tmp_path / "sim"
     assert main(["simulate", "--profile", str(short_profile), "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["counters"] == {"surface_clamps": 0, "ocp_extrapolations": 0,
-                                   "event_cap_hits": 0, "front_floor_accepts": 0}
+    assert summary["counters"] == {"ocp_extrapolations": 0, "event_cap_hits": 0,
+                                   "front_floor_accepts": 0}
 
 
 @pytest.mark.parametrize("body, needle", [

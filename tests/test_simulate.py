@@ -71,21 +71,6 @@ def test_euler_single_step_mass_exact(params, disc4):
     assert float(v @ (c1 - c)) == pytest.approx(flux * dt, rel=1e-12)
 
 
-def _substep_loop(A, b, x, h, n_sub, method):
-    """Reference: n_sub explicit substeps of dx/dt = A x + b."""
-    hs = h / n_sub
-    for _ in range(n_sub):
-        if method == "euler":
-            x = x + hs * (A @ x + b)
-        else:
-            k1 = A @ x + b
-            k2 = A @ (x + 0.5 * hs * k1) + b
-            k3 = A @ (x + 0.5 * hs * k2) + b
-            k4 = A @ (x + hs * k3) + b
-            x = x + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return x
-
-
 def _fixed_grid_blocks(params, disc, integ):
     """(block, volume weights, concentration scale) of the three blocks."""
     dx, eps, _ = systems.electrolyte_geometry(params, disc.N_e, integ.split)
@@ -94,45 +79,30 @@ def _fixed_grid_blocks(params, disc, integ):
             (integ.elec, dx * eps, params.c_e0))
 
 
-@pytest.mark.parametrize("method", ["rk4", "euler"])
-def test_cached_step_map_matches_substep_loop(params, disc4, method):
-    """The cached composed map of a fixed-grid block reproduces its explicit
-    substep loop, for a full step and for a bisection-sized step, on first
-    use and from the cache."""
-    integ = Integrator(params, disc4, SolverConfig(dt=10.0, method=method))
+def test_cached_step_map_matches_propagator(params, disc4):
+    """The cached exact map of each fixed-grid block reproduces the
+    eigenbasis propagator (checked against dense expm above) for a full step
+    and a bisection-sized step, on first use and from the cache; the stiff
+    C/2 negative block (rho h ~ 1e4 at dt = 1 s) included."""
+    from csespm.params import params_for_rate
     rng = np.random.default_rng(5)
     current = params.current_for_c_rate(1.0)
-    for block, _, scale in _fixed_grid_blocks(params, disc4, integ):
-        for h in (10.0, 10.0 * 0.6171875):
-            n_sub = block.n_substeps(h)
-            assert n_sub <= SolverConfig().max_explicit_substeps
+    integ = Integrator(params, disc4, SolverConfig(dt=10.0))
+    cases = [(block, w, scale, 10.0, 1e-12)
+             for block, w, scale in _fixed_grid_blocks(params, disc4, integ)]
+    p2 = params_for_rate(params, "C/2")
+    stiff = Integrator(p2, disc4, SolverConfig(dt=1.0)).neg
+    cases.append((stiff, systems.cell_volumes(p2.R_s_n, disc4.N_r), p2.c_s_max_n, 1.0, 1e-10))
+    for block, w, scale, dt, tol in cases:
+        ref = AffinePropagator(block.sys.A, weights=w)
+        for h in (dt, dt * 0.6171875):
             for _ in range(2):
                 x = scale * rng.uniform(0.2, 0.8, block.sys.dim)
-                want = _substep_loop(block.sys.A, block.sys.B * current, x, h,
-                                     n_sub, method)
+                want = ref.step(x, block.sys.B * current, h)
                 got = block.advance(x, current, h)
                 err = np.linalg.norm(got - want) / np.linalg.norm(want - x)
-                assert err <= 1e-12, (block.name, h, n_sub, err)
-    # the electrolyte needs several substeps at dt = 10 s, so the
-    # composition itself is exercised
-    assert integ.elec.n_substeps(10.0) > 1
-
-
-def test_cached_step_map_keeps_exact_fallback(params):
-    """A block past max_explicit_substeps takes the exact propagator and
-    caches no explicit map for that step length."""
-    from csespm.params import params_for_rate
-    p2 = params_for_rate(params, "C/2")
-    disc = DiscretizationConfig(N_r=4, N_e=6)
-    integ = Integrator(p2, disc, SolverConfig(dt=1.0, method="rk4"))
-    block = integ.neg
-    assert block.n_substeps(1.0) > SolverConfig().max_explicit_substeps
-    x = np.linspace(0.3, 0.6, disc.N_r) * p2.c_s_max_n
-    current = 10.0
-    b = block.sys.B * current
-    for h in (1.0, 0.3171875):
-        assert np.array_equal(block.advance(x, current, h), block.prop.step(x, b, h))
-    assert not block._maps
+                assert err <= tol, (dt, h, err)
+        assert list(block._maps) == [dt, dt * 0.6171875]
 
 
 def test_cached_step_conserves_content(params, disc4):
@@ -149,31 +119,18 @@ def test_cached_step_conserves_content(params, disc4):
             assert abs(float(w @ dx) - h * float(w @ b)) <= 1e-12 * h * float(w @ np.abs(b))
 
 
-def test_rk4_against_fine_euler(params, disc4):
-    """RK4 at dt = 1 s tracks a dt = 0.01 s Euler reference within 0.5 mV RMS
-    over a one-phase C/4 window."""
+def test_coarse_dt_against_fine_dt(params, disc4):
+    """dt = 1 s tracks a dt = 0.01 s reference within 0.5 mV RMS over a
+    one-phase C/4 window."""
     prof = cc_profile(params, 0.25, "dis", duration=300.0)
     init = initial_state(params, disc4, 1.0, "dis")
     coarse = simulate(prof, init, params, disc4,
-                      SolverConfig(dt=1.0, method="rk4", cutoffs_enabled=False))
+                      SolverConfig(dt=1.0, cutoffs_enabled=False))
     fine = simulate(prof, init, params, disc4,
-                    SolverConfig(dt=0.01, method="euler", cutoffs_enabled=False))
+                    SolverConfig(dt=0.01, cutoffs_enabled=False))
     v_fine = np.interp(coarse.time, fine.time, fine.voltage)
     rms = 1e3 * np.sqrt(np.mean((coarse.voltage - v_fine) ** 2))
     assert rms < 0.5
-
-
-def test_methods_agree(params, disc4):
-    """All three integrators agree on a smooth one-phase segment."""
-    prof = cc_profile(params, 0.25, "dis", duration=200.0)
-    init = initial_state(params, disc4, 0.9, "dis")
-    outs = {}
-    for method in ("rk4", "euler", "exact"):
-        outs[method] = simulate(prof, init, params, disc4,
-                                SolverConfig(method=method, cutoffs_enabled=False))
-    for method in ("rk4", "euler"):
-        dv = outs[method].voltage - outs["exact"].voltage
-        assert 1e3 * np.sqrt(np.mean(dv**2)) < 0.2
 
 
 def test_determinism_bit_identical(params, disc4):
@@ -253,15 +210,15 @@ def test_result_csv_round_trip(tmp_path, params, disc4):
 
 
 def test_stiff_subsystem_fallback(params):
-    """The identified C/2 negative diffusivity makes an explicit step
-    unstable at dt = 1 s; the integrator must fall back to the exact
-    propagator and stay finite."""
+    """The identified C/2 negative diffusivity makes its block stiff at
+    dt = 1 s (rho h ~ 1e4); the exact step takes it on the one path and
+    stays finite."""
     from csespm.params import params_for_rate
     p2 = params_for_rate(params, "C/2")
     disc = DiscretizationConfig(N_r=4, N_e=6)
     prof = cc_profile(p2, 0.5, "dis", duration=400.0)
     init = initial_state(p2, disc, 1.0, "dis")
-    res = simulate(prof, init, p2, disc, SolverConfig(method="rk4"))
+    res = simulate(prof, init, p2, disc, SolverConfig())
     assert res.status in ("completed", "cutoff_low")
     assert np.isfinite(res.voltage).all()
 
@@ -273,6 +230,21 @@ def test_dynamic_profile_runs_through_flips(params, disc4):
     rep = mass_audit(res, params)
     assert rep.max_drift_rel < 1e-9
     assert np.isfinite(res.voltage).all()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["neg", "pos", "elec", "r_p"])
+def test_state_is_finite(params, disc4, where, bad):
+    """A NaN or an infinity in any concentration or in r_p reads as
+    non-finite; the NaN core_conc of a one-phase state does not."""
+    state = initial_state(params, disc4, 0.9, "dis")
+    assert state.regime != "two_phase" and np.isnan(state.core_conc)
+    assert state.is_finite()
+    if where == "r_p":
+        state.r_p = bad
+    else:
+        getattr(state, where)[1] = bad
+    assert not state.is_finite()
 
 
 def test_zero_current_zero_drift(params, disc4):
@@ -408,8 +380,8 @@ def test_columnar_outputs_match_scalar_replay(params, ocp, disc4, run):
         assert abs(snap.SOC_p - res.soc_p[i]) <= 1e-12
     if run == "c4_cycle":
         # a normal cycle takes none of the counted numerical decisions
-        assert res.meta["counters"] == {"surface_clamps": 0, "ocp_extrapolations": 0,
-                                        "event_cap_hits": 0, "front_floor_accepts": 0}
+        assert res.meta["counters"] == {"ocp_extrapolations": 0, "event_cap_hits": 0,
+                                        "front_floor_accepts": 0}
 
 
 def _per_step_run(profile, init, params, disc, solver, ocp):
@@ -552,8 +524,9 @@ def test_saturating_row_before_a_crossing_raises(params, ocp):
             _per_step_run(prof, init, params, disc, solver, ocp)
         with pytest.raises(SaturationError) as got:
             simulate(prof, init, params, disc, solver, ocp=ocp)
+        # the error names the unclamped surface value
         assert str(got.value) == str(want.value) == (
-            f"neg effective concentration 0 outside (0, {params.c_s_max_n:g})")
+            f"neg effective concentration -4.79396 outside (0, {params.c_s_max_n:g})")
     res = simulate(prof, init, params, disc, SolverConfig(), ocp=ocp)
     assert _summary(res)[:4] == _per_step_run(prof, init, params, disc, SolverConfig(), ocp)[:4]
     assert res.status == "cutoff_low" and len(res) == 49
@@ -607,5 +580,5 @@ def test_event_cap_and_front_floor_are_counted(params, monkeypatch):
     events = []
     integ.advance_with_events(state, current, 0.0, 1.0, events)
     assert events == ["event"] * 8
-    assert integ.counters == {"surface_clamps": 0, "ocp_extrapolations": 0,
-                              "event_cap_hits": 1, "front_floor_accepts": 1}
+    assert integ.counters == {"ocp_extrapolations": 0, "event_cap_hits": 1,
+                              "front_floor_accepts": 1}

@@ -201,16 +201,15 @@ def test_two_phase_b_vector_on_outermost_cell(params):
 # --- electrolyte builder -----------------------------------------------------------
 
 def test_electrolyte_rest_uniform_stationary(params):
-    sysm = systems.build_electrolyte_system(params, 9)
+    sysm = systems.build_electrolyte_system(params, 9, (3, 3, 3))
     c = np.full(9, params.c_e0)
     assert np.abs(sysm.rhs(c, 0.0)).max() < np.abs(sysm.A).max() * params.c_e0 * 1e-12
 
 
 def test_electrolyte_source_cancels(params):
-    for N_e, split in ((6, None), (12, None), (10, (4, 3, 3))):
+    for N_e, split in ((6, (2, 2, 2)), (12, (4, 4, 4)), (10, (4, 3, 3))):
         sysm = systems.build_electrolyte_system(params, N_e, split)
-        dx, eps, _ = systems.electrolyte_geometry(
-            params, N_e, split or (N_e // 3,) * 3)
+        dx, eps, _ = systems.electrolyte_geometry(params, N_e, split)
         v = dx * eps * params.A_cell
         assert abs(float(v @ sysm.B)) < 1e-12 * np.abs(v * sysm.B).max()
         assert np.abs(sysm.A.sum(axis=1)).max() < 1e-10 * np.abs(sysm.A).max()
@@ -221,7 +220,7 @@ def test_electrolyte_relaxes_to_uniform(params):
     spatially uniform state at the initial mean."""
     from csespm.simulate import AffinePropagator
     N_e = 6
-    sysm = systems.build_electrolyte_system(params, N_e)
+    sysm = systems.build_electrolyte_system(params, N_e, (2, 2, 2))
     dx, eps, _ = systems.electrolyte_geometry(params, N_e, (2, 2, 2))
     w = dx * eps
     prop = AffinePropagator(sysm.A, weights=w)
@@ -237,7 +236,7 @@ def test_electrolyte_relaxes_to_uniform(params):
 
 def test_electrolyte_bad_split(params):
     with pytest.raises(ParameterError):
-        systems.build_electrolyte_system(params, 7)
+        systems.build_electrolyte_system(params, 7, (2, 2, 2))
     with pytest.raises(ParameterError):
         systems.build_electrolyte_system(params, 7, (5, 1, 2))
     with pytest.raises(ParameterError):
@@ -258,15 +257,6 @@ def test_surface_concentration_rest_and_slope(params):
     dr_n = params.R_s_n / 4
     c_n = systems.surface_concentration(c, 2.0, params, "neg", dr_n)
     assert c_n < 10000.0
-
-
-def test_surface_concentration_clamps_with_warning(params, caplog):
-    c = np.full(4, params.c_s_max_p * 0.999999)
-    dr = params.R_s_p / 4
-    with caplog.at_level("WARNING"):
-        out = systems.surface_concentration(c, 1e5, params, "pos", dr)
-    assert out == params.c_s_max_p
-    assert any("clamped" in r.message for r in caplog.records)
 
 
 def test_surface_concentration_fine_grid_oracle(params):
@@ -346,23 +336,10 @@ def test_fdm_mass_drifts_fvm_does_not(params):
     assert drift["fvm"] < 1e-8
 
 
-def test_surface_clamps_are_counted_over_rows(params, caplog):
-    """Over rows, each clamped surface value is counted and only the first
-    clamp of a run is logged; an OCP lookup counts its extrapolations."""
+def test_ocp_extrapolations_are_counted(params):
+    """An OCP lookup counts each point outside its table's range."""
     from csespm.ocp import OcpTable
-    dr = params.R_s_p / 4
-    rows = np.full((5, 4), 0.5 * params.c_s_max_p)
-    rows[[1, 3], -1] = params.c_s_max_p * 0.999999
-    current = np.array([0.0, 1e5, 0.0, 1e5, -1e5])   # rows 1 and 3 overfill, 4 empties
-    rows[4, -1] = 1.0
     counters = {}
-    with caplog.at_level("WARNING"):
-        out = systems.surface_concentration(rows, current, params, "pos", dr, counters)
-        systems.surface_concentration(rows, current, params, "pos", dr, counters)
-    assert counters == {"surface_clamps": 6}
-    assert [r.message.startswith("surface concentration clamped") for r in caplog.records] == [True]
-    assert list(out[[1, 3, 4]]) == [params.c_s_max_p, params.c_s_max_p, 0.0]
-    assert np.all(out[[0, 2]] == 0.5 * params.c_s_max_p)
     table = OcpTable("pos", "dis", np.array([0.2, 0.5, 0.8]), np.array([3.6, 3.4, 3.0]))
     volts = table.lookup(np.array([0.1, 0.5, 0.9, 0.95]), counters=counters)
     assert counters["ocp_extrapolations"] == 3 and list(volts) == [3.6, 3.4, 3.0, 3.0]
