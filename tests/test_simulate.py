@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -79,30 +81,89 @@ def _fixed_grid_blocks(params, disc, integ):
             (integ.elec, dx * eps, params.c_e0))
 
 
+def _substep_loop(A, b, x, h, n_sub, method):
+    """Reference: n_sub explicit substeps of dx/dt = A x + b."""
+    hs = h / n_sub
+    for _ in range(n_sub):
+        if method == "euler":
+            x = x + hs * (A @ x + b)
+        else:
+            k1 = A @ x + b
+            k2 = A @ (x + 0.5 * hs * k1) + b
+            k3 = A @ (x + 0.5 * hs * k2) + b
+            k4 = A @ (x + hs * k3) + b
+            x = x + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return x
+
+
+@pytest.mark.parametrize("method", ["rk4", "euler"])
+def test_cached_step_map_matches_substep_loop(params, disc4, method):
+    """An explicit substep loop of each fixed-grid block converges to the
+    cached exact map at the method's order (halving the substep cuts the gap
+    by 2 for Euler, 16 for RK4), so the map is the loop's limit, and the
+    finer loop lies within (rho h_sub)^p / (p + 1)! of it; checked for a full
+    step and a bisection-sized step, on first use and from the cache."""
+    order, rho_hs = {"euler": (1, 0.01), "rk4": (4, 0.1)}[method]
+    integ = Integrator(params, disc4, SolverConfig(dt=10.0))
+    rng = np.random.default_rng(5)
+    current = params.current_for_c_rate(1.0)
+    for block, _, scale in _fixed_grid_blocks(params, disc4, integ):
+        A, b = block.sys.A, block.sys.B * current
+        rho = float(np.max(np.abs(np.linalg.eigvals(A))))
+        for h in (10.0, 10.0 * 0.6171875):
+            n_sub = int(np.ceil(rho * h / rho_hs))
+            for _ in range(2):
+                x = scale * rng.uniform(0.2, 0.8, block.sys.dim)
+                got = block.advance(x, current, h)
+                gaps = [np.linalg.norm(_substep_loop(A, b, x, h, n, method) - got)
+                        / np.linalg.norm(got - x) for n in (n_sub, 2 * n_sub)]
+                ratio = gaps[1] / gaps[0]
+                assert abs(ratio * 2**order - 1.0) <= 0.1, (block.sys.dim, h, gaps)
+                bound = (0.5 * rho_hs)**order / math.factorial(order + 1)
+                assert gaps[1] <= bound, (block.sys.dim, h, gaps)
+        assert list(block._maps) == [10.0, 10.0 * 0.6171875]
+
+
 def test_cached_step_map_matches_propagator(params, disc4):
     """The cached exact map of each fixed-grid block reproduces the
     eigenbasis propagator (checked against dense expm above) for a full step
-    and a bisection-sized step, on first use and from the cache; the stiff
-    C/2 negative block (rho h ~ 1e4 at dt = 1 s) included."""
-    from csespm.params import params_for_rate
+    and a bisection-sized step, on first use and from the cache."""
     rng = np.random.default_rng(5)
     current = params.current_for_c_rate(1.0)
     integ = Integrator(params, disc4, SolverConfig(dt=10.0))
-    cases = [(block, w, scale, 10.0, 1e-12)
-             for block, w, scale in _fixed_grid_blocks(params, disc4, integ)]
-    p2 = params_for_rate(params, "C/2")
-    stiff = Integrator(p2, disc4, SolverConfig(dt=1.0)).neg
-    cases.append((stiff, systems.cell_volumes(p2.R_s_n, disc4.N_r), p2.c_s_max_n, 1.0, 1e-10))
-    for block, w, scale, dt, tol in cases:
+    for block, w, scale in _fixed_grid_blocks(params, disc4, integ):
         ref = AffinePropagator(block.sys.A, weights=w)
-        for h in (dt, dt * 0.6171875):
+        for h in (10.0, 10.0 * 0.6171875):
             for _ in range(2):
                 x = scale * rng.uniform(0.2, 0.8, block.sys.dim)
                 want = ref.step(x, block.sys.B * current, h)
                 got = block.advance(x, current, h)
                 err = np.linalg.norm(got - want) / np.linalg.norm(want - x)
-                assert err <= tol, (dt, h, err)
-        assert list(block._maps) == [dt, dt * 0.6171875]
+                assert err <= 1e-12, (block.sys.dim, h, err)
+        assert list(block._maps) == [10.0, 10.0 * 0.6171875]
+
+
+def test_cached_step_map_keeps_exact_fallback(params):
+    """The identified C/2 negative block at dt = 1 s lies far past the RK4
+    stability limit (rho h ~ 1e4 > 2.79); its cached map is still the exact
+    step, equal to the eigenbasis propagator, for a full step and a
+    bisection-sized step."""
+    from csespm.params import params_for_rate
+    p2 = params_for_rate(params, "C/2")
+    disc = DiscretizationConfig(N_r=4, N_e=6)
+    block = Integrator(p2, disc, SolverConfig(dt=1.0)).neg
+    assert float(np.max(np.abs(np.linalg.eigvals(block.sys.A)))) * 1.0 > 2.79
+    ref = AffinePropagator(block.sys.A, weights=systems.cell_volumes(p2.R_s_n, disc.N_r))
+    x = np.linspace(0.3, 0.6, disc.N_r) * p2.c_s_max_n
+    current = 10.0
+    b = block.sys.B * current
+    for h in (1.0, 0.3171875):
+        for _ in range(2):
+            want = ref.step(x, b, h)
+            got = block.advance(x, current, h)
+            assert np.isfinite(got).all()
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want - x), h
+    assert list(block._maps) == [1.0, 0.3171875]
 
 
 def test_cached_step_conserves_content(params, disc4):
