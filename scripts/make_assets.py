@@ -15,20 +15,27 @@ from csespm.params import CellParameters, DEFAULT_RATE_OVERRIDES  # noqa: E402
 from csespm.simulate import cc_profile, synthetic_dynamic_profile  # noqa: E402
 
 
+def tables(params: CellParameters) -> dict:
+    """Every shipped OCP table and load profile by file name."""
+    files = {
+        "ocp_neg.csv": synthetic_negative_table(),
+        "ocp_pos_charge.csv": synthetic_positive_table(params, "ch"),
+        "ocp_pos_discharge.csv": synthetic_positive_table(params, "dis"),
+    }
+    for c_rate, tag in ((0.25, "c4"), (0.5, "c2"), (1.0, "1c")):
+        for direction in ("ch", "dis"):
+            name = f"profile_{tag}_{'charge' if direction == 'ch' else 'discharge'}.csv"
+            files[name] = cc_profile(params, c_rate, direction)
+    files["profile_udds_synthetic.csv"] = synthetic_dynamic_profile(params)
+    return files
+
+
 def main():
     out = ROOT / "assets"
     out.mkdir(exist_ok=True)
     params = CellParameters()
-
-    synthetic_negative_table().to_csv(out / "ocp_neg.csv")
-    synthetic_positive_table(params, "ch").to_csv(out / "ocp_pos_charge.csv")
-    synthetic_positive_table(params, "dis").to_csv(out / "ocp_pos_discharge.csv")
-
-    for c_rate, tag in ((0.25, "c4"), (0.5, "c2"), (1.0, "1c")):
-        for direction in ("ch", "dis"):
-            name = f"profile_{tag}_{'charge' if direction == 'ch' else 'discharge'}.csv"
-            cc_profile(params, c_rate, direction).to_csv(out / name)
-    synthetic_dynamic_profile(params).to_csv(out / "profile_udds_synthetic.csv")
+    for name, table in tables(params).items():
+        table.to_csv(out / name)
 
     config = {
         "parameters": params.to_dict(),

@@ -24,6 +24,7 @@ from .config import RunConfig
 from .errors import BlowupError, ConfigError, CsespmError, ParameterError
 from .identify import Dataset, ParameterSubset, identify
 from .observability import sweep
+from .records import write_csv_columns
 from .simulate import (LoadProfile, cycle_profile, initial_state,
                        mass_audit, simulate)
 
@@ -54,16 +55,14 @@ def _profile_direction(profile: LoadProfile, path) -> str:
     return "ch" if profile.currents[nonzero[0]] < 0 else "dis"
 
 
+_EVENT_COLUMNS = {"time_s": "time", "kind": "kind", "r_p_pre_m": "r_p_pre",
+                  "r_p_post_m": "r_p_post", "pre_mass_mol": "pre_mass",
+                  "post_mass_mol": "post_mass", "mass_error_rel": "mass_error_rel"}
+
+
 def _events_csv(events, path):
-    import csv as _csv
-    with open(path, "w", newline="") as fh:
-        w = _csv.writer(fh)
-        w.writerow(["time_s", "kind", "r_p_pre_m", "r_p_post_m",
-                    "pre_mass_mol", "post_mass_mol", "mass_error_rel"])
-        for e in events:
-            w.writerow([f"{e.time:.6f}", e.kind, f"{e.r_p_pre:.8e}",
-                        f"{e.r_p_post:.8e}", f"{e.pre_mass:.10e}",
-                        f"{e.post_mass:.10e}", f"{e.mass_error_rel:.3e}"])
+    write_csv_columns(path, {h: [getattr(e, a) for e in events]
+                             for h, a in _EVENT_COLUMNS.items()})
 
 
 def cmd_simulate(args) -> int:
@@ -187,14 +186,9 @@ def cmd_compare_scheme(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     n = min(len(results["fvm"]), len(results["fdm"]))
-    import csv as _csv
-    with open(out / "voltage_comparison.csv", "w", newline="") as fh:
-        w = _csv.writer(fh)
-        w.writerow(["time_s", "voltage_fvm_V", "voltage_fdm_V"])
-        for i in range(n):
-            w.writerow([f"{results['fvm'].time[i]:.6f}",
-                        f"{results['fvm'].voltage[i]:.8f}",
-                        f"{results['fdm'].voltage[i]:.8f}"])
+    write_csv_columns(out / "voltage_comparison.csv", {
+        "time_s": results["fvm"].time[:n], "voltage_fvm_V": results["fvm"].voltage[:n],
+        "voltage_fdm_V": results["fdm"].voltage[:n]})
     sweeps["fvm"].to_csv(out / "cond_sweep_fvm.csv")
     sweeps["fdm"].to_csv(out / "cond_sweep_fdm.csv")
     dv = results["fvm"].voltage[:n] - results["fdm"].voltage[:n]

@@ -20,6 +20,9 @@ grid motion.  The conservative formulation integrates the same governing
 equations and keeps the per-electrode lithium balance at machine precision,
 which the mass audit checks.  The FDM scheme is integrated without the
 conservative remap on purpose (it is the non-conservative reference).
+The shell matrix changes every substep, so both schemes step it through a
+fresh symmetric eigendecomposition: it is similar to a symmetric matrix
+under the CV volumes (FVM) or the squared node radii (FDM).
 """
 from __future__ import annotations
 
@@ -159,51 +162,24 @@ def synthetic_dynamic_profile(params: CellParameters, duration: float = 1370.0,
 
 # --- exact affine propagator --------------------------------------------------
 
-def _augmented_expm(A: np.ndarray, h: float) -> np.ndarray:
-    """expm([[A h, I h], [0, 0]]): its top blocks are e^{Ah} and the
-    integral of e^{As} ds over [0, h]."""
-    n = A.shape[0]
-    M = np.zeros((2 * n, 2 * n))
-    M[:n, :n] = A * h
-    M[:n, n:] = np.eye(n) * h
-    return scipy.linalg.expm(M)
-
-
 class AffinePropagator:
     """Exact step of dx/dt = A x + b for constant A.
 
-    FVM matrices are similar to symmetric ones under sqrt-volume weighting,
-    so eigh applies; general matrices go through a complex eigenbasis with a
-    dense-expm fallback when the basis is ill conditioned.
+    The positive weights w must make diag(w) A symmetric, so that
+    diag(sqrt w) A diag(1/sqrt w) is symmetric and eigh applies: CV volumes
+    for FVM blocks, squared node radii for the FDM shell
+    (r_i^2 A[i, i+1] = r_{i+1}^2 A[i+1, i]).
     """
 
-    def __init__(self, A: np.ndarray, weights: np.ndarray | None = None):
-        self.A = np.asarray(A, dtype=float)
-        self._fallback = False
-        if weights is not None:
-            s = np.sqrt(np.asarray(weights, dtype=float))
-            As = self.A * (s[:, None] / s[None, :])
-            lam, Q = np.linalg.eigh(0.5 * (As + As.T))
-            self.lam = lam
-            self._to = Q.T * s[None, :]        # x -> eigen coords
-            self._back = Q / s[:, None]        # eigen coords -> x
-        else:
-            lam, V = np.linalg.eig(self.A)
-            try:
-                if np.linalg.cond(V) > 1e12:
-                    raise np.linalg.LinAlgError("ill-conditioned eigenbasis")
-                self.lam = lam
-                self._to = np.linalg.inv(V)
-                self._back = V
-            except np.linalg.LinAlgError:
-                self._fallback = True
+    def __init__(self, A: np.ndarray, weights: np.ndarray):
+        s = np.sqrt(weights)
+        As = A * (s[:, None] / s[None, :])
+        self.lam, Q = np.linalg.eigh(0.5 * (As + As.T))
+        self._to = Q.T * s[None, :]        # x -> eigen coords
+        self._back = Q / s[:, None]        # eigen coords -> x
 
     def step(self, x: np.ndarray, b: np.ndarray, h: float) -> np.ndarray:
         """x(h) = e^{Ah} x + phi(h) b with phi = integral of e^{As} ds."""
-        if self._fallback:
-            n = len(x)
-            E = _augmented_expm(self.A, h)
-            return E[:n, :n] @ x + E[:n, n:] @ b
         lam = self.lam
         z = self._to @ x
         zb = self._to @ b
@@ -212,8 +188,7 @@ class AffinePropagator:
         small = np.abs(lh) < 1e-8
         lam_safe = np.where(small, 1.0, lam)
         phi = np.where(small, h * (1.0 + 0.5 * lh), (elh - 1.0) / lam_safe)
-        out = self._back @ (elh * z + phi * zb)
-        return out.real if np.iscomplexobj(out) else out
+        return self._back @ (elh * z + phi * zb)
 
 
 class _LtiBlock:
@@ -244,7 +219,10 @@ class _LtiBlock:
             if len(self._maps) >= self._CACHE_SIZE:
                 del self._maps[next(iter(self._maps))]
             n = self.sys.dim
-            gamma = _augmented_expm(self.sys.A, h)[:n, n:]
+            M = np.zeros((2 * n, 2 * n))
+            M[:n, :n] = self.sys.A * h
+            M[:n, n:] = np.eye(n) * h
+            gamma = scipy.linalg.expm(M)[:n, n:]
             step_map = self._maps[h] = (self.sys.A @ gamma, gamma)
         D, N = step_map
         return x + D @ x + N @ b
@@ -260,8 +238,7 @@ def _fvm_two_phase_substep(state: FullState, current: float, h: float,
     g, c_core = systems.interface_values(params, state.core_phase, state.direction)
     A_c, B_c, G_c = systems.shell_block(params, r_p, current, N_r, g)
     faces, _, vols = systems.spherical_cells(r_p, R, N_r)
-    prop = AffinePropagator(A_c, weights=vols)
-    c_new = prop.step(state.pos, B_c * current + G_c, h)
+    c_new = AffinePropagator(A_c, vols).step(state.pos, B_c * current + G_c, h)
     shell_old = float(vols @ state.pos)
 
     # lithium delivered to the front: surface influx minus shell gain
@@ -307,10 +284,9 @@ def _fdm_two_phase_substep(state: FullState, current: float, h: float,
     """Naive collocated step of the FDM two-phase system (no remap)."""
     sysm = systems.build_fdm_two_phase(params, state.r_p, current, N_r,
                                        state.direction, state.core_phase)
-    A_c = sysm.A[:N_r, :N_r]
     b = sysm.B[:N_r] * current + sysm.G[:N_r]
-    prop = AffinePropagator(A_c)
-    c_new = prop.step(state.pos, b, h)
+    _, r = systems.fdm_nodes(state.r_p, params.R_s_p, N_r)
+    c_new = AffinePropagator(sysm.A[:N_r, :N_r], r * r).step(state.pos, b, h)
     rdot_mid = sysm.A[N_r, 0] * 0.5 * (state.pos[0] + c_new[0]) + sysm.G[N_r]
     R = params.R_s_p
     r_new = state.r_p + h * rdot_mid
@@ -668,7 +644,6 @@ class MassReport:
     res_neg_rel: np.ndarray
     res_elec_rel: np.ndarray
     max_drift_rel: float
-    closure_max: float
 
     def summary(self) -> str:
         return (f"max drift: pos {self.res_pos_rel.max():.3e}  "
@@ -689,6 +664,4 @@ def mass_audit(result: SimulationResult, params: CellParameters) -> MassReport:
     res_p = np.abs(result.mass_pos - result.mass_pos[0] - q / params.F) / cap_p
     res_n = np.abs(result.mass_neg - result.mass_neg[0] + q / params.F) / cap_n
     res_e = np.abs(result.mass_elec - result.mass_elec[0]) / result.mass_elec[0]
-    return MassReport(res_p, res_n, res_e,
-                      max(res_p.max(), res_n.max(), res_e.max()),
-                      result.meta.get("max_closure", 0.0))
+    return MassReport(res_p, res_n, res_e, max(res_p.max(), res_n.max(), res_e.max()))

@@ -325,6 +325,13 @@ def _fdm_laplacian(D: float, h: float, r: np.ndarray):
     return A, lap_lo, lap_hi
 
 
+def fdm_nodes(r_inner: float, r_outer: float, n: int) -> tuple[float, np.ndarray]:
+    """Spacing and positions of n FDM nodes at the cell centers of n equal
+    widths over [r_inner, r_outer]."""
+    h = (r_outer - r_inner) / n
+    return h, r_inner + (np.arange(n) + 0.5) * h
+
+
 def build_fdm_one_phase(params: CellParameters, electrode: str,
                         N_r: int) -> AffineSystem:
     """Central-difference FDM of c_t = D (c_rr + 2/r c_r) on N_r nodes.
@@ -338,8 +345,8 @@ def build_fdm_one_phase(params: CellParameters, electrode: str,
     if N_r < 2:
         raise ParameterError("N_r must be >= 2")
     D = params.D_s(electrode)
-    h = params.R_s(electrode) / N_r
-    A, lap_lo, lap_hi = _fdm_laplacian(D, h, (np.arange(N_r) + 0.5) * h)
+    h, r = fdm_nodes(0.0, params.R_s(electrode), N_r)
+    A, lap_lo, lap_hi = _fdm_laplacian(D, h, r)
     # symmetry ghost below the center, c_{-1} = c_0; flux ghost at the
     # surface, c_N = c_{N-1} + h dc/dr|_R
     A[0, 0] += lap_lo[0]
@@ -368,8 +375,7 @@ def build_fdm_two_phase(params: CellParameters, r_p: float, current: float,
     if core_phase is None:
         core_phase = entry_core_phase(direction)
     D = params.D_s_p
-    h = (R - r_p) / N_r
-    r = r_p + (np.arange(N_r) + 0.5) * h
+    h, r = fdm_nodes(r_p, R, N_r)
     g, c_core = interface_values(params, core_phase, direction)
 
     A_c, lap_lo, lap_hi = _fdm_laplacian(D, h, r)

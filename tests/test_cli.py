@@ -1,11 +1,13 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from csespm.cli import main
 from csespm.identify import make_synthetic_dataset
 from csespm.params import DiscretizationConfig
+from csespm.records import read_csv_columns
 from csespm.simulate import cc_profile, read_result_csv
 
 ASSETS = Path(__file__).resolve().parents[1] / "assets"
@@ -65,9 +67,15 @@ def test_simulate_command(tmp_path, short_profile):
     assert rc == 0
     data = read_result_csv(out / "result.csv")
     assert len(data["time_s"]) == 901
-    assert (out / "events.csv").exists()
     summary = json.loads((out / "summary.json").read_text())
     assert summary["status"] == "completed"
+    events = read_csv_columns(out / "events.csv", (
+        "time_s", "kind", "r_p_pre_m", "r_p_post_m", "pre_mass_mol", "post_mass_mol",
+        "mass_error_rel"), text=("kind",))
+    assert events["kind"] == summary["events"] == ["enter_two_phase"]
+    assert 0.0 < events["time_s"][0] < 900.0
+    assert events["mass_error_rel"][0] == pytest.approx(
+        abs(events["post_mass_mol"][0] / events["pre_mass_mol"][0] - 1.0), abs=1e-9)
 
 
 def test_simulate_with_shipped_assets(tmp_path):
@@ -80,6 +88,26 @@ def test_simulate_with_shipped_assets(tmp_path):
     # full C/4 charge: SOC_p ends near 1 and the run passes through two-phase
     assert data["soc_p"][-1] == pytest.approx(1.0, abs=0.02)
     assert "two_phase" in set(data["regime"])
+
+
+def test_shipped_tables_match_their_generator(tmp_path, params):
+    """Every committed OCP table and load profile equals what
+    scripts/make_assets.py writes for it, to CSV rounding."""
+    import importlib.util
+    spec = importlib.util.spec_from_file_location(
+        "make_assets", ASSETS.parent / "scripts" / "make_assets.py")
+    make_assets = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_assets)
+    tables = make_assets.tables(params)
+    assert sorted(tables) == sorted(p.name for p in ASSETS.glob("*.csv"))
+    for name, table in tables.items():
+        table.to_csv(tmp_path / name)
+        header = tuple((ASSETS / name).read_text().splitlines()[0].split(","))
+        want = read_csv_columns(tmp_path / name, header)
+        got = read_csv_columns(ASSETS / name, header)
+        for col in header:
+            np.testing.assert_allclose(got[col], want[col], rtol=1e-9, atol=0,
+                                       err_msg=f"{name}: {col}")
 
 
 def test_cycle_command(tmp_path):
@@ -124,7 +152,13 @@ def test_compare_scheme_command(tmp_path, short_profile):
     summary = json.loads((out / "comparison.json").read_text())
     assert summary["mass_drift_rel"]["fdm"] > 10 * summary["mass_drift_rel"]["fvm"]
     assert (out / "cond_sweep_fvm.csv").exists()
-    assert (out / "voltage_comparison.csv").exists()
+    volts = read_csv_columns(out / "voltage_comparison.csv",
+                             ("time_s", "voltage_fvm_V", "voltage_fdm_V"))
+    assert np.array_equal(volts["time_s"], np.arange(901.0))
+    assert np.all((volts["voltage_fvm_V"] > 2.0) & (volts["voltage_fvm_V"] < 3.65))
+    dv = volts["voltage_fvm_V"] - volts["voltage_fdm_V"]
+    assert 1e3 * np.sqrt(np.mean(dv**2)) == pytest.approx(summary["voltage_rms_diff_mV"],
+                                                           rel=1e-6, abs=1e-6)
 
 
 @pytest.mark.parametrize("command", ["simulate", "observe"])

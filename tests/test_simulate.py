@@ -7,9 +7,10 @@ from csespm.errors import ParameterError
 from csespm.params import DiscretizationConfig
 from csespm.ocp import synthetic_ocp_set
 from csespm.simulate import (AffinePropagator, Integrator, LoadProfile,
-                             SolverConfig, cc_profile, cycle_profile, initial_state,
-                             mass_audit, read_result_csv, simulate,
-                             synthetic_dynamic_profile)
+                             SolverConfig, _fdm_two_phase_substep, cc_profile,
+                             cycle_profile, initial_state, mass_audit,
+                             read_result_csv, simulate, synthetic_dynamic_profile)
+from csespm.states import FullState, TWO_PHASE
 from csespm import systems
 
 
@@ -35,20 +36,50 @@ def test_profile_csv_round_trip(tmp_path, params):
     assert np.allclose(back.currents, p.currents)
 
 
-def test_affine_propagator_matches_expm():
+def _van_loan_increment(A, x, b, h):
+    """Reference increment x(h) - x of dx/dt = A x + b: A Gamma x + Gamma b,
+    Gamma = integral of e^{As} ds over [0, h], from one dense exponential of
+    [[A h, I h], [0, 0]] (Van Loan, IEEE TAC 1978)."""
     import scipy.linalg
-    rng = np.random.default_rng(3)
-    A = -np.eye(4) * rng.uniform(0.5, 2.0, 4)
-    A += np.diag(rng.uniform(0.1, 0.3, 3), 1)
-    A += np.diag(rng.uniform(0.1, 0.3, 3), -1)
-    b = rng.standard_normal(4)
-    x = rng.standard_normal(4)
-    h = 0.7
-    E = scipy.linalg.expm(A * h)
-    phi = np.linalg.solve(A, E - np.eye(4))
-    want = E @ x + phi @ b
-    got = AffinePropagator(A).step(x, b, h)
-    assert np.allclose(got, want, rtol=1e-10)
+    n = len(x)
+    M = np.zeros((2 * n, 2 * n))
+    M[:n, :n] = A * h
+    M[:n, n:] = np.eye(n) * h
+    gamma = scipy.linalg.expm(M)[:n, n:]
+    return A @ (gamma @ x) + gamma @ b
+
+
+@pytest.mark.parametrize("rp_frac", [0.05, 0.5, 0.99])
+@pytest.mark.parametrize("N_r", [2, 4, 50])
+@pytest.mark.parametrize("scheme", ["fvm", "fdm"])
+def test_affine_propagator_matches_expm(params, scheme, N_r, rp_frac):
+    """The propagator's step of the two-phase shell under current equals a
+    dense Van Loan step, for a full step and a bisection-sized step: the FVM
+    shell symmetrized by its CV volumes, and the FDM substep, which must
+    symmetrize its shell by the squared node radii."""
+    R = params.R_s_p
+    r_p = rp_frac * R
+    current = params.current_for_c_rate(1.0)
+    x = params.c_s_max_p * np.random.default_rng(N_r).uniform(0.2, 0.8, N_r)
+    if scheme == "fvm":
+        g, _ = systems.interface_values(params, "alpha", "dis")
+        A, B, G = systems.shell_block(params, r_p, current, N_r, g)
+        b = B * current + G
+        vols = systems.spherical_cells(r_p, R, N_r)[2]
+    else:
+        sysm = systems.build_fdm_two_phase(params, r_p, current, N_r, "dis", "alpha")
+        A, b = sysm.A[:N_r, :N_r], sysm.B[:N_r] * current + sysm.G[:N_r]
+        state = FullState(neg=np.zeros(2), pos=x, elec=np.zeros(3), regime=TWO_PHASE,
+                          r_p=r_p, core_conc=params.c_alpha("dis"),
+                          core_phase="alpha", direction="dis")
+    for h in (1.0, 0.3171875):
+        if scheme == "fvm":
+            got = AffinePropagator(A, vols).step(x, b, h)
+        else:
+            got = _fdm_two_phase_substep(state, current, h, params, N_r)[0]
+        want = _van_loan_increment(A, x, b, h)
+        err = np.linalg.norm((got - x) - want) / np.linalg.norm(want)
+        assert err <= 1e-10, (h, err)
 
 
 def test_zero_current_is_fixed_point(params, disc4):
