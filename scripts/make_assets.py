@@ -30,14 +30,9 @@ def tables(params: CellParameters) -> dict:
     return files
 
 
-def main():
-    out = ROOT / "assets"
-    out.mkdir(exist_ok=True)
-    params = CellParameters()
-    for name, table in tables(params).items():
-        table.to_csv(out / name)
-
-    config = {
+def config(params: CellParameters) -> dict:
+    """The shipped run config, as assets/config.json holds it."""
+    return {
         "parameters": params.to_dict(),
         "rate_overrides": DEFAULT_RATE_OVERRIDES,
         "ocp": {
@@ -46,13 +41,22 @@ def main():
             "pos_dis": "ocp_pos_discharge.csv",
         },
         "discretization": {"N_r": 4, "N_e": 6, "scheme": "fvm"},
-        "solver": {"dt": 1.0, "mass_tol": 1e-10, "event_tol": 1e-3,
+        "solver": {"dt": 1.0, "event_tol": 1e-3,
                    "v_min": 2.0, "v_max": 3.65, "cutoffs_enabled": True},
-        "phase": {"delta_init": 1e-3, "r_eps_rel": 1e-3, "shell_eps_rel": 1e-4},
+        "phase": {"delta_init": 1e-3, "r_eps_rel": 1e-3, "shell_eps_rel": 1e-4,
+                  "mass_tol": 1e-10},
         "observability": {"jacobian_step": 1e-6, "rank_tol": 1e-8,
                           "stride_s": 30.0, "smooth_ocp": True},
     }
-    (out / "config.json").write_text(json.dumps(config, indent=2) + "\n")
+
+
+def main():
+    out = ROOT / "assets"
+    out.mkdir(exist_ok=True)
+    params = CellParameters()
+    for name, table in tables(params).items():
+        table.to_csv(out / name)
+    (out / "config.json").write_text(json.dumps(config(params), indent=2) + "\n")
     print(f"assets written to {out}")
 
 

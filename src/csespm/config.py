@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .errors import ConfigError, ParameterError
 from .observability import ObservabilityConfig
-from .ocp import OcpSet, OcpTable, synthetic_negative_table, synthetic_positive_table
+from .ocp import OcpSet, OcpTable, synthetic_ocp_set
 from .params import CellParameters, DiscretizationConfig, DEFAULT_RATE_OVERRIDES
 from .phase import PhaseConfig
 from .simulate import SolverConfig
@@ -40,7 +40,7 @@ class RunConfig:
                    solver=SolverConfig(),
                    phase=PhaseConfig(),
                    observability=ObservabilityConfig(),
-                   ocp=_synthetic_set(params))
+                   ocp=synthetic_ocp_set(params))
 
     @classmethod
     def load(cls, path) -> "RunConfig":
@@ -79,14 +79,8 @@ def _subset(d: dict, cls) -> dict:
     return d
 
 
-def _synthetic_set(params: CellParameters) -> OcpSet:
-    return OcpSet(neg=synthetic_negative_table(),
-                  pos_ch=synthetic_positive_table(params, "ch"),
-                  pos_dis=synthetic_positive_table(params, "dis"))
-
-
 def _load_ocp(section: dict, params: CellParameters, base_dir: Path) -> OcpSet:
-    defaults = _synthetic_set(params)
+    defaults = synthetic_ocp_set(params)
     tables = {"neg": defaults.neg, "pos_ch": defaults.pos_ch,
               "pos_dis": defaults.pos_dis}
     meta = {"neg": ("neg", "shared"), "pos_ch": ("pos", "ch"),

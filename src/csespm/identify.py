@@ -18,6 +18,7 @@ import numpy as np
 from .errors import ConfigError, CsespmError, ParameterError
 from .ocp import OcpSet, synthetic_ocp_set
 from .params import CellParameters, DiscretizationConfig, params_for_rate
+from .phase import PhaseConfig
 from .records import read_csv_columns, write_csv_columns
 from .simulate import (LoadProfile, SolverConfig, cc_profile, initial_state,
                        simulate)
@@ -148,7 +149,8 @@ class Dataset:
 def voltage_rmse(params: CellParameters, dataset: Dataset,
                  disc: DiscretizationConfig, solver: SolverConfig,
                  ocp: OcpSet | None = None,
-                 rate_overrides: dict | None = None) -> float:
+                 rate_overrides: dict | None = None,
+                 phase_cfg: PhaseConfig | None = None) -> float:
     """Simulate the dataset's profile and compare voltages at its timestamps.
 
     Early cutoff or any failure of the candidate's simulation (a package
@@ -158,7 +160,8 @@ def voltage_rmse(params: CellParameters, dataset: Dataset,
     p_run = params_for_rate(params, dataset.c_rate_label, rate_overrides)
     try:
         init = initial_state(p_run, disc, dataset.start_soc, dataset.direction)
-        result = simulate(dataset.profile, init, p_run, disc, solver, ocp=ocp)
+        result = simulate(dataset.profile, init, p_run, disc, solver, ocp=ocp,
+                          phase_cfg=phase_cfg)
     except (CsespmError, np.linalg.LinAlgError, ValueError):
         return PENALTY_RMSE
     if result.status != "completed" or result.time[-1] < dataset.profile.times[-1] - 0.5:
@@ -216,7 +219,8 @@ def identify(datasets: list[Dataset], subset: ParameterSubset,
              base: CellParameters, disc: DiscretizationConfig,
              solver: SolverConfig, seed: int = 0, budget: int = 500,
              ocp: OcpSet | None = None, swarm_size: int | None = None,
-             rate_overrides: dict | None = None) -> FitResult:
+             rate_overrides: dict | None = None,
+             phase_cfg: PhaseConfig | None = None) -> FitResult:
     """Bounded particle-swarm minimization of the summed voltage RMSE.
 
     Deterministic given the seed.  The best-so-far trace is non-increasing
@@ -247,7 +251,7 @@ def identify(datasets: list[Dataset], subset: ParameterSubset,
             cand = subset.apply(base, values)
         except ParameterError:
             return PENALTY_RMSE * len(datasets)
-        return sum(voltage_rmse(cand, ds, disc, solver, ocp, rate_overrides)
+        return sum(voltage_rmse(cand, ds, disc, solver, ocp, rate_overrides, phase_cfg)
                    for ds in datasets)
 
     # seed the swarm around the base point plus uniform cover

@@ -74,7 +74,7 @@ def positive_model(state: FullState, params: CellParameters, ocp: OcpSet,
     cmax = params.c_s_max_p
 
     if state.regime != TWO_PHASE:
-        sysm = systems.SOLID_BUILDERS[scheme](params, "pos", N_r)
+        sysm = systems.build_one_phase_solid_system(params, "pos", N_r, scheme)
         A, B = sysm.A, sysm.B
 
         def f(x, u):
@@ -95,10 +95,10 @@ def positive_model(state: FullState, params: CellParameters, ocp: OcpSet,
         return f, h, x0, scales
 
     core_conc, core_phase = state.core_conc, state.core_phase
-    build_shell = systems.SHELL_BUILDERS[scheme]
 
     def f(x, u):
-        return build_shell(params, float(x[-1]), u, N_r, direction, core_phase).rhs(x, u)
+        return systems.build_two_phase_system(params, float(x[-1]), u, N_r, direction,
+                                              core_phase, scheme).rhs(x, u)
 
     def h(x, u):
         c_bulk = systems.two_phase_bulk(x[:-1], float(x[-1]), core_conc, R)

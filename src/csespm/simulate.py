@@ -20,9 +20,11 @@ grid motion.  The conservative formulation integrates the same governing
 equations and keeps the per-electrode lithium balance at machine precision,
 which the mass audit checks.  The FDM scheme is integrated without the
 conservative remap on purpose (it is the non-conservative reference).
-The shell matrix changes every substep, so both schemes step it through a
+Both schemes' solid blocks come from one assembly, `systems.solid_block`,
+fed the CV geometry (FVM) or the collocated node geometry (FDM).  The
+shell matrix changes every substep, so both schemes step it through a
 fresh symmetric eigendecomposition: it is similar to a symmetric matrix
-under the CV volumes (FVM) or the squared node radii (FDM).
+under the cell capacities of its geometry (CV volumes or r_i^2 h).
 """
 from __future__ import annotations
 
@@ -52,7 +54,6 @@ class SolverConfig:
     """Fixed-step integrator settings."""
 
     dt: float = 1.0
-    mass_tol: float = 1e-10
     event_tol: float = 1e-3         # bisection tolerance on event times [s]
     v_min: float | None = 2.0
     v_max: float | None = 3.65
@@ -94,11 +95,6 @@ class LoadProfile:
         """Yield (t0, t1, I) pieces of constant current."""
         for k in range(len(self.times) - 1):
             yield float(self.times[k]), float(self.times[k + 1]), float(self.currents[k])
-
-    def current_at(self, t: float) -> float:
-        idx = np.searchsorted(self.times, t, side="right") - 1
-        idx = min(max(idx, 0), len(self.currents) - 2)
-        return float(self.currents[idx])
 
     def to_csv(self, path):
         write_csv_columns(path, {"time_s": self.times, "current_A": self.currents})
@@ -166,9 +162,9 @@ class AffinePropagator:
     """Exact step of dx/dt = A x + b for constant A.
 
     The positive weights w must make diag(w) A symmetric, so that
-    diag(sqrt w) A diag(1/sqrt w) is symmetric and eigh applies: CV volumes
-    for FVM blocks, squared node radii for the FDM shell
-    (r_i^2 A[i, i+1] = r_{i+1}^2 A[i+1, i]).
+    diag(sqrt w) A diag(1/sqrt w) is symmetric and eigh applies: the cell
+    capacities of `systems.cell_geometry`, CV volumes for the FVM and
+    r_i^2 h for the FDM (w_i A[i, i+1] = w_{i+1} A[i+1, i]).
     """
 
     def __init__(self, A: np.ndarray, weights: np.ndarray):
@@ -282,11 +278,11 @@ def _fvm_two_phase_substep(state: FullState, current: float, h: float,
 def _fdm_two_phase_substep(state: FullState, current: float, h: float,
                            params: CellParameters, N_r: int):
     """Naive collocated step of the FDM two-phase system (no remap)."""
-    sysm = systems.build_fdm_two_phase(params, state.r_p, current, N_r,
-                                       state.direction, state.core_phase)
+    sysm = systems.build_two_phase_system(params, state.r_p, current, N_r,
+                                          state.direction, state.core_phase, "fdm")
     b = sysm.B[:N_r] * current + sysm.G[:N_r]
-    _, r = systems.fdm_nodes(state.r_p, params.R_s_p, N_r)
-    c_new = AffinePropagator(sysm.A[:N_r, :N_r], r * r).step(state.pos, b, h)
+    _, caps = systems.cell_geometry(state.r_p, params.R_s_p, N_r, "fdm")
+    c_new = AffinePropagator(sysm.A[:N_r, :N_r], caps).step(state.pos, b, h)
     rdot_mid = sysm.A[N_r, 0] * 0.5 * (state.pos[0] + c_new[0]) + sysm.G[N_r]
     R = params.R_s_p
     r_new = state.r_p + h * rdot_mid
@@ -304,11 +300,13 @@ class Integrator:
         self.params = params
         self.disc = disc
         self.solver = solver
-        self.phase_cfg = phase_cfg or PhaseConfig(mass_tol=solver.mass_tol)
+        self.phase_cfg = phase_cfg or PhaseConfig()
         split = disc.electrolyte_split()
         self.split = split
-        self.neg = _LtiBlock(systems.SOLID_BUILDERS[disc.scheme](params, "neg", disc.N_r))
-        self.pos1p = _LtiBlock(systems.SOLID_BUILDERS[disc.scheme](params, "pos", disc.N_r))
+        self.neg = _LtiBlock(systems.build_one_phase_solid_system(
+            params, "neg", disc.N_r, disc.scheme))
+        self.pos1p = _LtiBlock(systems.build_one_phase_solid_system(
+            params, "pos", disc.N_r, disc.scheme))
         self.elec = _LtiBlock(systems.build_electrolyte_system(params, disc.N_e, split))
         self.max_closure = 0.0
         # numerical decisions of a run, see records.tally
@@ -390,11 +388,6 @@ class Integrator:
               "8 events in the step from t=%.3f s; the last %.3g s advance "
               "without event detection", t, remaining)
         return self.advance(s, current, remaining)
-
-
-def _electrolyte_weights(params, N_e, split):
-    dx, eps, _ = systems.electrolyte_geometry(params, N_e, split)
-    return dx * eps
 
 
 # --- initial states -------------------------------------------------------------
@@ -614,6 +607,7 @@ def simulate(profile: LoadProfile, init: FullState, params: CellParameters,
     neg_c, pos_c, elec_c = (conc[k][:n] for k in ("neg", "pos", "elec"))
     regime, direction, core_phase = (list(x) for x in zip(*labels))
     particle = (4.0 / 3.0) * np.pi
+    dx, eps, _ = systems.electrolyte_geometry(params, disc.N_e, split)
     result = SimulationResult(
         time=time, current=current, voltage=voltage, soc_p=soc_p, soc_n=soc_n,
         r_p=r_p / params.R_s_p, regime=regime, direction=direction,
@@ -623,7 +617,7 @@ def simulate(profile: LoadProfile, init: FullState, params: CellParameters,
         * (params.eps_p * params.A_cell * params.L_p / (particle * params.R_s_p**3)),
         mass_neg=systems.solid_moles(neg_c, params.R_s_n)
         * (params.eps_n * params.A_cell * params.L_n / (particle * params.R_s_n**3)),
-        mass_elec=elec_c @ (params.A_cell * _electrolyte_weights(params, disc.N_e, split)),
+        mass_elec=elec_c @ (params.A_cell * (dx * eps)),
         drift_rel=None, events=events, status=status,
         meta={"R_s_p": params.R_s_p, "scheme": disc.scheme, "N_r": disc.N_r,
               "N_e": disc.N_e, "split": split, "max_closure": integ.max_closure,

@@ -5,6 +5,13 @@ volume assemblies balance face fluxes over spherical control volumes, so
 volume-weighted row sums vanish except where a physical boundary flux
 enters through B or G; that is what makes the scheme conservative.
 
+Both schemes share one solid assembly (`solid_block`) and differ only in
+the geometry it is fed (`cell_geometry`): the FVM's CV volumes and 4 pi f^2
+faces, or the FDM's node capacities r_i^2 h and faces r_{k-1} r_k, on which
+the same balance is the central-difference stencil.  The FDM thus balances
+lithium over capacities that are not the particle's volumes, and the mass
+audit, which counts CV volumes, sees it drift.
+
 Two-phase positive electrode: the shell spans [r_p, R_s_p] with N_r equal
 width CVs (width recomputed from r_p), a Dirichlet interface value g at the
 inner face and the applied current flux at the outer face.  The extra state
@@ -109,16 +116,23 @@ def tridiagonal(w_lo: np.ndarray, w_hi: np.ndarray) -> np.ndarray:
     return A
 
 
-def spherical_fvm_block(D: float, dr: float, areas: np.ndarray,
-                        volumes: np.ndarray) -> np.ndarray:
-    """Tridiagonal diffusion matrix of equal-width spherical CVs.
+def cell_geometry(r_inner: float, r_outer: float, n: int, scheme: str = "fvm"):
+    """(face areas, cell capacities) of n equal widths over [r_inner, r_outer].
 
-    Each interior face carries D * area * (c_j - c_i) / dr, divided by the
-    volume of the CV it enters; the two outer faces carry no flux here, so
-    volume-weighted column sums vanish.
+    FVM: the 4 pi f^2 faces and CV volumes of `spherical_cells`.  FDM: the
+    capacity r_i^2 h of each cell-center node r_i and the area r_{k-1} r_k of
+    each face, with one ghost node h/2 outside either end.  On that
+    collocated geometry the volume balance is the central-difference stencil
+    of D (c_rr + 2/r c_r), because D/h^2 +- D/(r_i h) = D r_{i+-1}/(r_i h^2)
+    (Patankar, Numerical Heat Transfer and Fluid Flow, 1980, ch. 4).
     """
-    return tridiagonal(D * areas[1:-1] / (dr * volumes[1:]),
-                       D * areas[1:-1] / (dr * volumes[:-1]))
+    if scheme == "fvm":
+        return spherical_cells(r_inner, r_outer, n)[1:]
+    if scheme != "fdm":
+        raise ParameterError(f"unknown scheme {scheme!r}")
+    h = (r_outer - r_inner) / n
+    r = r_inner + (np.arange(-1, n + 1) + 0.5) * h
+    return r[:-1] * r[1:], r[1:-1] * r[1:-1] * h
 
 
 def molar_flux_density(params: CellParameters, electrode: str, current: float) -> float:
@@ -127,25 +141,38 @@ def molar_flux_density(params: CellParameters, electrode: str, current: float) -
     return s * current / (params.F * params.A_cell * params.L(electrode) * params.a_s(electrode))
 
 
-def build_one_phase_solid_system(params: CellParameters, electrode: str,
-                                 N_r: int) -> AffineSystem:
-    """Fixed-grid FVM diffusion in a spherical particle.
+def solid_block(params: CellParameters, electrode: str, r_inner: float, N_r: int,
+                scheme: str = "fvm") -> tuple[np.ndarray, np.ndarray, float]:
+    """Diffusion rows (A, B) of N_r equal widths from r_inner to the particle
+    surface, and the weight w of a value held on the inner face.
 
-    Zero flux at the center (the r = 0 face has zero area) and the applied
-    current flux at the surface, entering through B only.  Interior rows of
-    A sum to zero.
+    Each interior face carries D * area * (c_j - c_i) / dr, divided by the
+    capacity of the cell it enters, so capacity-weighted column sums of A
+    vanish; the inner face carries no flux in A, and the applied current's
+    flux through the surface enters through B only.  A value g held on the
+    inner face, one-sided over a half cell, adds -w to A[0, 0] and w g to
+    the first row's constant.
     """
     if electrode not in FLUX_SIGN:
         raise ParameterError(f"unknown electrode {electrode!r}")
     if N_r < 2:
         raise ParameterError("N_r must be >= 2")
     R = params.R_s(electrode)
-    dr = R / N_r
-    _, areas, volumes = spherical_cells(0.0, R, N_r)
-    A = spherical_fvm_block(params.D_s(electrode), dr, areas, volumes)
+    D = params.D_s(electrode)
+    dr = (R - r_inner) / N_r
+    areas, caps = cell_geometry(r_inner, R, N_r, scheme)
+    A = tridiagonal(D * areas[1:-1] / (dr * caps[1:]), D * areas[1:-1] / (dr * caps[:-1]))
     B = np.zeros(N_r)
     B[N_r - 1] = FLUX_SIGN[electrode] * areas[N_r] / (
-        volumes[N_r - 1] * params.F * params.A_cell * params.L(electrode) * params.a_s(electrode))
+        caps[N_r - 1] * params.F * params.A_cell * params.L(electrode) * params.a_s(electrode))
+    return A, B, 2.0 * D * areas[0] / (dr * caps[0])
+
+
+def build_one_phase_solid_system(params: CellParameters, electrode: str,
+                                 N_r: int, scheme: str = "fvm") -> AffineSystem:
+    """Fixed-grid diffusion in a spherical particle: zero flux at the center
+    and the applied current flux at the surface, entering through B only."""
+    A, B, _ = solid_block(params, electrode, 0.0, N_r, scheme)
     return AffineSystem(A, B)
 
 
@@ -182,34 +209,24 @@ def direction_for_current(current: float, fallback: str = "dis") -> str:
 
 
 def shell_block(params: CellParameters, r_p: float, current: float, N_r: int,
-                g: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Shell rows (A, B, G) of the two-phase system on the N_r shell CVs,
+                g: float, scheme: str = "fvm") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Shell rows (A, B, G) of the two-phase system on the N_r shell cells,
     with the interface held at g under current and zero flux at rest."""
-    R = params.R_s_p
-    if not 0.0 < r_p < R:
+    if not 0.0 < r_p < params.R_s_p:
         raise PhaseDomainError(f"r_p={r_p!r} outside (0, R_s_p); transition regimes first")
-    if N_r < 2:
-        raise ParameterError("N_r must be >= 2")
-    D = params.D_s_p
-    dr = (R - r_p) / N_r
-    _, areas, volumes = spherical_cells(r_p, R, N_r)
-    A = spherical_fvm_block(D, dr, areas, volumes)
-    B = np.zeros(N_r)
+    A, B, w = solid_block(params, "pos", r_p, N_r, scheme)
     G = np.zeros(N_r)
     if current != 0.0:
-        # Dirichlet value g at the inner face, one-sided over a half cell
-        w = 2.0 * D * areas[0] / (dr * volumes[0])
         A[0, 0] -= w
         G[0] = w * g
-    B[N_r - 1] = areas[N_r] / (
-        volumes[N_r - 1] * params.F * params.A_cell * params.L_p * params.a_s("pos"))
     return A, B, G
 
 
 def build_two_phase_system(params: CellParameters, r_p: float, current: float,
                            N_r: int, direction: str | None = None,
-                           core_phase: str | None = None) -> AffineSystem:
-    """Shell FVM diffusion plus the moving-boundary ODE, state [c_1..c_N, r_p].
+                           core_phase: str | None = None,
+                           scheme: str = "fvm") -> AffineSystem:
+    """Shell diffusion plus the moving-boundary ODE, state [c_1..c_N, r_p].
 
     The interface Dirichlet value g of `interface_values` enters through G;
     at I = 0 the interface carries no flux (no conversion) and the front is
@@ -221,7 +238,7 @@ def build_two_phase_system(params: CellParameters, r_p: float, current: float,
     if core_phase is None:
         core_phase = entry_core_phase(direction)
     g, c_core = interface_values(params, core_phase, direction)
-    A_c, B_c, G_c = shell_block(params, r_p, current, N_r, g)
+    A_c, B_c, G_c = shell_block(params, r_p, current, N_r, g, scheme)
     R = params.R_s_p
     D = params.D_s_p
     dr = (R - r_p) / N_r
@@ -310,95 +327,3 @@ def solid_moles(c_bar: np.ndarray, R: float, r_p=0.0, core_conc=0.0):
         return float(np.dot(v, c_bar)) + (4.0 / 3.0) * np.pi * r_p**3 * core_conc
     v = cell_volumes(R, len(c_bar))
     return float(np.dot(v, c_bar))
-
-
-# --- finite difference reference scheme -------------------------------------
-
-def _fdm_laplacian(D: float, h: float, r: np.ndarray):
-    """Central differences of D (c_rr + 2/r c_r) on nodes r spaced h, with
-    (lap_lo, lap_hi), the weights of the ghost nodes below and above each
-    node; the boundary rows' ghost weights are left to the caller."""
-    lap_lo = D / h**2 - D / (r * h)
-    lap_hi = D / h**2 + D / (r * h)
-    A = (np.diag(np.full(len(r), -2.0 * D / h**2))
-         + np.diag(lap_lo[1:], -1) + np.diag(lap_hi[:-1], 1))
-    return A, lap_lo, lap_hi
-
-
-def fdm_nodes(r_inner: float, r_outer: float, n: int) -> tuple[float, np.ndarray]:
-    """Spacing and positions of n FDM nodes at the cell centers of n equal
-    widths over [r_inner, r_outer]."""
-    h = (r_outer - r_inner) / n
-    return h, r_inner + (np.arange(n) + 0.5) * h
-
-
-def build_fdm_one_phase(params: CellParameters, electrode: str,
-                        N_r: int) -> AffineSystem:
-    """Central-difference FDM of c_t = D (c_rr + 2/r c_r) on N_r nodes.
-
-    Nodes sit at the same cell-center positions as the FVM averages, so
-    state vectors are interchangeable between the schemes.  Ghost nodes
-    carry the symmetry condition at the center and the applied current
-    flux at the surface.  Node values are collocated, so the scheme does
-    not telescope and mass is not conserved exactly.
-    """
-    if N_r < 2:
-        raise ParameterError("N_r must be >= 2")
-    D = params.D_s(electrode)
-    h, r = fdm_nodes(0.0, params.R_s(electrode), N_r)
-    A, lap_lo, lap_hi = _fdm_laplacian(D, h, r)
-    # symmetry ghost below the center, c_{-1} = c_0; flux ghost at the
-    # surface, c_N = c_{N-1} + h dc/dr|_R
-    A[0, 0] += lap_lo[0]
-    A[-1, -1] += lap_hi[-1]
-    B = np.zeros(N_r)
-    B[-1] = lap_hi[-1] * h * (FLUX_SIGN[electrode] / (
-        D * params.F * params.A_cell * params.L(electrode) * params.a_s(electrode)))
-    return AffineSystem(A, B)
-
-
-def build_fdm_two_phase(params: CellParameters, r_p: float, current: float,
-                        N_r: int, direction: str | None = None,
-                        core_phase: str | None = None) -> AffineSystem:
-    """FDM counterpart of the two-phase system on shell cell-center nodes.
-
-    The ghost node below the interface realizes the Dirichlet value g of
-    `interface_values` (zero flux at rest), the surface ghost carries the
-    applied current, and the front row uses the same one-sided half-cell
-    gradient as the FVM.  Defaults as in `build_two_phase_system`.
-    """
-    R = params.R_s_p
-    if not 0.0 < r_p < R:
-        raise PhaseDomainError(f"r_p={r_p!r} outside (0, R_s_p)")
-    if direction is None:
-        direction = direction_for_current(current)
-    if core_phase is None:
-        core_phase = entry_core_phase(direction)
-    D = params.D_s_p
-    h, r = fdm_nodes(r_p, R, N_r)
-    g, c_core = interface_values(params, core_phase, direction)
-
-    A_c, lap_lo, lap_hi = _fdm_laplacian(D, h, r)
-    n = N_r + 1
-    A = np.zeros((n, n))
-    A[:N_r, :N_r] = A_c
-    B = np.zeros(n)
-    G = np.zeros(n)
-    A[N_r - 1, N_r - 1] += lap_hi[-1]
-    B[N_r - 1] = lap_hi[-1] * h * (1.0 / (
-        D * params.F * params.A_cell * params.L_p * params.a_s("pos")))
-    if current == 0.0:
-        A[0, 0] += lap_lo[0]   # rest: zero-flux interface, frozen front
-        return AffineSystem(A, B, G)
-    # Dirichlet ghost c_{-1} = 2 g - c_0, and the front row
-    A[0, 0] -= lap_lo[0]
-    G[0] = 2.0 * lap_lo[0] * g
-    dc = c_core - g
-    A[N_r, 0] = 2.0 * D / (h * dc)
-    G[N_r] = -2.0 * D * g / (h * dc)
-    return AffineSystem(A, B, G)
-
-
-# builders by discretization scheme
-SOLID_BUILDERS = {"fvm": build_one_phase_solid_system, "fdm": build_fdm_one_phase}
-SHELL_BUILDERS = {"fvm": build_two_phase_system, "fdm": build_fdm_two_phase}

@@ -46,9 +46,11 @@ def test_bad_config_gives_exit_4(tmp_path, short_profile, capsys):
     assert record["exit_code"] == 4
 
 
-@pytest.mark.parametrize("key, value", [("method", "rk4"), ("max_explicit_substeps", 64)])
+@pytest.mark.parametrize("key, value", [("method", "rk4"), ("max_explicit_substeps", 64),
+                                        ("mass_tol", 1e-10)])
 def test_removed_solver_setting_gives_exit_4(tmp_path, short_profile, capsys, key, value):
-    """A config that still selects an explicit method or its substep cap is
+    """A config that still selects an explicit method or its substep cap, or
+    sets the event mass tolerance under solver instead of phase, is
     rejected, naming the key."""
     cfg = tmp_path / "old.json"
     cfg.write_text(json.dumps({"solver": {"dt": 1.0, key: value}}))
@@ -92,7 +94,8 @@ def test_simulate_with_shipped_assets(tmp_path):
 
 def test_shipped_tables_match_their_generator(tmp_path, params):
     """Every committed OCP table and load profile equals what
-    scripts/make_assets.py writes for it, to CSV rounding."""
+    scripts/make_assets.py writes for it, to CSV rounding, and the committed
+    run config equals its config(params)."""
     import importlib.util
     spec = importlib.util.spec_from_file_location(
         "make_assets", ASSETS.parent / "scripts" / "make_assets.py")
@@ -108,6 +111,7 @@ def test_shipped_tables_match_their_generator(tmp_path, params):
         for col in header:
             np.testing.assert_allclose(got[col], want[col], rtol=1e-9, atol=0,
                                        err_msg=f"{name}: {col}")
+    assert json.loads((ASSETS / "config.json").read_text()) == make_assets.config(params)
 
 
 def test_cycle_command(tmp_path):
@@ -143,6 +147,22 @@ def test_identify_command(tmp_path, params):
     fit = json.loads((out / "fit.json").read_text())
     assert fit["names"] == ["D_s_p", "D_s_n", "k_p", "k_n"]
     assert fit["n_evals"] == 10
+
+
+def test_identify_command_reads_phase_section(tmp_path, params):
+    """identify simulates its candidates under the config's phase section:
+    a mass tolerance no transition audit can meet (a negative one) makes the
+    true parameters, whose C/4 discharge enters two-phase, score the penalty."""
+    from csespm.identify import PENALTY_RMSE
+    ds = make_synthetic_dataset(params, DiscretizationConfig(N_r=4, N_e=6),
+                                0.25, "dis", duration=3600.0, dt=10.0)
+    ds.to_csv(tmp_path / "ds.csv")
+    cfg = tmp_path / "strict.json"
+    cfg.write_text(json.dumps({"phase": {"mass_tol": -1.0}}))
+    rc = main(["identify", "--config", str(cfg), "--data", str(tmp_path / "ds.csv"),
+               "--subset", "c2-1c", "--budget", "1", "--out", str(tmp_path / "fit")])
+    assert rc == 0
+    assert json.loads((tmp_path / "fit" / "fit.json").read_text())["rmse_V"] == PENALTY_RMSE
 
 
 def test_compare_scheme_command(tmp_path, short_profile):

@@ -8,6 +8,7 @@ from csespm.identify import (Dataset, LAMBDA_C4, LAMBDA_C2_1C,
                              ParameterSubset, PENALTY_RMSE, identify,
                              make_synthetic_dataset, voltage_rmse)
 from csespm.params import DiscretizationConfig
+from csespm.phase import PhaseConfig
 from csespm.simulate import SolverConfig
 
 SOLVER = SolverConfig(dt=10.0, cutoffs_enabled=False)
@@ -95,6 +96,19 @@ def test_penalty_on_failing_simulation(params, c4_dataset, monkeypatch, error):
         raise error
     monkeypatch.setattr(identify_module, "simulate", failing)
     assert voltage_rmse(params, c4_dataset, DISC, SOLVER) == PENALTY_RMSE
+
+
+def test_phase_config_reaches_the_objective(params, c4_dataset):
+    """The transition settings passed to voltage_rmse and identify are the
+    ones the candidate's simulation uses: a mass tolerance no transition
+    audit can meet (a negative one) turns the true parameters, whose C/4
+    discharge enters two-phase, into the penalty."""
+    strict = PhaseConfig(mass_tol=-1.0)
+    assert voltage_rmse(params, c4_dataset, DISC, SOLVER) < 1e-9
+    assert voltage_rmse(params, c4_dataset, DISC, SOLVER, phase_cfg=strict) == PENALTY_RMSE
+    sub = ParameterSubset.preset("c2-1c", params).subset(("D_s_p", "k_p"))
+    fit = identify([c4_dataset], sub, params, DISC, SOLVER, budget=1, phase_cfg=strict)
+    assert fit.best_rmse == PENALTY_RMSE
 
 
 def test_identify_determinism_and_trace(params, c4_dataset):

@@ -22,8 +22,6 @@ def test_load_profile_validation():
     with pytest.raises(ParameterError):
         LoadProfile(np.array([0.0, 1.0]), np.array([1.0, np.nan]))
     p = LoadProfile(np.array([0.0, 10.0, 20.0]), np.array([1.0, -2.0, -2.0]))
-    assert p.current_at(5.0) == 1.0
-    assert p.current_at(15.0) == -2.0
     assert list(p.segments()) == [(0.0, 10.0, 1.0), (10.0, 20.0, -2.0)]
 
 
@@ -56,19 +54,17 @@ def test_affine_propagator_matches_expm(params, scheme, N_r, rp_frac):
     """The propagator's step of the two-phase shell under current equals a
     dense Van Loan step, for a full step and a bisection-sized step: the FVM
     shell symmetrized by its CV volumes, and the FDM substep, which must
-    symmetrize its shell by the squared node radii."""
+    symmetrize its shell by its node capacities r_i^2 h."""
     R = params.R_s_p
     r_p = rp_frac * R
     current = params.current_for_c_rate(1.0)
     x = params.c_s_max_p * np.random.default_rng(N_r).uniform(0.2, 0.8, N_r)
+    g, _ = systems.interface_values(params, "alpha", "dis")
+    A, B, G = systems.shell_block(params, r_p, current, N_r, g, scheme)
+    b = B * current + G
     if scheme == "fvm":
-        g, _ = systems.interface_values(params, "alpha", "dis")
-        A, B, G = systems.shell_block(params, r_p, current, N_r, g)
-        b = B * current + G
         vols = systems.spherical_cells(r_p, R, N_r)[2]
     else:
-        sysm = systems.build_fdm_two_phase(params, r_p, current, N_r, "dis", "alpha")
-        A, b = sysm.A[:N_r, :N_r], sysm.B[:N_r] * current + sysm.G[:N_r]
         state = FullState(neg=np.zeros(2), pos=x, elec=np.zeros(3), regime=TWO_PHASE,
                           r_p=r_p, core_conc=params.c_alpha("dis"),
                           core_phase="alpha", direction="dis")
@@ -403,9 +399,11 @@ def test_one_direction_charge_matches_current_sign_rule(params):
         g, sgn = params.c_alpha("ch"), float(np.sign(current))
         dc = params.c_alpha("ch") - params.c_beta("ch")
         dr = (params.R_s_p - st.r_p) / N
-        for build in (systems.build_two_phase_system, systems.build_fdm_two_phase):
-            stored = build(params, st.r_p, current, N, st.direction, st.core_phase)
-            default = build(params, st.r_p, current, N)
+        for scheme in ("fvm", "fdm"):
+            stored = systems.build_two_phase_system(params, st.r_p, current, N,
+                                                    st.direction, st.core_phase, scheme)
+            default = systems.build_two_phase_system(params, st.r_p, current, N,
+                                                     scheme=scheme)
             assert stored.A[N, 0] == 2.0 * sgn * D / (dr * dc)
             assert stored.G[N] == -2.0 * sgn * D * g / (dr * dc)
             for a, b in ((stored.A, default.A), (stored.B, default.B), (stored.G, default.G)):

@@ -297,11 +297,70 @@ def test_bulk_concentration(params):
 
 # --- FDM reference scheme ----------------------------------------------------------
 
+def _central_difference_system(params, electrode, N_r, r_p=0.0, current=0.0):
+    """Reference (A, B, G): central differences of D (c_rr + 2/r c_r) on N_r
+    cell-center nodes over [r_p, R], written node by node with one ghost
+    node at each end: c_{-1} = c_0 at the center or at a front at rest,
+    c_{-1} = 2 g - c_0 at a front under current, c_N = c_{N-1} + h dc/dr|_R
+    at the surface.  With a front (r_p > 0) the state gains r_p and its row
+    2 D (c_0 - g) / (h (c_core - g))."""
+    R, D = params.R_s(electrode), params.D_s(electrode)
+    h = (R - r_p) / N_r
+    r = r_p + (np.arange(N_r) + 0.5) * h
+    lo = D / h**2 - D / (r * h)
+    hi = D / h**2 + D / (r * h)
+    n = N_r + 1 if r_p > 0.0 else N_r
+    A, B, G = np.zeros((n, n)), np.zeros(n), np.zeros(n)
+    for i in range(N_r):
+        A[i, i] = -2.0 * D / h**2
+        if i > 0:
+            A[i, i - 1] = lo[i]
+        if i < N_r - 1:
+            A[i, i + 1] = hi[i]
+    A[N_r - 1, N_r - 1] += hi[-1]
+    B[N_r - 1] = hi[-1] * h * systems.FLUX_SIGN[electrode] / (
+        D * params.F * params.A_cell * params.L(electrode) * params.a_s(electrode))
+    if r_p == 0.0 or current == 0.0:
+        A[0, 0] += lo[0]
+        return A, B, G
+    direction = systems.direction_for_current(current)
+    g, c_core = systems.interface_values(params, systems.entry_core_phase(direction),
+                                         direction)
+    A[0, 0] -= lo[0]
+    G[0] = 2.0 * lo[0] * g
+    A[N_r, 0] = 2.0 * D / (h * (c_core - g))
+    G[N_r] = -2.0 * D * g / (h * (c_core - g))
+    return A, B, G
+
+
+@pytest.mark.parametrize("case", ["neg", "pos"] + [
+    (rp_frac, sign) for rp_frac in (0.05, 0.5, 0.99) for sign in (-1.0, 0.0, 1.0)])
+@pytest.mark.parametrize("N_r", [2, 3, 4, 50, 200])
+def test_fdm_is_the_shared_assembly_on_node_geometry(params, N_r, case):
+    """The FDM blocks, built by the FVM assembly on node capacities r_i^2 h
+    and face areas r_{k-1} r_k, equal the central-difference stencil entry
+    by entry: one-phase for both electrodes, two-phase at three front radii
+    under charge, rest and discharge."""
+    if isinstance(case, str):
+        sysm = systems.build_one_phase_solid_system(params, case, N_r, "fdm")
+        want = _central_difference_system(params, case, N_r)
+        got = (sysm.A, sysm.B, np.zeros(N_r))
+    else:
+        rp_frac, sign = case
+        r_p = rp_frac * params.R_s_p
+        current = sign * params.current_for_c_rate(1.0)
+        sysm = systems.build_two_phase_system(params, r_p, current, N_r, scheme="fdm")
+        want = _central_difference_system(params, "pos", N_r, r_p, current)
+        got = (sysm.A, sysm.B, sysm.G)
+    for name, a, b in zip("ABG", got, want):
+        np.testing.assert_allclose(a, b, rtol=1e-14, atol=0.0, err_msg=name)
+
+
 def test_fdm_uniform_rest_stationary(params):
-    sysm = systems.build_fdm_one_phase(params, "pos", 4)
+    sysm = systems.build_one_phase_solid_system(params, "pos", 4, "fdm")
     floor = np.abs(sysm.A).max() * 5000.0 * 1e-12
     assert np.abs(sysm.rhs(np.full(4, 5000.0), 0.0)).max() < floor
-    two = systems.build_fdm_two_phase(params, 0.5 * params.R_s_p, 0.0, 4)
+    two = systems.build_two_phase_system(params, 0.5 * params.R_s_p, 0.0, 4, scheme="fdm")
     x = np.concatenate([np.full(4, 5000.0), [0.5 * params.R_s_p]])
     assert np.abs(two.rhs(x, 0.0)).max() < np.abs(two.A).max() * 5000.0 * 1e-12
 
