@@ -135,7 +135,7 @@ def cell_voltage(state: FullState, current, params: CellParameters, ocp: OcpSet,
 
     # effective positive concentration: bulk in two-phase, surface in one-phase
     c_bulk_p = systems.solid_moles(rows.pos, params.R_s_p, rows.r_p, rows.core_conc) / (
-        (4.0 / 3.0) * np.pi * params.R_s_p**3)
+        systems.FOUR_THIRDS_PI * params.R_s_p**3)
     c_eff_p = c_bulk_p.copy()
     c_eff_p[one] = systems.surface_concentration(
         rows.pos[one], current[one], params, "pos", params.R_s_p / rows.pos.shape[1])
@@ -172,7 +172,7 @@ def cell_voltage(state: FullState, current, params: CellParameters, ocp: OcpSet,
 
     bulk_p = c_bulk_p[:n] / cmax_p
     bulk_n = systems.solid_moles(rows.neg[:n], params.R_s_n) / (
-        (4.0 / 3.0) * np.pi * params.R_s_n**3 * cmax_n)
+        systems.FOUR_THIRDS_PI * params.R_s_n**3 * cmax_n)
     soc = {e: np.where(dis, soc_from_theta(params, b, e, "dis"),
                        soc_from_theta(params, b, e, "ch"))
            for e, b in (("pos", bulk_p), ("neg", bulk_n))}

@@ -11,11 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TransitionError
+from .errors import ParameterError, TransitionError
 from .params import CellParameters
 from .states import (FullState, TransitionEvent, ONE_PHASE_ALPHA,
                      ONE_PHASE_BETA, TWO_PHASE)
 from . import systems
+from .systems import FOUR_THIRDS_PI
 
 
 def annulus_remap(old_edges: np.ndarray, old_values: np.ndarray,
@@ -26,18 +27,20 @@ def annulus_remap(old_edges: np.ndarray, old_values: np.ndarray,
     outside the old domain pick up zero.  Returns new CV averages; total
     content over the intersection is preserved exactly up to rounding.
     """
-    w_old = (4.0 / 3.0) * np.pi * old_edges**3
+    w_old = FOUR_THIRDS_PI * old_edges**3
     # cumulative lithium at the old edges
-    cum = np.concatenate([[0.0], np.cumsum(old_values * (w_old[1:] - w_old[:-1]))])
+    cum = np.empty(len(old_edges))
+    cum[0] = 0.0
+    (old_values * (w_old[1:] - w_old[:-1])).cumsum(out=cum[1:])
 
     # cumulative lithium at the new edges, clipped to the old domain
     r = np.minimum(np.maximum(new_edges, old_edges[0]), old_edges[-1])
-    idx = np.minimum(np.maximum(np.searchsorted(old_edges, r, side="right") - 1, 0),
-                     len(old_values) - 1)
-    w = (4.0 / 3.0) * np.pi * r**3
+    # old cell of each: the interior old edges at or below it
+    idx = old_edges[1:-1].searchsorted(r, side="right")
+    w = FOUR_THIRDS_PI * r**3
     cum_new = cum[idx] + old_values[idx] * (w - w_old[idx])
     v_new = new_edges**3
-    return (cum_new[1:] - cum_new[:-1]) / ((4.0 / 3.0) * np.pi * (v_new[1:] - v_new[:-1]))
+    return (cum_new[1:] - cum_new[:-1]) / (FOUR_THIRDS_PI * (v_new[1:] - v_new[:-1]))
 
 
 @dataclass(frozen=True)
@@ -51,6 +54,16 @@ class PhaseConfig:
     # the seeded shell while the shell equilibrates to the interface value
     shell_eps_rel: float = 1e-4
     mass_tol: float = 1e-10     # relative mass-audit tolerance per event
+
+    def __post_init__(self):
+        if not self.mass_tol > 0.0:
+            raise ParameterError("phase mass_tol must be positive")
+        if not 0.0 < self.delta_init < 1.0:
+            raise ParameterError("phase delta_init must lie in (0, 1)")
+        if not 0.0 < self.r_eps_rel < 1.0:
+            raise ParameterError("phase r_eps_rel must lie in (0, 1)")
+        if not 0.0 < self.shell_eps_rel < self.delta_init:
+            raise ParameterError("phase shell_eps_rel must lie in (0, delta_init)")
 
 
 def entry_bulk_threshold(params: CellParameters, direction: str,
@@ -129,7 +142,7 @@ def enter_two_phase(state: FullState, current: float, params: CellParameters,
     r_p = R * f_core ** (1.0 / 3.0)
     shell_vols = systems.cell_volumes(R, N_r, r_inner=r_p)
     shell = np.full(N_r, shell_conc)
-    v_core = (4.0 / 3.0) * np.pi * r_p**3
+    v_core = FOUR_THIRDS_PI * r_p**3
     residual = pre_mass - core_conc * v_core - shell_conc * shell_vols.sum()
     shell += residual / shell_vols.sum()
 

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dsyevd as _dsyevd
 
 from .errors import BlowupError, ParameterError, SaturationError
 from .ocp import OcpSet, synthetic_ocp_set
@@ -45,6 +46,7 @@ from .phase import (PhaseConfig, annulus_remap, apply_sign_flip,
 from .records import read_csv_columns, tally, write_csv_columns
 from .states import FullState, ONE_PHASE_ALPHA, ONE_PHASE_BETA, TWO_PHASE
 from . import systems
+from .systems import FOUR_THIRDS_PI
 
 log = logging.getLogger(__name__)
 
@@ -158,20 +160,41 @@ def synthetic_dynamic_profile(params: CellParameters, duration: float = 1370.0,
 
 # --- exact affine propagator --------------------------------------------------
 
+def symmetric_band(lower: np.ndarray, upper: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Off-diagonal band of the symmetric part of diag(s) A diag(1/s) for a
+    tridiagonal A: entry for entry the dense 0.5 (As + As^T)."""
+    return 0.5 * (upper * (s[:-1] / s[1:]) + lower * (s[1:] / s[:-1]))
+
+
 class AffinePropagator:
-    """Exact step of dx/dt = A x + b for constant A.
+    """Exact step of dx/dt = A x + b for a constant tridiagonal A, given by
+    its bands (A[i + 1, i] = lower[i], A[i, i] = diag[i], A[i, i + 1] =
+    upper[i]).
 
     The positive weights w must make diag(w) A symmetric, so that
-    diag(sqrt w) A diag(1/sqrt w) is symmetric and eigh applies: the cell
-    capacities of `systems.cell_geometry`, CV volumes for the FVM and
-    r_i^2 h for the FDM (w_i A[i, i+1] = w_{i+1} A[i+1, i]).
+    diag(sqrt w) A diag(1/sqrt w) is symmetric and a symmetric
+    eigensolver applies: the cell capacities of `systems.cell_geometry`, CV
+    volumes for the FVM and r_i^2 h for the FDM (w_i A[i, i+1] = w_{i+1}
+    A[i+1, i]).  The scaled bands are averaged with their transposes and
+    the diagonal is kept; LAPACK's dsyevd reads the lower triangle.  Its
+    Fortran-ordered eigenvectors are copied to C order, the layout numpy's
+    eigh returns: the step's matrix products take another BLAS path, and
+    round differently, on the other one.
     """
 
-    def __init__(self, A: np.ndarray, weights: np.ndarray):
+    def __init__(self, lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
+                 weights: np.ndarray):
         s = np.sqrt(weights)
-        As = A * (s[:, None] / s[None, :])
-        self.lam, Q = np.linalg.eigh(0.5 * (As + As.T))
-        self._to = Q.T * s[None, :]        # x -> eigen coords
+        n = len(s)
+        sym = np.zeros((n, n), order="F")
+        flat = sym.ravel(order="K")
+        flat[::n + 1] = diag
+        flat[1::n + 1] = symmetric_band(lower, upper, s)
+        self.lam, Q, info = _dsyevd(sym, lower=1, overwrite_a=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dsyevd failed with info={info}")
+        Q = np.ascontiguousarray(Q)
+        self._to = Q.T * s                 # x -> eigen coords
         self._back = Q / s[:, None]        # eigen coords -> x
 
     def step(self, x: np.ndarray, b: np.ndarray, h: float) -> np.ndarray:
@@ -181,9 +204,12 @@ class AffinePropagator:
         zb = self._to @ b
         lh = lam * h
         elh = np.exp(lh)
-        small = np.abs(lh) < 1e-8
-        lam_safe = np.where(small, 1.0, lam)
-        phi = np.where(small, h * (1.0 + 0.5 * lh), (elh - 1.0) / lam_safe)
+        if min(map(abs, lh.tolist())) < 1e-8:
+            # phi's series where lam h is too small for (e^{lam h} - 1) / lam
+            small = np.abs(lh) < 1e-8
+            phi = np.where(small, h * (1.0 + 0.5 * lh), (elh - 1.0) / np.where(small, 1.0, lam))
+        else:
+            phi = (elh - 1.0) / lam
         return self._back @ (elh * z + phi * zb)
 
 
@@ -226,49 +252,63 @@ class _LtiBlock:
 
 # --- two-phase positive electrode steppers ------------------------------------
 
+def _shell_step(state: FullState, current: float, h: float, params: CellParameters,
+                N_r: int, g: float, scheme: str):
+    """Exact step of the shell on its frozen grid; returns (shell, block)."""
+    blk, g_row = systems.shell_block(params, state.r_p, current, N_r, g, scheme)
+    b = np.zeros(N_r)
+    b[0] = g_row
+    b[N_r - 1] = blk.surface * current
+    prop = AffinePropagator(blk.lower, blk.diag, blk.upper, blk.caps)
+    return prop.step(state.pos, b, h), blk
+
+
 def _fvm_two_phase_substep(state: FullState, current: float, h: float,
                            params: CellParameters, N_r: int):
     """One conservative substep; returns (shell, r_p, closure_rel)."""
     R = params.R_s_p
     r_p = state.r_p
     g, c_core = systems.interface_values(params, state.core_phase, state.direction)
-    A_c, B_c, G_c = systems.shell_block(params, r_p, current, N_r, g)
-    faces, _, vols = systems.spherical_cells(r_p, R, N_r)
-    c_new = AffinePropagator(A_c, vols).step(state.pos, B_c * current + G_c, h)
-    shell_old = float(vols @ state.pos)
+    c_new, blk = _shell_step(state, current, h, params, N_r, g, "fvm")
+    vols = blk.caps
+    shell_old = float(vols.dot(state.pos))
 
     # lithium delivered to the front: surface influx minus shell gain
     q_surf = systems.molar_flux_density(params, "pos", current) * 4.0 * np.pi * R**2
-    spill = q_surf * h - float(vols @ (c_new - state.pos))
+    spill = q_surf * h - float(vols.dot(c_new - state.pos))
 
     if current == 0.0:
         # frozen front; close propagator rounding so rest is drift free
-        c_new = c_new + (shell_old - float(vols @ c_new)) / vols.sum()
+        c_new = c_new + (shell_old - float(vols.dot(c_new))) / vols.sum()
         return c_new, r_p, 0.0
 
     dV = spill / (g - c_core)
 
-    v_core_new = (4.0 / 3.0) * np.pi * r_p**3 - dV
-    v_core_new = min(max(v_core_new, 0.0), (4.0 / 3.0) * np.pi * R**3)
-    r_new = (v_core_new / ((4.0 / 3.0) * np.pi))**(1.0 / 3.0)
+    v_core_new = FOUR_THIRDS_PI * r_p**3 - dV
+    v_core_new = min(max(v_core_new, 0.0), FOUR_THIRDS_PI * R**3)
+    r_new = (v_core_new / FOUR_THIRDS_PI)**(1.0 / 3.0)
     r_new = min(max(r_new, 1e-9 * R), (1.0 - 1e-9) * R)
 
     # conservative remap of (swept annulus + old shell) onto the new grid
     new_faces, _, vols_new = systems.spherical_cells(r_new, R, N_r)
     if r_new < r_p:
-        annulus_vol = (4.0 / 3.0) * np.pi * (r_p**3 - r_new**3)
+        annulus_vol = FOUR_THIRDS_PI * (r_p**3 - r_new**3)
         annulus_conc = (state.core_conc * annulus_vol + spill) / annulus_vol
-        old_edges = np.concatenate([[r_new], faces])
-        old_values = np.concatenate([[annulus_conc], c_new])
+        old_edges = np.empty(N_r + 2)
+        old_edges[0] = r_new
+        old_edges[1:] = blk.faces
+        old_values = np.empty(N_r + 1)
+        old_values[0] = annulus_conc
+        old_values[1:] = c_new
         shell = annulus_remap(old_edges, old_values, new_faces)
     else:
-        shell = annulus_remap(faces, c_new, new_faces)
+        shell = annulus_remap(blk.faces, c_new, new_faces)
 
     # close rounding (and, for an outward front, the swept-profile mismatch)
     # so the per-electrode balance is exact: core + shell changes only by the
     # surface influx
-    expected = shell_old + (4.0 / 3.0) * np.pi * r_p**3 * state.core_conc + q_surf * h
-    actual = (4.0 / 3.0) * np.pi * r_new**3 * state.core_conc + float(vols_new @ shell)
+    expected = shell_old + FOUR_THIRDS_PI * r_p**3 * state.core_conc + q_surf * h
+    actual = FOUR_THIRDS_PI * r_new**3 * state.core_conc + float(vols_new.dot(shell))
     residual = expected - actual
     shell = shell + residual / vols_new.sum()
     closure_rel = abs(residual) / max(abs(expected), 1e-300)
@@ -278,12 +318,11 @@ def _fvm_two_phase_substep(state: FullState, current: float, h: float,
 def _fdm_two_phase_substep(state: FullState, current: float, h: float,
                            params: CellParameters, N_r: int):
     """Naive collocated step of the FDM two-phase system (no remap)."""
-    sysm = systems.build_two_phase_system(params, state.r_p, current, N_r,
-                                          state.direction, state.core_phase, "fdm")
-    b = sysm.B[:N_r] * current + sysm.G[:N_r]
-    _, caps = systems.cell_geometry(state.r_p, params.R_s_p, N_r, "fdm")
-    c_new = AffinePropagator(sysm.A[:N_r, :N_r], caps).step(state.pos, b, h)
-    rdot_mid = sysm.A[N_r, 0] * 0.5 * (state.pos[0] + c_new[0]) + sysm.G[N_r]
+    g, c_core = systems.interface_values(params, state.core_phase, state.direction)
+    c_new, _ = _shell_step(state, current, h, params, N_r, g, "fdm")
+    k, k0 = (systems.front_rate(params, state.r_p, N_r, g, c_core) if current != 0.0
+             else (0.0, 0.0))
+    rdot_mid = k * 0.5 * (state.pos[0] + c_new[0]) + k0
     R = params.R_s_p
     r_new = state.r_p + h * rdot_mid
     r_new = min(max(r_new, 1e-9 * R), (1.0 - 1e-9) * R)
@@ -315,9 +354,16 @@ class Integrator:
 
     def advance(self, state: FullState, current: float, h: float) -> FullState:
         """Pure step of length h at constant current (no event handling)."""
-        new = state.copy()
+        new = self.advance_positive(state, current, h)
         new.neg = self.neg.advance(state.neg, current, h)
         new.elec = self.elec.advance(state.elec, current, h)
+        return new
+
+    def advance_positive(self, state: FullState, current: float, h: float) -> FullState:
+        """Copy of the state with only the positive particle stepped by h: what
+        a transition margin reads, so event bisection probes step nothing
+        else."""
+        new = state.copy()
         if state.regime != TWO_PHASE:
             new.pos = self.pos1p.advance(state.pos, current, h)
             return new
@@ -366,7 +412,7 @@ class Integrator:
                 lo, hi = 0.0, remaining
                 while hi - lo > self.solver.event_tol:
                     mid = 0.5 * (lo + hi)
-                    if transition_margin(kind, self.advance(s, current, mid),
+                    if transition_margin(kind, self.advance_positive(s, current, mid),
                                          current, params, pcfg) >= 0.0:
                         hi = mid
                     else:
@@ -606,7 +652,6 @@ def simulate(profile: LoadProfile, init: FullState, params: CellParameters,
     time, current, charge, r_p, core_conc, voltage, soc_p, soc_n = cols[:, :n]
     neg_c, pos_c, elec_c = (conc[k][:n] for k in ("neg", "pos", "elec"))
     regime, direction, core_phase = (list(x) for x in zip(*labels))
-    particle = (4.0 / 3.0) * np.pi
     dx, eps, _ = systems.electrolyte_geometry(params, disc.N_e, split)
     result = SimulationResult(
         time=time, current=current, voltage=voltage, soc_p=soc_p, soc_n=soc_n,
@@ -614,9 +659,9 @@ def simulate(profile: LoadProfile, init: FullState, params: CellParameters,
         core_phase=core_phase, neg_c=neg_c, pos_c=pos_c, elec_c=elec_c,
         core_conc=core_conc, charge=charge,
         mass_pos=systems.solid_moles(pos_c, params.R_s_p, r_p, core_conc)
-        * (params.eps_p * params.A_cell * params.L_p / (particle * params.R_s_p**3)),
+        * (params.eps_p * params.A_cell * params.L_p / (FOUR_THIRDS_PI * params.R_s_p**3)),
         mass_neg=systems.solid_moles(neg_c, params.R_s_n)
-        * (params.eps_n * params.A_cell * params.L_n / (particle * params.R_s_n**3)),
+        * (params.eps_n * params.A_cell * params.L_n / (FOUR_THIRDS_PI * params.R_s_n**3)),
         mass_elec=elec_c @ (params.A_cell * (dx * eps)),
         drift_rel=None, events=events, status=status,
         meta={"R_s_p": params.R_s_p, "scheme": disc.scheme, "N_r": disc.N_r,

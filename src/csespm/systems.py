@@ -1,6 +1,9 @@
 """Discretized state-space systems for solid and electrolyte diffusion.
 
-All builders return affine systems dx/dt = A x + B I (+ G).  Finite
+The builders return affine systems dx/dt = A x + B I (+ G).  The solid
+assembly itself (`solid_block`, `shell_block`) returns the three bands of
+its tridiagonal A, which the two-phase substep steps without a dense
+matrix; `tridiagonal` makes the dense A where one is needed.  Finite
 volume assemblies balance face fluxes over spherical control volumes, so
 volume-weighted row sums vanish except where a physical boundary flux
 enters through B or G; that is what makes the scheme conservative.
@@ -25,6 +28,7 @@ after a reversal inside two-phase the same front moves back.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,6 +38,8 @@ from .params import CellParameters
 # with I > 0 on discharge, lithium enters the positive particle and leaves
 # the negative particle
 FLUX_SIGN = {"pos": +1.0, "neg": -1.0}
+
+FOUR_THIRDS_PI = 4.0 / 3.0 * np.pi      # sphere volume per cubed radius
 
 
 @dataclass(frozen=True)
@@ -81,9 +87,9 @@ def spherical_cells(r_inner: float, r_outer: float, n: int):
         faces = r_inner + (r_outer - r_inner) * unit_faces(n)
         areas = 4.0 * np.pi * faces * faces
         f3 = faces * faces * faces
-        volumes = (4.0 / 3.0) * np.pi * (f3[1:] - f3[:-1])
+        volumes = FOUR_THIRDS_PI * (f3[1:] - f3[:-1])
         for a in (faces, areas, volumes):
-            a.flags.writeable = False
+            a.setflags(write=False)
         if len(_CELLS) >= 16:
             del _CELLS[next(iter(_CELLS))]
         cells = _CELLS[key] = (faces, areas, volumes)
@@ -97,27 +103,34 @@ def cell_volumes(R: float, n: int, r_inner=0.0) -> np.ndarray:
         return spherical_cells(r_inner, R, n)[2]
     faces = r_inner[:, None] + (R - r_inner)[:, None] * unit_faces(n)
     f3 = faces * faces * faces
-    return (4.0 / 3.0) * np.pi * (f3[:, 1:] - f3[:, :-1])
+    return FOUR_THIRDS_PI * (f3[:, 1:] - f3[:, :-1])
 
 
-def tridiagonal(w_lo: np.ndarray, w_hi: np.ndarray) -> np.ndarray:
-    """Nearest-neighbour coupling matrix: row i + 1 gains w_lo[i] x_i, row i
-    gains w_hi[i] x_{i+1}, and each diagonal entry loses what its row gains,
-    so every exchange between neighbours balances."""
-    n = len(w_lo) + 1
-    diag = np.zeros(n)
-    diag[1:] -= w_lo
-    diag[:-1] -= w_hi
+def tridiagonal(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Dense matrix of three bands: A[i + 1, i] = lower[i], A[i, i] = diag[i],
+    A[i, i + 1] = upper[i]."""
+    n = len(diag)
     A = np.zeros((n, n))
     flat = A.reshape(-1)
-    flat[n::n + 1] = w_lo
-    flat[1::n + 1] = w_hi
+    flat[n::n + 1] = lower
+    flat[1::n + 1] = upper
     flat[::n + 1] = diag
     return A
 
 
+def exchange_diagonal(w_lo: np.ndarray, w_hi: np.ndarray) -> np.ndarray:
+    """Diagonal of a nearest-neighbour coupling: row i + 1 gains w_lo[i] x_i,
+    row i gains w_hi[i] x_{i+1}, and each diagonal entry loses what its row
+    gains, so every exchange between neighbours balances."""
+    diag = np.zeros(len(w_lo) + 1)
+    diag[1:] -= w_lo
+    diag[:-1] -= w_hi
+    return diag
+
+
 def cell_geometry(r_inner: float, r_outer: float, n: int, scheme: str = "fvm"):
-    """(face areas, cell capacities) of n equal widths over [r_inner, r_outer].
+    """(faces, face areas, cell capacities) of n equal widths over
+    [r_inner, r_outer].
 
     FVM: the 4 pi f^2 faces and CV volumes of `spherical_cells`.  FDM: the
     capacity r_i^2 h of each cell-center node r_i and the area r_{k-1} r_k of
@@ -127,12 +140,12 @@ def cell_geometry(r_inner: float, r_outer: float, n: int, scheme: str = "fvm"):
     (Patankar, Numerical Heat Transfer and Fluid Flow, 1980, ch. 4).
     """
     if scheme == "fvm":
-        return spherical_cells(r_inner, r_outer, n)[1:]
+        return spherical_cells(r_inner, r_outer, n)
     if scheme != "fdm":
         raise ParameterError(f"unknown scheme {scheme!r}")
     h = (r_outer - r_inner) / n
     r = r_inner + (np.arange(-1, n + 1) + 0.5) * h
-    return r[:-1] * r[1:], r[1:-1] * r[1:-1] * h
+    return r_inner + (r_outer - r_inner) * unit_faces(n), r[:-1] * r[1:], r[1:-1] * r[1:-1] * h
 
 
 def molar_flux_density(params: CellParameters, electrode: str, current: float) -> float:
@@ -141,17 +154,30 @@ def molar_flux_density(params: CellParameters, electrode: str, current: float) -
     return s * current / (params.F * params.A_cell * params.L(electrode) * params.a_s(electrode))
 
 
+class SolidBlock(NamedTuple):
+    """Diffusion rows of one solid block: the bands of its tridiagonal A, its
+    surface-flux entry, the weight of a value held on its inner face, and
+    the geometry it was assembled on."""
+
+    lower: np.ndarray       # A[i + 1, i]
+    diag: np.ndarray        # A[i, i]
+    upper: np.ndarray       # A[i, i + 1]
+    surface: float          # B[-1], the applied current's flux into the last cell
+    inner: float            # w: a value g held on the inner face adds -w to
+                            # A[0, 0] and w g to the first row's constant
+    faces: np.ndarray
+    caps: np.ndarray        # cell capacities; caps-weighted A is symmetric
+
+
 def solid_block(params: CellParameters, electrode: str, r_inner: float, N_r: int,
-                scheme: str = "fvm") -> tuple[np.ndarray, np.ndarray, float]:
-    """Diffusion rows (A, B) of N_r equal widths from r_inner to the particle
-    surface, and the weight w of a value held on the inner face.
+                scheme: str = "fvm") -> SolidBlock:
+    """Diffusion rows of N_r equal widths from r_inner to the particle surface.
 
     Each interior face carries D * area * (c_j - c_i) / dr, divided by the
     capacity of the cell it enters, so capacity-weighted column sums of A
     vanish; the inner face carries no flux in A, and the applied current's
-    flux through the surface enters through B only.  A value g held on the
-    inner face, one-sided over a half cell, adds -w to A[0, 0] and w g to
-    the first row's constant.
+    flux through the surface enters through B only.  A value held on the
+    inner face is one-sided over a half cell.
     """
     if electrode not in FLUX_SIGN:
         raise ParameterError(f"unknown electrode {electrode!r}")
@@ -160,20 +186,25 @@ def solid_block(params: CellParameters, electrode: str, r_inner: float, N_r: int
     R = params.R_s(electrode)
     D = params.D_s(electrode)
     dr = (R - r_inner) / N_r
-    areas, caps = cell_geometry(r_inner, R, N_r, scheme)
-    A = tridiagonal(D * areas[1:-1] / (dr * caps[1:]), D * areas[1:-1] / (dr * caps[:-1]))
-    B = np.zeros(N_r)
-    B[N_r - 1] = FLUX_SIGN[electrode] * areas[N_r] / (
+    faces, areas, caps = cell_geometry(r_inner, R, N_r, scheme)
+    flow = D * areas[1:-1]
+    dr_caps = dr * caps
+    w_lo = flow / dr_caps[1:]
+    w_hi = flow / dr_caps[:-1]
+    surface = FLUX_SIGN[electrode] * areas[N_r] / (
         caps[N_r - 1] * params.F * params.A_cell * params.L(electrode) * params.a_s(electrode))
-    return A, B, 2.0 * D * areas[0] / (dr * caps[0])
+    return SolidBlock(w_lo, exchange_diagonal(w_lo, w_hi), w_hi, surface,
+                      2.0 * D * areas[0] / (dr * caps[0]), faces, caps)
 
 
 def build_one_phase_solid_system(params: CellParameters, electrode: str,
                                  N_r: int, scheme: str = "fvm") -> AffineSystem:
     """Fixed-grid diffusion in a spherical particle: zero flux at the center
     and the applied current flux at the surface, entering through B only."""
-    A, B, _ = solid_block(params, electrode, 0.0, N_r, scheme)
-    return AffineSystem(A, B)
+    blk = solid_block(params, electrode, 0.0, N_r, scheme)
+    B = np.zeros(N_r)
+    B[N_r - 1] = blk.surface
+    return AffineSystem(tridiagonal(blk.lower, blk.diag, blk.upper), B)
 
 
 def entry_core_phase(direction: str) -> str:
@@ -209,17 +240,26 @@ def direction_for_current(current: float, fallback: str = "dis") -> str:
 
 
 def shell_block(params: CellParameters, r_p: float, current: float, N_r: int,
-                g: float, scheme: str = "fvm") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Shell rows (A, B, G) of the two-phase system on the N_r shell cells,
-    with the interface held at g under current and zero flux at rest."""
+                g: float, scheme: str = "fvm") -> tuple[SolidBlock, float]:
+    """The shell's solid block on its N_r cells, with the interface held at g
+    under current and zero flux at rest, and the first row's constant (w g
+    under current, 0 at rest)."""
     if not 0.0 < r_p < params.R_s_p:
         raise PhaseDomainError(f"r_p={r_p!r} outside (0, R_s_p); transition regimes first")
-    A, B, w = solid_block(params, "pos", r_p, N_r, scheme)
-    G = np.zeros(N_r)
-    if current != 0.0:
-        A[0, 0] -= w
-        G[0] = w * g
-    return A, B, G
+    blk = solid_block(params, "pos", r_p, N_r, scheme)
+    if current == 0.0:
+        return blk, 0.0
+    blk.diag[0] -= blk.inner
+    return blk, blk.inner * g
+
+
+def front_rate(params: CellParameters, r_p: float, N_r: int, g: float,
+               c_core: float) -> tuple[float, float]:
+    """(k, k0) of the Stefan balance dr_p/dt = k c_1 + k0 under current:
+    D / (c_core - g) times the one-sided gradient 2 (c_1 - g) / dr."""
+    dr = (params.R_s_p - r_p) / N_r
+    dc = c_core - g
+    return 2.0 * params.D_s_p / (dr * dc), -2.0 * params.D_s_p * g / (dr * dc)
 
 
 def build_two_phase_system(params: CellParameters, r_p: float, current: float,
@@ -238,21 +278,17 @@ def build_two_phase_system(params: CellParameters, r_p: float, current: float,
     if core_phase is None:
         core_phase = entry_core_phase(direction)
     g, c_core = interface_values(params, core_phase, direction)
-    A_c, B_c, G_c = shell_block(params, r_p, current, N_r, g, scheme)
-    R = params.R_s_p
-    D = params.D_s_p
-    dr = (R - r_p) / N_r
+    blk, g_row = shell_block(params, r_p, current, N_r, g, scheme)
 
     n = N_r + 1
     A = np.zeros((n, n))
-    A[:N_r, :N_r] = A_c
-    B = np.append(B_c, 0.0)
-    G = np.append(G_c, 0.0)
+    A[:N_r, :N_r] = tridiagonal(blk.lower, blk.diag, blk.upper)
+    B = np.zeros(n)
+    B[N_r - 1] = blk.surface
+    G = np.zeros(n)
+    G[0] = g_row
     if current != 0.0:
-        # front row: dr_p/dt = D / (c_core - g) * 2 (c_1 - g) / dr
-        dc = c_core - g
-        A[N_r, 0] = 2.0 * D / (dr * dc)
-        G[N_r] = -2.0 * D * g / (dr * dc)
+        A[N_r, 0], G[N_r] = front_rate(params, r_p, N_r, g, c_core)
     return AffineSystem(A, B, G)
 
 
@@ -274,7 +310,8 @@ def build_electrolyte_system(params: CellParameters, N_e: int,
     # series resistance of the two half cells meeting at each face
     cond = 1.0 / (0.5 * dx[:-1] / deff[:-1] + 0.5 * dx[1:] / deff[1:])
     cap = eps * dx
-    A = tridiagonal(cond / cap[1:], cond / cap[:-1])
+    w_lo, w_hi = cond / cap[1:], cond / cap[:-1]
+    A = tridiagonal(w_lo, exchange_diagonal(w_lo, w_hi), w_hi)
     src = (1.0 - params.t_plus) / (params.F * params.A_cell)
     B = np.select([region == 0, region == 2],
                   [src / (params.L_n * eps), -src / (params.L_p * eps)])
@@ -311,7 +348,7 @@ def one_phase_bulk(c_bar: np.ndarray, R: float) -> float:
 def two_phase_bulk(c_shell: np.ndarray, r_p: float, core_conc: float,
                    R: float) -> float:
     """Particle average: uniform core plus shell CV averages."""
-    return solid_moles(c_shell, R, r_p, core_conc) / ((4.0 / 3.0) * np.pi * R**3)
+    return solid_moles(c_shell, R, r_p, core_conc) / (FOUR_THIRDS_PI * R**3)
 
 
 def solid_moles(c_bar: np.ndarray, R: float, r_p=0.0, core_conc=0.0):
@@ -320,10 +357,10 @@ def solid_moles(c_bar: np.ndarray, R: float, r_p=0.0, core_conc=0.0):
     one-phase rows)."""
     if c_bar.ndim == 2:
         v = cell_volumes(R, c_bar.shape[1], r_inner=r_p)
-        core = np.where(r_p > 0.0, (4.0 / 3.0) * np.pi * r_p**3 * core_conc, 0.0)
+        core = np.where(r_p > 0.0, FOUR_THIRDS_PI * r_p**3 * core_conc, 0.0)
         return (v * c_bar).sum(axis=1) + core
     if r_p > 0.0:
         v = cell_volumes(R, len(c_bar), r_inner=r_p)
-        return float(np.dot(v, c_bar)) + (4.0 / 3.0) * np.pi * r_p**3 * core_conc
+        return float(np.dot(v, c_bar)) + FOUR_THIRDS_PI * r_p**3 * core_conc
     v = cell_volumes(R, len(c_bar))
     return float(np.dot(v, c_bar))

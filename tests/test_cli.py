@@ -151,18 +151,42 @@ def test_identify_command(tmp_path, params):
 
 def test_identify_command_reads_phase_section(tmp_path, params):
     """identify simulates its candidates under the config's phase section:
-    a mass tolerance no transition audit can meet (a negative one) makes the
-    true parameters, whose C/4 discharge enters two-phase, score the penalty."""
+    the true parameters fit their own C/4 discharge, but not once a thicker
+    seeded shell (delta_init 0.05) moves their two-phase entry."""
     from csespm.identify import PENALTY_RMSE
     ds = make_synthetic_dataset(params, DiscretizationConfig(N_r=4, N_e=6),
                                 0.25, "dis", duration=3600.0, dt=10.0)
     ds.to_csv(tmp_path / "ds.csv")
-    cfg = tmp_path / "strict.json"
-    cfg.write_text(json.dumps({"phase": {"mass_tol": -1.0}}))
-    rc = main(["identify", "--config", str(cfg), "--data", str(tmp_path / "ds.csv"),
-               "--subset", "c2-1c", "--budget", "1", "--out", str(tmp_path / "fit")])
-    assert rc == 0
-    assert json.loads((tmp_path / "fit" / "fit.json").read_text())["rmse_V"] == PENALTY_RMSE
+    rmse = {}
+    for name, section in (("default", {}), ("moved", {"delta_init": 0.05})):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps({"phase": section}))
+        out = tmp_path / f"fit_{name}"
+        rc = main(["identify", "--config", str(cfg), "--data", str(tmp_path / "ds.csv"),
+                   "--subset", "c2-1c", "--budget", "1", "--out", str(out)])
+        assert rc == 0
+        rmse[name] = json.loads((out / "fit.json").read_text())["rmse_V"]
+    assert rmse["default"] < 1e-9
+    assert 1e-9 < rmse["moved"] < PENALTY_RMSE
+
+
+@pytest.mark.parametrize("section, needle", [
+    ({"mass_tol": -1.0}, "mass_tol"), ({"mass_tol": 0.0}, "mass_tol"),
+    ({"delta_init": 1.0}, "delta_init"), ({"r_eps_rel": 0.0}, "r_eps_rel"),
+    ({"shell_eps_rel": 2e-3}, "shell_eps_rel"), ({"bogus": 1.0}, "bogus")])
+def test_bad_phase_section_gives_exit_4(tmp_path, short_profile, capsys, section, needle):
+    """A phase section that breaks the transition settings, or names an
+    unknown key, is a config error, never a run that scores penalties."""
+    cfg = tmp_path / "phase.json"
+    cfg.write_text(json.dumps({"phase": section}))
+    out = tmp_path / "out"
+    rc = main(["simulate", "--config", str(cfg), "--profile", str(short_profile),
+               "--out", str(out)])
+    assert rc == 4
+    assert not out.exists()
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["exit_code"] == 4
+    assert needle in record["message"]
 
 
 def test_compare_scheme_command(tmp_path, short_profile):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from csespm.errors import ParameterError
 from csespm.phase import (PhaseConfig, annulus_remap, apply_sign_flip,
                           detect_transition, enter_two_phase,
                           entry_bulk_threshold, exit_two_phase)
@@ -40,6 +41,45 @@ def test_annulus_remap_uniform_identity():
     edges_old = np.linspace(0.2, 1.0, 5)
     out = annulus_remap(edges_old, np.full(4, 42.0), np.linspace(0.2, 1.0, 9))
     assert np.allclose(out, 42.0)
+
+
+def _remap_reference(old_edges, old_values, new_edges):
+    """The remap as first written, with its concatenated cumulative sum and
+    clipped searchsorted indices."""
+    w_old = (4.0 / 3.0) * np.pi * old_edges**3
+    cum = np.concatenate([[0.0], np.cumsum(old_values * (w_old[1:] - w_old[:-1]))])
+    r = np.minimum(np.maximum(new_edges, old_edges[0]), old_edges[-1])
+    idx = np.minimum(np.maximum(np.searchsorted(old_edges, r, side="right") - 1, 0),
+                     len(old_values) - 1)
+    w = (4.0 / 3.0) * np.pi * r**3
+    cum_new = cum[idx] + old_values[idx] * (w - w_old[idx])
+    v_new = new_edges**3
+    return (cum_new[1:] - cum_new[:-1]) / ((4.0 / 3.0) * np.pi * (v_new[1:] - v_new[:-1]))
+
+
+@pytest.mark.parametrize("n_old, n_new", [(1, 3), (2, 2), (4, 4), (5, 4), (4, 9), (50, 50)])
+def test_annulus_remap_matches_reference(rng, n_old, n_new):
+    """The remap is bit for bit the reference: on the substep's grids (a
+    swept annulus before an old shell, remapped onto the shell from the new
+    front), on grids that share edges, and with new edges outside the old
+    domain on either side."""
+    for k in range(40):
+        old_edges = np.sort(rng.uniform(0.1, 1.0, n_old + 1))
+        vals = rng.uniform(100.0, 1000.0, n_old)
+        if k % 4 == 0:
+            new_edges = np.linspace(old_edges[0], old_edges[-1], n_new + 1)
+        elif k % 4 == 1:
+            new_edges = np.sort(rng.uniform(0.0, 1.2, n_new + 1))
+        elif k % 4 == 2:
+            shared = rng.choice(old_edges, min(n_new - 1, n_old + 1), replace=False)
+            new_edges = np.unique(np.concatenate([shared, rng.uniform(0.1, 1.0, n_new),
+                                                  [0.05, 1.1]]))
+        else:
+            faces = np.linspace(old_edges[1], 1.0, n_old)
+            old_edges = np.concatenate([[old_edges[0]], faces])
+            new_edges = np.linspace(old_edges[0], 1.0, n_new + 1)
+        got = annulus_remap(old_edges, vals, new_edges)
+        assert np.array_equal(got, _remap_reference(old_edges, vals, new_edges)), k
 
 
 # --- entry ------------------------------------------------------------------------
@@ -228,6 +268,17 @@ def test_event_sequence_deterministic(params, disc4):
             for _ in range(2)]
     seq = [[(e.kind, e.time) for e in r.events] for r in runs]
     assert seq[0] == seq[1]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("mass_tol", -1.0), ("mass_tol", 0.0), ("delta_init", 0.0), ("delta_init", 1.0),
+    ("r_eps_rel", 0.0), ("r_eps_rel", 1.0), ("shell_eps_rel", 0.0),
+    ("shell_eps_rel", 1e-3), ("mass_tol", float("nan"))])
+def test_phase_config_rejects_bad_settings(field, value):
+    """mass_tol > 0, 0 < delta_init < 1, 0 < r_eps_rel < 1 and
+    0 < shell_eps_rel < delta_init, or a ParameterError naming the field."""
+    with pytest.raises(ParameterError, match=field):
+        PhaseConfig(**{field: value})
 
 
 def test_delta_init_sensitivity(params, disc4):

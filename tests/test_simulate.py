@@ -9,7 +9,8 @@ from csespm.ocp import synthetic_ocp_set
 from csespm.simulate import (AffinePropagator, Integrator, LoadProfile,
                              SolverConfig, _fdm_two_phase_substep, cc_profile,
                              cycle_profile, initial_state, mass_audit,
-                             read_result_csv, simulate, synthetic_dynamic_profile)
+                             read_result_csv, simulate, symmetric_band,
+                             synthetic_dynamic_profile)
 from csespm.states import FullState, TWO_PHASE
 from csespm import systems
 
@@ -32,6 +33,11 @@ def test_profile_csv_round_trip(tmp_path, params):
     back = LoadProfile.from_csv(path)
     assert np.allclose(back.times, p.times)
     assert np.allclose(back.currents, p.currents)
+
+
+def _bands(A):
+    """(lower, diag, upper) bands of a tridiagonal matrix."""
+    return np.diag(A, -1), np.diag(A), np.diag(A, 1)
 
 
 def _van_loan_increment(A, x, b, h):
@@ -60,8 +66,11 @@ def test_affine_propagator_matches_expm(params, scheme, N_r, rp_frac):
     current = params.current_for_c_rate(1.0)
     x = params.c_s_max_p * np.random.default_rng(N_r).uniform(0.2, 0.8, N_r)
     g, _ = systems.interface_values(params, "alpha", "dis")
-    A, B, G = systems.shell_block(params, r_p, current, N_r, g, scheme)
-    b = B * current + G
+    blk, g_row = systems.shell_block(params, r_p, current, N_r, g, scheme)
+    A = systems.tridiagonal(blk.lower, blk.diag, blk.upper)
+    b = np.zeros(N_r)
+    b[0] = g_row
+    b[-1] = blk.surface * current
     if scheme == "fvm":
         vols = systems.spherical_cells(r_p, R, N_r)[2]
     else:
@@ -70,12 +79,59 @@ def test_affine_propagator_matches_expm(params, scheme, N_r, rp_frac):
                           core_phase="alpha", direction="dis")
     for h in (1.0, 0.3171875):
         if scheme == "fvm":
-            got = AffinePropagator(A, vols).step(x, b, h)
+            got = AffinePropagator(blk.lower, blk.diag, blk.upper, vols).step(x, b, h)
         else:
             got = _fdm_two_phase_substep(state, current, h, params, N_r)[0]
         want = _van_loan_increment(A, x, b, h)
         err = np.linalg.norm((got - x) - want) / np.linalg.norm(want)
         assert err <= 1e-10, (h, err)
+
+
+def _dense_eigh_step(A, w, x, b, h):
+    """The propagator as first written for a dense A: scaled by sqrt w,
+    symmetrized as 0.5 (As + As^T) and diagonalized by np.linalg.eigh.
+    Returns (symmetric matrix, step)."""
+    s = np.sqrt(w)
+    As = A * (s[:, None] / s[None, :])
+    sym = 0.5 * (As + As.T)
+    lam, Q = np.linalg.eigh(sym)
+    lh = lam * h
+    elh = np.exp(lh)
+    small = np.abs(lh) < 1e-8
+    phi = np.where(small, h * (1.0 + 0.5 * lh), (elh - 1.0) / np.where(small, 1.0, lam))
+    return sym, (Q / s[:, None]) @ (elh * ((Q.T * s) @ x) + phi * ((Q.T * s) @ b))
+
+
+@pytest.mark.parametrize("current_c, core_phase", [(1.0, "alpha"), (-1.0, "alpha"),
+                                                   (-1.0, "beta"), (0.0, "alpha")])
+@pytest.mark.parametrize("rp_frac", [0.05, 0.5, 0.99])
+@pytest.mark.parametrize("N_r", [2, 3, 4, 8, 50])
+@pytest.mark.parametrize("scheme", ["fvm", "fdm"])
+def test_banded_propagator_matches_dense_eigh(params, scheme, N_r, rp_frac,
+                                             current_c, core_phase):
+    """The shell's symmetric band is entry for entry the dense symmetrization
+    of its A, and the banded step lies within 1e-14 of the dense eigh step:
+    with the front moving in (discharge around an alpha core) and out (a
+    charge around it), around a beta core, and at rest, where A has a zero
+    eigenvalue; for a full and a bisection-sized step."""
+    R = params.R_s_p
+    r_p = rp_frac * R
+    current = current_c * params.current_for_c_rate(1.0)
+    direction = systems.direction_for_current(current)
+    g, _ = systems.interface_values(params, core_phase, direction)
+    blk, g_row = systems.shell_block(params, r_p, current, N_r, g, scheme)
+    A = systems.tridiagonal(blk.lower, blk.diag, blk.upper)
+    b = np.zeros(N_r)
+    b[0] = g_row
+    b[-1] = blk.surface * current
+    x = params.c_s_max_p * np.random.default_rng(N_r).uniform(0.2, 0.8, N_r)
+    band = symmetric_band(blk.lower, blk.upper, np.sqrt(blk.caps))
+    prop = AffinePropagator(blk.lower, blk.diag, blk.upper, blk.caps)
+    for h in (1.0, 0.3171875):
+        sym, want = _dense_eigh_step(A, blk.caps, x, b, h)
+        assert np.array_equal(systems.tridiagonal(band, blk.diag, band), sym)
+        got = prop.step(x, b, h)
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want), h
 
 
 def test_zero_current_is_fixed_point(params, disc4):
@@ -159,7 +215,7 @@ def test_cached_step_map_matches_propagator(params, disc4):
     current = params.current_for_c_rate(1.0)
     integ = Integrator(params, disc4, SolverConfig(dt=10.0))
     for block, w, scale in _fixed_grid_blocks(params, disc4, integ):
-        ref = AffinePropagator(block.sys.A, weights=w)
+        ref = AffinePropagator(*_bands(block.sys.A), weights=w)
         for h in (10.0, 10.0 * 0.6171875):
             for _ in range(2):
                 x = scale * rng.uniform(0.2, 0.8, block.sys.dim)
@@ -180,7 +236,8 @@ def test_cached_step_map_keeps_exact_fallback(params):
     disc = DiscretizationConfig(N_r=4, N_e=6)
     block = Integrator(p2, disc, SolverConfig(dt=1.0)).neg
     assert float(np.max(np.abs(np.linalg.eigvals(block.sys.A)))) * 1.0 > 2.79
-    ref = AffinePropagator(block.sys.A, weights=systems.cell_volumes(p2.R_s_n, disc.N_r))
+    ref = AffinePropagator(*_bands(block.sys.A),
+                           weights=systems.cell_volumes(p2.R_s_n, disc.N_r))
     x = np.linspace(0.3, 0.6, disc.N_r) * p2.c_s_max_n
     current = 10.0
     b = block.sys.B * current
@@ -191,6 +248,30 @@ def test_cached_step_map_keeps_exact_fallback(params):
             assert np.isfinite(got).all()
             assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want - x), h
     assert list(block._maps) == [1.0, 0.3171875]
+
+
+def test_event_probes_keep_the_fixed_grid_maps(params, disc4):
+    """Bisection probes of a transition step only the positive particle: after
+    a step with a two-phase entry, the negative and electrolyte blocks hold
+    the maps of the step, of the located event time and of the rest of the
+    step, and nothing else, so the step's map survives for the next step;
+    the step itself is the one the simulation recorded."""
+    solver = SolverConfig(dt=1.0, cutoffs_enabled=False)
+    prof = cc_profile(params, 1.0, "dis", duration=700.0)
+    res = simulate(prof, initial_state(params, disc4, 1.0, "dis"), params, disc4, solver)
+    entry = next(e for e in res.events if e.kind == "enter_two_phase")
+    i = int(np.searchsorted(res.time, entry.time)) - 1
+    integ = Integrator(params, disc4, solver)
+    events = []
+    new = integ.advance_with_events(res.state_at(i), float(res.current[i + 1]),
+                                    float(res.time[i]), 1.0, events)
+    assert [(e.kind, e.time) for e in events] == [("enter_two_phase", entry.time)]
+    for block in (integ.neg, integ.elec):
+        assert len(block._maps) == 3 and 1.0 in block._maps
+    assert len(integ.pos1p._maps) > 3       # the probes' lengths
+    for got, want in ((new.neg, res.neg_c), (new.pos, res.pos_c), (new.elec, res.elec_c)):
+        assert np.array_equal(got, want[i + 1])
+    assert new.r_p / params.R_s_p == res.r_p[i + 1]
 
 
 def test_cached_step_conserves_content(params, disc4):
