@@ -24,7 +24,8 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from csespm.config import RunConfig  # noqa: E402
-from csespm.identify import ParameterSubset, identify, make_synthetic_dataset  # noqa: E402
+from csespm.identify import (ParameterSubset, identify, make_synthetic_dataset,  # noqa: E402
+                             voltage_rmse)
 from csespm.observability import ObservabilityConfig, sweep  # noqa: E402
 from csespm.ocp import synthetic_ocp_set  # noqa: E402
 from csespm.params import CellParameters, DiscretizationConfig  # noqa: E402
@@ -121,6 +122,20 @@ def fit_budget12(d):
     d.floats(fit.best_values, [fit.best_rmse], [v for _, v in fit.trace])
 
 
+def fit_identify_pso(d):
+    """The identify_pso benchmark's fit: (D_s_p, k_p) from (D_s_p x 3, k_p / 4),
+    budget 160, seed 1, with its best point re-evaluated alone."""
+    cfg = _assets()
+    disc, solver, ds = _pso_dataset(cfg)
+    p = cfg.params
+    sub = ParameterSubset.preset("c2-1c", p, decades=1.0).subset(("D_s_p", "k_p"))
+    start = p.replace(D_s_p=p.D_s_p * 3.0, k_p=p.k_p / 4.0)
+    fit = identify([ds], sub, start, disc, solver, seed=1, budget=160, ocp=cfg.ocp)
+    again = voltage_rmse(fit.best_params, ds, disc, solver, cfg.ocp)
+    d.floats(fit.best_values, [fit.best_rmse, again], [v for _, v in fit.trace])
+    d.labels([k for k, _ in fit.trace])
+
+
 def _cycles(scheme, c_rate, cycles, N_r):
     params = CellParameters()
     disc = DiscretizationConfig(N_r=N_r, N_e=6, scheme=scheme)
@@ -173,7 +188,7 @@ def discharge_c4_nr200(d):
 
 FIXTURES = {f.__name__: f for f in (
     cycle_c4, drive_hold, identify_pso_data, criterion1_cycles, fdm_cycle_1c, sweep_1c_nr3,
-    fit_budget12, sweep_1c_nr2, sweep_1c_nr4, discharge_c4_nr200)}
+    fit_budget12, fit_identify_pso, sweep_1c_nr2, sweep_1c_nr4, discharge_c4_nr200)}
 DEFAULT = ("cycle_c4", "drive_hold", "identify_pso_data", "criterion1_cycles",
            "fdm_cycle_1c", "sweep_1c_nr3")
 

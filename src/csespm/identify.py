@@ -8,6 +8,9 @@ and discharge data; afterwards only the rate-dependent 4-entry subset
 The optimizer is a seeded particle-swarm search with reflection at the
 bounds; scale-like parameters are searched in log space.  Objective
 evaluations are full simulations, so budgets are counted in evaluations.
+The candidates of one generation share each dataset's profile, so they are
+simulated in lockstep (`simulate.simulate_many`), each bit for bit as it
+would be alone.
 """
 from __future__ import annotations
 
@@ -20,8 +23,8 @@ from .ocp import OcpSet, synthetic_ocp_set
 from .params import CellParameters, DiscretizationConfig, params_for_rate
 from .phase import PhaseConfig
 from .records import read_csv_columns, write_csv_columns
-from .simulate import (LoadProfile, SolverConfig, cc_profile, initial_state,
-                       simulate)
+from .simulate import (LoadProfile, SimulationResult, SolverConfig, cc_profile,
+                       initial_state, simulate, simulate_many)
 
 PENALTY_RMSE = 10.0   # volts; returned when a candidate cannot be simulated
 
@@ -146,28 +149,53 @@ class Dataset:
                    name=str(path))
 
 
+# failures of a candidate's simulation that score PENALTY_RMSE: a package
+# error, a singular matrix, a numeric domain error
+PENALIZED = (CsespmError, np.linalg.LinAlgError, ValueError)
+
+
 def voltage_rmse(params: CellParameters, dataset: Dataset,
                  disc: DiscretizationConfig, solver: SolverConfig,
                  ocp: OcpSet | None = None,
                  rate_overrides: dict | None = None,
-                 phase_cfg: PhaseConfig | None = None) -> float:
+                 phase_cfg: PhaseConfig | None = None,
+                 result: SimulationResult | Exception | None = None) -> float:
     """Simulate the dataset's profile and compare voltages at its timestamps.
 
-    Early cutoff or any failure of the candidate's simulation (a package
-    error, a singular matrix, a numeric domain error) returns a large
-    finite penalty so that one bad candidate never ends the search.
+    Early cutoff or any failure of the candidate's simulation (PENALIZED)
+    returns a large finite penalty so that one bad candidate never ends the
+    search.  ``result`` is the candidate's simulation of the dataset when it
+    has been run already, or the error it raised; then nothing is simulated
+    and ``params`` is not read.
     """
-    p_run = params_for_rate(params, dataset.c_rate_label, rate_overrides)
-    try:
-        init = initial_state(p_run, disc, dataset.start_soc, dataset.direction)
-        result = simulate(dataset.profile, init, p_run, disc, solver, ocp=ocp,
-                          phase_cfg=phase_cfg)
-    except (CsespmError, np.linalg.LinAlgError, ValueError):
-        return PENALTY_RMSE
-    if result.status != "completed" or result.time[-1] < dataset.profile.times[-1] - 0.5:
+    if result is None:
+        p_run = params_for_rate(params, dataset.c_rate_label, rate_overrides)
+        try:
+            init = initial_state(p_run, disc, dataset.start_soc, dataset.direction)
+            result = simulate(dataset.profile, init, p_run, disc, solver, ocp=ocp,
+                              phase_cfg=phase_cfg)
+        except PENALIZED as exc:
+            result = exc
+    if penalty_cause(result, dataset) is not None:
         return PENALTY_RMSE
     v_sim = np.interp(dataset.profile.times, result.time, result.voltage)
     return float(np.sqrt(np.mean((v_sim - dataset.voltage) ** 2)))
+
+
+def penalty_cause(result: SimulationResult | Exception, dataset: Dataset) -> str | None:
+    """Why a candidate's simulation of the dataset scores PENALTY_RMSE: the
+    name of the PENALIZED error it raised, "cutoff" when it stopped at a
+    voltage cutoff, "short" when it ended before the data; None when it
+    scores.  Any other error is raised."""
+    if isinstance(result, PENALIZED):
+        return type(result).__name__
+    if isinstance(result, BaseException):
+        raise result
+    if result.status != "completed":
+        return "cutoff"
+    if result.time[-1] < dataset.profile.times[-1] - 0.5:
+        return "short"
+    return None
 
 
 def make_synthetic_dataset(params: CellParameters, disc: DiscretizationConfig,
@@ -203,6 +231,7 @@ class FitResult:
     n_evals: int
     seed: int
     trace: list = field(default_factory=list)   # (eval count, best-so-far RMSE)
+    penalties: dict = field(default_factory=dict)   # penalty_cause -> count
 
     def to_dict(self) -> dict:
         return {
@@ -212,7 +241,57 @@ class FitResult:
             "n_evals": self.n_evals,
             "seed": self.seed,
             "trace": [[int(k), float(v)] for k, v in self.trace],
+            "penalties": dict(self.penalties),
         }
+
+
+def generation_rmse(values: np.ndarray, subset: ParameterSubset, base: CellParameters,
+                    datasets: list[Dataset], disc: DiscretizationConfig,
+                    solver: SolverConfig, ocp: OcpSet | None = None,
+                    rate_overrides: dict | None = None,
+                    phase_cfg: PhaseConfig | None = None,
+                    penalties: dict | None = None) -> list[float]:
+    """Summed voltage RMSE over the datasets of each row of ``values`` (one
+    candidate per row), its simulations of one dataset run in lockstep.
+
+    Each dataset's score comes from `voltage_rmse` given the candidate's
+    result, so it equals the serial objective bit for bit; a candidate
+    whose values are invalid parameters scores PENALTY_RMSE per dataset.
+    ``penalties`` tallies each PENALTY_RMSE by its cause (penalty_cause, or
+    "ParameterError" for invalid values).
+    """
+    cands = []
+    for v in values:
+        try:
+            cands.append(subset.apply(base, v))
+        except ParameterError as exc:
+            cands.append(exc)
+    totals = [0] * len(cands)
+    for ds in datasets:
+        outcomes = list(cands)
+        runs, inits, idx = [], [], []
+        for k, cand in enumerate(cands):
+            if isinstance(cand, Exception):
+                continue
+            p_run = params_for_rate(cand, ds.c_rate_label, rate_overrides)
+            try:
+                inits.append(initial_state(p_run, disc, ds.start_soc, ds.direction))
+            except PENALIZED as exc:
+                outcomes[k] = exc
+                continue
+            runs.append(p_run)
+            idx.append(k)
+        for k, res in zip(idx, simulate_many(ds.profile, inits, runs, disc, solver,
+                                             ocp=ocp, phase_cfg=phase_cfg)):
+            outcomes[k] = res
+        for k, (cand, res) in enumerate(zip(cands, outcomes)):
+            totals[k] += voltage_rmse(cand, ds, disc, solver, ocp, rate_overrides,
+                                      phase_cfg, result=res)
+            if penalties is not None:
+                cause = penalty_cause(res, ds)
+                if cause is not None:
+                    penalties[cause] = penalties.get(cause, 0) + 1
+    return totals
 
 
 def identify(datasets: list[Dataset], subset: ParameterSubset,
@@ -245,15 +324,6 @@ def identify(datasets: list[Dataset], subset: ParameterSubset,
         x = lo + z * span
         return np.where(logm, 10.0**x, x)
 
-    def objective(z):
-        values = decode(z)
-        try:
-            cand = subset.apply(base, values)
-        except ParameterError:
-            return PENALTY_RMSE * len(datasets)
-        return sum(voltage_rmse(cand, ds, disc, solver, ocp, rate_overrides, phase_cfg)
-                   for ds in datasets)
-
     # seed the swarm around the base point plus uniform cover
     z = rng.random((P, d))
     base_vals = np.array([getattr(base, n) for n in subset.names])
@@ -265,14 +335,16 @@ def identify(datasets: list[Dataset], subset: ParameterSubset,
     pbest_f = np.full(P, np.inf)
     gbest_z, gbest_f = None, np.inf
     trace = []
+    penalties: dict = {}
     n_evals = 0
     w, c1, c2 = 0.72, 1.49, 1.49
 
     while n_evals < budget:
-        for k in range(P):
-            if n_evals >= budget:
-                break
-            f = objective(z[k])
+        # the whole generation first: nothing in it reads pbest or gbest
+        batch = min(P, budget - n_evals)
+        fs = generation_rmse([decode(z[k]) for k in range(batch)], subset, base, datasets,
+                             disc, solver, ocp, rate_overrides, phase_cfg, penalties)
+        for k, f in enumerate(fs):
             n_evals += 1
             if f < pbest_f[k]:
                 pbest_f[k] = f
@@ -299,4 +371,4 @@ def identify(datasets: list[Dataset], subset: ParameterSubset,
     best_params = subset.apply(base, best_values)
     return FitResult(subset=subset, best_values=best_values,
                      best_params=best_params, best_rmse=float(gbest_f),
-                     n_evals=n_evals, seed=seed, trace=trace)
+                     n_evals=n_evals, seed=seed, trace=trace, penalties=penalties)

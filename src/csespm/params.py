@@ -9,6 +9,8 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ParameterError
 
 FARADAY = 96485.33212  # C/mol
@@ -165,6 +167,43 @@ class CellParameters:
         if unknown:
             raise ParameterError(f"unknown parameter names: {sorted(unknown)}")
         return cls(**d)
+
+
+class ParameterColumns:
+    """The parameters of B members, each field read as a (B, 1) column, with
+    the accessors of CellParameters: the array kernels read B members the
+    way they read one, with the same arithmetic per member.  Columns,
+    accessor results and member subsets are built once and kept."""
+
+    def __init__(self, members):
+        self.members = tuple(members)
+        self._kept: dict = {}
+
+    def __getattr__(self, name: str):
+        if name.startswith("__") or name in ("members", "_kept"):
+            raise AttributeError(name)
+        col = np.array([getattr(p, name) for p in self.members])[:, None]
+        setattr(self, name, col)
+        return col
+
+    def _keep(self, key, make):
+        out = self._kept.get(key)
+        if out is None:
+            out = self._kept[key] = make()
+        return out
+
+    def take(self, idx) -> "ParameterColumns":
+        idx = tuple(idx)
+        return self._keep(idx, lambda: ParameterColumns(self.members[i] for i in idx))
+
+
+def _kept_accessor(name):
+    method = getattr(CellParameters, name)
+    return lambda self, *args: self._keep((name,) + args, lambda: method(self, *args))
+
+
+for _name in ("a_s", "c_s_max", "D_s", "R_s", "L", "k", "theta", "c_alpha", "c_beta"):
+    setattr(ParameterColumns, _name, _kept_accessor(_name))
 
 
 # identified parameters differ per C-rate; keys are c_rate labels as used

@@ -16,7 +16,7 @@ from .params import CellParameters
 from .states import (FullState, TransitionEvent, ONE_PHASE_ALPHA,
                      ONE_PHASE_BETA, TWO_PHASE)
 from . import systems
-from .systems import FOUR_THIRDS_PI
+from .systems import FOUR_THIRDS_PI, cell_value
 
 
 def annulus_remap(old_edges: np.ndarray, old_values: np.ndarray,
@@ -26,21 +26,27 @@ def annulus_remap(old_edges: np.ndarray, old_values: np.ndarray,
     ``old_values[i]`` holds on [old_edges[i], old_edges[i+1]].  New cells
     outside the old domain pick up zero.  Returns new CV averages; total
     content over the intersection is preserved exactly up to rounding.
+    The arrays may also be (B, ·) rows of B profiles, each remapped alone.
     """
     w_old = FOUR_THIRDS_PI * old_edges**3
     # cumulative lithium at the old edges
-    cum = np.empty(len(old_edges))
-    cum[0] = 0.0
-    (old_values * (w_old[1:] - w_old[:-1])).cumsum(out=cum[1:])
+    cum = np.empty(old_edges.shape)
+    cum[..., 0] = 0.0
+    (old_values * (w_old[..., 1:] - w_old[..., :-1])).cumsum(axis=-1, out=cum[..., 1:])
 
     # cumulative lithium at the new edges, clipped to the old domain
-    r = np.minimum(np.maximum(new_edges, old_edges[0]), old_edges[-1])
-    # old cell of each: the interior old edges at or below it
-    idx = old_edges[1:-1].searchsorted(r, side="right")
+    r = np.minimum(np.maximum(new_edges, cell_value(old_edges, 0)), cell_value(old_edges, -1))
+    # old cell of each: the count of interior old edges at or below it
+    if r.ndim == 1:
+        idx = old_edges[1:-1].searchsorted(r, side="right")
+    else:
+        idx = (np.arange(len(r))[:, None],
+               (old_edges[:, None, 1:-1] <= r[..., None]).sum(axis=-1))
     w = FOUR_THIRDS_PI * r**3
     cum_new = cum[idx] + old_values[idx] * (w - w_old[idx])
     v_new = new_edges**3
-    return (cum_new[1:] - cum_new[:-1]) / (FOUR_THIRDS_PI * (v_new[1:] - v_new[:-1]))
+    return (cum_new[..., 1:] - cum_new[..., :-1]) / (
+        FOUR_THIRDS_PI * (v_new[..., 1:] - v_new[..., :-1]))
 
 
 @dataclass(frozen=True)
@@ -88,7 +94,8 @@ def transition_margin(kind: str, state: FullState, current: float,
     """Signed distance past the threshold of one transition kind.
 
     Margins are continuous along a trajectory, so a sign change between two
-    states brackets the crossing time for bisection.
+    states brackets the crossing time for bisection.  Rows of B members of
+    one regime (params.ParameterColumns, (B, 1) r_p) give a (B, 1) column.
     """
     R = params.R_s_p
     if kind == "exit_two_phase_core":
@@ -101,18 +108,25 @@ def transition_margin(kind: str, state: FullState, current: float,
     return entry_bulk_threshold(params, "ch", cfg) - bulk
 
 
+def transition_kinds(regime: str, current: float) -> tuple[str, ...]:
+    """The transitions a state of this regime can make under this current,
+    in the order they are checked: a two-phase particle exits when its core
+    or its shell is consumed; a one-phase particle enters two-phase only
+    when the current drives it into the plateau."""
+    if regime == TWO_PHASE:
+        return ("exit_two_phase_core", "exit_two_phase_shell")
+    if (regime == ONE_PHASE_ALPHA and current > 0.0) or (regime == ONE_PHASE_BETA
+                                                          and current < 0.0):
+        return ("enter_two_phase",)
+    return ()
+
+
 def detect_transition(state: FullState, current: float,
                       params: CellParameters, cfg: PhaseConfig) -> str | None:
     """Kind of the regime change that is due at this state, else None."""
-    if state.regime == TWO_PHASE:
-        for kind in ("exit_two_phase_core", "exit_two_phase_shell"):
-            if transition_margin(kind, state, current, params, cfg) >= 0.0:
-                return kind
-        return None
-    armed = ((state.regime == ONE_PHASE_ALPHA and current > 0.0)
-             or (state.regime == ONE_PHASE_BETA and current < 0.0))
-    if armed and transition_margin("enter_two_phase", state, current, params, cfg) >= 0.0:
-        return "enter_two_phase"
+    for kind in transition_kinds(state.regime, current):
+        if transition_margin(kind, state, current, params, cfg) >= 0.0:
+            return kind
     return None
 
 

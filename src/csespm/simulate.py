@@ -25,6 +25,14 @@ fed the CV geometry (FVM) or the collocated node geometry (FDM).  The
 shell matrix changes every substep, so both schemes step it through a
 fresh symmetric eigendecomposition: it is similar to a symmetric matrix
 under the cell capacities of its geometry (CV volumes or r_i^2 h).
+
+`simulate_many` runs B members (one parameter set and initial state each)
+on one profile in lockstep.  Every member asks for the same (t, h, I) at
+every step, and one batched step serves them all: the blocks and the
+substep are array kernels whose leading member axis leaves each member's
+arithmetic as it is, so each member's result is bit for bit its `simulate`.
+A step with a transition, a halved front step or an error is taken by the
+member alone.
 """
 from __future__ import annotations
 
@@ -34,19 +42,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dsyevd as _dsyevd
+from scipy.linalg.lapack import dstevd as _dstevd
 
 from .errors import BlowupError, ParameterError, SaturationError
 from .ocp import OcpSet, synthetic_ocp_set
 from .output import OutputSnapshot, cell_voltage
-from .params import CellParameters, DiscretizationConfig
+from .params import CellParameters, DiscretizationConfig, ParameterColumns
 from .phase import (PhaseConfig, annulus_remap, apply_sign_flip,
                     detect_transition, enter_two_phase, exit_two_phase,
-                    transition_margin)
+                    transition_kinds, transition_margin)
 from .records import read_csv_columns, tally, write_csv_columns
 from .states import FullState, ONE_PHASE_ALPHA, ONE_PHASE_BETA, TWO_PHASE
 from . import systems
-from .systems import FOUR_THIRDS_PI
+from .systems import FOUR_THIRDS_PI, cell_dot, cell_sum, cell_value, set_cell
 
 log = logging.getLogger(__name__)
 
@@ -163,54 +171,71 @@ def synthetic_dynamic_profile(params: CellParameters, duration: float = 1370.0,
 def symmetric_band(lower: np.ndarray, upper: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Off-diagonal band of the symmetric part of diag(s) A diag(1/s) for a
     tridiagonal A: entry for entry the dense 0.5 (As + As^T)."""
-    return 0.5 * (upper * (s[:-1] / s[1:]) + lower * (s[1:] / s[:-1]))
+    return 0.5 * (upper * (s[..., :-1] / s[..., 1:]) + lower * (s[..., 1:] / s[..., :-1]))
+
+
+def _matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """M @ x of one member, or of B members' (B, n, n) stack and (B, n) rows:
+    numpy makes the same BLAS call for each matrix of a stack."""
+    return M @ x if x.ndim == 1 else (M @ x[..., None])[..., 0]
+
+
+def _eigh(diag: np.ndarray, band: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and Fortran-ordered eigenvectors of one symmetric
+    tridiagonal matrix."""
+    lam, Q, info = _dstevd(diag, band, compute_v=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dstevd failed with info={info}")
+    return lam, Q
 
 
 class AffinePropagator:
     """Exact step of dx/dt = A x + b for a constant tridiagonal A, given by
     its bands (A[i + 1, i] = lower[i], A[i, i] = diag[i], A[i, i + 1] =
-    upper[i]).
+    upper[i]); bands with a leading axis of B members step B systems.
 
     The positive weights w must make diag(w) A symmetric, so that
     diag(sqrt w) A diag(1/sqrt w) is symmetric and a symmetric
     eigensolver applies: the cell capacities of `systems.cell_geometry`, CV
     volumes for the FVM and r_i^2 h for the FDM (w_i A[i, i+1] = w_{i+1}
     A[i+1, i]).  The scaled bands are averaged with their transposes and
-    the diagonal is kept; LAPACK's dsyevd reads the lower triangle.  Its
-    Fortran-ordered eigenvectors are copied to C order, the layout numpy's
-    eigh returns: the step's matrix products take another BLAS path, and
-    round differently, on the other one.
+    the diagonal is kept.  LAPACK's dstevd takes the diagonal and the band
+    of each member: it is the divide-and-conquer solver dsyevd (numpy's
+    eigh) ends in, after a reduction that leaves a tridiagonal matrix as it
+    is, so the two agree bit for bit.  The Fortran-ordered eigenvectors are
+    copied to C order, the layout numpy's eigh returns: the step's matrix
+    products take another BLAS path, and round differently, on the other
+    one.
     """
 
     def __init__(self, lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
                  weights: np.ndarray):
         s = np.sqrt(weights)
-        n = len(s)
-        sym = np.zeros((n, n), order="F")
-        flat = sym.ravel(order="K")
-        flat[::n + 1] = diag
-        flat[1::n + 1] = symmetric_band(lower, upper, s)
-        self.lam, Q, info = _dsyevd(sym, lower=1, overwrite_a=1)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"dsyevd failed with info={info}")
-        Q = np.ascontiguousarray(Q)
-        self._to = Q.T * s                 # x -> eigen coords
-        self._back = Q / s[:, None]        # eigen coords -> x
+        band = symmetric_band(lower, upper, s)
+        if s.ndim == 1:
+            self.lam, Q = _eigh(diag, band)
+            Q = np.ascontiguousarray(Q)
+        else:       # np.array copies each member's eigenvectors to C order
+            self.lam, Q = (np.array(x) for x in zip(*map(_eigh, diag, band)))
+        # x -> eigen coords: the transpose of a C-ordered product, the layout
+        # of Q.T * s
+        self._to = (Q * s[..., None]).swapaxes(-1, -2)
+        self._back = Q / s[..., None]        # eigen coords -> x
 
     def step(self, x: np.ndarray, b: np.ndarray, h: float) -> np.ndarray:
         """x(h) = e^{Ah} x + phi(h) b with phi = integral of e^{As} ds."""
         lam = self.lam
-        z = self._to @ x
-        zb = self._to @ b
+        z = _matvec(self._to, x)
+        zb = _matvec(self._to, b)
         lh = lam * h
         elh = np.exp(lh)
-        if min(map(abs, lh.tolist())) < 1e-8:
+        if min(map(abs, lh.ravel().tolist())) < 1e-8:
             # phi's series where lam h is too small for (e^{lam h} - 1) / lam
             small = np.abs(lh) < 1e-8
             phi = np.where(small, h * (1.0 + 0.5 * lh), (elh - 1.0) / np.where(small, 1.0, lam))
         else:
             phi = (elh - 1.0) / lam
-        return self._back @ (elh * z + phi * zb)
+        return _matvec(self._back, elh * z + phi * zb)
 
 
 class _LtiBlock:
@@ -218,24 +243,24 @@ class _LtiBlock:
     exactly under zero-order-hold current.
 
     With Gamma_h = integral of e^{As} ds over [0, h], the step is
-    x(h) = x + D x + N b with N = Gamma_h and D = A Gamma_h (= e^{Ah} - I).
-    Gamma_h is a block of one augmented-matrix exponential (Van Loan, IEEE
-    TAC 1978).  D is formed as A Gamma_h, never as e^{Ah} - I, which would
-    lose the small increment to cancellation and show up as mass drift.
-    The map is built on first use and cached, a few step lengths at a time
-    (event bisection asks for many lengths that never recur).
+    x(h) = x + D x + c with D = A Gamma_h (= e^{Ah} - I) and the forced
+    response c = Gamma_h (B I + G).  Gamma_h is a block of one
+    augmented-matrix exponential (Van Loan, IEEE TAC 1978).  D is formed as
+    A Gamma_h, never as e^{Ah} - I, which would lose the small increment to
+    cancellation and show up as mass drift.  The maps are built on first
+    use and cached, a few step lengths at a time (event bisection asks for
+    many lengths that never recur), and with each map the forced responses
+    of a few currents.
     """
 
     _CACHE_SIZE = 8
 
     def __init__(self, sys: systems.AffineSystem):
         self.sys = sys
-        self._maps: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+        self._maps: dict[float, tuple[np.ndarray, np.ndarray, dict]] = {}
 
-    def advance(self, x: np.ndarray, current: float, h: float) -> np.ndarray:
-        b = self.sys.B * current
-        if self.sys.G is not None:
-            b = b + self.sys.G
+    def step_map(self, h: float, current: float) -> tuple[np.ndarray, np.ndarray]:
+        """(D, c) of a step of length h at this current."""
         step_map = self._maps.get(h)
         if step_map is None:
             if len(self._maps) >= self._CACHE_SIZE:
@@ -245,20 +270,64 @@ class _LtiBlock:
             M[:n, :n] = self.sys.A * h
             M[:n, n:] = np.eye(n) * h
             gamma = scipy.linalg.expm(M)[:n, n:]
-            step_map = self._maps[h] = (self.sys.A @ gamma, gamma)
-        D, N = step_map
-        return x + D @ x + N @ b
+            step_map = self._maps[h] = (self.sys.A @ gamma, gamma, {})
+        D, N, forced = step_map
+        c = forced.get(current)
+        if c is None:
+            if len(forced) >= self._CACHE_SIZE:
+                del forced[next(iter(forced))]
+            b = self.sys.B * current
+            if self.sys.G is not None:
+                b = b + self.sys.G
+            c = forced[current] = N @ b
+        return D, c
+
+    def advance(self, x: np.ndarray, current: float, h: float) -> np.ndarray:
+        """x(h) of one state, or of B members' (B, n) rows when the block
+        holds their stacked maps (_BlockStack)."""
+        D, c = self.step_map(h, current)
+        return x + _matvec(D, x) + c
 
 
 # --- two-phase positive electrode steppers ------------------------------------
+#
+# A substep takes one member (a FullState, CellParameters) or B members of
+# one core phase and direction (a FullState of rows: (B, N_r) shells, (B, 1)
+# columns r_p and core_conc; params.ParameterColumns) and returns the shell,
+# r_p and closure of each, with the same arithmetic per member.
+
+def _clip(x, lo, hi):
+    """min(max(x, lo), hi) of one member or of B members' columns."""
+    if isinstance(x, np.ndarray):
+        return np.minimum(np.maximum(x, lo), hi)
+    return min(max(x, lo), hi)
+
+
+def _pow(x, e):
+    """x**e of one member, or of every member's column with the same libm pow:
+    numpy's vectorized power rounds some values differently."""
+    if isinstance(x, np.ndarray):
+        return np.array([v**e for v in x.ravel().tolist()]).reshape(x.shape)
+    return x**e
+
+
+def _each(f, *args):
+    """f of one member's floats, or f mapped over B members' (B, 1) columns
+    (and floats shared by all), its results stacked back into columns."""
+    if not isinstance(args[0], np.ndarray):
+        return f(*args)
+    n = len(args[0])
+    cols = [a.ravel().tolist() if isinstance(a, np.ndarray) else [a] * n for a in args]
+    return tuple(np.array(x)[:, None] for x in zip(*map(f, *cols)))
+
 
 def _shell_step(state: FullState, current: float, h: float, params: CellParameters,
-                N_r: int, g: float, scheme: str):
+                N_r: int, g, scheme: str):
     """Exact step of the shell on its frozen grid; returns (shell, block)."""
     blk, g_row = systems.shell_block(params, state.r_p, current, N_r, g, scheme)
-    b = np.zeros(N_r)
-    b[0] = g_row
-    b[N_r - 1] = blk.surface * current
+    b = np.zeros(state.pos.shape)
+    set_cell(b, 0, g_row)
+    set_cell(b, N_r - 1, blk.surface * current)
     prop = AffinePropagator(blk.lower, blk.diag, blk.upper, blk.caps)
     return prop.step(state.pos, b, h), blk
 
@@ -271,48 +340,59 @@ def _fvm_two_phase_substep(state: FullState, current: float, h: float,
     g, c_core = systems.interface_values(params, state.core_phase, state.direction)
     c_new, blk = _shell_step(state, current, h, params, N_r, g, "fvm")
     vols = blk.caps
-    shell_old = float(vols.dot(state.pos))
+    shell_old = cell_dot(vols, state.pos)
 
     # lithium delivered to the front: surface influx minus shell gain
-    q_surf = systems.molar_flux_density(params, "pos", current) * 4.0 * np.pi * R**2
-    spill = q_surf * h - float(vols.dot(c_new - state.pos))
+    q_surf = (systems.molar_flux_density(params, "pos", current) * 4.0 * np.pi
+              * _pow(R, 2))
+    spill = q_surf * h - cell_dot(vols, c_new - state.pos)
 
     if current == 0.0:
         # frozen front; close propagator rounding so rest is drift free
-        c_new = c_new + (shell_old - float(vols.dot(c_new))) / vols.sum()
+        c_new = c_new + (shell_old - cell_dot(vols, c_new)) / cell_sum(vols)
         return c_new, r_p, 0.0
 
-    dV = spill / (g - c_core)
-
-    v_core_new = FOUR_THIRDS_PI * r_p**3 - dV
-    v_core_new = min(max(v_core_new, 0.0), FOUR_THIRDS_PI * R**3)
-    r_new = (v_core_new / FOUR_THIRDS_PI)**(1.0 / 3.0)
-    r_new = min(max(r_new, 1e-9 * R), (1.0 - 1e-9) * R)
+    r_new, r_lo, annulus_conc, core_vol, core_vol_new = _each(
+        _front_move, r_p, R, spill, g, c_core, state.core_conc)
 
     # conservative remap of (swept annulus + old shell) onto the new grid
     new_faces, _, vols_new = systems.spherical_cells(r_new, R, N_r)
-    if r_new < r_p:
-        annulus_vol = FOUR_THIRDS_PI * (r_p**3 - r_new**3)
-        annulus_conc = (state.core_conc * annulus_vol + spill) / annulus_vol
-        old_edges = np.empty(N_r + 2)
-        old_edges[0] = r_new
-        old_edges[1:] = blk.faces
-        old_values = np.empty(N_r + 1)
-        old_values[0] = annulus_conc
-        old_values[1:] = c_new
-        shell = annulus_remap(old_edges, old_values, new_faces)
-    else:
-        shell = annulus_remap(blk.faces, c_new, new_faces)
+    old_edges = np.empty(c_new.shape[:-1] + (N_r + 2,))
+    set_cell(old_edges, 0, r_lo)
+    old_edges[..., 1:] = blk.faces
+    old_values = np.empty(c_new.shape[:-1] + (N_r + 1,))
+    set_cell(old_values, 0, annulus_conc)
+    old_values[..., 1:] = c_new
+    shell = annulus_remap(old_edges, old_values, new_faces)
 
     # close rounding (and, for an outward front, the swept-profile mismatch)
     # so the per-electrode balance is exact: core + shell changes only by the
     # surface influx
-    expected = shell_old + FOUR_THIRDS_PI * r_p**3 * state.core_conc + q_surf * h
-    actual = FOUR_THIRDS_PI * r_new**3 * state.core_conc + float(vols_new.dot(shell))
+    expected = shell_old + core_vol * state.core_conc + q_surf * h
+    actual = core_vol_new * state.core_conc + cell_dot(vols_new, shell)
     residual = expected - actual
-    shell = shell + residual / vols_new.sum()
-    closure_rel = abs(residual) / max(abs(expected), 1e-300)
+    shell = shell + residual / cell_sum(vols_new)
+    closure_rel = abs(residual) / _clip(abs(expected), 1e-300, math.inf)
     return shell, r_new, closure_rel
+
+
+def _front_move(r_p: float, R: float, spill: float, g: float, c_core: float,
+                core_conc: float):
+    """The front of one member in a conservative substep: the lithium spilled
+    at the interface converts core volume (the integrated Stefan balance).
+    Returns (r_new, the remap's inner edge, the value of the cell between
+    it and the old front, the old and the new core volume).  An inward
+    front sweeps the annulus [r_new, r_p], which holds its core lithium
+    plus the spill; an outward one sweeps none, a zero-width cell."""
+    core_vol = FOUR_THIRDS_PI * r_p**3
+    v_core_new = min(max(core_vol - spill / (g - c_core), 0.0), FOUR_THIRDS_PI * R**3)
+    r_new = (v_core_new / FOUR_THIRDS_PI)**(1.0 / 3.0)
+    r_new = min(max(r_new, 1e-9 * R), (1.0 - 1e-9) * R)
+    core_vol_new = FOUR_THIRDS_PI * r_new**3
+    if r_new < r_p:
+        annulus_vol = FOUR_THIRDS_PI * (r_p**3 - r_new**3)
+        return r_new, r_new, (core_conc * annulus_vol + spill) / annulus_vol, core_vol, core_vol_new
+    return r_new, r_p, 0.0, core_vol, core_vol_new
 
 
 def _fdm_two_phase_substep(state: FullState, current: float, h: float,
@@ -322,10 +402,9 @@ def _fdm_two_phase_substep(state: FullState, current: float, h: float,
     c_new, _ = _shell_step(state, current, h, params, N_r, g, "fdm")
     k, k0 = (systems.front_rate(params, state.r_p, N_r, g, c_core) if current != 0.0
              else (0.0, 0.0))
-    rdot_mid = k * 0.5 * (state.pos[0] + c_new[0]) + k0
+    rdot_mid = k * 0.5 * (cell_value(state.pos, 0) + cell_value(c_new, 0)) + k0
     R = params.R_s_p
-    r_new = state.r_p + h * rdot_mid
-    r_new = min(max(r_new, 1e-9 * R), (1.0 - 1e-9) * R)
+    r_new = _clip(state.r_p + h * rdot_mid, 1e-9 * R, (1.0 - 1e-9) * R)
     return c_new, r_new, 0.0
 
 
@@ -360,10 +439,11 @@ class Integrator:
         return new
 
     def advance_positive(self, state: FullState, current: float, h: float) -> FullState:
-        """Copy of the state with only the positive particle stepped by h: what
-        a transition margin reads, so event bisection probes step nothing
-        else."""
-        new = state.copy()
+        """The state with only the positive particle stepped by h (its other
+        arrays shared, never written): what a transition margin reads, so
+        event bisection probes step nothing else."""
+        new = FullState(state.neg, state.pos, state.elec, state.regime, state.r_p,
+                        state.core_conc, state.core_phase, state.direction)
         if state.regime != TWO_PHASE:
             new.pos = self.pos1p.advance(state.pos, current, h)
             return new
@@ -434,6 +514,92 @@ class Integrator:
               "8 events in the step from t=%.3f s; the last %.3g s advance "
               "without event detection", t, remaining)
         return self.advance(s, current, remaining)
+
+
+# --- lockstep steps of many members ----------------------------------------------
+
+class _BlockStack:
+    """One fixed-grid block of B members stepped as one: the members' own
+    cached step maps and forced responses, stacked."""
+
+    def __init__(self, blocks: list[_LtiBlock]):
+        self.blocks = blocks
+        self._maps: dict[tuple[float, float], tuple[np.ndarray, np.ndarray]] = {}
+
+    def step_map(self, h: float, current: float) -> tuple[np.ndarray, np.ndarray]:
+        stacked = self._maps.get((h, current))
+        if stacked is None:
+            if len(self._maps) >= _LtiBlock._CACHE_SIZE:
+                del self._maps[next(iter(self._maps))]
+            D, c = zip(*(b.step_map(h, current) for b in self.blocks))
+            stacked = self._maps[h, current] = (np.stack(D), np.stack(c))
+        return stacked
+
+    advance = _LtiBlock.advance
+
+
+class _Lockstep:
+    """Integrator.advance_with_events of B members of one discretization and
+    phase configuration at once, for the steps without a transition.
+
+    The fixed-grid blocks step as (B, n, n) stacks of the members' maps; the
+    members of one regime (and, in two-phase, one core phase and direction)
+    take one array substep and one test of their transition margins.  Each
+    member's stepped state is bit for bit its own.
+    """
+
+    def __init__(self, integs: list[Integrator]):
+        self.integs = integs
+        self.neg, self.pos1p, self.elec = (_BlockStack([getattr(i, k) for i in integs])
+                                           for k in ("neg", "pos1p", "elec"))
+        self.params = ParameterColumns(i.params for i in integs)
+
+    def advance(self, states: list[FullState], current: float, h: float) -> list:
+        """Each member's stepped state; None for a member whose step detects
+        a transition or must halve its front step, which is then stepped
+        alone."""
+        disc, pcfg = self.integs[0].disc, self.integs[0].phase_cfg
+        pos = np.array([s.pos for s in states])
+        neg = self.neg.advance(np.array([s.neg for s in states]), current, h)
+        elec = self.elec.advance(np.array([s.elec for s in states]), current, h)
+        groups: dict[tuple, list[int]] = {}
+        for i, s in enumerate(states):
+            key = (s.regime, s.core_phase, s.direction) if s.regime == TWO_PHASE else (s.regime,)
+            groups.setdefault(key, []).append(i)
+        new_pos = (self.pos1p.advance(pos, current, h) if any(k[0] != TWO_PHASE for k in groups)
+                   else np.empty_like(pos))
+        r_p = [s.r_p for s in states]
+        quiet = [True] * len(states)
+        substep = _fvm_two_phase_substep if disc.scheme == "fvm" else _fdm_two_phase_substep
+        for key, idx in groups.items():
+            whole = len(idx) == len(states)
+            sel = slice(None) if whole else idx
+            params = self.params if whole else self.params.take(idx)
+            if key[0] == TWO_PHASE:
+                r_old = np.array([r_p[i] for i in idx])[:, None]
+                rows = FullState(None, pos[sel], None, TWO_PHASE, r_old,
+                                 np.array([states[i].core_conc for i in idx])[:, None], *key[1:])
+                shell, r_new, closure = substep(rows, current, h, params, disc.N_r)
+                # Integrator.advance_positive halves the step of a larger move
+                alone = abs(r_new - r_old) > 0.25 * (params.R_s_p - r_old)
+                rows.pos, rows.r_p = shell, r_new
+                r_new = r_new.ravel().tolist()
+                closure = np.broadcast_to(closure, r_old.shape).ravel().tolist()
+            else:
+                rows = FullState(None, new_pos[sel], None, key[0])
+                alone = np.zeros((len(idx), 1), dtype=bool)
+            for kind in transition_kinds(key[0], current):
+                alone |= transition_margin(kind, rows, current, params, pcfg) >= 0.0
+            for j, (i, out) in enumerate(zip(idx, alone.ravel().tolist())):
+                if out:
+                    quiet[i] = False
+                elif key[0] == TWO_PHASE:
+                    new_pos[i], r_p[i] = shell[j], r_new[j]
+                    integ = self.integs[i]
+                    integ.max_closure = max(integ.max_closure, closure[j])
+        return [FullState(neg[i], new_pos[i], elec[i], s.regime, r_p[i], s.core_conc,
+                          s.core_phase, s.direction) if quiet[i] else None
+                for i, s in enumerate(states)]
 
 
 # --- initial states -------------------------------------------------------------
@@ -550,6 +716,78 @@ def simulate(profile: LoadProfile, init: FullState, params: CellParameters,
     integrated after that row leave no row, event, counter or error behind.
     A non-finite state raises BlowupError.
     """
+    run = _simulation(profile, init, params, disc, solver, ocp, phase_cfg)
+    send, value = run.send, None
+    while True:
+        try:
+            integ, step = send(value)
+        except StopIteration as stop:
+            return stop.value
+        try:
+            send, value = run.send, integ.advance_with_events(*step)
+        except Exception as exc:
+            send, value = run.throw, exc
+
+
+def simulate_many(profile: LoadProfile, inits: list[FullState],
+                  params: list[CellParameters], disc: DiscretizationConfig,
+                  solver: SolverConfig | None = None, ocp: OcpSet | None = None,
+                  phase_cfg: PhaseConfig | None = None) -> list:
+    """`simulate` of B members (one initial state and parameter set each) on
+    one profile, stepped in lockstep.
+
+    Every member asks for the same (t, h, I) at every step, so one batched
+    step (`_Lockstep`) advances them all.  A member whose step detects a
+    transition, must halve its front step or raises is stepped again alone,
+    through its own Integrator.advance_with_events.  Each item of the
+    returned list is the member's SimulationResult, bit for bit the one
+    `simulate` returns for it, or the exception its run raised.
+    """
+    runs = [_simulation(profile, x0, p, disc, solver, ocp, phase_cfg)
+            for x0, p in zip(inits, params)]
+    outcomes: list = [None] * len(runs)
+    pending: dict[int, tuple] = {}      # member -> its step request
+
+    def resume(i: int, send, value):
+        try:
+            pending[i] = send(value)
+        except StopIteration as stop:
+            outcomes[i] = stop.value
+        except Exception as exc:
+            outcomes[i] = exc
+
+    for i, run in enumerate(runs):
+        resume(i, run.send, None)
+    lockstep = None
+    while pending:
+        members = list(pending)
+        requests = [pending.pop(i) for i in members]
+        integs = [integ for integ, _ in requests]
+        if lockstep is None or lockstep.integs != integs:
+            lockstep = _Lockstep(integs)
+        _, current, _, h, _ = requests[0][1]
+        try:
+            posts = lockstep.advance([step[0] for _, step in requests], current, h)
+        except Exception:
+            posts = [None] * len(members)
+        for i, (integ, step), post in zip(members, requests, posts):
+            if post is None:
+                try:
+                    post = integ.advance_with_events(*step)
+                except Exception as exc:
+                    resume(i, runs[i].throw, exc)
+                    continue
+            resume(i, runs[i].send, post)
+    return outcomes
+
+
+def _simulation(profile: LoadProfile, init: FullState, params: CellParameters,
+                disc: DiscretizationConfig, solver: SolverConfig | None,
+                ocp: OcpSet | None, phase_cfg: PhaseConfig | None):
+    """The run of `simulate` as a generator.  It yields each step request,
+    (integrator, (state, current, t, h, events)), the integrator and the
+    arguments of its advance_with_events; it is sent the stepped state, or
+    thrown the error of the step, and returns the SimulationResult."""
     solver = solver or SolverConfig()
     ocp = ocp or synthetic_ocp_set(params)
     integ = Integrator(params, disc, solver, phase_cfg)
@@ -566,10 +804,17 @@ def simulate(profile: LoadProfile, init: FullState, params: CellParameters,
     status = "completed"
     done = 0          # rows the output map has seen
 
+    c_t, c_i, c_q, c_r, c_c = cols[:5]
+    c_neg, c_pos, c_elec = conc["neg"], conc["pos"], conc["elec"]
+
     def record(t: float, current: float, q: float, s: FullState):
         i = len(labels)
-        cols[:5, i] = t, current, q, s.r_p, s.core_conc
-        conc["neg"][i], conc["pos"][i], conc["elec"][i] = s.neg, s.pos, s.elec
+        c_t[i] = t
+        c_i[i] = current
+        c_q[i] = q
+        c_r[i] = s.r_p
+        c_c[i] = s.core_conc
+        c_neg[i], c_pos[i], c_elec[i] = s.neg, s.pos, s.elec
         labels.append((s.regime, s.direction, s.core_phase))
         if cutoffs:
             marks.append((len(events), integ.max_closure, dict(counters)))
@@ -629,7 +874,7 @@ def simulate(profile: LoadProfile, init: FullState, params: CellParameters,
             k = 0
             while t < t1 - 1e-9:
                 h = min(solver.dt, t1 - t)
-                state = integ.advance_with_events(state, current, t, h, events)
+                state = yield integ, (state, current, t, h, events)
                 t += h
                 q_total += current * h
                 if not state.is_finite():
@@ -641,7 +886,7 @@ def simulate(profile: LoadProfile, init: FullState, params: CellParameters,
                         return
 
     try:
-        run()
+        yield from run()
     except Exception:
         # a step past a cutoff crossing in the pending rows raises nothing
         if not settle():

@@ -8,6 +8,12 @@ volume assemblies balance face fluxes over spherical control volumes, so
 volume-weighted row sums vanish except where a physical boundary flux
 enters through B or G; that is what makes the scheme conservative.
 
+The solid assembly and the helpers below it take one member (float radii
+and parameters, 1-D cell arrays) or B members at once (`params.
+ParameterColumns`, (B, 1) columns of radii, (B, N) rows of cells) with the
+same arithmetic, so the batched simulation of `simulate.simulate_many`
+reproduces each member's serial run bit for bit.
+
 Both schemes share one solid assembly (`solid_block`) and differ only in
 the geometry it is fed (`cell_geometry`): the FVM's CV volumes and 4 pi f^2
 faces, or the FDM's node capacities r_i^2 h and faces r_{k-1} r_k, on which
@@ -74,36 +80,75 @@ def unit_faces(n: int) -> np.ndarray:
 _CELLS: dict[tuple[float, float, int], tuple] = {}
 
 
-def spherical_cells(r_inner: float, r_outer: float, n: int):
+def cell_value(a: np.ndarray, k: int):
+    """Cell k of one member's cells (a float) or of B members' rows (a (B, 1)
+    column)."""
+    return a[k] if a.ndim == 1 else a[:, k, None]
+
+
+def set_cell(a: np.ndarray, k: int, value):
+    """Set cell k of one member's cells to a float, or of B members' rows to
+    a (B, 1) column."""
+    if a.ndim == 1:
+        a[k] = value
+    else:
+        a[:, k, None] = value
+
+
+def cell_dot(a: np.ndarray, b: np.ndarray):
+    """Cell sum of a * b: a float for one member, a (B, 1) column for rows
+    (the same BLAS dot per member)."""
+    return float(a.dot(b)) if a.ndim == 1 else np.vecdot(a, b)[:, None]
+
+
+def cell_sum(a: np.ndarray):
+    """Cell sum of one member's cells, or the (B, 1) column of B members' rows."""
+    return a.sum() if a.ndim == 1 else a.sum(axis=-1, keepdims=True)
+
+
+def spherical_cells(r_inner, r_outer, n: int):
     """Faces, face areas and CV volumes of n equal-width spherical shells.
 
     The last few geometries are memoized: a moving shell grid is asked for
-    by the substep that makes it, by the next substep and by the output
-    map.  The returned arrays are shared and read-only.
+    by the substep that makes it, by the next substep and by the output map.
+    The returned arrays are shared and read-only.  A column of B inner or
+    outer radii gives (B, n + 1) and (B, n) rows.
     """
-    key = (r_inner, r_outer, n)
-    cells = _CELLS.get(key)
-    if cells is None:
-        faces = r_inner + (r_outer - r_inner) * unit_faces(n)
-        areas = 4.0 * np.pi * faces * faces
-        f3 = faces * faces * faces
-        volumes = FOUR_THIRDS_PI * (f3[1:] - f3[:-1])
-        for a in (faces, areas, volumes):
-            a.setflags(write=False)
-        if len(_CELLS) >= 16:
-            del _CELLS[next(iter(_CELLS))]
-        cells = _CELLS[key] = (faces, areas, volumes)
+    try:
+        key = (r_inner, r_outer, n)
+        cells = _CELLS.get(key)
+    except TypeError:       # columns of radii, keyed by their bits
+        key = (_key(r_inner), _key(r_outer), n)
+        cells = _CELLS.get(key)
+    if cells is not None:
+        return cells
+    cells = _shells(r_inner, r_outer, n)
+    for a in cells:
+        a.setflags(write=False)
+    if len(_CELLS) >= 16:
+        del _CELLS[next(iter(_CELLS))]
+    _CELLS[key] = cells
     return cells
+
+
+def _key(x):
+    """Memo key of a radius, or of a column of radii (its shape and bits)."""
+    return (x.shape, x.tobytes()) if isinstance(x, np.ndarray) else x
+
+
+def _shells(r_inner, r_outer, n: int):
+    faces = r_inner + (r_outer - r_inner) * unit_faces(n)
+    areas = 4.0 * np.pi * faces * faces
+    f3 = faces * faces * faces
+    return faces, areas, FOUR_THIRDS_PI * (f3[..., 1:] - f3[..., :-1])
 
 
 def cell_volumes(R: float, n: int, r_inner=0.0) -> np.ndarray:
     """CV volumes of n equal-width shells over [r_inner, R]; (T, n) rows for
     a (T,) array of inner radii."""
-    if not isinstance(r_inner, np.ndarray):
-        return spherical_cells(r_inner, R, n)[2]
-    faces = r_inner[:, None] + (R - r_inner)[:, None] * unit_faces(n)
-    f3 = faces * faces * faces
-    return FOUR_THIRDS_PI * (f3[:, 1:] - f3[:, :-1])
+    if isinstance(r_inner, np.ndarray):
+        return _shells(r_inner[:, None], R, n)[2]
+    return spherical_cells(r_inner, R, n)[2]
 
 
 def tridiagonal(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> np.ndarray:
@@ -122,9 +167,9 @@ def exchange_diagonal(w_lo: np.ndarray, w_hi: np.ndarray) -> np.ndarray:
     """Diagonal of a nearest-neighbour coupling: row i + 1 gains w_lo[i] x_i,
     row i gains w_hi[i] x_{i+1}, and each diagonal entry loses what its row
     gains, so every exchange between neighbours balances."""
-    diag = np.zeros(len(w_lo) + 1)
-    diag[1:] -= w_lo
-    diag[:-1] -= w_hi
+    diag = np.zeros(w_lo.shape[:-1] + (w_lo.shape[-1] + 1,))
+    diag[..., 1:] -= w_lo
+    diag[..., :-1] -= w_hi
     return diag
 
 
@@ -145,7 +190,8 @@ def cell_geometry(r_inner: float, r_outer: float, n: int, scheme: str = "fvm"):
         raise ParameterError(f"unknown scheme {scheme!r}")
     h = (r_outer - r_inner) / n
     r = r_inner + (np.arange(-1, n + 1) + 0.5) * h
-    return r_inner + (r_outer - r_inner) * unit_faces(n), r[:-1] * r[1:], r[1:-1] * r[1:-1] * h
+    return (r_inner + (r_outer - r_inner) * unit_faces(n), r[..., :-1] * r[..., 1:],
+            r[..., 1:-1] * r[..., 1:-1] * h)
 
 
 def molar_flux_density(params: CellParameters, electrode: str, current: float) -> float:
@@ -187,14 +233,15 @@ def solid_block(params: CellParameters, electrode: str, r_inner: float, N_r: int
     D = params.D_s(electrode)
     dr = (R - r_inner) / N_r
     faces, areas, caps = cell_geometry(r_inner, R, N_r, scheme)
-    flow = D * areas[1:-1]
+    flow = D * areas[..., 1:-1]
     dr_caps = dr * caps
-    w_lo = flow / dr_caps[1:]
-    w_hi = flow / dr_caps[:-1]
-    surface = FLUX_SIGN[electrode] * areas[N_r] / (
-        caps[N_r - 1] * params.F * params.A_cell * params.L(electrode) * params.a_s(electrode))
+    w_lo = flow / dr_caps[..., 1:]
+    w_hi = flow / dr_caps[..., :-1]
+    surface = FLUX_SIGN[electrode] * cell_value(areas, N_r) / (
+        cell_value(caps, N_r - 1) * params.F * params.A_cell * params.L(electrode)
+        * params.a_s(electrode))
     return SolidBlock(w_lo, exchange_diagonal(w_lo, w_hi), w_hi, surface,
-                      2.0 * D * areas[0] / (dr * caps[0]), faces, caps)
+                      2.0 * D * cell_value(areas, 0) / (dr * cell_value(caps, 0)), faces, caps)
 
 
 def build_one_phase_solid_system(params: CellParameters, electrode: str,
@@ -244,12 +291,13 @@ def shell_block(params: CellParameters, r_p: float, current: float, N_r: int,
     """The shell's solid block on its N_r cells, with the interface held at g
     under current and zero flux at rest, and the first row's constant (w g
     under current, 0 at rest)."""
-    if not 0.0 < r_p < params.R_s_p:
+    inside = (0.0 < r_p) & (r_p < params.R_s_p)
+    if not (inside if isinstance(inside, bool) else inside.all()):
         raise PhaseDomainError(f"r_p={r_p!r} outside (0, R_s_p); transition regimes first")
     blk = solid_block(params, "pos", r_p, N_r, scheme)
     if current == 0.0:
         return blk, 0.0
-    blk.diag[0] -= blk.inner
+    set_cell(blk.diag, 0, cell_value(blk.diag, 0) - blk.inner)
     return blk, blk.inner * g
 
 
@@ -341,8 +389,11 @@ def surface_concentration(c_bar: np.ndarray, current, params: CellParameters,
 
 
 def one_phase_bulk(c_bar: np.ndarray, R: float) -> float:
-    """Volume-weighted particle average on the fixed grid."""
-    return float(solid_moles(c_bar, R) / cell_volumes(R, len(c_bar)).sum())
+    """Volume-weighted particle average on the fixed grid: a float, or the
+    (B, 1) column of B members' rows under a column of radii."""
+    v = cell_volumes(R, c_bar.shape[-1])
+    bulk = cell_dot(v, c_bar) / cell_sum(v)
+    return bulk if c_bar.ndim > 1 else float(bulk)
 
 
 def two_phase_bulk(c_shell: np.ndarray, r_p: float, core_conc: float,

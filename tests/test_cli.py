@@ -147,6 +147,9 @@ def test_identify_command(tmp_path, params):
     fit = json.loads((out / "fit.json").read_text())
     assert fit["names"] == ["D_s_p", "D_s_n", "k_p", "k_n"]
     assert fit["n_evals"] == 10
+    # PENALTY_RMSE returns by cause, at most one per evaluation of the one dataset
+    assert all(type(n) is int and n > 0 for n in fit["penalties"].values())
+    assert sum(fit["penalties"].values()) <= 10
 
 
 def test_identify_command_reads_phase_section(tmp_path, params):

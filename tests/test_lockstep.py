@@ -1,0 +1,251 @@
+"""Lockstep simulation of many members (simulate_many) and the identification
+that uses it: every member and every fit equals its one-at-a-time run bit for
+bit."""
+import dataclasses
+
+import numpy as np
+import pytest
+
+from csespm import identify as identify_module
+from csespm.errors import ParameterError
+from csespm.identify import (ParameterSubset, PENALTY_RMSE,
+                             generation_rmse, identify, make_synthetic_dataset,
+                             voltage_rmse)
+from csespm.ocp import synthetic_ocp_set
+from csespm.params import DiscretizationConfig, params_for_rate
+from csespm.simulate import (LoadProfile, SolverConfig, initial_state, simulate,
+                             simulate_many)
+
+SOLVER = SolverConfig(dt=10.0, cutoffs_enabled=False)
+
+
+def _profile(params):
+    """C/4 discharge from SOC 1 into two-phase, a rest, then a C/2 charge
+    that reverses the front inside two-phase and consumes the shell."""
+    i = params.current_for_c_rate(0.25)
+    return LoadProfile(np.array([0.0, 3000.0, 3200.0, 4000.0]),
+                       np.array([i, 0.0, -2.0 * i, -2.0 * i]))
+
+
+def _members(params):
+    """D_s_p x {0.3, 1, 3} and k_p x {0.25, 1}, one larger particle, and one
+    member whose small negative capacity saturates it mid-run."""
+    out = [params.replace(D_s_p=params.D_s_p * d, k_p=params.k_p * k)
+           for d in (0.3, 1.0, 3.0) for k in (0.25, 1.0)]
+    return out + [params.replace(R_s_p=1.25 * params.R_s_p),
+                  params.replace(c_s_max_n=3000.0)]
+
+
+def _run(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:
+        return exc
+
+
+def _assert_same(got, want):
+    """Equal bits of everything a SimulationResult holds, or equal errors."""
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+        return
+    for name in ("time", "current", "voltage", "soc_p", "soc_n", "r_p", "neg_c", "pos_c",
+                 "elec_c", "core_conc", "charge", "mass_pos", "mass_neg", "mass_elec",
+                 "drift_rel"):
+        assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True), name
+    assert (got.regime, got.direction, got.core_phase, got.status) == (
+        want.regime, want.direction, want.core_phase, want.status)
+    assert [(e.kind, e.detail) for e in got.events] == [(e.kind, e.detail) for e in want.events]
+    assert np.array_equal(*([[e.time, e.pre_mass, e.post_mass, e.r_p_pre, e.r_p_post]
+                             for e in r.events] for r in (got, want)), equal_nan=True)
+    assert got.meta == want.meta
+
+
+@pytest.mark.parametrize("N_r, scheme", [(2, "fvm"), (4, "fvm"), (8, "fvm"), (4, "fdm")])
+def test_members_equal_their_serial_runs(params, ocp, N_r, scheme):
+    """Each member of a mixed batch equals `simulate` run on it alone:
+    states, voltages, r_p, events, status and counters, with cutoffs off
+    and with a lower cutoff that stops one member early, and the member
+    that raises raises the same error."""
+    disc = DiscretizationConfig(N_r=N_r, N_e=6, scheme=scheme)
+    profile = _profile(params)
+    members = _members(params)
+    inits = [initial_state(p, disc, 1.0, "dis") for p in members]
+    free = [_run(simulate, profile, x0, p, disc, SOLVER, ocp=ocp)
+            for x0, p in zip(inits, members)]
+    assert isinstance(free[-1], Exception)
+    kinds = {e.kind for r in free[:-1] for e in r.events}
+    assert {"enter_two_phase", "sign_flip", "exit_two_phase"} <= kinds
+    # a cutoff between the two lowest voltage minima stops members early
+    lows = sorted({r.voltage[1:].min() for r in free[:-1]})
+    cut = dataclasses.replace(SOLVER, cutoffs_enabled=True, v_min=0.5 * (lows[0] + lows[1]))
+    for solver in (SOLVER, cut):
+        want = [_run(simulate, profile, x0, p, disc, solver, ocp=ocp)
+                for x0, p in zip(inits, members)]
+        got = simulate_many(profile, inits, members, disc, solver, ocp=ocp)
+        for g, w in zip(got, want):
+            _assert_same(g, w)
+    assert {r.status for r in want[:-1]} == {"completed", "cutoff_low"}
+
+
+def test_member_that_fails_its_first_step(params, ocp, disc4):
+    """A member whose state turns non-finite in the batched step raises the
+    BlowupError of its serial run; the others are untouched."""
+    members = [params, params.replace(D_s_n=1e30), params.replace(k_p=2.0 * params.k_p)]
+    inits = [initial_state(p, disc4, 1.0, "dis") for p in members]
+    profile = _profile(params)
+    got = simulate_many(profile, inits, members, disc4, SOLVER, ocp=ocp)
+    with np.errstate(all="ignore"):
+        for g, x0, p in zip(got, inits, members):
+            _assert_same(g, _run(simulate, profile, x0, p, disc4, SOLVER, ocp=ocp))
+    assert type(got[1]).__name__ == "BlowupError"
+
+
+# --- identification -------------------------------------------------------------
+
+def _serial_identify(datasets, subset, base, disc, solver, seed, budget, ocp,
+                     rate_overrides=None):
+    """The particle swarm as it evaluated one candidate at a time, kept as the
+    reference: (best values, best RMSE, trace, evaluations)."""
+    rng = np.random.default_rng(seed)
+    d = subset.dim
+    P = min(min(24, max(8, 4 + 2 * d)), budget)
+    logm = subset.log_mask()
+    lo = np.where(logm, np.log10(subset.lower), subset.lower)
+    hi = np.where(logm, np.log10(subset.upper), subset.upper)
+    span = hi - lo
+
+    def decode(z):
+        x = lo + z * span
+        return np.where(logm, 10.0**x, x)
+
+    def objective(z):
+        try:
+            cand = subset.apply(base, decode(z))
+        except ParameterError:
+            return PENALTY_RMSE * len(datasets)
+        return sum(voltage_rmse(cand, ds, disc, solver, ocp, rate_overrides)
+                   for ds in datasets)
+
+    z = rng.random((P, d))
+    base_vals = np.array([getattr(base, n) for n in subset.names])
+    z[0] = np.clip((np.where(logm, np.log10(base_vals), base_vals) - lo) / span, 0.0, 1.0)
+    v = 0.1 * (rng.random((P, d)) - 0.5)
+    pbest_z, pbest_f = z.copy(), np.full(P, np.inf)
+    gbest_z, gbest_f, trace, n_evals = None, np.inf, [], 0
+    w, c1, c2 = 0.72, 1.49, 1.49
+    while n_evals < budget:
+        for k in range(P):
+            if n_evals >= budget:
+                break
+            f = objective(z[k])
+            n_evals += 1
+            if f < pbest_f[k]:
+                pbest_f[k], pbest_z[k] = f, z[k].copy()
+            if f < gbest_f:
+                gbest_f, gbest_z = f, z[k].copy()
+                trace.append((n_evals, gbest_f))
+        if n_evals >= budget:
+            break
+        r1, r2 = rng.random((P, d)), rng.random((P, d))
+        v = w * v + c1 * r1 * (pbest_z - z) + c2 * r2 * (gbest_z[None, :] - z)
+        z = z + v
+        over, under = z > 1.0, z < 0.0
+        z[over] = 2.0 - z[over]
+        z[under] = -z[under]
+        z = np.clip(z, 0.0, 1.0)
+        v[over | under] *= -0.5
+    return decode(gbest_z), float(gbest_f), trace, n_evals
+
+
+@pytest.fixture(scope="module")
+def two_rates(params, disc4):
+    """Short C/4 and C/2 discharges, the C/2 one made with overridden rate
+    parameters."""
+    overrides = {"C/4": {}, "C/2": {"D_s_p": 3.0e-18, "k_n": 3.0e-12}}
+    p2 = params_for_rate(params, "C/2", overrides)
+    sets = [make_synthetic_dataset(params, disc4, 0.25, "dis", duration=2400.0,
+                                   c_rate_label="C/4"),
+            make_synthetic_dataset(p2, disc4, 0.5, "dis", duration=1200.0)]
+    sets[1].c_rate_label = "C/2"
+    return sets, overrides
+
+
+@pytest.mark.parametrize("budget", [1, 12, 40])
+def test_identify_equals_one_candidate_at_a_time(params, disc4, two_rates, budget):
+    """A generation in lockstep gives the serial swarm's best values, best
+    RMSE and whole trace: budget 1, a partial last generation (12 of 8 + 8)
+    and five full generations, over two datasets with rate overrides."""
+    datasets, overrides = two_rates
+    sub = ParameterSubset.preset("c2-1c", params).subset(("D_s_p", "k_p"))
+    base = params.replace(D_s_p=2.0e-18, k_p=5.0e-13)
+    ocp = synthetic_ocp_set(base)
+    fit = identify(datasets, sub, base, disc4, SOLVER, seed=5, budget=budget, ocp=ocp,
+                   rate_overrides=overrides)
+    values, rmse, trace, n_evals = _serial_identify(datasets, sub, base, disc4, SOLVER, 5,
+                                                    budget, ocp, overrides)
+    assert np.array_equal(fit.best_values, values)
+    assert fit.best_rmse == rmse
+    assert fit.trace == trace
+    assert fit.n_evals == n_evals == budget
+
+
+def test_objective_calls_voltage_rmse_once_per_evaluation(params, disc4, two_rates,
+                                                          monkeypatch):
+    """identify scores every candidate on every dataset through the module's
+    voltage_rmse, one call per evaluation and dataset, each a float."""
+    datasets, overrides = two_rates
+    sub = ParameterSubset.preset("c2-1c", params).subset(("D_s_p", "k_p"))
+    real, seen = identify_module.voltage_rmse, []
+
+    def counted(*args, **kwargs):
+        out = real(*args, **kwargs)
+        seen.append(out)
+        return out
+
+    monkeypatch.setattr(identify_module, "voltage_rmse", counted)
+    fit = identify(datasets, sub, params, disc4, SOLVER, seed=2, budget=12,
+                   rate_overrides=overrides)
+    assert len(seen) == fit.n_evals * len(datasets) == 24
+    assert all(type(r) is float for r in seen)
+
+
+def test_penalties_are_counted_by_cause(params, disc4):
+    """One generation holding an invalid-parameter member, a member whose
+    simulation raises and a member that stops at a cutoff: each scores
+    PENALTY_RMSE and is counted under its cause, and the other members'
+    scores equal their serial voltage_rmse."""
+    ds = make_synthetic_dataset(params, disc4, 0.25, "dis", duration=3600.0,
+                                c_rate_label="C/4")
+    solver = SolverConfig(dt=10.0, v_min=float(ds.voltage.min()) - 0.02)
+    names = ("D_s_p", "k_p", "D_s_n", "theta_p_alpha_dis")
+    sub = ParameterSubset(names, np.full(4, 1e-30), np.full(4, 1e30))
+    true = np.array([getattr(params, n) for n in names])
+    rows = [true, true * [2.0, 1.0, 1.0, 1.0],
+            true * [1.0, 1.0, 1.0, 4.5],       # theta_alpha above theta_beta
+            true * [1.0, 1.0, 1e45, 1.0],      # the negative block's map overflows
+            true * [1.0, 1e-3, 1.0, 1.0]]      # the overpotential hits v_min
+    penalties = {}
+    ocp = synthetic_ocp_set(params)
+    with np.errstate(all="ignore"):
+        got = generation_rmse(rows, sub, params, [ds], disc4, solver, ocp,
+                              penalties=penalties)
+    assert got[2:] == [PENALTY_RMSE] * 3
+    assert penalties == {"ParameterError": 1, "BlowupError": 1, "cutoff": 1}
+    for f, values in zip(got[:2], rows[:2]):
+        assert f == voltage_rmse(sub.apply(params, values), ds, disc4, solver, ocp) < 0.01
+
+
+def test_fit_reports_penalties(params, disc4, monkeypatch):
+    """FitResult.penalties counts every PENALTY_RMSE the objective returned,
+    by cause, and its dict carries them to fit.json."""
+    ds = make_synthetic_dataset(params, disc4, 0.25, "dis", duration=1200.0,
+                                c_rate_label="C/4")
+    solver = SolverConfig(dt=10.0, v_min=float(ds.voltage.min()) + 0.001)
+    sub = ParameterSubset.preset("c2-1c", params).subset(("D_s_p", "k_p"))
+    real, seen = identify_module.voltage_rmse, []
+    monkeypatch.setattr(identify_module, "voltage_rmse",
+                        lambda *a, **k: seen.append(real(*a, **k)) or seen[-1])
+    fit = identify([ds], sub, params, disc4, solver, seed=3, budget=16)
+    assert fit.penalties == {"cutoff": seen.count(PENALTY_RMSE)}
+    assert fit.penalties["cutoff"] > 0
+    assert fit.to_dict()["penalties"] == fit.penalties

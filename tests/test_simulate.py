@@ -226,6 +226,32 @@ def test_cached_step_map_matches_propagator(params, disc4):
         assert list(block._maps) == [10.0, 10.0 * 0.6171875]
 
 
+def test_forced_response_cache_equals_uncached_step(params, disc4):
+    """Each fixed-grid block steps with its cached forced response c = N (B I
+    + G): bit for bit the uncached x + D x + N (B I + G), with D and N from
+    the Van Loan exponential, for a full and a bisection-sized step, at rest
+    and under both signs of current, on first use and from the cache."""
+    import scipy.linalg
+    integ = Integrator(params, disc4, SolverConfig(dt=10.0))
+    rng = np.random.default_rng(3)
+    i = params.current_for_c_rate(1.0)
+    for block, _, scale in _fixed_grid_blocks(params, disc4, integ):
+        A, n = block.sys.A, block.sys.dim
+        x = scale * rng.uniform(0.2, 0.8, n)
+        for h in (10.0, 10.0 * 0.3171875):
+            M = np.zeros((2 * n, 2 * n))
+            M[:n, :n] = A * h
+            M[:n, n:] = np.eye(n) * h
+            N = scipy.linalg.expm(M)[:n, n:]
+            D = A @ N
+            for current in (0.0, i, -i):
+                b = block.sys.B * current
+                if block.sys.G is not None:
+                    b = b + block.sys.G
+                for _ in range(2):
+                    assert np.array_equal(block.advance(x, current, h), x + D @ x + N @ b)
+
+
 def test_cached_step_map_keeps_exact_fallback(params):
     """The identified C/2 negative block at dt = 1 s lies far past the RK4
     stability limit (rho h ~ 1e4 > 2.79); its cached map is still the exact
