@@ -303,7 +303,10 @@ def identify(datasets: list[Dataset], subset: ParameterSubset,
     """Bounded particle-swarm minimization of the summed voltage RMSE.
 
     Deterministic given the seed.  The best-so-far trace is non-increasing
-    and the returned RMSE re-evaluates to itself.
+    and the returned RMSE re-evaluates to itself.  Each generation is scored
+    at once (generation_rmse), which gives the fit of scoring its candidates
+    one at a time; FitResult.penalties counts its PENALTY_RMSE scores by
+    cause.
     """
     if not datasets:
         raise ConfigError("identify needs at least one dataset")

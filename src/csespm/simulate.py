@@ -44,7 +44,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import dstevd as _dstevd
 
-from .errors import BlowupError, ParameterError, SaturationError
+from .errors import BlowupError, CsespmError, ParameterError, SaturationError
 from .ocp import OcpSet, synthetic_ocp_set
 from .output import OutputSnapshot, cell_voltage
 from .params import CellParameters, DiscretizationConfig, ParameterColumns
@@ -768,7 +768,9 @@ def simulate_many(profile: LoadProfile, inits: list[FullState],
         _, current, _, h, _ = requests[0][1]
         try:
             posts = lockstep.advance([step[0] for _, step in requests], current, h)
-        except Exception:
+        except (CsespmError, ArithmeticError, ValueError):
+            # some member's data fails the step: each takes it alone, and
+            # raises its own error there
             posts = [None] * len(members)
         for i, (integ, step), post in zip(members, requests, posts):
             if post is None:

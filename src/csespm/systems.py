@@ -122,7 +122,10 @@ def spherical_cells(r_inner, r_outer, n: int):
         cells = _CELLS.get(key)
     if cells is not None:
         return cells
-    cells = _shells(r_inner, r_outer, n)
+    faces = r_inner + (r_outer - r_inner) * unit_faces(n)
+    areas = 4.0 * np.pi * faces * faces
+    f3 = faces * faces * faces
+    cells = faces, areas, FOUR_THIRDS_PI * (f3[..., 1:] - f3[..., :-1])
     for a in cells:
         a.setflags(write=False)
     if len(_CELLS) >= 16:
@@ -136,19 +139,14 @@ def _key(x):
     return (x.shape, x.tobytes()) if isinstance(x, np.ndarray) else x
 
 
-def _shells(r_inner, r_outer, n: int):
-    faces = r_inner + (r_outer - r_inner) * unit_faces(n)
-    areas = 4.0 * np.pi * faces * faces
-    f3 = faces * faces * faces
-    return faces, areas, FOUR_THIRDS_PI * (f3[..., 1:] - f3[..., :-1])
-
-
 def cell_volumes(R: float, n: int, r_inner=0.0) -> np.ndarray:
     """CV volumes of n equal-width shells over [r_inner, R]; (T, n) rows for
     a (T,) array of inner radii."""
-    if isinstance(r_inner, np.ndarray):
-        return _shells(r_inner[:, None], R, n)[2]
-    return spherical_cells(r_inner, R, n)[2]
+    if not isinstance(r_inner, np.ndarray):
+        return spherical_cells(r_inner, R, n)[2]
+    faces = r_inner[:, None] + (R - r_inner)[:, None] * unit_faces(n)
+    f3 = faces * faces * faces
+    return FOUR_THIRDS_PI * (f3[:, 1:] - f3[:, :-1])
 
 
 def tridiagonal(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> np.ndarray:
