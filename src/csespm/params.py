@@ -18,6 +18,10 @@ GAS_CONSTANT = 8.314462618  # J/(mol K)
 
 DIRECTIONS = ("ch", "dis")
 ELECTRODES = ("neg", "pos")
+# field names of the stoichiometric limits, looked up per (electrode, point,
+# direction) without formatting a string on every call
+_THETA_NAMES = {(e, point, d): f"theta_{e[0]}_{point}_{d}" for e in ELECTRODES
+                for point in ("0", "100", "alpha", "beta") for d in DIRECTIONS}
 
 
 @dataclass(frozen=True)
@@ -135,7 +139,8 @@ class CellParameters:
 
     def theta(self, electrode: str, point: str, direction: str) -> float:
         """Stoichiometric limit, point in {'0','100','alpha','beta'}."""
-        return getattr(self, f"theta_{electrode[0]}_{point}_{direction}")
+        return getattr(self, _THETA_NAMES.get((electrode, point, direction))
+                       or f"theta_{electrode[0]}_{point}_{direction}")
 
     def c_alpha(self, direction: str) -> float:
         """Li-poor plateau edge concentration of the positive electrode."""

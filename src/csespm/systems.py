@@ -149,15 +149,17 @@ def cell_volumes(R: float, n: int, r_inner=0.0) -> np.ndarray:
     return FOUR_THIRDS_PI * (f3[:, 1:] - f3[:, :-1])
 
 
-def tridiagonal(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> np.ndarray:
+def tridiagonal(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
+                size: int | None = None) -> np.ndarray:
     """Dense matrix of three bands: A[i + 1, i] = lower[i], A[i, i] = diag[i],
-    A[i, i + 1] = upper[i]."""
+    A[i, i + 1] = upper[i]; zero-padded to size x size when size is given."""
     n = len(diag)
-    A = np.zeros((n, n))
+    size = size or n
+    A = np.zeros((size, size))
     flat = A.reshape(-1)
-    flat[n::n + 1] = lower
-    flat[1::n + 1] = upper
-    flat[::n + 1] = diag
+    flat[size::size + 1][:n - 1] = lower
+    flat[1::size + 1][:n - 1] = upper
+    flat[::size + 1][:n] = diag
     return A
 
 
@@ -327,8 +329,7 @@ def build_two_phase_system(params: CellParameters, r_p: float, current: float,
     blk, g_row = shell_block(params, r_p, current, N_r, g, scheme)
 
     n = N_r + 1
-    A = np.zeros((n, n))
-    A[:N_r, :N_r] = tridiagonal(blk.lower, blk.diag, blk.upper)
+    A = tridiagonal(blk.lower, blk.diag, blk.upper, size=n)
     B = np.zeros(n)
     B[N_r - 1] = blk.surface
     G = np.zeros(n)
