@@ -296,11 +296,14 @@ class _LtiBlock:
 # columns r_p and core_conc; params.ParameterColumns) and returns the shell,
 # r_p and closure of each, with the same arithmetic per member.
 
-def _clip(x, lo, hi):
-    """min(max(x, lo), hi) of one member or of B members' columns."""
+def _clip(x, lo, hi=None):
+    """min(max(x, lo), hi) of one member or of B members' columns; max(x,
+    lo) without hi."""
     if isinstance(x, np.ndarray):
-        return np.minimum(np.maximum(x, lo), hi)
-    return min(max(x, lo), hi)
+        x = np.maximum(x, lo)
+        return x if hi is None else np.minimum(x, hi)
+    x = max(x, lo)
+    return x if hi is None else min(x, hi)
 
 
 def _pow(x, e):
@@ -355,15 +358,20 @@ def _fvm_two_phase_substep(state: FullState, current: float, h: float,
     r_new, r_lo, annulus_conc, core_vol, core_vol_new = _each(
         _front_move, r_p, R, spill, g, c_core, state.core_conc)
 
-    # conservative remap of (swept annulus + old shell) onto the new grid
+    # conservative remap of (swept annulus + old shell) onto the new grid; a
+    # member whose front moves out sweeps no annulus and remaps its shell
+    # alone, or, in a batch, with a zero-width annulus cell (the same sums)
     new_faces, _, vols_new = systems.spherical_cells(r_new, R, N_r)
-    old_edges = np.empty(c_new.shape[:-1] + (N_r + 2,))
-    set_cell(old_edges, 0, r_lo)
-    old_edges[..., 1:] = blk.faces
-    old_values = np.empty(c_new.shape[:-1] + (N_r + 1,))
-    set_cell(old_values, 0, annulus_conc)
-    old_values[..., 1:] = c_new
-    shell = annulus_remap(old_edges, old_values, new_faces)
+    if not isinstance(r_lo, np.ndarray) and r_lo == r_p:
+        shell = annulus_remap(blk.faces, c_new, new_faces)
+    else:
+        old_edges = np.empty(c_new.shape[:-1] + (N_r + 2,))
+        set_cell(old_edges, 0, r_lo)
+        old_edges[..., 1:] = blk.faces
+        old_values = np.empty(c_new.shape[:-1] + (N_r + 1,))
+        set_cell(old_values, 0, annulus_conc)
+        old_values[..., 1:] = c_new
+        shell = annulus_remap(old_edges, old_values, new_faces)
 
     # close rounding (and, for an outward front, the swept-profile mismatch)
     # so the per-electrode balance is exact: core + shell changes only by the
@@ -372,7 +380,7 @@ def _fvm_two_phase_substep(state: FullState, current: float, h: float,
     actual = core_vol_new * state.core_conc + cell_dot(vols_new, shell)
     residual = expected - actual
     shell = shell + residual / cell_sum(vols_new)
-    closure_rel = abs(residual) / _clip(abs(expected), 1e-300, math.inf)
+    closure_rel = abs(residual) / _clip(abs(expected), 1e-300)
     return shell, r_new, closure_rel
 
 
