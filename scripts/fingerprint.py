@@ -178,6 +178,19 @@ def sweep_1c_nr4(d):
     _sweep_1c(d, 4)
 
 
+def sweep_dynamic_nr3(d):
+    """Ranks and conds of a 7 s stride sweep of the 600 s synthetic drive
+    profile from SOC 0.6, FVM, N_r = 3: some points sit on rows where the
+    current changes, so the recursion's d/du term runs."""
+    params = CellParameters()
+    ocp = synthetic_ocp_set(params)
+    disc = DiscretizationConfig(N_r=3, N_e=6)
+    res = simulate(synthetic_dynamic_profile(params, duration=600.0),
+                   initial_state(params, disc, 0.6, "dis"), params, disc,
+                   SolverConfig(cutoffs_enabled=False), ocp=ocp)
+    d.sweep(sweep(res, params, ObservabilityConfig(stride_s=7.0), ocp=ocp))
+
+
 def discharge_c4_nr200(d):
     """The first 2500 s of a C/4 discharge from SOC 1 at N_r = 200."""
     params = CellParameters()
@@ -188,7 +201,8 @@ def discharge_c4_nr200(d):
 
 FIXTURES = {f.__name__: f for f in (
     cycle_c4, drive_hold, identify_pso_data, criterion1_cycles, fdm_cycle_1c, sweep_1c_nr3,
-    fit_budget12, fit_identify_pso, sweep_1c_nr2, sweep_1c_nr4, discharge_c4_nr200)}
+    fit_budget12, fit_identify_pso, sweep_1c_nr2, sweep_1c_nr4, sweep_dynamic_nr3,
+    discharge_c4_nr200)}
 DEFAULT = ("cycle_c4", "drive_hold", "identify_pso_data", "criterion1_cycles",
            "fdm_cycle_1c", "sweep_1c_nr3")
 
