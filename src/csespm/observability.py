@@ -5,10 +5,11 @@ by nested central finite differences (the output map runs through
 table-interpolated OCPs and regime switches, so there is no global closed
 form).  The J-order extended Lie derivative is
 
-    L^J = dL^{J-1}/dx . f + sum_i dL^{J-1}/du^(i) . u^(i+1)
+    L^J = dL^{J-1}/dx . f + dL^{J-1}/du . u'
 
-with u the applied current.  Input derivatives beyond the first are taken
-as zero; under constant current all input terms vanish.
+with u the applied current, taken as u0 + u' t: the recursion takes
+(u0, u') only, higher input derivatives are zero, and under constant
+current the input term vanishes.
 
 The observability matrix stacks dL^J/dx for J = 0..n-1.  Because the state
 mixes concentrations (~1e4 mol/m^3) and the front radius (~1e-8 m), columns
@@ -47,9 +48,7 @@ class ObservabilityConfig:
     jacobian_step: float = 1e-6     # relative FD step
     rank_tol: float = 1e-8          # threshold factor on sigma_max * max(dim)
     i_dot: float = 0.0              # first input derivative [A/s]
-    i_ddot: float = 0.0             # forced 0: higher input derivatives neglected
     smooth_ocp: bool = True         # monotone-cubic OCP for differentiation
-    current_scale: float | None = None   # FD scale for u; default: 1C current
     stride_s: float = 30.0          # sweep subsampling interval
 
 
@@ -114,24 +113,23 @@ def positive_model(state: FullState, params: CellParameters, ocp: OcpSet,
 # --- extended Lie derivatives --------------------------------------------------
 
 
-def lie_stack(f, h, x0: np.ndarray, u0: float, u_derivs: tuple,
+def lie_stack(f, h, x0: np.ndarray, u0: float, u_dot: float,
               orders: int, config: ObservabilityConfig,
               x_scales: np.ndarray, u_scale: float):
     """Values and state gradients of L^0..L^{orders-1} at (x0, u0).
 
-    ``u_derivs`` holds (u', u'', ...); input-derivative terms of the
-    recursion are evaluated only for nonzero multipliers.  Gradients use
-    second-order central differences with steps jacobian_step *
-    max(|x_i|, x_scale_i).
+    ``u_dot`` is the input derivative u'; the recursion's d/du term is
+    evaluated only when it is nonzero.  Gradients use second-order central
+    differences with steps jacobian_step * max(|x_i|, x_scale_i), and the
+    d/du term the step jacobian_step * max(|u|, u_scale).
 
     f, h and every lifted L^k are memoized for the duration of the call:
     the nested stencils of successive orders revisit the same perturbed
     states, and since f and h are pure a lookup returns the very float a
     recomputation would, so the result is unchanged.  Keys are the exact
-    bytes of x and of the input(s), so 0.0/-0.0 and NaNs never collide.
+    bytes of x and of the input, so 0.0/-0.0 and NaNs never collide.
     """
     eps = config.jacobian_step
-    uvec = (u0,) + tuple(u_derivs)
 
     def memo(fun):
         cache = {}
@@ -145,35 +143,32 @@ def lie_stack(f, h, x0: np.ndarray, u0: float, u_derivs: tuple,
 
     f, h = memo(f), memo(h)
 
-    def grad_x(fun, x, uv):
+    def grad_x(fun, x, u):
         g = np.empty(len(x))
         for j in range(len(x)):
             d = eps * max(abs(x[j]), x_scales[j])
             xp = x.copy(); xp[j] += d
             xm = x.copy(); xm[j] -= d
-            g[j] = (fun(xp, uv) - fun(xm, uv)) / (2.0 * d)
+            g[j] = (fun(xp, u) - fun(xm, u)) / (2.0 * d)
         return g
 
-    def d_du(fun, x, uv, i):
-        d = eps * max(abs(uv[i]), u_scale)
-        up = list(uv); up[i] += d
-        um = list(uv); um[i] -= d
-        return (fun(x, tuple(up)) - fun(x, tuple(um))) / (2.0 * d)
+    def d_du(fun, x, u):
+        d = eps * max(abs(u), u_scale)
+        return (fun(x, u + d) - fun(x, u - d)) / (2.0 * d)
 
     def lift(prev):
-        def nxt(x, uv):
-            val = grad_x(prev, x, uv) @ f(x, uv[0])
-            for i in range(len(uv) - 1):
-                if uv[i + 1] != 0.0:
-                    val += d_du(prev, x, uv, i) * uv[i + 1]
+        def nxt(x, u):
+            val = grad_x(prev, x, u) @ f(x, u)
+            if u_dot != 0.0:
+                val += d_du(prev, x, u) * u_dot
             return val
         return nxt
 
-    L = lambda x, uv: h(x, uv[0])  # noqa: E731  (order 0)
+    L = h  # order 0
     values, grads = [], []
     for order in range(orders):
-        v = L(x0, uvec)
-        g = grad_x(L, x0, uvec)
+        v = L(x0, u0)
+        g = grad_x(L, x0, u0)
         if not (math.isfinite(v) and np.isfinite(g).all()):
             raise LieDerivativeError(f"non-finite Lie derivative at order {order}")
         values.append(float(v))
@@ -183,12 +178,12 @@ def lie_stack(f, h, x0: np.ndarray, u0: float, u_derivs: tuple,
     return values, grads
 
 
-def observability_matrix(f, h, x0: np.ndarray, u0: float, u_derivs: tuple,
+def observability_matrix(f, h, x0: np.ndarray, u0: float, u_dot: float,
                          config: ObservabilityConfig, x_scales: np.ndarray,
                          u_scale: float) -> np.ndarray:
     """Raw stacked-gradient matrix, one row per Lie order 0..n-1."""
     n = len(x0)
-    _, grads = lie_stack(f, h, x0, u0, u_derivs, n, config, x_scales, u_scale)
+    _, grads = lie_stack(f, h, x0, u0, u_dot, n, config, x_scales, u_scale)
     return np.vstack(grads)
 
 
@@ -265,13 +260,14 @@ def sweep(result: SimulationResult, params: CellParameters,
 
     The first input derivative is estimated by backward differencing of the
     recorded current (zero under constant current); higher derivatives are
-    taken as zero.  Per-point failures are logged and skipped.
+    taken as zero.  The d/du step scales with the 1C current.  Per-point
+    failures are logged and skipped.
     """
     config = config or ObservabilityConfig()
     ocp = ocp or synthetic_ocp_set(params)
     scheme = scheme or result.meta.get("scheme", "fvm")
     stride = stride_s if stride_s is not None else config.stride_s
-    u_scale = config.current_scale or params.current_for_c_rate(1.0)
+    u_scale = params.current_for_c_rate(1.0)
 
     out = ObservabilitySweep()
     next_t = -math.inf
@@ -292,8 +288,7 @@ def sweep(result: SimulationResult, params: CellParameters,
         try:
             f, h, x0, scales = positive_model(state, params, ocp, c_e_avg,
                                               config, scheme)
-            O = observability_matrix(f, h, x0, u0, (i_dot, config.i_ddot),
-                                     config, scales, u_scale)
+            O = observability_matrix(f, h, x0, u0, i_dot, config, scales, u_scale)
             Os = scale_columns(O, scales)
             rank, cond_s = rank_and_condition(Os, config)
             _, cond_r = rank_and_condition(O, config)

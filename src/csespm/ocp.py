@@ -59,10 +59,10 @@ class OcpTable:
             return float(self._pchip(theta))
         return float(np.interp(theta, self.theta, self.volts))
 
-    def lookup(self, theta: np.ndarray, smooth: bool = False,
-               counters: dict | None = None) -> np.ndarray:
-        """``__call__`` over an array of theta in [0, 1].  Entries past the
-        table ends are tallied as "ocp_extrapolations" (records.tally)."""
+    def lookup(self, theta: np.ndarray, counters: dict | None = None) -> np.ndarray:
+        """Piecewise-linear ``__call__`` over an array of theta in [0, 1].
+        Entries past the table ends are tallied as "ocp_extrapolations"
+        (records.tally)."""
         lo, hi = self.theta[0], self.theta[-1]
         outside = (theta < lo) | (theta > hi)
         if outside.any():
@@ -70,8 +70,6 @@ class OcpTable:
                   "OCP extrapolated at theta=%.4f (%s/%s table covers [%.3f, %.3f])",
                   theta[outside][0], self.electrode, self.direction, lo, hi)
             theta = np.clip(theta, lo, hi)
-        if smooth:
-            return self._pchip(theta)
         return np.interp(theta, self.theta, self.volts)
 
     @cached_property

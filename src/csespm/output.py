@@ -113,7 +113,7 @@ def _domain_error(params, c_eff_p, c_e_p, c_surf_n, c_e_n, c_e) -> SaturationErr
 
 
 def cell_voltage(state: FullState, current, params: CellParameters, ocp: OcpSet,
-                 split: tuple[int, int, int], smooth_ocp: bool = False,
+                 split: tuple[int, int, int],
                  counters: dict | None = None) -> OutputSnapshot:
     """Compose the full output map of one state (floats) or of a FullState
     of T rows under (T,) currents ((T,) arrays).
@@ -166,8 +166,8 @@ def cell_voltage(state: FullState, current, params: CellParameters, ocp: OcpSet,
     for direction, sel in (("dis", dis), ("ch", ~dis)):
         if sel.any():
             U_p[sel] = ocp.pick("pos", direction).lookup(
-                np.clip(theta_p[sel], 0.0, 1.0), smooth_ocp, counters)
-    U_n = ocp.neg.lookup(np.clip(theta_n, 0.0, 1.0), smooth_ocp, counters)
+                np.clip(theta_p[sel], 0.0, 1.0), counters)
+    U_n = ocp.neg.lookup(np.clip(theta_n, 0.0, 1.0), counters)
     V = U_p + eta_p - U_n - eta_n + dphi - params.R_l * current
 
     bulk_p = c_bulk_p[:n] / cmax_p

@@ -68,7 +68,6 @@ class SolverConfig:
     v_min: float | None = 2.0
     v_max: float | None = 3.65
     cutoffs_enabled: bool = True
-    record_every: int = 1           # keep every n-th step in the result
 
     def __post_init__(self):
         if self.dt <= 0.0:
@@ -805,8 +804,7 @@ def _simulation(profile: LoadProfile, init: FullState, params: CellParameters,
     cutoffs = solver.cutoffs_enabled
     v_lo = solver.v_min if cutoffs and solver.v_min is not None else -np.inf
     v_hi = solver.v_max if cutoffs and solver.v_max is not None else np.inf
-    steps = np.ceil(np.diff(profile.times) / solver.dt) + 1
-    size = 1 + int(np.sum(steps // solver.record_every + 1))
+    size = 1 + int(np.sum(np.ceil(np.diff(profile.times) / solver.dt) + 1))
     # rows: time, current, charge, r_p, core_conc, then voltage, SOC_p, SOC_n
     cols = np.empty((8, size))
     conc = {k: np.empty((size, len(getattr(init, k)))) for k in ("neg", "pos", "elec")}
@@ -881,7 +879,6 @@ def _simulation(profile: LoadProfile, init: FullState, params: CellParameters,
                         state = state.copy()
                         state.direction = newdir
             t = t0
-            k = 0
             while t < t1 - 1e-9:
                 h = min(solver.dt, t1 - t)
                 state = yield integ, (state, current, t, h, events)
@@ -889,11 +886,9 @@ def _simulation(profile: LoadProfile, init: FullState, params: CellParameters,
                 q_total += current * h
                 if not state.is_finite():
                     raise BlowupError(f"non-finite state at t={t:.3f}s", last_good_time=t - h)
-                k += 1
-                if k % solver.record_every == 0 or t >= t1 - 1e-9:
-                    record(t, current, q_total, state)
-                    if cutoffs and len(labels) - done >= _CHUNK and settle():
-                        return
+                record(t, current, q_total, state)
+                if cutoffs and len(labels) - done >= _CHUNK and settle():
+                    return
 
     try:
         yield from run()

@@ -63,7 +63,7 @@ def test_dimension_contracts(params, ocp):
         disc = DiscretizationConfig(N_r=N_r, N_e=6)
         st = initial_state(params, disc, soc, "dis")
         f, h, x0, scales = positive_model(st, params, ocp, params.c_e0, CFG)
-        O = observability_matrix(f, h, x0, 10.0, (0.0, 0.0), CFG, scales,
+        O = observability_matrix(f, h, x0, 10.0, 0.0, CFG, scales,
                                  params.current_for_c_rate(1.0))
         assert O.shape == (want, want)
 
@@ -72,7 +72,7 @@ def test_order_zero_is_ocp_at_rest(params, ocp):
     disc = DiscretizationConfig(N_r=2, N_e=6)
     st = initial_state(params, disc, 0.9, "dis")
     f, h, x0, scales = positive_model(st, params, ocp, params.c_e0, CFG)
-    vals, _ = lie_stack(f, h, x0, 0.0, (0.0, 0.0), 1, CFG, scales,
+    vals, _ = lie_stack(f, h, x0, 0.0, 0.0, 1, CFG, scales,
                         params.current_for_c_rate(1.0))
     theta = systems.surface_concentration(
         st.pos, 0.0, params, "pos", params.R_s_p / 2) / params.c_s_max_p
@@ -88,7 +88,7 @@ def test_linear_oracle_gradient(params, ocp):
     u_scale = abs(u0)
     h_lin, C = linearized_output(h, x0, u0, scales, u_scale)
     A = systems.build_one_phase_solid_system(params, "pos", 2).A
-    _, grads = lie_stack(f, h_lin, x0, u0, (0.0, 0.0), 2, CFG, scales, u_scale)
+    _, grads = lie_stack(f, h_lin, x0, u0, 0.0, 2, CFG, scales, u_scale)
     assert np.allclose(grads[0], C, rtol=1e-8)
     assert np.allclose(grads[1], C @ A, rtol=1e-4)
 
@@ -102,8 +102,8 @@ def test_input_derivative_terms_enter(params, ocp):
     u0 = -params.current_for_c_rate(1.0)
     u_scale = abs(u0)
     h_lin, C = linearized_output(h, x0, u0, scales, u_scale)
-    vals0, grads0 = lie_stack(f, h_lin, x0, u0, (0.0, 0.0), 2, CFG, scales, u_scale)
-    vals1, grads1 = lie_stack(f, h_lin, x0, u0, (0.5, 0.0), 2, CFG, scales, u_scale)
+    vals0, grads0 = lie_stack(f, h_lin, x0, u0, 0.0, 2, CFG, scales, u_scale)
+    vals1, grads1 = lie_stack(f, h_lin, x0, u0, 0.5, 2, CFG, scales, u_scale)
     assert vals1[1] != pytest.approx(vals0[1])
     assert np.allclose(grads1[1], grads0[1], rtol=1e-6)
 
@@ -119,7 +119,7 @@ def test_richardson_step_halving(params, ocp):
 
     def grad_h(step):
         cfg = ObservabilityConfig(jacobian_step=step)
-        _, grads = lie_stack(f, h, x0, u0, (0.0, 0.0), 1, cfg, scales, u_scale)
+        _, grads = lie_stack(f, h, x0, u0, 0.0, 1, cfg, scales, u_scale)
         return grads[0]
 
     g1 = grad_h(4e-4)
@@ -136,8 +136,8 @@ def test_richardson_step_halving(params, ocp):
 
 def test_cc_sweep_independent_of_input_derivative_settings(params, ocp):
     """Under constant current the profile-differenced derivative is zero, so
-    perturbing the configured fallback derivative must not change the sweep.
-    (The second input derivative is forced to zero by design.)"""
+    the configured i_dot, the fallback for a row with no predecessor, must
+    not change the sweep after its first point."""
     disc = DiscretizationConfig(N_r=2, N_e=6)
     prof = cc_profile(params, 1.0, "dis", duration=900.0)
     init = initial_state(params, disc, 1.0, "dis")
@@ -156,7 +156,7 @@ def test_nonfinite_reports_failing_order(params, ocp):
         return float(x[0])
 
     with pytest.raises(LieDerivativeError, match="order 1"):
-        lie_stack(f, h, np.array([1.0, 2.0]), 1.0, (0.0,), 2, CFG,
+        lie_stack(f, h, np.array([1.0, 2.0]), 1.0, 0.0, 2, CFG,
                   np.ones(2), 1.0)
 
 
@@ -173,7 +173,7 @@ def test_thin_shell_degeneracy(params, ocp):
                        direction="ch")
         f, h, x0, scales = positive_model(st, params, ocp, params.c_e0, CFG)
         u0 = -params.current_for_c_rate(1.0)
-        O = observability_matrix(f, h, x0, u0, (0.0, 0.0), CFG, scales, abs(u0))
+        O = observability_matrix(f, h, x0, u0, 0.0, CFG, scales, abs(u0))
         s = np.linalg.svd(scale_columns(O, scales), compute_uv=False)
         ratios.append(s[-1] / s[0])
     assert ratios[0] > ratios[1] > ratios[2]
@@ -196,41 +196,38 @@ def test_sweep_emits_points_and_csv(tmp_path, params, ocp):
 
 # --- memoized Lie stack -------------------------------------------------------------
 
-def nested_lie_stack(f, h, x0, u0, u_derivs, orders, config, x_scales, u_scale):
-    """The plain nested central-difference recursion, every level recomputed
-    from scratch; the reference the memoized ``lie_stack`` must reproduce."""
+def nested_lie_stack(f, h, x0, u0, u_dot, orders, config, x_scales, u_scale):
+    """The plain nested central-difference recursion in (u0, u'), every level
+    recomputed from scratch; the reference the memoized ``lie_stack`` must
+    reproduce."""
     eps = config.jacobian_step
-    uvec = (u0,) + tuple(u_derivs)
 
-    def grad_x(fun, x, uv):
+    def grad_x(fun, x, u):
         g = np.empty(len(x))
         for j in range(len(x)):
             d = eps * max(abs(x[j]), x_scales[j])
             xp = x.copy(); xp[j] += d
             xm = x.copy(); xm[j] -= d
-            g[j] = (fun(xp, uv) - fun(xm, uv)) / (2.0 * d)
+            g[j] = (fun(xp, u) - fun(xm, u)) / (2.0 * d)
         return g
 
-    def d_du(fun, x, uv, i):
-        d = eps * max(abs(uv[i]), u_scale)
-        up = list(uv); up[i] += d
-        um = list(uv); um[i] -= d
-        return (fun(x, tuple(up)) - fun(x, tuple(um))) / (2.0 * d)
+    def d_du(fun, x, u):
+        d = eps * max(abs(u), u_scale)
+        return (fun(x, u + d) - fun(x, u - d)) / (2.0 * d)
 
     def lift(prev):
-        def nxt(x, uv):
-            val = grad_x(prev, x, uv) @ f(x, uv[0])
-            for i in range(len(uv) - 1):
-                if uv[i + 1] != 0.0:
-                    val += d_du(prev, x, uv, i) * uv[i + 1]
+        def nxt(x, u):
+            val = grad_x(prev, x, u) @ f(x, u)
+            if u_dot != 0.0:
+                val += d_du(prev, x, u) * u_dot
             return val
         return nxt
 
-    L = lambda x, uv: h(x, uv[0])  # noqa: E731
+    L = h
     values, grads = [], []
     for order in range(orders):
-        values.append(float(L(x0, uvec)))
-        grads.append(grad_x(L, x0, uvec))
+        values.append(float(L(x0, u0)))
+        grads.append(grad_x(L, x0, u0))
         if order < orders - 1:
             L = lift(L)
     return values, grads
@@ -259,20 +256,19 @@ def first_two_phase(res):
     return next(i for i in range(len(res)) if res.regime[i] == TWO_PHASE) + 300
 
 
-@pytest.mark.parametrize("N_r, regime, u_derivs", [
-    (3, "one_phase", (0.0, 0.0)), (3, "one_phase", (0.02, 0.0)),
-    (3, TWO_PHASE, (0.0, 0.0)), (3, TWO_PHASE, (0.02, 0.0)),
-    (3, TWO_PHASE, (0.02, 1e-4)), (4, TWO_PHASE, (0.0, 0.0))])
+@pytest.mark.parametrize("N_r, regime, u_dot", [
+    (3, "one_phase", 0.0), (3, "one_phase", 0.02), (3, TWO_PHASE, 0.0),
+    (3, TWO_PHASE, 0.02), (4, TWO_PHASE, 0.0)])
 def test_memoized_lie_stack_is_bit_identical(params, ocp, charge_1c, N_r, regime,
-                                             u_derivs):
+                                             u_dot):
     """Memoization only skips repeated evaluations of pure functions, so
     every Lie value and gradient equals the plain recursion's exactly.  A
-    nonzero u' (and u'') exercises the input-derivative terms."""
+    nonzero u' exercises the input-derivative term."""
     res = charge_1c[N_r]
     i = 200 if regime == "one_phase" else first_two_phase(res)
     assert (res.regime[i] == TWO_PHASE) == (regime == TWO_PHASE)
     f, h, x0, scales = model_at(res, i, params, ocp)
-    args = (x0, float(res.current[i]), u_derivs, len(x0), CFG, scales,
+    args = (x0, float(res.current[i]), u_dot, len(x0), CFG, scales,
             params.current_for_c_rate(1.0))
     vals, grads = lie_stack(f, h, *args)
     ref_vals, ref_grads = nested_lie_stack(f, h, *args)
@@ -302,7 +298,7 @@ def test_lie_stack_evaluates_each_perturbed_state_once(params, ocp, charge_1c):
     f, h, x0, scales = model_at(res, i, params, ocp)
     counts = {"f": 0, "h": 0}
     fc, hc = counting(f, h, counts)
-    observability_matrix(fc, hc, x0, float(res.current[i]), (0.0, 0.0), CFG,
+    observability_matrix(fc, hc, x0, float(res.current[i]), 0.0, CFG,
                          scales, params.current_for_c_rate(1.0))
     assert counts["h"] <= 321 and counts["f"] <= 129
 

@@ -730,20 +730,19 @@ def test_saturating_row_before_a_crossing_raises(params, ocp):
 
 
 @pytest.mark.parametrize("cutoffs", [False, True])
-def test_row_counts_at_rest_and_with_record_every(params, disc4, cutoffs):
-    """One row per step at zero current, and with record_every = 7 one row
-    per seventh step of each segment plus its last step."""
+def test_one_row_per_step_and_at_each_segment_end(params, disc4, cutoffs):
+    """One row per step, at zero current too, and a row at the end of each
+    segment, also of one that is not a whole number of steps long."""
     init = initial_state(params, disc4, 0.5, "dis")
     rest = simulate(LoadProfile(np.array([0.0, 50.0]), np.zeros(2)), init, params, disc4,
                     SolverConfig(cutoffs_enabled=cutoffs))
     assert len(rest) == 51 and np.array_equal(rest.time, np.arange(51.0))
     current = params.current_for_c_rate(0.5)
-    prof = LoadProfile(np.array([0.0, 100.0, 130.0]), np.array([current, -current, -current]))
-    res = simulate(prof, init, params, disc4,
-                   SolverConfig(record_every=7, cutoffs_enabled=cutoffs))
-    want = [0.0] + [7.0 * j for j in range(1, 15)] + [100.0, 107.0, 114.0, 121.0, 128.0, 130.0]
+    prof = LoadProfile(np.array([0.0, 100.5, 130.0]), np.array([current, -current, -current]))
+    res = simulate(prof, init, params, disc4, SolverConfig(cutoffs_enabled=cutoffs))
+    want = np.concatenate([np.arange(101.0), np.arange(100.5, 130.0), [130.0]])
     assert np.array_equal(res.time, want)
-    assert res.charge[-1] == pytest.approx(100.0 * current - 30.0 * current)
+    assert res.charge[-1] == pytest.approx(100.5 * current - 29.5 * current)
 
 
 def test_event_cap_and_front_floor_are_counted(params, monkeypatch):
