@@ -126,6 +126,9 @@ def cmd_cycle(args) -> int:
 
 def cmd_observe(args) -> int:
     cfg = _load_config(args)
+    obs_cfg = cfg.observability
+    if args.stride is not None:
+        obs_cfg = dataclasses.replace(obs_cfg, stride_s=args.stride)
     disc = dataclasses.replace(cfg.disc, N_r=args.nr, scheme=args.scheme)
     profile = LoadProfile.from_csv(args.profile)
     direction = _profile_direction(profile, args.profile)
@@ -134,9 +137,6 @@ def cmd_observe(args) -> int:
     solver = dataclasses.replace(cfg.solver, cutoffs_enabled=False)
     result = simulate(profile, init, cfg.params, disc, solver,
                       ocp=cfg.ocp, phase_cfg=cfg.phase)
-    obs_cfg = cfg.observability
-    if args.stride is not None:
-        obs_cfg = dataclasses.replace(obs_cfg, stride_s=args.stride)
     sw = sweep(result, cfg.params, obs_cfg, ocp=cfg.ocp, scheme=args.scheme)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -4,7 +4,7 @@ entries may be the literal string "synthetic" to use the built-in tables."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError, ParameterError
@@ -55,11 +55,11 @@ class RunConfig:
         if unknown:
             raise ConfigError(f"{path}: unknown config sections {sorted(unknown)}")
         try:
-            params = CellParameters.from_dict(raw.get("parameters", {}))
-            disc = DiscretizationConfig(**raw.get("discretization", {}))
-            solver = SolverConfig(**_subset(raw.get("solver", {}), SolverConfig))
-            phase = PhaseConfig(**raw.get("phase", {}))
-            obs = ObservabilityConfig(**raw.get("observability", {}))
+            params = _section(raw, "parameters", CellParameters)
+            disc = _section(raw, "discretization", DiscretizationConfig)
+            solver = _section(raw, "solver", SolverConfig)
+            phase = _section(raw, "phase", PhaseConfig)
+            obs = _section(raw, "observability", ObservabilityConfig)
         except (TypeError, ParameterError) as exc:
             raise ConfigError(f"{path}: {exc}") from exc
         ocp = _load_ocp(raw.get("ocp", {}), params, path.parent)
@@ -70,13 +70,14 @@ class RunConfig:
                    initial_soc=raw.get("initial_soc"), source=path)
 
 
-def _subset(d: dict, cls) -> dict:
-    import dataclasses
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(d) - known
+def _section(raw: dict, name: str, cls):
+    """The ``cls`` built from section ``name``; a key that is not one of
+    its fields is rejected, naming the section and the key."""
+    d = raw.get(name, {})
+    unknown = set(d) - {f.name for f in fields(cls)}
     if unknown:
-        raise ConfigError(f"unknown solver settings {sorted(unknown)}")
-    return d
+        raise ParameterError(f"section {name!r}: unknown keys {sorted(unknown)}")
+    return cls(**d)
 
 
 def _load_ocp(section: dict, params: CellParameters, base_dir: Path) -> OcpSet:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CsespmError
+from .errors import CsespmError, ParameterError
 from .ocp import OcpSet, synthetic_ocp_set
 from .output import (electrode_c_e_avg, exchange_current_density,
                      overpotential)
@@ -50,6 +50,11 @@ class ObservabilityConfig:
     i_dot: float = 0.0              # first input derivative [A/s]
     smooth_ocp: bool = True         # monotone-cubic OCP for differentiation
     stride_s: float = 30.0          # sweep subsampling interval
+
+    def __post_init__(self):
+        for name in ("jacobian_step", "rank_tol", "stride_s"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ParameterError(f"observability {name} must be positive and finite")
 
 
 # --- positive-electrode model closures ---------------------------------------

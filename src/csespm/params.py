@@ -165,14 +165,6 @@ class CellParameters:
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "CellParameters":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ParameterError(f"unknown parameter names: {sorted(unknown)}")
-        return cls(**d)
-
 
 class ParameterColumns:
     """The parameters of B members, each field read as a (B, 1) column, with

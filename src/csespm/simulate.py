@@ -70,8 +70,9 @@ class SolverConfig:
     cutoffs_enabled: bool = True
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ParameterError("dt must be positive")
+        for name in ("dt", "event_tol"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ParameterError(f"solver {name} must be positive and finite")
 
 
 # --- load profiles -----------------------------------------------------------

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from csespm import cli
 from csespm.cli import main
 from csespm.identify import make_synthetic_dataset
 from csespm.params import DiscretizationConfig
@@ -47,11 +48,11 @@ def test_bad_config_gives_exit_4(tmp_path, short_profile, capsys):
 
 
 @pytest.mark.parametrize("key, value", [("method", "rk4"), ("max_explicit_substeps", 64),
-                                        ("mass_tol", 1e-10)])
+                                        ("mass_tol", 1e-10), ("record_every", 7)])
 def test_removed_solver_setting_gives_exit_4(tmp_path, short_profile, capsys, key, value):
-    """A config that still selects an explicit method or its substep cap, or
-    sets the event mass tolerance under solver instead of phase, is
-    rejected, naming the key."""
+    """A config that still selects an explicit method, its substep cap or
+    row thinning, or sets the event mass tolerance under solver instead of
+    phase, is rejected, naming the key."""
     cfg = tmp_path / "old.json"
     cfg.write_text(json.dumps({"solver": {"dt": 1.0, key: value}}))
     rc = main(["simulate", "--config", str(cfg), "--profile", str(short_profile),
@@ -60,6 +61,44 @@ def test_removed_solver_setting_gives_exit_4(tmp_path, short_profile, capsys, ke
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "ConfigError" and record["exit_code"] == 4
     assert repr(key) in record["message"]
+
+
+def _no_simulation(*args, **kwargs):
+    raise AssertionError("a simulation ran")
+
+
+@pytest.mark.parametrize("config, extra, needle", [
+    ({"solver": {"event_tol": 0.0}}, [], "event_tol"),
+    ({"solver": {"event_tol": -1.0}}, [], "event_tol"),
+    ({"solver": {"event_tol": float("nan")}}, [], "event_tol"),
+    ({"solver": {"dt": float("nan")}}, [], "solver dt"),
+    ({"solver": {"dt": float("inf")}}, [], "solver dt"),
+    ({"observability": {"jacobian_step": 0.0}}, [], "jacobian_step"),
+    ({"observability": {"rank_tol": -1e-8}}, [], "rank_tol"),
+    ({"observability": {"stride_s": 0.0}}, [], "stride_s"),
+    ({}, ["--stride", "0"], "stride_s"),
+    ({"observability": {"i_ddot": 0.0}}, [], "'i_ddot'"),
+    ({"observability": {"current_scale": 1.0}}, [], "'current_scale'"),
+    ({"discretization": {"N_theta": 4}}, [], "'N_theta'"),
+    ({"parameters": {"bogus": 1.0}}, [], "'bogus'")])
+def test_bad_setting_gives_exit_4_before_simulating(tmp_path, short_profile, capsys,
+                                                    monkeypatch, config, extra, needle):
+    """A non-positive or non-finite solver or observability value (a zero
+    event_tol hangs the event bisection, a NaN dt fails in the time loop, a
+    zero jacobian_step gives an empty sweep), a removed observability
+    setting and an unknown key of any section are rejected when the config
+    is read, naming the setting, before any simulation runs."""
+    monkeypatch.setattr(cli, "simulate", _no_simulation)
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    rc = main(["observe", "--config", str(cfg), "--profile", str(short_profile),
+               "--nr", "2", "--out", str(out), *extra])
+    assert rc == 4
+    assert not out.exists()
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["exit_code"] == 4
+    assert needle in record["message"]
 
 
 def test_simulate_command(tmp_path, short_profile):
