@@ -29,8 +29,9 @@ from csespm.identify import (ParameterSubset, identify, make_synthetic_dataset, 
 from csespm.observability import ObservabilityConfig, sweep  # noqa: E402
 from csespm.ocp import synthetic_ocp_set  # noqa: E402
 from csespm.params import CellParameters, DiscretizationConfig  # noqa: E402
-from csespm.simulate import (SolverConfig, cc_profile, cycle_profile,  # noqa: E402
-                             initial_state, simulate, synthetic_dynamic_profile)
+from csespm.simulate import (LoadProfile, SolverConfig, cc_profile,  # noqa: E402
+                             cycle_profile, initial_state, simulate, simulate_many,
+                             synthetic_dynamic_profile)
 
 
 class Digest:
@@ -199,10 +200,39 @@ def discharge_c4_nr200(d):
                       initial_state(params, disc, 1.0, "dis"), params, disc, SolverConfig()))
 
 
+def many_mixed(d):
+    """simulate_many of the lockstep tests' mixed batch (D_s_p x {0.3, 1, 3}
+    by k_p x {0.25, 1}, a larger particle, a saturating negative electrode)
+    on their 4-segment profile from SOC 1, N_r = 4, dt = 10 s: cutoffs off,
+    then a lower cutoff between the two lowest voltage minima that stops
+    members early.  Each member hashes its result, or its error's type and
+    message."""
+    params = CellParameters()
+    ocp = synthetic_ocp_set(params)
+    disc = DiscretizationConfig(N_r=4, N_e=6)
+    i = params.current_for_c_rate(0.25)
+    profile = LoadProfile(np.array([0.0, 3000.0, 3200.0, 4000.0]),
+                          np.array([i, 0.0, -2.0 * i, -2.0 * i]))
+    members = [params.replace(D_s_p=params.D_s_p * f, k_p=params.k_p * k)
+               for f in (0.3, 1.0, 3.0) for k in (0.25, 1.0)]
+    members += [params.replace(R_s_p=1.25 * params.R_s_p), params.replace(c_s_max_n=3000.0)]
+    inits = [initial_state(p, disc, 1.0, "dis") for p in members]
+    free = SolverConfig(dt=10.0, cutoffs_enabled=False)
+    runs = simulate_many(profile, inits, members, disc, free, ocp=ocp)
+    lows = sorted({r.voltage[1:].min() for r in runs if not isinstance(r, Exception)})
+    cut = SolverConfig(dt=10.0, v_min=0.5 * (lows[0] + lows[1]))
+    for res in runs + simulate_many(profile, inits, members, disc, cut, ocp=ocp):
+        if isinstance(res, Exception):
+            d.labels(type(res).__name__, str(res))
+        else:
+            d.result(res)
+            d.floats([res.meta["max_closure"]])
+
+
 FIXTURES = {f.__name__: f for f in (
     cycle_c4, drive_hold, identify_pso_data, criterion1_cycles, fdm_cycle_1c, sweep_1c_nr3,
     fit_budget12, fit_identify_pso, sweep_1c_nr2, sweep_1c_nr4, sweep_dynamic_nr3,
-    discharge_c4_nr200)}
+    discharge_c4_nr200, many_mixed)}
 DEFAULT = ("cycle_c4", "drive_hold", "identify_pso_data", "criterion1_cycles",
            "fdm_cycle_1c", "sweep_1c_nr3")
 
