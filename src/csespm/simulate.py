@@ -26,16 +26,24 @@ shell matrix changes every substep, so both schemes step it through a
 fresh symmetric eigendecomposition: it is similar to a symmetric matrix
 under the cell capacities of its geometry (CV volumes or r_i^2 h).
 
-`simulate_many` runs B members (one parameter set and initial state each)
-on one profile in lockstep.  Every member asks for the same (t, h, I) at
-every step, and one batched step serves them all: the blocks and the
-substep are array kernels whose leading member axis leaves each member's
-arithmetic as it is, so each member's result is bit for bit its `simulate`.
-A step with a transition, a halved front step or an error is taken by the
-member alone.
+The time loop (`_simulation`) is a generator that asks for a block of
+steps at a time: the rest of a run of profile segments at one current, which
+with voltage cutoffs on also ends at the next output-map chunk.  Its server
+fills the block's rows and reports how many steps it took and the error
+that stopped it, if any.  `simulate` serves a block with one
+`Integrator.advance_with_events` per step.  `simulate_many` runs B members
+(one parameter set and initial state each) on one profile in lockstep:
+every member asks for the same blocks, the members' states are (B, ·)
+arrays for a whole block, and one batched step serves them all and writes
+every member's row at once.  The blocks and the substep are array kernels
+whose leading member axis leaves each member's arithmetic as it is, so each
+member's result is bit for bit its `simulate`.  A step with a transition, a
+halved front step or an error is taken by the member alone, and ends its
+block.
 """
 from __future__ import annotations
 
+import bisect
 import logging
 import math
 from dataclasses import dataclass, field
@@ -437,7 +445,8 @@ class Integrator:
         self.max_closure = 0.0
         # numerical decisions of a run, see records.tally
         self.counters = dict.fromkeys(("ocp_extrapolations", "event_cap_hits",
-                                       "front_floor_accepts"), 0)
+                                       "front_floor_accepts", "bisection_probes",
+                                       "front_halvings"), 0)
 
     def advance(self, state: FullState, current: float, h: float) -> FullState:
         """Pure step of length h at constant current (no event handling)."""
@@ -449,7 +458,8 @@ class Integrator:
     def advance_positive(self, state: FullState, current: float, h: float) -> FullState:
         """The state with only the positive particle stepped by h (its other
         arrays shared, never written): what a transition margin reads, so
-        event bisection probes step nothing else."""
+        event bisection probes step nothing else.  A two-phase front step
+        that moves the front too far is halved ("front_halvings")."""
         new = FullState(state.neg, state.pos, state.elec, state.regime, state.r_p,
                         state.core_conc, state.core_phase, state.direction)
         if state.regime != TWO_PHASE:
@@ -474,6 +484,7 @@ class Integrator:
                           cur.r_p, r_new, hs)
                     break
                 hs *= 0.5
+                self.counters["front_halvings"] += 1
             cur.pos = shell
             cur.r_p = r_new
             self.max_closure = max(self.max_closure, closure)
@@ -484,7 +495,10 @@ class Integrator:
                             events: list) -> FullState:
         """Step of length h from time t with phase transitions localized by
         bisection and appended to ``events``; past 8 events in one step the
-        rest is advanced without detection (tallied as "event_cap_hits")."""
+        rest is advanced without detection (tallied as "event_cap_hits").
+        The bisection halves its bracket down to solver.event_tol, or until
+        the bracket's ends are adjacent floats; each probe counts as
+        "bisection_probes"."""
         params, pcfg = self.params, self.phase_cfg
         remaining = h
         offset = 0.0
@@ -500,6 +514,9 @@ class Integrator:
                 lo, hi = 0.0, remaining
                 while hi - lo > self.solver.event_tol:
                     mid = 0.5 * (lo + hi)
+                    if mid == lo or mid == hi:      # adjacent floats: nothing to halve
+                        break
+                    self.counters["bisection_probes"] += 1
                     if transition_margin(kind, self.advance_positive(s, current, mid),
                                          current, params, pcfg) >= 0.0:
                         hi = mid
@@ -562,52 +579,196 @@ class _Lockstep:
                                            for k in ("neg", "pos1p", "elec"))
         self.params = ParameterColumns(i.params for i in integs)
 
-    def advance(self, states: list[FullState], current: float, h: float) -> list:
-        """Each member's stepped state; None for a member whose step detects
-        a transition or must halve its front step, which is then stepped
-        alone."""
+    def groups(self, labels: list[tuple]) -> list[tuple]:
+        """(key, rows, parameters) of each group of members that steps as
+        one, from the members' (regime, direction, core_phase) labels: the
+        members of one regime, and in two-phase of one core phase and
+        direction."""
+        found: dict[tuple, list[int]] = {}
+        for i, (regime, direction, core_phase) in enumerate(labels):
+            key = (regime, core_phase, direction) if regime == TWO_PHASE else (regime,)
+            found.setdefault(key, []).append(i)
+        if len(found) == 1:
+            return [(key, slice(None), self.params) for key in found]
+        return [(key, idx, self.params.take(idx)) for key, idx in found.items()]
+
+    def advance(self, x: FullState, groups: list[tuple], current: float, h: float):
+        """One step of every member of x, a FullState of (B, ·) rows and
+        (B, 1) r_p and core_conc columns: the stepped rows, each member's
+        substep closure (0 without one), and the (B, 1) mask of the members
+        whose step detects a transition or must halve its front step, which
+        must take the step alone."""
         disc, pcfg = self.integs[0].disc, self.integs[0].phase_cfg
-        pos = np.array([s.pos for s in states])
-        neg = self.neg.advance(np.array([s.neg for s in states]), current, h)
-        elec = self.elec.advance(np.array([s.elec for s in states]), current, h)
-        groups: dict[tuple, list[int]] = {}
-        for i, s in enumerate(states):
-            key = (s.regime, s.core_phase, s.direction) if s.regime == TWO_PHASE else (s.regime,)
-            groups.setdefault(key, []).append(i)
-        new_pos = (self.pos1p.advance(pos, current, h) if any(k[0] != TWO_PHASE for k in groups)
-                   else np.empty_like(pos))
-        r_p = [s.r_p for s in states]
-        quiet = [True] * len(states)
+        new = FullState(self.neg.advance(x.neg, current, h), None,
+                        self.elec.advance(x.elec, current, h), None, x.r_p.copy(),
+                        x.core_conc.copy())
+        new.pos = (self.pos1p.advance(x.pos, current, h)
+                   if any(key[0] != TWO_PHASE for key, _, _ in groups) else np.empty_like(x.pos))
+        closure = np.zeros(x.r_p.shape)
+        alone = np.zeros(x.r_p.shape, dtype=bool)
         substep = _fvm_two_phase_substep if disc.scheme == "fvm" else _fdm_two_phase_substep
-        for key, idx in groups.items():
-            whole = len(idx) == len(states)
-            sel = slice(None) if whole else idx
-            params = self.params if whole else self.params.take(idx)
+        for key, sel, params in groups:
             if key[0] == TWO_PHASE:
-                r_old = np.array([r_p[i] for i in idx])[:, None]
-                rows = FullState(None, pos[sel], None, TWO_PHASE, r_old,
-                                 np.array([states[i].core_conc for i in idx])[:, None], *key[1:])
-                shell, r_new, closure = substep(rows, current, h, params, disc.N_r)
+                r_old = x.r_p[sel]
+                rows = FullState(None, x.pos[sel], None, TWO_PHASE, r_old, x.core_conc[sel],
+                                 *key[1:])
+                shell, r_new, closure[sel] = substep(rows, current, h, params, disc.N_r)
                 # Integrator.advance_positive halves the step of a larger move
-                alone = abs(r_new - r_old) > 0.25 * (params.R_s_p - r_old)
+                out = abs(r_new - r_old) > 0.25 * (params.R_s_p - r_old)
                 rows.pos, rows.r_p = shell, r_new
-                r_new = r_new.ravel().tolist()
-                closure = np.broadcast_to(closure, r_old.shape).ravel().tolist()
+                new.pos[sel], new.r_p[sel] = shell, r_new
             else:
-                rows = FullState(None, new_pos[sel], None, key[0])
-                alone = np.zeros((len(idx), 1), dtype=bool)
+                rows = FullState(None, new.pos[sel], None, key[0])
+                out = np.zeros((len(rows.pos), 1), dtype=bool)
             for kind in transition_kinds(key[0], current):
-                alone |= transition_margin(kind, rows, current, params, pcfg) >= 0.0
-            for j, (i, out) in enumerate(zip(idx, alone.ravel().tolist())):
-                if out:
-                    quiet[i] = False
-                elif key[0] == TWO_PHASE:
-                    new_pos[i], r_p[i] = shell[j], r_new[j]
-                    integ = self.integs[i]
-                    integ.max_closure = max(integ.max_closure, closure[j])
-        return [FullState(neg[i], new_pos[i], elec[i], s.regime, r_p[i], s.core_conc,
-                          s.core_phase, s.direction) if quiet[i] else None
-                for i, s in enumerate(states)]
+                out |= transition_margin(kind, rows, current, params, pcfg) >= 0.0
+            alone[sel] = out
+        return new, closure, alone
+
+
+def _nonfinite(x: FullState) -> list[int]:
+    """The members of rows x whose state FullState.is_finite rejects."""
+    if sum(float(np.vdot(a, a)) for a in (x.neg, x.pos, x.elec, x.r_p)) < 1e300:
+        return []       # no entry reaches 1e150, so every member's sum is finite
+    return [p for p in range(len(x.r_p))
+            if not FullState(x.neg[p], x.pos[p], x.elec[p], r_p=float(x.r_p[p, 0])).is_finite()]
+
+
+class _Batch:
+    """One epoch of a lockstep run: its members' blocks start at one step
+    and end at one step, the end of a profile segment or of a chunk.
+
+    The members' states are (B, ·) rows and (B, 1) columns for the whole
+    epoch; each step is one `_Lockstep.advance` and writes every member's
+    row into the runs' shared row store at once.  A member whose step must
+    be taken alone takes it through its own Integrator.advance_with_events,
+    which ends its block: its run is resumed and asks for the rest of the
+    epoch.  Per-member work is done only for steps taken alone, block ends
+    and group changes.
+    """
+
+    def __init__(self, blocks: dict, store: dict, lockstep: _Lockstep | None):
+        self.ids = list(blocks)                 # the members' places in the store
+        self.blocks = [blocks[i] for i in self.ids]
+        b = self.blocks[0]
+        self.current, self.times, self.hs, self.row0 = b.current, b.times, b.hs, b.first
+        self.store = store
+        states = [blk.state for blk in self.blocks]
+        self.x = FullState(*(np.array([getattr(s, k) for s in states])
+                             for k in ("neg", "pos", "elec")), None,
+                           *(np.array([[getattr(s, k)] for s in states])
+                             for k in ("r_p", "core_conc")))
+        self.labels = [(s.regime, s.direction, s.core_phase) for s in states]
+        self.closure = np.array([[blk.integ.max_closure] for blk in self.blocks])
+        integs = [blk.integ for blk in self.blocks]
+        self.lockstep = (lockstep if lockstep is not None and lockstep.integs == integs
+                         else _Lockstep(integs))
+        self.groups = self.lockstep.groups(self.labels)
+        self.regroup = False
+
+    def run(self, resume) -> dict:
+        """Step the epoch, resuming each member's run at the end of each of
+        its blocks; returns the next block of each run that goes on."""
+        following: dict = {}
+        last = len(self.hs) - 1
+        for j, h in enumerate(self.hs):
+            x = self.x
+            try:
+                new, closure, alone = self.lockstep.advance(x, self.groups, self.current, h)
+            except (CsespmError, ArithmeticError, ValueError):
+                # some member's data fails the step: each takes it alone, and
+                # raises its own error there
+                new = FullState(x.neg.copy(), x.pos.copy(), x.elec.copy(), None,
+                                x.r_p.copy(), x.core_conc.copy())
+                closure, alone = 0.0, np.ones(x.r_p.shape, dtype=bool)
+            closure = np.maximum(self.closure, closure)
+            # member -> its post state after a step alone, or the error that
+            # ends its block before this step, or None at the epoch's end
+            ends = {p: self._alone(p, new, closure, self.times[j], h)
+                    for p in np.flatnonzero(alone).tolist()}
+            r = self.row0 + j       # the row of step j
+            for p in _nonfinite(new):
+                if not isinstance(ends.get(p), Exception):
+                    ends[p] = self.blocks[p].blowup(r - self.blocks[p].first)
+            self._write(r, new, closure)
+            self.x, self.closure = new, closure
+            if j == last:
+                ends.update((p, None) for p in range(len(self.ids)) if p not in ends)
+                self._end(ends, r, resume, following)
+                break
+            if ends:
+                self._end(ends, r, resume, None)
+                if not self.ids:
+                    break
+        return following
+
+    def _alone(self, p: int, new: FullState, closure: np.ndarray, t: float, h: float):
+        """Member p's step taken alone through its own integrator: its post
+        state, written into new and closure, or the error the step raised."""
+        blk, x = self.blocks[p], self.x
+        regime, direction, core_phase = self.labels[p]
+        state = FullState(x.neg[p], x.pos[p], x.elec[p], regime, float(x.r_p[p, 0]),
+                          float(x.core_conc[p, 0]), core_phase, direction)
+        blk.integ.max_closure = float(self.closure[p, 0])
+        try:
+            post = blk.integ.advance_with_events(state, self.current, t, h, blk.events)
+        except Exception as exc:
+            return exc
+        new.neg[p], new.pos[p], new.elec[p] = post.neg, post.pos, post.elec
+        new.r_p[p], new.core_conc[p] = post.r_p, post.core_conc
+        closure[p] = blk.integ.max_closure
+        label = (post.regime, post.direction, post.core_phase)
+        if label != self.labels[p]:
+            self.labels[p] = label
+            self.regroup = True
+        return post
+
+    def _write(self, r: int, new: FullState, closure: np.ndarray):
+        """Row r of every member, into the shared store."""
+        store = self.store
+        m = slice(None) if len(self.ids) == len(store["cols"]) else self.ids
+        store["neg"][m, r], store["pos"][m, r], store["elec"][m, r] = new.neg, new.pos, new.elec
+        store["cols"][m, 3, r] = new.r_p[:, 0]
+        store["cols"][m, 4, r] = new.core_conc[:, 0]
+        store["closure"][m, r] = closure[:, 0]
+
+    def _end(self, ends: dict, r: int, resume, following: dict | None):
+        """Resume the run of each member whose block ends at row r; a run
+        that goes on asks for its next block, which joins the epoch, or with
+        ``following`` given, the next epoch.  Members whose runs end leave."""
+        keep = []
+        for p, blk in enumerate(self.blocks):
+            if p not in ends:
+                keep.append(p)
+                continue
+            outcome = ends[p]
+            error = outcome if isinstance(outcome, Exception) else None
+            n = r - blk.first + (0 if error else 1)
+            blk.integ.max_closure = float(self.closure[p, 0])
+            if isinstance(outcome, FullState):
+                blk.rows.put(r, outcome)
+            nxt = resume(self.ids[p], (n, error))
+            if nxt is None:
+                continue
+            if following is not None:
+                following[self.ids[p]] = nxt
+            else:
+                self.blocks[p] = nxt
+                keep.append(p)
+        if following is not None:
+            return
+        if len(keep) < len(self.ids):
+            x = self.x
+            self.x = FullState(x.neg[keep], x.pos[keep], x.elec[keep], None, x.r_p[keep],
+                               x.core_conc[keep])
+            self.closure = self.closure[keep]
+            self.ids, self.blocks, self.labels = (
+                [a[p] for p in keep] for a in (self.ids, self.blocks, self.labels))
+            self.lockstep = _Lockstep([blk.integ for blk in self.blocks])
+            self.regroup = True
+        if self.regroup:
+            self.groups = self.lockstep.groups(self.labels)
+            self.regroup = False
 
 
 # --- initial states -------------------------------------------------------------
@@ -710,6 +871,157 @@ def read_result_csv(path) -> dict:
 _CHUNK = 64     # rows per output-map pass while voltage cutoffs are on
 
 
+@dataclass
+class _Grid:
+    """The steps of a run of a profile at one dt: each step's start time
+    and length, and its row's time, current and charge, accumulated step by
+    step from each segment's start.  A block of steps runs on into the next
+    segment only when that one has the same current and starts where the
+    last step ended, so it takes the same steps: ``begins`` maps each step
+    where a block must begin to the (t0, current) of the segments starting
+    there, whose current may flip the direction."""
+
+    starts: list
+    hs: list
+    times: list
+    currents: list
+    charges: list
+    begins: dict
+    bounds: list        # the steps where a block must end, ascending
+
+
+def _step_grid(profile: LoadProfile, dt: float) -> _Grid:
+    g = _Grid([], [], [], [], [], {}, [])
+    q_total, last = 0.0, None
+    for t0, t1, current in profile.segments():
+        if current != last or not g.times or t0 != g.times[-1]:
+            g.begins.setdefault(len(g.hs), []).append((t0, current))
+        last = current
+        t = t0
+        while t < t1 - 1e-9:
+            h = min(dt, t1 - t)
+            g.starts.append(t)
+            g.hs.append(h)
+            t += h
+            q_total += current * h
+            g.times.append(t)
+            g.currents.append(current)
+            g.charges.append(q_total)
+    g.bounds = sorted(set(g.begins) | {len(g.hs)})
+    return g
+
+
+def _row_store(members: int, grid: _Grid, init: FullState) -> dict:
+    """The rows of ``members`` runs of one step grid, the initial row and
+    one per step, member first: the columns time, current, charge, r_p,
+    core_conc, voltage, SOC_p, SOC_n; the neg/pos/elec concentrations; the
+    integrator's max_closure."""
+    size = 1 + len(grid.hs)
+    store = {k: np.empty((members, size, len(getattr(init, k)))) for k in ("neg", "pos", "elec")}
+    store["cols"] = np.empty((members, 8, size))
+    store["closure"] = np.empty((members, size))
+    store["grid"] = grid
+    return store
+
+
+class _Rows:
+    """The rows of one run, one per accepted step, in its place of a row
+    store (_row_store).  The (regime, direction, core_phase) labels and,
+    with cutoffs on, the marks (events so far, counters) that a run stopped
+    at a row rolls back to are runs: (first row, value), each holding up to
+    the next run's first row."""
+
+    def __init__(self, store: dict, member: int, integ: Integrator, events: list,
+                 cutoffs: bool):
+        self.cols, self.neg, self.pos, self.elec, self.closure = (
+            store[k][member] for k in ("cols", "neg", "pos", "elec", "closure"))
+        self.integ, self.events, self.cutoffs = integ, events, cutoffs
+        self.labels: list[tuple[int, tuple]] = []
+        self.marks: list[tuple[int, int, dict]] = []
+        self.n = 0
+
+    def begin(self, i: int, s: FullState):
+        """From row i on, the rows are labelled as state s and marked with
+        the run's events and counters as they are now."""
+        label = (s.regime, s.direction, s.core_phase)
+        if not self.labels or self.labels[-1][1] != label:
+            self.labels.append((i, label))
+        if self.cutoffs:
+            self.marks.append((i, len(self.events), dict(self.integ.counters)))
+
+    def put(self, i: int, s: FullState):
+        """Row i: the state s of a step (its time, current and charge are
+        written by the run)."""
+        self.cols[3, i] = s.r_p
+        self.cols[4, i] = s.core_conc
+        self.neg[i], self.pos[i], self.elec[i] = s.neg, s.pos, s.elec
+        self.closure[i] = self.integ.max_closure
+        self.begin(i, s)
+
+    def label_rows(self, a: int, b: int) -> list:
+        """The labels of rows a..b-1."""
+        out = []
+        ends = [i for i, _ in self.labels[1:]] + [b]
+        for (i, label), end in zip(self.labels, ends):
+            out += [label] * (min(end, b) - max(i, a))
+        return out
+
+    def last_state(self) -> FullState:
+        i = self.n - 1
+        regime, direction, core_phase = self.labels[-1][1]
+        return FullState(self.neg[i], self.pos[i], self.elec[i], regime, float(self.cols[3, i]),
+                         float(self.cols[4, i]), core_phase, direction)
+
+    def stop_at(self, k: int):
+        """Keep rows 0..k, and roll the run's events, counters and
+        max_closure back to what they were when row k was recorded."""
+        _, n_events, kept = self.marks[bisect.bisect_right([m[0] for m in self.marks], k) - 1]
+        del self.events[n_events:]
+        counters = self.integ.counters
+        counters.clear()
+        counters.update(kept)
+        self.integ.max_closure = float(self.closure[k])
+        while self.labels[-1][0] > k:
+            self.labels.pop()
+        self.n = k + 1
+
+
+@dataclass
+class _Block:
+    """One step request of a run: steps j = 0..k-1 from times[j] to
+    times[j + 1], of length hs[j], at one current from ``state``, each
+    recorded as row first + j of ``rows``.  A server answers it with (the
+    steps taken, the error that stopped the block or None)."""
+
+    integ: Integrator
+    rows: _Rows
+    state: FullState
+    current: float
+    times: list
+    hs: list
+    events: list
+    first: int
+
+    def blowup(self, j: int) -> BlowupError:
+        """The error of a non-finite state after step j."""
+        t = self.times[j + 1]
+        return BlowupError(f"non-finite state at t={t:.3f}s", last_good_time=t - self.hs[j])
+
+
+def _serve(block: _Block) -> tuple[int, Exception | None]:
+    """A block of one run served alone, one advance_with_events per step."""
+    integ, rows, s = block.integ, block.rows, block.state
+    for j, h in enumerate(block.hs):
+        try:
+            s = integ.advance_with_events(s, block.current, block.times[j], h, block.events)
+        except Exception as exc:
+            return j, exc
+        if not s.is_finite():
+            return j, block.blowup(j)
+        rows.put(block.first + j, s)
+    return len(block.hs), None
+
+
 def simulate(profile: LoadProfile, init: FullState, params: CellParameters,
              disc: DiscretizationConfig, solver: SolverConfig | None = None,
              ocp: OcpSet | None = None,
@@ -725,16 +1037,13 @@ def simulate(profile: LoadProfile, init: FullState, params: CellParameters,
     A non-finite state raises BlowupError.
     """
     run = _simulation(profile, init, params, disc, solver, ocp, phase_cfg)
-    send, value = run.send, None
+    value = None
     while True:
         try:
-            integ, step = send(value)
+            block = run.send(value)
         except StopIteration as stop:
             return stop.value
-        try:
-            send, value = run.send, integ.advance_with_events(*step)
-        except Exception as exc:
-            send, value = run.throw, exc
+        value = _serve(block)
 
 
 def simulate_many(profile: LoadProfile, inits: list[FullState],
@@ -744,60 +1053,51 @@ def simulate_many(profile: LoadProfile, inits: list[FullState],
     """`simulate` of B members (one initial state and parameter set each) on
     one profile, stepped in lockstep.
 
-    Every member asks for the same (t, h, I) at every step, so one batched
-    step (`_Lockstep`) advances them all.  A member whose step detects a
-    transition, must halve its front step or raises is stepped again alone,
-    through its own Integrator.advance_with_events.  Each item of the
-    returned list is the member's SimulationResult, bit for bit the one
-    `simulate` returns for it, or the exception its run raised.
+    Every member asks for the same blocks of steps, so one batched step
+    (`_Lockstep`) advances them all and writes their rows at once (`_Batch`).
+    A member whose step detects a transition, must halve its front step or
+    raises takes that step alone, through its own
+    Integrator.advance_with_events.  Each item of the returned list is the
+    member's SimulationResult, bit for bit the one `simulate` returns for
+    it, or the exception its run raised.
     """
-    runs = [_simulation(profile, x0, p, disc, solver, ocp, phase_cfg)
-            for x0, p in zip(inits, params)]
+    if not inits:
+        return []
+    store = _row_store(len(inits), _step_grid(profile, (solver or SolverConfig()).dt), inits[0])
+    runs = [_simulation(profile, x0, p, disc, solver, ocp, phase_cfg, store, i)
+            for i, (x0, p) in enumerate(zip(inits, params))]
     outcomes: list = [None] * len(runs)
-    pending: dict[int, tuple] = {}      # member -> its step request
 
-    def resume(i: int, send, value):
+    def resume(i: int, value):
+        """Member i's next block, or None once its run has ended."""
         try:
-            pending[i] = send(value)
+            return runs[i].send(value)
         except StopIteration as stop:
             outcomes[i] = stop.value
         except Exception as exc:
             outcomes[i] = exc
+        return None
 
-    for i, run in enumerate(runs):
-        resume(i, run.send, None)
+    blocks = {i: b for i in range(len(runs)) if (b := resume(i, None)) is not None}
     lockstep = None
-    while pending:
-        members = list(pending)
-        requests = [pending.pop(i) for i in members]
-        integs = [integ for integ, _ in requests]
-        if lockstep is None or lockstep.integs != integs:
-            lockstep = _Lockstep(integs)
-        _, current, _, h, _ = requests[0][1]
-        try:
-            posts = lockstep.advance([step[0] for _, step in requests], current, h)
-        except (CsespmError, ArithmeticError, ValueError):
-            # some member's data fails the step: each takes it alone, and
-            # raises its own error there
-            posts = [None] * len(members)
-        for i, (integ, step), post in zip(members, requests, posts):
-            if post is None:
-                try:
-                    post = integ.advance_with_events(*step)
-                except Exception as exc:
-                    resume(i, runs[i].throw, exc)
-                    continue
-            resume(i, runs[i].send, post)
+    while blocks:
+        batch = _Batch(blocks, store, lockstep)
+        blocks = batch.run(resume)
+        lockstep = batch.lockstep
     return outcomes
 
 
 def _simulation(profile: LoadProfile, init: FullState, params: CellParameters,
                 disc: DiscretizationConfig, solver: SolverConfig | None,
-                ocp: OcpSet | None, phase_cfg: PhaseConfig | None):
-    """The run of `simulate` as a generator.  It yields each step request,
-    (integrator, (state, current, t, h, events)), the integrator and the
-    arguments of its advance_with_events; it is sent the stepped state, or
-    thrown the error of the step, and returns the SimulationResult."""
+                ocp: OcpSet | None, phase_cfg: PhaseConfig | None,
+                store: dict | None = None, member: int = 0):
+    """The run of `simulate` as a generator.  It yields one step request
+    (_Block) per block of steps: the rest of a profile segment, which with
+    cutoffs on also ends at the next _CHUNK boundary, so at most one chunk
+    is integrated past a stop.  It is sent (the steps taken, the error that
+    stopped the block or None) once a server has filled the block's rows,
+    and returns the SimulationResult.  Its rows are member ``member`` of
+    ``store`` (simulate_many's shared rows), or its own."""
     solver = solver or SolverConfig()
     ocp = ocp or synthetic_ocp_set(params)
     integ = Integrator(params, disc, solver, phase_cfg)
@@ -805,40 +1105,25 @@ def _simulation(profile: LoadProfile, init: FullState, params: CellParameters,
     cutoffs = solver.cutoffs_enabled
     v_lo = solver.v_min if cutoffs and solver.v_min is not None else -np.inf
     v_hi = solver.v_max if cutoffs and solver.v_max is not None else np.inf
-    size = 1 + int(np.sum(np.ceil(np.diff(profile.times) / solver.dt) + 1))
-    # rows: time, current, charge, r_p, core_conc, then voltage, SOC_p, SOC_n
-    cols = np.empty((8, size))
-    conc = {k: np.empty((size, len(getattr(init, k)))) for k in ("neg", "pos", "elec")}
-    labels, events, marks = [], [], []    # labels: (regime, direction, core_phase)
+    if store is None:
+        store = _row_store(1, _step_grid(profile, solver.dt), init)
+    grid = store["grid"]
+    events = []
+    rows = _Rows(store, member, integ, events, cutoffs)
+    cols = rows.cols
     status = "completed"
     done = 0          # rows the output map has seen
 
-    c_t, c_i, c_q, c_r, c_c = cols[:5]
-    c_neg, c_pos, c_elec = conc["neg"], conc["pos"], conc["elec"]
-
-    def record(t: float, current: float, q: float, s: FullState):
-        i = len(labels)
-        c_t[i] = t
-        c_i[i] = current
-        c_q[i] = q
-        c_r[i] = s.r_p
-        c_c[i] = s.core_conc
-        c_neg[i], c_pos[i], c_elec[i] = s.neg, s.pos, s.elec
-        labels.append((s.regime, s.direction, s.core_phase))
-        if cutoffs:
-            marks.append((len(events), integ.max_closure, dict(counters)))
-
     def output_map(a: int, b: int) -> OutputSnapshot:
-        regime, direction, _ = zip(*labels[a:b])
-        rows = FullState(conc["neg"][a:b], conc["pos"][a:b], conc["elec"][a:b],
-                         np.array(regime), cols[3, a:b], cols[4, a:b], None,
-                         np.array(direction))
-        return cell_voltage(rows, cols[1, a:b], params, ocp, split, counters=counters)
+        regime, direction, _ = zip(*rows.label_rows(a, b))
+        states = FullState(rows.neg[a:b], rows.pos[a:b], rows.elec[a:b], np.array(regime),
+                           cols[3, a:b], cols[4, a:b], None, np.array(direction))
+        return cell_voltage(states, cols[1, a:b], params, ocp, split, counters=counters)
 
     def settle() -> bool:
         """Output map of the pending rows; True when one crosses a cutoff."""
         nonlocal done, status
-        a, b = done, len(labels)
+        a, b = done, rows.n
         if a == b:
             return False
         done = b
@@ -854,10 +1139,7 @@ def _simulation(profile: LoadProfile, init: FullState, params: CellParameters,
             k = a + int(hits[0])
             status = "cutoff_low" if cols[5, k] < v_lo else "cutoff_high"
             # undo what the steps after row k did, and recount its chunk
-            n_events, integ.max_closure, kept = marks[k]
-            del events[n_events:], labels[k + 1:]
-            counters.clear()
-            counters.update(kept)
+            rows.stop_at(k)
             done = k + 1
             output_map(a, done)
             return True
@@ -866,30 +1148,40 @@ def _simulation(profile: LoadProfile, init: FullState, params: CellParameters,
         return False
 
     def run():
+        n_steps = len(grid.hs)
+        cols[:3, 0] = profile.times[0], profile.currents[0], 0.0
+        cols[:3, 1:n_steps + 1] = grid.times, grid.currents, grid.charges
         state = init.copy()
-        q_total = 0.0
-        record(float(profile.times[0]), next(iter(profile.segments()))[2], q_total, state)
-        for t0, t1, current in profile.segments():
-            if current != 0.0:
-                newdir = systems.direction_for_current(current)
-                if newdir != state.direction:
-                    if state.two_phase:
-                        state, ev = apply_sign_flip(state, current, t0)
-                        events.append(ev)
-                    else:
-                        state = state.copy()
-                        state.direction = newdir
-            t = t0
-            while t < t1 - 1e-9:
-                h = min(solver.dt, t1 - t)
-                state = yield integ, (state, current, t, h, events)
-                t += h
-                q_total += current * h
-                if not state.is_finite():
-                    raise BlowupError(f"non-finite state at t={t:.3f}s", last_good_time=t - h)
-                record(t, current, q_total, state)
-                if cutoffs and len(labels) - done >= _CHUNK and settle():
-                    return
+        rows.put(0, state)
+        rows.n = 1
+        s = 0           # the next step
+        while True:
+            for t0, current in grid.begins.get(s, ()):
+                if current != 0.0:
+                    newdir = systems.direction_for_current(current)
+                    if newdir != state.direction:
+                        if state.two_phase:
+                            state, ev = apply_sign_flip(state, current, t0)
+                            events.append(ev)
+                        else:
+                            state = state.copy()
+                            state.direction = newdir
+            if s == n_steps:
+                return
+            b = grid.bounds[bisect.bisect_right(grid.bounds, s)]
+            if cutoffs:
+                b = min(b, s + _CHUNK - (rows.n - done))
+            rows.begin(rows.n, state)
+            n, error = yield _Block(integ, rows, state, grid.currents[s],
+                                    [grid.starts[s]] + grid.times[s:b], grid.hs[s:b], events,
+                                    rows.n)
+            rows.n += n
+            s += n
+            if error is not None:
+                raise error
+            state = rows.last_state()
+            if cutoffs and rows.n - done >= _CHUNK and settle():
+                return
 
     try:
         yield from run()
@@ -899,10 +1191,10 @@ def _simulation(profile: LoadProfile, init: FullState, params: CellParameters,
             raise
     settle()
 
-    n = len(labels)
+    n = rows.n
     time, current, charge, r_p, core_conc, voltage, soc_p, soc_n = cols[:, :n]
-    neg_c, pos_c, elec_c = (conc[k][:n] for k in ("neg", "pos", "elec"))
-    regime, direction, core_phase = (list(x) for x in zip(*labels))
+    neg_c, pos_c, elec_c = rows.neg[:n], rows.pos[:n], rows.elec[:n]
+    regime, direction, core_phase = (list(x) for x in zip(*rows.label_rows(0, n)))
     dx, eps, _ = systems.electrolyte_geometry(params, disc.N_e, split)
     result = SimulationResult(
         time=time, current=current, voltage=voltage, soc_p=soc_p, soc_n=soc_n,

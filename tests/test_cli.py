@@ -287,7 +287,8 @@ def test_simulate_summary_shows_counters(tmp_path, short_profile):
     assert main(["simulate", "--profile", str(short_profile), "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["counters"] == {"ocp_extrapolations": 0, "event_cap_hits": 0,
-                                   "front_floor_accepts": 0}
+                                   "front_floor_accepts": 0, "bisection_probes": 10,
+                                   "front_halvings": 0}
 
 
 @pytest.mark.parametrize("body, needle", [

@@ -2,6 +2,7 @@
 that uses it: every member and every fit equals its one-at-a-time run bit for
 bit."""
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -60,14 +61,10 @@ def _assert_same(got, want):
     assert got.meta == want.meta
 
 
-@pytest.mark.parametrize("N_r, scheme", [(2, "fvm"), (4, "fvm"), (8, "fvm"), (4, "fdm")])
-def test_members_equal_their_serial_runs(params, ocp, N_r, scheme):
-    """Each member of a mixed batch equals `simulate` run on it alone:
-    states, voltages, r_p, events, status and counters, with cutoffs off
-    and with a lower cutoff that stops one member early, and the member
-    that raises raises the same error."""
-    disc = DiscretizationConfig(N_r=N_r, N_e=6, scheme=scheme)
-    profile = _profile(params)
+def _check_mixed_batch(params, ocp, disc, profile):
+    """Each member of the mixed batch on the profile equals `simulate` run
+    on it alone, with cutoffs off and with a lower cutoff between the two
+    lowest voltage minima, which stops members early."""
     members = _members(params)
     inits = [initial_state(p, disc, 1.0, "dis") for p in members]
     free = [_run(simulate, profile, x0, p, disc, SOLVER, ocp=ocp)
@@ -87,6 +84,26 @@ def test_members_equal_their_serial_runs(params, ocp, N_r, scheme):
     assert {r.status for r in want[:-1]} == {"completed", "cutoff_low"}
 
 
+@pytest.mark.parametrize("N_r, scheme", [(2, "fvm"), (4, "fvm"), (8, "fvm"), (4, "fdm")])
+def test_members_equal_their_serial_runs(params, ocp, N_r, scheme):
+    """Each member of a mixed batch equals `simulate` run on it alone:
+    states, voltages, r_p, events, status and counters, with cutoffs off
+    and with a lower cutoff that stops one member early, and the member
+    that raises raises the same error."""
+    _check_mixed_batch(params, ocp, DiscretizationConfig(N_r=N_r, N_e=6, scheme=scheme),
+                       _profile(params))
+
+
+def test_members_equal_their_serial_runs_off_the_step_grid(params, ocp, disc4):
+    """The same with segments that are not multiples of dt: every
+    segment's last step is shorter, and the blocks end there."""
+    i = params.current_for_c_rate(0.25)
+    profile = LoadProfile(np.array([0.0, 3003.7, 3207.25, 4001.9]),
+                          np.array([i, 0.0, -2.0 * i, -2.0 * i]))
+    assert all(np.diff(profile.times) % SOLVER.dt)
+    _check_mixed_batch(params, ocp, disc4, profile)
+
+
 def test_member_that_fails_its_first_step(params, ocp, disc4):
     """A member whose state turns non-finite in the batched step raises the
     BlowupError of its serial run; the others are untouched."""
@@ -98,6 +115,88 @@ def test_member_that_fails_its_first_step(params, ocp, disc4):
         for g, x0, p in zip(got, inits, members):
             _assert_same(g, _run(simulate, profile, x0, p, disc4, SOLVER, ocp=ocp))
     assert type(got[1]).__name__ == "BlowupError"
+
+
+def test_member_that_turns_non_finite_later(params, ocp, disc4):
+    """A member whose negative electrode overflows a few steps in stops
+    with its serial run's error; its rows before the failing step reach
+    the output map, which raises in the BlowupError's handling, as alone."""
+    members = [params, params.replace(eps_n=1e-306), params.replace(k_p=2.0 * params.k_p)]
+    inits = [initial_state(p, disc4, 1.0, "dis") for p in members]
+    profile = _profile(params)
+    with np.errstate(all="ignore"):
+        got = simulate_many(profile, inits, members, disc4, SOLVER, ocp=ocp)
+        for g, x0, p in zip(got, inits, members):
+            _assert_same(g, _run(simulate, profile, x0, p, disc4, SOLVER, ocp=ocp))
+    blowup = got[1].__context__
+    assert type(blowup).__name__ == "BlowupError" and blowup.last_good_time > 0.0
+
+
+def test_batched_step_that_raises_is_taken_alone(params, ocp, disc4, monkeypatch):
+    """When the batched two-phase substep raises, every member takes that
+    step alone, through its own integrator, and still equals its serial
+    run."""
+    sim = sys.modules["csespm.simulate"]
+    real = sim._fvm_two_phase_substep
+
+    def one_at_a_time(state, *args):
+        if state.pos.ndim > 1:
+            raise ZeroDivisionError("a batched substep")
+        return real(state, *args)
+
+    monkeypatch.setattr(sim, "_fvm_two_phase_substep", one_at_a_time)
+    members = _members(params)[:3]
+    inits = [initial_state(p, disc4, 1.0, "dis") for p in members]
+    profile = _profile(params)
+    got = simulate_many(profile, inits, members, disc4, SOLVER, ocp=ocp)
+    for g, x0, p in zip(got, inits, members):
+        _assert_same(g, simulate(profile, x0, p, disc4, SOLVER, ocp=ocp))
+    assert all("two_phase" in g.regime for g in got)
+
+
+def test_one_request_per_segment_and_step_taken_alone(params, ocp, disc4, monkeypatch):
+    """With cutoffs off, a run served alone asks for one block of steps per
+    profile segment, and a lockstep member for one per segment plus one
+    after each step it takes alone (short of its block's end).  Segments
+    that go on at the same current, starting where the last step ended,
+    share a block."""
+    sim = sys.modules["csespm.simulate"]
+    real_run, real_step = sim._simulation, sim.Integrator.advance_with_events
+    requests, alone = {}, {}
+
+    def counted_run(profile, init, params, *args):
+        run = real_run(profile, init, params, *args)
+        value = None
+        while True:
+            try:
+                request = run.send(value)
+            except StopIteration as stop:
+                return stop.value
+            requests[id(params)] = requests.get(id(params), 0) + 1
+            value = yield request
+
+    def counted_step(self, s, current, t, h, events):
+        alone.setdefault(id(self.params), []).append(t + h)
+        return real_step(self, s, current, t, h, events)
+
+    monkeypatch.setattr(sim, "_simulation", counted_run)
+    monkeypatch.setattr(sim.Integrator, "advance_with_events", counted_step)
+    i = params.current_for_c_rate(0.25)
+    # _profile with its discharge cut into three segments
+    profile = LoadProfile(np.array([0.0, 1000.0, 2000.0, 3000.0, 3200.0, 4000.0]),
+                          np.array([i, i, i, 0.0, -2.0 * i, -2.0 * i]))
+    members = _members(params)[:-1]
+    inits = [initial_state(p, disc4, 1.0, "dis") for p in members]
+    simulate(profile, inits[0], members[0], disc4, SOLVER, ocp=ocp)
+    assert requests == {id(members[0]): 3}
+    requests.clear()
+    alone.clear()
+    simulate_many(profile, inits, members, disc4, SOLVER, ocp=ocp)
+    block_ends = {3000.0, 3200.0, 4000.0}
+    assert sum(map(len, alone.values())) > len(members)
+    for p in members:
+        mid_block = [t for t in alone.get(id(p), []) if t not in block_ends]
+        assert requests[id(p)] == 3 + len(mid_block)
 
 
 # --- identification -------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -576,9 +577,11 @@ def test_columnar_outputs_match_scalar_replay(params, ocp, disc4, run):
         assert abs(snap.V_cell - res.voltage[i]) <= 1e-12
         assert abs(snap.SOC_p - res.soc_p[i]) <= 1e-12
     if run == "c4_cycle":
-        # a normal cycle takes none of the counted numerical decisions
+        # a normal cycle takes none of the counted fallbacks; it bisects its
+        # events and halves a few front steps
         assert res.meta["counters"] == {"ocp_extrapolations": 0, "event_cap_hits": 0,
-                                        "front_floor_accepts": 0}
+                                        "front_floor_accepts": 0, "bisection_probes": 56,
+                                        "front_halvings": 3}
 
 
 def _per_step_run(profile, init, params, disc, solver, ocp):
@@ -776,5 +779,32 @@ def test_event_cap_and_front_floor_are_counted(params, monkeypatch):
     events = []
     integ.advance_with_events(state, current, 0.0, 1.0, events)
     assert events == ["event"] * 8
+    # the 20 halvings before the floor; no probe, as every margin reads 0
     assert integ.counters == {"ocp_extrapolations": 0, "event_cap_hits": 1,
-                              "front_floor_accepts": 1}
+                              "front_floor_accepts": 1, "bisection_probes": 0,
+                              "front_halvings": 20}
+
+
+def test_bisection_below_float_spacing_returns(params, ocp):
+    """An event_tol below the float spacing of the step ends the bisection
+    once its bracket's ends are adjacent floats: the run through a
+    two-phase entry returns, with the event time of the default run to
+    1e-3 s.  Each probe counts as bisection_probes."""
+    disc = DiscretizationConfig(N_r=3, N_e=6)
+    profile = cc_profile(params, 1.0, "dis", duration=600.0)
+    init = initial_state(params, disc, 1.0, "dis")
+    runs = []
+    previous = signal.signal(signal.SIGALRM, lambda *args: pytest.fail("bisection hangs"))
+    signal.alarm(60)
+    try:
+        for tol in (1e-3, 1e-20):
+            runs.append(simulate(profile, init, params, disc,
+                                 SolverConfig(event_tol=tol, cutoffs_enabled=False), ocp=ocp))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    default, tight = runs
+    assert [e.kind for e in tight.events] == [e.kind for e in default.events] == ["enter_two_phase"]
+    assert abs(tight.events[0].time - default.events[0].time) <= 1e-3
+    assert default.meta["counters"]["bisection_probes"] == 10
+    assert tight.meta["counters"]["bisection_probes"] > 40
