@@ -46,6 +46,7 @@ from __future__ import annotations
 import bisect
 import logging
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -881,17 +882,17 @@ class _Grid:
     where a block must begin to the (t0, current) of the segments starting
     there, whose current may flip the direction."""
 
-    starts: list
-    hs: list
-    times: list
-    currents: list
-    charges: list
+    starts: array
+    hs: array
+    times: array
+    currents: array
+    charges: array
     begins: dict
     bounds: list        # the steps where a block must end, ascending
 
 
 def _step_grid(profile: LoadProfile, dt: float) -> _Grid:
-    g = _Grid([], [], [], [], [], {}, [])
+    g = _Grid(*(array("d") for _ in range(5)), {}, [])
     q_total, last = 0.0, None
     for t0, t1, current in profile.segments():
         if current != last or not g.times or t0 != g.times[-1]:
@@ -1173,8 +1174,8 @@ def _simulation(profile: LoadProfile, init: FullState, params: CellParameters,
                 b = min(b, s + _CHUNK - (rows.n - done))
             rows.begin(rows.n, state)
             n, error = yield _Block(integ, rows, state, grid.currents[s],
-                                    [grid.starts[s]] + grid.times[s:b], grid.hs[s:b], events,
-                                    rows.n)
+                                    [grid.starts[s]] + grid.times[s:b].tolist(),
+                                    grid.hs[s:b].tolist(), events, rows.n)
             rows.n += n
             s += n
             if error is not None:
