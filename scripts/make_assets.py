@@ -11,7 +11,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from csespm.ocp import synthetic_negative_table, synthetic_positive_table  # noqa: E402
-from csespm.params import CellParameters, DEFAULT_RATE_OVERRIDES  # noqa: E402
+from csespm.params import CellParameters  # noqa: E402
 from csespm.simulate import cc_profile, synthetic_dynamic_profile  # noqa: E402
 
 
@@ -34,7 +34,6 @@ def config(params: CellParameters) -> dict:
     """The shipped run config, as assets/config.json holds it."""
     return {
         "parameters": params.to_dict(),
-        "rate_overrides": DEFAULT_RATE_OVERRIDES,
         "ocp": {
             "neg": "ocp_neg.csv",
             "pos_ch": "ocp_pos_charge.csv",
@@ -45,8 +44,7 @@ def config(params: CellParameters) -> dict:
                    "v_min": 2.0, "v_max": 3.65, "cutoffs_enabled": True},
         "phase": {"delta_init": 1e-3, "r_eps_rel": 1e-3, "shell_eps_rel": 1e-4,
                   "mass_tol": 1e-10},
-        "observability": {"jacobian_step": 1e-6, "rank_tol": 1e-8,
-                          "stride_s": 30.0, "smooth_ocp": True},
+        "observability": {"jacobian_step": 1e-6, "rank_tol": 1e-8, "stride_s": 30.0},
     }
 
 

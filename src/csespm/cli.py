@@ -157,8 +157,7 @@ def cmd_identify(args) -> int:
     subset = ParameterSubset.preset(args.subset, cfg.params, decades=args.decades)
     solver = dataclasses.replace(cfg.solver, cutoffs_enabled=False)
     fit = identify(datasets, subset, cfg.params, cfg.disc, solver,
-                   seed=args.seed, budget=args.budget, ocp=cfg.ocp,
-                   rate_overrides=cfg.rate_overrides, phase_cfg=cfg.phase)
+                   seed=args.seed, budget=args.budget, ocp=cfg.ocp, phase_cfg=cfg.phase)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "fit.json").write_text(json.dumps(fit.to_dict(), indent=2) + "\n")

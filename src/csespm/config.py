@@ -4,18 +4,18 @@ entries may be the literal string "synthetic" to use the built-in tables."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError, ParameterError
 from .observability import ObservabilityConfig
 from .ocp import OcpSet, OcpTable, synthetic_ocp_set
-from .params import CellParameters, DiscretizationConfig, DEFAULT_RATE_OVERRIDES
+from .params import CellParameters, DiscretizationConfig
 from .phase import PhaseConfig
 from .simulate import SolverConfig
 
-_SECTIONS = {"parameters", "rate_overrides", "ocp", "discretization",
-             "solver", "phase", "observability", "initial_soc"}
+_SECTIONS = {"parameters", "ocp", "discretization", "solver", "phase", "observability",
+             "initial_soc"}
 
 
 @dataclass
@@ -28,9 +28,7 @@ class RunConfig:
     phase: PhaseConfig
     observability: ObservabilityConfig
     ocp: OcpSet
-    rate_overrides: dict = field(default_factory=lambda: dict(DEFAULT_RATE_OVERRIDES))
     initial_soc: float | None = None
-    source: Path | None = None
 
     @classmethod
     def default(cls) -> "RunConfig":
@@ -51,6 +49,8 @@ class RunConfig:
             raw = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{path}: a config is a JSON object of sections")
         unknown = set(raw) - _SECTIONS
         if unknown:
             raise ConfigError(f"{path}: unknown config sections {sorted(unknown)}")
@@ -62,21 +62,43 @@ class RunConfig:
             obs = _section(raw, "observability", ObservabilityConfig)
         except (TypeError, ParameterError) as exc:
             raise ConfigError(f"{path}: {exc}") from exc
+        soc = raw.get("initial_soc")
+        if soc is not None and not (_fits(soc, "float") and 0.0 <= soc <= 1.0):
+            raise ConfigError(f"{path}: initial_soc must be a number in [0, 1], not {soc!r}")
         ocp = _load_ocp(raw.get("ocp", {}), params, path.parent)
-        overrides = dict(DEFAULT_RATE_OVERRIDES)
-        overrides.update(raw.get("rate_overrides", {}))
         return cls(params=params, disc=disc, solver=solver, phase=phase,
-                   observability=obs, ocp=ocp, rate_overrides=overrides,
-                   initial_soc=raw.get("initial_soc"), source=path)
+                   observability=obs, ocp=ocp, initial_soc=soc)
+
+
+def _fits(value, annotation: str) -> bool:
+    """Whether a JSON value fits a field's annotation: an int field takes an
+    int, a float field an int or a float, a bool field a bool, a str field
+    a string and a tuple field (of ints) a list of ints, never a bool for a
+    number; an optional field also takes null."""
+    kind, _, optional = annotation.partition(" | ")
+    if value is None:
+        return optional == "None"
+    if kind.startswith("tuple["):
+        return isinstance(value, list) and all(_fits(v, "int") for v in value)
+    if isinstance(value, bool):
+        return kind == "bool"
+    return isinstance(value, {"int": int, "float": (int, float), "str": str, "bool": bool}[kind])
 
 
 def _section(raw: dict, name: str, cls):
     """The ``cls`` built from section ``name``; a key that is not one of
-    its fields is rejected, naming the section and the key."""
+    its fields, or a value that does not fit the field's type (_fits), is
+    rejected, naming the section and the key."""
     d = raw.get(name, {})
-    unknown = set(d) - {f.name for f in fields(cls)}
+    if not isinstance(d, dict):
+        raise ParameterError(f"section {name!r} must be a JSON object")
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = set(d) - set(types)
     if unknown:
         raise ParameterError(f"section {name!r}: unknown keys {sorted(unknown)}")
+    for key, value in d.items():
+        if not _fits(value, types[key]):
+            raise ParameterError(f"section {name!r}: {key} must be {types[key]}, not {value!r}")
     return cls(**d)
 
 
@@ -86,9 +108,13 @@ def _load_ocp(section: dict, params: CellParameters, base_dir: Path) -> OcpSet:
               "pos_dis": defaults.pos_dis}
     meta = {"neg": ("neg", "shared"), "pos_ch": ("pos", "ch"),
             "pos_dis": ("pos", "dis")}
+    if not isinstance(section, dict):
+        raise ConfigError("section 'ocp' must be a JSON object")
     for key, value in section.items():
         if key not in tables:
             raise ConfigError(f"unknown OCP table key {key!r}")
+        if not isinstance(value, str):
+            raise ConfigError(f"OCP table {key!r} must be a path string, not {value!r}")
         if value == "synthetic":
             continue
         p = Path(value)

@@ -201,21 +201,16 @@ def penalty_cause(result: SimulationResult | Exception, dataset: Dataset) -> str
 def make_synthetic_dataset(params: CellParameters, disc: DiscretizationConfig,
                            c_rate: float, direction: str,
                            duration: float | None = None, dt: float = 10.0,
-                           noise_mv: float = 0.0, seed: int = 0,
                            c_rate_label: str | None = None,
                            solver: SolverConfig | None = None,
                            ocp: OcpSet | None = None) -> Dataset:
-    """Simulator-generated voltage data, optionally with Gaussian noise."""
+    """Simulator-generated voltage data, noise free."""
     solver = solver or SolverConfig(dt=dt, cutoffs_enabled=False)
     prof = cc_profile(params, c_rate, direction, duration)
     p_run = params_for_rate(params, c_rate_label, None)
     init = initial_state(p_run, disc, 0.0 if direction == "ch" else 1.0, direction)
     res = simulate(prof, init, p_run, disc, solver, ocp=ocp)
-    volts = res.voltage.copy()
-    if noise_mv > 0.0:
-        volts = volts + 1e-3 * noise_mv * np.random.default_rng(seed).standard_normal(len(volts))
-        volts = np.clip(volts, 1.51, 3.99)
-    return Dataset(LoadProfile(res.time, res.current), volts, direction,
+    return Dataset(LoadProfile(res.time, res.current), res.voltage.copy(), direction,
                    c_rate_label=c_rate_label,
                    name=f"synthetic {c_rate:g}C {direction}")
 
@@ -297,8 +292,7 @@ def generation_rmse(values: np.ndarray, subset: ParameterSubset, base: CellParam
 def identify(datasets: list[Dataset], subset: ParameterSubset,
              base: CellParameters, disc: DiscretizationConfig,
              solver: SolverConfig, seed: int = 0, budget: int = 500,
-             ocp: OcpSet | None = None, swarm_size: int | None = None,
-             rate_overrides: dict | None = None,
+             ocp: OcpSet | None = None, rate_overrides: dict | None = None,
              phase_cfg: PhaseConfig | None = None) -> FitResult:
     """Bounded particle-swarm minimization of the summed voltage RMSE.
 
@@ -315,8 +309,7 @@ def identify(datasets: list[Dataset], subset: ParameterSubset,
     ocp = ocp or synthetic_ocp_set(base)
     rng = np.random.default_rng(seed)
     d = subset.dim
-    P = swarm_size or min(24, max(8, 4 + 2 * d))
-    P = min(P, budget)
+    P = min(24, max(8, 4 + 2 * d), budget)
 
     logm = subset.log_mask()
     lo = np.where(logm, np.log10(subset.lower), subset.lower)

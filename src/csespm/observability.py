@@ -47,8 +47,6 @@ class ObservabilityConfig:
 
     jacobian_step: float = 1e-6     # relative FD step
     rank_tol: float = 1e-8          # threshold factor on sigma_max * max(dim)
-    i_dot: float = 0.0              # first input derivative [A/s]
-    smooth_ocp: bool = True         # monotone-cubic OCP for differentiation
     stride_s: float = 30.0          # sweep subsampling interval
 
     def __post_init__(self):
@@ -69,11 +67,12 @@ def positive_model(state: FullState, params: CellParameters, ocp: OcpSet,
     x = [shell averages, r_p]; the system matrices are rebuilt from the
     state's own r_p at every evaluation.  Direction (hysteresis branch),
     core phase and the electrolyte average are frozen at the sweep point.
+    The output takes the OCP table's monotone cubic interpolation, which
+    the nested finite differences can differentiate.
     """
     N_r = len(state.pos)
     direction = state.direction
     table = ocp.pick("pos", direction)
-    smooth = config.smooth_ocp
     R = params.R_s_p
     cmax = params.c_s_max_p
 
@@ -92,7 +91,7 @@ def positive_model(state: FullState, params: CellParameters, ocp: OcpSet,
             c_surf = x[-1] + 0.5 * dr * grad_per_amp * u
             i0 = exchange_current_density(params, "pos", c_surf, c_e_avg)
             theta = min(max(c_surf / cmax, 0.0), 1.0)
-            return table(theta, smooth=smooth) + overpotential(params, "pos", u, i0)
+            return table(theta) + overpotential(params, "pos", u, i0)
 
         x0 = state.pos.copy()
         scales = np.full(N_r, cmax)
@@ -108,7 +107,7 @@ def positive_model(state: FullState, params: CellParameters, ocp: OcpSet,
         c_bulk = systems.two_phase_bulk(x[:-1], float(x[-1]), core_conc, R)
         i0 = exchange_current_density(params, "pos", c_bulk, c_e_avg)
         theta = min(max(c_bulk / cmax, 0.0), 1.0)
-        return table(theta, smooth=smooth) + overpotential(params, "pos", u, i0)
+        return table(theta) + overpotential(params, "pos", u, i0)
 
     x0 = np.concatenate([state.pos, [state.r_p]])
     scales = np.concatenate([np.full(N_r, cmax), [R]])
@@ -264,9 +263,9 @@ def sweep(result: SimulationResult, params: CellParameters,
     """Rank and condition number along a simulated trajectory.
 
     The first input derivative is estimated by backward differencing of the
-    recorded current (zero under constant current); higher derivatives are
-    taken as zero.  The d/du step scales with the 1C current.  Per-point
-    failures are logged and skipped.
+    recorded current (zero under constant current and on a row with no
+    earlier time); higher derivatives are taken as zero.  The d/du step
+    scales with the 1C current.  Per-point failures are logged and skipped.
     """
     config = config or ObservabilityConfig()
     ocp = ocp or synthetic_ocp_set(params)
@@ -284,7 +283,7 @@ def sweep(result: SimulationResult, params: CellParameters,
         state = result.state_at(i)
         u0 = float(result.current[i])
         if i == 0 or result.time[i] == result.time[i - 1]:
-            i_dot = config.i_dot
+            i_dot = 0.0
         else:
             i_dot = (result.current[i] - result.current[i - 1]) / (
                 result.time[i] - result.time[i - 1])

@@ -44,8 +44,9 @@ class OcpTable:
         if not np.isfinite(self.volts).all():
             raise ParameterError("OCP values must be finite")
 
-    def __call__(self, theta: float, smooth: bool = False) -> float:
-        """Piecewise-linear interpolation (monotone cubic when smooth=True).
+    def __call__(self, theta: float) -> float:
+        """Monotone cubic (PCHIP) interpolation, smooth enough for the
+        observability model to differentiate.
 
         Constant extrapolation at the table ends, with a logged warning.
         """
@@ -55,14 +56,12 @@ class OcpTable:
             log.warning("OCP extrapolated at theta=%.4f (%s/%s table covers [%.3f, %.3f])",
                         theta, self.electrode, self.direction, self.theta[0], self.theta[-1])
             theta = min(max(theta, self.theta[0]), self.theta[-1])
-        if smooth:
-            return float(self._pchip(theta))
-        return float(np.interp(theta, self.theta, self.volts))
+        return float(self._pchip(theta))
 
     def lookup(self, theta: np.ndarray, counters: dict | None = None) -> np.ndarray:
-        """Piecewise-linear ``__call__`` over an array of theta in [0, 1].
-        Entries past the table ends are tallied as "ocp_extrapolations"
-        (records.tally)."""
+        """Piecewise-linear interpolation (the output map's) over an array
+        of theta in [0, 1].  Entries past the table ends are tallied as
+        "ocp_extrapolations" (records.tally)."""
         lo, hi = self.theta[0], self.theta[-1]
         outside = (theta < lo) | (theta > hi)
         if outside.any():

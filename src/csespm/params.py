@@ -93,8 +93,10 @@ class CellParameters:
             "T", "F", "R_gas", "R_l",
         )
         for name in positive:
-            if not getattr(self, name) > 0.0:
-                raise ParameterError(f"{name} must be strictly positive")
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ParameterError(f"{name} must be positive and finite")
+        if not np.isfinite([self.brugg, self.nu]).all():
+            raise ParameterError("brugg and nu must be finite")
         for name in ("eps_n", "eps_p", "eps_e_n", "eps_e_s", "eps_e_p", "t_plus"):
             if not 0.0 < getattr(self, name) < 1.0:
                 raise ParameterError(f"{name} must lie in (0, 1)")

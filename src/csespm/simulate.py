@@ -27,19 +27,20 @@ fresh symmetric eigendecomposition: it is similar to a symmetric matrix
 under the cell capacities of its geometry (CV volumes or r_i^2 h).
 
 The time loop (`_simulation`) is a generator that asks for a block of
-steps at a time: the rest of a run of profile segments at one current, which
-with voltage cutoffs on also ends at the next output-map chunk.  Its server
-fills the block's rows and reports how many steps it took and the error
-that stopped it, if any.  `simulate` serves a block with one
+steps at a time, a range of its step grid: the rest of a run of profile
+segments at one current, which with voltage cutoffs on also ends at the
+next output-map chunk.  Its server takes every step of the block, filling
+its rows, and reports how many steps it took and the error that stopped
+it, if any.  `simulate` serves a block with one
 `Integrator.advance_with_events` per step.  `simulate_many` runs B members
 (one parameter set and initial state each) on one profile in lockstep:
 every member asks for the same blocks, the members' states are (B, ·)
 arrays for a whole block, and one batched step serves them all and writes
 every member's row at once.  The blocks and the substep are array kernels
 whose leading member axis leaves each member's arithmetic as it is, so each
-member's result is bit for bit its `simulate`.  A step with a transition, a
-halved front step or an error is taken by the member alone, and ends its
-block.
+member's result is bit for bit its `simulate`.  A step with a transition or
+a halved front step is taken by the member alone, which then steps on with
+the batch; only an error ends a member's block early.
 """
 from __future__ import annotations
 
@@ -134,27 +135,25 @@ def cc_profile(params: CellParameters, c_rate: float, direction: str,
     return LoadProfile(np.array([0.0, duration]), np.array([current, current]))
 
 
-def cycle_profile(params: CellParameters, c_rate: float, cycles: int,
-                  first: str = "ch") -> LoadProfile:
-    """Equal ampere-hour charge/discharge cycling, ``cycles`` full cycles."""
+def cycle_profile(params: CellParameters, c_rate: float, cycles: int) -> LoadProfile:
+    """Equal ampere-hour charge/discharge cycling, ``cycles`` full cycles,
+    each a charge then a discharge."""
     mag = params.current_for_c_rate(c_rate)
     half = 3600.0 / c_rate
-    order = ("ch", "dis") if first == "ch" else ("dis", "ch")
     times, currents = [0.0], []
     for _ in range(cycles):
-        for d in order:
-            currents.append(-mag if d == "ch" else mag)
+        for current in (-mag, mag):
+            currents.append(current)
             times.append(times[-1] + half)
     currents.append(currents[-1])
     return LoadProfile(np.array(times), np.array(currents))
 
 
 def synthetic_dynamic_profile(params: CellParameters, duration: float = 1370.0,
-                              seed: int = 7, peak_c: float = 1.5,
-                              segment_s: float = 10.0,
-                              mean_c: float = 0.15) -> LoadProfile:
-    """Drive-cycle shaped synthetic input: piecewise-constant bursts of
-    discharge with occasional regeneration, deterministic in the seed."""
+                              seed: int = 7, mean_c: float = 0.15) -> LoadProfile:
+    """Drive-cycle shaped synthetic input: 10 s bursts of discharge up to
+    1.5C with occasional regeneration, deterministic in the seed."""
+    peak_c, segment_s = 1.5, 10.0
     rng = np.random.default_rng(seed)
     n = int(math.ceil(duration / segment_s))
     base = rng.gamma(shape=1.5, scale=0.3, size=n)
@@ -248,12 +247,12 @@ class AffinePropagator:
 
 
 class _LtiBlock:
-    """One constant-coefficient subsystem dx/dt = A x + B I (+ G), stepped
-    exactly under zero-order-hold current.
+    """One constant-coefficient subsystem dx/dt = A x + B I (a fixed-grid
+    block, which has no G), stepped exactly under zero-order-hold current.
 
     With Gamma_h = integral of e^{As} ds over [0, h], the step is
     x(h) = x + D x + c with D = A Gamma_h (= e^{Ah} - I) and the forced
-    response c = Gamma_h (B I + G).  Gamma_h is a block of one
+    response c = Gamma_h B I.  Gamma_h is a block of one
     augmented-matrix exponential (Van Loan, IEEE TAC 1978).  D is formed as
     A Gamma_h, never as e^{Ah} - I, which would lose the small increment to
     cancellation and show up as mass drift.  The maps are built on first
@@ -285,10 +284,7 @@ class _LtiBlock:
         if c is None:
             if len(forced) >= self._CACHE_SIZE:
                 del forced[next(iter(forced))]
-            b = self.sys.B * current
-            if self.sys.G is not None:
-                b = b + self.sys.G
-            c = forced[current] = N @ b
+            c = forced[current] = N @ (self.sys.B * current)
         return D, c
 
     def advance(self, x: np.ndarray, current: float, h: float) -> np.ndarray:
@@ -412,6 +408,13 @@ def _front_move(r_p: float, R: float, spill: float, g: float, c_core: float,
     return r_new, r_p, 0.0, core_vol, core_vol_new
 
 
+def _front_ok(r_old, r_new, R):
+    """Whether a substep moves the front by at most a quarter of the shell's
+    width (one member's bool, or B members' (B, 1) mask); a larger move
+    halves the substep."""
+    return abs(r_new - r_old) <= 0.25 * (R - r_old)
+
+
 def _fdm_two_phase_substep(state: FullState, current: float, h: float,
                            params: CellParameters, N_r: int):
     """Naive collocated step of the FDM two-phase system (no remap)."""
@@ -471,26 +474,24 @@ class Integrator:
                    else _fdm_two_phase_substep)
         R = self.params.R_s_p
         remaining = h
-        cur = new
         while remaining > 1e-12:
             hs = remaining
             while True:
-                shell, r_new, closure = substep(cur, current, hs, self.params, self.disc.N_r)
-                # keep the grid change per substep modest
-                if abs(r_new - cur.r_p) <= 0.25 * (R - cur.r_p):
+                shell, r_new, closure = substep(new, current, hs, self.params, self.disc.N_r)
+                if _front_ok(new.r_p, r_new, R):
                     break
                 if hs <= 1e-6 * h:
                     tally(self.counters, "front_floor_accepts", 1, log,
                           "front move %.3g -> %.3g m accepted at the substep floor %.3g s",
-                          cur.r_p, r_new, hs)
+                          new.r_p, r_new, hs)
                     break
                 hs *= 0.5
                 self.counters["front_halvings"] += 1
-            cur.pos = shell
-            cur.r_p = r_new
+            new.pos = shell
+            new.r_p = r_new
             self.max_closure = max(self.max_closure, closure)
             remaining -= hs
-        return cur
+        return new
 
     def advance_with_events(self, s: FullState, current: float, t: float, h: float,
                             events: list) -> FullState:
@@ -614,8 +615,7 @@ class _Lockstep:
                 rows = FullState(None, x.pos[sel], None, TWO_PHASE, r_old, x.core_conc[sel],
                                  *key[1:])
                 shell, r_new, closure[sel] = substep(rows, current, h, params, disc.N_r)
-                # Integrator.advance_positive halves the step of a larger move
-                out = abs(r_new - r_old) > 0.25 * (params.R_s_p - r_old)
+                out = ~_front_ok(r_old, r_new, params.R_s_p)
                 rows.pos, rows.r_p = shell, r_new
                 new.pos[sel], new.r_p[sel] = shell, r_new
             else:
@@ -636,46 +636,52 @@ def _nonfinite(x: FullState) -> list[int]:
 
 
 class _Batch:
-    """One epoch of a lockstep run: its members' blocks start at one step
-    and end at one step, the end of a profile segment or of a chunk.
+    """The lockstep run of simulate_many's members.
 
-    The members' states are (B, ·) rows and (B, 1) columns for the whole
-    epoch; each step is one `_Lockstep.advance` and writes every member's
-    row into the runs' shared row store at once.  A member whose step must
-    be taken alone takes it through its own Integrator.advance_with_events,
-    which ends its block: its run is resumed and asks for the rest of the
-    epoch.  Per-member work is done only for steps taken alone, block ends
-    and group changes.
+    Every live member's block spans the same steps of the shared step
+    grid, so the members' states are (B, ·) rows and (B, 1) columns from
+    one block end to the next; each step is one `_Lockstep.advance` and
+    writes every member's row into the runs' shared row store at once.  A
+    member whose step must be taken alone takes it through its own
+    Integrator.advance_with_events and steps on with the batch; an error
+    ends its block, and its run.  At each block end every run is resumed
+    and the rows are gathered again from the next blocks.  Per-member work
+    is done only for steps taken alone, block ends and group changes.
     """
 
-    def __init__(self, blocks: dict, store: dict, lockstep: _Lockstep | None):
-        self.ids = list(blocks)                 # the members' places in the store
-        self.blocks = [blocks[i] for i in self.ids]
-        b = self.blocks[0]
-        self.current, self.times, self.hs, self.row0 = b.current, b.times, b.hs, b.first
-        self.store = store
-        states = [blk.state for blk in self.blocks]
-        self.x = FullState(*(np.array([getattr(s, k) for s in states])
-                             for k in ("neg", "pos", "elec")), None,
-                           *(np.array([[getattr(s, k)] for s in states])
-                             for k in ("r_p", "core_conc")))
-        self.labels = [(s.regime, s.direction, s.core_phase) for s in states]
-        self.closure = np.array([[blk.integ.max_closure] for blk in self.blocks])
-        integs = [blk.integ for blk in self.blocks]
-        self.lockstep = (lockstep if lockstep is not None and lockstep.integs == integs
-                         else _Lockstep(integs))
-        self.groups = self.lockstep.groups(self.labels)
-        self.regroup = False
+    def __init__(self, store: dict, resume):
+        self.store, self.grid, self.resume = store, store["grid"], resume
+        self.ids: list[int] = []                # the members' places in the store
+        self.lockstep: _Lockstep | None = None
 
-    def run(self, resume) -> dict:
-        """Step the epoch, resuming each member's run at the end of each of
-        its blocks; returns the next block of each run that goes on."""
-        following: dict = {}
-        last = len(self.hs) - 1
-        for j, h in enumerate(self.hs):
+    def run(self, blocks: dict):
+        """Serve the members' blocks, the first one of each run given, until
+        every run has ended."""
+        while blocks:
+            if list(blocks) != self.ids:
+                self.ids = list(blocks)
+                self.lockstep = _Lockstep([blk.rows.integ for blk in blocks.values()])
+            self.blocks = list(blocks.values())
+            states = [blk.state for blk in self.blocks]
+            self.x = FullState(*(np.array([getattr(s, k) for s in states])
+                                 for k in ("neg", "pos", "elec")), None,
+                               *(np.array([[getattr(s, k)] for s in states])
+                                 for k in ("r_p", "core_conc")))
+            self.labels = [(s.regime, s.direction, s.core_phase) for s in states]
+            self.closure = np.array([[blk.rows.integ.max_closure] for blk in self.blocks])
+            self.groups = self.lockstep.groups(self.labels)
+            blocks = self._block()
+
+    def _block(self) -> dict:
+        """Step the members through their blocks; returns the next block of
+        each run that goes on."""
+        grid, first = self.grid, self.blocks[0]
+        self.current = grid.currents[first.s]
+        for k in range(first.s, first.b):
             x = self.x
             try:
-                new, closure, alone = self.lockstep.advance(x, self.groups, self.current, h)
+                new, closure, alone = self.lockstep.advance(x, self.groups, self.current,
+                                                            grid.hs[k])
             except (CsespmError, ArithmeticError, ValueError):
                 # some member's data fails the step: each takes it alone, and
                 # raises its own error there
@@ -683,46 +689,48 @@ class _Batch:
                                 x.r_p.copy(), x.core_conc.copy())
                 closure, alone = 0.0, np.ones(x.r_p.shape, dtype=bool)
             closure = np.maximum(self.closure, closure)
-            # member -> its post state after a step alone, or the error that
-            # ends its block before this step, or None at the epoch's end
-            ends = {p: self._alone(p, new, closure, self.times[j], h)
-                    for p in np.flatnonzero(alone).tolist()}
-            r = self.row0 + j       # the row of step j
+            solo = np.flatnonzero(alone).tolist()
+            # member -> the error that ends its block at step k
+            errors = {p: e for p in solo if (e := self._alone(p, new, closure, k)) is not None}
             for p in _nonfinite(new):
-                if not isinstance(ends.get(p), Exception):
-                    ends[p] = self.blocks[p].blowup(r - self.blocks[p].first)
-            self._write(r, new, closure)
+                errors.setdefault(p, _blowup(grid, k))
+            self._write(k + 1, new, closure)
             self.x, self.closure = new, closure
-            if j == last:
-                ends.update((p, None) for p in range(len(self.ids)) if p not in ends)
-                self._end(ends, r, resume, following)
-                break
-            if ends:
-                self._end(ends, r, resume, None)
+            if errors:
+                self._leave(errors, k - first.s)
                 if not self.ids:
-                    break
+                    return {}
+            if solo or errors:      # a label may have changed
+                self.groups = self.lockstep.groups(self.labels)
+        following = {}
+        for p, blk in enumerate(self.blocks):
+            blk.rows.integ.max_closure = float(self.closure[p, 0])
+            nxt = self.resume(self.ids[p], (first.b - first.s, None))
+            if nxt is not None:
+                following[self.ids[p]] = nxt
         return following
 
-    def _alone(self, p: int, new: FullState, closure: np.ndarray, t: float, h: float):
-        """Member p's step taken alone through its own integrator: its post
-        state, written into new and closure, or the error the step raised."""
-        blk, x = self.blocks[p], self.x
+    def _alone(self, p: int, new: FullState, closure: np.ndarray, k: int):
+        """Member p's step k taken alone through its own integrator, its post
+        state written into new, closure and the member's label, and its row
+        labelled and marked (_Rows.begin); returns the error the step
+        raised, if any."""
+        rows, x = self.blocks[p].rows, self.x
+        integ = rows.integ
         regime, direction, core_phase = self.labels[p]
         state = FullState(x.neg[p], x.pos[p], x.elec[p], regime, float(x.r_p[p, 0]),
                           float(x.core_conc[p, 0]), core_phase, direction)
-        blk.integ.max_closure = float(self.closure[p, 0])
+        integ.max_closure = float(self.closure[p, 0])
         try:
-            post = blk.integ.advance_with_events(state, self.current, t, h, blk.events)
+            post = integ.advance_with_events(state, self.current, self.grid.starts[k],
+                                             self.grid.hs[k], rows.events)
         except Exception as exc:
             return exc
         new.neg[p], new.pos[p], new.elec[p] = post.neg, post.pos, post.elec
         new.r_p[p], new.core_conc[p] = post.r_p, post.core_conc
-        closure[p] = blk.integ.max_closure
-        label = (post.regime, post.direction, post.core_phase)
-        if label != self.labels[p]:
-            self.labels[p] = label
-            self.regroup = True
-        return post
+        closure[p] = integ.max_closure
+        rows.begin(k + 1, post)
+        self.labels[p] = (post.regime, post.direction, post.core_phase)
 
     def _write(self, r: int, new: FullState, closure: np.ndarray):
         """Row r of every member, into the shared store."""
@@ -733,43 +741,19 @@ class _Batch:
         store["cols"][m, 4, r] = new.core_conc[:, 0]
         store["closure"][m, r] = closure[:, 0]
 
-    def _end(self, ends: dict, r: int, resume, following: dict | None):
-        """Resume the run of each member whose block ends at row r; a run
-        that goes on asks for its next block, which joins the epoch, or with
-        ``following`` given, the next epoch.  Members whose runs end leave."""
-        keep = []
-        for p, blk in enumerate(self.blocks):
-            if p not in ends:
-                keep.append(p)
-                continue
-            outcome = ends[p]
-            error = outcome if isinstance(outcome, Exception) else None
-            n = r - blk.first + (0 if error else 1)
-            blk.integ.max_closure = float(self.closure[p, 0])
-            if isinstance(outcome, FullState):
-                blk.rows.put(r, outcome)
-            nxt = resume(self.ids[p], (n, error))
-            if nxt is None:
-                continue
-            if following is not None:
-                following[self.ids[p]] = nxt
-            else:
-                self.blocks[p] = nxt
-                keep.append(p)
-        if following is not None:
-            return
-        if len(keep) < len(self.ids):
-            x = self.x
-            self.x = FullState(x.neg[keep], x.pos[keep], x.elec[keep], None, x.r_p[keep],
-                               x.core_conc[keep])
-            self.closure = self.closure[keep]
-            self.ids, self.blocks, self.labels = (
-                [a[p] for p in keep] for a in (self.ids, self.blocks, self.labels))
-            self.lockstep = _Lockstep([blk.integ for blk in self.blocks])
-            self.regroup = True
-        if self.regroup:
-            self.groups = self.lockstep.groups(self.labels)
-            self.regroup = False
+    def _leave(self, errors: dict, n: int):
+        """Resume the run of each member in ``errors`` with its error after n
+        steps of its block, which ends the run, and drop the member."""
+        for p, error in errors.items():
+            self.resume(self.ids[p], (n, error))
+        keep = [p for p in range(len(self.ids)) if p not in errors]
+        self.ids, self.blocks, self.labels = (
+            [a[p] for p in keep] for a in (self.ids, self.blocks, self.labels))
+        x = self.x
+        self.x = FullState(x.neg[keep], x.pos[keep], x.elec[keep], None, x.r_p[keep],
+                           x.core_conc[keep])
+        self.closure = self.closure[keep]
+        self.lockstep = _Lockstep([blk.rows.integ for blk in self.blocks])
 
 
 # --- initial states -------------------------------------------------------------
@@ -927,15 +911,17 @@ def _row_store(members: int, grid: _Grid, init: FullState) -> dict:
 
 class _Rows:
     """The rows of one run, one per accepted step, in its place of a row
-    store (_row_store).  The (regime, direction, core_phase) labels and,
-    with cutoffs on, the marks (events so far, counters) that a run stopped
-    at a row rolls back to are runs: (first row, value), each holding up to
-    the next run's first row."""
+    store (_row_store), with the run's step grid, integrator and events.
+    The (regime, direction, core_phase) labels and, with cutoffs on, the
+    marks (events so far, counters) that a run stopped at a row rolls back
+    to are runs: (first row, value), each holding up to the next run's
+    first row."""
 
     def __init__(self, store: dict, member: int, integ: Integrator, events: list,
                  cutoffs: bool):
         self.cols, self.neg, self.pos, self.elec, self.closure = (
             store[k][member] for k in ("cols", "neg", "pos", "elec", "closure"))
+        self.grid = store["grid"]
         self.integ, self.events, self.cutoffs = integ, events, cutoffs
         self.labels: list[tuple[int, tuple]] = []
         self.marks: list[tuple[int, int, dict]] = []
@@ -989,38 +975,37 @@ class _Rows:
 
 @dataclass
 class _Block:
-    """One step request of a run: steps j = 0..k-1 from times[j] to
-    times[j + 1], of length hs[j], at one current from ``state``, each
-    recorded as row first + j of ``rows``.  A server answers it with (the
-    steps taken, the error that stopped the block or None)."""
+    """One step request of a run: steps s..b-1 of its step grid
+    (``rows.grid``) from ``state``, step k recorded as row k + 1 of
+    ``rows``.  A server answers it with (the steps taken, the error that
+    stopped the block or None)."""
 
-    integ: Integrator
     rows: _Rows
     state: FullState
-    current: float
-    times: list
-    hs: list
-    events: list
-    first: int
+    s: int
+    b: int
 
-    def blowup(self, j: int) -> BlowupError:
-        """The error of a non-finite state after step j."""
-        t = self.times[j + 1]
-        return BlowupError(f"non-finite state at t={t:.3f}s", last_good_time=t - self.hs[j])
+
+def _blowup(grid: _Grid, k: int) -> BlowupError:
+    """The error of a non-finite state after step k."""
+    t = grid.times[k]
+    return BlowupError(f"non-finite state at t={t:.3f}s", last_good_time=t - grid.hs[k])
 
 
 def _serve(block: _Block) -> tuple[int, Exception | None]:
     """A block of one run served alone, one advance_with_events per step."""
-    integ, rows, s = block.integ, block.rows, block.state
-    for j, h in enumerate(block.hs):
+    rows, s = block.rows, block.state
+    integ, grid = rows.integ, rows.grid
+    current = grid.currents[block.s]
+    for k in range(block.s, block.b):
         try:
-            s = integ.advance_with_events(s, block.current, block.times[j], h, block.events)
+            s = integ.advance_with_events(s, current, grid.starts[k], grid.hs[k], rows.events)
         except Exception as exc:
-            return j, exc
+            return k - block.s, exc
         if not s.is_finite():
-            return j, block.blowup(j)
-        rows.put(block.first + j, s)
-    return len(block.hs), None
+            return k - block.s, _blowup(grid, k)
+        rows.put(k + 1, s)
+    return block.b - block.s, None
 
 
 def simulate(profile: LoadProfile, init: FullState, params: CellParameters,
@@ -1058,7 +1043,8 @@ def simulate_many(profile: LoadProfile, inits: list[FullState],
     (`_Lockstep`) advances them all and writes their rows at once (`_Batch`).
     A member whose step detects a transition, must halve its front step or
     raises takes that step alone, through its own
-    Integrator.advance_with_events.  Each item of the returned list is the
+    Integrator.advance_with_events, and steps on with the others unless it
+    raised.  Each item of the returned list is the
     member's SimulationResult, bit for bit the one `simulate` returns for
     it, or the exception its run raised.
     """
@@ -1079,12 +1065,8 @@ def simulate_many(profile: LoadProfile, inits: list[FullState],
             outcomes[i] = exc
         return None
 
-    blocks = {i: b for i in range(len(runs)) if (b := resume(i, None)) is not None}
-    lockstep = None
-    while blocks:
-        batch = _Batch(blocks, store, lockstep)
-        blocks = batch.run(resume)
-        lockstep = batch.lockstep
+    _Batch(store, resume).run(
+        {i: b for i in range(len(runs)) if (b := resume(i, None)) is not None})
     return outcomes
 
 
@@ -1173,9 +1155,7 @@ def _simulation(profile: LoadProfile, init: FullState, params: CellParameters,
             if cutoffs:
                 b = min(b, s + _CHUNK - (rows.n - done))
             rows.begin(rows.n, state)
-            n, error = yield _Block(integ, rows, state, grid.currents[s],
-                                    [grid.starts[s]] + grid.times[s:b].tolist(),
-                                    grid.hs[s:b].tolist(), events, rows.n)
+            n, error = yield _Block(rows, state, s, b)
             rows.n += n
             s += n
             if error is not None:

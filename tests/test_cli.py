@@ -1,15 +1,23 @@
+import contextlib
+import io
 import json
+import math
+import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from csespm import cli
 from csespm.cli import main
 from csespm.identify import make_synthetic_dataset
-from csespm.params import DiscretizationConfig
+from csespm.observability import ObservabilityConfig
+from csespm.params import CellParameters, DiscretizationConfig
+from csespm.phase import PhaseConfig
 from csespm.records import read_csv_columns
-from csespm.simulate import cc_profile, read_result_csv
+from csespm.simulate import SolverConfig, cc_profile, read_result_csv
 
 ASSETS = Path(__file__).resolve().parents[1] / "assets"
 
@@ -80,14 +88,29 @@ def _no_simulation(*args, **kwargs):
     ({"observability": {"i_ddot": 0.0}}, [], "'i_ddot'"),
     ({"observability": {"current_scale": 1.0}}, [], "'current_scale'"),
     ({"discretization": {"N_theta": 4}}, [], "'N_theta'"),
-    ({"parameters": {"bogus": 1.0}}, [], "'bogus'")])
+    ({"parameters": {"bogus": 1.0}}, [], "'bogus'"),
+    ({"observability": {"i_dot": 0.0}}, [], "'i_dot'"),
+    ({"observability": {"smooth_ocp": True}}, [], "'smooth_ocp'"),
+    ({"rate_overrides": {"C/4": {}}}, [], "'rate_overrides'"),
+    ({"discretization": {"N_r": 2.5}}, [], "N_r"),
+    ({"solver": {"v_min": "x"}}, [], "v_min"),
+    ({"solver": {"cutoffs_enabled": "no"}}, [], "cutoffs_enabled"),
+    ({"observability": {"stride_s": True}}, [], "stride_s"),
+    ({"initial_soc": "a"}, [], "initial_soc"),
+    ({"initial_soc": 5.0}, [], "initial_soc"),
+    ({"ocp": {"neg": 5}}, [], "'neg'"),
+    ({"parameters": {"nu": float("nan")}}, [], "nu must be finite"),
+    ({"parameters": {"R_l": float("inf")}}, [], "R_l must be positive and finite")])
 def test_bad_setting_gives_exit_4_before_simulating(tmp_path, short_profile, capsys,
                                                     monkeypatch, config, extra, needle):
     """A non-positive or non-finite solver or observability value (a zero
     event_tol hangs the event bisection, a NaN dt fails in the time loop, a
-    zero jacobian_step gives an empty sweep), a removed observability
-    setting and an unknown key of any section are rejected when the config
-    is read, naming the setting, before any simulation runs."""
+    zero jacobian_step gives an empty sweep), a removed setting or section,
+    an unknown key of any section, a value of the wrong type, a non-finite
+    parameter, an initial SOC outside [0, 1] and an OCP entry that is not a
+    path are rejected
+    when the config is read, naming the setting, before any simulation
+    runs."""
     monkeypatch.setattr(cli, "simulate", _no_simulation)
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(config))
@@ -323,3 +346,52 @@ def test_nan_dataset_voltage_gives_exit_4(tmp_path, params, capsys):
     assert rc == 4
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "ParameterError" and "1.5-4.0 V" in record["message"]
+
+
+# every key of every config section, a few unknown ones, and the values each
+# may take: the pool holds no tiny positive number and no large count, which
+# would ask for huge step counts or matrices
+_FUZZ_KEYS = [(section, f.name) for section, cls in (
+    ("parameters", CellParameters), ("discretization", DiscretizationConfig),
+    ("solver", SolverConfig), ("phase", PhaseConfig), ("observability", ObservabilityConfig))
+    for f in fields(cls)]
+_FUZZ_KEYS += [("ocp", key) for key in ("neg", "pos_ch", "pos_dis")]
+_FUZZ_KEYS += [("initial_soc", None), ("solver", "bogus"), ("bogus", None)]
+_FUZZ_POOL = [-1, 0, 1, 2.5, 3, math.nan, math.inf, True, "x", None, [1, 2]]
+
+
+@pytest.fixture(scope="module")
+def fuzz_profile(tmp_path_factory, params):
+    path = tmp_path_factory.mktemp("fuzz") / "profile.csv"
+    cc_profile(params, 1.0, "dis", duration=20.0).to_csv(path)
+    return path
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.sampled_from(_FUZZ_KEYS), st.sampled_from(_FUZZ_POOL)),
+                min_size=1, max_size=4))
+def test_config_fuzz_exits_with_a_record(fuzz_profile, entries):
+    """`simulate` under a config with any keys set to any values of the pool
+    ends with a documented exit code, never a traceback: every nonzero exit
+    writes its JSON error record, and a zero exit a finite final voltage."""
+    config: dict = {}
+    for (section, key), value in entries:
+        if key is None:
+            config[section] = value
+        elif isinstance(config.get(section), dict):
+            config[section][key] = value
+        else:
+            config[section] = {key: value}
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "config.json", Path(tmp) / "out"
+        path.write_text(json.dumps(config))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main(["simulate", "--config", str(path), "--profile", str(fuzz_profile),
+                       "--out", str(out)])
+        assert rc in (0, 3, 4, 5, 6), config
+        if rc:
+            assert json.loads(err.getvalue().strip().splitlines()[-1])["exit_code"] == rc
+        else:
+            summary = json.loads((out / "summary.json").read_text())
+            assert math.isfinite(summary["final_voltage_V"]), config

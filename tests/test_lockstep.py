@@ -14,8 +14,8 @@ from csespm.identify import (ParameterSubset, PENALTY_RMSE,
                              voltage_rmse)
 from csespm.ocp import synthetic_ocp_set
 from csespm.params import DiscretizationConfig, params_for_rate
-from csespm.simulate import (LoadProfile, SolverConfig, initial_state, simulate,
-                             simulate_many)
+from csespm.simulate import (LoadProfile, SolverConfig, cc_profile, initial_state,
+                             simulate, simulate_many)
 
 SOLVER = SolverConfig(dt=10.0, cutoffs_enabled=False)
 
@@ -155,11 +155,11 @@ def test_batched_step_that_raises_is_taken_alone(params, ocp, disc4, monkeypatch
 
 
 def test_one_request_per_segment_and_step_taken_alone(params, ocp, disc4, monkeypatch):
-    """With cutoffs off, a run served alone asks for one block of steps per
-    profile segment, and a lockstep member for one per segment plus one
-    after each step it takes alone (short of its block's end).  Segments
-    that go on at the same current, starting where the last step ended,
-    share a block."""
+    """With cutoffs off, a run asks for one block of steps per profile
+    segment, served alone or in lockstep: a step a lockstep member takes
+    alone, mid-block or at a block's end, asks for no block of its own.
+    Segments that go on at the same current, starting where the last step
+    ended, share a block."""
     sim = sys.modules["csespm.simulate"]
     real_run, real_step = sim._simulation, sim.Integrator.advance_with_events
     requests, alone = {}, {}
@@ -187,16 +187,40 @@ def test_one_request_per_segment_and_step_taken_alone(params, ocp, disc4, monkey
                           np.array([i, i, i, 0.0, -2.0 * i, -2.0 * i]))
     members = _members(params)[:-1]
     inits = [initial_state(p, disc4, 1.0, "dis") for p in members]
-    simulate(profile, inits[0], members[0], disc4, SOLVER, ocp=ocp)
-    assert requests == {id(members[0]): 3}
+    for x0, p in zip(inits, members):
+        simulate(profile, x0, p, disc4, SOLVER, ocp=ocp)
+    assert requests == {id(p): 3 for p in members}
     requests.clear()
     alone.clear()
     simulate_many(profile, inits, members, disc4, SOLVER, ocp=ocp)
+    assert requests == {id(p): 3 for p in members}
     block_ends = {3000.0, 3200.0, 4000.0}
-    assert sum(map(len, alone.values())) > len(members)
-    for p in members:
-        mid_block = [t for t in alone.get(id(p), []) if t not in block_ends]
-        assert requests[id(p)] == 3 + len(mid_block)
+    assert any(t not in block_ends for ts in alone.values() for t in ts)
+
+
+@pytest.mark.parametrize("offset", [-1, 1])
+def test_cutoff_next_to_a_step_taken_alone(params, ocp, disc4, offset):
+    """A cutoff row in the same output-map chunk as a step taken alone
+    mid-block, the row just before that step or just after it: each member
+    stops where its serial run stops, with the events, counters and
+    closure of its run up to that row."""
+    profile = cc_profile(params, 0.25, "dis", duration=3600.0)
+    members = [params, params.replace(D_s_p=3.0 * params.D_s_p),
+               params.replace(k_p=0.25 * params.k_p)]
+    inits = [initial_state(p, disc4, 1.0, "dis") for p in members]
+    free = simulate(profile, inits[0], params, disc4, SOLVER, ocp=ocp)
+    entry = int(np.searchsorted(free.time, free.events[0].time))    # its step's row
+    stop = entry + offset
+    assert stop // 64 == entry // 64        # one output-map chunk of 64 rows
+    assert np.all(np.diff(free.voltage[1:stop + 1]) < 0.0)
+    solver = dataclasses.replace(SOLVER, cutoffs_enabled=True,
+                                 v_min=0.5 * (free.voltage[stop - 1] + free.voltage[stop]))
+    want = [simulate(profile, x0, p, disc4, solver, ocp=ocp) for x0, p in zip(inits, members)]
+    assert (len(want[0]), want[0].status) == (stop + 1, "cutoff_low")
+    assert [e.kind for e in want[0].events] == ([] if offset < 0 else ["enter_two_phase"])
+    got = simulate_many(profile, inits, members, disc4, solver, ocp=ocp)
+    for g, w in zip(got, want):
+        _assert_same(g, w)
 
 
 # --- identification -------------------------------------------------------------

@@ -76,7 +76,7 @@ def test_order_zero_is_ocp_at_rest(params, ocp):
                         params.current_for_c_rate(1.0))
     theta = systems.surface_concentration(
         st.pos, 0.0, params, "pos", params.R_s_p / 2) / params.c_s_max_p
-    assert vals[0] == pytest.approx(ocp.pos_dis(theta, smooth=True), abs=1e-12)
+    assert vals[0] == pytest.approx(ocp.pos_dis(theta), abs=1e-12)
 
 
 def test_linear_oracle_gradient(params, ocp):
@@ -132,20 +132,6 @@ def test_richardson_step_halving(params, ocp):
     # second-order convergence: expect roughly 4 (Richardson uses the
     # difference-to-finer as the error proxy, giving ~ (4-1)/(1-1/4) bands)
     assert np.median(ratio) > 2.5
-
-
-def test_cc_sweep_independent_of_input_derivative_settings(params, ocp):
-    """Under constant current the profile-differenced derivative is zero, so
-    the configured i_dot, the fallback for a row with no predecessor, must
-    not change the sweep after its first point."""
-    disc = DiscretizationConfig(N_r=2, N_e=6)
-    prof = cc_profile(params, 1.0, "dis", duration=900.0)
-    init = initial_state(params, disc, 1.0, "dis")
-    res = simulate(prof, init, params, disc, SolverConfig(cutoffs_enabled=False))
-    sw1 = sweep(res, params, ObservabilityConfig(stride_s=200.0), ocp=ocp)
-    sw2 = sweep(res, params, ObservabilityConfig(stride_s=200.0, i_dot=42.0), ocp=ocp)
-    assert np.array_equal(sw1.column("cond_scaled")[1:], sw2.column("cond_scaled")[1:])
-    assert np.array_equal(sw1.column("rank")[1:], sw2.column("rank")[1:])
 
 
 def test_nonfinite_reports_failing_order(params, ocp):

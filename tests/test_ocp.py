@@ -16,7 +16,8 @@ def test_interp_midpoint_mean(ocp):
     t = ocp.neg
     k = 40
     mid = 0.5 * (t.theta[k] + t.theta[k + 1])
-    assert t(float(mid)) == pytest.approx(0.5 * (t.volts[k] + t.volts[k + 1]), abs=1e-12)
+    assert t.lookup(np.array([mid]))[0] == pytest.approx(0.5 * (t.volts[k] + t.volts[k + 1]),
+                                                         abs=1e-12)
 
 
 def test_plateau_flat(params, ocp):
@@ -58,11 +59,12 @@ def test_csv_round_trip(tmp_path, params):
 
 
 def test_smooth_mode_tracks_linear(params):
+    """The monotone cubic __call__ stays within 5 mV of the piecewise-linear
+    lookup, and keeps the exactly flat plateau."""
     t = synthetic_negative_table()
     for x in (0.1, 0.37, 0.82):
-        assert t(x, smooth=True) == pytest.approx(t(x), abs=5e-3)
-    # smooth interpolation preserves the exactly flat plateau
+        assert t(x) == pytest.approx(t.lookup(np.array([x]))[0], abs=5e-3)
     tp = synthetic_positive_table(params, "dis")
     a, b = params.theta_p_alpha_dis, params.theta_p_beta_dis
     mid = 0.5 * (a + b)
-    assert tp(mid, smooth=True) == pytest.approx(tp(mid), abs=1e-12)
+    assert tp(mid) == pytest.approx(tp.lookup(np.array([mid]))[0], abs=1e-12)

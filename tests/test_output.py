@@ -94,7 +94,8 @@ def test_soc_affine_endpoints(params):
 def test_equilibrium_voltage_is_ocv_difference(params, ocp, disc4):
     state = initial_state(params, disc4, 0.5, "dis")
     snap = cell_voltage(state, 0.0, params, ocp, (2, 2, 2))
-    want = ocp.pick("pos", "dis")(snap.theta_p) - ocp.pick("neg", "dis")(snap.theta_n)
+    want = (ocp.pick("pos", "dis").lookup(np.array([snap.theta_p]))
+            - ocp.pick("neg", "dis").lookup(np.array([snap.theta_n])))[0]
     assert snap.V_cell == pytest.approx(want, abs=1e-12)
     assert snap.eta_p == 0.0 and snap.eta_n == 0.0 and snap.dphi_e == 0.0
 

@@ -542,10 +542,10 @@ def _scalar_outputs(state, current, params, ocp, split):
                                     electrode_c_e_avg(params, state.elec, "pos", split))
     i0_n = exchange_current_density(params, "neg", c_n,
                                     electrode_c_e_avg(params, state.elec, "neg", split))
-    v = (ocp.pick("pos", direction)(min(max(c_eff / params.c_s_max_p, 0.0), 1.0))
-         + overpotential(params, "pos", current, i0_p)
-         - ocp.neg(min(max(c_n / params.c_s_max_n, 0.0), 1.0))
-         - overpotential(params, "neg", current, i0_n)
+    U_p = ocp.pick("pos", direction).lookup(np.clip([c_eff / params.c_s_max_p], 0.0, 1.0))[0]
+    U_n = ocp.neg.lookup(np.clip([c_n / params.c_s_max_n], 0.0, 1.0))[0]
+    v = (U_p + overpotential(params, "pos", current, i0_p)
+         - U_n - overpotential(params, "neg", current, i0_n)
          + electrolyte_potential_drop(params, state.elec) - params.R_l * current)
     bulk_n = systems.one_phase_bulk(state.neg, params.R_s_n)
     return (v, soc_from_theta(params, bulk_p / params.c_s_max_p, "pos", direction),
