@@ -50,10 +50,12 @@ class Digest:
         self.h.update(repr(items).encode())
 
     def result(self, res):
-        """States, voltages, r_p and events of a SimulationResult."""
+        """States, voltages, r_p, events, counters and the largest substep
+        closure of a SimulationResult."""
         self.floats(res.time, res.current, res.voltage, res.r_p, res.neg_c, res.pos_c,
-                    res.elec_c, res.core_conc)
-        self.labels(res.status, res.regime, res.core_phase, res.direction)
+                    res.elec_c, res.core_conc, [res.meta["max_closure"]])
+        self.labels(res.status, res.regime, res.core_phase, res.direction,
+                    sorted(res.meta["counters"].items()))
         for ev in res.events:
             self.labels(ev.kind, sorted(ev.detail.items()))
             self.floats([ev.time, ev.pre_mass, ev.post_mass, ev.r_p_pre, ev.r_p_post])
@@ -96,6 +98,15 @@ def drive_hold(d, seed=71):
             break
     d.result(simulate(profile, initial_state(cfg.params, disc, 0.5, "dis"), cfg.params,
                       disc, SolverConfig(dt=1.0), ocp=cfg.ocp, phase_cfg=cfg.phase))
+
+
+def cutoff_c2(d):
+    """A C/2 discharge from SOC 1 with the shipped config and its cutoffs,
+    as `csespm simulate` runs it: it stops at v_min (cutoff_low)."""
+    cfg = _assets()
+    d.result(simulate(cc_profile(cfg.params, 0.5, "dis"),
+                      initial_state(cfg.params, cfg.disc, 1.0, "dis"), cfg.params, cfg.disc,
+                      cfg.solver, ocp=cfg.ocp, phase_cfg=cfg.phase))
 
 
 def _pso_dataset(cfg):
@@ -226,14 +237,13 @@ def many_mixed(d):
             d.labels(type(res).__name__, str(res))
         else:
             d.result(res)
-            d.floats([res.meta["max_closure"]])
 
 
 FIXTURES = {f.__name__: f for f in (
     cycle_c4, drive_hold, identify_pso_data, criterion1_cycles, fdm_cycle_1c, sweep_1c_nr3,
     fit_budget12, fit_identify_pso, sweep_1c_nr2, sweep_1c_nr4, sweep_dynamic_nr3,
-    discharge_c4_nr200, many_mixed)}
-DEFAULT = ("cycle_c4", "drive_hold", "identify_pso_data", "criterion1_cycles",
+    discharge_c4_nr200, many_mixed, cutoff_c2)}
+DEFAULT = ("cycle_c4", "drive_hold", "cutoff_c2", "identify_pso_data", "criterion1_cycles",
            "fdm_cycle_1c", "sweep_1c_nr3")
 
 
