@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import RunConfig
+from .config import RunConfig, check_soc
 from .errors import BlowupError, ConfigError, CsespmError, ParameterError
 from .identify import Dataset, ParameterSubset, identify
 from .observability import sweep
@@ -28,6 +28,7 @@ from .records import write_csv_columns
 from .simulate import (LoadProfile, cycle_profile, initial_state,
                        mass_audit, simulate)
 
+EXIT_USAGE = 2
 EXIT_MISSING_FILE = 3
 EXIT_BAD_CONFIG = 4
 EXIT_BLOWUP = 5
@@ -38,6 +39,12 @@ def _error_record(code: int, exc: Exception) -> int:
     record = {"error": type(exc).__name__, "message": str(exc), "exit_code": code}
     print(json.dumps(record), file=sys.stderr)
     return code
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):       # a usage error writes the JSON record too
+        self.print_usage(sys.stderr)
+        self.exit(_error_record(EXIT_USAGE, argparse.ArgumentError(None, message)))
 
 
 def _load_config(args) -> RunConfig:
@@ -204,7 +211,7 @@ def cmd_compare_scheme(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="csespm",
         description="Core-shell single particle model: simulate, cycle, "
                     "observe, identify, compare-scheme")
@@ -262,6 +269,7 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        check_soc(getattr(args, "soc", None), "--soc")
         return args.func(args)
     except FileNotFoundError as exc:
         return _error_record(EXIT_MISSING_FILE, exc)
@@ -269,7 +277,7 @@ def main(argv=None) -> int:
         return _error_record(EXIT_BAD_CONFIG, exc)
     except BlowupError as exc:
         return _error_record(EXIT_BLOWUP, exc)
-    except CsespmError as exc:
+    except (CsespmError, MemoryError) as exc:
         return _error_record(EXIT_RUNTIME, exc)
 
 

@@ -62,24 +62,28 @@ class RunConfig:
             obs = _section(raw, "observability", ObservabilityConfig)
         except (TypeError, ParameterError) as exc:
             raise ConfigError(f"{path}: {exc}") from exc
-        soc = raw.get("initial_soc")
-        if soc is not None and not (_fits(soc, "float") and 0.0 <= soc <= 1.0):
-            raise ConfigError(f"{path}: initial_soc must be a number in [0, 1], not {soc!r}")
+        soc = check_soc(raw.get("initial_soc"), f"{path}: initial_soc")
         ocp = _load_ocp(raw.get("ocp", {}), params, path.parent)
         return cls(params=params, disc=disc, solver=solver, phase=phase,
                    observability=obs, ocp=ocp, initial_soc=soc)
 
 
+def check_soc(soc, name: str):
+    """soc, if it is None (not given) or a number in [0, 1]; else a
+    ConfigError that names where it came from (initial_soc or --soc)."""
+    if soc is not None and not (_fits(soc, "float") and 0.0 <= soc <= 1.0):
+        raise ConfigError(f"{name} must be a number in [0, 1], not {soc!r}")
+    return soc
+
+
 def _fits(value, annotation: str) -> bool:
     """Whether a JSON value fits a field's annotation: an int field takes an
-    int, a float field an int or a float, a bool field a bool, a str field
-    a string and a tuple field (of ints) a list of ints, never a bool for a
-    number; an optional field also takes null."""
+    int, a float field an int or a float, a bool field a bool and a str
+    field a string, never a bool for a number; an optional field also takes
+    null."""
     kind, _, optional = annotation.partition(" | ")
     if value is None:
         return optional == "None"
-    if kind.startswith("tuple["):
-        return isinstance(value, list) and all(_fits(v, "int") for v in value)
     if isinstance(value, bool):
         return kind == "bool"
     return isinstance(value, {"int": int, "float": (int, float), "str": str, "bool": bool}[kind])

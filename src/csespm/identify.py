@@ -56,8 +56,10 @@ class ParameterSubset:
     def __post_init__(self):
         if len(self.names) != len(self.lower) or len(self.names) != len(self.upper):
             raise ParameterError("names and bounds must align")
-        if not np.all(self.lower < self.upper):
-            raise ParameterError("need lower < upper for every parameter")
+        if not (np.all(self.lower < self.upper) and np.isfinite([self.lower, self.upper]).all()
+                and np.all(self.lower[self.log_mask()] > 0.0)):
+            raise ParameterError("need finite bounds, lower < upper, and lower > 0 for a "
+                                 "log-scale parameter")
         bad = [n for n in self.names if not hasattr(CellParameters(), n)]
         if bad:
             raise ParameterError(f"unknown parameter names: {bad}")
@@ -77,6 +79,8 @@ class ParameterSubset:
         Scale-like entries get +-``decades`` in log10; stoichiometric
         fractions get wide physical windows.
         """
+        if not 0.0 < decades < 308.0:       # 10**308.25 is the largest float
+            raise ParameterError(f"decades must lie in (0, 308), not {decades!r}")
         if which == "c4":
             names = LAMBDA_C4
         elif which == "c2-1c":
@@ -116,7 +120,6 @@ class Dataset:
     voltage: np.ndarray
     direction: str
     c_rate_label: str | None = None
-    initial_soc: float | None = None
     name: str = ""
 
     def __post_init__(self):
@@ -128,8 +131,6 @@ class Dataset:
 
     @property
     def start_soc(self) -> float:
-        if self.initial_soc is not None:
-            return self.initial_soc
         return 0.0 if self.direction == "ch" else 1.0
 
     def to_csv(self, path):
@@ -139,14 +140,12 @@ class Dataset:
 
     @classmethod
     def from_csv(cls, path, direction: str | None = None,
-                 c_rate_label: str | None = None,
-                 initial_soc: float | None = None) -> "Dataset":
+                 c_rate_label: str | None = None) -> "Dataset":
         cols = read_csv_columns(path, ("time_s", "current_A", "voltage_V"))
         if direction is None:
             direction = "dis" if np.mean(cols["current_A"]) > 0 else "ch"
         return cls(LoadProfile(cols["time_s"], cols["current_A"]), cols["voltage_V"],
-                   direction, c_rate_label=c_rate_label, initial_soc=initial_soc,
-                   name=str(path))
+                   direction, c_rate_label=c_rate_label, name=str(path))
 
 
 # failures of a candidate's simulation that score PENALTY_RMSE: a package
@@ -306,6 +305,8 @@ def identify(datasets: list[Dataset], subset: ParameterSubset,
         raise ConfigError("identify needs at least one dataset")
     if budget < 1:
         raise ConfigError("budget must be >= 1")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, not {seed}")
     ocp = ocp or synthetic_ocp_set(base)
     rng = np.random.default_rng(seed)
     d = subset.dim

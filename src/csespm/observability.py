@@ -241,8 +241,8 @@ class ObservabilitySweep:
     def column(self, name: str) -> np.ndarray:
         return np.asarray([getattr(p, name) for p in self.points])
 
-    def finite_log10_cond(self, which: str = "cond_scaled") -> np.ndarray:
-        c = self.column(which)
+    def finite_log10_cond(self) -> np.ndarray:
+        c = self.column("cond_scaled")
         c = c[np.isfinite(c)]
         return np.log10(c)
 
@@ -258,8 +258,7 @@ class ObservabilitySweep:
 
 def sweep(result: SimulationResult, params: CellParameters,
           config: ObservabilityConfig | None = None,
-          ocp: OcpSet | None = None, scheme: str | None = None,
-          stride_s: float | None = None) -> ObservabilitySweep:
+          ocp: OcpSet | None = None, scheme: str | None = None) -> ObservabilitySweep:
     """Rank and condition number along a simulated trajectory.
 
     The first input derivative is estimated by backward differencing of the
@@ -270,7 +269,7 @@ def sweep(result: SimulationResult, params: CellParameters,
     config = config or ObservabilityConfig()
     ocp = ocp or synthetic_ocp_set(params)
     scheme = scheme or result.meta.get("scheme", "fvm")
-    stride = stride_s if stride_s is not None else config.stride_s
+    stride = config.stride_s
     u_scale = params.current_for_c_rate(1.0)
 
     out = ObservabilitySweep()

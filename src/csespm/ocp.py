@@ -98,8 +98,7 @@ class OcpSet:
         return self.pos_ch if direction == "ch" else self.pos_dis
 
 
-def synthetic_positive_table(params: CellParameters, direction: str,
-                             n: int = 241) -> OcpTable:
+def synthetic_positive_table(params: CellParameters, direction: str) -> OcpTable:
     """LFP-shaped curve: exactly flat plateau on [theta_alpha, theta_beta],
     logarithmic tails outside.  Plateau levels differ per direction
     (hysteresis)."""
@@ -108,7 +107,7 @@ def synthetic_positive_table(params: CellParameters, direction: str,
     plateau = 3.452 if direction == "ch" else 3.425
     s_left, w_left = 0.053, 0.015
     s_right, w_right = 0.260, 0.020
-    theta = np.unique(np.concatenate([np.linspace(0.0, 1.0, n), [a, b]]))
+    theta = np.unique(np.concatenate([np.linspace(0.0, 1.0, 241), [a, b]]))
     u = np.full_like(theta, plateau)
     left = theta < a
     right = theta > b
@@ -117,9 +116,9 @@ def synthetic_positive_table(params: CellParameters, direction: str,
     return OcpTable("pos", direction, theta, u)
 
 
-def synthetic_negative_table(n: int = 201) -> OcpTable:
+def synthetic_negative_table() -> OcpTable:
     """Graphite-shaped curve (steep rise at low theta, staged plateaus)."""
-    theta = np.linspace(0.0, 1.0, n)
+    theta = np.linspace(0.0, 1.0, 201)
     t = np.clip(theta, 1e-6, 1.0)
     u = (0.6379 + 0.5416 * np.exp(-305.5309 * t)
          + 0.044 * np.tanh(-(t - 0.1958) / 0.1088)

@@ -157,9 +157,12 @@ class CellParameters:
         dtheta = abs(self.theta("pos", "0", direction) - self.theta("pos", "100", direction))
         return self.F * self.A_cell * self.L_p * self.eps_p * self.c_s_max_p * dtheta
 
-    def current_for_c_rate(self, c_rate: float, direction: str = "dis") -> float:
-        """Current magnitude [A] for a given C-rate."""
-        return c_rate * self.capacity_coulombs(direction) / 3600.0
+    def current_for_c_rate(self, c_rate: float) -> float:
+        """Current magnitude [A] for a positive, finite C-rate, on the
+        discharge window."""
+        if not 0.0 < c_rate < np.inf:
+            raise ParameterError(f"C-rate must be positive and finite, not {c_rate!r}")
+        return c_rate * self.capacity_coulombs() / 3600.0
 
     def replace(self, **changes) -> "CellParameters":
         return dataclasses.replace(self, **changes)
@@ -226,29 +229,20 @@ def params_for_rate(base: CellParameters, label: str | None,
 @dataclass(frozen=True)
 class DiscretizationConfig:
     """Spatial discretization: N_r solid CVs per particle, N_e electrolyte
-    CVs split over anode/separator/cathode, scheme 'fvm' or 'fdm'."""
+    CVs split equally over anode/separator/cathode, scheme 'fvm' or 'fdm'."""
 
     N_r: int = 4
     N_e: int = 6
     scheme: str = "fvm"
-    N_e_split: tuple[int, int, int] | None = None
 
     def __post_init__(self):
         if self.N_r < 2:
             raise ParameterError("N_r must be >= 2")
-        if self.N_e < 3:
-            raise ParameterError("N_e must be >= 3")
+        if self.N_e < 3 or self.N_e % 3 != 0:
+            raise ParameterError("N_e must be a multiple of 3, at least 3")
         if self.scheme not in ("fvm", "fdm"):
             raise ParameterError("scheme must be 'fvm' or 'fdm'")
-        if self.N_e_split is not None:
-            s = self.N_e_split
-            if len(s) != 3 or any(int(n) < 1 for n in s) or sum(s) != self.N_e:
-                raise ParameterError("N_e_split must be three counts >= 1 summing to N_e")
-        elif self.N_e % 3 != 0:
-            raise ParameterError("N_e must be divisible by 3 unless N_e_split is given")
 
     def electrolyte_split(self) -> tuple[int, int, int]:
-        if self.N_e_split is not None:
-            return tuple(int(n) for n in self.N_e_split)
         n = self.N_e // 3
         return (n, n, n)

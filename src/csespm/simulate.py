@@ -138,6 +138,8 @@ def cc_profile(params: CellParameters, c_rate: float, direction: str,
 def cycle_profile(params: CellParameters, c_rate: float, cycles: int) -> LoadProfile:
     """Equal ampere-hour charge/discharge cycling, ``cycles`` full cycles,
     each a charge then a discharge."""
+    if cycles < 1:
+        raise ParameterError(f"need at least one cycle, not {cycles!r}")
     mag = params.current_for_c_rate(c_rate)
     half = 3600.0 / c_rate
     times, currents = [0.0], []
@@ -311,14 +313,6 @@ def _clip(x, lo, hi=None):
     return x if hi is None else min(x, hi)
 
 
-def _pow(x, e):
-    """x**e of one member, or of every member's column with the same libm pow:
-    numpy's vectorized power rounds some values differently."""
-    if isinstance(x, np.ndarray):
-        return np.array([v**e for v in x.ravel().tolist()]).reshape(x.shape)
-    return x**e
-
-
 def _each(f, *args):
     """f of one member's floats, or f mapped over B members' (B, 1) columns
     (and floats shared by all), its results stacked back into columns."""
@@ -351,8 +345,7 @@ def _fvm_two_phase_substep(state: FullState, current: float, h: float,
     shell_old = cell_dot(vols, state.pos)
 
     # lithium delivered to the front: surface influx minus shell gain
-    q_surf = (systems.molar_flux_density(params, "pos", current) * 4.0 * np.pi
-              * _pow(R, 2))
+    q_surf = systems.molar_flux_density(params, "pos", current) * 4.0 * np.pi * (R * R)
     spill = q_surf * h - cell_dot(vols, c_new - state.pos)
 
     if current == 0.0:
@@ -713,8 +706,7 @@ class _Batch:
     def _alone(self, p: int, new: FullState, closure: np.ndarray, k: int):
         """Member p's step k taken alone through its own integrator, its post
         state written into new, closure and the member's label, and its row
-        labelled and marked (_Rows.begin); returns the error the step
-        raised, if any."""
+        logged (_Rows.begin); returns the error the step raised, if any."""
         rows, x = self.blocks[p].rows, self.x
         integ = rows.integ
         regime, direction, core_phase = self.labels[p]
@@ -912,29 +904,25 @@ def _row_store(members: int, grid: _Grid, init: FullState) -> dict:
 class _Rows:
     """The rows of one run, one per accepted step, in its place of a row
     store (_row_store), with the run's step grid, integrator and events.
-    The (regime, direction, core_phase) labels and, with cutoffs on, the
-    marks (events so far, counters) that a run stopped at a row rolls back
-    to are runs: (first row, value), each holding up to the next run's
-    first row."""
+    Its change log holds (first row, (regime, direction, core_phase), events
+    so far, counters) whenever one of the three changes: each row is
+    labelled by the last entry at or before it, and a run stopped at a row
+    rolls back to that entry."""
 
-    def __init__(self, store: dict, member: int, integ: Integrator, events: list,
-                 cutoffs: bool):
+    def __init__(self, store: dict, member: int, integ: Integrator, events: list):
         self.cols, self.neg, self.pos, self.elec, self.closure = (
             store[k][member] for k in ("cols", "neg", "pos", "elec", "closure"))
         self.grid = store["grid"]
-        self.integ, self.events, self.cutoffs = integ, events, cutoffs
-        self.labels: list[tuple[int, tuple]] = []
-        self.marks: list[tuple[int, int, dict]] = []
+        self.integ, self.events = integ, events
+        self.log: list[tuple[int, tuple, int, dict]] = []
         self.n = 0
 
     def begin(self, i: int, s: FullState):
-        """From row i on, the rows are labelled as state s and marked with
+        """From row i on, the rows are labelled as state s and logged with
         the run's events and counters as they are now."""
-        label = (s.regime, s.direction, s.core_phase)
-        if not self.labels or self.labels[-1][1] != label:
-            self.labels.append((i, label))
-        if self.cutoffs:
-            self.marks.append((i, len(self.events), dict(self.integ.counters)))
+        entry = (s.regime, s.direction, s.core_phase), len(self.events), self.integ.counters
+        if not self.log or self.log[-1][1:] != entry:
+            self.log.append((i, entry[0], entry[1], dict(entry[2])))
 
     def put(self, i: int, s: FullState):
         """Row i: the state s of a step (its time, current and charge are
@@ -948,28 +936,28 @@ class _Rows:
     def label_rows(self, a: int, b: int) -> list:
         """The labels of rows a..b-1."""
         out = []
-        ends = [i for i, _ in self.labels[1:]] + [b]
-        for (i, label), end in zip(self.labels, ends):
+        ends = [entry[0] for entry in self.log[1:]] + [b]
+        for (i, label, _, _), end in zip(self.log, ends):
             out += [label] * (min(end, b) - max(i, a))
         return out
 
     def last_state(self) -> FullState:
         i = self.n - 1
-        regime, direction, core_phase = self.labels[-1][1]
+        regime, direction, core_phase = self.log[-1][1]
         return FullState(self.neg[i], self.pos[i], self.elec[i], regime, float(self.cols[3, i]),
                          float(self.cols[4, i]), core_phase, direction)
 
     def stop_at(self, k: int):
         """Keep rows 0..k, and roll the run's events, counters and
         max_closure back to what they were when row k was recorded."""
-        _, n_events, kept = self.marks[bisect.bisect_right([m[0] for m in self.marks], k) - 1]
+        while self.log[-1][0] > k:
+            self.log.pop()
+        _, _, n_events, kept = self.log[-1]
         del self.events[n_events:]
         counters = self.integ.counters
         counters.clear()
         counters.update(kept)
         self.integ.max_closure = float(self.closure[k])
-        while self.labels[-1][0] > k:
-            self.labels.pop()
         self.n = k + 1
 
 
@@ -1092,7 +1080,7 @@ def _simulation(profile: LoadProfile, init: FullState, params: CellParameters,
         store = _row_store(1, _step_grid(profile, solver.dt), init)
     grid = store["grid"]
     events = []
-    rows = _Rows(store, member, integ, events, cutoffs)
+    rows = _Rows(store, member, integ, events)
     cols = rows.cols
     status = "completed"
     done = 0          # rows the output map has seen

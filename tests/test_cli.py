@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from csespm import cli
+from csespm import identify as identify_module
 from csespm.cli import main
 from csespm.identify import make_synthetic_dataset
 from csespm.observability import ObservabilityConfig
@@ -33,6 +34,9 @@ def test_usage_error_unknown_command(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "ArgumentError" and record["exit_code"] == 2
+    assert "frobnicate" in record["message"]
 
 
 def test_missing_profile_gives_exit_3(tmp_path, capsys):
@@ -100,17 +104,20 @@ def _no_simulation(*args, **kwargs):
     ({"initial_soc": 5.0}, [], "initial_soc"),
     ({"ocp": {"neg": 5}}, [], "'neg'"),
     ({"parameters": {"nu": float("nan")}}, [], "nu must be finite"),
-    ({"parameters": {"R_l": float("inf")}}, [], "R_l must be positive and finite")])
+    ({"parameters": {"R_l": float("inf")}}, [], "R_l must be positive and finite"),
+    ({}, ["--soc", "5"], "--soc"),
+    ({}, ["--soc", "nan"], "--soc"),
+    ({}, ["--soc", "inf"], "--soc"),
+    ({}, ["--soc", "-3"], "--soc")])
 def test_bad_setting_gives_exit_4_before_simulating(tmp_path, short_profile, capsys,
                                                     monkeypatch, config, extra, needle):
     """A non-positive or non-finite solver or observability value (a zero
     event_tol hangs the event bisection, a NaN dt fails in the time loop, a
     zero jacobian_step gives an empty sweep), a removed setting or section,
     an unknown key of any section, a value of the wrong type, a non-finite
-    parameter, an initial SOC outside [0, 1] and an OCP entry that is not a
-    path are rejected
-    when the config is read, naming the setting, before any simulation
-    runs."""
+    parameter, an initial SOC outside [0, 1] (in the config or as --soc)
+    and an OCP entry that is not a path are rejected when the config is
+    read, naming the setting, before any simulation runs."""
     monkeypatch.setattr(cli, "simulate", _no_simulation)
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(config))
@@ -122,6 +129,69 @@ def test_bad_setting_gives_exit_4_before_simulating(tmp_path, short_profile, cap
     record = json.loads(capsys.readouterr().err.strip())
     assert record["exit_code"] == 4
     assert needle in record["message"]
+
+
+@pytest.fixture(scope="module")
+def short_dataset(tmp_path_factory, params):
+    """A 60 s C/4 discharge sampled every 10 s."""
+    path = tmp_path_factory.mktemp("data") / "ds.csv"
+    make_synthetic_dataset(params, DiscretizationConfig(N_r=4, N_e=6), 0.25, "dis",
+                           duration=60.0, dt=10.0).to_csv(path)
+    return path
+
+
+@pytest.mark.parametrize("argv, error, needle", [
+    (["cycle", "--crate", "0", "--cycles", "1"], "ParameterError", "C-rate"),
+    (["cycle", "--crate", "-1", "--cycles", "1"], "ParameterError", "C-rate"),
+    (["cycle", "--crate", "nan", "--cycles", "1"], "ParameterError", "C-rate"),
+    (["cycle", "--crate", "1", "--cycles", "0"], "ParameterError", "cycle"),
+    (["identify", "--subset", "c2-1c", "--seed", "-1"], "ConfigError", "seed"),
+    (["identify", "--subset", "c2-1c", "--decades", "400"], "ParameterError", "decades"),
+    (["identify", "--subset", "c2-1c", "--decades", "308"], "ParameterError", "decades"),
+    (["identify", "--subset", "c2-1c", "--decades", "307"], "ParameterError", "bounds"),
+    (["identify", "--subset", "c2-1c", "--decades", "0"], "ParameterError", "decades"),
+    (["identify", "--subset", "c4", "--decades", "inf"], "ParameterError", "decades")])
+def test_bad_flag_gives_exit_4(tmp_path, short_dataset, capsys, monkeypatch, argv, error,
+                               needle):
+    """A C-rate that is not positive and finite, fewer than one cycle, a
+    negative seed, bound decades outside (0, 308), and decades that
+    underflow a log-scale lower bound to 0 exit 4 with the JSON record,
+    before any simulation runs."""
+    monkeypatch.setattr(cli, "simulate", _no_simulation)
+    monkeypatch.setattr(identify_module, "simulate", _no_simulation)
+    monkeypatch.setattr(identify_module, "simulate_many", _no_simulation)
+    if argv[0] == "identify":
+        argv = argv + ["--data", str(short_dataset)]
+    rc = main(argv + ["--out", str(tmp_path / "out")])
+    assert rc == 4
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == error and record["exit_code"] == 4
+    assert needle in record["message"]
+
+
+def test_identify_rejects_a_negative_seed(params):
+    """The library's identify rejects the seed itself, not only the CLI."""
+    from csespm.errors import ConfigError
+    from csespm.identify import ParameterSubset, identify
+    ds = make_synthetic_dataset(params, DiscretizationConfig(N_r=4, N_e=6), 0.25, "dis",
+                                duration=60.0, dt=10.0)
+    with pytest.raises(ConfigError, match="seed"):
+        identify([ds], ParameterSubset.preset("c2-1c", params), params,
+                 DiscretizationConfig(N_r=4, N_e=6), SolverConfig(), seed=-1, budget=1)
+
+
+def test_out_of_memory_gives_exit_6(tmp_path, short_profile, capsys, monkeypatch):
+    """A command that runs out of memory (say, observe --nr 100000000000)
+    exits 6 with the JSON record, not a traceback."""
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 745. GiB")
+
+    monkeypatch.setattr(cli, "simulate", exhausted)
+    rc = main(["simulate", "--profile", str(short_profile), "--out", str(tmp_path / "out")])
+    assert rc == 6
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record == {"error": "MemoryError", "message": "Unable to allocate 745. GiB",
+                      "exit_code": 6}
 
 
 def test_simulate_command(tmp_path, short_profile):
@@ -395,3 +465,66 @@ def test_config_fuzz_exits_with_a_record(fuzz_profile, entries):
         else:
             summary = json.loads((out / "summary.json").read_text())
             assert math.isfinite(summary["final_voltage_V"]), config
+
+
+# the required and the optional flags of each command and the values each
+# may take; no pool value runs more than a few hundred steps or allocates
+# more than a few MB (`cycle` runs at dt = 60 s, so 2 cycles at 1C are 240
+# steps; no tiny C-rate, no large N_r)
+_SOCS = ["-3", "0", "0.5", "1", "5", "nan", "inf", "x"]
+_FLAG_POOLS = {
+    "simulate": ({}, {"--soc": _SOCS, "--no-cutoffs": [None]}),
+    "cycle": ({"--crate": ["-1", "0", "1", "4", "nan", "inf", "x"],
+               "--cycles": ["-1", "0", "1", "2", "1.5"]}, {"--enforce-cutoffs": [None]}),
+    "observe": ({"--nr": ["-1", "1", "2", "3", "x"]},
+                {"--scheme": ["fvm", "fdm", "fem"], "--soc": _SOCS,
+                 "--stride": ["-1", "0", "5", "nan", "inf", "1e-300"]}),
+    "identify": ({"--subset": ["c4", "c2-1c", "x"]},
+                 {"--seed": ["-1", "0", "7", str(2**70)], "--budget": ["-1", "0", "1", "3"],
+                  "--decades": ["-1", "0", "0.5", "20", "307", "308", "400", "nan",
+                               "inf"]}),
+}
+
+
+def _flag_argv(command: str, flags: dict) -> list:
+    argv = [command]
+    for flag, value in flags.items():
+        argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+_FLAG_ARGVS = st.one_of(*(
+    st.fixed_dictionaries({f: st.sampled_from(v) for f, v in required.items()},
+                          optional={f: st.sampled_from(v) for f, v in optional.items()})
+    .map(lambda flags, command=command: _flag_argv(command, flags))
+    for command, (required, optional) in _FLAG_POOLS.items()))
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory, fuzz_profile, short_dataset):
+    """The inputs each command reads besides its flags."""
+    config = tmp_path_factory.mktemp("fuzz_flags") / "dt60.json"
+    config.write_text(json.dumps({"solver": {"dt": 60.0}}))
+    return {"simulate": ["--profile", str(fuzz_profile)],
+            "cycle": ["--config", str(config)],
+            "observe": ["--profile", str(fuzz_profile)],
+            "identify": ["--data", str(short_dataset)]}
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_FLAG_ARGVS)
+def test_flag_fuzz_exits_with_a_record(fuzz_inputs, argv):
+    """Each command with its required flags and any of its optional ones set
+    to any value of their pools ends with a documented exit code, never a
+    traceback, and every nonzero exit (a usage error too) writes its JSON
+    error record."""
+    with tempfile.TemporaryDirectory() as tmp:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            try:
+                rc = main(argv + fuzz_inputs[argv[0]] + ["--out", str(Path(tmp) / "out")])
+            except SystemExit as exc:
+                rc = exc.code
+        assert rc in (0, 2, 3, 4, 5, 6), argv
+        if rc:
+            assert json.loads(err.getvalue().strip().splitlines()[-1])["exit_code"] == rc

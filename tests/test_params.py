@@ -54,8 +54,5 @@ def test_discretization_invariants():
     with pytest.raises(ParameterError):
         DiscretizationConfig(scheme="fem")
     with pytest.raises(ParameterError):
-        DiscretizationConfig(N_e=7)  # not divisible, no explicit split
-    d = DiscretizationConfig(N_e=7, N_e_split=(3, 2, 2))
-    assert d.electrolyte_split() == (3, 2, 2)
-    with pytest.raises(ParameterError):
-        DiscretizationConfig(N_e=7, N_e_split=(4, 2, 2))
+        DiscretizationConfig(N_e=7)  # not divisible by 3
+    assert DiscretizationConfig(N_e=9).electrolyte_split() == (3, 3, 3)
