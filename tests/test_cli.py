@@ -116,8 +116,8 @@ def test_bad_setting_gives_exit_4_before_simulating(tmp_path, short_profile, cap
     zero jacobian_step gives an empty sweep), a removed setting or section,
     an unknown key of any section, a value of the wrong type, a non-finite
     parameter, an initial SOC outside [0, 1] (in the config or as --soc)
-    and an OCP entry that is not a path are rejected when the config is
-    read, naming the setting, before any simulation runs."""
+    and an OCP entry that is not a path are rejected, naming the setting,
+    before any simulation runs."""
     monkeypatch.setattr(cli, "simulate", _no_simulation)
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(config))
@@ -167,17 +167,6 @@ def test_bad_flag_gives_exit_4(tmp_path, short_dataset, capsys, monkeypatch, arg
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == error and record["exit_code"] == 4
     assert needle in record["message"]
-
-
-def test_identify_rejects_a_negative_seed(params):
-    """The library's identify rejects the seed itself, not only the CLI."""
-    from csespm.errors import ConfigError
-    from csespm.identify import ParameterSubset, identify
-    ds = make_synthetic_dataset(params, DiscretizationConfig(N_r=4, N_e=6), 0.25, "dis",
-                                duration=60.0, dt=10.0)
-    with pytest.raises(ConfigError, match="seed"):
-        identify([ds], ParameterSubset.preset("c2-1c", params), params,
-                 DiscretizationConfig(N_r=4, N_e=6), SolverConfig(), seed=-1, budget=1)
 
 
 def test_out_of_memory_gives_exit_6(tmp_path, short_profile, capsys, monkeypatch):
