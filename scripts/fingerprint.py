@@ -244,7 +244,7 @@ FIXTURES = {f.__name__: f for f in (
     fit_budget12, fit_identify_pso, sweep_1c_nr2, sweep_1c_nr4, sweep_dynamic_nr3,
     discharge_c4_nr200, many_mixed, cutoff_c2)}
 DEFAULT = ("cycle_c4", "drive_hold", "cutoff_c2", "identify_pso_data", "criterion1_cycles",
-           "fdm_cycle_1c", "sweep_1c_nr3")
+           "fdm_cycle_1c", "sweep_1c_nr3", "many_mixed")
 
 
 def main(argv):

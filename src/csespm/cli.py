@@ -53,6 +53,16 @@ def _load_config(args) -> RunConfig:
     return RunConfig.load(args.config)
 
 
+def _initial_soc(args, cfg: RunConfig, direction: str) -> float:
+    """--soc, else the config's initial_soc, else the end of the window the
+    profile's direction starts from."""
+    if args.soc is not None:
+        return args.soc
+    if cfg.initial_soc is not None:
+        return cfg.initial_soc
+    return 0.0 if direction == "ch" else 1.0
+
+
 def _profile_direction(profile: LoadProfile, path) -> str:
     """'ch' when the first nonzero current is negative (charging), else 'dis'."""
     nonzero = np.flatnonzero(profile.currents)
@@ -79,10 +89,7 @@ def cmd_simulate(args) -> int:
     if args.no_cutoffs:
         solver = dataclasses.replace(solver, cutoffs_enabled=False)
     direction = _profile_direction(profile, args.profile)
-    soc = args.soc if args.soc is not None else (
-        cfg.initial_soc if cfg.initial_soc is not None else
-        (0.0 if direction == "ch" else 1.0))
-    init = initial_state(cfg.params, cfg.disc, soc, direction)
+    init = initial_state(cfg.params, cfg.disc, _initial_soc(args, cfg, direction), direction)
     result = simulate(profile, init, cfg.params, cfg.disc, solver,
                       ocp=cfg.ocp, phase_cfg=cfg.phase)
     out = Path(args.out)
@@ -105,6 +112,7 @@ def cmd_cycle(args) -> int:
     cfg = _load_config(args)
     solver = dataclasses.replace(cfg.solver, cutoffs_enabled=args.enforce_cutoffs)
     profile = cycle_profile(cfg.params, args.crate, args.cycles)
+    profile.check_steps(solver.dt)
     init = initial_state(cfg.params, cfg.disc, 0.0, "ch")
     result = simulate(profile, init, cfg.params, cfg.disc, solver,
                       ocp=cfg.ocp, phase_cfg=cfg.phase)
@@ -139,8 +147,7 @@ def cmd_observe(args) -> int:
     disc = dataclasses.replace(cfg.disc, N_r=args.nr, scheme=args.scheme)
     profile = LoadProfile.from_csv(args.profile)
     direction = _profile_direction(profile, args.profile)
-    soc = args.soc if args.soc is not None else (0.0 if direction == "ch" else 1.0)
-    init = initial_state(cfg.params, disc, soc, direction)
+    init = initial_state(cfg.params, disc, _initial_soc(args, cfg, direction), direction)
     solver = dataclasses.replace(cfg.solver, cutoffs_enabled=False)
     result = simulate(profile, init, cfg.params, disc, solver,
                       ocp=cfg.ocp, phase_cfg=cfg.phase)

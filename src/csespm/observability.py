@@ -197,15 +197,16 @@ def scale_columns(O: np.ndarray, x_scales: np.ndarray) -> np.ndarray:
 
 
 def rank_and_condition(O: np.ndarray, config: ObservabilityConfig | None = None):
-    """(rank, cond) by SVD; cond = sigma_max/sigma_min, inf when rank-deficient."""
+    """(rank, cond, sigma_min) by one SVD; cond = sigma_max/sigma_min, inf
+    when rank-deficient."""
     config = config or ObservabilityConfig()
     s = np.linalg.svd(O, compute_uv=False)
     if s[0] == 0.0:
-        return 0, math.inf
+        return 0, math.inf, 0.0
     tol = config.rank_tol * s[0] * max(O.shape)
     rank = int(np.sum(s > tol))
     cond = math.inf if rank < min(O.shape) else float(s[0] / s[-1])
-    return rank, cond
+    return rank, cond, float(s[-1])
 
 
 # --- trajectory sweeps -----------------------------------------------------------
@@ -293,9 +294,8 @@ def sweep(result: SimulationResult, params: CellParameters,
                                               config, scheme)
             O = observability_matrix(f, h, x0, u0, i_dot, config, scales, u_scale)
             Os = scale_columns(O, scales)
-            rank, cond_s = rank_and_condition(Os, config)
-            _, cond_r = rank_and_condition(O, config)
-            smin = float(np.linalg.svd(Os, compute_uv=False)[-1])
+            rank, cond_s, smin = rank_and_condition(Os, config)
+            _, cond_r, _ = rank_and_condition(O, config)
         except CsespmError as exc:
             log.warning("sweep point at t=%.1fs skipped: %s", t, exc)
             continue

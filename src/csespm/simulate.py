@@ -26,21 +26,22 @@ shell matrix changes every substep, so both schemes step it through a
 fresh symmetric eigendecomposition: it is similar to a symmetric matrix
 under the cell capacities of its geometry (CV volumes or r_i^2 h).
 
-The time loop (`_simulation`) is a generator that asks for a block of
-steps at a time, a range of its step grid: the rest of a run of profile
-segments at one current, which with voltage cutoffs on also ends at the
-next output-map chunk.  Its server takes every step of the block, filling
-its rows, and reports how many steps it took and the error that stopped
-it, if any.  `simulate` serves a block with one
-`Integrator.advance_with_events` per step.  `simulate_many` runs B members
-(one parameter set and initial state each) on one profile in lockstep:
-every member asks for the same blocks, the members' states are (B, ·)
-arrays for a whole block, and one batched step serves them all and writes
-every member's row at once.  The blocks and the substep are array kernels
-whose leading member axis leaves each member's arithmetic as it is, so each
-member's result is bit for bit its `simulate`.  A step with a transition or
-a halved front step is taken by the member alone, which then steps on with
-the batch; only an error ends a member's block early.
+The time loop (`_simulate`) steps one run (`_Run`: an integrator, its rows
+and events, its output map) per member through blocks of steps, ranges of
+the shared step grid: the rest of a run of profile segments at one current,
+which with voltage cutoffs on also ends at the next output-map chunk.  It
+computes each block's end once for all live runs and hands the runs to one
+of two servers, which take every step of the block, filling the rows, and
+report the runs an error stopped.  `simulate` serves its one run with one
+`Integrator.advance_with_events` per step (`_serve`).  `simulate_many` runs
+B members (one parameter set and initial state each) on one profile in
+lockstep (`_Batch`): the members' states are (B, ·) arrays for a whole
+block, and one batched step serves them all and writes every member's row
+at once.  The blocks and the substep are array kernels whose leading member
+axis leaves each member's arithmetic as it is, so each member's result is
+bit for bit its `simulate`.  A step with a transition or a halved front
+step is taken by the member alone, which then steps on with the batch; only
+an error ends a member's block early, and its run.
 """
 from __future__ import annotations
 
@@ -87,6 +88,9 @@ class SolverConfig:
 
 # --- load profiles -----------------------------------------------------------
 
+MAX_STEPS = 10**9   # steps of one run: 128 GB of rows at N_r = 2, N_e = 3
+
+
 @dataclass
 class LoadProfile:
     """Zero-order-hold current input: sample k holds from times[k] to
@@ -110,6 +114,17 @@ class LoadProfile:
     @property
     def duration(self) -> float:
         return float(self.times[-1] - self.times[0])
+
+    def check_steps(self, dt: float):
+        """Raise ParameterError unless a run at step dt can build the
+        profile's step grid: at most MAX_STEPS steps, each one long enough
+        to move the time it starts from."""
+        if self.duration / dt + len(self.times) > MAX_STEPS:
+            raise ParameterError(f"a {self.duration:.3g} s profile takes over {MAX_STEPS:.0e} "
+                                 f"steps of dt={dt:g} s")
+        if math.ulp(max(abs(self.times[0]), abs(self.times[-1]))) >= dt:
+            raise ParameterError(f"dt={dt:g} s is below the float spacing of the profile's "
+                                 "times")
 
     def segments(self):
         """Yield (t0, t1, I) pieces of constant current."""
@@ -432,8 +447,7 @@ class Integrator:
         self.disc = disc
         self.solver = solver
         self.phase_cfg = phase_cfg or PhaseConfig()
-        split = disc.electrolyte_split()
-        self.split = split
+        self.split = split = disc.electrolyte_split()
         self.neg = _LtiBlock(systems.build_one_phase_solid_system(
             params, "neg", disc.N_r, disc.scheme))
         self.pos1p = _LtiBlock(systems.build_one_phase_solid_system(
@@ -558,51 +572,112 @@ class _BlockStack:
     advance = _LtiBlock.advance
 
 
-class _Lockstep:
-    """Integrator.advance_with_events of B members of one discretization and
-    phase configuration at once, for the steps without a transition.
+def _nonfinite(x: FullState) -> list[int]:
+    """The members of rows x whose state FullState.is_finite rejects."""
+    if sum(float(np.vdot(a, a)) for a in (x.neg, x.pos, x.elec, x.r_p)) < 1e300:
+        return []       # no entry reaches 1e150, so every member's sum is finite
+    return [p for p in range(len(x.r_p))
+            if not FullState(x.neg[p], x.pos[p], x.elec[p], r_p=float(x.r_p[p, 0])).is_finite()]
 
-    The fixed-grid blocks step as (B, n, n) stacks of the members' maps; the
-    members of one regime (and, in two-phase, one core phase and direction)
-    take one array substep and one test of their transition margins.  Each
-    member's stepped state is bit for bit its own.
+
+class _Batch:
+    """The lockstep server of simulate_many: Integrator.advance_with_events
+    of B runs of one discretization and phase configuration at once.
+
+    For a whole block the members' states are (B, ·) rows and (B, 1) r_p
+    and core_conc columns.  The fixed-grid blocks step as (B, n, n) stacks
+    of the members' maps; the members of one regime (and, in two-phase, one
+    core phase and direction) take one array substep and one test of their
+    transition margins; each step writes every member's row at once.  Each
+    member's stepped state is bit for bit its own.  A member whose step
+    must be taken alone takes it through its own integrator and steps on
+    with the batch; an error ends its block.
     """
 
-    def __init__(self, integs: list[Integrator]):
-        self.integs = integs
+    def __init__(self, store: dict):
+        self.store, self.grid = store, store["grid"]
+        self.runs: list = []            # the runs the stacks are of
+
+    def _stack(self, runs: list):
+        self.runs = runs
+        integs = [run.integ for run in runs]
         self.neg, self.pos1p, self.elec = (_BlockStack([getattr(i, k) for i in integs])
                                            for k in ("neg", "pos1p", "elec"))
         self.params = ParameterColumns(i.params for i in integs)
 
-    def groups(self, labels: list[tuple]) -> list[tuple]:
+    def serve(self, runs: list, s: int, b: int) -> dict:
+        """Steps s..b-1 of the runs from their states; returns {run: (step,
+        error)} of the runs an error stopped."""
+        if runs != self.runs:
+            self._stack(list(runs))
+        states = [run.state for run in runs]
+        self.x = FullState(*(np.array([getattr(x, k) for x in states])
+                             for k in ("neg", "pos", "elec")), None,
+                           *(np.array([[getattr(x, k)] for x in states])
+                             for k in ("r_p", "core_conc")))
+        self.labels = [(x.regime, x.direction, x.core_phase) for x in states]
+        self.closure = np.array([[run.integ.max_closure] for run in runs])
+        self.groups = self._groups()
+        self.current = self.grid.currents[s]
+        stopped = {}
+        for k in range(s, b):
+            x = self.x
+            try:
+                new, closure, alone = self._step(x, self.grid.hs[k])
+            except (CsespmError, ArithmeticError, ValueError):
+                # some member's data fails the step: each takes it alone, and
+                # raises its own error there
+                new = FullState(x.neg.copy(), x.pos.copy(), x.elec.copy(), None,
+                                x.r_p.copy(), x.core_conc.copy())
+                closure, alone = 0.0, np.ones(x.r_p.shape, dtype=bool)
+            closure = np.maximum(self.closure, closure)
+            solo = np.flatnonzero(alone).tolist()
+            # member -> the error that ends its block at step k
+            errors = {p: e for p in solo if (e := self._alone(p, new, closure, k)) is not None}
+            for p in _nonfinite(new):
+                errors.setdefault(p, _blowup(self.grid, k))
+            self._write(k + 1, new, closure)
+            self.x, self.closure = new, closure
+            if errors:
+                stopped.update((self.runs[p], (k, e)) for p, e in errors.items())
+                self._leave(errors)
+                if not self.runs:
+                    return stopped
+            if solo or errors:      # a label may have changed
+                self.groups = self._groups()
+        for run, closure in zip(self.runs, self.closure[:, 0].tolist()):
+            run.integ.max_closure = closure
+        return stopped
+
+    def _groups(self) -> list[tuple]:
         """(key, rows, parameters) of each group of members that steps as
-        one, from the members' (regime, direction, core_phase) labels: the
-        members of one regime, and in two-phase of one core phase and
-        direction."""
+        one: the members of one regime, and in two-phase of one core phase
+        and direction."""
         found: dict[tuple, list[int]] = {}
-        for i, (regime, direction, core_phase) in enumerate(labels):
+        for i, (regime, direction, core_phase) in enumerate(self.labels):
             key = (regime, core_phase, direction) if regime == TWO_PHASE else (regime,)
             found.setdefault(key, []).append(i)
         if len(found) == 1:
             return [(key, slice(None), self.params) for key in found]
         return [(key, idx, self.params.take(idx)) for key, idx in found.items()]
 
-    def advance(self, x: FullState, groups: list[tuple], current: float, h: float):
-        """One step of every member of x, a FullState of (B, ·) rows and
-        (B, 1) r_p and core_conc columns: the stepped rows, each member's
+    def _step(self, x: FullState, h: float):
+        """One step of every member of x: the stepped rows, each member's
         substep closure (0 without one), and the (B, 1) mask of the members
         whose step detects a transition or must halve its front step, which
         must take the step alone."""
-        disc, pcfg = self.integs[0].disc, self.integs[0].phase_cfg
+        current, integ = self.current, self.runs[0].integ
+        disc, pcfg = integ.disc, integ.phase_cfg
         new = FullState(self.neg.advance(x.neg, current, h), None,
                         self.elec.advance(x.elec, current, h), None, x.r_p.copy(),
                         x.core_conc.copy())
         new.pos = (self.pos1p.advance(x.pos, current, h)
-                   if any(key[0] != TWO_PHASE for key, _, _ in groups) else np.empty_like(x.pos))
+                   if any(key[0] != TWO_PHASE for key, _, _ in self.groups)
+                   else np.empty_like(x.pos))
         closure = np.zeros(x.r_p.shape)
         alone = np.zeros(x.r_p.shape, dtype=bool)
         substep = _fvm_two_phase_substep if disc.scheme == "fvm" else _fdm_two_phase_substep
-        for key, sel, params in groups:
+        for key, sel, params in self.groups:
             if key[0] == TWO_PHASE:
                 r_old = x.r_p[sel]
                 rows = FullState(None, x.pos[sel], None, TWO_PHASE, r_old, x.core_conc[sel],
@@ -619,133 +694,46 @@ class _Lockstep:
             alone[sel] = out
         return new, closure, alone
 
-
-def _nonfinite(x: FullState) -> list[int]:
-    """The members of rows x whose state FullState.is_finite rejects."""
-    if sum(float(np.vdot(a, a)) for a in (x.neg, x.pos, x.elec, x.r_p)) < 1e300:
-        return []       # no entry reaches 1e150, so every member's sum is finite
-    return [p for p in range(len(x.r_p))
-            if not FullState(x.neg[p], x.pos[p], x.elec[p], r_p=float(x.r_p[p, 0])).is_finite()]
-
-
-class _Batch:
-    """The lockstep run of simulate_many's members.
-
-    Every live member's block spans the same steps of the shared step
-    grid, so the members' states are (B, ·) rows and (B, 1) columns from
-    one block end to the next; each step is one `_Lockstep.advance` and
-    writes every member's row into the runs' shared row store at once.  A
-    member whose step must be taken alone takes it through its own
-    Integrator.advance_with_events and steps on with the batch; an error
-    ends its block, and its run.  At each block end every run is resumed
-    and the rows are gathered again from the next blocks.  Per-member work
-    is done only for steps taken alone, block ends and group changes.
-    """
-
-    def __init__(self, store: dict, resume):
-        self.store, self.grid, self.resume = store, store["grid"], resume
-        self.ids: list[int] = []                # the members' places in the store
-        self.lockstep: _Lockstep | None = None
-
-    def run(self, blocks: dict):
-        """Serve the members' blocks, the first one of each run given, until
-        every run has ended."""
-        while blocks:
-            if list(blocks) != self.ids:
-                self.ids = list(blocks)
-                self.lockstep = _Lockstep([blk.rows.integ for blk in blocks.values()])
-            self.blocks = list(blocks.values())
-            states = [blk.state for blk in self.blocks]
-            self.x = FullState(*(np.array([getattr(s, k) for s in states])
-                                 for k in ("neg", "pos", "elec")), None,
-                               *(np.array([[getattr(s, k)] for s in states])
-                                 for k in ("r_p", "core_conc")))
-            self.labels = [(s.regime, s.direction, s.core_phase) for s in states]
-            self.closure = np.array([[blk.rows.integ.max_closure] for blk in self.blocks])
-            self.groups = self.lockstep.groups(self.labels)
-            blocks = self._block()
-
-    def _block(self) -> dict:
-        """Step the members through their blocks; returns the next block of
-        each run that goes on."""
-        grid, first = self.grid, self.blocks[0]
-        self.current = grid.currents[first.s]
-        for k in range(first.s, first.b):
-            x = self.x
-            try:
-                new, closure, alone = self.lockstep.advance(x, self.groups, self.current,
-                                                            grid.hs[k])
-            except (CsespmError, ArithmeticError, ValueError):
-                # some member's data fails the step: each takes it alone, and
-                # raises its own error there
-                new = FullState(x.neg.copy(), x.pos.copy(), x.elec.copy(), None,
-                                x.r_p.copy(), x.core_conc.copy())
-                closure, alone = 0.0, np.ones(x.r_p.shape, dtype=bool)
-            closure = np.maximum(self.closure, closure)
-            solo = np.flatnonzero(alone).tolist()
-            # member -> the error that ends its block at step k
-            errors = {p: e for p in solo if (e := self._alone(p, new, closure, k)) is not None}
-            for p in _nonfinite(new):
-                errors.setdefault(p, _blowup(grid, k))
-            self._write(k + 1, new, closure)
-            self.x, self.closure = new, closure
-            if errors:
-                self._leave(errors, k - first.s)
-                if not self.ids:
-                    return {}
-            if solo or errors:      # a label may have changed
-                self.groups = self.lockstep.groups(self.labels)
-        following = {}
-        for p, blk in enumerate(self.blocks):
-            blk.rows.integ.max_closure = float(self.closure[p, 0])
-            nxt = self.resume(self.ids[p], (first.b - first.s, None))
-            if nxt is not None:
-                following[self.ids[p]] = nxt
-        return following
-
     def _alone(self, p: int, new: FullState, closure: np.ndarray, k: int):
         """Member p's step k taken alone through its own integrator, its post
         state written into new, closure and the member's label, and its row
-        logged (_Rows.begin); returns the error the step raised, if any."""
-        rows, x = self.blocks[p].rows, self.x
-        integ = rows.integ
+        logged (_Run.begin); returns the error the step raised, if any."""
+        run, x = self.runs[p], self.x
+        integ = run.integ
         regime, direction, core_phase = self.labels[p]
         state = FullState(x.neg[p], x.pos[p], x.elec[p], regime, float(x.r_p[p, 0]),
                           float(x.core_conc[p, 0]), core_phase, direction)
         integ.max_closure = float(self.closure[p, 0])
         try:
             post = integ.advance_with_events(state, self.current, self.grid.starts[k],
-                                             self.grid.hs[k], rows.events)
+                                             self.grid.hs[k], run.events)
         except Exception as exc:
             return exc
         new.neg[p], new.pos[p], new.elec[p] = post.neg, post.pos, post.elec
         new.r_p[p], new.core_conc[p] = post.r_p, post.core_conc
         closure[p] = integ.max_closure
-        rows.begin(k + 1, post)
+        run.begin(k + 1, post)
         self.labels[p] = (post.regime, post.direction, post.core_phase)
 
     def _write(self, r: int, new: FullState, closure: np.ndarray):
         """Row r of every member, into the shared store."""
         store = self.store
-        m = slice(None) if len(self.ids) == len(store["cols"]) else self.ids
+        m = (slice(None) if len(self.runs) == len(store["cols"])
+             else [run.member for run in self.runs])
         store["neg"][m, r], store["pos"][m, r], store["elec"][m, r] = new.neg, new.pos, new.elec
         store["cols"][m, 3, r] = new.r_p[:, 0]
         store["cols"][m, 4, r] = new.core_conc[:, 0]
         store["closure"][m, r] = closure[:, 0]
 
-    def _leave(self, errors: dict, n: int):
-        """Resume the run of each member in ``errors`` with its error after n
-        steps of its block, which ends the run, and drop the member."""
-        for p, error in errors.items():
-            self.resume(self.ids[p], (n, error))
-        keep = [p for p in range(len(self.ids)) if p not in errors]
-        self.ids, self.blocks, self.labels = (
-            [a[p] for p in keep] for a in (self.ids, self.blocks, self.labels))
+    def _leave(self, errors: dict):
+        """Drop the members in ``errors`` from the batch."""
+        keep = [p for p in range(len(self.runs)) if p not in errors]
+        self.labels = [self.labels[p] for p in keep]
         x = self.x
         self.x = FullState(x.neg[keep], x.pos[keep], x.elec[keep], None, x.r_p[keep],
                            x.core_conc[keep])
         self.closure = self.closure[keep]
-        self.lockstep = _Lockstep([blk.rows.integ for blk in self.blocks])
+        self._stack([self.runs[p] for p in keep])
 
 
 # --- initial states -------------------------------------------------------------
@@ -868,6 +856,7 @@ class _Grid:
 
 
 def _step_grid(profile: LoadProfile, dt: float) -> _Grid:
+    profile.check_steps(dt)
     g = _Grid(*(array("d") for _ in range(5)), {}, [])
     q_total, last = 0.0, None
     for t0, t1, current in profile.segments():
@@ -888,34 +877,66 @@ def _step_grid(profile: LoadProfile, dt: float) -> _Grid:
     return g
 
 
-def _row_store(members: int, grid: _Grid, init: FullState) -> dict:
+def _row_store(members: int, grid: _Grid, disc: DiscretizationConfig) -> dict:
     """The rows of ``members`` runs of one step grid, the initial row and
     one per step, member first: the columns time, current, charge, r_p,
     core_conc, voltage, SOC_p, SOC_n; the neg/pos/elec concentrations; the
     integrator's max_closure."""
     size = 1 + len(grid.hs)
-    store = {k: np.empty((members, size, len(getattr(init, k)))) for k in ("neg", "pos", "elec")}
+    store = {k: np.empty((members, size, n))
+             for k, n in (("neg", disc.N_r), ("pos", disc.N_r), ("elec", disc.N_e))}
     store["cols"] = np.empty((members, 8, size))
     store["closure"] = np.empty((members, size))
     store["grid"] = grid
     return store
 
 
-class _Rows:
-    """The rows of one run, one per accepted step, in its place of a row
-    store (_row_store), with the run's step grid, integrator and events.
-    Its change log holds (first row, (regime, direction, core_phase), events
-    so far, counters) whenever one of the three changes: each row is
-    labelled by the last entry at or before it, and a run stopped at a row
-    rolls back to that entry."""
+class _Run:
+    """One run of `simulate`: its integrator, events, output map, the state
+    its block starts from, and its rows, one per accepted step, in its
+    place of a row store (_row_store).  Its change log holds (first row,
+    (regime, direction, core_phase), events so far, counters) whenever one
+    of the three changes: each row is labelled by the last entry at or
+    before it, and a run stopped at a row rolls back to that entry."""
 
-    def __init__(self, store: dict, member: int, integ: Integrator, events: list):
+    def __init__(self, profile: LoadProfile, init: FullState, params: CellParameters,
+                 disc: DiscretizationConfig, solver: SolverConfig, ocp: OcpSet | None,
+                 phase_cfg: PhaseConfig | None, store: dict, member: int):
+        self.params, self.disc, self.member = params, disc, member
+        self.ocp = ocp or synthetic_ocp_set(params)
+        self.integ = Integrator(params, disc, solver, phase_cfg)
+        cutoffs = solver.cutoffs_enabled
+        self.v_lo = solver.v_min if cutoffs and solver.v_min is not None else -np.inf
+        self.v_hi = solver.v_max if cutoffs and solver.v_max is not None else np.inf
         self.cols, self.neg, self.pos, self.elec, self.closure = (
             store[k][member] for k in ("cols", "neg", "pos", "elec", "closure"))
-        self.grid = store["grid"]
-        self.integ, self.events = integ, events
-        self.log: list[tuple[int, tuple, int, dict]] = []
-        self.n = 0
+        self.grid = grid = store["grid"]
+        self.events, self.log = [], []
+        self.status = "completed"
+        self.done = 0           # rows the output map has seen
+        self.cols[:3, 0] = profile.times[0], profile.currents[0], 0.0
+        self.cols[:3, 1:] = grid.times, grid.currents, grid.charges
+        self.put(0, init)
+        self.n = 1
+
+    def start(self, s: int):
+        """Start a block at step s from the state of the last row: the
+        profile segments starting there take it into their current's
+        direction, inside two-phase by a sign flip, and the rows from s + 1
+        on are labelled as the state."""
+        i = self.n - 1
+        regime, direction, core_phase = self.log[-1][1]
+        state = FullState(self.neg[i], self.pos[i], self.elec[i], regime, float(self.cols[3, i]),
+                          float(self.cols[4, i]), core_phase, direction)
+        for t0, current in self.grid.begins.get(s, ()):
+            newdir = systems.direction_for_current(current, state.direction)
+            if newdir != state.direction and state.two_phase:
+                state, ev = apply_sign_flip(state, current, t0)
+                self.events.append(ev)
+            else:
+                state.direction = newdir
+        self.state = state
+        self.begin(s + 1, state)
 
     def begin(self, i: int, s: FullState):
         """From row i on, the rows are labelled as state s and logged with
@@ -926,7 +947,7 @@ class _Rows:
 
     def put(self, i: int, s: FullState):
         """Row i: the state s of a step (its time, current and charge are
-        written by the run)."""
+        written at the start)."""
         self.cols[3, i] = s.r_p
         self.cols[4, i] = s.core_conc
         self.neg[i], self.pos[i], self.elec[i] = s.neg, s.pos, s.elec
@@ -941,12 +962,6 @@ class _Rows:
             out += [label] * (min(end, b) - max(i, a))
         return out
 
-    def last_state(self) -> FullState:
-        i = self.n - 1
-        regime, direction, core_phase = self.log[-1][1]
-        return FullState(self.neg[i], self.pos[i], self.elec[i], regime, float(self.cols[3, i]),
-                         float(self.cols[4, i]), core_phase, direction)
-
     def stop_at(self, k: int):
         """Keep rows 0..k, and roll the run's events, counters and
         max_closure back to what they were when row k was recorded."""
@@ -958,20 +973,68 @@ class _Rows:
         counters.clear()
         counters.update(kept)
         self.integ.max_closure = float(self.closure[k])
-        self.n = k + 1
+        self.n = self.done = k + 1
 
+    def output_map(self, a: int, b: int) -> OutputSnapshot:
+        regime, direction, _ = zip(*self.label_rows(a, b))
+        cols = self.cols
+        states = FullState(self.neg[a:b], self.pos[a:b], self.elec[a:b], np.array(regime),
+                           cols[3, a:b], cols[4, a:b], None, np.array(direction))
+        return cell_voltage(states, cols[1, a:b], self.params, self.ocp, self.integ.split,
+                            counters=self.integ.counters)
 
-@dataclass
-class _Block:
-    """One step request of a run: steps s..b-1 of its step grid
-    (``rows.grid``) from ``state``, step k recorded as row k + 1 of
-    ``rows``.  A server answers it with (the steps taken, the error that
-    stopped the block or None)."""
+    def settle(self) -> bool:
+        """Output map of the pending rows; True when one crosses a cutoff,
+        which stops the run there."""
+        a, b = self.done, self.n
+        if a == b:
+            return False
+        self.done = b
+        try:
+            snap, error = self.output_map(a, b), None
+        except SaturationError as exc:
+            snap, error = exc.before, exc
+        cols = self.cols
+        m = a + len(snap.V_cell)
+        cols[5:, a:m] = snap.V_cell, snap.SOC_p, snap.SOC_n
+        hits = np.flatnonzero((cols[5, a:m] < self.v_lo) | (cols[5, a:m] > self.v_hi))
+        hits = hits[hits + a > 0]     # the initial row is not tested
+        if hits.size:
+            k = a + int(hits[0])
+            self.status = "cutoff_low" if cols[5, k] < self.v_lo else "cutoff_high"
+            # undo what the steps after row k did, and recount its chunk
+            self.stop_at(k)
+            self.output_map(a, self.n)
+            return True
+        if error is not None:
+            raise error
+        return False
 
-    rows: _Rows
-    state: FullState
-    s: int
-    b: int
+    def result(self) -> SimulationResult:
+        params, disc, n = self.params, self.disc, self.n
+        time, current, charge, r_p, core_conc, voltage, soc_p, soc_n = self.cols[:, :n]
+        neg_c, pos_c, elec_c = self.neg[:n], self.pos[:n], self.elec[:n]
+        regime, direction, core_phase = (list(x) for x in zip(*self.label_rows(0, n)))
+        split = self.integ.split
+        dx, eps, _ = systems.electrolyte_geometry(params, disc.N_e, split)
+        result = SimulationResult(
+            time=time, current=current, voltage=voltage, soc_p=soc_p, soc_n=soc_n,
+            r_p=r_p / params.R_s_p, regime=regime, direction=direction,
+            core_phase=core_phase, neg_c=neg_c, pos_c=pos_c, elec_c=elec_c,
+            core_conc=core_conc, charge=charge,
+            mass_pos=systems.solid_moles(pos_c, params.R_s_p, r_p, core_conc)
+            * (params.eps_p * params.A_cell * params.L_p / (FOUR_THIRDS_PI * params.R_s_p**3)),
+            mass_neg=systems.solid_moles(neg_c, params.R_s_n)
+            * (params.eps_n * params.A_cell * params.L_n / (FOUR_THIRDS_PI * params.R_s_n**3)),
+            mass_elec=elec_c @ (params.A_cell * (dx * eps)),
+            drift_rel=None, events=self.events, status=self.status,
+            meta={"R_s_p": params.R_s_p, "scheme": disc.scheme, "N_r": disc.N_r,
+                  "N_e": disc.N_e, "split": split, "max_closure": self.integ.max_closure,
+                  "counters": dict(self.integ.counters)})
+        audit = mass_audit(result, params)
+        result.drift_rel = np.maximum(np.maximum(audit.res_pos_rel, audit.res_neg_rel),
+                                      audit.res_elec_rel)
+        return result
 
 
 def _blowup(grid: _Grid, k: int) -> BlowupError:
@@ -980,20 +1043,23 @@ def _blowup(grid: _Grid, k: int) -> BlowupError:
     return BlowupError(f"non-finite state at t={t:.3f}s", last_good_time=t - grid.hs[k])
 
 
-def _serve(block: _Block) -> tuple[int, Exception | None]:
-    """A block of one run served alone, one advance_with_events per step."""
-    rows, s = block.rows, block.state
-    integ, grid = rows.integ, rows.grid
-    current = grid.currents[block.s]
-    for k in range(block.s, block.b):
-        try:
-            s = integ.advance_with_events(s, current, grid.starts[k], grid.hs[k], rows.events)
-        except Exception as exc:
-            return k - block.s, exc
-        if not s.is_finite():
-            return k - block.s, _blowup(grid, k)
-        rows.put(k + 1, s)
-    return block.b - block.s, None
+def _serve(runs: list, s: int, b: int) -> dict:
+    """Steps s..b-1 of each run served alone, one advance_with_events per
+    step; returns {run: (step, error)} of the runs an error stopped."""
+    stopped = {}
+    for run in runs:
+        state, integ, grid = run.state, run.integ, run.grid
+        for k in range(s, b):
+            try:
+                state = integ.advance_with_events(state, grid.currents[s], grid.starts[k],
+                                                  grid.hs[k], run.events)
+                if not state.is_finite():
+                    raise _blowup(grid, k)
+            except Exception as exc:
+                stopped[run] = k, exc
+                break
+            run.put(k + 1, state)
+    return stopped
 
 
 def simulate(profile: LoadProfile, init: FullState, params: CellParameters,
@@ -1010,14 +1076,11 @@ def simulate(profile: LoadProfile, init: FullState, params: CellParameters,
     integrated after that row leave no row, event, counter or error behind.
     A non-finite state raises BlowupError.
     """
-    run = _simulation(profile, init, params, disc, solver, ocp, phase_cfg)
-    value = None
-    while True:
-        try:
-            block = run.send(value)
-        except StopIteration as stop:
-            return stop.value
-        value = _serve(block)
+    outcome, = _simulate(profile, [init], [params], disc, solver, ocp, phase_cfg,
+                         lockstep=False)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def simulate_many(profile: LoadProfile, inits: list[FullState],
@@ -1027,162 +1090,79 @@ def simulate_many(profile: LoadProfile, inits: list[FullState],
     """`simulate` of B members (one initial state and parameter set each) on
     one profile, stepped in lockstep.
 
-    Every member asks for the same blocks of steps, so one batched step
-    (`_Lockstep`) advances them all and writes their rows at once (`_Batch`).
-    A member whose step detects a transition, must halve its front step or
-    raises takes that step alone, through its own
+    One batched step advances every live member and writes their rows at
+    once (`_Batch`).  A member whose step detects a transition, must halve
+    its front step or raises takes that step alone, through its own
     Integrator.advance_with_events, and steps on with the others unless it
-    raised.  Each item of the returned list is the
-    member's SimulationResult, bit for bit the one `simulate` returns for
-    it, or the exception its run raised.
+    raised.  Each item of the returned list is the member's
+    SimulationResult, bit for bit the one `simulate` returns for it, or the
+    exception its run raised, in set-up too.
     """
-    if not inits:
-        return []
-    store = _row_store(len(inits), _step_grid(profile, (solver or SolverConfig()).dt), inits[0])
-    runs = [_simulation(profile, x0, p, disc, solver, ocp, phase_cfg, store, i)
-            for i, (x0, p) in enumerate(zip(inits, params))]
-    outcomes: list = [None] * len(runs)
+    return _simulate(profile, inits, params, disc, solver, ocp, phase_cfg, lockstep=True)
 
-    def resume(i: int, value):
-        """Member i's next block, or None once its run has ended."""
+
+def _simulate(profile: LoadProfile, inits: list[FullState], params: list[CellParameters],
+              disc: DiscretizationConfig, solver: SolverConfig | None, ocp: OcpSet | None,
+              phase_cfg: PhaseConfig | None, lockstep: bool) -> list:
+    """The time loop of one run (_Run) per initial state and parameter set
+    on one profile; returns each run's SimulationResult, or the error that
+    ended it.  Every live run takes the same blocks of the shared step
+    grid: the rest of a run of profile segments at one current, which with
+    cutoffs on also ends at the next _CHUNK-row chunk of the output map, so
+    at most one chunk is integrated past a stop.  A block's runs are served
+    one at a time (_serve) or in lockstep (_Batch)."""
+    solver = solver or SolverConfig()
+    grid = _step_grid(profile, solver.dt)
+    store = _row_store(len(inits), grid, disc)
+    serve = _Batch(store).serve if lockstep else _serve
+    outcomes: list = [None] * len(inits)
+    runs = []
+    for i, (x0, p) in enumerate(zip(inits, params)):
         try:
-            return runs[i].send(value)
-        except StopIteration as stop:
-            outcomes[i] = stop.value
+            runs.append(_Run(profile, x0, p, disc, solver, ocp, phase_cfg, store, i))
         except Exception as exc:
             outcomes[i] = exc
-        return None
 
-    _Batch(store, resume).run(
-        {i: b for i in range(len(runs)) if (b := resume(i, None)) is not None})
-    return outcomes
-
-
-def _simulation(profile: LoadProfile, init: FullState, params: CellParameters,
-                disc: DiscretizationConfig, solver: SolverConfig | None,
-                ocp: OcpSet | None, phase_cfg: PhaseConfig | None,
-                store: dict | None = None, member: int = 0):
-    """The run of `simulate` as a generator.  It yields one step request
-    (_Block) per block of steps: the rest of a profile segment, which with
-    cutoffs on also ends at the next _CHUNK boundary, so at most one chunk
-    is integrated past a stop.  It is sent (the steps taken, the error that
-    stopped the block or None) once a server has filled the block's rows,
-    and returns the SimulationResult.  Its rows are member ``member`` of
-    ``store`` (simulate_many's shared rows), or its own."""
-    solver = solver or SolverConfig()
-    ocp = ocp or synthetic_ocp_set(params)
-    integ = Integrator(params, disc, solver, phase_cfg)
-    split, counters = integ.split, integ.counters
-    cutoffs = solver.cutoffs_enabled
-    v_lo = solver.v_min if cutoffs and solver.v_min is not None else -np.inf
-    v_hi = solver.v_max if cutoffs and solver.v_max is not None else np.inf
-    if store is None:
-        store = _row_store(1, _step_grid(profile, solver.dt), init)
-    grid = store["grid"]
-    events = []
-    rows = _Rows(store, member, integ, events)
-    cols = rows.cols
-    status = "completed"
-    done = 0          # rows the output map has seen
-
-    def output_map(a: int, b: int) -> OutputSnapshot:
-        regime, direction, _ = zip(*rows.label_rows(a, b))
-        states = FullState(rows.neg[a:b], rows.pos[a:b], rows.elec[a:b], np.array(regime),
-                           cols[3, a:b], cols[4, a:b], None, np.array(direction))
-        return cell_voltage(states, cols[1, a:b], params, ocp, split, counters=counters)
-
-    def settle() -> bool:
-        """Output map of the pending rows; True when one crosses a cutoff."""
-        nonlocal done, status
-        a, b = done, rows.n
-        if a == b:
-            return False
-        done = b
+    def end(run: _Run, error: Exception | None = None):
+        """The outcome of a run that its last step or an error ended: a row
+        past a cutoff in the pending rows stops it normally; else the error,
+        and an error raised on the way keeps it as its context."""
+        runs.remove(run)
         try:
-            snap, error = output_map(a, b), None
-        except SaturationError as exc:
-            snap, error = exc.before, exc
-        m = a + len(snap.V_cell)
-        cols[5:, a:m] = snap.V_cell, snap.SOC_p, snap.SOC_n
-        hits = np.flatnonzero((cols[5, a:m] < v_lo) | (cols[5, a:m] > v_hi))
-        hits = hits[hits + a > 0]     # the initial row is not tested
-        if hits.size:
-            k = a + int(hits[0])
-            status = "cutoff_low" if cols[5, k] < v_lo else "cutoff_high"
-            # undo what the steps after row k did, and recount its chunk
-            rows.stop_at(k)
-            done = k + 1
-            output_map(a, done)
-            return True
-        if error is not None:
-            raise error
-        return False
-
-    def run():
-        n_steps = len(grid.hs)
-        cols[:3, 0] = profile.times[0], profile.currents[0], 0.0
-        cols[:3, 1:n_steps + 1] = grid.times, grid.currents, grid.charges
-        state = init.copy()
-        rows.put(0, state)
-        rows.n = 1
-        s = 0           # the next step
-        while True:
-            for t0, current in grid.begins.get(s, ()):
-                if current != 0.0:
-                    newdir = systems.direction_for_current(current)
-                    if newdir != state.direction:
-                        if state.two_phase:
-                            state, ev = apply_sign_flip(state, current, t0)
-                            events.append(ev)
-                        else:
-                            state = state.copy()
-                            state.direction = newdir
-            if s == n_steps:
-                return
-            b = grid.bounds[bisect.bisect_right(grid.bounds, s)]
-            if cutoffs:
-                b = min(b, s + _CHUNK - (rows.n - done))
-            rows.begin(rows.n, state)
-            n, error = yield _Block(rows, state, s, b)
-            rows.n += n
-            s += n
+            stopped = run.settle()
+            outcomes[run.member] = run.result() if stopped or error is None else error
+        except Exception as exc:
             if error is not None:
-                raise error
-            state = rows.last_state()
-            if cutoffs and rows.n - done >= _CHUNK and settle():
-                return
+                exc.__context__ = error
+            outcomes[run.member] = exc
 
-    try:
-        yield from run()
-    except Exception:
-        # a step past a cutoff crossing in the pending rows raises nothing
-        if not settle():
-            raise
-    settle()
-
-    n = rows.n
-    time, current, charge, r_p, core_conc, voltage, soc_p, soc_n = cols[:, :n]
-    neg_c, pos_c, elec_c = rows.neg[:n], rows.pos[:n], rows.elec[:n]
-    regime, direction, core_phase = (list(x) for x in zip(*rows.label_rows(0, n)))
-    dx, eps, _ = systems.electrolyte_geometry(params, disc.N_e, split)
-    result = SimulationResult(
-        time=time, current=current, voltage=voltage, soc_p=soc_p, soc_n=soc_n,
-        r_p=r_p / params.R_s_p, regime=regime, direction=direction,
-        core_phase=core_phase, neg_c=neg_c, pos_c=pos_c, elec_c=elec_c,
-        core_conc=core_conc, charge=charge,
-        mass_pos=systems.solid_moles(pos_c, params.R_s_p, r_p, core_conc)
-        * (params.eps_p * params.A_cell * params.L_p / (FOUR_THIRDS_PI * params.R_s_p**3)),
-        mass_neg=systems.solid_moles(neg_c, params.R_s_n)
-        * (params.eps_n * params.A_cell * params.L_n / (FOUR_THIRDS_PI * params.R_s_n**3)),
-        mass_elec=elec_c @ (params.A_cell * (dx * eps)),
-        drift_rel=None, events=events, status=status,
-        meta={"R_s_p": params.R_s_p, "scheme": disc.scheme, "N_r": disc.N_r,
-              "N_e": disc.N_e, "split": split, "max_closure": integ.max_closure,
-              "counters": dict(counters)})
-    audit = mass_audit(result, params)
-    result.drift_rel = np.maximum(np.maximum(audit.res_pos_rel, audit.res_neg_rel),
-                                  audit.res_elec_rel)
-    return result
+    s = done = 0        # the next step; the rows the output map has seen
+    while runs:
+        for run in runs:
+            run.start(s)
+        if s == len(grid.hs):
+            break
+        b = grid.bounds[bisect.bisect_right(grid.bounds, s)]
+        if solver.cutoffs_enabled:
+            b = min(b, done + _CHUNK - 1)       # row b ends the chunk
+        stopped = serve(runs, s, b)
+        for run in list(runs):
+            k, error = stopped.get(run, (b, None))
+            run.n = k + 1
+            if error is not None:
+                end(run, error)
+        s = b
+        if solver.cutoffs_enabled and s + 1 - done == _CHUNK:
+            done = s + 1
+            for run in list(runs):
+                try:
+                    if run.settle():
+                        end(run)
+                except Exception as exc:
+                    end(run, exc)
+    for run in list(runs):
+        end(run)
+    return outcomes
 
 
 # --- mass audit --------------------------------------------------------------------

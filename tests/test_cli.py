@@ -150,13 +150,15 @@ def short_dataset(tmp_path_factory, params):
     (["identify", "--subset", "c2-1c", "--decades", "308"], "ParameterError", "decades"),
     (["identify", "--subset", "c2-1c", "--decades", "307"], "ParameterError", "bounds"),
     (["identify", "--subset", "c2-1c", "--decades", "0"], "ParameterError", "decades"),
-    (["identify", "--subset", "c4", "--decades", "inf"], "ParameterError", "decades")])
+    (["identify", "--subset", "c4", "--decades", "inf"], "ParameterError", "decades"),
+    (["cycle", "--crate", "1e-300", "--cycles", "1"], "ParameterError", "steps")])
 def test_bad_flag_gives_exit_4(tmp_path, short_dataset, capsys, monkeypatch, argv, error,
                                needle):
     """A C-rate that is not positive and finite, fewer than one cycle, a
-    negative seed, bound decades outside (0, 308), and decades that
-    underflow a log-scale lower bound to 0 exit 4 with the JSON record,
-    before any simulation runs."""
+    negative seed, bound decades outside (0, 308), decades that underflow
+    a log-scale lower bound to 0, and a C-rate so small that its profile
+    takes over simulate.MAX_STEPS steps exit 4 with the JSON record, before
+    any simulation runs."""
     monkeypatch.setattr(cli, "simulate", _no_simulation)
     monkeypatch.setattr(identify_module, "simulate", _no_simulation)
     monkeypatch.setattr(identify_module, "simulate_many", _no_simulation)
@@ -254,6 +256,21 @@ def test_observe_command(tmp_path, short_profile):
     rows = [ln.split(",") for ln in lines[1:]]
     # constant current: full rank at every point
     assert all(r[3] == r[4] for r in rows)
+
+
+def test_observe_takes_the_config_initial_soc(tmp_path, short_profile):
+    """observe starts from the config's initial_soc when --soc is not
+    given, as simulate does."""
+    cfg = tmp_path / "soc.json"
+    cfg.write_text(json.dumps({"initial_soc": 0.5}))
+    sweeps = []
+    for extra in (["--config", str(cfg)], ["--soc", "0.5"], []):
+        out = tmp_path / f"obs{len(sweeps)}"
+        rc = main(["observe", "--profile", str(short_profile), "--nr", "2", "--stride", "120",
+                   "--out", str(out), *extra])
+        assert rc == 0
+        sweeps.append((out / "sweep.csv").read_text())
+    assert sweeps[0] == sweeps[1] != sweeps[2]
 
 
 def test_identify_command(tmp_path, params):
@@ -459,11 +476,12 @@ def test_config_fuzz_exits_with_a_record(fuzz_profile, entries):
 # the required and the optional flags of each command and the values each
 # may take; no pool value runs more than a few hundred steps or allocates
 # more than a few MB (`cycle` runs at dt = 60 s, so 2 cycles at 1C are 240
-# steps; no tiny C-rate, no large N_r)
+# steps; the tiny C-rate is rejected before its step grid is built; no
+# large N_r)
 _SOCS = ["-3", "0", "0.5", "1", "5", "nan", "inf", "x"]
 _FLAG_POOLS = {
     "simulate": ({}, {"--soc": _SOCS, "--no-cutoffs": [None]}),
-    "cycle": ({"--crate": ["-1", "0", "1", "4", "nan", "inf", "x"],
+    "cycle": ({"--crate": ["-1", "0", "1e-300", "1", "4", "nan", "inf", "x"],
                "--cycles": ["-1", "0", "1", "2", "1.5"]}, {"--enforce-cutoffs": [None]}),
     "observe": ({"--nr": ["-1", "1", "2", "3", "x"]},
                 {"--scheme": ["fvm", "fdm", "fem"], "--soc": _SOCS,

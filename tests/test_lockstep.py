@@ -117,6 +117,27 @@ def test_member_that_fails_its_first_step(params, ocp, disc4):
     assert type(got[1]).__name__ == "BlowupError"
 
 
+def test_member_that_fails_in_set_up(params, ocp, disc4, monkeypatch):
+    """A member whose integrator cannot be built gets the error `simulate`
+    raises for it as its outcome; the others run on."""
+    sim = sys.modules["csespm.simulate"]
+    real = sim.Integrator.__init__
+    members = [params, params.replace(k_p=2.0 * params.k_p), params.replace(D_s_p=3.0 * params.D_s_p)]
+
+    def init(self, p, *args):
+        if p is members[1]:
+            raise ParameterError("no integrator for this member")
+        real(self, p, *args)
+
+    monkeypatch.setattr(sim.Integrator, "__init__", init)
+    inits = [initial_state(p, disc4, 1.0, "dis") for p in members]
+    profile = _profile(params)
+    got = simulate_many(profile, inits, members, disc4, SOLVER, ocp=ocp)
+    for g, x0, p in zip(got, inits, members):
+        _assert_same(g, _run(simulate, profile, x0, p, disc4, SOLVER, ocp=ocp))
+    assert isinstance(got[1], ParameterError) and not isinstance(got[0], Exception)
+
+
 def test_member_that_turns_non_finite_later(params, ocp, disc4):
     """A member whose negative electrode overflows a few steps in stops
     with its serial run's error; its rows before the failing step reach
@@ -154,32 +175,31 @@ def test_batched_step_that_raises_is_taken_alone(params, ocp, disc4, monkeypatch
     assert all("two_phase" in g.regime for g in got)
 
 
-def test_one_request_per_segment_and_step_taken_alone(params, ocp, disc4, monkeypatch):
-    """With cutoffs off, a run asks for one block of steps per profile
-    segment, served alone or in lockstep: a step a lockstep member takes
-    alone, mid-block or at a block's end, asks for no block of its own.
-    Segments that go on at the same current, starting where the last step
-    ended, share a block."""
+def test_one_block_per_segment_and_step_taken_alone(params, ocp, disc4, monkeypatch):
+    """With cutoffs off, each run's blocks, served alone or in lockstep, are
+    one per profile segment: a step a lockstep member takes alone, mid-block
+    or at a block's end, starts no block of its own.  Segments that go on
+    at the same current, starting where the last step ended, share a
+    block."""
     sim = sys.modules["csespm.simulate"]
-    real_run, real_step = sim._simulation, sim.Integrator.advance_with_events
-    requests, alone = {}, {}
+    real_serve, real_batch = sim._serve, sim._Batch.serve
+    real_step = sim.Integrator.advance_with_events
+    served, alone = [], {}
 
-    def counted_run(profile, init, params, *args):
-        run = real_run(profile, init, params, *args)
-        value = None
-        while True:
-            try:
-                request = run.send(value)
-            except StopIteration as stop:
-                return stop.value
-            requests[id(params)] = requests.get(id(params), 0) + 1
-            value = yield request
+    def counted_serve(runs, s, b):
+        served.append(("alone", len(runs)))
+        return real_serve(runs, s, b)
+
+    def counted_batch(self, runs, s, b):
+        served.append(("lockstep", len(runs)))
+        return real_batch(self, runs, s, b)
 
     def counted_step(self, s, current, t, h, events):
         alone.setdefault(id(self.params), []).append(t + h)
         return real_step(self, s, current, t, h, events)
 
-    monkeypatch.setattr(sim, "_simulation", counted_run)
+    monkeypatch.setattr(sim, "_serve", counted_serve)
+    monkeypatch.setattr(sim._Batch, "serve", counted_batch)
     monkeypatch.setattr(sim.Integrator, "advance_with_events", counted_step)
     i = params.current_for_c_rate(0.25)
     # _profile with its discharge cut into three segments
@@ -189,11 +209,11 @@ def test_one_request_per_segment_and_step_taken_alone(params, ocp, disc4, monkey
     inits = [initial_state(p, disc4, 1.0, "dis") for p in members]
     for x0, p in zip(inits, members):
         simulate(profile, x0, p, disc4, SOLVER, ocp=ocp)
-    assert requests == {id(p): 3 for p in members}
-    requests.clear()
+    assert served == [("alone", 1)] * 3 * len(members)
+    served.clear()
     alone.clear()
     simulate_many(profile, inits, members, disc4, SOLVER, ocp=ocp)
-    assert requests == {id(p): 3 for p in members}
+    assert served == [("lockstep", len(members))] * 3
     block_ends = {3000.0, 3200.0, 4000.0}
     assert any(t not in block_ends for ts in alone.values() for t in ts)
 

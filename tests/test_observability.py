@@ -34,14 +34,13 @@ def linearized_output(h, x0, u0, scales, u_scale):
 # --- rank and condition -----------------------------------------------------------
 
 def test_rank_and_condition_basics():
-    rank, cond = rank_and_condition(np.eye(3))
-    assert (rank, cond) == (3, 1.0)
-    rank, cond = rank_and_condition(np.diag([1.0, 10.0]))
-    assert rank == 2 and cond == pytest.approx(10.0)
+    assert rank_and_condition(np.eye(3)) == (3, 1.0, 1.0)
+    rank, cond, smin = rank_and_condition(np.diag([1.0, 10.0]))
+    assert rank == 2 and cond == pytest.approx(10.0) and smin == pytest.approx(1.0)
     m = np.array([[1.0, 2.0], [1.0, 2.0]])
-    rank, cond = rank_and_condition(m)
-    assert rank == 1 and cond == np.inf
-    assert rank_and_condition(np.zeros((2, 2)))[0] == 0
+    rank, cond, smin = rank_and_condition(m)
+    assert rank == 1 and cond == np.inf and smin == pytest.approx(0.0, abs=1e-12)
+    assert rank_and_condition(np.zeros((2, 2))) == (0, np.inf, 0.0)
 
 
 def test_rank_invariant_under_column_scaling(rng):
@@ -50,9 +49,9 @@ def test_rank_invariant_under_column_scaling(rng):
         O = rng.standard_normal((n, n))
         if rng.random() < 0.4:
             O[-1] = O[0] * rng.uniform(0.5, 2.0)   # force deficiency
-        base_rank, _ = rank_and_condition(O)
+        base_rank = rank_and_condition(O)[0]
         scales = rng.uniform(0.5, 2.0, n)
-        scaled_rank, _ = rank_and_condition(O * scales[None, :])
+        scaled_rank = rank_and_condition(O * scales[None, :])[0]
         assert scaled_rank == base_rank
 
 
