@@ -1,5 +1,6 @@
 import math
 import signal
+import sys
 
 import numpy as np
 import pytest
@@ -25,6 +26,20 @@ def test_load_profile_validation():
         LoadProfile(np.array([0.0, 1.0]), np.array([1.0, np.nan]))
     p = LoadProfile(np.array([0.0, 10.0, 20.0]), np.array([1.0, -2.0, -2.0]))
     assert list(p.segments()) == [(0.0, 10.0, 1.0), (10.0, 20.0, -2.0)]
+
+
+def test_step_grid_too_long_or_too_fine_is_rejected(params, disc4, monkeypatch):
+    """A profile whose step grid would take over MAX_STEPS steps, or whose
+    times a step of dt cannot move, raises ParameterError before the grid
+    is built: either grid would fill memory, the second without end."""
+    with pytest.raises(ParameterError, match="steps"):
+        LoadProfile(np.array([0.0, np.inf]), np.array([1.0, 1.0])).check_steps(60.0)
+    with pytest.raises(ParameterError, match="float spacing"):
+        LoadProfile(np.array([1e20, 1e20 + 1e5]), np.array([1.0, 1.0])).check_steps(1.0)
+    monkeypatch.setattr(sys.modules["csespm.simulate"], "MAX_STEPS", 100)
+    init = initial_state(params, disc4, 1.0, "dis")
+    with pytest.raises(ParameterError, match="steps"):
+        simulate(cc_profile(params, 1.0, "dis", duration=1000.0), init, params, disc4)
 
 
 def test_profile_csv_round_trip(tmp_path, params):
