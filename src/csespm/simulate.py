@@ -447,7 +447,8 @@ class Integrator:
         self.disc = disc
         self.solver = solver
         self.phase_cfg = phase_cfg or PhaseConfig()
-        self.split = split = disc.electrolyte_split()
+        split = disc.electrolyte_split()
+        self.split = split
         self.neg = _LtiBlock(systems.build_one_phase_solid_system(
             params, "neg", disc.N_r, disc.scheme))
         self.pos1p = _LtiBlock(systems.build_one_phase_solid_system(
@@ -902,7 +903,7 @@ class _Run:
     def __init__(self, profile: LoadProfile, init: FullState, params: CellParameters,
                  disc: DiscretizationConfig, solver: SolverConfig, ocp: OcpSet | None,
                  phase_cfg: PhaseConfig | None, store: dict, member: int):
-        self.params, self.disc, self.member = params, disc, member
+        self.member = member
         self.ocp = ocp or synthetic_ocp_set(params)
         self.integ = Integrator(params, disc, solver, phase_cfg)
         cutoffs = solver.cutoffs_enabled
@@ -980,7 +981,7 @@ class _Run:
         cols = self.cols
         states = FullState(self.neg[a:b], self.pos[a:b], self.elec[a:b], np.array(regime),
                            cols[3, a:b], cols[4, a:b], None, np.array(direction))
-        return cell_voltage(states, cols[1, a:b], self.params, self.ocp, self.integ.split,
+        return cell_voltage(states, cols[1, a:b], self.integ.params, self.ocp, self.integ.split,
                             counters=self.integ.counters)
 
     def settle(self) -> bool:
@@ -1011,12 +1012,11 @@ class _Run:
         return False
 
     def result(self) -> SimulationResult:
-        params, disc, n = self.params, self.disc, self.n
+        params, disc, n = self.integ.params, self.integ.disc, self.n
         time, current, charge, r_p, core_conc, voltage, soc_p, soc_n = self.cols[:, :n]
         neg_c, pos_c, elec_c = self.neg[:n], self.pos[:n], self.elec[:n]
         regime, direction, core_phase = (list(x) for x in zip(*self.label_rows(0, n)))
-        split = self.integ.split
-        dx, eps, _ = systems.electrolyte_geometry(params, disc.N_e, split)
+        dx, eps, _ = systems.electrolyte_geometry(params, disc.N_e, self.integ.split)
         result = SimulationResult(
             time=time, current=current, voltage=voltage, soc_p=soc_p, soc_n=soc_n,
             r_p=r_p / params.R_s_p, regime=regime, direction=direction,
@@ -1029,8 +1029,8 @@ class _Run:
             mass_elec=elec_c @ (params.A_cell * (dx * eps)),
             drift_rel=None, events=self.events, status=self.status,
             meta={"R_s_p": params.R_s_p, "scheme": disc.scheme, "N_r": disc.N_r,
-                  "N_e": disc.N_e, "split": split, "max_closure": self.integ.max_closure,
-                  "counters": dict(self.integ.counters)})
+                  "N_e": disc.N_e, "split": self.integ.split,
+                  "max_closure": self.integ.max_closure, "counters": dict(self.integ.counters)})
         audit = mass_audit(result, params)
         result.drift_rel = np.maximum(np.maximum(audit.res_pos_rel, audit.res_neg_rel),
                                       audit.res_elec_rel)
