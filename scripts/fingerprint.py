@@ -166,10 +166,10 @@ def fdm_cycle_1c(d):
     d.result(_cycles("fdm", 1.0, 1, 4))
 
 
-def _sweep_1c(d, N_r):
+def _sweep_1c(d, N_r, scheme="fvm"):
     params = CellParameters()
     ocp = synthetic_ocp_set(params)
-    disc = DiscretizationConfig(N_r=N_r, N_e=6)
+    disc = DiscretizationConfig(N_r=N_r, N_e=6, scheme=scheme)
     res = simulate(cc_profile(params, 1.0, "ch"), initial_state(params, disc, 0.0, "ch"),
                    params, disc, SolverConfig(cutoffs_enabled=False), ocp=ocp)
     d.sweep(sweep(res, params, ObservabilityConfig(stride_s=30.0), ocp=ocp))
@@ -188,6 +188,11 @@ def sweep_1c_nr3(d):
 def sweep_1c_nr4(d):
     """Ranks and conds of the 1C charge sweep, FVM, N_r = 4."""
     _sweep_1c(d, 4)
+
+
+def sweep_fdm_1c_nr3(d):
+    """Ranks and conds of the 1C charge sweep, FDM, N_r = 3."""
+    _sweep_1c(d, 3, "fdm")
 
 
 def sweep_dynamic_nr3(d):
@@ -242,9 +247,9 @@ def many_mixed(d):
 FIXTURES = {f.__name__: f for f in (
     cycle_c4, drive_hold, identify_pso_data, criterion1_cycles, fdm_cycle_1c, sweep_1c_nr3,
     fit_budget12, fit_identify_pso, sweep_1c_nr2, sweep_1c_nr4, sweep_dynamic_nr3,
-    discharge_c4_nr200, many_mixed, cutoff_c2)}
+    sweep_fdm_1c_nr3, discharge_c4_nr200, many_mixed, cutoff_c2)}
 DEFAULT = ("cycle_c4", "drive_hold", "cutoff_c2", "identify_pso_data", "criterion1_cycles",
-           "fdm_cycle_1c", "sweep_1c_nr3", "many_mixed")
+           "fdm_cycle_1c", "sweep_1c_nr3", "sweep_dynamic_nr3", "many_mixed")
 
 
 def main(argv):

@@ -156,7 +156,12 @@ def cmd_observe(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     sw.to_csv(out / "sweep.csv")
     full = sw.full_rank_everywhere()
-    print(f"wrote {out / 'sweep.csv'} ({len(sw)} points, full rank everywhere: {full})")
+    (out / "summary.json").write_text(json.dumps({
+        "points": len(sw),
+        "skipped": [{"time_s": t, "reason": reason} for t, reason in sw.skipped],
+        "full_rank_everywhere": full}, indent=2) + "\n")
+    print(f"wrote {out / 'sweep.csv'} ({len(sw)} points, {len(sw.skipped)} skipped, "
+          f"full rank everywhere: {full})")
     return 0
 
 
@@ -184,7 +189,7 @@ def cmd_compare_scheme(args) -> int:
     cfg = _load_config(args)
     profile = LoadProfile.from_csv(args.profile)
     direction = _profile_direction(profile, args.profile)
-    soc = 0.0 if direction == "ch" else 1.0
+    soc = _initial_soc(args, cfg, direction)
     solver = dataclasses.replace(cfg.solver, cutoffs_enabled=False)
     results, sweeps, drifts = {}, {}, {}
     for scheme in ("fvm", "fdm"):
@@ -268,6 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--profile", required=True)
     sp.add_argument("--nr", type=int, default=2,
                     help="solid CV/node count for the comparison")
+    sp.add_argument("--soc", type=float, default=None, help="initial SOC (default per direction)")
     sp.set_defaults(func=cmd_compare_scheme)
     return ap
 

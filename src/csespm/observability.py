@@ -15,6 +15,11 @@ The observability matrix stacks dL^J/dx for J = 0..n-1.  Because the state
 mixes concentrations (~1e4 mol/m^3) and the front radius (~1e-8 m), columns
 are normalized by characteristic state scales before rank and condition
 analysis; raw values are reported alongside.
+
+The model's f and h work on arrays of (x, u) rows, each row by the float
+operations of one state, so `lie_stack` evaluates each order of the nested
+recursion as one array pass over the distinct points it reaches, bit for
+bit the scalar recursion.
 """
 from __future__ import annotations
 
@@ -58,17 +63,32 @@ class ObservabilityConfig:
 # --- positive-electrode model closures ---------------------------------------
 
 
+def _rowwise(fun):
+    """fun of (m, n) state rows and an (m,) input column, also callable on
+    one state and a float input (then a 1-D array or a float)."""
+    def call(x, u):
+        if x.ndim == 2:
+            return fun(x, u)
+        out = fun(x[None], np.array([u], dtype=float))[0]
+        return float(out) if out.ndim == 0 else out
+    return call
+
+
 def positive_model(state: FullState, params: CellParameters, ocp: OcpSet,
                    c_e_avg: float, config: ObservabilityConfig,
                    scheme: str = "fvm"):
     """(f, h, x0, x_scales) of the positive electrode at one trajectory point.
 
     One-phase: x = CV averages, dynamics linear in x.  Two-phase:
-    x = [shell averages, r_p]; the system matrices are rebuilt from the
-    state's own r_p at every evaluation.  Direction (hysteresis branch),
-    core phase and the electrolyte average are frozen at the sweep point.
-    The output takes the OCP table's monotone cubic interpolation, which
-    the nested finite differences can differentiate.
+    x = [shell averages, r_p]; the system matrices are rebuilt from each
+    state's own r_p.  Direction (hysteresis branch), core phase and the
+    electrolyte average are frozen at the sweep point.  The output takes the
+    OCP table's monotone cubic interpolation, which the nested finite
+    differences can differentiate.
+
+    f and h take (m, n) rows of states and an (m,) input column and give
+    (m, n) rows and (m,) values, each row by the float operations of one
+    state alone; one state and a float input give a 1-D array and a float.
     """
     N_r = len(state.pos)
     direction = state.direction
@@ -76,45 +96,54 @@ def positive_model(state: FullState, params: CellParameters, ocp: OcpSet,
     R = params.R_s_p
     cmax = params.c_s_max_p
 
+    def output(c_eff, u):
+        """h of the rows' effective concentrations; a row outside the domain
+        raises the SaturationError of the unchecked helpers."""
+        with np.errstate(invalid="ignore"):
+            i0 = exchange_current_density(params, "pos", c_eff, c_e_avg, checked=True)
+        ok = (0.0 < c_eff) & (c_eff < cmax) & ~(c_e_avg <= 0.0) & ~(i0 <= 0.0)
+        if not ok.all():
+            j = int(np.argmin(ok))
+            overpotential(params, "pos", u[j],
+                          exchange_current_density(params, "pos", c_eff[j], c_e_avg))
+        return table(c_eff / cmax) + overpotential(params, "pos", u, i0, checked=True)
+
     if state.regime != TWO_PHASE:
         sysm = systems.build_one_phase_solid_system(params, "pos", N_r, scheme)
-        A, B = sysm.A, sysm.B
-
-        def f(x, u):
-            return A @ x + B * u
-
         dr = R / N_r
         grad_per_amp = 1.0 / (params.D_s_p * params.F * params.A_cell
                               * params.L_p * params.a_s("pos"))
 
         def h(x, u):
-            c_surf = x[-1] + 0.5 * dr * grad_per_amp * u
-            i0 = exchange_current_density(params, "pos", c_surf, c_e_avg)
-            theta = min(max(c_surf / cmax, 0.0), 1.0)
-            return table(theta) + overpotential(params, "pos", u, i0)
+            return output(x[:, -1] + 0.5 * dr * grad_per_amp * u, u)
 
         x0 = state.pos.copy()
         scales = np.full(N_r, cmax)
-        return f, h, x0, scales
+        return _rowwise(sysm.rhs), _rowwise(h), x0, scales
 
     core_conc, core_phase = state.core_conc, state.core_phase
 
     def f(x, u):
-        return systems.build_two_phase_system(params, float(x[-1]), u, N_r, direction,
+        return systems.build_two_phase_system(params, x[:, -1:], u[:, None], N_r, direction,
                                               core_phase, scheme).rhs(x, u)
 
     def h(x, u):
-        c_bulk = systems.two_phase_bulk(x[:-1], float(x[-1]), core_conc, R)
-        i0 = exchange_current_density(params, "pos", c_bulk, c_e_avg)
-        theta = min(max(c_bulk / cmax, 0.0), 1.0)
-        return table(theta) + overpotential(params, "pos", u, i0)
+        return output(systems.two_phase_bulk(x[:, :-1], x[:, -1], core_conc, R), u)
 
     x0 = np.concatenate([state.pos, [state.r_p]])
     scales = np.concatenate([np.full(N_r, cmax), [R]])
-    return f, h, x0, scales
+    return _rowwise(f), _rowwise(h), x0, scales
 
 
 # --- extended Lie derivatives --------------------------------------------------
+
+
+def _unique_rows(rows: np.ndarray):
+    """The distinct rows by their exact bytes (so 0.0 and -0.0 differ), and
+    the index of each given row among them."""
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return rows[first], inverse
 
 
 def lie_stack(f, h, x0: np.ndarray, u0: float, u_dot: float,
@@ -127,58 +156,72 @@ def lie_stack(f, h, x0: np.ndarray, u0: float, u_dot: float,
     differences with steps jacobian_step * max(|x_i|, x_scale_i), and the
     d/du term the step jacobian_step * max(|u|, u_scale).
 
-    f, h and every lifted L^k are memoized for the duration of the call:
-    the nested stencils of successive orders revisit the same perturbed
-    states, and since f and h are pure a lookup returns the very float a
-    recomputation would, so the result is unchanged.  Keys are the exact
-    bytes of x and of the input, so 0.0/-0.0 and NaNs never collide.
+    The nested recursion runs level by level on the (x, u) points it
+    reaches.  L^{orders-1} is needed on T, (x0, u0) and its state stencil;
+    L^{k-1} on T and on the stencils of L^k's points (state, and input
+    when u' != 0).  Each point is made by the scalar recursion's float
+    operations and kept once by its exact bytes.  h runs once, on the rows
+    of L^0's set, and f once, on those of L^1's, which holds every higher
+    set; each order is then one array pass: indexed central differences
+    dotted with f, plus the d/du difference times u'.  Every value and
+    gradient equals the plain recursion's bit for bit.
     """
     eps = config.jacobian_step
+    n = len(x0)
+    width = 2 * n + (2 if u_dot != 0.0 else 0)
 
-    def memo(fun):
-        cache = {}
+    def stencil(P):
+        """(m, width, n + 1) neighbours of (x, u) rows, x_j + d_j and x_j - d_j
+        for each j, then u + du and u - du; and the steps d and du."""
+        d = eps * np.maximum(np.abs(P[:, :n]), x_scales)
+        S = np.repeat(P[:, None, :], width, axis=1)
+        j = np.arange(n)
+        S[:, 2 * j, j] += d
+        S[:, 2 * j + 1, j] -= d
+        du = eps * np.maximum(np.abs(P[:, n]), u_scale)
+        if u_dot != 0.0:
+            S[:, 2 * n, n] += du
+            S[:, 2 * n + 1, n] -= du
+        return S, d, du
 
-        def cached(x, u):
-            key = (x.tobytes(), np.asarray(u, dtype=float).tobytes())
-            if key not in cache:
-                cache[key] = fun(x, u)
-            return cache[key]
-        return cached
+    p0 = np.append(x0, u0)[None]
+    S0, d0, _ = stencil(p0)
+    top = np.concatenate([p0, S0[0, :2 * n]])
+    # from order orders-1 down: each order's rows, the indices of T among
+    # them and, from order 1 on, the steps and the indices of the stencil
+    # and of the rows themselves among the rows of the order below
+    P, at = _unique_rows(top)
+    sets, tops, links = [P], [at], []
+    for _ in range(orders - 1):
+        S, d, du = stencil(P)
+        m = len(P)
+        P, at = _unique_rows(np.concatenate([P, top, S.reshape(-1, n + 1)]))
+        sets.append(P)
+        tops.append(at[m:m + len(top)])
+        links.append((d, du, at[m + len(top):].reshape(m, width), at[:m]))
+    sets, tops, links = sets[::-1], tops[::-1], links[::-1]
 
-    f, h = memo(f), memo(h)
-
-    def grad_x(fun, x, u):
-        g = np.empty(len(x))
-        for j in range(len(x)):
-            d = eps * max(abs(x[j]), x_scales[j])
-            xp = x.copy(); xp[j] += d
-            xm = x.copy(); xm[j] -= d
-            g[j] = (fun(xp, u) - fun(xm, u)) / (2.0 * d)
-        return g
-
-    def d_du(fun, x, u):
-        d = eps * max(abs(u), u_scale)
-        return (fun(x, u + d) - fun(x, u - d)) / (2.0 * d)
-
-    def lift(prev):
-        def nxt(x, u):
-            val = grad_x(prev, x, u) @ f(x, u)
-            if u_dot != 0.0:
-                val += d_du(prev, x, u) * u_dot
-            return val
-        return nxt
-
-    L = h  # order 0
+    L = h(sets[0][:, :n], sets[0][:, n])
+    if orders > 1:
+        F = f(sets[1][:, :n], sets[1][:, n])
+        f_at = np.arange(len(sets[1]))
     values, grads = [], []
     for order in range(orders):
-        v = L(x0, u0)
-        g = grad_x(L, x0, u0)
+        if order:
+            d, du, st, below = links[order - 1]
+            if order > 1:
+                f_at = f_at[below]
+            nxt = np.vecdot((L[st[:, 0:2 * n:2]] - L[st[:, 1:2 * n:2]]) / (2.0 * d), F[f_at])
+            if u_dot != 0.0:
+                nxt = nxt + (L[st[:, -2]] - L[st[:, -1]]) / (2.0 * du) * u_dot
+            L = nxt
+        t = tops[order]
+        v = L[t[0]]
+        g = (L[t[1::2]] - L[t[2::2]]) / (2.0 * d0[0])
         if not (math.isfinite(v) and np.isfinite(g).all()):
             raise LieDerivativeError(f"non-finite Lie derivative at order {order}")
         values.append(float(v))
         grads.append(g)
-        if order < orders - 1:
-            L = memo(lift(L))
     return values, grads
 
 
@@ -234,7 +277,10 @@ class ObservabilityPoint:
 
 @dataclass
 class ObservabilitySweep:
+    """The points of a sweep, and (time, reason) of each point skipped."""
+
     points: list[ObservabilityPoint] = field(default_factory=list)
+    skipped: list[tuple[float, str]] = field(default_factory=list)
 
     def __len__(self):
         return len(self.points)
@@ -265,7 +311,8 @@ def sweep(result: SimulationResult, params: CellParameters,
     The first input derivative is estimated by backward differencing of the
     recorded current (zero under constant current and on a row with no
     earlier time); higher derivatives are taken as zero.  The d/du step
-    scales with the 1C current.  Per-point failures are logged and skipped.
+    scales with the 1C current.  A point whose evaluation fails is skipped
+    and recorded in ``skipped``, with one warning per sweep.
     """
     config = config or ObservabilityConfig()
     ocp = ocp or synthetic_ocp_set(params)
@@ -297,10 +344,14 @@ def sweep(result: SimulationResult, params: CellParameters,
             rank, cond_s, smin = rank_and_condition(Os, config)
             _, cond_r, _ = rank_and_condition(O, config)
         except CsespmError as exc:
-            log.warning("sweep point at t=%.1fs skipped: %s", t, exc)
+            out.skipped.append((t, str(exc)))
             continue
         out.points.append(ObservabilityPoint(
             time=t, soc_p=float(result.soc_p[i]), regime=result.regime[i],
             rank=rank, full_rank_needed=len(x0), cond_scaled=cond_s,
             cond_raw=cond_r, sigma_min_scaled=smin))
+    if out.skipped:
+        t, reason = out.skipped[0]
+        log.warning("%d sweep points skipped, the first at t=%.1fs: %s",
+                    len(out.skipped), t, reason)
     return out

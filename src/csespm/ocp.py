@@ -44,19 +44,27 @@ class OcpTable:
         if not np.isfinite(self.volts).all():
             raise ParameterError("OCP values must be finite")
 
-    def __call__(self, theta: float) -> float:
+    def __call__(self, theta):
         """Monotone cubic (PCHIP) interpolation, smooth enough for the
-        observability model to differentiate.
+        observability model to differentiate: a float of a float, or an
+        array of an array of theta, in one evaluation.
 
-        Constant extrapolation at the table ends, with a logged warning.
+        Constant extrapolation at the table ends, with one logged warning
+        per call that counts the values extrapolated.
         """
-        if not 0.0 <= theta <= 1.0:
-            raise OcpDomainError(f"theta={theta!r} outside [0, 1]")
-        if theta < self.theta[0] or theta > self.theta[-1]:
-            log.warning("OCP extrapolated at theta=%.4f (%s/%s table covers [%.3f, %.3f])",
-                        theta, self.electrode, self.direction, self.theta[0], self.theta[-1])
-            theta = min(max(theta, self.theta[0]), self.theta[-1])
-        return float(self._pchip(theta))
+        t = np.asarray(theta, dtype=float)
+        bad = ~((0.0 <= t) & (t <= 1.0))
+        if bad.any():
+            raise OcpDomainError(f"theta={float(t[bad].flat[0])!r} outside [0, 1]")
+        lo, hi = self.theta[0], self.theta[-1]
+        outside = (t < lo) | (t > hi)
+        if outside.any():
+            log.warning("OCP extrapolated at %d theta, first %.4f (%s/%s table covers "
+                        "[%.3f, %.3f])", outside.sum(), t[outside].flat[0], self.electrode,
+                        self.direction, lo, hi)
+            t = np.clip(t, lo, hi)
+        v = self._pchip(t)
+        return float(v) if v.ndim == 0 else v
 
     def lookup(self, theta: np.ndarray, counters: dict | None = None) -> np.ndarray:
         """Piecewise-linear interpolation (the output map's) over an array

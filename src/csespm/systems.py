@@ -60,8 +60,14 @@ class AffineSystem:
     def dim(self) -> int:
         return self.A.shape[0]
 
-    def rhs(self, x: np.ndarray, current: float) -> np.ndarray:
-        out = self.A @ x + self.B * current
+    def rhs(self, x: np.ndarray, current) -> np.ndarray:
+        """dx/dt of one state under a float current, or of (m, n) rows under
+        an (m,) current column, each row by the matrix-vector product of its
+        own A (a stack, or one A shared by all rows) as for one state."""
+        if x.ndim == 1:
+            out = self.A @ x + self.B * current
+        else:
+            out = (self.A @ x[..., None])[..., 0] + self.B * current[:, None]
         if self.G is not None:
             out = out + self.G
         return out
@@ -152,14 +158,15 @@ def cell_volumes(R: float, n: int, r_inner=0.0) -> np.ndarray:
 def tridiagonal(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
                 size: int | None = None) -> np.ndarray:
     """Dense matrix of three bands: A[i + 1, i] = lower[i], A[i, i] = diag[i],
-    A[i, i + 1] = upper[i]; zero-padded to size x size when size is given."""
-    n = len(diag)
+    A[i, i + 1] = upper[i]; zero-padded to size x size when size is given.
+    Rows of bands give the (m, size, size) stack of their matrices."""
+    n = diag.shape[-1]
     size = size or n
-    A = np.zeros((size, size))
-    flat = A.reshape(-1)
-    flat[size::size + 1][:n - 1] = lower
-    flat[1::size + 1][:n - 1] = upper
-    flat[::size + 1][:n] = diag
+    A = np.zeros(diag.shape[:-1] + (size, size))
+    flat = A.reshape(diag.shape[:-1] + (-1,))
+    flat[..., size::size + 1][..., :n - 1] = lower
+    flat[..., 1::size + 1][..., :n - 1] = upper
+    flat[..., ::size + 1][..., :n] = diag
     return A
 
 
@@ -290,11 +297,17 @@ def shell_block(params: CellParameters, r_p: float, current: float, N_r: int,
                 g: float, scheme: str = "fvm") -> tuple[SolidBlock, float]:
     """The shell's solid block on its N_r cells, with the interface held at g
     under current and zero flux at rest, and the first row's constant (w g
-    under current, 0 at rest)."""
+    under current, 0 at rest).  A (B, 1) column of currents, beside one of
+    radii, holds or frees each row's interface by its own current."""
     inside = (0.0 < r_p) & (r_p < params.R_s_p)
     if not (inside if isinstance(inside, bool) else inside.all()):
         raise PhaseDomainError(f"r_p={r_p!r} outside (0, R_s_p); transition regimes first")
     blk = solid_block(params, "pos", r_p, N_r, scheme)
+    if isinstance(current, np.ndarray):
+        on = current != 0.0
+        first = cell_value(blk.diag, 0)
+        set_cell(blk.diag, 0, np.where(on, first - blk.inner, first))
+        return blk, np.where(on, blk.inner * g, 0.0)
     if current == 0.0:
         return blk, 0.0
     set_cell(blk.diag, 0, cell_value(blk.diag, 0) - blk.inner)
@@ -320,6 +333,9 @@ def build_two_phase_system(params: CellParameters, r_p: float, current: float,
     at I = 0 the interface carries no flux (no conversion) and the front is
     frozen, so a uniform shell stays uniform and dr_p/dt = 0.  direction
     defaults to the current's, core_phase to the one entered in it.
+
+    (m, 1) columns of r_p and of currents give each row's system: (m, n, n)
+    A and (m, n) B and G, whose `rhs` takes (m, n) rows.
     """
     if direction is None:
         direction = direction_for_current(current)
@@ -330,12 +346,14 @@ def build_two_phase_system(params: CellParameters, r_p: float, current: float,
 
     n = N_r + 1
     A = tridiagonal(blk.lower, blk.diag, blk.upper, size=n)
-    B = np.zeros(n)
-    B[N_r - 1] = blk.surface
-    G = np.zeros(n)
-    G[0] = g_row
-    if current != 0.0:
-        A[N_r, 0], G[N_r] = front_rate(params, r_p, N_r, g, c_core)
+    B = np.zeros(A.shape[:-1])
+    set_cell(B, N_r - 1, blk.surface)
+    G = np.zeros(A.shape[:-1])
+    set_cell(G, 0, g_row)
+    k, k0 = front_rate(params, r_p, N_r, g, c_core)
+    on = current != 0.0
+    set_cell(A[..., N_r, :], 0, np.where(on, k, 0.0))
+    set_cell(G, N_r, np.where(on, k0, 0.0))
     return AffineSystem(A, B, G)
 
 
@@ -395,10 +413,17 @@ def one_phase_bulk(c_bar: np.ndarray, R: float) -> float:
     return bulk if c_bar.ndim > 1 else float(bulk)
 
 
-def two_phase_bulk(c_shell: np.ndarray, r_p: float, core_conc: float,
-                   R: float) -> float:
-    """Particle average: uniform core plus shell CV averages."""
-    return solid_moles(c_shell, R, r_p, core_conc) / (FOUR_THIRDS_PI * R**3)
+def two_phase_bulk(c_shell: np.ndarray, r_p, core_conc: float, R: float):
+    """Particle average: uniform core plus shell CV averages; of one state, or
+    the (m,) averages of (m, N) shell rows with (m,) radii, each by the
+    arithmetic of one state (a BLAS dot per row, Python's r_p**3, which
+    numpy's vectorized power can miss by an ulp; a row with r_p <= 0 has
+    no core)."""
+    if c_shell.ndim == 1:
+        return solid_moles(c_shell, R, r_p, core_conc) / (FOUR_THIRDS_PI * R**3)
+    core = [FOUR_THIRDS_PI * r**3 * core_conc if r > 0.0 else 0.0 for r in r_p.tolist()]
+    v = cell_volumes(R, c_shell.shape[1], r_inner=np.where(r_p > 0.0, r_p, 0.0))
+    return (np.vecdot(v, c_shell) + core) / (FOUR_THIRDS_PI * R**3)
 
 
 def solid_moles(c_bar: np.ndarray, R: float, r_p=0.0, core_conc=0.0):

@@ -281,7 +281,7 @@ def test_criterion_10_lie_derivative_oracle(params, ocp):
         du = eps * max(abs(u0), u_scale)
         d_u = (h(x0, u0 + du) - h(x0, u0 - du)) / (2 * du)
         h0 = h(x0, u0)
-        h_lin = lambda x, u: h0 + C @ (x - x0) + d_u * (u - u0)  # noqa: E731
+        h_lin = lambda x, u: h0 + (x - x0) @ C + d_u * (u - u0)  # noqa: E731
         A = systems.build_one_phase_solid_system(p, "pos", 2).A
         O = observability_matrix(f, h_lin, x0, u0, 0.0, cfg, scales, u_scale)
         O_true = np.vstack([C, C @ A])

@@ -273,6 +273,24 @@ def test_observe_takes_the_config_initial_soc(tmp_path, short_profile):
     assert sweeps[0] == sweeps[1] != sweeps[2]
 
 
+def test_observe_summary_counts_skipped_points(tmp_path, short_profile, monkeypatch):
+    """observe writes summary.json with the sweep's point count, each skipped
+    point's time and reason, and whether the rank is full everywhere."""
+    from csespm import observability
+    real = observability.electrode_c_e_avg
+    monkeypatch.setattr(observability, "electrode_c_e_avg",
+                        lambda params, c_e, *args: -1.0 if c_e[0] == params.c_e0
+                        else real(params, c_e, *args))
+    out = tmp_path / "obs"
+    rc = main(["observe", "--profile", str(short_profile), "--nr", "2", "--stride", "120",
+               "--out", str(out)])
+    assert rc == 0
+    assert json.loads((out / "summary.json").read_text()) == {
+        "points": 7, "full_rank_everywhere": True,
+        "skipped": [{"time_s": 0.0, "reason": "non-positive electrolyte concentration -1"}]}
+    assert len((out / "sweep.csv").read_text().splitlines()) == 1 + 7
+
+
 def test_identify_command(tmp_path, params):
     ds = make_synthetic_dataset(params, DiscretizationConfig(N_r=4, N_e=6),
                                 0.25, "dis", duration=1200.0, dt=10.0)
@@ -344,6 +362,28 @@ def test_compare_scheme_command(tmp_path, short_profile):
     dv = volts["voltage_fvm_V"] - volts["voltage_fdm_V"]
     assert 1e3 * np.sqrt(np.mean(dv**2)) == pytest.approx(summary["voltage_rms_diff_mV"],
                                                            rel=1e-6, abs=1e-6)
+
+
+def test_compare_scheme_takes_the_initial_soc(tmp_path, short_profile, capsys):
+    """compare-scheme starts from --soc, else the config's initial_soc, as
+    simulate does, and rejects an SOC outside [0, 1] with exit 4."""
+    cfg = tmp_path / "soc.json"
+    cfg.write_text(json.dumps({"initial_soc": 0.5}))
+    volts = []
+    for extra in (["--config", str(cfg)], ["--soc", "0.5"], []):
+        out = tmp_path / f"cmp{len(volts)}"
+        rc = main(["compare-scheme", "--profile", str(short_profile), "--out", str(out),
+                   *extra])
+        assert rc == 0
+        volts.append((out / "voltage_comparison.csv").read_text())
+    assert volts[0] == volts[1] != volts[2]
+    capsys.readouterr()
+    out = tmp_path / "bad"
+    rc = main(["compare-scheme", "--profile", str(short_profile), "--out", str(out),
+               "--soc", "5"])
+    assert rc == 4 and not out.exists()
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["exit_code"] == 4 and "--soc" in record["message"]
 
 
 @pytest.mark.parametrize("command", ["simulate", "observe"])

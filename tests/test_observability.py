@@ -16,7 +16,7 @@ CFG = ObservabilityConfig()
 
 
 def linearized_output(h, x0, u0, scales, u_scale):
-    """Freeze h to its tangent plane at (x0, u0)."""
+    """Freeze h to its tangent plane at (x0, u0), of rows or of one state."""
     eps = 1e-6
     g = np.empty(len(x0))
     for j in range(len(x0)):
@@ -28,7 +28,7 @@ def linearized_output(h, x0, u0, scales, u_scale):
     du = eps * max(abs(u0), u_scale)
     d_u = (h(x0, u0 + du) - h(x0, u0 - du)) / (2 * du)
     h0 = h(x0, u0)
-    return (lambda x, u: h0 + g @ (x - x0) + d_u * (u - u0)), g
+    return (lambda x, u: h0 + (x - x0) @ g + d_u * (u - u0)), g
 
 
 # --- rank and condition -----------------------------------------------------------
@@ -138,7 +138,7 @@ def test_nonfinite_reports_failing_order(params, ocp):
         return np.full_like(x, np.nan)
 
     def h(x, u):
-        return float(x[0])
+        return x[:, 0]
 
     with pytest.raises(LieDerivativeError, match="order 1"):
         lie_stack(f, h, np.array([1.0, 2.0]), 1.0, 0.0, 2, CFG,
@@ -179,12 +179,37 @@ def test_sweep_emits_points_and_csv(tmp_path, params, ocp):
                       "log10_cond_scaled,log10_cond_raw")
 
 
-# --- memoized Lie stack -------------------------------------------------------------
+def test_sweep_counts_skipped_points(params, ocp, monkeypatch, caplog):
+    """A point whose output leaves its domain (here a non-positive
+    electrolyte average at the second and fourth points) is skipped and
+    recorded with its time and reason; the sweep logs one warning for all
+    its skips."""
+    disc = DiscretizationConfig(N_r=2, N_e=6)
+    res = simulate(cc_profile(params, 1.0, "ch", duration=900.0),
+                   initial_state(params, disc, 0.0, "ch"), params, disc,
+                   SolverConfig(cutoffs_enabled=False))
+    points = []
+
+    def c_e_avg(*args):
+        points.append(len(points))
+        return -1.0 if points[-1] in (1, 3) else electrode_c_e_avg(*args)
+
+    monkeypatch.setattr(observability_mod, "electrode_c_e_avg", c_e_avg)
+    with caplog.at_level("WARNING", logger="csespm.observability"):
+        sw = sweep(res, params, ObservabilityConfig(stride_s=100.0), ocp=ocp)
+    reason = "non-positive electrolyte concentration -1"
+    assert sw.skipped == [(100.0, reason), (300.0, reason)]
+    assert len(sw) == len(points) - 2 == 8
+    assert [r.getMessage() for r in caplog.records] == [
+        f"2 sweep points skipped, the first at t=100.0s: {reason}"]
+
+
+# --- level-set Lie stack -------------------------------------------------------------
 
 def nested_lie_stack(f, h, x0, u0, u_dot, orders, config, x_scales, u_scale):
     """The plain nested central-difference recursion in (u0, u'), every level
-    recomputed from scratch; the reference the memoized ``lie_stack`` must
-    reproduce."""
+    recomputed from scratch on one state at a time; the reference the
+    level-set ``lie_stack`` must reproduce."""
     eps = config.jacobian_step
 
     def grad_x(fun, x, u):
@@ -220,20 +245,21 @@ def nested_lie_stack(f, h, x0, u0, u_dot, orders, config, x_scales, u_scale):
 
 @pytest.fixture(scope="module")
 def charge_1c(params, ocp):
-    """1C charges from SOC 0 at N_r = 3 and 4, keyed by N_r."""
+    """1C charges from SOC 0 at N_r = 3 and 4 (FVM) and at N_r = 3 (FDM),
+    keyed by (scheme, N_r)."""
     out = {}
-    for N_r in (3, 4):
-        disc = DiscretizationConfig(N_r=N_r, N_e=6)
-        out[N_r] = simulate(cc_profile(params, 1.0, "ch"),
-                            initial_state(params, disc, 0.0, "ch"), params, disc,
-                            SolverConfig(cutoffs_enabled=False), ocp=ocp)
+    for scheme, N_r in (("fvm", 3), ("fvm", 4), ("fdm", 3)):
+        disc = DiscretizationConfig(N_r=N_r, N_e=6, scheme=scheme)
+        out[scheme, N_r] = simulate(cc_profile(params, 1.0, "ch"),
+                                    initial_state(params, disc, 0.0, "ch"), params, disc,
+                                    SolverConfig(cutoffs_enabled=False), ocp=ocp)
     return out
 
 
 def model_at(res, i, params, ocp):
     state = res.state_at(i)
     c_e_avg = electrode_c_e_avg(params, state.elec, "pos", res.meta["split"])
-    return positive_model(state, params, ocp, c_e_avg, CFG)
+    return positive_model(state, params, ocp, c_e_avg, CFG, res.meta["scheme"])
 
 
 def first_two_phase(res):
@@ -241,15 +267,20 @@ def first_two_phase(res):
     return next(i for i in range(len(res)) if res.regime[i] == TWO_PHASE) + 300
 
 
-@pytest.mark.parametrize("N_r, regime, u_dot", [
-    (3, "one_phase", 0.0), (3, "one_phase", 0.02), (3, TWO_PHASE, 0.0),
-    (3, TWO_PHASE, 0.02), (4, TWO_PHASE, 0.0)])
-def test_memoized_lie_stack_is_bit_identical(params, ocp, charge_1c, N_r, regime,
-                                             u_dot):
-    """Memoization only skips repeated evaluations of pure functions, so
-    every Lie value and gradient equals the plain recursion's exactly.  A
-    nonzero u' exercises the input-derivative term."""
-    res = charge_1c[N_r]
+@pytest.mark.parametrize("N_r, regime, u_dot, scheme", [
+    pytest.param(*case, id="-".join(map(str, case[:3])) + ("" if case[3] == "fvm" else "-fdm"))
+    for case in ((3, "one_phase", 0.0, "fvm"), (3, "one_phase", 0.02, "fvm"),
+                 (3, TWO_PHASE, 0.0, "fvm"), (3, TWO_PHASE, 0.02, "fvm"),
+                 (4, TWO_PHASE, 0.0, "fvm"), (4, TWO_PHASE, 0.02, "fvm"),
+                 (3, "one_phase", 0.0, "fdm"), (3, "one_phase", 0.02, "fdm"),
+                 (3, TWO_PHASE, 0.0, "fdm"), (3, TWO_PHASE, 0.02, "fdm"))])
+def test_memoized_lie_stack_is_bit_identical(params, ocp, charge_1c, N_r, regime, u_dot,
+                                             scheme):
+    """Each point of a level set is made by the float operations of the
+    scalar recursion, and f and h work on each row as on one state, so every
+    Lie value and gradient equals the plain recursion's exactly, for both
+    schemes.  A nonzero u' exercises the input-derivative term."""
+    res = charge_1c[scheme, N_r]
     i = 200 if regime == "one_phase" else first_two_phase(res)
     assert (res.regime[i] == TWO_PHASE) == (regime == TWO_PHASE)
     f, h, x0, scales = model_at(res, i, params, ocp)
@@ -263,36 +294,42 @@ def test_memoized_lie_stack_is_bit_identical(params, ocp, charge_1c, N_r, regime
 
 
 def counting(f, h, counts):
-    def f_counted(x, u):
-        counts["f"] += 1
-        return f(x, u)
+    """f and h that tally their calls and the rows they evaluate."""
+    def counted(fun, key):
+        def call(x, u):
+            counts[key + "_calls"] += 1
+            counts[key + "_rows"] += len(x) if x.ndim == 2 else 1
+            return fun(x, u)
+        return call
+    return counted(f, "f"), counted(h, "h")
 
-    def h_counted(x, u):
-        counts["h"] += 1
-        return h(x, u)
-    return f_counted, h_counted
+
+def new_counts():
+    return {"f_calls": 0, "f_rows": 0, "h_calls": 0, "h_rows": 0}
 
 
 def test_lie_stack_evaluates_each_perturbed_state_once(params, ocp, charge_1c):
     """At a two-phase N_r = 3 point (n = 4 states, orders 0..3) the nested
     stencil reaches the lattice points x0 + sum_j k_j d_j e_j with
-    |k|_1 <= 4 for h (321 points) and |k|_1 <= 3 for f (129 points); the
-    plain recursion evaluates h 5,265 and f 747 times there."""
-    res = charge_1c[3]
+    |k|_1 <= 4 for h (321 points) and |k|_1 <= 3 for f (129 points): one h
+    call on 321 rows and one f call on 129 rows, where the plain recursion
+    evaluates h 5,265 and f 747 times."""
+    res = charge_1c["fvm", 3]
     i = first_two_phase(res)
     f, h, x0, scales = model_at(res, i, params, ocp)
-    counts = {"f": 0, "h": 0}
+    counts = new_counts()
     fc, hc = counting(f, h, counts)
     observability_matrix(fc, hc, x0, float(res.current[i]), 0.0, CFG,
                          scales, params.current_for_c_rate(1.0))
-    assert counts["h"] <= 321 and counts["f"] <= 129
+    assert counts == {"f_calls": 1, "f_rows": 129, "h_calls": 1, "h_rows": 321}
 
 
 def test_sweep_evaluation_counts(params, ocp, charge_1c, monkeypatch):
-    """Over the 1C N_r = 3 sweep at a 30 s stride the average per point stays
-    at most 300 h and 120 f evaluations (the plain recursion needs ~3,870
-    and ~553)."""
-    counts = {"f": 0, "h": 0, "points": 0}
+    """Over the 1C N_r = 3 sweep at a 30 s stride each point makes one h call
+    and one f call, on at most 300 h and 120 f rows per point on average
+    (the plain recursion needs ~3,870 and ~553 evaluations)."""
+    counts = new_counts()
+    counts["points"] = 0
     model = observability_mod.positive_model
 
     def counted_model(*args, **kwargs):
@@ -301,6 +338,7 @@ def test_sweep_evaluation_counts(params, ocp, charge_1c, monkeypatch):
         return (*counting(f, h, counts), x0, scales)
 
     monkeypatch.setattr(observability_mod, "positive_model", counted_model)
-    sw = sweep(charge_1c[3], params, ObservabilityConfig(stride_s=30.0), ocp=ocp)
+    sw = sweep(charge_1c["fvm", 3], params, ObservabilityConfig(stride_s=30.0), ocp=ocp)
     assert counts["points"] == len(sw) == 121
-    assert counts["h"] <= 300 * len(sw) and counts["f"] <= 120 * len(sw)
+    assert counts["h_calls"] == counts["f_calls"] == len(sw)
+    assert counts["h_rows"] <= 300 * len(sw) and counts["f_rows"] <= 120 * len(sw)

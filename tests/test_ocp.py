@@ -42,6 +42,20 @@ def test_domain_error_and_extrapolation(caplog):
     assert any("extrapolated" in r.message for r in caplog.records)
 
 
+def test_call_on_an_array_matches_each_float(caplog):
+    """An array of theta gives each float's value in one evaluation, with one
+    warning that counts the values extrapolated."""
+    t = OcpTable("pos", "dis", np.array([0.2, 0.5, 0.8]), np.array([3.6, 3.4, 3.0]))
+    theta = np.array([0.05, 0.3, 0.5, 0.71, 0.9, 0.95])
+    with caplog.at_level("WARNING"):
+        volts = t(theta)
+    assert [r.getMessage() for r in caplog.records] == [
+        "OCP extrapolated at 3 theta, first 0.0500 (pos/dis table covers [0.200, 0.800])"]
+    assert volts.tolist() == [t(float(x)) for x in theta]
+    with pytest.raises(OcpDomainError, match="theta=1.5 outside"):
+        t(np.array([0.3, 1.5, -0.1]))
+
+
 def test_table_validation():
     with pytest.raises(ParameterError):
         OcpTable("pos", "dis", np.array([0.3, 0.2]), np.array([3.0, 3.1]))

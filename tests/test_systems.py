@@ -403,3 +403,26 @@ def test_ocp_extrapolations_are_counted(params):
     table = OcpTable("pos", "dis", np.array([0.2, 0.5, 0.8]), np.array([3.6, 3.4, 3.0]))
     volts = table.lookup(np.array([0.1, 0.5, 0.9, 0.95]), counters=counters)
     assert counters["ocp_extrapolations"] == 3 and list(volts) == [3.6, 3.4, 3.0, 3.0]
+
+
+@pytest.mark.parametrize("scheme", ["fvm", "fdm"])
+def test_two_phase_rows_match_each_state(params, rng, scheme):
+    """build_two_phase_system, its rhs and two_phase_bulk on rows of radii,
+    currents and shells equal the one-state forms row by row, bit for bit,
+    rows at rest included."""
+    N, m = 3, 6
+    r = params.R_s_p * rng.uniform(0.2, 0.9, m)
+    current = np.array([1.5, -2.0, 0.0, 3.0, 0.0, -0.5])
+    X = np.column_stack([rng.uniform(0.1, 0.9, (m, N)) * params.c_s_max_p, r])
+    rows = systems.build_two_phase_system(params, r[:, None], current[:, None], N, "ch",
+                                          "beta", scheme)
+    dx = rows.rhs(X, current)
+    bulk = systems.two_phase_bulk(X[:, :-1], r, 5000.0, params.R_s_p)
+    for i in range(m):
+        one = systems.build_two_phase_system(params, float(r[i]), float(current[i]), N, "ch",
+                                             "beta", scheme)
+        for got, want in ((rows.A[i], one.A), (rows.B[i], one.B), (rows.G[i], one.G),
+                          (dx[i], one.rhs(X[i], float(current[i])))):
+            assert got.tobytes() == want.tobytes()
+        assert bulk[i] == systems.two_phase_bulk(X[i, :-1], float(r[i]), 5000.0,
+                                                 params.R_s_p)
