@@ -39,7 +39,13 @@ lockstep (`_Batch`): the members' states are (B, ·) arrays for a whole
 block, and one batched step serves them all and writes every member's row
 at once.  The blocks and the substep are array kernels whose leading member
 axis leaves each member's arithmetic as it is, so each member's result is
-bit for bit its `simulate`.  A step with a transition or a halved front
+bit for bit its `simulate`.  One member's FVM substep runs on Python floats
+(`_member_substep`), the row kernel's operations in its order; it calls
+numpy only where numpy decides the bits: LAPACK's dstevd, the C-ordered
+eigenvector scaling and the gemv products (their layout picks the BLAS
+path), ndarray.dot and ndarray.sum for cell sums (numpy sums pairwise from
+8 cells on), and numpy's SIMD exp and cube, which differ from libm's in
+the last bit.  A step with a transition or a halved front
 step is taken by the member alone, which then steps on with the batch; only
 an error ends a member's block early, and its run.
 """
@@ -50,12 +56,14 @@ import logging
 import math
 from array import array
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import dstevd as _dstevd
 
-from .errors import BlowupError, CsespmError, ParameterError, SaturationError
+from .errors import (BlowupError, CsespmError, ParameterError, PhaseDomainError,
+                     SaturationError)
 from .ocp import OcpSet, synthetic_ocp_set
 from .output import OutputSnapshot, cell_voltage
 from .params import CellParameters, DiscretizationConfig, ParameterColumns
@@ -329,10 +337,8 @@ def _clip(x, lo, hi=None):
 
 
 def _each(f, *args):
-    """f of one member's floats, or f mapped over B members' (B, 1) columns
-    (and floats shared by all), its results stacked back into columns."""
-    if not isinstance(args[0], np.ndarray):
-        return f(*args)
+    """f mapped over B members' (B, 1) columns (and floats shared by all),
+    its results stacked back into columns."""
     n = len(args[0])
     cols = [a.ravel().tolist() if isinstance(a, np.ndarray) else [a] * n for a in args]
     return tuple(np.array(x)[:, None] for x in zip(*map(f, *cols)))
@@ -351,7 +357,17 @@ def _shell_step(state: FullState, current: float, h: float, params: CellParamete
 
 def _fvm_two_phase_substep(state: FullState, current: float, h: float,
                            params: CellParameters, N_r: int):
-    """One conservative substep; returns (shell, r_p, closure_rel)."""
+    """One conservative substep; returns (shell, r_p, closure_rel).  One
+    member (a 1-D shell) takes the float kernel, B members' rows the array
+    kernel, with the same arithmetic per member."""
+    if state.pos.ndim == 1:
+        return _member_substep(state, current, h, params, N_r)
+    return _rows_substep(state, current, h, params, N_r)
+
+
+def _rows_substep(state: FullState, current: float, h: float, params: ParameterColumns,
+                  N_r: int):
+    """The substep of B members' rows, as arrays with a leading member axis."""
     R = params.R_s_p
     r_p = state.r_p
     g, c_core = systems.interface_values(params, state.core_phase, state.direction)
@@ -372,19 +388,10 @@ def _fvm_two_phase_substep(state: FullState, current: float, h: float,
         _front_move, r_p, R, spill, g, c_core, state.core_conc)
 
     # conservative remap of (swept annulus + old shell) onto the new grid; a
-    # member whose front moves out sweeps no annulus and remaps its shell
-    # alone, or, in a batch, with a zero-width annulus cell (the same sums)
+    # member whose front moves out sweeps a zero-width annulus cell
     new_faces, _, vols_new = systems.spherical_cells(r_new, R, N_r)
-    if not isinstance(r_lo, np.ndarray) and r_lo == r_p:
-        shell = annulus_remap(blk.faces, c_new, new_faces)
-    else:
-        old_edges = np.empty(c_new.shape[:-1] + (N_r + 2,))
-        set_cell(old_edges, 0, r_lo)
-        old_edges[..., 1:] = blk.faces
-        old_values = np.empty(c_new.shape[:-1] + (N_r + 1,))
-        set_cell(old_values, 0, annulus_conc)
-        old_values[..., 1:] = c_new
-        shell = annulus_remap(old_edges, old_values, new_faces)
+    shell = annulus_remap(np.hstack([r_lo, blk.faces]), np.hstack([annulus_conc, c_new]),
+                          new_faces)
 
     # close rounding (and, for an outward front, the swept-profile mismatch)
     # so the per-electrode balance is exact: core + shell changes only by the
@@ -395,6 +402,99 @@ def _fvm_two_phase_substep(state: FullState, current: float, h: float,
     shell = shell + residual / cell_sum(vols_new)
     closure_rel = abs(residual) / _clip(abs(expected), 1e-300)
     return shell, r_new, closure_rel
+
+
+def _member_substep(state: FullState, current: float, h: float, params: CellParameters,
+                    N_r: int):
+    """The substep of one member on Python floats: `_rows_substep`'s IEEE
+    operations in its order, which `shell_block`, `AffinePropagator` and
+    `annulus_remap` make on arrays, so each result is bit for bit that of
+    the member's row.  numpy stays where it decides the bits: LAPACK's
+    dstevd; the C-ordered eigenvector scaling and the three gemv products,
+    whose layout picks the BLAS path; ndarray.dot for each cell sum of
+    products and ndarray.sum for each cell sum (pairwise past 8 cells); and
+    numpy's exp and cube, which differ from libm's in the last bit."""
+    R = params.R_s_p
+    r_p = state.r_p
+    g, c_core = systems.interface_values(params, state.core_phase, state.direction)
+    if not 0.0 < r_p < R:
+        raise PhaseDomainError(f"r_p={r_p!r} outside (0, R_s_p); transition regimes first")
+    faces, areas, vols_a = systems.spherical_cells(r_p, R, N_r)
+    faces, areas, vols = faces.tolist(), areas.tolist(), vols_a.tolist()
+
+    # the shell's bands and forcing (systems.solid_block, shell_block)
+    D = params.D_s_p
+    dr = (R - r_p) / N_r
+    dr_vols = [dr * v for v in vols]
+    flows = [D * a for a in areas[1:-1]]
+    w_lo = [f / c for f, c in zip(flows, dr_vols[1:])]
+    w_hi = [f / c for f, c in zip(flows, dr_vols)]
+    diag = [0.0 - w_hi[0], *[(0.0 - lo) - hi for lo, hi in zip(w_lo, w_hi[1:])],
+            0.0 - w_lo[-1]]
+    b = [0.0] * N_r
+    if current != 0.0:
+        inner = 2.0 * D * areas[0] / dr_vols[0]
+        diag[0] -= inner
+        b[0] = inner * g
+    b[-1] = areas[N_r] / (vols[-1] * params.F * params.A_cell * params.L_p
+                          * params.a_s("pos")) * current
+
+    # the exact step (AffinePropagator)
+    s_a = np.sqrt(vols_a)
+    s = s_a.tolist()
+    band = [0.5 * (hi * (s0 / s1) + lo * (s1 / s0))
+            for lo, hi, s0, s1 in zip(w_lo, w_hi, s, s[1:])]
+    lam, Q = _eigh(diag, band)
+    Q = np.ascontiguousarray(Q)
+    s_a = s_a[:, None]
+    to = (Q * s_a).T
+    lh = lam * h
+    w = []
+    for lam_k, x, e, z, zb in zip(lam.tolist(), lh.tolist(), np.exp(lh).tolist(),
+                                  (to @ state.pos).tolist(), (to @ np.array(b)).tolist()):
+        phi = h * (1.0 + 0.5 * x) if abs(x) < 1e-8 else (e - 1.0) / lam_k
+        w.append(e * z + phi * zb)
+    c_new = (Q / s_a) @ np.array(w)
+    shell_old = float(vols_a.dot(state.pos))
+
+    # lithium delivered to the front: surface influx minus shell gain
+    q_surf = systems.molar_flux_density(params, "pos", current) * 4.0 * math.pi * (R * R)
+    spill = q_surf * h - float(vols_a.dot(c_new - state.pos))
+    if current == 0.0:
+        c_new = c_new + (shell_old - float(vols_a.dot(c_new))) / vols_a.sum()
+        return c_new, r_p, 0.0
+    r_new, r_lo, annulus_conc, core_vol, core_vol_new = _front_move(
+        r_p, R, spill, g, c_core, state.core_conc)
+
+    # the remap (annulus_remap); an outward front sweeps no annulus
+    new_faces, _, vols_new = systems.spherical_cells(r_new, R, N_r)
+    new_faces = new_faces.tolist()
+    values = c_new.tolist()
+    if r_lo != r_p:
+        faces.insert(0, r_lo)
+        values.insert(0, annulus_conc)
+    m = len(faces)
+    cubes = (np.array(faces + new_faces)**3).tolist()
+    w_old = [FOUR_THIRDS_PI * c for c in cubes[:m]]
+    cum = [0.0, *accumulate(v * (hi - lo) for v, lo, hi in zip(values, w_old, w_old[1:]))]
+    lo, hi, interior = faces[0], faces[-1], faces[1:-1]
+    cum_new = []
+    for r, r3 in zip(new_faces, cubes[m:]):
+        if r <= lo:
+            r, r3 = lo, cubes[0]
+        elif r >= hi:
+            r, r3 = hi, cubes[m - 1]
+        i = bisect.bisect_right(interior, r)
+        cum_new.append(cum[i] + values[i] * (FOUR_THIRDS_PI * r3 - w_old[i]))
+    shell = np.array([(hi - lo) / (FOUR_THIRDS_PI * (v_hi - v_lo)) for lo, hi, v_lo, v_hi
+                      in zip(cum_new, cum_new[1:], cubes[m:], cubes[m + 1:])])
+
+    # the closure of _rows_substep
+    expected = shell_old + core_vol * state.core_conc + q_surf * h
+    actual = core_vol_new * state.core_conc + float(vols_new.dot(shell))
+    residual = expected - actual
+    return (shell + residual / vols_new.sum(), r_new,
+            abs(residual) / max(abs(expected), 1e-300))
 
 
 def _front_move(r_p: float, R: float, spill: float, g: float, c_core: float,
@@ -471,7 +571,12 @@ class Integrator:
         """The state with only the positive particle stepped by h (its other
         arrays shared, never written): what a transition margin reads, so
         event bisection probes step nothing else.  A two-phase front step
-        that moves the front too far is halved ("front_halvings")."""
+        that moves the front too far is halved ("front_halvings"), down to
+        a floor of 1e-6 h, where the move is accepted ("front_floor_accepts")
+        unless it starts from the radial clip (1e-9 R or (1 - 1e-9) R): a
+        front that the floor must move off the clip it was driven onto
+        bounces between them, each time for 1e-6 h, so the step raises
+        CsespmError."""
         new = FullState(state.neg, state.pos, state.elec, state.regime, state.r_p,
                         state.core_conc, state.core_phase, state.direction)
         if state.regime != TWO_PHASE:
@@ -489,6 +594,10 @@ class Integrator:
                 if _front_ok(new.r_p, r_new, R):
                     break
                 if hs <= 1e-6 * h:
+                    if not 1e-9 * R < new.r_p < (1.0 - 1e-9) * R:
+                        raise CsespmError(
+                            f"a {current:.3g} A front step of {hs:.3g} s moves the front "
+                            f"from the radial clip at {new.r_p:.3g} m to {r_new:.3g} m")
                     tally(self.counters, "front_floor_accepts", 1, log,
                           "front move %.3g -> %.3g m accepted at the substep floor %.3g s",
                           new.r_p, r_new, hs)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import signal
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -183,6 +184,25 @@ def test_out_of_memory_gives_exit_6(tmp_path, short_profile, capsys, monkeypatch
     record = json.loads(capsys.readouterr().err.strip())
     assert record == {"error": "MemoryError", "message": "Unable to allocate 745. GiB",
                       "exit_code": 6}
+
+
+@pytest.mark.parametrize("current", ["1e20", "-1e20"])
+def test_absurd_current_exits_6(tmp_path, capsys, current):
+    """A current that drives the front onto its radial clip within the
+    smallest front step ends the run with exit 6 and the JSON record; it
+    used to halve and restart that step about a million times."""
+    profile = tmp_path / "absurd.csv"
+    profile.write_text(f"time_s,current_A\n0,{current}\n10,0\n")
+    previous = signal.signal(signal.SIGALRM, lambda *args: pytest.fail("the step hangs"))
+    signal.alarm(60)
+    try:
+        rc = main(["simulate", "--profile", str(profile), "--soc", "0.5",
+                   "--out", str(tmp_path / "out")])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert rc == 6
+    assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["exit_code"] == 6
 
 
 def test_simulate_command(tmp_path, short_profile):
@@ -530,6 +550,7 @@ _FLAG_POOLS = {
                  {"--seed": ["-1", "0", "7", str(2**70)], "--budget": ["-1", "0", "1", "3"],
                   "--decades": ["-1", "0", "0.5", "20", "307", "308", "400", "nan",
                                "inf"]}),
+    "compare-scheme": ({}, {"--soc": _SOCS, "--nr": ["-1", "1", "2", "3", "x"]}),
 }
 
 
@@ -555,10 +576,11 @@ def fuzz_inputs(tmp_path_factory, fuzz_profile, short_dataset):
     return {"simulate": ["--profile", str(fuzz_profile)],
             "cycle": ["--config", str(config)],
             "observe": ["--profile", str(fuzz_profile)],
-            "identify": ["--data", str(short_dataset)]}
+            "identify": ["--data", str(short_dataset)],
+            "compare-scheme": ["--profile", str(fuzz_profile)]}
 
 
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
 @given(_FLAG_ARGVS)
 def test_flag_fuzz_exits_with_a_record(fuzz_inputs, argv):
     """Each command with its required flags and any of its optional ones set

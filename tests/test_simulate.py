@@ -5,11 +5,12 @@ import sys
 import numpy as np
 import pytest
 
-from csespm.errors import ParameterError
-from csespm.params import DiscretizationConfig
+from csespm.errors import CsespmError, ParameterError, PhaseDomainError
+from csespm.params import DiscretizationConfig, ParameterColumns
 from csespm.ocp import synthetic_ocp_set
 from csespm.simulate import (AffinePropagator, Integrator, LoadProfile,
-                             SolverConfig, _fdm_two_phase_substep, cc_profile,
+                             SolverConfig, _fdm_two_phase_substep,
+                             _fvm_two_phase_substep, cc_profile,
                              cycle_profile, initial_state, mass_audit,
                              read_result_csv, simulate, symmetric_band,
                              synthetic_dynamic_profile)
@@ -148,6 +149,59 @@ def test_banded_propagator_matches_dense_eigh(params, scheme, N_r, rp_frac,
         assert np.array_equal(systems.tridiagonal(band, blk.diag, band), sym)
         got = prop.step(x, b, h)
         assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want), h
+
+
+@pytest.mark.parametrize("core_phase", ["alpha", "beta"])
+@pytest.mark.parametrize("rp_frac", [0.05, 0.5, 0.99])
+@pytest.mark.parametrize("N_r", [2, 3, 4, 8, 9, 16, 50])
+def test_member_substep_equals_its_row(params, N_r, rp_frac, core_phase):
+    """One member's FVM substep (the float kernel) equals, bit for bit, the
+    array kernel's substep of the same state as a (1, N_r) row: shell, r_p
+    and closure, with the front moving in and out and at rest (I = 0, where
+    the propagator takes its series branch), for a bisection-sized, a full
+    and a 60 s step.  From N_r = 8 on numpy sums cells pairwise; the
+    closure's cell sum shows in the shell's bits only where the closure is
+    large, as for the random shells and 60 s steps."""
+    R = params.R_s_p
+    rows_params = ParameterColumns([params])
+    rng = np.random.default_rng(N_r)
+    fronts = set()
+    for current_c in (1.0, -1.0, 0.0):
+        current = current_c * params.current_for_c_rate(1.0)
+        direction = systems.direction_for_current(current)
+        g, c_core = systems.interface_values(params, core_phase, direction)
+        # a shell at the interface value, its last bits scattered, where the
+        # current alone decides which way the front moves; and a random one
+        at_g = g * (1.0 + 1e-12 * rng.uniform(-1.0, 1.0, N_r))
+        for x in (at_g, params.c_s_max_p * rng.uniform(0.2, 0.8, N_r)):
+            member = FullState(None, x, None, TWO_PHASE, rp_frac * R, c_core, core_phase,
+                               direction)
+            row = FullState(None, x[None, :], None, TWO_PHASE, np.array([[rp_frac * R]]),
+                            np.array([[c_core]]), core_phase, direction)
+            for h in (0.3171875, 1.0, 60.0):
+                shell, r_new, closure = _fvm_two_phase_substep(member, current, h, params,
+                                                               N_r)
+                want = [np.ravel(a) for a in _fvm_two_phase_substep(row, current, h,
+                                                                     rows_params, N_r)]
+                assert shell.tobytes() == want[0].tobytes(), (current_c, h)
+                assert (r_new, closure) == (want[1][0], want[2][0]), (current_c, h)
+                if x is at_g:
+                    fronts.add("rest" if r_new == member.r_p
+                               else "in" if r_new < member.r_p else "out")
+    assert fronts == {"in", "out", "rest"}
+
+
+@pytest.mark.parametrize("rp_frac", [0.0, -0.5, 1.0, 1.5, math.nan])
+def test_substep_outside_the_particle_raises(params, rp_frac):
+    """A front outside (0, R) raises PhaseDomainError from either kernel."""
+    r_p = rp_frac * params.R_s_p
+    x = np.full(4, params.c_beta("dis"))
+    member = FullState(None, x, None, TWO_PHASE, r_p, params.c_alpha("dis"), "alpha", "dis")
+    row = FullState(None, x[None, :], None, TWO_PHASE, np.array([[r_p]]),
+                    np.array([[params.c_alpha("dis")]]), "alpha", "dis")
+    for state, p in ((member, params), (row, ParameterColumns([params]))):
+        with pytest.raises(PhaseDomainError, match="outside"):
+            _fvm_two_phase_substep(state, 1.0, 1.0, p, 4)
 
 
 def test_zero_current_is_fixed_point(params, disc4):
@@ -798,6 +852,24 @@ def test_event_cap_and_front_floor_are_counted(params, monkeypatch):
     assert integ.counters == {"ocp_extrapolations": 0, "event_cap_hits": 1,
                               "front_floor_accepts": 1, "bisection_probes": 0,
                               "front_halvings": 20}
+
+
+@pytest.mark.parametrize("current", [1e20, -1e20])
+def test_front_step_off_the_radial_clip_raises(params, current):
+    """A front that the substep floor must move off the radial clip it was
+    driven onto ends the step with CsespmError instead of bouncing between
+    clip and interior, 1e-6 of the step at a time."""
+    disc = DiscretizationConfig(N_r=4, N_e=6)
+    state = initial_state(params, disc, 0.5, "dis" if current > 0.0 else "ch")
+    integ = Integrator(params, disc, SolverConfig())
+    previous = signal.signal(signal.SIGALRM, lambda *args: pytest.fail("the step hangs"))
+    signal.alarm(60)
+    try:
+        with pytest.raises(CsespmError, match="from the radial clip"):
+            integ.advance(state, current, 1.0)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_bisection_below_float_spacing_returns(params, ocp):
