@@ -45,9 +45,9 @@ numpy only where numpy decides the bits: LAPACK's dstevd, the C-ordered
 eigenvector scaling and the gemv products (their layout picks the BLAS
 path), ndarray.dot and ndarray.sum for cell sums (numpy sums pairwise from
 8 cells on), and numpy's SIMD exp and cube, which differ from libm's in
-the last bit.  A step with a transition or a halved front
-step is taken by the member alone, which then steps on with the batch; only
-an error ends a member's block early, and its run.
+the last bit.  A step with a transition or a halved front step is taken by
+the member alone, which then steps on with the batch; only an error ends a
+member's block early, and its run.
 """
 from __future__ import annotations
 
@@ -406,14 +406,10 @@ def _rows_substep(state: FullState, current: float, h: float, params: ParameterC
 
 def _member_substep(state: FullState, current: float, h: float, params: CellParameters,
                     N_r: int):
-    """The substep of one member on Python floats: `_rows_substep`'s IEEE
-    operations in its order, which `shell_block`, `AffinePropagator` and
-    `annulus_remap` make on arrays, so each result is bit for bit that of
-    the member's row.  numpy stays where it decides the bits: LAPACK's
-    dstevd; the C-ordered eigenvector scaling and the three gemv products,
-    whose layout picks the BLAS path; ndarray.dot for each cell sum of
-    products and ndarray.sum for each cell sum (pairwise past 8 cells); and
-    numpy's exp and cube, which differ from libm's in the last bit."""
+    """The substep of one member on Python floats, bit for bit its row's in
+    `_rows_substep`: the IEEE operations of `shell_block`, `AffinePropagator`
+    and `annulus_remap` in their order, with numpy's calls kept where they
+    decide the bits (see the module docstring)."""
     R = params.R_s_p
     r_p = state.r_p
     g, c_core = systems.interface_values(params, state.core_phase, state.direction)
@@ -486,7 +482,7 @@ def _member_substep(state: FullState, current: float, h: float, params: CellPara
             r, r3 = hi, cubes[m - 1]
         i = bisect.bisect_right(interior, r)
         cum_new.append(cum[i] + values[i] * (FOUR_THIRDS_PI * r3 - w_old[i]))
-    shell = np.array([(hi - lo) / (FOUR_THIRDS_PI * (v_hi - v_lo)) for lo, hi, v_lo, v_hi
+    shell = np.array([(c1 - c0) / (FOUR_THIRDS_PI * (v1 - v0)) for c0, c1, v0, v1
                       in zip(cum_new, cum_new[1:], cubes[m:], cubes[m + 1:])])
 
     # the closure of _rows_substep
