@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import ConfigError, CsespmError, ParameterError
 from .ocp import OcpSet, synthetic_ocp_set
-from .params import CellParameters, DiscretizationConfig, params_for_rate
+from .params import (DEFAULT_RATE_OVERRIDES, CellParameters, DiscretizationConfig,
+                     params_for_rate)
 from .phase import PhaseConfig
 from .records import read_csv_columns, write_csv_columns
 from .simulate import (LoadProfile, SimulationResult, SolverConfig, cc_profile,
@@ -156,7 +157,6 @@ PENALIZED = (CsespmError, np.linalg.LinAlgError, ValueError)
 def voltage_rmse(params: CellParameters, dataset: Dataset,
                  disc: DiscretizationConfig, solver: SolverConfig,
                  ocp: OcpSet | None = None,
-                 rate_overrides: dict | None = None,
                  phase_cfg: PhaseConfig | None = None,
                  result: SimulationResult | Exception | None = None) -> float:
     """Simulate the dataset's profile and compare voltages at its timestamps.
@@ -168,7 +168,7 @@ def voltage_rmse(params: CellParameters, dataset: Dataset,
     and ``params`` is not read.
     """
     if result is None:
-        p_run = params_for_rate(params, dataset.c_rate_label, rate_overrides)
+        p_run = params_for_rate(params, dataset.c_rate_label)
         try:
             init = initial_state(p_run, disc, dataset.start_soc, dataset.direction)
             result = simulate(dataset.profile, init, p_run, disc, solver, ocp=ocp,
@@ -206,7 +206,7 @@ def make_synthetic_dataset(params: CellParameters, disc: DiscretizationConfig,
     """Simulator-generated voltage data, noise free."""
     solver = solver or SolverConfig(dt=dt, cutoffs_enabled=False)
     prof = cc_profile(params, c_rate, direction, duration)
-    p_run = params_for_rate(params, c_rate_label, None)
+    p_run = params_for_rate(params, c_rate_label)
     init = initial_state(p_run, disc, 0.0 if direction == "ch" else 1.0, direction)
     res = simulate(prof, init, p_run, disc, solver, ocp=ocp)
     return Dataset(LoadProfile(res.time, res.current), res.voltage.copy(), direction,
@@ -242,7 +242,6 @@ class FitResult:
 def generation_rmse(values: np.ndarray, subset: ParameterSubset, base: CellParameters,
                     datasets: list[Dataset], disc: DiscretizationConfig,
                     solver: SolverConfig, ocp: OcpSet | None = None,
-                    rate_overrides: dict | None = None,
                     phase_cfg: PhaseConfig | None = None,
                     penalties: dict | None = None) -> list[float]:
     """Summed voltage RMSE over the datasets of each row of ``values`` (one
@@ -267,7 +266,7 @@ def generation_rmse(values: np.ndarray, subset: ParameterSubset, base: CellParam
         for k, cand in enumerate(cands):
             if isinstance(cand, Exception):
                 continue
-            p_run = params_for_rate(cand, ds.c_rate_label, rate_overrides)
+            p_run = params_for_rate(cand, ds.c_rate_label)
             try:
                 inits.append(initial_state(p_run, disc, ds.start_soc, ds.direction))
             except PENALIZED as exc:
@@ -279,8 +278,7 @@ def generation_rmse(values: np.ndarray, subset: ParameterSubset, base: CellParam
                                              ocp=ocp, phase_cfg=phase_cfg)):
             outcomes[k] = res
         for k, (cand, res) in enumerate(zip(cands, outcomes)):
-            totals[k] += voltage_rmse(cand, ds, disc, solver, ocp, rate_overrides,
-                                      phase_cfg, result=res)
+            totals[k] += voltage_rmse(cand, ds, disc, solver, ocp, phase_cfg, result=res)
             if penalties is not None:
                 cause = penalty_cause(res, ds)
                 if cause is not None:
@@ -291,15 +289,15 @@ def generation_rmse(values: np.ndarray, subset: ParameterSubset, base: CellParam
 def identify(datasets: list[Dataset], subset: ParameterSubset,
              base: CellParameters, disc: DiscretizationConfig,
              solver: SolverConfig, seed: int = 0, budget: int = 500,
-             ocp: OcpSet | None = None, rate_overrides: dict | None = None,
-             phase_cfg: PhaseConfig | None = None) -> FitResult:
+             ocp: OcpSet | None = None, phase_cfg: PhaseConfig | None = None) -> FitResult:
     """Bounded particle-swarm minimization of the summed voltage RMSE.
 
     Deterministic given the seed.  The best-so-far trace is non-increasing
     and the returned RMSE re-evaluates to itself.  Each generation is scored
     at once (generation_rmse), which gives the fit of scoring its candidates
     one at a time; FitResult.penalties counts its PENALTY_RMSE scores by
-    cause.
+    cause.  A dataset whose C-rate label's rate table (params_for_rate) sets
+    a fitted name is a ConfigError: its simulations would overwrite it.
     """
     if not datasets:
         raise ConfigError("identify needs at least one dataset")
@@ -307,6 +305,11 @@ def identify(datasets: list[Dataset], subset: ParameterSubset,
         raise ConfigError("budget must be >= 1")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, not {seed}")
+    for ds in datasets:
+        masked = [n for n in subset.names if n in DEFAULT_RATE_OVERRIDES.get(ds.c_rate_label, ())]
+        if masked:
+            raise ConfigError(f"dataset {ds.name!r} is labelled {ds.c_rate_label!r}, whose rate "
+                              f"table sets {', '.join(masked)}: the fit could not move them")
     ocp = ocp or synthetic_ocp_set(base)
     rng = np.random.default_rng(seed)
     d = subset.dim
@@ -340,7 +343,7 @@ def identify(datasets: list[Dataset], subset: ParameterSubset,
         # the whole generation first: nothing in it reads pbest or gbest
         batch = min(P, budget - n_evals)
         fs = generation_rmse([decode(z[k]) for k in range(batch)], subset, base, datasets,
-                             disc, solver, ocp, rate_overrides, phase_cfg, penalties)
+                             disc, solver, ocp, phase_cfg, penalties)
         for k, f in enumerate(fs):
             n_evals += 1
             if f < pbest_f[k]:

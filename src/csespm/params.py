@@ -217,13 +217,11 @@ DEFAULT_RATE_OVERRIDES = {
 }
 
 
-def params_for_rate(base: CellParameters, label: str | None,
-                    overrides: dict | None = None) -> CellParameters:
+def params_for_rate(base: CellParameters, label: str | None) -> CellParameters:
     """Apply the per-C-rate parameter overrides for a dataset label."""
-    table = DEFAULT_RATE_OVERRIDES if overrides is None else overrides
-    if label is None or label not in table:
+    if label is None or label not in DEFAULT_RATE_OVERRIDES:
         return base
-    return base.replace(**table[label])
+    return base.replace(**DEFAULT_RATE_OVERRIDES[label])
 
 
 @dataclass(frozen=True)

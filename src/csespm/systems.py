@@ -83,9 +83,6 @@ def unit_faces(n: int) -> np.ndarray:
     return f
 
 
-_CELLS: dict[tuple[float, float, int], tuple] = {}
-
-
 def cell_value(a: np.ndarray, k: int):
     """Cell k of one member's cells (a float) or of B members' rows (a (B, 1)
     column)."""
@@ -113,46 +110,22 @@ def cell_sum(a: np.ndarray):
 
 
 def spherical_cells(r_inner, r_outer, n: int):
-    """Faces, face areas and CV volumes of n equal-width spherical shells.
-
-    The last few geometries are memoized: a moving shell grid is asked for
-    by the substep that makes it, by the next substep and by the output map.
-    The returned arrays are shared and read-only.  A column of B inner or
-    outer radii gives (B, n + 1) and (B, n) rows.
-    """
-    try:
-        key = (r_inner, r_outer, n)
-        cells = _CELLS.get(key)
-    except TypeError:       # columns of radii, keyed by their bits
-        key = (_key(r_inner), _key(r_outer), n)
-        cells = _CELLS.get(key)
-    if cells is not None:
-        return cells
+    """Faces, face areas and CV volumes of n equal-width spherical shells:
+    faces r_inner + (r_outer - r_inner) u_k, areas (4 pi f) f, volumes
+    4/3 pi (f_{k+1}^3 - f_k^3) with f^3 = (f f) f.  A column of B inner or
+    outer radii gives (B, n + 1) and (B, n) rows.  The arrays are fresh."""
     faces = r_inner + (r_outer - r_inner) * unit_faces(n)
     areas = 4.0 * np.pi * faces * faces
     f3 = faces * faces * faces
-    cells = faces, areas, FOUR_THIRDS_PI * (f3[..., 1:] - f3[..., :-1])
-    for a in cells:
-        a.setflags(write=False)
-    if len(_CELLS) >= 16:
-        del _CELLS[next(iter(_CELLS))]
-    _CELLS[key] = cells
-    return cells
-
-
-def _key(x):
-    """Memo key of a radius, or of a column of radii (its shape and bits)."""
-    return (x.shape, x.tobytes()) if isinstance(x, np.ndarray) else x
+    return faces, areas, FOUR_THIRDS_PI * (f3[..., 1:] - f3[..., :-1])
 
 
 def cell_volumes(R: float, n: int, r_inner=0.0) -> np.ndarray:
-    """CV volumes of n equal-width shells over [r_inner, R]; (T, n) rows for
-    a (T,) array of inner radii."""
-    if not isinstance(r_inner, np.ndarray):
-        return spherical_cells(r_inner, R, n)[2]
-    faces = r_inner[:, None] + (R - r_inner)[:, None] * unit_faces(n)
-    f3 = faces * faces * faces
-    return FOUR_THIRDS_PI * (f3[:, 1:] - f3[:, :-1])
+    """CV volumes of n equal-width shells over [r_inner, R] (spherical_cells);
+    (T, n) rows for a (T,) array of inner radii."""
+    if isinstance(r_inner, np.ndarray):
+        r_inner = r_inner[:, None]
+    return spherical_cells(r_inner, R, n)[2]
 
 
 def tridiagonal(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,

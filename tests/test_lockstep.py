@@ -13,7 +13,7 @@ from csespm.identify import (ParameterSubset, PENALTY_RMSE,
                              generation_rmse, identify, make_synthetic_dataset,
                              voltage_rmse)
 from csespm.ocp import synthetic_ocp_set
-from csespm.params import DiscretizationConfig, params_for_rate
+from csespm.params import DiscretizationConfig
 from csespm.simulate import (LoadProfile, SolverConfig, cc_profile, initial_state,
                              simulate, simulate_many)
 
@@ -245,8 +245,7 @@ def test_cutoff_next_to_a_step_taken_alone(params, ocp, disc4, offset):
 
 # --- identification -------------------------------------------------------------
 
-def _serial_identify(datasets, subset, base, disc, solver, seed, budget, ocp,
-                     rate_overrides=None):
+def _serial_identify(datasets, subset, base, disc, solver, seed, budget, ocp):
     """The particle swarm as it evaluated one candidate at a time, kept as the
     reference: (best values, best RMSE, trace, evaluations)."""
     rng = np.random.default_rng(seed)
@@ -266,8 +265,7 @@ def _serial_identify(datasets, subset, base, disc, solver, seed, budget, ocp,
             cand = subset.apply(base, decode(z))
         except ParameterError:
             return PENALTY_RMSE * len(datasets)
-        return sum(voltage_rmse(cand, ds, disc, solver, ocp, rate_overrides)
-                   for ds in datasets)
+        return sum(voltage_rmse(cand, ds, disc, solver, ocp) for ds in datasets)
 
     z = rng.random((P, d))
     base_vals = np.array([getattr(base, n) for n in subset.names])
@@ -302,30 +300,27 @@ def _serial_identify(datasets, subset, base, disc, solver, seed, budget, ocp,
 
 @pytest.fixture(scope="module")
 def two_rates(params, disc4):
-    """Short C/4 and C/2 discharges, the C/2 one made with overridden rate
-    parameters."""
-    overrides = {"C/4": {}, "C/2": {"D_s_p": 3.0e-18, "k_n": 3.0e-12}}
-    p2 = params_for_rate(params, "C/2", overrides)
+    """Short C/4 and C/2 discharges, each made and scored with its rate's
+    parameters (params_for_rate), and a subset of two names that neither
+    rate's table sets."""
     sets = [make_synthetic_dataset(params, disc4, 0.25, "dis", duration=2400.0,
                                    c_rate_label="C/4"),
-            make_synthetic_dataset(p2, disc4, 0.5, "dis", duration=1200.0)]
-    sets[1].c_rate_label = "C/2"
-    return sets, overrides
+            make_synthetic_dataset(params, disc4, 0.5, "dis", duration=1200.0,
+                                   c_rate_label="C/2")]
+    return sets, ParameterSubset.preset("c4", params, decades=0.3).subset(("R_s_p", "R_l"))
 
 
 @pytest.mark.parametrize("budget", [1, 12, 40])
 def test_identify_equals_one_candidate_at_a_time(params, disc4, two_rates, budget):
     """A generation in lockstep gives the serial swarm's best values, best
     RMSE and whole trace: budget 1, a partial last generation (12 of 8 + 8)
-    and five full generations, over two datasets with rate overrides."""
-    datasets, overrides = two_rates
-    sub = ParameterSubset.preset("c2-1c", params).subset(("D_s_p", "k_p"))
-    base = params.replace(D_s_p=2.0e-18, k_p=5.0e-13)
+    and five full generations, over two datasets of different rates."""
+    datasets, sub = two_rates
+    base = params.replace(R_s_p=1.3 * params.R_s_p, R_l=0.6 * params.R_l)
     ocp = synthetic_ocp_set(base)
-    fit = identify(datasets, sub, base, disc4, SOLVER, seed=5, budget=budget, ocp=ocp,
-                   rate_overrides=overrides)
+    fit = identify(datasets, sub, base, disc4, SOLVER, seed=5, budget=budget, ocp=ocp)
     values, rmse, trace, n_evals = _serial_identify(datasets, sub, base, disc4, SOLVER, 5,
-                                                    budget, ocp, overrides)
+                                                    budget, ocp)
     assert np.array_equal(fit.best_values, values)
     assert fit.best_rmse == rmse
     assert fit.trace == trace
@@ -336,8 +331,7 @@ def test_objective_calls_voltage_rmse_once_per_evaluation(params, disc4, two_rat
                                                           monkeypatch):
     """identify scores every candidate on every dataset through the module's
     voltage_rmse, one call per evaluation and dataset, each a float."""
-    datasets, overrides = two_rates
-    sub = ParameterSubset.preset("c2-1c", params).subset(("D_s_p", "k_p"))
+    datasets, sub = two_rates
     real, seen = identify_module.voltage_rmse, []
 
     def counted(*args, **kwargs):
@@ -346,8 +340,7 @@ def test_objective_calls_voltage_rmse_once_per_evaluation(params, disc4, two_rat
         return out
 
     monkeypatch.setattr(identify_module, "voltage_rmse", counted)
-    fit = identify(datasets, sub, params, disc4, SOLVER, seed=2, budget=12,
-                   rate_overrides=overrides)
+    fit = identify(datasets, sub, params, disc4, SOLVER, seed=2, budget=12)
     assert len(seen) == fit.n_evals * len(datasets) == 24
     assert all(type(r) is float for r in seen)
 

@@ -280,6 +280,23 @@ def test_surface_concentration_fine_grid_oracle(params):
     assert diff.max() < 0.02
 
 
+def test_spherical_cells_are_fresh_and_row_for_row(params):
+    """Each call builds its own writable arrays, and a column of radii (or
+    cell_volumes' (T,) array) gives, row for row, the bits of each radius
+    alone."""
+    R = params.R_s_p
+    radii = R * np.array([1e-9, 0.3, 0.61803, 0.999])
+    first, again = systems.spherical_cells(0.3 * R, R, 4), systems.spherical_cells(0.3 * R, R, 4)
+    for a, b in zip(first, again):
+        assert a is not b and a.flags.writeable and np.array_equal(a, b)
+    rows = systems.spherical_cells(radii[:, None], R, 4)
+    vols = systems.cell_volumes(R, 4, r_inner=radii)
+    for k, r in enumerate(radii.tolist()):
+        alone = systems.spherical_cells(r, R, 4)
+        assert all(a.tobytes() == row[k].tobytes() for a, row in zip(alone, rows))
+        assert vols[k].tobytes() == alone[2].tobytes() == systems.cell_volumes(R, 4, r).tobytes()
+
+
 def test_bulk_concentration(params):
     assert systems.one_phase_bulk(np.full(5, 777.0), params.R_s_p) == pytest.approx(777.0)
     # vanishing core: shell-only average
