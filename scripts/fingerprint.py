@@ -10,15 +10,20 @@ a change with its parent by running the script in each checkout:
     python3 scripts/fingerprint.py --list
 
 Each line is `<fixture> <sha256> <seconds>`.  The script imports csespm from
-src/ of the checkout it sits in.
+src/ of the checkout it sits in.  OpenBLAS splits a large product over its
+threads in an order that moves the last bits (discharge_c4_nr200 hashes
+differently with one thread and with two), so the script runs one BLAS
+thread unless OPENBLAS_NUM_THREADS says otherwise.
 """
 import hashlib
+import os
 import struct
 import sys
 import time
 from pathlib import Path
 
-import numpy as np
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
