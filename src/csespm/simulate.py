@@ -40,8 +40,9 @@ block, and one batched step serves them all and writes every member's row
 at once.  The blocks and the substep are array kernels whose leading member
 axis leaves each member's arithmetic as it is, so each member's result is
 bit for bit its `simulate`.  One member's FVM substep runs on Python floats
-(`_member_substep`), the row kernel's operations in its order; it calls
-numpy only where numpy decides the bits: LAPACK's dstevd, the C-ordered
+(`_member_substep`), the row kernel's operations in its order, its two
+shell grids (`systems.spherical_cells`) included; it calls numpy only
+where numpy decides the bits: LAPACK's dstevd, the C-ordered
 eigenvector scaling and the gemv products (their layout picks the BLAS
 path), ndarray.dot and ndarray.sum for cell sums (numpy sums pairwise from
 8 cells on), and numpy's SIMD exp and cube, which differ from libm's in
@@ -407,16 +408,20 @@ def _rows_substep(state: FullState, current: float, h: float, params: ParameterC
 def _member_substep(state: FullState, current: float, h: float, params: CellParameters,
                     N_r: int):
     """The substep of one member on Python floats, bit for bit its row's in
-    `_rows_substep`: the IEEE operations of `shell_block`, `AffinePropagator`
-    and `annulus_remap` in their order, with numpy's calls kept where they
-    decide the bits (see the module docstring)."""
+    `_rows_substep`: the IEEE operations of `spherical_cells` (the old and
+    the new shell grid), `shell_block`, `AffinePropagator` and
+    `annulus_remap` in their order, with numpy's calls kept where they
+    decide the bits (see the module docstring); only the volumes that numpy
+    dots and sums become arrays."""
     R = params.R_s_p
     r_p = state.r_p
     g, c_core = systems.interface_values(params, state.core_phase, state.direction)
     if not 0.0 < r_p < R:
         raise PhaseDomainError(f"r_p={r_p!r} outside (0, R_s_p); transition regimes first")
-    faces, areas, vols_a = systems.spherical_cells(r_p, R, N_r)
-    faces, areas, vols = faces.tolist(), areas.tolist(), vols_a.tolist()
+    u = systems.unit_faces(N_r).tolist()
+    faces, vols = _float_cells(r_p, R, u)
+    areas = [4.0 * math.pi * f * f for f in faces]
+    vols_a = np.array(vols)
 
     # the shell's bands and forcing (systems.solid_block, shell_block)
     D = params.D_s_p
@@ -463,8 +468,8 @@ def _member_substep(state: FullState, current: float, h: float, params: CellPara
         r_p, R, spill, g, c_core, state.core_conc)
 
     # the remap (annulus_remap); an outward front sweeps no annulus
-    new_faces, _, vols_new = systems.spherical_cells(r_new, R, N_r)
-    new_faces = new_faces.tolist()
+    new_faces, vols_new = _float_cells(r_new, R, u)
+    vols_new = np.array(vols_new)
     values = c_new.tolist()
     if r_lo != r_p:
         faces.insert(0, r_lo)
@@ -491,6 +496,16 @@ def _member_substep(state: FullState, current: float, h: float, params: CellPara
     residual = expected - actual
     return (shell + residual / vols_new.sum(), r_new,
             abs(residual) / max(abs(expected), 1e-300))
+
+
+def _float_cells(r_inner: float, R: float, u: list):
+    """Faces and CV volumes of `systems.spherical_cells` over [r_inner, R] on
+    Python floats, by its IEEE operations in its order; u holds the unit
+    faces."""
+    w = R - r_inner
+    faces = [r_inner + w * x for x in u]
+    cubes = [f * f * f for f in faces]
+    return faces, [FOUR_THIRDS_PI * (c1 - c0) for c0, c1 in zip(cubes, cubes[1:])]
 
 
 def _front_move(r_p: float, R: float, spill: float, g: float, c_core: float,

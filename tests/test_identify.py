@@ -166,8 +166,8 @@ def test_identify_refuses_names_the_rate_table_sets(params, c2_dataset):
     """The C/2 table sets D_s_p and k_p in every simulation of a C/2-labelled
     dataset, so every candidate of a (D_s_p, k_p) fit would score alike:
     identify raises ConfigError naming the dataset, its label and both
-    names, before it simulates anything.  An unlabelled copy of the data
-    fits them."""
+    names, before it simulates anything.  The same call on an unlabelled
+    copy of the data does not raise."""
     sub = ParameterSubset.preset("c2-1c", params).subset(("D_s_p", "k_p"))
     start = params.replace(D_s_p=3.0 * params.D_s_p, k_p=params.k_p / 4.0)
     with pytest.raises(ConfigError) as err:
