@@ -52,7 +52,6 @@ def margins(res, params, ocp):
     """(time, rank, log10(sigma_min / threshold)) of each two-phase point of
     the result's 30 s sweep, from the matrix the sweep ranks."""
     config = ObservabilityConfig(stride_s=30.0)
-    u_scale = params.current_for_c_rate(1.0)
     out = []
     for p in sweep(res, params, config, ocp=ocp).points:
         if p.regime != TWO_PHASE:
@@ -64,7 +63,7 @@ def margins(res, params, ocp):
         c_e_avg = electrode_c_e_avg(params, state.elec, "pos", res.meta["split"])
         f, h, x0, scales = positive_model(state, params, ocp, c_e_avg, config)
         O = scale_columns(observability_matrix(f, h, x0, float(res.current[i]), i_dot,
-                                               config, scales, u_scale), scales)
+                                               config, scales), scales)
         s = np.linalg.svd(O, compute_uv=False)
         threshold = config.rank_tol * s[0] * max(O.shape)
         assert int(np.sum(s > threshold)) == p.rank

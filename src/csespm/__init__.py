@@ -7,8 +7,7 @@ analysis, and voltage-based parameter identification.
 
 from .params import CellParameters, DiscretizationConfig, params_for_rate
 from .systems import (AffineSystem, build_electrolyte_system,
-                      build_one_phase_solid_system, build_two_phase_system,
-                      interface_values)
+                      build_one_phase_solid_system, interface_values)
 from .ocp import OcpSet, OcpTable, synthetic_ocp_set
 from .output import OutputSnapshot, cell_voltage
 from .states import FullState, TransitionEvent
@@ -24,7 +23,7 @@ __all__ = [
     "LoadProfile", "OcpSet", "OcpTable", "OutputSnapshot", "PhaseConfig",
     "SimulationResult", "SolverConfig", "TransitionEvent",
     "build_electrolyte_system", "build_one_phase_solid_system",
-    "build_two_phase_system", "cc_profile", "cell_voltage", "cycle_profile",
+    "cc_profile", "cell_voltage", "cycle_profile",
     "initial_state", "interface_values", "mass_audit",
     "params_for_rate", "simulate", "synthetic_dynamic_profile",
     "synthetic_ocp_set",

@@ -1,25 +1,26 @@
 """Nonlinear observability of the positive electrode.
 
-Extended Lie derivatives of the half-cell output h = U_p + eta_p are built
-by nested central finite differences (the output map runs through
-table-interpolated OCPs and regime switches, so there is no global closed
-form).  The J-order extended Lie derivative is
+The J-order extended Lie derivative of the half-cell output h = U_p + eta_p
+along dx/dt = f(x, u) is the J-th time derivative of y = h(x, u) along the
+flow, with u the applied current taken as u0 + u' t (higher input
+derivatives are zero):
 
     L^J = dL^{J-1}/dx . f + dL^{J-1}/du . u'
 
-with u the applied current, taken as u0 + u' t: the recursion takes
-(u0, u') only, higher input derivatives are zero, and under constant
-current the input term vanishes.
+`lie_stack` gets every L^J exactly in truncated Taylor arithmetic
+(`taylor.Jet`, Griewank & Walther, Evaluating Derivatives, SIAM 2008,
+ch. 13): with the input a jet, the series of x follows order by order from
+x_{k+1} = f(x, u)_k / (k + 1), and L^J = J! y_J.  The state gradients are
+one central difference of those exact values.
 
-The observability matrix stacks dL^J/dx for J = 0..n-1.  Because the state
-mixes concentrations (~1e4 mol/m^3) and the front radius (~1e-8 m), columns
-are normalized by characteristic state scales before rank and condition
-analysis; raw values are reported alongside.
+The observability matrix stacks dL^J/dx for J = 0..n-1 (Hermann & Krener,
+IEEE TAC 22, 1977).  Because the state mixes concentrations (~1e4 mol/m^3)
+and the front radius (~1e-8 m), columns are normalized by characteristic
+state scales before rank and condition analysis; raw values are reported
+alongside.
 
-The model's f and h work on arrays of (x, u) rows, each row by the float
-operations of one state, so `lie_stack` evaluates each order of the nested
-recursion as one array pass over the distinct points it reaches, bit for
-bit the scalar recursion.
+A sweep groups its points by regime, direction and core phase; each group,
+with the stencil rows of its gradients, goes through f and h in one pass.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CsespmError, ParameterError
+from .errors import CsespmError, ParameterError, PhaseDomainError
 from .ocp import OcpSet, synthetic_ocp_set
 from .output import (electrode_c_e_avg, exchange_current_density,
                      overpotential)
@@ -37,6 +38,7 @@ from .params import CellParameters
 from .records import write_csv_columns
 from .simulate import SimulationResult
 from .states import FullState, TWO_PHASE
+from .taylor import Jet, join, value
 from . import systems
 
 log = logging.getLogger(__name__)
@@ -48,9 +50,9 @@ class LieDerivativeError(CsespmError, ArithmeticError):
 
 @dataclass(frozen=True)
 class ObservabilityConfig:
-    """Finite-difference and rank-test settings."""
+    """Gradient-step and rank-test settings."""
 
-    jacobian_step: float = 1e-6     # relative FD step
+    jacobian_step: float = 1e-6     # relative central-difference step of the gradients
     rank_tol: float = 1e-8          # threshold factor on sigma_max * max(dim)
     stride_s: float = 30.0          # sweep subsampling interval
 
@@ -64,73 +66,107 @@ class ObservabilityConfig:
 
 
 def _rowwise(fun):
-    """fun of (m, n) state rows and an (m,) input column, also callable on
-    one state and a float input (then a 1-D array or a float)."""
+    """fun of (..., n) states and (...) inputs, arrays or jets, also
+    callable on one state and a float input (then a 1-D array or a float)."""
     def call(x, u):
-        if x.ndim == 2:
+        if x.ndim > 1:
             return fun(x, u)
         out = fun(x[None], np.array([u], dtype=float))[0]
         return float(out) if out.ndim == 0 else out
     return call
 
 
+def _shell_rows(blk: systems.SolidBlock, c, u, inner):
+    """dc/dt of a solid block's cells as fluxes w (c_j - c_i) between
+    neighbours, plus `inner` on the first cell and the surface flux of the
+    current u (a column) on the last."""
+    d = c[..., 1:] - c[..., :-1]
+    gain = blk.upper * d        # cell i from face i
+    loss = blk.lower * d        # cell i + 1 through face i
+    return join(gain[..., :1] + inner, gain[..., 1:] - loss[..., :-1],
+                blk.surface * u - loss[..., -1:])
+
+
 def positive_model(state: FullState, params: CellParameters, ocp: OcpSet,
-                   c_e_avg: float, config: ObservabilityConfig,
+                   c_e_avg: float | np.ndarray, config: ObservabilityConfig,
                    scheme: str = "fvm"):
     """(f, h, x0, x_scales) of the positive electrode at one trajectory point.
 
     One-phase: x = CV averages, dynamics linear in x.  Two-phase:
-    x = [shell averages, r_p]; the system matrices are rebuilt from each
-    state's own r_p.  Direction (hysteresis branch), core phase and the
-    electrolyte average are frozen at the sweep point.  The output takes the
-    OCP table's monotone cubic interpolation, which the nested finite
-    differences can differentiate.
+    x = [shell averages, r_p]; each state's shell rows and front speed come
+    from `systems.solid_block` and `systems.front_rate` on its own r_p.
+    Direction (hysteresis branch), core phase and the electrolyte average
+    are frozen at the sweep point.  The output takes the OCP table's
+    monotone cubic interpolation.
 
-    f and h take (m, n) rows of states and an (m,) input column and give
-    (m, n) rows and (m,) values, each row by the float operations of one
-    state alone; one state and a float input give a 1-D array and a float.
+    f and h take arrays or jets (`taylor.Jet`) of (..., n) states and (...)
+    inputs, row by row; one state and a float input give a 1-D array and a
+    float.  A state of P points of one regime, direction and core phase
+    ((P, N_r) cells, (P,) r_p and core_conc) with a (P,) c_e_avg gives (P, n)
+    x0, and f and h then take (P, m, n) states, each point's m rows under its
+    own core and electrolyte values.
     """
-    N_r = len(state.pos)
+    N_r = state.pos.shape[-1]
     direction = state.direction
     table = ocp.pick("pos", direction)
     R = params.R_s_p
     cmax = params.c_s_max_p
+    points = state.pos.ndim == 2
+    column = (lambda a: np.asarray(a, dtype=float)[:, None]) if points else float
+    c_e_avg = column(c_e_avg)
 
     def output(c_eff, u):
         """h of the rows' effective concentrations; a row outside the domain
         raises the SaturationError of the unchecked helpers."""
-        with np.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore", divide="ignore"):
             i0 = exchange_current_density(params, "pos", c_eff, c_e_avg, checked=True)
-        ok = (0.0 < c_eff) & (c_eff < cmax) & ~(c_e_avg <= 0.0) & ~(i0 <= 0.0)
+        c, ce, cu = np.broadcast_arrays(value(c_eff), c_e_avg, value(u))
+        ok = (0.0 < c) & (c < cmax) & ~(ce <= 0.0) & ~(value(i0) <= 0.0)
         if not ok.all():
-            j = int(np.argmin(ok))
-            overpotential(params, "pos", u[j],
-                          exchange_current_density(params, "pos", c_eff[j], c_e_avg))
+            j = np.unravel_index(np.argmin(ok), ok.shape)
+            overpotential(params, "pos", cu[j],
+                          exchange_current_density(params, "pos", c[j], ce[j]))
         return table(c_eff / cmax) + overpotential(params, "pos", u, i0, checked=True)
 
     if state.regime != TWO_PHASE:
-        sysm = systems.build_one_phase_solid_system(params, "pos", N_r, scheme)
+        blk = systems.solid_block(params, "pos", 0.0, N_r, scheme)
         dr = R / N_r
         grad_per_amp = 1.0 / (params.D_s_p * params.F * params.A_cell
                               * params.L_p * params.a_s("pos"))
 
+        def f(x, u):
+            return _shell_rows(blk, x, u[..., None], 0.0)
+
         def h(x, u):
-            return output(x[:, -1] + 0.5 * dr * grad_per_amp * u, u)
+            return output(x[..., -1] + 0.5 * dr * grad_per_amp * u, u)
 
-        x0 = state.pos.copy()
-        scales = np.full(N_r, cmax)
-        return _rowwise(sysm.rhs), _rowwise(h), x0, scales
+        return _rowwise(f), _rowwise(h), state.pos.copy(), np.full(N_r, cmax)
 
-    core_conc, core_phase = state.core_conc, state.core_phase
+    core_conc = column(state.core_conc)
+    g, c_core = systems.interface_values(params, state.core_phase, direction)
 
     def f(x, u):
-        return systems.build_two_phase_system(params, x[:, -1:], u[:, None], N_r, direction,
-                                              core_phase, scheme).rhs(x, u)
+        c, r_p = x[..., :-1], x[..., -1:]
+        r = value(r_p)
+        inside = (0.0 < r) & (r < R)
+        if not inside.all():
+            raise PhaseDomainError(f"r_p={float(r[~inside][0])!r} outside (0, R_s_p); "
+                                   "transition regimes first")
+        blk = systems.solid_block(params, "pos", r_p, N_r, scheme)
+        k, _ = systems.front_rate(params, r_p, N_r, g, c_core)
+        on = (value(u) != 0.0)[..., None] * 1.0     # no conversion at rest
+        c_in = c[..., :1]
+        return join(_shell_rows(blk, c, u[..., None], on * blk.inner * (g - c_in)),
+                    on * k * (c_in - g))
 
     def h(x, u):
-        return output(systems.two_phase_bulk(x[:, :-1], x[:, -1], core_conc, R), u)
+        c, r_p = x[..., :-1], x[..., -1:]
+        vols = systems.spherical_cells(r_p, R, N_r)[2]
+        r = r_p[..., 0]
+        moles = (vols * c).sum(axis=-1) + systems.FOUR_THIRDS_PI * r * r * r * core_conc
+        return output(moles / (systems.FOUR_THIRDS_PI * R**3), u)
 
-    x0 = np.concatenate([state.pos, [state.r_p]])
+    x0 = np.concatenate([state.pos, np.asarray(state.r_p, dtype=float)[..., None]], axis=-1)
     scales = np.concatenate([np.full(N_r, cmax), [R]])
     return _rowwise(f), _rowwise(h), x0, scales
 
@@ -138,100 +174,50 @@ def positive_model(state: FullState, params: CellParameters, ocp: OcpSet,
 # --- extended Lie derivatives --------------------------------------------------
 
 
-def _unique_rows(rows: np.ndarray):
-    """The distinct rows by their exact bytes (so 0.0 and -0.0 differ), and
-    the index of each given row among them."""
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return rows[first], inverse
-
-
-def lie_stack(f, h, x0: np.ndarray, u0: float, u_dot: float,
-              orders: int, config: ObservabilityConfig,
-              x_scales: np.ndarray, u_scale: float):
+def lie_stack(f, h, x0: np.ndarray, u0, u_dot, orders: int,
+              config: ObservabilityConfig, x_scales: np.ndarray):
     """Values and state gradients of L^0..L^{orders-1} at (x0, u0).
 
-    ``u_dot`` is the input derivative u'; the recursion's d/du term is
-    evaluated only when it is nonzero.  Gradients use second-order central
-    differences with steps jacobian_step * max(|x_i|, x_scale_i), and the
-    d/du term the step jacobian_step * max(|u|, u_scale).
-
-    The nested recursion runs level by level on the (x, u) points it
-    reaches.  L^{orders-1} is needed on T, (x0, u0) and its state stencil;
-    L^{k-1} on T and on the stencils of L^k's points (state, and input
-    when u' != 0).  Each point is made by the scalar recursion's float
-    operations and kept once by its exact bytes.  h runs once, on the rows
-    of L^0's set, and f once, on those of L^1's, which holds every higher
-    set; each order is then one array pass: indexed central differences
-    dotted with f, plus the d/du difference times u'.  Every value and
-    gradient equals the plain recursion's bit for bit.
+    The values are exact in truncated Taylor arithmetic: f runs orders - 1
+    times and h once, each on the jets of x0 and of its stencil together.
+    The gradients are central differences of those values with steps
+    jacobian_step * max(|x_i|, x_scale_i).  Of one state: (orders,) values
+    and (orders, n) gradients; of (P, n) states with (P,) u0 and u_dot:
+    (P, orders) and (P, orders, n).
     """
-    eps = config.jacobian_step
-    n = len(x0)
-    width = 2 * n + (2 if u_dot != 0.0 else 0)
-
-    def stencil(P):
-        """(m, width, n + 1) neighbours of (x, u) rows, x_j + d_j and x_j - d_j
-        for each j, then u + du and u - du; and the steps d and du."""
-        d = eps * np.maximum(np.abs(P[:, :n]), x_scales)
-        S = np.repeat(P[:, None, :], width, axis=1)
-        j = np.arange(n)
-        S[:, 2 * j, j] += d
-        S[:, 2 * j + 1, j] -= d
-        du = eps * np.maximum(np.abs(P[:, n]), u_scale)
-        if u_dot != 0.0:
-            S[:, 2 * n, n] += du
-            S[:, 2 * n + 1, n] -= du
-        return S, d, du
-
-    p0 = np.append(x0, u0)[None]
-    S0, d0, _ = stencil(p0)
-    top = np.concatenate([p0, S0[0, :2 * n]])
-    # from order orders-1 down: each order's rows, the indices of T among
-    # them and, from order 1 on, the steps and the indices of the stencil
-    # and of the rows themselves among the rows of the order below
-    P, at = _unique_rows(top)
-    sets, tops, links = [P], [at], []
-    for _ in range(orders - 1):
-        S, d, du = stencil(P)
-        m = len(P)
-        P, at = _unique_rows(np.concatenate([P, top, S.reshape(-1, n + 1)]))
-        sets.append(P)
-        tops.append(at[m:m + len(top)])
-        links.append((d, du, at[m + len(top):].reshape(m, width), at[:m]))
-    sets, tops, links = sets[::-1], tops[::-1], links[::-1]
-
-    L = h(sets[0][:, :n], sets[0][:, n])
+    x = np.atleast_2d(x0)
+    P, n = x.shape
+    d = config.jacobian_step * np.maximum(np.abs(x), x_scales)
+    # each point, then its state plus and minus d_j for each j
+    rows = np.repeat(x[:, None, :], 2 * n + 1, axis=1)
+    j = np.arange(n)
+    rows[:, 1 + 2 * j, j] += d
+    rows[:, 2 + 2 * j, j] -= d
+    series = np.zeros((orders,) + rows.shape)
+    series[0] = rows
+    u = np.zeros((orders, P, 2 * n + 1))
+    u[0] = np.atleast_1d(u0)[:, None]
     if orders > 1:
-        F = f(sets[1][:, :n], sets[1][:, n])
-        f_at = np.arange(len(sets[1]))
-    values, grads = [], []
-    for order in range(orders):
-        if order:
-            d, du, st, below = links[order - 1]
-            if order > 1:
-                f_at = f_at[below]
-            nxt = np.vecdot((L[st[:, 0:2 * n:2]] - L[st[:, 1:2 * n:2]]) / (2.0 * d), F[f_at])
-            if u_dot != 0.0:
-                nxt = nxt + (L[st[:, -2]] - L[st[:, -1]]) / (2.0 * du) * u_dot
-            L = nxt
-        t = tops[order]
-        v = L[t[0]]
-        g = (L[t[1::2]] - L[t[2::2]]) / (2.0 * d0[0])
-        if not (math.isfinite(v) and np.isfinite(g).all()):
-            raise LieDerivativeError(f"non-finite Lie derivative at order {order}")
-        values.append(float(v))
-        grads.append(g)
-    return values, grads
+        u[1] = np.atleast_1d(u_dot)[:, None]
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for k in range(orders - 1):
+            rate = f(Jet(series[:k + 1]), Jet(u[:k + 1]))
+            series[k + 1] = rate.c[k] / (k + 1)
+        y = h(Jet(series), Jet(u))
+        L = y.c * np.cumprod([1.0, *range(1, orders)])[:, None, None]
+        values = L[:, :, 0].T
+        grads = ((L[:, :, 1::2] - L[:, :, 2::2]) / (2.0 * d)).transpose(1, 0, 2)
+    bad = ~(np.isfinite(values) & np.isfinite(grads).all(axis=-1)).all(axis=0)
+    if bad.any():
+        raise LieDerivativeError(f"non-finite Lie derivative at order {int(np.argmax(bad))}")
+    return (values, grads) if x0.ndim == 2 else (values[0], grads[0])
 
 
-def observability_matrix(f, h, x0: np.ndarray, u0: float, u_dot: float,
-                         config: ObservabilityConfig, x_scales: np.ndarray,
-                         u_scale: float) -> np.ndarray:
-    """Raw stacked-gradient matrix, one row per Lie order 0..n-1."""
-    n = len(x0)
-    _, grads = lie_stack(f, h, x0, u0, u_dot, n, config, x_scales, u_scale)
-    return np.vstack(grads)
+def observability_matrix(f, h, x0: np.ndarray, u0, u_dot,
+                         config: ObservabilityConfig, x_scales: np.ndarray) -> np.ndarray:
+    """Raw stacked-gradient matrix, one row per Lie order 0..n-1; (P, n, n)
+    of (P, n) states."""
+    return lie_stack(f, h, x0, u0, u_dot, x0.shape[-1], config, x_scales)[1]
 
 
 def scale_columns(O: np.ndarray, x_scales: np.ndarray) -> np.ndarray:
@@ -241,15 +227,17 @@ def scale_columns(O: np.ndarray, x_scales: np.ndarray) -> np.ndarray:
 
 def rank_and_condition(O: np.ndarray, config: ObservabilityConfig | None = None):
     """(rank, cond, sigma_min) by one SVD; cond = sigma_max/sigma_min, inf
-    when rank-deficient."""
+    when rank-deficient.  A (P, m, n) stack gives (P,) arrays by one
+    stacked SVD."""
     config = config or ObservabilityConfig()
     s = np.linalg.svd(O, compute_uv=False)
-    if s[0] == 0.0:
-        return 0, math.inf, 0.0
-    tol = config.rank_tol * s[0] * max(O.shape)
-    rank = int(np.sum(s > tol))
-    cond = math.inf if rank < min(O.shape) else float(s[0] / s[-1])
-    return rank, cond, float(s[-1])
+    top, low = s[..., 0], s[..., -1]
+    rank = np.sum(s > (config.rank_tol * top * max(O.shape[-2:]))[..., None], axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = np.where(rank < min(O.shape[-2:]), math.inf, top / low)
+    if O.ndim == 2:
+        return int(rank), float(cond), float(low)
+    return rank, cond, low
 
 
 # --- trajectory sweeps -----------------------------------------------------------
@@ -310,46 +298,69 @@ def sweep(result: SimulationResult, params: CellParameters,
 
     The first input derivative is estimated by backward differencing of the
     recorded current (zero under constant current and on a row with no
-    earlier time); higher derivatives are taken as zero.  The d/du step
-    scales with the 1C current.  A point whose evaluation fails is skipped
-    and recorded in ``skipped``, with one warning per sweep.
+    earlier time); higher derivatives are taken as zero.  The points of one
+    regime, direction and core phase are evaluated together (`positive_model`
+    of their rows).  A point whose evaluation fails is skipped and recorded
+    in ``skipped``, with one warning per sweep; when a group fails, each of
+    its points is evaluated alone.
     """
     config = config or ObservabilityConfig()
     ocp = ocp or synthetic_ocp_set(params)
     scheme = scheme or result.meta.get("scheme", "fvm")
-    stride = config.stride_s
-    u_scale = params.current_for_c_rate(1.0)
 
-    out = ObservabilitySweep()
+    picked, inputs, groups = [], [], {}
     next_t = -math.inf
     for i in range(len(result)):
         t = float(result.time[i])
         if t < next_t:
             continue
-        next_t = t + stride
-        state = result.state_at(i)
-        u0 = float(result.current[i])
+        next_t = t + config.stride_s
         if i == 0 or result.time[i] == result.time[i - 1]:
             i_dot = 0.0
         else:
             i_dot = (result.current[i] - result.current[i - 1]) / (
                 result.time[i] - result.time[i - 1])
-        c_e_avg = electrode_c_e_avg(params, state.elec, "pos",
-                                    result.meta["split"])
+        c_e_avg = electrode_c_e_avg(params, result.elec_c[i], "pos", result.meta["split"])
+        key = (result.regime[i], result.direction[i], result.core_phase[i])
+        groups.setdefault(key, []).append(len(picked))
+        picked.append(i)
+        inputs.append((float(result.current[i]), float(i_dot), c_e_avg))
+
+    def evaluate(state, u0, u_dot, c_e_avg):
+        f, h, x0, scales = positive_model(state, params, ocp, c_e_avg, config, scheme)
+        O = observability_matrix(f, h, x0, u0, u_dot, config, scales)
+        rank, cond_s, smin = rank_and_condition(scale_columns(O, scales), config)
+        return rank, cond_s, rank_and_condition(O, config)[1], smin, len(scales)
+
+    found = {}
+    for (regime, direction, core_phase), members in groups.items():
+        idx = np.array([picked[k] for k in members])
+        u0, u_dot, c_e_avg = (np.array(col) for col in zip(*(inputs[k] for k in members)))
+        rows = FullState(result.neg_c[idx], result.pos_c[idx], result.elec_c[idx], regime,
+                         result.r_p[idx] * result.meta["R_s_p"], result.core_conc[idx],
+                         core_phase, direction)
         try:
-            f, h, x0, scales = positive_model(state, params, ocp, c_e_avg,
-                                              config, scheme)
-            O = observability_matrix(f, h, x0, u0, i_dot, config, scales, u_scale)
-            Os = scale_columns(O, scales)
-            rank, cond_s, smin = rank_and_condition(Os, config)
-            _, cond_r, _ = rank_and_condition(O, config)
-        except CsespmError as exc:
-            out.skipped.append((t, str(exc)))
+            ranks, conds, raw_conds, smins, n = evaluate(rows, u0, u_dot, c_e_avg)
+            for k, *cols in zip(members, ranks, conds, raw_conds, smins):
+                found[k] = (*cols, n)
+        except CsespmError:
+            for k in members:
+                try:
+                    found[k] = evaluate(result.state_at(picked[k]), *inputs[k])
+                except CsespmError as exc:
+                    found[k] = str(exc)
+
+    out = ObservabilitySweep()
+    for k, i in enumerate(picked):
+        t = float(result.time[i])
+        if isinstance(found[k], str):
+            out.skipped.append((t, found[k]))
             continue
+        rank, cond_s, cond_r, smin, n = found[k]
         out.points.append(ObservabilityPoint(
             time=t, soc_p=float(result.soc_p[i]), regime=result.regime[i],
-            rank=rank, full_rank_needed=len(x0), cond_scaled=cond_s,
-            cond_raw=cond_r, sigma_min_scaled=smin))
+            rank=int(rank), full_rank_needed=n, cond_scaled=float(cond_s),
+            cond_raw=float(cond_r), sigma_min_scaled=float(smin)))
     if out.skipped:
         t, reason = out.skipped[0]
         log.warning("%d sweep points skipped, the first at t=%.1fs: %s",

@@ -8,6 +8,7 @@ CSV (theta, volts) with a header row can be substituted.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -17,6 +18,7 @@ from scipy.interpolate import PchipInterpolator
 from .errors import CsespmError, ParameterError
 from .params import CellParameters
 from .records import read_csv_columns, tally, write_csv_columns
+from .taylor import Jet, value
 
 log = logging.getLogger(__name__)
 
@@ -47,12 +49,14 @@ class OcpTable:
     def __call__(self, theta):
         """Monotone cubic (PCHIP) interpolation, smooth enough for the
         observability model to differentiate: a float of a float, or an
-        array of an array of theta, in one evaluation.
+        array of an array of theta, in one evaluation.  A jet of theta
+        (`taylor.Jet`) gives the jet of U, exact on the cubic piece of its
+        value: the sum of U^(j)/j! delta^j.
 
         Constant extrapolation at the table ends, with one logged warning
         per call that counts the values extrapolated.
         """
-        t = np.asarray(theta, dtype=float)
+        t = np.asarray(value(theta), dtype=float)
         bad = ~((0.0 <= t) & (t <= 1.0))
         if bad.any():
             raise OcpDomainError(f"theta={float(t[bad].flat[0])!r} outside [0, 1]")
@@ -63,6 +67,11 @@ class OcpTable:
                         "[%.3f, %.3f])", outside.sum(), t[outside].flat[0], self.electrode,
                         self.direction, lo, hi)
             t = np.clip(t, lo, hi)
+        if isinstance(theta, Jet):
+            coefs = [self._pchip(t)]
+            for j in range(1, min(len(theta.c), 4)):
+                coefs.append(np.where(outside, 0.0, self._pchip(t, nu=j) / math.factorial(j)))
+            return theta.series(coefs)
         v = self._pchip(t)
         return float(v) if v.ndim == 0 else v
 

@@ -12,7 +12,10 @@ The solid assembly and the helpers below it take one member (float radii
 and parameters, 1-D cell arrays) or B members at once (`params.
 ParameterColumns`, (B, 1) columns of radii, (B, N) rows of cells) with the
 same arithmetic, so the batched simulation of `simulate.simulate_many`
-reproduces each member's serial run bit for bit.
+reproduces each member's serial run bit for bit.  The geometry, the solid
+assembly and the front rate also take jets (`taylor.Jet`) of radii, whose
+values they compute by the same float operations: the observability model
+differentiates the simulation's own assembly along the flow.
 
 Both schemes share one solid assembly (`solid_block`) and differ only in
 the geometry it is fed (`cell_geometry`): the FVM's CV volumes and 4 pi f^2
@@ -40,6 +43,7 @@ import numpy as np
 
 from .errors import ParameterError, PhaseDomainError
 from .params import CellParameters
+from .taylor import join
 
 # with I > 0 on discharge, lithium enters the positive particle and leaves
 # the negative particle
@@ -84,9 +88,9 @@ def unit_faces(n: int) -> np.ndarray:
 
 
 def cell_value(a: np.ndarray, k: int):
-    """Cell k of one member's cells (a float) or of B members' rows (a (B, 1)
-    column)."""
-    return a[k] if a.ndim == 1 else a[:, k, None]
+    """Cell k of one member's cells (a float) or of rows (a column: (B, 1)
+    of B members' (B, N) rows), arrays or jets."""
+    return a[k] if a.ndim == 1 else a[..., k, None]
 
 
 def set_cell(a: np.ndarray, k: int, value):
@@ -146,11 +150,10 @@ def tridiagonal(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
 def exchange_diagonal(w_lo: np.ndarray, w_hi: np.ndarray) -> np.ndarray:
     """Diagonal of a nearest-neighbour coupling: row i + 1 gains w_lo[i] x_i,
     row i gains w_hi[i] x_{i+1}, and each diagonal entry loses what its row
-    gains, so every exchange between neighbours balances."""
-    diag = np.zeros(w_lo.shape[:-1] + (w_lo.shape[-1] + 1,))
-    diag[..., 1:] -= w_lo
-    diag[..., :-1] -= w_hi
-    return diag
+    gains, so every exchange between neighbours balances.  Entry i is
+    (0 - w_lo[i - 1]) - w_hi[i], an absent weight counting 0; of arrays or
+    jets."""
+    return (0.0 - join(0.0, w_lo)) - join(w_hi, 0.0)
 
 
 def cell_geometry(r_inner: float, r_outer: float, n: int, scheme: str = "fvm"):
@@ -294,40 +297,6 @@ def front_rate(params: CellParameters, r_p: float, N_r: int, g: float,
     dr = (params.R_s_p - r_p) / N_r
     dc = c_core - g
     return 2.0 * params.D_s_p / (dr * dc), -2.0 * params.D_s_p * g / (dr * dc)
-
-
-def build_two_phase_system(params: CellParameters, r_p: float, current: float,
-                           N_r: int, direction: str | None = None,
-                           core_phase: str | None = None,
-                           scheme: str = "fvm") -> AffineSystem:
-    """Shell diffusion plus the moving-boundary ODE, state [c_1..c_N, r_p].
-
-    The interface Dirichlet value g of `interface_values` enters through G;
-    at I = 0 the interface carries no flux (no conversion) and the front is
-    frozen, so a uniform shell stays uniform and dr_p/dt = 0.  direction
-    defaults to the current's, core_phase to the one entered in it.
-
-    (m, 1) columns of r_p and of currents give each row's system: (m, n, n)
-    A and (m, n) B and G, whose `rhs` takes (m, n) rows.
-    """
-    if direction is None:
-        direction = direction_for_current(current)
-    if core_phase is None:
-        core_phase = entry_core_phase(direction)
-    g, c_core = interface_values(params, core_phase, direction)
-    blk, g_row = shell_block(params, r_p, current, N_r, g, scheme)
-
-    n = N_r + 1
-    A = tridiagonal(blk.lower, blk.diag, blk.upper, size=n)
-    B = np.zeros(A.shape[:-1])
-    set_cell(B, N_r - 1, blk.surface)
-    G = np.zeros(A.shape[:-1])
-    set_cell(G, 0, g_row)
-    k, k0 = front_rate(params, r_p, N_r, g, c_core)
-    on = current != 0.0
-    set_cell(A[..., N_r, :], 0, np.where(on, k, 0.0))
-    set_cell(G, N_r, np.where(on, k0, 0.0))
-    return AffineSystem(A, B, G)
 
 
 def build_electrolyte_system(params: CellParameters, N_e: int,

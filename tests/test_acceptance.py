@@ -242,7 +242,7 @@ def test_criterion_9_thin_shell_degeneracy(params, ocp):
                        direction="ch")
         f, h, x0, scales = positive_model(st, params, ocp, params.c_e0, cfg)
         u0 = -params.current_for_c_rate(1.0)
-        O = observability_matrix(f, h, x0, u0, 0.0, cfg, scales, abs(u0))
+        O = observability_matrix(f, h, x0, u0, 0.0, cfg, scales)
         s = np.linalg.svd(scale_columns(O, scales), compute_uv=False)
         sigmas.append(float(s[-1] / s[0]))
     ok = sigmas[0] > sigmas[1] > sigmas[2]
@@ -283,7 +283,7 @@ def test_criterion_10_lie_derivative_oracle(params, ocp):
         h0 = h(x0, u0)
         h_lin = lambda x, u: h0 + (x - x0) @ C + d_u * (u - u0)  # noqa: E731
         A = systems.build_one_phase_solid_system(p, "pos", 2).A
-        O = observability_matrix(f, h_lin, x0, u0, 0.0, cfg, scales, u_scale)
+        O = observability_matrix(f, h_lin, x0, u0, 0.0, cfg, scales)
         O_true = np.vstack([C, C @ A])
         err = np.abs(O - O_true).max() / np.abs(O_true).max()
         worst = max(worst, float(err))

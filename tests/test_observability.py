@@ -6,11 +6,15 @@ from csespm.observability import (LieDerivativeError, ObservabilityConfig,
                                   lie_stack, observability_matrix,
                                   positive_model, rank_and_condition,
                                   scale_columns, sweep)
+from csespm.ocp import OcpSet, OcpTable
 from csespm.output import electrode_c_e_avg
 from csespm.params import DiscretizationConfig
-from csespm.simulate import SolverConfig, cc_profile, initial_state, simulate
+from csespm.simulate import (SolverConfig, cc_profile, initial_state, simulate,
+                             synthetic_dynamic_profile)
 from csespm.states import FullState, TWO_PHASE
 from csespm import systems
+
+from dense_systems import two_phase_system
 
 CFG = ObservabilityConfig()
 
@@ -43,6 +47,18 @@ def test_rank_and_condition_basics():
     assert rank_and_condition(np.zeros((2, 2))) == (0, np.inf, 0.0)
 
 
+def test_rank_and_condition_of_a_stack(rng):
+    """A stack of matrices gives each matrix's rank, cond and sigma_min, as
+    alone."""
+    O = rng.standard_normal((6, 4, 4))
+    O[1, -1] = O[1, 0]
+    O[4] = 0.0
+    ranks, conds, smins = rank_and_condition(O)
+    for k in range(len(O)):
+        assert (ranks[k], conds[k], smins[k]) == rank_and_condition(O[k])
+    assert list(ranks[[1, 4]]) == [3, 0]
+
+
 def test_rank_invariant_under_column_scaling(rng):
     for _ in range(25):
         n = rng.integers(2, 5)
@@ -62,8 +78,7 @@ def test_dimension_contracts(params, ocp):
         disc = DiscretizationConfig(N_r=N_r, N_e=6)
         st = initial_state(params, disc, soc, "dis")
         f, h, x0, scales = positive_model(st, params, ocp, params.c_e0, CFG)
-        O = observability_matrix(f, h, x0, 10.0, 0.0, CFG, scales,
-                                 params.current_for_c_rate(1.0))
+        O = observability_matrix(f, h, x0, 10.0, 0.0, CFG, scales)
         assert O.shape == (want, want)
 
 
@@ -71,25 +86,29 @@ def test_order_zero_is_ocp_at_rest(params, ocp):
     disc = DiscretizationConfig(N_r=2, N_e=6)
     st = initial_state(params, disc, 0.9, "dis")
     f, h, x0, scales = positive_model(st, params, ocp, params.c_e0, CFG)
-    vals, _ = lie_stack(f, h, x0, 0.0, 0.0, 1, CFG, scales,
-                        params.current_for_c_rate(1.0))
+    vals, _ = lie_stack(f, h, x0, 0.0, 0.0, 1, CFG, scales)
     theta = systems.surface_concentration(
         st.pos, 0.0, params, "pos", params.R_s_p / 2) / params.c_s_max_p
     assert vals[0] == pytest.approx(ocp.pos_dis(theta), abs=1e-12)
 
 
 def test_linear_oracle_gradient(params, ocp):
-    """For linear dynamics and a linearized output, dL1/dx must equal C A."""
-    disc = DiscretizationConfig(N_r=2, N_e=6)
+    """For the linear one-phase dynamics and a linear output the stack is
+    [C; CA; CA^2; CA^3] to 1e-10 of each row's largest entry, also with
+    u' != 0, which moves the values but not the gradients.  A linear stack
+    has no truncation error, so the step is 1e-3: at 1e-6 the rounding of
+    the 3.4 V output alone moves row 0 by 4e-10."""
+    cfg = ObservabilityConfig(jacobian_step=1e-3)
+    disc = DiscretizationConfig(N_r=4, N_e=6)
     st = initial_state(params, disc, 0.9, "ch")
-    f, h, x0, scales = positive_model(st, params, ocp, params.c_e0, CFG)
+    f, h, x0, scales = positive_model(st, params, ocp, params.c_e0, cfg)
     u0 = -params.current_for_c_rate(1.0)
-    u_scale = abs(u0)
-    h_lin, C = linearized_output(h, x0, u0, scales, u_scale)
-    A = systems.build_one_phase_solid_system(params, "pos", 2).A
-    _, grads = lie_stack(f, h_lin, x0, u0, 0.0, 2, CFG, scales, u_scale)
-    assert np.allclose(grads[0], C, rtol=1e-8)
-    assert np.allclose(grads[1], C @ A, rtol=1e-4)
+    h_lin, C = linearized_output(h, x0, u0, scales, abs(u0))
+    A = systems.build_one_phase_solid_system(params, "pos", 4).A
+    want = np.vstack([C @ np.linalg.matrix_power(A, k) for k in range(4)])
+    for u_dot in (0.0, 0.05):
+        O = observability_matrix(f, h_lin, x0, u0, u_dot, cfg, scales)
+        assert np.all(np.abs(O - want).max(axis=1) <= 1e-10 * np.abs(want).max(axis=1))
 
 
 def test_input_derivative_terms_enter(params, ocp):
@@ -101,48 +120,45 @@ def test_input_derivative_terms_enter(params, ocp):
     u0 = -params.current_for_c_rate(1.0)
     u_scale = abs(u0)
     h_lin, C = linearized_output(h, x0, u0, scales, u_scale)
-    vals0, grads0 = lie_stack(f, h_lin, x0, u0, 0.0, 2, CFG, scales, u_scale)
-    vals1, grads1 = lie_stack(f, h_lin, x0, u0, 0.5, 2, CFG, scales, u_scale)
+    vals0, grads0 = lie_stack(f, h_lin, x0, u0, 0.0, 2, CFG, scales)
+    vals1, grads1 = lie_stack(f, h_lin, x0, u0, 0.5, 2, CFG, scales)
     assert vals1[1] != pytest.approx(vals0[1])
     assert np.allclose(grads1[1], grads0[1], rtol=1e-6)
 
 
 def test_richardson_step_halving(params, ocp):
-    """Central differences: halving the step divides the error by about 4."""
+    """The gradients are one central difference of exact values: halving the
+    step divides the error of every order's gradient by about 4."""
     disc = DiscretizationConfig(N_r=2, N_e=6)
     st = initial_state(params, disc, 0.45, "dis")
     assert st.regime == TWO_PHASE
     u0 = params.current_for_c_rate(1.0)
-    u_scale = abs(u0)
     f, h, x0, scales = positive_model(st, params, ocp, params.c_e0, CFG)
 
-    def grad_h(step):
+    def grads(step):
         cfg = ObservabilityConfig(jacobian_step=step)
-        _, grads = lie_stack(f, h, x0, u0, 0.0, 1, cfg, scales, u_scale)
-        return grads[0]
+        return lie_stack(f, h, x0, u0, 0.0, len(x0), cfg, scales)[1]
 
-    g1 = grad_h(4e-4)
-    g2 = grad_h(2e-4)
-    g4 = grad_h(1e-4)
-    err1 = np.abs(g1 - g4)
-    err2 = np.abs(g2 - g4)
-    mask = err1 > np.abs(g4).max() * 1e-9
-    ratio = err1[mask] / np.maximum(err2[mask], 1e-300)
-    # second-order convergence: expect roughly 4 (Richardson uses the
-    # difference-to-finer as the error proxy, giving ~ (4-1)/(1-1/4) bands)
-    assert np.median(ratio) > 2.5
+    g1, g2, g4 = grads(4e-4), grads(2e-4), grads(1e-4)
+    for order in range(len(x0)):
+        err1 = np.abs(g1[order] - g4[order])
+        err2 = np.abs(g2[order] - g4[order])
+        mask = err1 > np.abs(g4[order]).max() * 1e-9
+        assert mask.any()
+        ratio = err1[mask] / np.maximum(err2[mask], 1e-300)
+        # second order: errors e(4d) - e(d) = 15 c d^2 and e(2d) - e(d) = 3 c d^2
+        assert 4.0 < np.median(ratio) < 6.0
 
 
 def test_nonfinite_reports_failing_order(params, ocp):
     def f(x, u):
-        return np.full_like(x, np.nan)
+        return x * np.nan
 
     def h(x, u):
-        return x[:, 0]
+        return x[..., 0]
 
     with pytest.raises(LieDerivativeError, match="order 1"):
-        lie_stack(f, h, np.array([1.0, 2.0]), 1.0, 0.0, 2, CFG,
-                  np.ones(2), 1.0)
+        lie_stack(f, h, np.array([1.0, 2.0]), 1.0, 0.0, 2, CFG, np.ones(2))
 
 
 def test_thin_shell_degeneracy(params, ocp):
@@ -158,7 +174,7 @@ def test_thin_shell_degeneracy(params, ocp):
                        direction="ch")
         f, h, x0, scales = positive_model(st, params, ocp, params.c_e0, CFG)
         u0 = -params.current_for_c_rate(1.0)
-        O = observability_matrix(f, h, x0, u0, 0.0, CFG, scales, abs(u0))
+        O = observability_matrix(f, h, x0, u0, 0.0, CFG, scales)
         s = np.linalg.svd(scale_columns(O, scales), compute_uv=False)
         ratios.append(s[-1] / s[0])
     assert ratios[0] > ratios[1] > ratios[2]
@@ -204,14 +220,14 @@ def test_sweep_counts_skipped_points(params, ocp, monkeypatch, caplog):
         f"2 sweep points skipped, the first at t=100.0s: {reason}"]
 
 
-# --- level-set Lie stack -------------------------------------------------------------
 
-def nested_lie_stack(f, h, x0, u0, u_dot, orders, config, x_scales, u_scale):
-    """The plain nested central-difference recursion in (u0, u'), every level
-    recomputed from scratch on one state at a time; the reference the
-    level-set ``lie_stack`` must reproduce."""
-    eps = config.jacobian_step
 
+# --- the nested recursion: the reference ------------------------------------------
+
+def nested_lie_stack(f, h, x0, u0, u_dot, orders, eps, x_scales, u_scale):
+    """The extended Lie derivatives by the paper's nested central differences
+    in (x, u), every level recomputed from scratch on one state at a time:
+    steps eps * max(|x_j|, x_scale_j) in x and eps * max(|u|, u_scale) in u."""
     def grad_x(fun, x, u):
         g = np.empty(len(x))
         for j in range(len(x)):
@@ -240,19 +256,40 @@ def nested_lie_stack(f, h, x0, u0, u_dot, orders, config, x_scales, u_scale):
         grads.append(grad_x(L, x0, u0))
         if order < orders - 1:
             L = lift(L)
-    return values, grads
+    return np.array(values), np.array(grads)
+
+
+def plateau_zero(ocp):
+    """The OCP set with each positive table moved to 0 V on its plateau: it
+    changes L^0 by a constant and no other order or gradient, and keeps the
+    nested differences clear of the rounding of a 3.4 V output."""
+    def moved(t):
+        return OcpTable(t.electrode, t.direction, t.theta, t.volts - np.median(t.volts))
+    return OcpSet(ocp.neg, moved(ocp.pos_ch), moved(ocp.pos_dis))
+
+
+def input_rate(res, i):
+    """The sweep's backward difference of the recorded current at row i."""
+    if i == 0 or res.time[i] == res.time[i - 1]:
+        return 0.0
+    return float((res.current[i] - res.current[i - 1]) / (res.time[i] - res.time[i - 1]))
 
 
 @pytest.fixture(scope="module")
 def charge_1c(params, ocp):
     """1C charges from SOC 0 at N_r = 3 and 4 (FVM) and at N_r = 3 (FDM),
-    keyed by (scheme, N_r)."""
+    keyed by (scheme, N_r), and the 600 s synthetic drive profile from SOC
+    0.6 at N_r = 3 (fingerprint fixture sweep_dynamic_nr3), keyed "dynamic"."""
     out = {}
     for scheme, N_r in (("fvm", 3), ("fvm", 4), ("fdm", 3)):
         disc = DiscretizationConfig(N_r=N_r, N_e=6, scheme=scheme)
         out[scheme, N_r] = simulate(cc_profile(params, 1.0, "ch"),
                                     initial_state(params, disc, 0.0, "ch"), params, disc,
                                     SolverConfig(cutoffs_enabled=False), ocp=ocp)
+    disc = DiscretizationConfig(N_r=3, N_e=6)
+    out["dynamic"] = simulate(synthetic_dynamic_profile(params, duration=600.0),
+                              initial_state(params, disc, 0.6, "dis"), params, disc,
+                              SolverConfig(cutoffs_enabled=False), ocp=ocp)
     return out
 
 
@@ -267,30 +304,147 @@ def first_two_phase(res):
     return next(i for i in range(len(res)) if res.regime[i] == TWO_PHASE) + 300
 
 
-@pytest.mark.parametrize("N_r, regime, u_dot, scheme", [
-    pytest.param(*case, id="-".join(map(str, case[:3])) + ("" if case[3] == "fvm" else "-fdm"))
-    for case in ((3, "one_phase", 0.0, "fvm"), (3, "one_phase", 0.02, "fvm"),
-                 (3, TWO_PHASE, 0.0, "fvm"), (3, TWO_PHASE, 0.02, "fvm"),
-                 (4, TWO_PHASE, 0.0, "fvm"), (4, TWO_PHASE, 0.02, "fvm"),
-                 (3, "one_phase", 0.0, "fdm"), (3, "one_phase", 0.02, "fdm"),
-                 (3, TWO_PHASE, 0.0, "fdm"), (3, TWO_PHASE, 0.02, "fdm"))])
-def test_memoized_lie_stack_is_bit_identical(params, ocp, charge_1c, N_r, regime, u_dot,
-                                             scheme):
-    """Each point of a level set is made by the float operations of the
-    scalar recursion, and f and h work on each row as on one state, so every
-    Lie value and gradient equals the plain recursion's exactly, for both
-    schemes.  A nonzero u' exercises the input-derivative term."""
+def dynamic_rows(res):
+    """Rows of the drive profile's 7 s sweep where the current changes."""
+    picked, next_t = [], -np.inf
+    for i, t in enumerate(res.time):
+        if t >= next_t:
+            next_t = t + 7.0
+            if input_rate(res, i) != 0.0:
+                picked.append(i)
+    return picked
+
+
+CASES = [pytest.param(*case, id="-".join(map(str, case[:3])) + ("" if case[3] == "fvm" else "-fdm"))
+         for case in ((3, "one_phase", 0.0, "fvm"), (3, "one_phase", 0.02, "fvm"),
+                      (3, TWO_PHASE, 0.0, "fvm"), (3, TWO_PHASE, 0.02, "fvm"),
+                      (4, TWO_PHASE, 0.0, "fvm"), (4, TWO_PHASE, 0.02, "fvm"),
+                      (3, "one_phase", 0.0, "fdm"), (3, "one_phase", 0.02, "fdm"),
+                      (3, TWO_PHASE, 0.0, "fdm"), (3, TWO_PHASE, 0.02, "fdm"))]
+
+
+def case_row(charge_1c, N_r, regime, scheme):
     res = charge_1c[scheme, N_r]
     i = 200 if regime == "one_phase" else first_two_phase(res)
     assert (res.regime[i] == TWO_PHASE) == (regime == TWO_PHASE)
+    return res, i
+
+
+@pytest.mark.parametrize("N_r, regime, u_dot, scheme", CASES)
+def test_memoized_lie_stack_is_bit_identical(params, ocp, charge_1c, N_r, regime, u_dot,
+                                             scheme):
+    """A point's Lie values and gradients evaluated among its neighbours, as
+    the sweep evaluates a group of points in one pass, are bit for bit those
+    of the point alone, for both schemes and with u' != 0."""
+    res, i = case_row(charge_1c, N_r, regime, scheme)
+    rows = [i - 30, i, i + 30]
+    assert len({res.regime[k] for k in rows}) == 1
+    split = res.meta["split"]
+    c_e_avg = np.array([electrode_c_e_avg(params, res.elec_c[k], "pos", split) for k in rows])
+    state = FullState(res.neg_c[rows], res.pos_c[rows], res.elec_c[rows], res.regime[i],
+                      res.r_p[rows] * res.meta["R_s_p"], res.core_conc[rows],
+                      res.core_phase[i], res.direction[i])
+    f, h, x0, scales = positive_model(state, params, ocp, c_e_avg, CFG, scheme)
+    u0, u_dot_rows = res.current[rows], np.array([0.01, u_dot, -0.01])
+    vals, grads = lie_stack(f, h, x0, u0, u_dot_rows, x0.shape[1], CFG, scales)
+    f1, h1, x1, _ = model_at(res, i, params, ocp)
+    assert x1.tobytes() == x0[1].tobytes()
+    alone_vals, alone_grads = lie_stack(f1, h1, x1, float(res.current[i]), u_dot, len(x1),
+                                        CFG, scales)
+    assert vals[1].tobytes() == alone_vals.tobytes()
+    assert grads[1].tobytes() == alone_grads.tobytes()
+
+
+@pytest.mark.parametrize("N_r, regime, u_dot, scheme", CASES + [
+    pytest.param(3, "dynamic", None, "fvm", id="dynamic")])
+def test_orders_up_to_two_match_the_nested_reference(params, ocp, charge_1c, N_r, regime,
+                                                     u_dot, scheme):
+    """Values and gradients of L^0..L^2 match the nested recursion,
+    Richardson-extrapolated over the steps 3e-4 and 1.5e-4, to 1e-6 of each
+    order's largest entry (gradients in scaled states).  The "dynamic" case
+    is the second row of the drive profile's sweep where the current changes
+    (two-phase, u' = 0.008 A/s from the recorded current).  At the first
+    (u' = 0.98 A/s) the reference's L^2 gradient moves by 4e-6 to 1e-2
+    between steps 1e-3 and 3e-5, the Taylor one by 2e-8 between 1e-5 and
+    1e-7."""
+    moved = plateau_zero(ocp)
+    if regime == "dynamic":
+        res = charge_1c["dynamic"]
+        i = dynamic_rows(res)[1]
+        u_dot = input_rate(res, i)
+        assert res.regime[i] == TWO_PHASE and u_dot != 0.0
+    else:
+        res, i = case_row(charge_1c, N_r, regime, scheme)
+    f, h, x0, scales = model_at(res, i, params, moved)
+    u0 = float(res.current[i])
+    vals, grads = lie_stack(f, h, x0, u0, u_dot, 3, CFG, scales)
+    ref = [nested_lie_stack(f, h, x0, u0, u_dot, 3, eps, scales,
+                            params.current_for_c_rate(1.0)) for eps in (3e-4, 1.5e-4)]
+    ref_vals, ref_grads = ((4.0 * b - a) / 3.0 for a, b in zip(*ref))
+    assert np.all(np.abs(vals - ref_vals) <= 1e-6 * np.abs(ref_vals))
+    err = np.abs((grads - ref_grads) * scales).max(axis=1)
+    assert np.all(err <= 1e-6 * np.abs(ref_grads * scales).max(axis=1))
+
+
+def test_sweep_matrix_equals_the_point_alone(params, ocp, charge_1c, monkeypatch):
+    """Each point's scaled matrix from the sweep's batched pass equals
+    `observability_matrix` of that point alone to 1e-12, u' != 0 included."""
+    res = charge_1c["dynamic"]
+    stacks = []
+    rank_and_condition_ = observability_mod.rank_and_condition
+
+    def recorded(O, config=None):
+        stacks.append(O)
+        return rank_and_condition_(O, config)
+
+    monkeypatch.setattr(observability_mod, "rank_and_condition", recorded)
+    sw = sweep(res, params, ObservabilityConfig(stride_s=7.0), ocp=ocp)
+    assert not sw.skipped
+    groups = {}
+    for p in sw.points:
+        i = int(np.searchsorted(res.time, p.time))
+        groups.setdefault((res.regime[i], res.direction[i], res.core_phase[i]), []).append(i)
+    # the sweep ranks each group's scaled stack, then its raw stack
+    assert len(stacks) == 2 * len(groups)
+    assert any(input_rate(res, i) != 0.0 for rows in groups.values() for i in rows)
+    for scaled, rows in zip(stacks[::2], groups.values()):
+        assert len(scaled) == len(rows)
+        for O, i in zip(scaled, rows):
+            f, h, x0, scales = model_at(res, i, params, ocp)
+            alone = scale_columns(observability_matrix(
+                f, h, x0, float(res.current[i]), input_rate(res, i), CFG, scales), scales)
+            assert np.abs(O - alone).max() <= 1e-12 * np.abs(alone).max()
+
+
+def test_flux_rows_equal_the_dense_system(params, ocp, rng):
+    """The model's f, written as fluxes w (c_j - c_i) between neighbours, is
+    the dense two-phase system A x + B u + G to rounding, for both schemes,
+    under current and at rest."""
+    N = 3
+    for scheme in ("fvm", "fdm"):
+        for current in (-3.0, 0.0, 2.0):
+            r_p = params.R_s_p * rng.uniform(0.2, 0.9)
+            st = FullState(np.full(3, 1e4), params.c_s_max_p * rng.uniform(0.1, 0.9, N),
+                           np.full(6, params.c_e0), TWO_PHASE, r_p, params.c_beta("ch"),
+                           "beta", "ch")
+            f, _, x0, _ = positive_model(st, params, ocp, params.c_e0, CFG, scheme)
+            dense = two_phase_system(params, r_p, current, N, "ch", "beta", scheme)
+            scale = np.abs(dense.A) @ np.abs(x0) + np.abs(dense.B * current) + np.abs(dense.G)
+            assert np.all(np.abs(f(x0, current) - dense.rhs(x0, current)) <= 1e-14 * scale)
+
+
+def test_lie_stack_evaluates_each_perturbed_state_once(params, ocp, charge_1c):
+    """At a two-phase N_r = 3 point (n = 4 states, orders 0..3) f runs three
+    times, once per order it feeds, and h once, each on the jets of the point
+    and of its 8 stencil states together: 9 rows, where the nested
+    recursion reached 321 states for h and 129 for f."""
+    res = charge_1c["fvm", 3]
+    i = first_two_phase(res)
     f, h, x0, scales = model_at(res, i, params, ocp)
-    args = (x0, float(res.current[i]), u_dot, len(x0), CFG, scales,
-            params.current_for_c_rate(1.0))
-    vals, grads = lie_stack(f, h, *args)
-    ref_vals, ref_grads = nested_lie_stack(f, h, *args)
-    assert vals == ref_vals
-    for g, ref in zip(grads, ref_grads):
-        assert g.tobytes() == ref.tobytes()
+    counts = new_counts()
+    fc, hc = counting(f, h, counts)
+    observability_matrix(fc, hc, x0, float(res.current[i]), 0.0, CFG, scales)
+    assert counts == {"f_calls": 3, "f_rows": 27, "h_calls": 1, "h_rows": 9}
 
 
 def counting(f, h, counts):
@@ -298,7 +452,7 @@ def counting(f, h, counts):
     def counted(fun, key):
         def call(x, u):
             counts[key + "_calls"] += 1
-            counts[key + "_rows"] += len(x) if x.ndim == 2 else 1
+            counts[key + "_rows"] += int(np.prod(x.shape[:-1]))
             return fun(x, u)
         return call
     return counted(f, "f"), counted(h, "h")
@@ -308,37 +462,45 @@ def new_counts():
     return {"f_calls": 0, "f_rows": 0, "h_calls": 0, "h_rows": 0}
 
 
-def test_lie_stack_evaluates_each_perturbed_state_once(params, ocp, charge_1c):
-    """At a two-phase N_r = 3 point (n = 4 states, orders 0..3) the nested
-    stencil reaches the lattice points x0 + sum_j k_j d_j e_j with
-    |k|_1 <= 4 for h (321 points) and |k|_1 <= 3 for f (129 points): one h
-    call on 321 rows and one f call on 129 rows, where the plain recursion
-    evaluates h 5,265 and f 747 times."""
-    res = charge_1c["fvm", 3]
-    i = first_two_phase(res)
-    f, h, x0, scales = model_at(res, i, params, ocp)
-    counts = new_counts()
-    fc, hc = counting(f, h, counts)
-    observability_matrix(fc, hc, x0, float(res.current[i]), 0.0, CFG,
-                         scales, params.current_for_c_rate(1.0))
-    assert counts == {"f_calls": 1, "f_rows": 129, "h_calls": 1, "h_rows": 321}
-
-
 def test_sweep_evaluation_counts(params, ocp, charge_1c, monkeypatch):
-    """Over the 1C N_r = 3 sweep at a 30 s stride each point makes one h call
-    and one f call, on at most 300 h and 120 f rows per point on average
-    (the plain recursion needs ~3,870 and ~553 evaluations)."""
+    """The 1C N_r = 3 sweep at a 30 s stride builds one model per group of
+    points (one-phase before and after the two-phase section, two-phase) and
+    runs f n - 1 times and h once per group, on 2 n + 1 rows per point:
+    1,021 h rows for 121 points, where the nested recursion evaluated h on
+    ~36,000 states."""
     counts = new_counts()
-    counts["points"] = 0
+    counts["models"] = 0
     model = observability_mod.positive_model
 
     def counted_model(*args, **kwargs):
         f, h, x0, scales = model(*args, **kwargs)
-        counts["points"] += 1
+        counts["models"] += 1
         return (*counting(f, h, counts), x0, scales)
 
     monkeypatch.setattr(observability_mod, "positive_model", counted_model)
     sw = sweep(charge_1c["fvm", 3], params, ObservabilityConfig(stride_s=30.0), ocp=ocp)
-    assert counts["points"] == len(sw) == 121
-    assert counts["h_calls"] == counts["f_calls"] == len(sw)
-    assert counts["h_rows"] <= 300 * len(sw) and counts["f_rows"] <= 120 * len(sw)
+    two = sum(p.regime == TWO_PHASE for p in sw.points)
+    assert len(sw) == 121 and two == 87
+    assert counts == {"models": 3, "f_calls": 2 + 3 + 2, "h_calls": 3,
+                      "f_rows": 2 * 7 * (121 - two) + 3 * 9 * two,
+                      "h_rows": 7 * (121 - two) + 9 * two}
+
+
+def test_criterion_6_window_survives_a_1ulp_perturbation(params, ocp, charge_1c):
+    """Criterion 6's run from an initial state moved by 1 ulp in every entry
+    gives the same rank at every sweep point, so the same rank-loss window:
+    the ranks no longer read the rounding of the top Lie order."""
+    disc = DiscretizationConfig(N_r=3, N_e=6)
+    init = initial_state(params, disc, 0.0, "ch")
+    for name in ("neg", "pos", "elec"):
+        setattr(init, name, np.nextafter(getattr(init, name), np.inf))
+    moved = simulate(cc_profile(params, 1.0, "ch"), init, params, disc,
+                     SolverConfig(cutoffs_enabled=False), ocp=ocp)
+    assert not np.array_equal(moved.pos_c, charge_1c["fvm", 3].pos_c)
+    ranks = []
+    for res in (charge_1c["fvm", 3], moved):
+        sw = sweep(res, params, ObservabilityConfig(stride_s=30.0), ocp=ocp)
+        ranks.append([(p.time, p.regime, p.rank) for p in sw.points])
+    window = [t for t, regime, rank in ranks[0] if regime == TWO_PHASE and rank < 4]
+    assert window == [420.0, 450.0, 480.0]
+    assert ranks[0] == ranks[1]

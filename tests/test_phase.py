@@ -12,6 +12,8 @@ from csespm.simulate import (LoadProfile, SolverConfig, cc_profile,
 from csespm.states import TWO_PHASE
 from csespm import systems
 
+from dense_systems import two_phase_system
+
 CFG = PhaseConfig()
 
 
@@ -197,7 +199,7 @@ def test_sign_flip_reverses_front_velocity(params, disc4):
     N = disc4.N_r
     dr = (params.R_s_p - st.r_p) / N
     for s, current in ((st, +5.0), (flipped, -5.0)):
-        sysm = systems.build_two_phase_system(params, s.r_p, current, N,
+        sysm = two_phase_system(params, s.r_p, current, N,
                                               s.direction, s.core_phase)
         g, c_core = systems.interface_values(params, s.core_phase, s.direction)
         assert g == params.c_beta(s.direction)

@@ -80,21 +80,26 @@ DRIFT_ULPS_PER_CELL_ROW = 4
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
-@given(profile=profiles(), drawn=members(1), N_r=st.integers(2, 5),
+@given(profile=profiles(), drawn=st.integers(1, 4).flatmap(members), N_r=st.integers(2, 5),
        dt=st.sampled_from([1.0, 5.0, 10.0]), cutoffs=st.booleans())
 def test_fvm_runs_keep_their_lithium(profile, drawn, N_r, dt, cutoffs):
     """Every FVM run that returns a result (completed or stopped at a
-    cutoff) keeps its mass-audit drift under the rounding bound above.  The
-    FDM is the non-conservative reference and is exempt."""
+    cutoff) keeps its mass-audit drift under the rounding bound above: the
+    first member's `simulate` (the float substep kernel) and every member of
+    the lockstep batch of all of them (the row kernel).  The FDM is the
+    non-conservative reference and is exempt."""
     disc, solver, direction = _setup(profile, N_r, "fvm", dt, cutoffs)
-    (p,), (soc,) = drawn
-    res = _run(simulate, profile, initial_state(p, disc, soc, direction), p, disc, solver,
-               ocp=OCP)
-    if isinstance(res, Exception):
-        return
-    n, K = max(N_r, disc.N_e), len(res.time)
-    bound = DRIFT_ULPS_PER_CELL_ROW * (n + 4) * K * np.finfo(float).eps
-    assert mass_audit(res, p).max_drift_rel <= bound, (K, bound)
+    sets, socs = drawn
+    inits = [initial_state(p, disc, soc, direction) for p, soc in zip(sets, socs)]
+    with np.errstate(all="ignore"):
+        runs = [_run(simulate, profile, inits[0], sets[0], disc, solver, ocp=OCP)]
+        runs += simulate_many(profile, inits, sets, disc, solver, ocp=OCP)
+    for res, p in zip(runs, sets[:1] + sets):
+        if isinstance(res, Exception):
+            continue
+        n, K = max(N_r, disc.N_e), len(res.time)
+        bound = DRIFT_ULPS_PER_CELL_ROW * (n + 4) * K * np.finfo(float).eps
+        assert mass_audit(res, p).max_drift_rel <= bound, (K, bound)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

@@ -17,6 +17,8 @@ from csespm.simulate import (AffinePropagator, Integrator, LoadProfile,
 from csespm.states import FullState, TWO_PHASE
 from csespm import systems
 
+from dense_systems import two_phase_system
+
 
 def test_load_profile_validation():
     with pytest.raises(ParameterError):
@@ -577,9 +579,9 @@ def test_one_direction_charge_matches_current_sign_rule(params):
         dc = params.c_alpha("ch") - params.c_beta("ch")
         dr = (params.R_s_p - st.r_p) / N
         for scheme in ("fvm", "fdm"):
-            stored = systems.build_two_phase_system(params, st.r_p, current, N,
+            stored = two_phase_system(params, st.r_p, current, N,
                                                     st.direction, st.core_phase, scheme)
-            default = systems.build_two_phase_system(params, st.r_p, current, N,
+            default = two_phase_system(params, st.r_p, current, N,
                                                      scheme=scheme)
             assert stored.A[N, 0] == 2.0 * sgn * D / (dr * dc)
             assert stored.G[N] == -2.0 * sgn * D * g / (dr * dc)

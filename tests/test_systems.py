@@ -8,6 +8,8 @@ from csespm.params import DiscretizationConfig
 from csespm.simulate import SolverConfig, cc_profile, initial_state, simulate
 from csespm import systems
 
+from dense_systems import two_phase_system
+
 
 def boundary_influx(params, electrode, current):
     """Independent oracle: total molar influx through the particle surface."""
@@ -96,13 +98,13 @@ def test_interface_concentration_trichotomy(params):
     for direction, current in itertools.product(("dis", "ch"), (1.0, -1.0, 0.0)):
         dc = params.c_alpha(direction) - params.c_beta(direction)
         for core_phase, sign in (("alpha", 1.0), ("beta", -1.0)):
-            sysm = systems.build_two_phase_system(params, r_p, current, N,
+            sysm = two_phase_system(params, r_p, current, N,
                                                   direction, core_phase)
             g, _ = systems.interface_values(params, core_phase, direction)
             want = sign if current != 0.0 else 0.0
             assert sysm.A[N, 0] * dr * dc / (2.0 * params.D_s_p) == pytest.approx(want)
             # Dirichlet face at g under current, zero flux at rest
-            rest = systems.build_two_phase_system(params, r_p, 0.0, N,
+            rest = two_phase_system(params, r_p, 0.0, N,
                                                   direction, core_phase)
             w = rest.A[0, 0] - sysm.A[0, 0]
             assert sysm.G[0] == pytest.approx(w * g)
@@ -113,7 +115,7 @@ def test_interface_concentration_trichotomy(params):
 
 def test_shell_width_formula(params):
     r_p = params.R_s_p / 2
-    sysm = systems.build_two_phase_system(params, r_p, 1.0, 4)
+    sysm = two_phase_system(params, r_p, 1.0, 4)
     assert sysm.dim == 5
     # dr recovered from the front row: A[N,0] = 2 sign D / (dr (ca - cb))
     dr = 2.0 * params.D_s_p / (sysm.A[4, 0] * (params.c_alpha("dis") - params.c_beta("dis")))
@@ -125,7 +127,7 @@ def test_shell_width_formula(params):
 
 def test_two_phase_rest_branch(params):
     r_p = 0.6 * params.R_s_p
-    sysm = systems.build_two_phase_system(params, r_p, 0.0, 4)
+    sysm = two_phase_system(params, r_p, 0.0, 4)
     assert sysm.G[-1] == 0.0
     assert np.all(sysm.G == 0.0)
     # uniform shell is stationary and the front is frozen at rest
@@ -153,7 +155,7 @@ def test_front_row_matches_linear_profile_gradient(params):
     ca, cb = params.c_alpha("ch"), params.c_beta("ch")
     grad = (cb - ca) / grad_span
     lin = ca + grad * (centers - r_p)
-    sysm = systems.build_two_phase_system(params, r_p, -1.0, N)
+    sysm = two_phase_system(params, r_p, -1.0, N)
     rdot = float(sysm.A[N] @ np.concatenate([lin, [r_p]]) + sysm.G[N])
     assert rdot == pytest.approx(-params.D_s_p / (ca - cb) * grad, rel=1e-12)
 
@@ -161,20 +163,20 @@ def test_front_row_matches_linear_profile_gradient(params):
     ca, cb = params.c_alpha("dis"), params.c_beta("dis")
     grad = (ca - cb) / grad_span
     lin = cb + grad * (centers - r_p)
-    sysm = systems.build_two_phase_system(params, r_p, +1.0, N)
+    sysm = two_phase_system(params, r_p, +1.0, N)
     rdot = float(sysm.A[N] @ np.concatenate([lin, [r_p]]) + sysm.G[N])
     assert rdot == pytest.approx(params.D_s_p / (ca - cb) * grad, rel=1e-12)
 
 
 def test_two_phase_rejects_bad_radius(params):
     with pytest.raises(PhaseDomainError):
-        systems.build_two_phase_system(params, 0.0, 1.0, 4)
+        two_phase_system(params, 0.0, 1.0, 4)
     with pytest.raises(PhaseDomainError):
-        systems.build_two_phase_system(params, params.R_s_p, 1.0, 4)
+        two_phase_system(params, params.R_s_p, 1.0, 4)
 
 
 def test_two_phase_interior_row_sums(params):
-    sysm = systems.build_two_phase_system(params, 0.3 * params.R_s_p, 1.0, 5)
+    sysm = two_phase_system(params, 0.3 * params.R_s_p, 1.0, 5)
     A_c = sysm.A[:5, :5]
     scale = np.abs(A_c).max()
     # interior rows telescope; the first row carries the Dirichlet face
@@ -185,7 +187,7 @@ def test_two_phase_interior_row_sums(params):
 def test_two_phase_b_vector_on_outermost_cell(params):
     N = 4
     r_p = 0.4 * params.R_s_p
-    sysm = systems.build_two_phase_system(params, r_p, 1.0, N)
+    sysm = two_phase_system(params, r_p, 1.0, N)
     assert np.all(sysm.B[:N - 1] == 0.0)
     assert sysm.B[N] == 0.0
     # magnitude: 3 R^2 / (R^3 - r_{N-1}^3) / (F A L a), lithium entering on
@@ -367,7 +369,7 @@ def test_fdm_is_the_shared_assembly_on_node_geometry(params, N_r, case):
         rp_frac, sign = case
         r_p = rp_frac * params.R_s_p
         current = sign * params.current_for_c_rate(1.0)
-        sysm = systems.build_two_phase_system(params, r_p, current, N_r, scheme="fdm")
+        sysm = two_phase_system(params, r_p, current, N_r, scheme="fdm")
         want = _central_difference_system(params, "pos", N_r, r_p, current)
         got = (sysm.A, sysm.B, sysm.G)
     for name, a, b in zip("ABG", got, want):
@@ -378,7 +380,7 @@ def test_fdm_uniform_rest_stationary(params):
     sysm = systems.build_one_phase_solid_system(params, "pos", 4, "fdm")
     floor = np.abs(sysm.A).max() * 5000.0 * 1e-12
     assert np.abs(sysm.rhs(np.full(4, 5000.0), 0.0)).max() < floor
-    two = systems.build_two_phase_system(params, 0.5 * params.R_s_p, 0.0, 4, scheme="fdm")
+    two = two_phase_system(params, 0.5 * params.R_s_p, 0.0, 4, scheme="fdm")
     x = np.concatenate([np.full(4, 5000.0), [0.5 * params.R_s_p]])
     assert np.abs(two.rhs(x, 0.0)).max() < np.abs(two.A).max() * 5000.0 * 1e-12
 
@@ -424,19 +426,19 @@ def test_ocp_extrapolations_are_counted(params):
 
 @pytest.mark.parametrize("scheme", ["fvm", "fdm"])
 def test_two_phase_rows_match_each_state(params, rng, scheme):
-    """build_two_phase_system, its rhs and two_phase_bulk on rows of radii,
+    """The dense two-phase system, its rhs and two_phase_bulk on rows of radii,
     currents and shells equal the one-state forms row by row, bit for bit,
     rows at rest included."""
     N, m = 3, 6
     r = params.R_s_p * rng.uniform(0.2, 0.9, m)
     current = np.array([1.5, -2.0, 0.0, 3.0, 0.0, -0.5])
     X = np.column_stack([rng.uniform(0.1, 0.9, (m, N)) * params.c_s_max_p, r])
-    rows = systems.build_two_phase_system(params, r[:, None], current[:, None], N, "ch",
+    rows = two_phase_system(params, r[:, None], current[:, None], N, "ch",
                                           "beta", scheme)
     dx = rows.rhs(X, current)
     bulk = systems.two_phase_bulk(X[:, :-1], r, 5000.0, params.R_s_p)
     for i in range(m):
-        one = systems.build_two_phase_system(params, float(r[i]), float(current[i]), N, "ch",
+        one = two_phase_system(params, float(r[i]), float(current[i]), N, "ch",
                                              "beta", scheme)
         for got, want in ((rows.A[i], one.A), (rows.B[i], one.B), (rows.G[i], one.G),
                           (dx[i], one.rhs(X[i], float(current[i])))):
