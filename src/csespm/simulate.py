@@ -2,11 +2,12 @@
 
 Current profiles are zero-order-hold, so the current is constant inside
 every integrator step.  The three fixed-grid subsystems (negative solid,
-one-phase positive solid, electrolyte) are linear time-invariant, so each
-step has an exact closed form: an affine map of the step length, taken from
-one augmented-matrix exponential, built once per step length, cached, and
-applied in increment form with two matrix-vector products.  There is no
-explicit scheme, sub-stepping or stability limit, so stiff blocks (the
+one-phase positive solid, electrolyte) are linear time-invariant, so their
+rows over steps at one current have a closed form: the row at offset tau
+from an anchor row x_a is x_a + Gamma(tau) (A x_a + B I), Gamma(tau) the
+integral of e^{As} over [0, tau], from one eigendecomposition per block
+and integrator (`LinearBlock`); K rows take one pass over (K, n) arrays
+per mode.  There is no explicit scheme, sub-stepping or stability limit, so stiff blocks (the
 identified C/2 negative diffusivity) need no special case.
 
 The two-phase positive block is integrated with a conservative
@@ -31,24 +32,34 @@ and events, its output map) per member through blocks of steps, ranges of
 the shared step grid: the rest of a run of profile segments at one current,
 which with voltage cutoffs on also ends at the next output-map chunk.  It
 computes each block's end once for all live runs and hands the runs to one
-of two servers, which take every step of the block, filling the rows, and
-report the runs an error stopped.  `simulate` serves its one run with one
-`Integrator.advance_with_events` per step (`_serve`).  `simulate_many` runs
-B members (one parameter set and initial state each) on one profile in
-lockstep (`_Batch`): the members' states are (B, ·) arrays for a whole
-block, and one batched step serves them all and writes every member's row
-at once.  The blocks and the substep are array kernels whose leading member
-axis leaves each member's arithmetic as it is, so each member's result is
-bit for bit its `simulate`.  One member's FVM substep runs on Python floats
-(`_member_substep`), the row kernel's operations in its order, its two
-shell grids (`systems.spherical_cells`) included; it calls numpy only
-where numpy decides the bits: LAPACK's dstevd, the C-ordered
-eigenvector scaling and the gemv products (their layout picks the BLAS
-path), ndarray.dot and ndarray.sum for cell sums (numpy sums pairwise from
-8 cells on), and numpy's SIMD exp and cube, which differ from libm's in
-the last bit.  A step with a transition or a halved front step is taken by
-the member alone, which then steps on with the batch; only an error ends a
-member's block early, and its run.
+of two servers, which fill the block's rows and report the runs an error
+stopped.  Both write a member's negative and electrolyte rows for the whole
+block in one closed form (`_fixed_rows`): they never read the positive
+particle.  A one-phase positive particle's rows follow in closed form too,
+up to the row before the first whose transition margin is >= 0; that step
+is taken through `Integrator.advance_with_events` (`_one_phase_rows`).
+Each closed form starts from the first row of the run of segments at one
+current, or from the row after the last step taken alone, and reads its
+offsets from the step grid's times, so a row does not depend on where
+blocks end.  Only two-phase steps and those crossing steps are
+taken one at a time.  `simulate` takes each alone (`_serve`).
+`simulate_many` runs B members (one parameter set and initial state each)
+on one profile in lockstep (`_Batch`): its two-phase members' shells are
+(B, N_r) rows for a whole block, and one batched substep serves them all
+and writes their rows at once.  The servers call the same per-member
+functions for the closed forms, and the substep is an array kernel whose
+leading member axis leaves each member's arithmetic as it is, so each
+member's result is bit for bit its `simulate`.  One member's FVM substep
+runs on Python floats (`_member_substep`), the row kernel's operations in
+its order, its two shell grids (`systems.spherical_cells`) included; it
+calls numpy only where numpy decides the bits: LAPACK's dstevd, the
+C-ordered eigenvector scaling and the gemv products (their layout picks
+the BLAS path), ndarray.dot and ndarray.sum for cell sums (numpy sums
+pairwise from 8 cells on), and numpy's SIMD exp and cube, which differ
+from libm's in the last bit.  A step with a transition or a halved front
+step is taken by the member alone, which then steps on with the batch, or
+alone in one-phase until its next entry; only an error ends a member's
+block early, and its run.
 """
 from __future__ import annotations
 
@@ -60,7 +71,6 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg.lapack import dstevd as _dstevd
 
 from .errors import (BlowupError, CsespmError, ParameterError, PhaseDomainError,
@@ -272,52 +282,56 @@ class AffinePropagator:
         return _matvec(self._back, elh * z + phi * zb)
 
 
-class _LtiBlock:
-    """One constant-coefficient subsystem dx/dt = A x + B I (a fixed-grid
-    block, which has no G), stepped exactly under zero-order-hold current.
+class LinearBlock:
+    """One fixed-grid block dx/dt = A x + B I (the negative solid, the
+    one-phase positive solid, the electrolyte), exact under zero-order-hold
+    current from one eigendecomposition.
 
-    With Gamma_h = integral of e^{As} ds over [0, h], the step is
-    x(h) = x + D x + c with D = A Gamma_h (= e^{Ah} - I) and the forced
-    response c = Gamma_h B I.  Gamma_h is a block of one
-    augmented-matrix exponential (Van Loan, IEEE TAC 1978).  D is formed as
-    A Gamma_h, never as e^{Ah} - I, which would lose the small increment to
-    cancellation and show up as mass drift.  The maps are built on first
-    use and cached, a few step lengths at a time (event bisection asks for
-    many lengths that never recur), and with each map the forced responses
-    of a few currents.
+    A is a constant tridiagonal matrix, symmetric under the block's cell
+    capacities w (CV volumes or r_i^2 h for the solids, eps dx for the
+    electrolyte), so `AffinePropagator` diagonalizes it: A = V diag(lam)
+    V^-1.  A row at offset tau from an anchor row x_a is
+    x_a + Gamma(tau) (A x_a + B I), Gamma(tau) = integral of e^{As} ds over
+    [0, tau] = V diag(phi) V^-1, phi = expm1(lam tau) / lam.  A is applied before Gamma; applied after it, it would
+    act on the content Gamma spreads and lose the small increment to
+    cancellation.  The block conserves its content: A 1 = 0 and w^T A = 0,
+    so one mode has lam = 0 exactly, where phi = tau, with the uniform
+    eigenvector and left eigenvector w: Gamma(tau) carries it as
+    tau 1 w^T / sum(w).  That mode is taken in this closed form,
+    tau (w . B I) / sum(w) in every cell: through V, the eigensolver's
+    rounding-level lam and the rounding of A x_a would enter the content
+    multiplied by tau.  The other modes' lam are bounded away from 0, where
+    expm1(lam tau) / lam is accurate for every tau.
     """
 
-    _CACHE_SIZE = 8
+    def __init__(self, sys: systems.AffineSystem, caps: np.ndarray):
+        A, n = sys.A, len(caps)
+        try:
+            prop = AffinePropagator(np.diag(A, -1), np.diag(A), np.diag(A, 1), caps)
+            lam, to, back = prop.lam, prop._to, prop._back
+        except np.linalg.LinAlgError:
+            # bands past the float range: every row is NaN, and a run's
+            # first step raises BlowupError
+            lam, to, back = np.full(n, np.nan), np.full((n, n), np.nan), np.full((n, n), np.nan)
+        modes = np.arange(n) != np.argmax(lam)      # all but the conserved one
+        self.A, self.B = A, sys.B
+        self.lam, self._to, self._back = lam[modes], to[modes], back[:, modes].T
+        self._rise = float(caps @ sys.B) / caps.sum()   # per ampere and second
 
-    def __init__(self, sys: systems.AffineSystem):
-        self.sys = sys
-        self._maps: dict[float, tuple[np.ndarray, np.ndarray, dict]] = {}
+    def rows(self, x: np.ndarray, current: float, taus: np.ndarray) -> np.ndarray:
+        """The (K, n) rows at the K offsets taus > 0 from row x, at this
+        current.  The modes are summed one at a time, so each row's bits are
+        its own, however many rows are asked for with it."""
+        z = self._to @ (self.A @ x + self.B * current)
+        w = np.expm1(taus[:, None] * self.lam) / self.lam * z
+        dx = np.multiply.outer(taus, np.full(len(x), self._rise * current))
+        for w_j, v in zip(w.T, self._back):
+            dx += w_j[:, None] * v
+        return x + dx
 
-    def step_map(self, h: float, current: float) -> tuple[np.ndarray, np.ndarray]:
-        """(D, c) of a step of length h at this current."""
-        step_map = self._maps.get(h)
-        if step_map is None:
-            if len(self._maps) >= self._CACHE_SIZE:
-                del self._maps[next(iter(self._maps))]
-            n = self.sys.dim
-            M = np.zeros((2 * n, 2 * n))
-            M[:n, :n] = self.sys.A * h
-            M[:n, n:] = np.eye(n) * h
-            gamma = scipy.linalg.expm(M)[:n, n:]
-            step_map = self._maps[h] = (self.sys.A @ gamma, gamma, {})
-        D, N, forced = step_map
-        c = forced.get(current)
-        if c is None:
-            if len(forced) >= self._CACHE_SIZE:
-                del forced[next(iter(forced))]
-            c = forced[current] = N @ (self.sys.B * current)
-        return D, c
-
-    def advance(self, x: np.ndarray, current: float, h: float) -> np.ndarray:
-        """x(h) of one state, or of B members' (B, n) rows when the block
-        holds their stacked maps (_BlockStack)."""
-        D, c = self.step_map(h, current)
-        return x + _matvec(D, x) + c
+    def step(self, x: np.ndarray, current: float, h: float) -> np.ndarray:
+        """The row at offset h from row x."""
+        return self.rows(x, current, np.array([h]))[0]
 
 
 # --- two-phase positive electrode steppers ------------------------------------
@@ -560,22 +574,28 @@ class Integrator:
         self.phase_cfg = phase_cfg or PhaseConfig()
         split = disc.electrolyte_split()
         self.split = split
-        self.neg = _LtiBlock(systems.build_one_phase_solid_system(
-            params, "neg", disc.N_r, disc.scheme))
-        self.pos1p = _LtiBlock(systems.build_one_phase_solid_system(
-            params, "pos", disc.N_r, disc.scheme))
-        self.elec = _LtiBlock(systems.build_electrolyte_system(params, disc.N_e, split))
+        self.neg, self.pos1p = (
+            LinearBlock(systems.build_one_phase_solid_system(params, e, disc.N_r, disc.scheme),
+                        systems.cell_geometry(0.0, params.R_s(e), disc.N_r, disc.scheme)[2])
+            for e in ("neg", "pos"))
+        dx, eps, _ = systems.electrolyte_geometry(params, disc.N_e, split)
+        self.elec = LinearBlock(systems.build_electrolyte_system(params, disc.N_e, split),
+                                eps * dx)
         self.max_closure = 0.0
+        self.substeps = 0       # two-phase substeps taken, rejected front steps included
         # numerical decisions of a run, see records.tally
         self.counters = dict.fromkeys(("ocp_extrapolations", "event_cap_hits",
                                        "front_floor_accepts", "bisection_probes",
                                        "front_halvings"), 0)
 
     def advance(self, state: FullState, current: float, h: float) -> FullState:
-        """Pure step of length h at constant current (no event handling)."""
+        """Pure step of length h at constant current (no event handling).  A
+        state without negative and electrolyte arrays (None), as the time
+        loop steps it, steps its positive particle only."""
         new = self.advance_positive(state, current, h)
-        new.neg = self.neg.advance(state.neg, current, h)
-        new.elec = self.elec.advance(state.elec, current, h)
+        if state.neg is not None:
+            new.neg = self.neg.step(state.neg, current, h)
+            new.elec = self.elec.step(state.elec, current, h)
         return new
 
     def advance_positive(self, state: FullState, current: float, h: float) -> FullState:
@@ -591,7 +611,7 @@ class Integrator:
         new = FullState(state.neg, state.pos, state.elec, state.regime, state.r_p,
                         state.core_conc, state.core_phase, state.direction)
         if state.regime != TWO_PHASE:
-            new.pos = self.pos1p.advance(state.pos, current, h)
+            new.pos = self.pos1p.step(state.pos, current, h)
             return new
 
         substep = (_fvm_two_phase_substep if self.disc.scheme == "fvm"
@@ -602,6 +622,7 @@ class Integrator:
             hs = remaining
             while True:
                 shell, r_new, closure = substep(new, current, hs, self.params, self.disc.N_r)
+                self.substeps += 1
                 if _front_ok(new.r_p, r_new, R):
                     break
                 if hs <= 1e-6 * h:
@@ -673,188 +694,181 @@ class Integrator:
 
 # --- lockstep steps of many members ----------------------------------------------
 
-class _BlockStack:
-    """One fixed-grid block of B members stepped as one: the members' own
-    cached step maps and forced responses, stacked."""
-
-    def __init__(self, blocks: list[_LtiBlock]):
-        self.blocks = blocks
-        self._maps: dict[tuple[float, float], tuple[np.ndarray, np.ndarray]] = {}
-
-    def step_map(self, h: float, current: float) -> tuple[np.ndarray, np.ndarray]:
-        stacked = self._maps.get((h, current))
-        if stacked is None:
-            if len(self._maps) >= _LtiBlock._CACHE_SIZE:
-                del self._maps[next(iter(self._maps))]
-            D, c = zip(*(b.step_map(h, current) for b in self.blocks))
-            stacked = self._maps[h, current] = (np.stack(D), np.stack(c))
-        return stacked
-
-    advance = _LtiBlock.advance
-
-
-def _nonfinite(x: FullState) -> list[int]:
-    """The members of rows x whose state FullState.is_finite rejects."""
-    if sum(float(np.vdot(a, a)) for a in (x.neg, x.pos, x.elec, x.r_p)) < 1e300:
+def _nonfinite(x: FullState, members: list[int]) -> list[int]:
+    """Those of the rows ``members`` of x whose positive particle
+    FullState.is_finite rejects."""
+    pos, r_p = x.pos[members], x.r_p[members]
+    if float(np.vdot(pos, pos)) + float(np.vdot(r_p, r_p)) < 1e300:
         return []       # no entry reaches 1e150, so every member's sum is finite
-    return [p for p in range(len(x.r_p))
-            if not FullState(x.neg[p], x.pos[p], x.elec[p], r_p=float(x.r_p[p, 0])).is_finite()]
+    return [p for p in members
+            if not FullState(None, x.pos[p], None, r_p=float(x.r_p[p, 0])).is_finite()]
 
 
 class _Batch:
-    """The lockstep server of simulate_many: Integrator.advance_with_events
-    of B runs of one discretization and phase configuration at once.
+    """The lockstep server of simulate_many: B runs of one discretization and
+    phase configuration at once.
 
-    For a whole block the members' states are (B, ·) rows and (B, 1) r_p
-    and core_conc columns.  The fixed-grid blocks step as (B, n, n) stacks
-    of the members' maps; the members of one regime (and, in two-phase, one
-    core phase and direction) take one array substep and one test of their
-    transition margins; each step writes every member's row at once.  Each
-    member's stepped state is bit for bit its own.  A member whose step
-    must be taken alone takes it through its own integrator and steps on
-    with the batch; an error ends its block.
+    Each member's negative and electrolyte rows, and its one-phase positive
+    rows up to and through its entry step, are written per member by the
+    serial server's functions (`_fixed_rows`, `_one_phase_rows`).  The
+    members in two-phase step in lockstep: for a whole block their shells
+    are (B, N_r) rows and r_p and core_conc (B, 1) columns; the members of
+    one core phase and direction take one array substep and one test of
+    their transition margins, and each step writes their rows at once.  A
+    member whose step detects a transition or must halve its front step
+    takes it alone through its own integrator (`_step_alone`); one that
+    leaves two-phase there goes on alone in one-phase and rejoins the
+    lockstep after its next entry step.  So each member's rows are bit for
+    bit its own.  An error ends a member's block.
     """
 
     def __init__(self, store: dict):
         self.store, self.grid = store, store["grid"]
-        self.runs: list = []            # the runs the stacks are of
-
-    def _stack(self, runs: list):
-        self.runs = runs
-        integs = [run.integ for run in runs]
-        self.neg, self.pos1p, self.elec = (_BlockStack([getattr(i, k) for i in integs])
-                                           for k in ("neg", "pos1p", "elec"))
-        self.params = ParameterColumns(i.params for i in integs)
+        self.runs: list = []            # the runs the parameter columns are of
 
     def serve(self, runs: list, s: int, b: int) -> dict:
         """Steps s..b-1 of the runs from their states; returns {run: (step,
         error)} of the runs an error stopped."""
         if runs != self.runs:
-            self._stack(list(runs))
+            self.runs = list(runs)
+            self.params = ParameterColumns(run.integ.params for run in runs)
+        self.current, self.b, self.stopped = self.grid.currents[s], b, {}
+        self.bad = [_fixed_rows(run, s, b) for run in runs]
         states = [run.state for run in runs]
-        self.x = FullState(*(np.array([getattr(x, k) for x in states])
-                             for k in ("neg", "pos", "elec")), None,
+        self.x = FullState(None, np.array([x.pos for x in states]), None, None,
                            *(np.array([[getattr(x, k)] for x in states])
                              for k in ("r_p", "core_conc")))
-        self.labels = [(x.regime, x.direction, x.core_phase) for x in states]
         self.closure = np.array([[run.integ.max_closure] for run in runs])
-        self.groups = self._groups()
-        self.current = self.grid.currents[s]
-        stopped = {}
-        for k in range(s, b):
-            x = self.x
-            try:
-                new, closure, alone = self._step(x, self.grid.hs[k])
-            except (CsespmError, ArithmeticError, ValueError):
-                # some member's data fails the step: each takes it alone, and
-                # raises its own error there
-                new = FullState(x.neg.copy(), x.pos.copy(), x.elec.copy(), None,
-                                x.r_p.copy(), x.core_conc.copy())
-                closure, alone = 0.0, np.ones(x.r_p.shape, dtype=bool)
-            closure = np.maximum(self.closure, closure)
+        self.substeps = np.array([[float(run.integ.substeps)] for run in runs])
+        self.labels: list = [None] * len(runs)  # (regime, direction, core_phase) of
+        self.groups = None                      # the members stepping in lockstep
+        self.rejoin: dict = {}                  # member -> (step, its state there)
+        for p, x in enumerate(states):
+            self._resume(p, x, s)
+        k = s
+        while k < b:
+            for p in [p for p, (j, _) in self.rejoin.items() if j == k]:
+                self._load(p, self.rejoin.pop(p)[1])
+            active = [p for p, label in enumerate(self.labels) if label is not None]
+            if active:
+                self._lockstep(k, active)
+                k += 1
+            elif self.rejoin:
+                k = min(j for j, _ in self.rejoin.values())
+            else:
+                break
+        for run, closure, substeps in zip(self.runs, self.closure[:, 0].tolist(),
+                                          self.substeps[:, 0].tolist()):
+            if run not in self.stopped:
+                run.integ.max_closure, run.integ.substeps = closure, int(substeps)
+        return self.stopped
+
+    def _resume(self, p: int, x: FullState, k: int, alone: bool = False):
+        """Member p, in state x at row k, out of the lockstep: its step k
+        taken alone if ``alone`` (`_step_alone`), then its one-phase rows
+        (`_one_phase_rows`), until it is in two-phase at a row from which it
+        steps in lockstep again, or its block ends."""
+        run, end = self.runs[p], min(self.bad[p] + 1, self.b)
+        integ = run.integ
+        self.labels[p], self.groups = None, None
+        integ.max_closure, integ.substeps = float(self.closure[p, 0]), int(self.substeps[p, 0])
+        error = None
+        if alone:
+            k, x, error = _step_alone(run, x, k)
+        while not x.two_phase and k < end and error is None:
+            k, x, error = _one_phase_rows(run, x, k, end)
+        self.closure[p], self.substeps[p] = integ.max_closure, integ.substeps
+        if error is None and k == end and self.bad[p] < self.b:
+            error = self.bad[p], _blowup(self.grid, self.bad[p])
+        if error is not None:
+            self.stopped[run] = error
+        elif k < end:
+            self.rejoin[p] = k, x
+
+    def _load(self, p: int, x: FullState):
+        """Member p's two-phase state x into the lockstep rows."""
+        self.x.pos[p], self.x.r_p[p], self.x.core_conc[p] = x.pos, x.r_p, x.core_conc
+        self.labels[p], self.groups = (x.regime, x.direction, x.core_phase), None
+
+    def _lockstep(self, k: int, active: list[int]):
+        """Step k of the members in ``active``, and their rows; those whose
+        step must be taken alone take it out of the lockstep (`_resume`)."""
+        x, grid = self.x, self.grid
+        try:
+            new, closure, alone = self._step(x, grid.hs[k])
             solo = np.flatnonzero(alone).tolist()
-            # member -> the error that ends its block at step k
-            errors = {p: e for p in solo if (e := self._alone(p, new, closure, k)) is not None}
-            for p in _nonfinite(new):
-                errors.setdefault(p, _blowup(self.grid, k))
-            self._write(k + 1, new, closure)
-            self.x, self.closure = new, closure
-            if errors:
-                stopped.update((self.runs[p], (k, e)) for p, e in errors.items())
-                self._leave(errors)
-                if not self.runs:
-                    return stopped
-            if solo or errors:      # a label may have changed
-                self.groups = self._groups()
-        for run, closure in zip(self.runs, self.closure[:, 0].tolist()):
-            run.integ.max_closure = closure
-        return stopped
+        except (CsespmError, ArithmeticError, ValueError):
+            # some member's data fails the step: each takes it alone, and
+            # raises its own error there
+            new, closure, solo = x, 0.0, active
+        stay = [p for p in active if p not in solo]
+        self.substeps[stay] += 1.0
+        self.x, self.closure = new, np.maximum(self.closure, closure)
+        for p in solo:
+            regime, direction, core_phase = self.labels[p]
+            self._resume(p, FullState(None, x.pos[p], None, regime, float(x.r_p[p, 0]),
+                                      float(x.core_conc[p, 0]), core_phase, direction), k,
+                         alone=True)
+        if not stay:
+            return
+        self._write(k + 1, stay)
+        errors = dict.fromkeys(_nonfinite(new, stay), _blowup(grid, k))
+        errors.update((p, _blowup(grid, k)) for p in stay if self.bad[p] == k)
+        for p, error in errors.items():
+            self.stopped[self.runs[p]] = k, error
+            self.labels[p], self.groups = None, None
 
     def _groups(self) -> list[tuple]:
-        """(key, rows, parameters) of each group of members that steps as
-        one: the members of one regime, and in two-phase of one core phase
-        and direction."""
+        """((core_phase, direction), rows, parameters) of each group of
+        members that steps as one."""
         found: dict[tuple, list[int]] = {}
-        for i, (regime, direction, core_phase) in enumerate(self.labels):
-            key = (regime, core_phase, direction) if regime == TWO_PHASE else (regime,)
-            found.setdefault(key, []).append(i)
-        if len(found) == 1:
+        for i, label in enumerate(self.labels):
+            if label is not None:
+                found.setdefault((label[2], label[1]), []).append(i)
+        if len(found) == 1 and len(next(iter(found.values()))) == len(self.labels):
             return [(key, slice(None), self.params) for key in found]
         return [(key, idx, self.params.take(idx)) for key, idx in found.items()]
 
     def _step(self, x: FullState, h: float):
-        """One step of every member of x: the stepped rows, each member's
-        substep closure (0 without one), and the (B, 1) mask of the members
-        whose step detects a transition or must halve its front step, which
-        must take the step alone."""
+        """One step of every member that steps in lockstep: the stepped rows,
+        each member's substep closure (0 without one), and the (B, 1) mask
+        of the members whose step detects a transition or must halve its
+        front step, which must take the step alone."""
+        if self.groups is None:
+            self.groups = self._groups()
         current, integ = self.current, self.runs[0].integ
         disc, pcfg = integ.disc, integ.phase_cfg
-        new = FullState(self.neg.advance(x.neg, current, h), None,
-                        self.elec.advance(x.elec, current, h), None, x.r_p.copy(),
-                        x.core_conc.copy())
-        new.pos = (self.pos1p.advance(x.pos, current, h)
-                   if any(key[0] != TWO_PHASE for key, _, _ in self.groups)
-                   else np.empty_like(x.pos))
+        new = FullState(None, x.pos.copy(), None, None, x.r_p.copy(), x.core_conc.copy())
         closure = np.zeros(x.r_p.shape)
         alone = np.zeros(x.r_p.shape, dtype=bool)
         substep = _fvm_two_phase_substep if disc.scheme == "fvm" else _fdm_two_phase_substep
         for key, sel, params in self.groups:
-            if key[0] == TWO_PHASE:
-                r_old = x.r_p[sel]
-                rows = FullState(None, x.pos[sel], None, TWO_PHASE, r_old, x.core_conc[sel],
-                                 *key[1:])
-                shell, r_new, closure[sel] = substep(rows, current, h, params, disc.N_r)
-                out = ~_front_ok(r_old, r_new, params.R_s_p)
-                rows.pos, rows.r_p = shell, r_new
-                new.pos[sel], new.r_p[sel] = shell, r_new
-            else:
-                rows = FullState(None, new.pos[sel], None, key[0])
-                out = np.zeros((len(rows.pos), 1), dtype=bool)
-            for kind in transition_kinds(key[0], current):
+            r_old = x.r_p[sel]
+            rows = FullState(None, x.pos[sel], None, TWO_PHASE, r_old, x.core_conc[sel], *key)
+            shell, r_new, closure[sel] = substep(rows, current, h, params, disc.N_r)
+            out = ~_front_ok(r_old, r_new, params.R_s_p)
+            rows.pos, rows.r_p = shell, r_new
+            new.pos[sel], new.r_p[sel] = shell, r_new
+            for kind in transition_kinds(TWO_PHASE, current):
                 out |= transition_margin(kind, rows, current, params, pcfg) >= 0.0
             alone[sel] = out
         return new, closure, alone
 
-    def _alone(self, p: int, new: FullState, closure: np.ndarray, k: int):
-        """Member p's step k taken alone through its own integrator, its post
-        state written into new, closure and the member's label, and its row
-        logged (_Run.begin); returns the error the step raised, if any."""
-        run, x = self.runs[p], self.x
-        integ = run.integ
-        regime, direction, core_phase = self.labels[p]
-        state = FullState(x.neg[p], x.pos[p], x.elec[p], regime, float(x.r_p[p, 0]),
-                          float(x.core_conc[p, 0]), core_phase, direction)
-        integ.max_closure = float(self.closure[p, 0])
-        try:
-            post = integ.advance_with_events(state, self.current, self.grid.starts[k],
-                                             self.grid.hs[k], run.events)
-        except Exception as exc:
-            return exc
-        new.neg[p], new.pos[p], new.elec[p] = post.neg, post.pos, post.elec
-        new.r_p[p], new.core_conc[p] = post.r_p, post.core_conc
-        closure[p] = integ.max_closure
-        run.begin(k + 1, post)
-        self.labels[p] = (post.regime, post.direction, post.core_phase)
-
-    def _write(self, r: int, new: FullState, closure: np.ndarray):
-        """Row r of every member, into the shared store."""
-        store = self.store
-        m = (slice(None) if len(self.runs) == len(store["cols"])
-             else [run.member for run in self.runs])
-        store["neg"][m, r], store["pos"][m, r], store["elec"][m, r] = new.neg, new.pos, new.elec
-        store["cols"][m, 3, r] = new.r_p[:, 0]
-        store["cols"][m, 4, r] = new.core_conc[:, 0]
-        store["closure"][m, r] = closure[:, 0]
-
-    def _leave(self, errors: dict):
-        """Drop the members in ``errors`` from the batch."""
-        keep = [p for p in range(len(self.runs)) if p not in errors]
-        self.labels = [self.labels[p] for p in keep]
-        x = self.x
-        self.x = FullState(x.neg[keep], x.pos[keep], x.elec[keep], None, x.r_p[keep],
-                           x.core_conc[keep])
-        self.closure = self.closure[keep]
-        self._stack([self.runs[p] for p in keep])
+    def _write(self, r: int, members: list[int]):
+        """Row r of the lockstep ``members``, into the shared store."""
+        store, x = self.store, self.x
+        if len(members) == len(self.runs):
+            rows = slice(None)
+            m = (rows if len(self.runs) == len(store["cols"])
+                 else [run.member for run in self.runs])
+        else:
+            rows = members
+            m = [self.runs[p].member for p in members]
+        store["pos"][m, r] = x.pos[rows]
+        store["cols"][m, 3, r] = x.r_p[rows, 0]
+        store["cols"][m, 4, r] = x.core_conc[rows, 0]
+        store["closure"][m, r] = self.closure[rows, 0]
+        store["substeps"][m, r] = self.substeps[rows, 0]
 
 
 # --- initial states -------------------------------------------------------------
@@ -975,6 +989,17 @@ class _Grid:
     begins: dict
     bounds: list        # the steps where a block must end, ascending
 
+    def offsets(self, a: int, s: int, b: int) -> np.ndarray:
+        """The times of rows s + 1..b from the start of step a, as the
+        grid's times give them (never accumulated), so every server and
+        every split of the rows into blocks takes the same offsets."""
+        return np.frombuffer(self.times)[s:b] - self.starts[a]
+
+    def first(self, s: int) -> int:
+        """The first step of the run of segments at one current that step s
+        belongs to."""
+        return self.bounds[bisect.bisect_right(self.bounds, s) - 1]
+
 
 def _step_grid(profile: LoadProfile, dt: float) -> _Grid:
     profile.check_steps(dt)
@@ -1002,12 +1027,13 @@ def _row_store(members: int, grid: _Grid, disc: DiscretizationConfig) -> dict:
     """The rows of ``members`` runs of one step grid, the initial row and
     one per step, member first: the columns time, current, charge, r_p,
     core_conc, voltage, SOC_p, SOC_n; the neg/pos/elec concentrations; the
-    integrator's max_closure."""
+    integrator's max_closure and substep count."""
     size = 1 + len(grid.hs)
     store = {k: np.empty((members, size, n))
              for k, n in (("neg", disc.N_r), ("pos", disc.N_r), ("elec", disc.N_e))}
     store["cols"] = np.empty((members, 8, size))
     store["closure"] = np.empty((members, size))
+    store["substeps"] = np.empty((members, size))
     store["grid"] = grid
     return store
 
@@ -1018,7 +1044,11 @@ class _Run:
     place of a row store (_row_store).  Its change log holds (first row,
     (regime, direction, core_phase), events so far, counters) whenever one
     of the three changes: each row is labelled by the last entry at or
-    before it, and a run stopped at a row rolls back to that entry."""
+    before it, and a run stopped at a row rolls back to that entry.  Its
+    anchor is the row the positive particle's one-phase rows are taken
+    from: the first of the run of segments at one current, or the row after
+    the last step taken alone, whichever is later; so the rows do not
+    depend on where blocks end."""
 
     def __init__(self, profile: LoadProfile, init: FullState, params: CellParameters,
                  disc: DiscretizationConfig, solver: SolverConfig, ocp: OcpSet | None,
@@ -1029,25 +1059,28 @@ class _Run:
         cutoffs = solver.cutoffs_enabled
         self.v_lo = solver.v_min if cutoffs and solver.v_min is not None else -np.inf
         self.v_hi = solver.v_max if cutoffs and solver.v_max is not None else np.inf
-        self.cols, self.neg, self.pos, self.elec, self.closure = (
-            store[k][member] for k in ("cols", "neg", "pos", "elec", "closure"))
+        self.cols, self.neg, self.pos, self.elec, self.closure, self.substeps = (
+            store[k][member] for k in ("cols", "neg", "pos", "elec", "closure", "substeps"))
         self.grid = grid = store["grid"]
         self.events, self.log = [], []
         self.status = "completed"
         self.done = 0           # rows the output map has seen
         self.cols[:3, 0] = profile.times[0], profile.currents[0], 0.0
         self.cols[:3, 1:] = grid.times, grid.currents, grid.charges
+        self.neg[0], self.elec[0] = init.neg, init.elec
         self.put(0, init)
         self.n = 1
+        self.anchor = 0
 
     def start(self, s: int):
-        """Start a block at step s from the state of the last row: the
-        profile segments starting there take it into their current's
-        direction, inside two-phase by a sign flip, and the rows from s + 1
-        on are labelled as the state."""
+        """Start a block at step s from the positive particle of the last
+        row (its negative and electrolyte arrays None: the servers write
+        those rows a block at a time): the profile segments starting there
+        take it into their current's direction, inside two-phase by a sign
+        flip, and the rows from s + 1 on are labelled as the state."""
         i = self.n - 1
         regime, direction, core_phase = self.log[-1][1]
-        state = FullState(self.neg[i], self.pos[i], self.elec[i], regime, float(self.cols[3, i]),
+        state = FullState(None, self.pos[i], None, regime, float(self.cols[3, i]),
                           float(self.cols[4, i]), core_phase, direction)
         for t0, current in self.grid.begins.get(s, ()):
             newdir = systems.direction_for_current(current, state.direction)
@@ -1057,6 +1090,7 @@ class _Run:
             else:
                 state.direction = newdir
         self.state = state
+        self.anchor = max(self.anchor, self.grid.first(s))
         self.begin(s + 1, state)
 
     def begin(self, i: int, s: FullState):
@@ -1067,12 +1101,14 @@ class _Run:
             self.log.append((i, entry[0], entry[1], dict(entry[2])))
 
     def put(self, i: int, s: FullState):
-        """Row i: the state s of a step (its time, current and charge are
-        written at the start)."""
+        """Row i of the positive particle: the state s of a step (its time,
+        current and charge are written at the start, its negative and
+        electrolyte rows a block at a time)."""
         self.cols[3, i] = s.r_p
         self.cols[4, i] = s.core_conc
-        self.neg[i], self.pos[i], self.elec[i] = s.neg, s.pos, s.elec
+        self.pos[i] = s.pos
         self.closure[i] = self.integ.max_closure
+        self.substeps[i] = self.integ.substeps
         self.begin(i, s)
 
     def label_rows(self, a: int, b: int) -> list:
@@ -1084,8 +1120,8 @@ class _Run:
         return out
 
     def stop_at(self, k: int):
-        """Keep rows 0..k, and roll the run's events, counters and
-        max_closure back to what they were when row k was recorded."""
+        """Keep rows 0..k, and roll the run's events, counters, max_closure
+        and substep count back to what they were when row k was recorded."""
         while self.log[-1][0] > k:
             self.log.pop()
         _, _, n_events, kept = self.log[-1]
@@ -1094,6 +1130,7 @@ class _Run:
         counters.clear()
         counters.update(kept)
         self.integ.max_closure = float(self.closure[k])
+        self.integ.substeps = int(self.substeps[k])
         self.n = self.done = k + 1
 
     def output_map(self, a: int, b: int) -> OutputSnapshot:
@@ -1150,7 +1187,8 @@ class _Run:
             drift_rel=None, events=self.events, status=self.status,
             meta={"R_s_p": params.R_s_p, "scheme": disc.scheme, "N_r": disc.N_r,
                   "N_e": disc.N_e, "split": self.integ.split,
-                  "max_closure": self.integ.max_closure, "counters": dict(self.integ.counters)})
+                  "max_closure": self.integ.max_closure,
+                  "counters": dict(self.integ.counters, two_phase_substeps=self.integ.substeps)})
         audit = mass_audit(result, params)
         result.drift_rel = np.maximum(np.maximum(audit.res_pos_rel, audit.res_neg_rel),
                                       audit.res_elec_rel)
@@ -1163,22 +1201,97 @@ def _blowup(grid: _Grid, k: int) -> BlowupError:
     return BlowupError(f"non-finite state at t={t:.3f}s", last_good_time=t - grid.hs[k])
 
 
+def _fixed_rows(run: _Run, s: int, b: int) -> int:
+    """Rows s + 1..b of a run's negative and electrolyte blocks, in closed
+    form from the first row of their run of segments at one current (they
+    never read the positive particle); returns the first step whose row is
+    not finite, else b."""
+    integ, grid = run.integ, run.grid
+    a = grid.first(s)
+    current, taus = grid.currents[s], grid.offsets(a, s, b)
+    bad = b - s
+    for rows, block in ((run.neg, integ.neg), (run.elec, integ.elec)):
+        rows[s + 1:b + 1] = block.rows(rows[a], current, taus)
+        bad = min(bad, _first_nonfinite(rows[s + 1:b + 1]))
+    return s + bad
+
+
+def _first_nonfinite(rows: np.ndarray) -> int:
+    """The index of the first of (K, n) rows that holds a NaN or an
+    infinity, else K."""
+    if math.isfinite(rows.sum()):
+        return len(rows)
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    return int(bad[0]) if bad.size else len(rows)
+
+
+def _one_phase_rows(run: _Run, state: FullState, k: int, end: int):
+    """Steps k..end - 1 of a run's one-phase positive particle, in state at
+    row k: the rows in closed form from the run's anchor row
+    (`LinearBlock.rows`) before the first whose transition margin is >= 0,
+    and that step, from the row before it, through `_step_alone`.  Both
+    servers call it per member.  Returns (the next step, its state, None),
+    or (k', state, (step, error)) when a step raises or leaves a non-finite
+    state."""
+    integ, grid, a = run.integ, run.grid, run.anchor
+    current = grid.currents[k]
+    pos = integ.pos1p.rows(run.pos[a], current, grid.offsets(a, k, end))
+    n = bad = _first_nonfinite(pos)
+    rows = FullState(None, pos[:n], None, state.regime)
+    columns = ParameterColumns([integ.params])
+    for kind in transition_kinds(state.regime, current):
+        hits = np.flatnonzero(transition_margin(kind, rows, current, columns,
+                                                integ.phase_cfg) >= 0.0)
+        n = min(n, int(hits[0])) if hits.size else n
+    j = k + n
+    run.pos[k + 1:j + 1] = pos[:n]
+    run.cols[3:5, k + 1:j + 1] = [[state.r_p], [state.core_conc]]
+    run.closure[k + 1:j + 1] = integ.max_closure
+    run.substeps[k + 1:j + 1] = integ.substeps
+    x = FullState(None, pos[n - 1] if n else state.pos, None, state.regime, state.r_p,
+                  state.core_conc, state.core_phase, state.direction)
+    if j == end:
+        return j, x, None
+    if n == bad:
+        return j, x, (j, _blowup(grid, j))
+    return _step_alone(run, x, j)
+
+
+def _step_alone(run: _Run, state: FullState, k: int):
+    """Step k of a run's positive particle from its state at row k, through
+    `Integrator.advance_with_events`, and its row; returns (k + 1, the new
+    state, None), or (k, state, (k, error)) when the step raises or leaves
+    a non-finite state."""
+    grid = run.grid
+    try:
+        post = run.integ.advance_with_events(state, grid.currents[k], grid.starts[k],
+                                             grid.hs[k], run.events)
+    except Exception as exc:
+        return k, state, (k, exc)
+    if not post.is_finite():
+        return k, state, (k, _blowup(grid, k))
+    run.put(k + 1, post)
+    run.anchor = k + 1
+    return k + 1, post, None
+
+
 def _serve(runs: list, s: int, b: int) -> dict:
-    """Steps s..b-1 of each run served alone, one advance_with_events per
-    step; returns {run: (step, error)} of the runs an error stopped."""
+    """Steps s..b-1 of each run served alone: its negative and electrolyte
+    rows and its one-phase stretches in closed form, each two-phase step
+    through `_step_alone`; returns {run: (step, error)} of the runs an error
+    stopped."""
     stopped = {}
     for run in runs:
-        state, integ, grid = run.state, run.integ, run.grid
-        for k in range(s, b):
-            try:
-                state = integ.advance_with_events(state, grid.currents[s], grid.starts[k],
-                                                  grid.hs[k], run.events)
-                if not state.is_finite():
-                    raise _blowup(grid, k)
-            except Exception as exc:
-                stopped[run] = k, exc
-                break
-            run.put(k + 1, state)
+        bad = _fixed_rows(run, s, b)
+        end = min(bad + 1, b)
+        k, state, error = s, run.state, None
+        while k < end and error is None:
+            k, state, error = (_step_alone(run, state, k) if state.two_phase
+                               else _one_phase_rows(run, state, k, end))
+        if error is None and bad < b:
+            error = bad, _blowup(run.grid, bad)
+        if error is not None:
+            stopped[run] = error
     return stopped
 
 

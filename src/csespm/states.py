@@ -22,7 +22,8 @@ class FullState:
     the last nonzero current ('dis' for I > 0) and selects the hysteresis
     branch of OCP curves and stoichiometric windows.  The output map also
     takes T states as rows: (T, N) concentrations and (T,) arrays of the
-    rest (core_phase unused).
+    rest (core_phase unused).  The simulation's time loop steps states of
+    the positive particle only, with ``neg`` and ``elec`` None.
     """
 
     neg: np.ndarray
@@ -35,7 +36,8 @@ class FullState:
     direction: str = "dis"
 
     def copy(self) -> "FullState":
-        return FullState(self.neg.copy(), self.pos.copy(), self.elec.copy(),
+        return FullState(*(None if a is None else a.copy()
+                           for a in (self.neg, self.pos, self.elec)),
                          self.regime, self.r_p, self.core_conc, self.core_phase,
                          self.direction)
 
@@ -46,9 +48,10 @@ class FullState:
     def is_finite(self) -> bool:
         # one sum: concentrations are bounded far below overflow, so the sum
         # of a finite state is finite and any NaN or inf propagates into it;
-        # Python sums of these few values beat numpy reductions
-        return math.isfinite(sum(self.neg.tolist()) + sum(self.pos.tolist())
-                             + sum(self.elec.tolist()) + self.r_p)
+        # Python sums of these few values beat numpy reductions.  A None
+        # array (a state of the positive particle only) counts as finite.
+        return math.isfinite(sum(sum(a.tolist()) for a in (self.neg, self.pos, self.elec)
+                                 if a is not None) + self.r_p)
 
 
 @dataclass

@@ -447,7 +447,7 @@ def test_simulate_summary_shows_counters(tmp_path, short_profile):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["counters"] == {"ocp_extrapolations": 0, "event_cap_hits": 0,
                                    "front_floor_accepts": 0, "bisection_probes": 10,
-                                   "front_halvings": 0}
+                                   "front_halvings": 0, "two_phase_substeps": 503}
 
 
 @pytest.mark.parametrize("body, needle", [

@@ -14,8 +14,8 @@ from csespm.identify import (ParameterSubset, PENALTY_RMSE,
                              voltage_rmse)
 from csespm.ocp import synthetic_ocp_set
 from csespm.params import DiscretizationConfig
-from csespm.simulate import (LoadProfile, SolverConfig, cc_profile, initial_state,
-                             simulate, simulate_many)
+from csespm.simulate import (LoadProfile, SolverConfig, cc_profile, cycle_profile,
+                             initial_state, simulate, simulate_many)
 
 SOLVER = SolverConfig(dt=10.0, cutoffs_enabled=False)
 
@@ -45,9 +45,14 @@ def _run(fn, *args, **kwargs):
 
 
 def _assert_same(got, want):
-    """Equal bits of everything a SimulationResult holds, or equal errors."""
+    """Equal bits of everything a SimulationResult holds, or equal errors:
+    type, message, a BlowupError's last good time, and the same of the
+    error they were raised in the handling of."""
     if isinstance(want, Exception):
-        assert type(got) is type(want) and str(got) == str(want)
+        assert [(type(e), str(e), getattr(e, "last_good_time", None))
+                for e in (got, got.__context__)] == [
+                    (type(e), str(e), getattr(e, "last_good_time", None))
+                    for e in (want, want.__context__)]
         return
     for name in ("time", "current", "voltage", "soc_p", "soc_n", "r_p", "neg_c", "pos_c",
                  "elec_c", "core_conc", "charge", "mass_pos", "mass_neg", "mass_elec",
@@ -107,7 +112,7 @@ def test_members_equal_their_serial_runs_off_the_step_grid(params, ocp, disc4):
 def test_member_that_fails_its_first_step(params, ocp, disc4):
     """A member whose state turns non-finite in the batched step raises the
     BlowupError of its serial run; the others are untouched."""
-    members = [params, params.replace(D_s_n=1e30), params.replace(k_p=2.0 * params.k_p)]
+    members = [params, params.replace(D_s_n=1e292), params.replace(k_p=2.0 * params.k_p)]
     inits = [initial_state(p, disc4, 1.0, "dis") for p in members]
     profile = _profile(params)
     got = simulate_many(profile, inits, members, disc4, SOLVER, ocp=ocp)
@@ -243,6 +248,87 @@ def test_cutoff_next_to_a_step_taken_alone(params, ocp, disc4, offset):
         _assert_same(g, w)
 
 
+def _same_as_serial(profile, inits, members, disc, solver, ocp):
+    """The members' serial runs, after checking that simulate_many gives
+    each of them bit for bit."""
+    want = [_run(simulate, profile, x0, p, disc, solver, ocp=ocp)
+            for x0, p in zip(inits, members)]
+    got = simulate_many(profile, inits, members, disc, solver, ocp=ocp)
+    for g, w in zip(got, want):
+        _assert_same(g, w)
+    return want
+
+
+def test_members_enter_in_different_rows_of_one_block(params, ocp, disc4):
+    """Members with D_s_p spread over a decade, from three start SOCs, enter
+    two-phase in three different rows of one block (one segment, cutoffs
+    off): each writes its one-phase rows alone and takes its entry step
+    alone, then steps in lockstep with those already in two-phase; each
+    equals its serial run."""
+    profile = cc_profile(params, 0.25, "dis", duration=3600.0)
+    members = [params.replace(D_s_p=params.D_s_p * f) for f in (0.3, 1.0, 3.0)]
+    inits = [initial_state(p, disc4, soc, "dis") for p, soc in zip(members, (1.0, 0.97, 0.94))]
+    want = _same_as_serial(profile, inits, members, disc4, SOLVER, ocp)
+    rows = [int(np.searchsorted(w.time, e.time)) for w in want for e in w.events]
+    assert [e.kind for w in want for e in w.events] == ["enter_two_phase"] * 3
+    assert len(set(rows)) == 3 and all(w.regime[-1] == "two_phase" for w in want)
+
+
+def test_exit_then_one_phase_rows_in_one_block(params, ocp, disc4):
+    """On a C/4 cycle from SOC 0 each member's front exits two-phase during
+    the charge (near 11,740 s) and the one-phase rows after the exit step
+    fill the rest of that block, written alone in closed form from the row
+    after the exit step; each member equals its serial run."""
+    profile = cycle_profile(params, 0.25, 1)
+    members = [params, params.replace(D_s_p=2.0 * params.D_s_p, k_p=0.5 * params.k_p)]
+    inits = [initial_state(p, disc4, 0.0, "ch") for p in members]
+    want = _same_as_serial(profile, inits, members, disc4, SOLVER, ocp)
+    for w in want:
+        exit_time, = [e.time for e in w.events if e.kind == "exit_two_phase" and e.time < 14400.0]
+        assert 11000.0 < exit_time < 12500.0
+        row = int(np.searchsorted(w.time, exit_time))
+        assert w.regime[row - 1] == "two_phase"
+        assert set(w.regime[row:int(np.searchsorted(w.time, 14400.0)) + 1]) == {"one_phase_alpha"}
+
+
+def test_cutoff_inside_a_one_phase_stretch(params, ocp, disc4):
+    """A lower cutoff crossed in the members' one-phase rows, inside an
+    output chunk and well before their entries: each member stops at its
+    serial run's row, with no event, counter or closure of the rows the
+    closed form wrote past it."""
+    profile = cc_profile(params, 0.25, "dis", duration=3600.0)
+    members = [params.replace(k_p=params.k_p * f) for f in (1.0, 0.5, 2.0)]
+    inits = [initial_state(p, disc4, 1.0, "dis") for p in members]
+    free = simulate(profile, inits[0], members[0], disc4, SOLVER, ocp=ocp)
+    stop = 90
+    assert stop % 64 and np.all(np.diff(free.voltage[1:stop + 2]) < 0.0)
+    solver = dataclasses.replace(SOLVER, cutoffs_enabled=True,
+                                 v_min=0.5 * (free.voltage[stop - 1] + free.voltage[stop]))
+    want = _same_as_serial(profile, inits, members, disc4, solver, ocp)
+    assert (want[0].status, len(want[0]), want[0].events) == ("cutoff_low", stop + 1, [])
+    assert want[0].regime[-1] == "one_phase_alpha" and want[0].meta["max_closure"] == 0.0
+    assert free.events[0].time > free.time[stop + 64]
+
+
+def test_nonfinite_row_inside_a_one_phase_stretch(params, ocp, disc4):
+    """Members whose rows overflow in a one-phase stretch of a C/4 charge
+    from SOC 1 (one-phase alpha throughout, so no entry cuts the stretch):
+    a negative block past the float range after two rows, and a positive
+    one after 19 rows.  Each raises its serial run's BlowupError, with its
+    last good time, as the context of the output map's error on its rows;
+    the other member runs on."""
+    profile = cc_profile(params, 0.25, "ch", duration=600.0)
+    members = [params.replace(eps_n=3e-307), params.replace(eps_p=1e-306), params]
+    inits = [initial_state(p, disc4, 1.0, "ch") for p in members]
+    assert {x.regime for x in inits} == {"one_phase_alpha"}
+    with np.errstate(all="ignore"):
+        want = _same_as_serial(profile, inits, members, disc4, SOLVER, ocp)
+    blowups = [w.__context__ for w in want[:2]]
+    assert [type(b).__name__ for b in blowups] == ["BlowupError"] * 2
+    assert [b.last_good_time for b in blowups] == [20.0, 190.0]
+    assert want[2].status == "completed"
+
+
 # --- identification -------------------------------------------------------------
 
 def _serial_identify(datasets, subset, base, disc, solver, seed, budget, ocp):
@@ -358,7 +444,7 @@ def test_penalties_are_counted_by_cause(params, disc4):
     true = np.array([getattr(params, n) for n in names])
     rows = [true, true * [2.0, 1.0, 1.0, 1.0],
             true * [1.0, 1.0, 1.0, 4.5],       # theta_alpha above theta_beta
-            true * [1.0, 1.0, 1e45, 1.0],      # the negative block's map overflows
+            true * [1.0, 1.0, 1e307, 1.0],     # the negative block's rows overflow
             true * [1.0, 1e-3, 1.0, 1.0]]      # the overpotential hits v_min
     penalties = {}
     ocp = synthetic_ocp_set(params)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import signal
 import sys
@@ -229,7 +230,7 @@ def test_euler_single_step_mass_exact(params, disc4):
 
 
 def _fixed_grid_blocks(params, disc, integ):
-    """(block, volume weights, concentration scale) of the three blocks."""
+    """(block, capacity weights, concentration scale) of the three blocks."""
     dx, eps, _ = systems.electrolyte_geometry(params, disc.N_e, integ.split)
     return ((integ.neg, systems.cell_volumes(params.R_s_n, disc.N_r), params.c_s_max_n),
             (integ.pos1p, systems.cell_volumes(params.R_s_p, disc.N_r), params.c_s_max_p),
@@ -254,136 +255,213 @@ def _substep_loop(A, b, x, h, n_sub, method):
 @pytest.mark.parametrize("method", ["rk4", "euler"])
 def test_cached_step_map_matches_substep_loop(params, disc4, method):
     """An explicit substep loop of each fixed-grid block converges to the
-    cached exact map at the method's order (halving the substep cuts the gap
-    by 2 for Euler, 16 for RK4), so the map is the loop's limit, and the
-    finer loop lies within (rho h_sub)^p / (p + 1)! of it; checked for a full
-    step and a bisection-sized step, on first use and from the cache."""
+    block's exact step at the method's order (halving the substep cuts the
+    gap by 2 for Euler, 16 for RK4), so the step is the loop's limit, and
+    the finer loop lies within (rho h_sub)^p / (p + 1)! of it; checked for a
+    full step and a bisection-sized step, each from two states."""
     order, rho_hs = {"euler": (1, 0.01), "rk4": (4, 0.1)}[method]
     integ = Integrator(params, disc4, SolverConfig(dt=10.0))
     rng = np.random.default_rng(5)
     current = params.current_for_c_rate(1.0)
     for block, _, scale in _fixed_grid_blocks(params, disc4, integ):
-        A, b = block.sys.A, block.sys.B * current
+        A, b = block.A, block.B * current
         rho = float(np.max(np.abs(np.linalg.eigvals(A))))
         for h in (10.0, 10.0 * 0.6171875):
             n_sub = int(np.ceil(rho * h / rho_hs))
             for _ in range(2):
-                x = scale * rng.uniform(0.2, 0.8, block.sys.dim)
-                got = block.advance(x, current, h)
+                x = scale * rng.uniform(0.2, 0.8, len(b))
+                got = block.step(x, current, h)
                 gaps = [np.linalg.norm(_substep_loop(A, b, x, h, n, method) - got)
                         / np.linalg.norm(got - x) for n in (n_sub, 2 * n_sub)]
                 ratio = gaps[1] / gaps[0]
-                assert abs(ratio * 2**order - 1.0) <= 0.1, (block.sys.dim, h, gaps)
+                assert abs(ratio * 2**order - 1.0) <= 0.1, (len(b), h, gaps)
                 bound = (0.5 * rho_hs)**order / math.factorial(order + 1)
-                assert gaps[1] <= bound, (block.sys.dim, h, gaps)
-        assert list(block._maps) == [10.0, 10.0 * 0.6171875]
+                assert gaps[1] <= bound, (len(b), h, gaps)
 
 
 def test_cached_step_map_matches_propagator(params, disc4):
-    """The cached exact map of each fixed-grid block reproduces the
-    eigenbasis propagator (checked against dense expm above) for a full step
-    and a bisection-sized step, on first use and from the cache."""
+    """Each fixed-grid block's exact step reproduces the dense Van Loan step
+    (one expm of the augmented matrix) and the eigenbasis propagator of the
+    whole block (checked against dense expm above), each to 1e-12 of the
+    increment, for a full step and a bisection-sized step."""
     rng = np.random.default_rng(5)
     current = params.current_for_c_rate(1.0)
     integ = Integrator(params, disc4, SolverConfig(dt=10.0))
     for block, w, scale in _fixed_grid_blocks(params, disc4, integ):
-        ref = AffinePropagator(*_bands(block.sys.A), weights=w)
+        ref = AffinePropagator(*_bands(block.A), weights=w)
+        b = block.B * current
         for h in (10.0, 10.0 * 0.6171875):
             for _ in range(2):
-                x = scale * rng.uniform(0.2, 0.8, block.sys.dim)
-                want = ref.step(x, block.sys.B * current, h)
-                got = block.advance(x, current, h)
-                err = np.linalg.norm(got - want) / np.linalg.norm(want - x)
-                assert err <= 1e-12, (block.sys.dim, h, err)
-        assert list(block._maps) == [10.0, 10.0 * 0.6171875]
+                x = scale * rng.uniform(0.2, 0.8, len(b))
+                got = block.step(x, current, h)
+                for want in (ref.step(x, b, h), x + _van_loan_increment(block.A, x, b, h)):
+                    err = np.linalg.norm(got - want) / np.linalg.norm(want - x)
+                    assert err <= 1e-12, (len(b), h, err)
 
 
 def test_forced_response_cache_equals_uncached_step(params, disc4):
-    """Each fixed-grid block steps with its cached forced response c = N (B I
-    + G): bit for bit the uncached x + D x + N (B I + G), with D and N from
-    the Van Loan exponential, for a full and a bisection-sized step, at rest
-    and under both signs of current, on first use and from the cache."""
+    """Each fixed-grid block's rows at K offsets from one state are bit for
+    bit its steps of each offset alone, so a row does not depend on the
+    other rows asked for with it; and each equals x + D x + N b, with
+    N = Gamma_h and D = A N from the Van Loan exponential, to 1e-12 of the
+    increment: at rest and under both signs of current, for full and
+    bisection-sized offsets."""
     import scipy.linalg
     integ = Integrator(params, disc4, SolverConfig(dt=10.0))
     rng = np.random.default_rng(3)
     i = params.current_for_c_rate(1.0)
+    taus = np.array([10.0, 10.0 * 0.3171875, 1.0])
     for block, _, scale in _fixed_grid_blocks(params, disc4, integ):
-        A, n = block.sys.A, block.sys.dim
+        A, n = block.A, len(block.B)
         x = scale * rng.uniform(0.2, 0.8, n)
-        for h in (10.0, 10.0 * 0.3171875):
-            M = np.zeros((2 * n, 2 * n))
-            M[:n, :n] = A * h
-            M[:n, n:] = np.eye(n) * h
-            N = scipy.linalg.expm(M)[:n, n:]
-            D = A @ N
-            for current in (0.0, i, -i):
-                b = block.sys.B * current
-                if block.sys.G is not None:
-                    b = b + block.sys.G
-                for _ in range(2):
-                    assert np.array_equal(block.advance(x, current, h), x + D @ x + N @ b)
+        for current in (0.0, i, -i):
+            b = block.B * current
+            rows = block.rows(x, current, taus)
+            for h, row in zip(taus, rows):
+                assert row.tobytes() == block.step(x, current, h).tobytes(), (n, current, h)
+                M = np.zeros((2 * n, 2 * n))
+                M[:n, :n] = A * h
+                M[:n, n:] = np.eye(n) * h
+                N = scipy.linalg.expm(M)[:n, n:]
+                want = A @ N @ x + N @ b
+                assert np.linalg.norm(row - x - want) <= 1e-12 * np.linalg.norm(want), (n, h)
 
 
 def test_cached_step_map_keeps_exact_fallback(params):
     """The identified C/2 negative block at dt = 1 s lies far past the RK4
-    stability limit (rho h ~ 1e4 > 2.79); its cached map is still the exact
-    step, equal to the eigenbasis propagator, for a full step and a
-    bisection-sized step."""
+    stability limit (rho h ~ 1e4 > 2.79); its step is still the exact one,
+    equal to the eigenbasis propagator and to the dense Van Loan step, for a
+    full step and a bisection-sized step."""
     from csespm.params import params_for_rate
     p2 = params_for_rate(params, "C/2")
     disc = DiscretizationConfig(N_r=4, N_e=6)
     block = Integrator(p2, disc, SolverConfig(dt=1.0)).neg
-    assert float(np.max(np.abs(np.linalg.eigvals(block.sys.A)))) * 1.0 > 2.79
-    ref = AffinePropagator(*_bands(block.sys.A),
+    assert float(np.max(np.abs(np.linalg.eigvals(block.A)))) * 1.0 > 2.79
+    ref = AffinePropagator(*_bands(block.A),
                            weights=systems.cell_volumes(p2.R_s_n, disc.N_r))
     x = np.linspace(0.3, 0.6, disc.N_r) * p2.c_s_max_n
     current = 10.0
-    b = block.sys.B * current
+    b = block.B * current
     for h in (1.0, 0.3171875):
-        for _ in range(2):
-            want = ref.step(x, b, h)
-            got = block.advance(x, current, h)
-            assert np.isfinite(got).all()
+        got = block.step(x, current, h)
+        assert np.isfinite(got).all()
+        for want in (ref.step(x, b, h), x + _van_loan_increment(block.A, x, b, h)):
             assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want - x), h
-    assert list(block._maps) == [1.0, 0.3171875]
 
 
-def test_event_probes_keep_the_fixed_grid_maps(params, disc4):
-    """Bisection probes of a transition step only the positive particle: after
-    a step with a two-phase entry, the negative and electrolyte blocks hold
-    the maps of the step, of the located event time and of the rest of the
-    step, and nothing else, so the step's map survives for the next step;
-    the step itself is the one the simulation recorded."""
+def test_event_probes_keep_the_fixed_grid_maps(params, disc4, monkeypatch):
+    """Bisection probes of a transition step only the positive particle.  The
+    crossing step of the simulation, taken again from its recorded row with
+    the positive particle alone (as the time loop takes it), steps neither
+    fixed-grid block and gives the recorded row; taken from the full state,
+    it steps each of them three times: the step, the located event time and
+    the rest of the step."""
     solver = SolverConfig(dt=1.0, cutoffs_enabled=False)
     prof = cc_profile(params, 1.0, "dis", duration=700.0)
     res = simulate(prof, initial_state(params, disc4, 1.0, "dis"), params, disc4, solver)
     entry = next(e for e in res.events if e.kind == "enter_two_phase")
     i = int(np.searchsorted(res.time, entry.time)) - 1
-    integ = Integrator(params, disc4, solver)
-    events = []
-    new = integ.advance_with_events(res.state_at(i), float(res.current[i + 1]),
-                                    float(res.time[i]), 1.0, events)
-    assert [(e.kind, e.time) for e in events] == [("enter_two_phase", entry.time)]
-    for block in (integ.neg, integ.elec):
-        assert len(block._maps) == 3 and 1.0 in block._maps
-    assert len(integ.pos1p._maps) > 3       # the probes' lengths
-    for got, want in ((new.neg, res.neg_c), (new.pos, res.pos_c), (new.elec, res.elec_c)):
-        assert np.array_equal(got, want[i + 1])
-    assert new.r_p / params.R_s_p == res.r_p[i + 1]
+    for positive_only in (True, False):
+        integ = Integrator(params, disc4, solver)
+        lengths = {}
+        for name in ("neg", "pos1p", "elec"):
+            block = getattr(integ, name)
+            monkeypatch.setattr(block, "rows", lambda x, current, taus, name=name, rows=block.rows:
+                                lengths.setdefault(name, []).extend(taus.tolist())
+                                or rows(x, current, taus))
+        state = res.state_at(i)
+        if positive_only:
+            state.neg = state.elec = None
+        events = []
+        new = integ.advance_with_events(state, float(res.current[i + 1]), float(res.time[i]),
+                                        1.0, events)
+        assert [(e.kind, e.time) for e in events] == [("enter_two_phase", entry.time)]
+        assert len(lengths["pos1p"]) > 3       # the probes' lengths
+        assert new.pos.tobytes() == res.pos_c[i + 1].tobytes()
+        assert new.r_p / params.R_s_p == res.r_p[i + 1]
+        if positive_only:
+            assert set(lengths) == {"pos1p"} and new.neg is None and new.elec is None
+        else:
+            tau = entry.time - res.time[i]
+            for name in ("neg", "elec"):
+                assert lengths[name] == [1.0, tau, 1.0 - tau]
 
 
 def test_cached_step_conserves_content(params, disc4):
-    """One cached multi-substep step changes the volume-weighted content by
-    exactly h times the boundary influx (the electrolyte source cancels)."""
+    """One exact step changes the volume-weighted content by h times the
+    boundary influx to 1e-12 (the electrolyte source cancels)."""
     integ = Integrator(params, disc4, SolverConfig(dt=10.0))
     rng = np.random.default_rng(11)
     current = 20.0
     for block, w, scale in _fixed_grid_blocks(params, disc4, integ):
         for h in (10.0, 3.3):
-            x = scale * rng.uniform(0.2, 0.8, block.sys.dim)
-            b = block.sys.B * current
-            dx = block.advance(x, current, h) - x
+            x = scale * rng.uniform(0.2, 0.8, len(block.B))
+            b = block.B * current
+            dx = block.step(x, current, h) - x
             assert abs(float(w @ dx) - h * float(w @ b)) <= 1e-12 * h * float(w @ np.abs(b))
+
+
+# The rows of one constant-current block lie on the block's conservation
+# line w . x_k = w . x_0 + t_k w . B I: each row is x_0 plus one increment,
+# whose uniform (conserved) part t_k (w . B I) / sum(w) is exact to a few
+# roundings and whose other modes carry no content up to their eigenvectors'
+# rounding; the sum x_0 + increment rounds each cell once.  No error adds
+# over rows, so the bound is a fixed count of ulps per cell of the content
+# and of the line's rise, whatever the number of rows K.  A per-step
+# recurrence adds one rounding of the content per row, and A applied after
+# Gamma multiplies the rounding of Gamma x_0, whose uniform part grows like
+# t_k, by A: both leave the line by far more at K = 14,400.
+LINE_ULPS_PER_CELL = 4
+
+
+@pytest.mark.parametrize("c_rate", [0.25, -2.0, 0.0])
+@pytest.mark.parametrize("scheme", ["fvm", "fdm"])
+def test_block_rows_stay_on_the_conservation_line(params, scheme, c_rate):
+    """Over one block of K = 14,400 rows (a C/4 step grid at dt = 1 s) from
+    random and uniform states, each fixed-grid block's content stays on its
+    line within LINE_ULPS_PER_CELL n eps (w . |x_0| + t_k w . |B I|): charge,
+    discharge and rest, N_r 2, 4 and 8 with N_e 3, 6 and 12."""
+    eps = np.finfo(float).eps
+    current = c_rate * params.current_for_c_rate(1.0)
+    taus = np.arange(1.0, 14401.0)
+    rng = np.random.default_rng(17)
+    for N_r, N_e in ((2, 3), (4, 6), (8, 12)):
+        disc = DiscretizationConfig(N_r=N_r, N_e=N_e, scheme=scheme)
+        integ = Integrator(params, disc, SolverConfig())
+        w_solid = [systems.cell_geometry(0.0, R, N_r, scheme)[2]
+                   for R in (params.R_s_n, params.R_s_p)]
+        dx, e, _ = systems.electrolyte_geometry(params, N_e, integ.split)
+        for block, w, scale in zip((integ.neg, integ.pos1p, integ.elec), w_solid + [dx * e],
+                                   (params.c_s_max_n, params.c_s_max_p, params.c_e0)):
+            b = block.B * current
+            for x0 in (scale * rng.uniform(0.02, 0.98, len(w)), np.full(len(w), 0.5 * scale)):
+                rows = block.rows(x0, current, taus)
+                line = w @ x0 + taus * (w @ b)
+                bound = LINE_ULPS_PER_CELL * len(w) * eps * (w @ np.abs(x0)
+                                                             + taus * (w @ np.abs(b)))
+                off = np.abs(rows @ w - line)
+                assert np.all(off <= bound), (N_r, len(w), int(np.argmax(off / bound)),
+                                              float(np.max(off / bound)))
+
+
+@pytest.mark.parametrize("scheme", ["fvm", "fdm"])
+def test_rows_do_not_depend_on_where_blocks_end(params, scheme):
+    """With cutoffs on, blocks also end at every output-map chunk; each
+    closed form still starts from the first row of its run of segments at
+    one current or the row after the last step taken alone, so a 1C cycle
+    and a drive profile with cutoffs out of reach give, bit for bit, the
+    rows, events, counters and closure of the same runs with cutoffs off."""
+    disc = DiscretizationConfig(N_r=4, N_e=6, scheme=scheme)
+    for prof, soc, direction in ((cycle_profile(params, 1.0, 1), 0.0, "ch"),
+                                 (synthetic_dynamic_profile(params, duration=1200.0), 0.6,
+                                  "dis")):
+        init = initial_state(params, disc, soc, direction)
+        free = simulate(prof, init, params, disc, SolverConfig(cutoffs_enabled=False))
+        chunked = simulate(prof, init, params, disc, SolverConfig(v_min=-10.0, v_max=10.0))
+        for name in ("voltage", "r_p", "neg_c", "pos_c", "elec_c", "core_conc"):
+            assert np.array_equal(getattr(chunked, name), getattr(free, name), equal_nan=True)
+        assert _event_keys(chunked.events) == _event_keys(free.events)
+        assert chunked.meta == free.meta
 
 
 def test_coarse_dt_against_fine_dt(params, disc4):
@@ -652,30 +730,40 @@ def test_columnar_outputs_match_scalar_replay(params, ocp, disc4, run):
         # events and halves a few front steps
         assert res.meta["counters"] == {"ocp_extrapolations": 0, "event_cap_hits": 0,
                                         "front_floor_accepts": 0, "bisection_probes": 56,
-                                        "front_halvings": 3}
+                                        "front_halvings": 3, "two_phase_substeps": 2082}
 
 
 def _per_step_run(profile, init, params, disc, solver, ocp):
-    """Reference for the cutoff logic: the output map after every step, the
-    run ending at the first row past a cutoff.  One-segment profiles;
-    returns (status, rows, last time, charge, events, max_closure)."""
-    from csespm.output import cell_voltage
-    integ = Integrator(params, disc, solver)
-    split = disc.electrolyte_split()
-    (t0, t1, current), = profile.segments()
+    """Reference for the cutoff logic: the run with cutoffs off, whose rows
+    do not depend on where blocks end, its output map read row by row up to
+    the first row past a cutoff, where the run ends, or the first row it
+    rejects, which raises; the events and max_closure are those of the same
+    run over the profile cut at the stop row.  One-segment profiles on
+    whole steps; returns (status, rows, last time, charge, events,
+    max_closure)."""
+    from csespm.errors import SaturationError
+    free_solver = dataclasses.replace(solver, cutoffs_enabled=False)
+    try:
+        free, error = simulate(profile, init, params, disc, free_solver, ocp=ocp), None
+        v = free.voltage
+    except SaturationError as exc:
+        v, error = exc.before.V_cell, exc
     v_lo = -np.inf if solver.v_min is None else solver.v_min
     v_hi = np.inf if solver.v_max is None else solver.v_max
-    state, events, t, q, rows = init.copy(), [], t0, 0.0, 1
-    cell_voltage(state, current, params, ocp, split)
-    while t < t1 - 1e-9:
-        h = min(solver.dt, t1 - t)
-        state = integ.advance_with_events(state, current, t, h, events)
-        t, q, rows = t + h, q + current * h, rows + 1
-        v = cell_voltage(state, current, params, ocp, split).V_cell
-        if v < v_lo or v > v_hi:
-            status = "cutoff_low" if v < v_lo else "cutoff_high"
-            return status, rows, t, q, events, integ.max_closure
-    return "completed", rows, t, q, events, integ.max_closure
+    past = np.flatnonzero((v[1:] < v_lo) | (v[1:] > v_hi)) if solver.cutoffs_enabled else []
+    if not len(past):
+        if error is not None:
+            raise error
+        return ("completed", len(free), float(free.time[-1]), float(free.charge[-1]),
+                free.events, free.meta["max_closure"])
+    k = 1 + int(past[0])
+    (t0, _, current), = profile.segments()
+    cut = simulate(LoadProfile(np.array([t0, t0 + k * solver.dt]), np.array([current, current])),
+                   init, params, disc, free_solver, ocp=ocp)
+    assert len(cut) == k + 1 and np.array_equal(cut.voltage, v[:k + 1])
+    status = "cutoff_low" if v[k] < v_lo else "cutoff_high"
+    return (status, k + 1, float(cut.time[-1]), float(cut.charge[-1]), cut.events,
+            cut.meta["max_closure"])
 
 
 def _summary(res):
@@ -691,8 +779,8 @@ def _event_keys(events):
 @pytest.mark.parametrize("direction", ["dis", "ch"])
 def test_cutoff_stop_matches_per_step_loop(params, ocp, N_r, direction):
     """1C to v_min and to v_max: the chunked output pass stops at the same
-    row with the same status, time, charge, events and max_closure as a
-    per-step loop."""
+    row with the same status, time, charge, events and max_closure as the
+    run with cutoffs off tested row by row (_per_step_run)."""
     disc = DiscretizationConfig(N_r=N_r, N_e=6)
     prof = cc_profile(params, 1.0, direction)
     init = initial_state(params, disc, 1.0 if direction == "dis" else 0.0, direction)
@@ -709,8 +797,9 @@ def test_steps_past_the_cutoff_leave_nothing(params, ocp, monkeypatch):
     """Steps integrated after the stop row inside its output chunk leave no
     event, closure or error: a cutoff placed one row before two-phase
     entry keeps the entry out, and a step that raises after the stop row
-    still ends the run at the cutoff.  At most one chunk of steps is
-    integrated past the stop."""
+    still ends the run at the cutoff.  The one-phase rows before the entry
+    take no step alone; the steps taken alone start with the entry step
+    from the stop row, and are at most one chunk of steps."""
     from csespm.simulate import _CHUNK
     disc = DiscretizationConfig(N_r=3, N_e=6)
     prof = cc_profile(params, 1.0, "dis", duration=900.0)
@@ -730,7 +819,7 @@ def test_steps_past_the_cutoff_leave_nothing(params, ocp, monkeypatch):
 
     monkeypatch.setattr(Integrator, "advance_with_events", counted)
     res = simulate(prof, init, params, disc, solver, ocp=ocp)
-    assert k < len(steps) <= k + 64
+    assert steps[0] == free.time[k] and len(steps) <= _CHUNK
     assert (res.status, len(res), res.events) == ("cutoff_low", k + 1, [])
     assert res.meta["max_closure"] == 0.0 < free.meta["max_closure"]
     assert _summary(res)[:4] == _per_step_run(prof, init, params, disc, solver, ocp)[:4]
