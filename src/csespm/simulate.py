@@ -1323,9 +1323,11 @@ def simulate_many(profile: LoadProfile, inits: list[FullState],
     """`simulate` of B members (one initial state and parameter set each) on
     one profile, stepped in lockstep.
 
-    One batched step advances every live member and writes their rows at
-    once (`_Batch`).  A member whose step detects a transition, must halve
-    its front step or raises takes that step alone, through its own
+    Each member's fixed-grid and one-phase rows are written in closed
+    form, a block at a time, as `simulate` writes them; one batched step
+    advances every member in two-phase and writes their rows at once
+    (`_Batch`).  A member whose step detects a transition, must halve its
+    front step or raises takes that step alone, through its own
     Integrator.advance_with_events, and steps on with the others unless it
     raised.  Each item of the returned list is the member's
     SimulationResult, bit for bit the one `simulate` returns for it, or the
