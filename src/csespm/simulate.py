@@ -320,14 +320,18 @@ class LinearBlock:
 
     def rows(self, x: np.ndarray, current: float, taus: np.ndarray) -> np.ndarray:
         """The (K, n) rows at the K offsets taus > 0 from row x, at this
-        current.  The modes are summed one at a time, so each row's bits are
-        its own, however many rows are asked for with it."""
+        current.  Each row's modes are summed in order by elementwise
+        operations, not by a matrix product, whose rounding depends on the
+        number of rows: so each row's bits are its own, however many rows
+        are asked for with it.  The (rows, modes, cells) products are taken
+        a bounded number of rows at a time."""
         z = self._to @ (self.A @ x + self.B * current)
-        w = np.expm1(taus[:, None] * self.lam) / self.lam * z
-        dx = np.multiply.outer(taus, np.full(len(x), self._rise * current))
-        for w_j, v in zip(w.T, self._back):
-            dx += w_j[:, None] * v
-        return x + dx
+        w = (np.expm1(taus[:, None] * self.lam) / self.lam * z)[:, :, None]
+        k = max(1, 2**15 // self._back.size)        # rows per product
+        dx = ((w * self._back).sum(axis=1) if len(taus) <= k else
+              np.concatenate([(w[i:i + k] * self._back).sum(axis=1)
+                              for i in range(0, len(taus), k)]))
+        return x + (dx + (taus * (self._rise * current))[:, None])
 
     def step(self, x: np.ndarray, current: float, h: float) -> np.ndarray:
         """The row at offset h from row x."""

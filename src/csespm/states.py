@@ -48,10 +48,12 @@ class FullState:
     def is_finite(self) -> bool:
         # one sum: concentrations are bounded far below overflow, so the sum
         # of a finite state is finite and any NaN or inf propagates into it;
-        # Python sums of these few values beat numpy reductions.  A None
-        # array (a state of the positive particle only) counts as finite.
-        return math.isfinite(sum(sum(a.tolist()) for a in (self.neg, self.pos, self.elec)
-                                 if a is not None) + self.r_p)
+        # Python sums of these few values beat numpy reductions.  A state of
+        # the positive particle only (neg and elec None) sums that.
+        total = sum(self.pos.tolist()) + self.r_p
+        if self.neg is not None:
+            total += sum(self.neg.tolist()) + sum(self.elec.tolist())
+        return math.isfinite(total)
 
 
 @dataclass
