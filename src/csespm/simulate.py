@@ -292,9 +292,9 @@ class LinearBlock:
     electrolyte), so `AffinePropagator` diagonalizes it: A = V diag(lam)
     V^-1.  A row at offset tau from an anchor row x_a is
     x_a + Gamma(tau) (A x_a + B I), Gamma(tau) = integral of e^{As} ds over
-    [0, tau] = V diag(phi) V^-1, phi = expm1(lam tau) / lam.  A is applied before Gamma; applied after it, it would
-    act on the content Gamma spreads and lose the small increment to
-    cancellation.  The block conserves its content: A 1 = 0 and w^T A = 0,
+    [0, tau] = V diag(phi) V^-1, phi = expm1(lam tau) / lam.  A is applied
+    before Gamma; applied after it, it would act on the content Gamma
+    spreads and lose the small increment to cancellation.  The block conserves its content: A 1 = 0 and w^T A = 0,
     so one mode has lam = 0 exactly, where phi = tau, with the uniform
     eigenvector and left eigenvector w: Gamma(tau) carries it as
     tau 1 w^T / sum(w).  That mode is taken in this closed form,
