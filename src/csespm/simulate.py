@@ -328,9 +328,8 @@ class LinearBlock:
         z = self._to @ (self.A @ x + self.B * current)
         w = (np.expm1(taus[:, None] * self.lam) / self.lam * z)[:, :, None]
         k = max(1, 2**15 // self._back.size)        # rows per product
-        dx = ((w * self._back).sum(axis=1) if len(taus) <= k else
-              np.concatenate([(w[i:i + k] * self._back).sum(axis=1)
-                              for i in range(0, len(taus), k)]))
+        dx = np.concatenate([(w[i:i + k] * self._back).sum(axis=1)
+                             for i in range(0, len(taus), k)])
         return x + (dx + (taus * (self._rise * current))[:, None])
 
     def step(self, x: np.ndarray, current: float, h: float) -> np.ndarray:
@@ -593,25 +592,16 @@ class Integrator:
                                        "front_halvings"), 0)
 
     def advance(self, state: FullState, current: float, h: float) -> FullState:
-        """Pure step of length h at constant current (no event handling).  A
-        state without negative and electrolyte arrays (None), as the time
-        loop steps it, steps its positive particle only."""
-        new = self.advance_positive(state, current, h)
-        if state.neg is not None:
-            new.neg = self.neg.step(state.neg, current, h)
-            new.elec = self.elec.step(state.elec, current, h)
-        return new
-
-    def advance_positive(self, state: FullState, current: float, h: float) -> FullState:
-        """The state with only the positive particle stepped by h (its other
-        arrays shared, never written): what a transition margin reads, so
-        event bisection probes step nothing else.  A two-phase front step
-        that moves the front too far is halved ("front_halvings"), down to
-        a floor of 1e-6 h, where the move is accepted ("front_floor_accepts")
-        unless it starts from the radial clip (1e-9 R or (1 - 1e-9) R): a
-        front that the floor must move off the clip it was driven onto
-        bounces between them, each time for 1e-6 h, so the step raises
-        CsespmError."""
+        """Pure step of length h at constant current (no event handling) of
+        the positive particle, all a transition margin reads: the state's
+        other arrays are shared, never written, and may be None, since the
+        time loop writes the negative and electrolyte rows a block at a time
+        (`LinearBlock.rows`).  A two-phase front step that moves the front
+        too far is halved ("front_halvings"), down to a floor of 1e-6 h,
+        where the move is accepted ("front_floor_accepts") unless it starts
+        from the radial clip (1e-9 R or (1 - 1e-9) R): a front that the
+        floor must move off the clip it was driven onto bounces between
+        them, each time for 1e-6 h, so the step raises CsespmError."""
         new = FullState(state.neg, state.pos, state.elec, state.regime, state.r_p,
                         state.core_conc, state.core_phase, state.direction)
         if state.regime != TWO_PHASE:
@@ -672,7 +662,7 @@ class Integrator:
                     if mid == lo or mid == hi:      # adjacent floats: nothing to halve
                         break
                     self.counters["bisection_probes"] += 1
-                    if transition_margin(kind, self.advance_positive(s, current, mid),
+                    if transition_margin(kind, self.advance(s, current, mid),
                                          current, params, pcfg) >= 0.0:
                         hi = mid
                     else:
@@ -698,14 +688,19 @@ class Integrator:
 
 # --- lockstep steps of many members ----------------------------------------------
 
+def _finite(pos: np.ndarray, r_p: float) -> bool:
+    """Whether a positive particle's concentrations and front are finite, by
+    one sum as FullState.is_finite tests a whole state."""
+    return math.isfinite(sum(pos.tolist()) + r_p)
+
+
 def _nonfinite(x: FullState, members: list[int]) -> list[int]:
-    """Those of the rows ``members`` of x whose positive particle
-    FullState.is_finite rejects."""
+    """Those of the rows ``members`` of x whose positive particle is not
+    finite (`_finite`)."""
     pos, r_p = x.pos[members], x.r_p[members]
     if float(np.vdot(pos, pos)) + float(np.vdot(r_p, r_p)) < 1e300:
         return []       # no entry reaches 1e150, so every member's sum is finite
-    return [p for p in members
-            if not FullState(None, x.pos[p], None, r_p=float(x.r_p[p, 0])).is_finite()]
+    return [p for p in members if not _finite(x.pos[p], float(x.r_p[p, 0]))]
 
 
 class _Batch:
@@ -804,17 +799,20 @@ class _Batch:
         except (CsespmError, ArithmeticError, ValueError):
             # some member's data fails the step: each takes it alone, and
             # raises its own error there
-            new, closure, solo = x, 0.0, active
-        stay = [p for p in active if p not in solo]
-        self.substeps[stay] += 1.0
-        self.x, self.closure = new, np.maximum(self.closure, closure)
+            new, closure, solo = x, None, active
+        self.x = new
         for p in solo:
+            # from its closure before the step: that of a rejected front
+            # step is not its own run's
             regime, direction, core_phase = self.labels[p]
             self._resume(p, FullState(None, x.pos[p], None, regime, float(x.r_p[p, 0]),
                                       float(x.core_conc[p, 0]), core_phase, direction), k,
                          alone=True)
+        stay = [p for p in active if p not in solo]
         if not stay:
             return
+        self.substeps[stay] += 1.0
+        self.closure[stay] = np.maximum(self.closure[stay], closure[stay])
         self._write(k + 1, stay)
         errors = dict.fromkeys(_nonfinite(new, stay), _blowup(grid, k))
         errors.update((p, _blowup(grid, k)) for p in stay if self.bad[p] == k)
@@ -1272,7 +1270,7 @@ def _step_alone(run: _Run, state: FullState, k: int):
                                              grid.hs[k], run.events)
     except Exception as exc:
         return k, state, (k, exc)
-    if not post.is_finite():
+    if not _finite(post.pos, post.r_p):
         return k, state, (k, _blowup(grid, k))
     run.put(k + 1, post)
     run.anchor = k + 1

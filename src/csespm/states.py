@@ -48,12 +48,9 @@ class FullState:
     def is_finite(self) -> bool:
         # one sum: concentrations are bounded far below overflow, so the sum
         # of a finite state is finite and any NaN or inf propagates into it;
-        # Python sums of these few values beat numpy reductions.  A state of
-        # the positive particle only (neg and elec None) sums that.
-        total = sum(self.pos.tolist()) + self.r_p
-        if self.neg is not None:
-            total += sum(self.neg.tolist()) + sum(self.elec.tolist())
-        return math.isfinite(total)
+        # Python sums of these few values beat numpy reductions
+        return math.isfinite(sum(self.neg.tolist()) + sum(self.pos.tolist())
+                             + sum(self.elec.tolist()) + self.r_p)
 
 
 @dataclass

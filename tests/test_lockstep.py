@@ -329,6 +329,31 @@ def test_nonfinite_row_inside_a_one_phase_stretch(params, ocp, disc4):
     assert want[2].status == "completed"
 
 
+def test_rejected_batched_front_step_leaves_no_closure(params, ocp, disc4, monkeypatch):
+    """On a 2C discharge into two-phase, members whose batched step moves the
+    front too far take that step alone, halved.  The closure of the
+    rejected batched substep, above the member's whole serial run's
+    max_closure, stays out of its run: each member equals its serial run,
+    max_closure included."""
+    sim = sys.modules["csespm.simulate"]
+    real = sim._rows_substep
+    rejected = []       # (D_s_p, closure) of each rejected batched substep
+
+    def recorded(state, current, h, params, N_r):
+        shell, r_new, closure = real(state, current, h, params, N_r)
+        out = ~sim._front_ok(state.r_p, r_new, params.R_s_p)
+        rejected.extend(zip(params.D_s_p[out].tolist(), closure[out].tolist()))
+        return shell, r_new, closure
+
+    monkeypatch.setattr(sim, "_rows_substep", recorded)
+    profile = cc_profile(params, 2.0, "dis", duration=360.0)
+    members = [params.replace(D_s_p=params.D_s_p * f) for f in (0.3, 1.0, 3.0)]
+    inits = [initial_state(p, disc4, 1.0, "dis") for p in members]
+    want = _same_as_serial(profile, inits, members, disc4, SOLVER, ocp)
+    top = {p.D_s_p: w.meta["max_closure"] for p, w in zip(members, want)}
+    assert any(closure > top[d] for d, closure in rejected)
+
+
 # --- identification -------------------------------------------------------------
 
 def _serial_identify(datasets, subset, base, disc, solver, seed, budget, ocp):

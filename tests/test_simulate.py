@@ -350,41 +350,31 @@ def test_cached_step_map_keeps_exact_fallback(params):
 
 
 def test_event_probes_keep_the_fixed_grid_maps(params, disc4, monkeypatch):
-    """Bisection probes of a transition step only the positive particle.  The
-    crossing step of the simulation, taken again from its recorded row with
-    the positive particle alone (as the time loop takes it), steps neither
-    fixed-grid block and gives the recorded row; taken from the full state,
-    it steps each of them three times: the step, the located event time and
-    the rest of the step."""
+    """Bisection probes of a transition step only the positive particle: the
+    crossing step of the simulation, taken again from its recorded row,
+    steps neither the negative nor the electrolyte block, whose arrays it
+    leaves as they were, and gives the recorded row."""
     solver = SolverConfig(dt=1.0, cutoffs_enabled=False)
     prof = cc_profile(params, 1.0, "dis", duration=700.0)
     res = simulate(prof, initial_state(params, disc4, 1.0, "dis"), params, disc4, solver)
     entry = next(e for e in res.events if e.kind == "enter_two_phase")
     i = int(np.searchsorted(res.time, entry.time)) - 1
-    for positive_only in (True, False):
-        integ = Integrator(params, disc4, solver)
-        lengths = {}
-        for name in ("neg", "pos1p", "elec"):
-            block = getattr(integ, name)
-            monkeypatch.setattr(block, "rows", lambda x, current, taus, name=name, rows=block.rows:
-                                lengths.setdefault(name, []).extend(taus.tolist())
-                                or rows(x, current, taus))
-        state = res.state_at(i)
-        if positive_only:
-            state.neg = state.elec = None
-        events = []
-        new = integ.advance_with_events(state, float(res.current[i + 1]), float(res.time[i]),
-                                        1.0, events)
-        assert [(e.kind, e.time) for e in events] == [("enter_two_phase", entry.time)]
-        assert len(lengths["pos1p"]) > 3       # the probes' lengths
-        assert new.pos.tobytes() == res.pos_c[i + 1].tobytes()
-        assert new.r_p / params.R_s_p == res.r_p[i + 1]
-        if positive_only:
-            assert set(lengths) == {"pos1p"} and new.neg is None and new.elec is None
-        else:
-            tau = entry.time - res.time[i]
-            for name in ("neg", "elec"):
-                assert lengths[name] == [1.0, tau, 1.0 - tau]
+    integ = Integrator(params, disc4, solver)
+    lengths = {}
+    for name in ("neg", "pos1p", "elec"):
+        block = getattr(integ, name)
+        monkeypatch.setattr(block, "rows", lambda x, current, taus, name=name, rows=block.rows:
+                            lengths.setdefault(name, []).extend(taus.tolist())
+                            or rows(x, current, taus))
+    state = res.state_at(i)
+    events = []
+    new = integ.advance_with_events(state, float(res.current[i + 1]), float(res.time[i]),
+                                    1.0, events)
+    assert [(e.kind, e.time) for e in events] == [("enter_two_phase", entry.time)]
+    assert set(lengths) == {"pos1p"} and len(lengths["pos1p"]) > 3   # the probes' lengths
+    assert (new.neg.tobytes(), new.elec.tobytes()) == (state.neg.tobytes(), state.elec.tobytes())
+    assert new.pos.tobytes() == res.pos_c[i + 1].tobytes()
+    assert new.r_p / params.R_s_p == res.r_p[i + 1]
 
 
 def test_cached_step_conserves_content(params, disc4):
@@ -734,36 +724,46 @@ def test_columnar_outputs_match_scalar_replay(params, ocp, disc4, run):
 
 
 def _per_step_run(profile, init, params, disc, solver, ocp):
-    """Reference for the cutoff logic: the run with cutoffs off, whose rows
-    do not depend on where blocks end, its output map read row by row up to
-    the first row past a cutoff, where the run ends, or the first row it
-    rejects, which raises; the events and max_closure are those of the same
-    run over the profile cut at the stop row.  One-segment profiles on
-    whole steps; returns (status, rows, last time, charge, events,
-    max_closure)."""
-    from csespm.errors import SaturationError
-    free_solver = dataclasses.replace(solver, cutoffs_enabled=False)
-    try:
-        free, error = simulate(profile, init, params, disc, free_solver, ocp=ocp), None
-        v = free.voltage
-    except SaturationError as exc:
-        v, error = exc.before.V_cell, exc
+    """Reference for the cutoff logic: the output map after every step, the
+    run ending at the first row past a cutoff.  Each step is taken on its
+    own, from the anchors of the time loop's closed forms, so its rows are
+    the time loop's bits: the negative and electrolyte rows by
+    LinearBlock.step from the first row; a one-phase positive row by
+    LinearBlock.step from the first row or from the row after the last
+    step taken through advance_with_events, unless that row detects a
+    transition; then, and in two-phase, the step goes through
+    advance_with_events from the row before.  The offsets are those of the
+    rows' times, accumulated step by step.  One-segment profiles; returns
+    (status, rows, last time, charge, events, max_closure)."""
+    from csespm.output import cell_voltage
+    from csespm.phase import detect_transition
+    integ = Integrator(params, disc, solver)
+    split = disc.electrolyte_split()
+    (t0, t1, current), = profile.segments()
     v_lo = -np.inf if solver.v_min is None else solver.v_min
     v_hi = np.inf if solver.v_max is None else solver.v_max
-    past = np.flatnonzero((v[1:] < v_lo) | (v[1:] > v_hi)) if solver.cutoffs_enabled else []
-    if not len(past):
-        if error is not None:
-            raise error
-        return ("completed", len(free), float(free.time[-1]), float(free.charge[-1]),
-                free.events, free.meta["max_closure"])
-    k = 1 + int(past[0])
-    (t0, _, current), = profile.segments()
-    cut = simulate(LoadProfile(np.array([t0, t0 + k * solver.dt]), np.array([current, current])),
-                   init, params, disc, free_solver, ocp=ocp)
-    assert len(cut) == k + 1 and np.array_equal(cut.voltage, v[:k + 1])
-    status = "cutoff_low" if v[k] < v_lo else "cutoff_high"
-    return (status, k + 1, float(cut.time[-1]), float(cut.charge[-1]), cut.events,
-            cut.meta["max_closure"])
+    state, events, t, q, rows = init.copy(), [], t0, 0.0, 1
+    anchor, t_a = init.pos, t0
+    cell_voltage(state, current, params, ocp, split)
+    while t < t1 - 1e-9:
+        h = min(solver.dt, t1 - t)
+        t_next = t + h
+        new = None
+        if not state.two_phase:
+            new = dataclasses.replace(state, pos=integ.pos1p.step(anchor, current, t_next - t_a))
+            if detect_transition(new, current, params, integ.phase_cfg) is not None:
+                new = None
+        if new is None:
+            new = integ.advance_with_events(state, current, t, h, events)
+            anchor, t_a = new.pos, t_next
+        new.neg = integ.neg.step(init.neg, current, t_next - t0)
+        new.elec = integ.elec.step(init.elec, current, t_next - t0)
+        state, t, q, rows = new, t_next, q + current * h, rows + 1
+        v = cell_voltage(state, current, params, ocp, split).V_cell
+        if solver.cutoffs_enabled and (v < v_lo or v > v_hi):
+            status = "cutoff_low" if v < v_lo else "cutoff_high"
+            return status, rows, t, q, events, integ.max_closure
+    return "completed", rows, t, q, events, integ.max_closure
 
 
 def _summary(res):
@@ -779,8 +779,8 @@ def _event_keys(events):
 @pytest.mark.parametrize("direction", ["dis", "ch"])
 def test_cutoff_stop_matches_per_step_loop(params, ocp, N_r, direction):
     """1C to v_min and to v_max: the chunked output pass stops at the same
-    row with the same status, time, charge, events and max_closure as the
-    run with cutoffs off tested row by row (_per_step_run)."""
+    row with the same status, time, charge, events and max_closure as a
+    per-step loop."""
     disc = DiscretizationConfig(N_r=N_r, N_e=6)
     prof = cc_profile(params, 1.0, direction)
     init = initial_state(params, disc, 1.0 if direction == "dis" else 0.0, direction)
