@@ -6,8 +6,9 @@ identification, and an FVM-vs-FDM scheme comparison.  All tabular output is
 CSV; reports are JSON.  Nonzero exits carry a machine-readable error record
 on stderr.
 
-Exit codes: 0 ok, 2 usage, 3 missing file, 4 invalid config/data,
-5 numerical blowup, 6 other runtime failure.
+Exit codes: 0 ok, 2 usage, 3 missing file (or a directory where a file
+is read), 4 invalid config/data, 5 numerical blowup, 6 other runtime
+failure.
 """
 from __future__ import annotations
 
@@ -210,11 +211,13 @@ def cmd_compare_scheme(args) -> int:
     sweeps["fvm"].to_csv(out / "cond_sweep_fvm.csv")
     sweeps["fdm"].to_csv(out / "cond_sweep_fdm.csv")
     dv = results["fvm"].voltage[:n] - results["fdm"].voltage[:n]
+    conds = {s: sweeps[s].finite_log10_cond() for s in sweeps}
     summary = {
         "voltage_rms_diff_mV": float(1e3 * np.sqrt(np.mean(dv**2))),
         "mass_drift_rel": drifts,
-        "median_log10_cond": {
-            s: float(np.median(sweeps[s].finite_log10_cond())) for s in sweeps},
+        # null for a scheme whose sweep has no finite point
+        "median_log10_cond": {s: float(np.median(c)) if len(c) else None
+                              for s, c in conds.items()},
     }
     (out / "comparison.json").write_text(json.dumps(summary, indent=2) + "\n")
     print(f"wrote {out / 'comparison.json'}: drift fvm {drifts['fvm']:.2e} "
@@ -284,7 +287,7 @@ def main(argv=None) -> int:
     try:
         check_soc(getattr(args, "soc", None), "--soc")
         return args.func(args)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError) as exc:
         return _error_record(EXIT_MISSING_FILE, exc)
     except (ConfigError, ParameterError) as exc:
         return _error_record(EXIT_BAD_CONFIG, exc)

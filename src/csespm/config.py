@@ -46,8 +46,8 @@ class RunConfig:
         if not path.exists():
             raise FileNotFoundError(f"config file not found: {path}")
         try:
-            raw = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
+            raw = json.loads(path.read_text(encoding="utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: a config is a JSON object of sections")

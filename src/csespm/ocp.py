@@ -41,10 +41,10 @@ class OcpTable:
         self.volts = np.asarray(self.volts, dtype=float)
         if self.theta.ndim != 1 or self.theta.shape != self.volts.shape:
             raise ParameterError("theta and volts must be matching 1-D arrays")
-        if not np.all(np.diff(self.theta) > 0.0):
-            raise ParameterError("theta samples must be strictly increasing")
-        if not np.isfinite(self.volts).all():
-            raise ParameterError("OCP values must be finite")
+        if len(self.theta) < 2 or not np.all(np.diff(self.theta) > 0.0):
+            raise ParameterError("theta samples must be two or more, strictly increasing")
+        if not (np.isfinite(self.theta).all() and np.isfinite(self.volts).all()):
+            raise ParameterError("OCP samples must be finite")
 
     def __call__(self, theta):
         """Monotone cubic (PCHIP) interpolation, smooth enough for the

@@ -16,11 +16,14 @@ def read_csv_columns(path, header: tuple[str, ...], text: tuple[str, ...] = ()) 
     strings for the ``text`` columns.
 
     The first row must start with ``header`` (case-insensitive); columns
-    past it are ignored and blank lines skipped.  A bad header, a row that
-    is short or not numeric, or no data row raises ConfigError naming the
-    file (and the line).
+    past it are ignored and blank lines skipped.  A file that is not UTF-8
+    text, a bad header, a row that is short or not numeric, or no data row
+    raises ConfigError naming the file (and the line).
     """
-    rows = list(csv.reader(io.StringIO(Path(path).read_text())))
+    try:
+        rows = list(csv.reader(io.StringIO(Path(path).read_text(encoding="utf-8"))))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
     n = len(header)
     if not rows or [c.strip().lower() for c in rows[0][:n]] != [h.lower() for h in header]:
         raise ConfigError(f"{path}: expected header {','.join(header)!r}")

@@ -30,9 +30,11 @@ under the cell capacities of its geometry (CV volumes or r_i^2 h).
 The time loop (`_simulate`) steps one run (`_Run`: an integrator, its rows
 and events, its output map) per member through blocks of steps, ranges of
 the shared step grid: the rest of a run of profile segments at one current,
-which with voltage cutoffs on also ends at the next output-map chunk.  It
-computes each block's end once for all live runs and hands the runs to one
-of two servers, which fill the block's rows and report the runs an error
+which with voltage cutoffs on also ends at the next output-map chunk.  A
+run's rows and change log are its only record of its state between steps:
+each step reads its row and writes the next.  The loop computes each
+block's end once for all live runs and hands the runs to one of two
+servers, which fill the block's rows and report the runs an error
 stopped.  Both write a member's negative and electrolyte rows for the whole
 block in one closed form (`_fixed_rows`): they never read the positive
 particle.  A one-phase positive particle's rows follow in closed form too,
@@ -44,10 +46,11 @@ offsets from the step grid's times, so a row does not depend on where
 blocks end.  Only two-phase steps and those crossing steps are
 taken one at a time.  `simulate` takes each alone (`_serve`).
 `simulate_many` runs B members (one parameter set and initial state each)
-on one profile in lockstep (`_Batch`): its two-phase members' shells are
-(B, N_r) rows for a whole block, and one batched substep serves them all
-and writes their rows at once.  The servers call the same per-member
-functions for the closed forms, and the substep is an array kernel whose
+on one profile in lockstep (`_Batch`): each step gathers its two-phase
+members' rows from the row store, shells as (B, N_r) arrays, and one
+batched substep serves them all and writes their next rows at once.  The
+servers share one per-member loop (`_alone`) for the closed forms and the
+steps taken alone, and the substep is an array kernel whose
 leading member axis leaves each member's arithmetic as it is, so each
 member's result is bit for bit its `simulate`.  One member's FVM substep
 runs on Python floats (`_member_substep`), the row kernel's operations in
@@ -690,31 +693,34 @@ class Integrator:
 
 def _finite(pos: np.ndarray, r_p: float) -> bool:
     """Whether a positive particle's concentrations and front are finite, by
-    one sum as FullState.is_finite tests a whole state."""
+    one sum: concentrations are bounded far below overflow, so the sum of a
+    finite particle is finite and any NaN or inf propagates into it; Python
+    sums of these few values beat numpy reductions."""
     return math.isfinite(sum(pos.tolist()) + r_p)
 
 
-def _nonfinite(x: FullState, members: list[int]) -> list[int]:
-    """Those of the rows ``members`` of x whose positive particle is not
-    finite (`_finite`)."""
-    pos, r_p = x.pos[members], x.r_p[members]
+def _nonfinite(pos: np.ndarray, r_p: np.ndarray) -> list[int]:
+    """The indices of the (B, N_r) shells and (B,) fronts whose positive
+    particle is not finite (`_finite`)."""
     if float(np.vdot(pos, pos)) + float(np.vdot(r_p, r_p)) < 1e300:
         return []       # no entry reaches 1e150, so every member's sum is finite
-    return [p for p in members if not _finite(x.pos[p], float(x.r_p[p, 0]))]
+    return [i for i in range(len(pos)) if not _finite(pos[i], float(r_p[i]))]
 
 
 class _Batch:
     """The lockstep server of simulate_many: B runs of one discretization and
-    phase configuration at once.
+    phase configuration at once.  It keeps no copy of its members' states:
+    between steps each member's state is its rows in the row store and the
+    last label of its change log.
 
     Each member's negative and electrolyte rows, and its one-phase positive
-    rows up to and through its entry step, are written per member by the
-    serial server's functions (`_fixed_rows`, `_one_phase_rows`).  The
-    members in two-phase step in lockstep: for a whole block their shells
-    are (B, N_r) rows and r_p and core_conc (B, 1) columns; the members of
+    rows up to and through its entry step, are written by the serial
+    server's per-member loop (`_alone`).  The members in two-phase step in
+    lockstep: step k gathers their rows k from the store, shells as a
+    (B, N_r) copy and r_p and core_conc as (B, 1) columns; the members of
     one core phase and direction take one array substep and one test of
-    their transition margins, and each step writes their rows at once.  A
-    member whose step detects a transition or must halve its front step
+    their transition margins, and the step writes their rows k + 1 at once.
+    A member whose step detects a transition or must halve its front step
     takes it alone through its own integrator (`_step_alone`); one that
     leaves two-phase there goes on alone in one-phase and rejoins the
     lockstep after its next entry step.  So each member's rows are bit for
@@ -726,151 +732,116 @@ class _Batch:
         self.runs: list = []            # the runs the parameter columns are of
 
     def serve(self, runs: list, s: int, b: int) -> dict:
-        """Steps s..b-1 of the runs from their states; returns {run: (step,
+        """Steps s..b-1 of the runs from their rows s; returns {run: (step,
         error)} of the runs an error stopped."""
         if runs != self.runs:
             self.runs = list(runs)
             self.params = ParameterColumns(run.integ.params for run in runs)
         self.current, self.b, self.stopped = self.grid.currents[s], b, {}
         self.bad = [_fixed_rows(run, s, b) for run in runs]
-        states = [run.state for run in runs]
-        self.x = FullState(None, np.array([x.pos for x in states]), None, None,
-                           *(np.array([[getattr(x, k)] for x in states])
-                             for k in ("r_p", "core_conc")))
-        self.closure = np.array([[run.integ.max_closure] for run in runs])
-        self.substeps = np.array([[float(run.integ.substeps)] for run in runs])
-        self.labels: list = [None] * len(runs)  # (regime, direction, core_phase) of
-        self.groups = None                      # the members stepping in lockstep
-        self.rejoin: dict = {}                  # member -> (step, its state there)
-        for p, x in enumerate(states):
-            self._resume(p, x, s)
+        self.live = [False] * len(runs)     # the members stepping in lockstep
+        self.groups = None
+        self.rejoin: dict = {}              # member -> the step it rejoins at
+        for p in range(len(runs)):
+            self._resume(p, s)
         k = s
         while k < b:
-            for p in [p for p, (j, _) in self.rejoin.items() if j == k]:
-                self._load(p, self.rejoin.pop(p)[1])
-            active = [p for p, label in enumerate(self.labels) if label is not None]
-            if active:
-                self._lockstep(k, active)
+            for p in [p for p, j in self.rejoin.items() if j == k]:
+                del self.rejoin[p]
+                self.live[p], self.groups = True, None
+            if self.groups is None:
+                self.groups = self._groups()
+            if self.active:
+                self._lockstep(k)
                 k += 1
             elif self.rejoin:
-                k = min(j for j, _ in self.rejoin.values())
+                k = min(self.rejoin.values())
             else:
                 break
-        for run, closure, substeps in zip(self.runs, self.closure[:, 0].tolist(),
-                                          self.substeps[:, 0].tolist()):
-            if run not in self.stopped:
-                run.integ.max_closure, run.integ.substeps = closure, int(substeps)
         return self.stopped
 
-    def _resume(self, p: int, x: FullState, k: int, alone: bool = False):
-        """Member p, in state x at row k, out of the lockstep: its step k
-        taken alone if ``alone`` (`_step_alone`), then its one-phase rows
-        (`_one_phase_rows`), until it is in two-phase at a row from which it
+    def _resume(self, p: int, k: int, alone: bool = False):
+        """Member p out of the lockstep from row k, by the serial server's
+        loop (`_alone`): its step k taken alone if ``alone``, then its
+        one-phase rows, until it is in two-phase at a row from which it
         steps in lockstep again, or its block ends."""
-        run, end = self.runs[p], min(self.bad[p] + 1, self.b)
-        integ = run.integ
-        self.labels[p], self.groups = None, None
-        integ.max_closure, integ.substeps = float(self.closure[p, 0]), int(self.substeps[p, 0])
-        error = None
-        if alone:
-            k, x, error = _step_alone(run, x, k)
-        while not x.two_phase and k < end and error is None:
-            k, x, error = _one_phase_rows(run, x, k, end)
-        self.closure[p], self.substeps[p] = integ.max_closure, integ.substeps
-        if error is None and k == end and self.bad[p] < self.b:
-            error = self.bad[p], _blowup(self.grid, self.bad[p])
+        run = self.runs[p]
+        self.live[p], self.groups = False, None
+        k, error = _alone(run, k, self.b, self.bad[p], rejoin=k + 1 if alone else k)
         if error is not None:
             self.stopped[run] = error
-        elif k < end:
-            self.rejoin[p] = k, x
+        elif k < self.b:
+            self.rejoin[p] = k
 
-    def _load(self, p: int, x: FullState):
-        """Member p's two-phase state x into the lockstep rows."""
-        self.x.pos[p], self.x.r_p[p], self.x.core_conc[p] = x.pos, x.r_p, x.core_conc
-        self.labels[p], self.groups = (x.regime, x.direction, x.core_phase), None
+    def _groups(self) -> list[tuple]:
+        """((core_phase, direction), rows, parameters) of each group of live
+        members that steps as one, its rows those of the live members'
+        gathered rows; sets the live members and their places in the
+        store."""
+        self.active = [p for p, live in enumerate(self.live) if live]
+        self.members = [self.runs[p].member for p in self.active]
+        found: dict[tuple, list[int]] = {}
+        for i, p in enumerate(self.active):
+            _, direction, core_phase = self.runs[p].log[-1][1]
+            found.setdefault((core_phase, direction), []).append(i)
+        return [(key, slice(None) if len(idx) == len(self.active) else idx,
+                 self.params.take([self.active[i] for i in idx]))
+                for key, idx in found.items()]
 
-    def _lockstep(self, k: int, active: list[int]):
-        """Step k of the members in ``active``, and their rows; those whose
-        step must be taken alone take it out of the lockstep (`_resume`)."""
-        x, grid = self.x, self.grid
+    def _lockstep(self, k: int):
+        """Step k of the live members, and their rows k + 1; those whose step
+        must be taken alone take it out of the lockstep (`_resume`)."""
+        active, members, store = self.active, self.members, self.store
         try:
-            new, closure, alone = self._step(x, grid.hs[k])
-            solo = np.flatnonzero(alone).tolist()
+            pos, r_p, closure, alone = self._step(k)
         except (CsespmError, ArithmeticError, ValueError):
             # some member's data fails the step: each takes it alone, and
             # raises its own error there
-            new, closure, solo = x, None, active
-        self.x = new
-        for p in solo:
-            # from its closure before the step: that of a rejected front
-            # step is not its own run's
-            regime, direction, core_phase = self.labels[p]
-            self._resume(p, FullState(None, x.pos[p], None, regime, float(x.r_p[p, 0]),
-                                      float(x.core_conc[p, 0]), core_phase, direction), k,
-                         alone=True)
-        stay = [p for p in active if p not in solo]
+            alone = [True] * len(active)
+        for p, out in zip(active, alone):
+            if out:
+                self._resume(p, k, alone=True)
+        stay = [i for i, out in enumerate(alone) if not out]
         if not stay:
             return
-        self.substeps[stay] += 1.0
-        self.closure[stay] = np.maximum(self.closure[stay], closure[stay])
-        self._write(k + 1, stay)
-        errors = dict.fromkeys(_nonfinite(new, stay), _blowup(grid, k))
-        errors.update((p, _blowup(grid, k)) for p in stay if self.bad[p] == k)
-        for p, error in errors.items():
-            self.stopped[self.runs[p]] = k, error
-            self.labels[p], self.groups = None, None
+        m, pos, r_p = [members[i] for i in stay], pos[stay], r_p[stay]
+        store["pos"][m, k + 1] = pos
+        store["cols"][m, 3, k + 1] = r_p
+        store["cols"][m, 4, k + 1] = store["cols"][m, 4, k]
+        store["closure"][m, k + 1] = np.maximum(store["closure"][m, k], closure[stay])
+        store["substeps"][m, k + 1] = store["substeps"][m, k] + 1.0
+        nonfinite = _nonfinite(pos, r_p)
+        for j, p in enumerate(active[i] for i in stay):
+            if j in nonfinite or self.bad[p] == k:
+                self.stopped[self.runs[p]] = k, _blowup(self.grid, k)
+                self.live[p], self.groups = False, None
 
-    def _groups(self) -> list[tuple]:
-        """((core_phase, direction), rows, parameters) of each group of
-        members that steps as one."""
-        found: dict[tuple, list[int]] = {}
-        for i, label in enumerate(self.labels):
-            if label is not None:
-                found.setdefault((label[2], label[1]), []).append(i)
-        if len(found) == 1 and len(next(iter(found.values()))) == len(self.labels):
-            return [(key, slice(None), self.params) for key in found]
-        return [(key, idx, self.params.take(idx)) for key, idx in found.items()]
-
-    def _step(self, x: FullState, h: float):
-        """One step of every member that steps in lockstep: the stepped rows,
-        each member's substep closure (0 without one), and the (B, 1) mask
-        of the members whose step detects a transition or must halve its
-        front step, which must take the step alone."""
-        if self.groups is None:
-            self.groups = self._groups()
-        current, integ = self.current, self.runs[0].integ
-        disc, pcfg = integ.disc, integ.phase_cfg
-        new = FullState(None, x.pos.copy(), None, None, x.r_p.copy(), x.core_conc.copy())
-        closure = np.zeros(x.r_p.shape)
-        alone = np.zeros(x.r_p.shape, dtype=bool)
+    def _step(self, k: int):
+        """Step k of the live members from their rows k: their stepped
+        shells and fronts, each member's substep closure (0 without one),
+        and whether its step detects a transition or must halve its front
+        step, so that it must take the step alone."""
+        store, m = self.store, self.members
+        pos = store["pos"][m, k]
+        r_p = store["cols"][m, 3, k][:, None]
+        core_conc = store["cols"][m, 4, k][:, None]
+        integ = self.runs[0].integ
+        disc, pcfg, current = integ.disc, integ.phase_cfg, self.current
+        new_pos, new_r_p = np.empty(pos.shape), np.empty(r_p.shape)
+        closure = np.zeros(r_p.shape)
+        alone = np.zeros(r_p.shape, dtype=bool)
         substep = _fvm_two_phase_substep if disc.scheme == "fvm" else _fdm_two_phase_substep
         for key, sel, params in self.groups:
-            r_old = x.r_p[sel]
-            rows = FullState(None, x.pos[sel], None, TWO_PHASE, r_old, x.core_conc[sel], *key)
-            shell, r_new, closure[sel] = substep(rows, current, h, params, disc.N_r)
-            out = ~_front_ok(r_old, r_new, params.R_s_p)
+            rows = FullState(None, pos[sel], None, TWO_PHASE, r_p[sel], core_conc[sel], *key)
+            shell, r_new, closure[sel] = substep(rows, current, self.grid.hs[k], params,
+                                                 disc.N_r)
+            out = ~_front_ok(rows.r_p, r_new, params.R_s_p)
             rows.pos, rows.r_p = shell, r_new
-            new.pos[sel], new.r_p[sel] = shell, r_new
+            new_pos[sel], new_r_p[sel] = shell, r_new
             for kind in transition_kinds(TWO_PHASE, current):
                 out |= transition_margin(kind, rows, current, params, pcfg) >= 0.0
             alone[sel] = out
-        return new, closure, alone
-
-    def _write(self, r: int, members: list[int]):
-        """Row r of the lockstep ``members``, into the shared store."""
-        store, x = self.store, self.x
-        if len(members) == len(self.runs):
-            rows = slice(None)
-            m = (rows if len(self.runs) == len(store["cols"])
-                 else [run.member for run in self.runs])
-        else:
-            rows = members
-            m = [self.runs[p].member for p in members]
-        store["pos"][m, r] = x.pos[rows]
-        store["cols"][m, 3, r] = x.r_p[rows, 0]
-        store["cols"][m, 4, r] = x.core_conc[rows, 0]
-        store["closure"][m, r] = self.closure[rows, 0]
-        store["substeps"][m, r] = self.substeps[rows, 0]
+        return new_pos, new_r_p[:, 0], closure[:, 0], alone[:, 0].tolist()
 
 
 # --- initial states -------------------------------------------------------------
@@ -1029,7 +1000,7 @@ def _row_store(members: int, grid: _Grid, disc: DiscretizationConfig) -> dict:
     """The rows of ``members`` runs of one step grid, the initial row and
     one per step, member first: the columns time, current, charge, r_p,
     core_conc, voltage, SOC_p, SOC_n; the neg/pos/elec concentrations; the
-    integrator's max_closure and substep count."""
+    run's max_closure and substep count up to the row."""
     size = 1 + len(grid.hs)
     store = {k: np.empty((members, size, n))
              for k, n in (("neg", disc.N_r), ("pos", disc.N_r), ("elec", disc.N_e))}
@@ -1041,12 +1012,14 @@ def _row_store(members: int, grid: _Grid, disc: DiscretizationConfig) -> dict:
 
 
 class _Run:
-    """One run of `simulate`: its integrator, events, output map, the state
-    its block starts from, and its rows, one per accepted step, in its
-    place of a row store (_row_store).  Its change log holds (first row,
-    (regime, direction, core_phase), events so far, counters) whenever one
-    of the three changes: each row is labelled by the last entry at or
-    before it, and a run stopped at a row rolls back to that entry.  Its
+    """One run of `simulate`: its integrator, events, output map and its
+    rows, one per accepted step, in its place of a row store (_row_store).
+    Its change log holds (first row, (regime, direction, core_phase),
+    events so far, counters) whenever one of the three changes: each row is
+    labelled by the last entry at or before it, and a run stopped at a row
+    rolls back to that entry.  The rows and the log are the run's only
+    record of its state between steps: the state a step starts from is
+    its last row, labelled by the log's last entry (`row_state`).  Its
     anchor is the row the positive particle's one-phase rows are taken
     from: the first of the run of segments at one current, or the row after
     the last step taken alone, whichever is later; so the rows do not
@@ -1074,16 +1047,21 @@ class _Run:
         self.n = 1
         self.anchor = 0
 
-    def start(self, s: int):
-        """Start a block at step s from the positive particle of the last
-        row (its negative and electrolyte arrays None: the servers write
-        those rows a block at a time): the profile segments starting there
-        take it into their current's direction, inside two-phase by a sign
-        flip, and the rows from s + 1 on are labelled as the state."""
-        i = self.n - 1
+    def row_state(self, i: int) -> FullState:
+        """The positive particle at row i, labelled by the change log's last
+        entry, as a step from row i starts from it (its negative and
+        electrolyte arrays None: the servers write those rows a block at a
+        time)."""
         regime, direction, core_phase = self.log[-1][1]
-        state = FullState(None, self.pos[i], None, regime, float(self.cols[3, i]),
-                          float(self.cols[4, i]), core_phase, direction)
+        return FullState(None, self.pos[i], None, regime, float(self.cols[3, i]),
+                         float(self.cols[4, i]), core_phase, direction)
+
+    def start(self, s: int):
+        """Start a block at step s from the last row: the profile segments
+        starting there take it into their current's direction, inside
+        two-phase by a sign flip, and the rows from s + 1 on are labelled as
+        the state."""
+        state = self.row_state(self.n - 1)
         for t0, current in self.grid.begins.get(s, ()):
             newdir = systems.direction_for_current(current, state.direction)
             if newdir != state.direction and state.two_phase:
@@ -1091,7 +1069,6 @@ class _Run:
                 self.events.append(ev)
             else:
                 state.direction = newdir
-        self.state = state
         self.anchor = max(self.anchor, self.grid.first(s))
         self.begin(s + 1, state)
 
@@ -1122,8 +1099,8 @@ class _Run:
         return out
 
     def stop_at(self, k: int):
-        """Keep rows 0..k, and roll the run's events, counters, max_closure
-        and substep count back to what they were when row k was recorded."""
+        """Keep rows 0..k, and roll the run's events and counters back to
+        what they were when row k was recorded."""
         while self.log[-1][0] > k:
             self.log.pop()
         _, _, n_events, kept = self.log[-1]
@@ -1131,8 +1108,6 @@ class _Run:
         counters = self.integ.counters
         counters.clear()
         counters.update(kept)
-        self.integ.max_closure = float(self.closure[k])
-        self.integ.substeps = int(self.substeps[k])
         self.n = self.done = k + 1
 
     def output_map(self, a: int, b: int) -> OutputSnapshot:
@@ -1189,8 +1164,9 @@ class _Run:
             drift_rel=None, events=self.events, status=self.status,
             meta={"R_s_p": params.R_s_p, "scheme": disc.scheme, "N_r": disc.N_r,
                   "N_e": disc.N_e, "split": self.integ.split,
-                  "max_closure": self.integ.max_closure,
-                  "counters": dict(self.integ.counters, two_phase_substeps=self.integ.substeps)})
+                  "max_closure": float(self.closure[n - 1]),
+                  "counters": dict(self.integ.counters,
+                                   two_phase_substeps=int(self.substeps[n - 1]))})
         audit = mass_audit(result, params)
         result.drift_rel = np.maximum(np.maximum(audit.res_pos_rel, audit.res_neg_rel),
                                       audit.res_elec_rel)
@@ -1227,71 +1203,83 @@ def _first_nonfinite(rows: np.ndarray) -> int:
     return int(bad[0]) if bad.size else len(rows)
 
 
-def _one_phase_rows(run: _Run, state: FullState, k: int, end: int):
-    """Steps k..end - 1 of a run's one-phase positive particle, in state at
-    row k: the rows in closed form from the run's anchor row
-    (`LinearBlock.rows`) before the first whose transition margin is >= 0,
-    and that step, from the row before it, through `_step_alone`.  Both
-    servers call it per member.  Returns (the next step, its state, None),
-    or (k', state, (step, error)) when a step raises or leaves a non-finite
+def _one_phase_rows(run: _Run, k: int, end: int):
+    """Steps k..end - 1 of a run's one-phase positive particle from row k:
+    the rows in closed form from the run's anchor row (`LinearBlock.rows`)
+    before the first whose transition margin is >= 0, r_p, core_conc,
+    closure and substep count copied from row k, and that step, from the
+    row before it, through `_step_alone`.  Returns (the next step, None),
+    or (k', (step, error)) when a step raises or leaves a non-finite
     state."""
     integ, grid, a = run.integ, run.grid, run.anchor
-    current = grid.currents[k]
+    regime, current = run.log[-1][1][0], grid.currents[k]
     pos = integ.pos1p.rows(run.pos[a], current, grid.offsets(a, k, end))
     n = bad = _first_nonfinite(pos)
-    rows = FullState(None, pos[:n], None, state.regime)
+    rows = FullState(None, pos[:n], None, regime)
     columns = ParameterColumns([integ.params])
-    for kind in transition_kinds(state.regime, current):
+    for kind in transition_kinds(regime, current):
         hits = np.flatnonzero(transition_margin(kind, rows, current, columns,
                                                 integ.phase_cfg) >= 0.0)
         n = min(n, int(hits[0])) if hits.size else n
     j = k + n
     run.pos[k + 1:j + 1] = pos[:n]
-    run.cols[3:5, k + 1:j + 1] = [[state.r_p], [state.core_conc]]
-    run.closure[k + 1:j + 1] = integ.max_closure
-    run.substeps[k + 1:j + 1] = integ.substeps
-    x = FullState(None, pos[n - 1] if n else state.pos, None, state.regime, state.r_p,
-                  state.core_conc, state.core_phase, state.direction)
+    run.cols[3:5, k + 1:j + 1] = run.cols[3:5, k:k + 1]
+    run.closure[k + 1:j + 1] = run.closure[k]
+    run.substeps[k + 1:j + 1] = run.substeps[k]
     if j == end:
-        return j, x, None
+        return j, None
     if n == bad:
-        return j, x, (j, _blowup(grid, j))
-    return _step_alone(run, x, j)
+        return j, (j, _blowup(grid, j))
+    return _step_alone(run, j)
 
 
-def _step_alone(run: _Run, state: FullState, k: int):
-    """Step k of a run's positive particle from its state at row k, through
-    `Integrator.advance_with_events`, and its row; returns (k + 1, the new
-    state, None), or (k, state, (k, error)) when the step raises or leaves
-    a non-finite state."""
-    grid = run.grid
+def _step_alone(run: _Run, k: int):
+    """Step k of a run's positive particle from row k (`_Run.row_state`),
+    through `Integrator.advance_with_events`, its max_closure and substep
+    count seeded from the row (in a serial run they are that already), and
+    its row k + 1; returns (k + 1, None), or (k, (k, error)) when the step
+    raises or leaves a non-finite state."""
+    grid, integ = run.grid, run.integ
+    integ.max_closure, integ.substeps = float(run.closure[k]), int(run.substeps[k])
     try:
-        post = run.integ.advance_with_events(state, grid.currents[k], grid.starts[k],
-                                             grid.hs[k], run.events)
+        post = integ.advance_with_events(run.row_state(k), grid.currents[k], grid.starts[k],
+                                         grid.hs[k], run.events)
     except Exception as exc:
-        return k, state, (k, exc)
+        return k, (k, exc)
     if not _finite(post.pos, post.r_p):
-        return k, state, (k, _blowup(grid, k))
+        return k, (k, _blowup(grid, k))
     run.put(k + 1, post)
     run.anchor = k + 1
-    return k + 1, post, None
+    return k + 1, None
+
+
+def _alone(run: _Run, k: int, b: int, bad: int, rejoin: float = math.inf):
+    """Steps k..b-1 of a run served alone, its fixed-grid rows written up to
+    step ``bad`` (`_fixed_rows`): its one-phase stretches in closed form
+    (`_one_phase_rows`), each two-phase step before step ``rejoin`` through
+    `_step_alone`; from step ``rejoin`` on it stops at the first two-phase
+    row, from which a lockstep member steps with the batch.  Both servers
+    call it per member.  Returns (the step it stopped at, None), or (k,
+    (step, error)) of an error."""
+    end, error = min(bad + 1, b), None
+    while k < end and error is None:
+        if run.log[-1][1][0] != TWO_PHASE:
+            k, error = _one_phase_rows(run, k, end)
+        elif k < rejoin:
+            k, error = _step_alone(run, k)
+        else:
+            return k, None
+    if error is None and bad < b:
+        error = bad, _blowup(run.grid, bad)
+    return k, error
 
 
 def _serve(runs: list, s: int, b: int) -> dict:
-    """Steps s..b-1 of each run served alone: its negative and electrolyte
-    rows and its one-phase stretches in closed form, each two-phase step
-    through `_step_alone`; returns {run: (step, error)} of the runs an error
-    stopped."""
+    """Steps s..b-1 of each run served alone (`_alone`); returns {run:
+    (step, error)} of the runs an error stopped."""
     stopped = {}
     for run in runs:
-        bad = _fixed_rows(run, s, b)
-        end = min(bad + 1, b)
-        k, state, error = s, run.state, None
-        while k < end and error is None:
-            k, state, error = (_step_alone(run, state, k) if state.two_phase
-                               else _one_phase_rows(run, state, k, end))
-        if error is None and bad < b:
-            error = bad, _blowup(run.grid, bad)
+        _, error = _alone(run, s, b, _fixed_rows(run, s, b))
         if error is not None:
             stopped[run] = error
     return stopped
@@ -1327,13 +1315,14 @@ def simulate_many(profile: LoadProfile, inits: list[FullState],
 
     Each member's fixed-grid and one-phase rows are written in closed
     form, a block at a time, as `simulate` writes them; one batched step
-    advances every member in two-phase and writes their rows at once
-    (`_Batch`).  A member whose step detects a transition, must halve its
-    front step or raises takes that step alone, through its own
-    Integrator.advance_with_events, and steps on with the others unless it
-    raised.  Each item of the returned list is the member's
-    SimulationResult, bit for bit the one `simulate` returns for it, or the
-    exception its run raised, in set-up too.
+    reads the rows of every member in two-phase from the row store,
+    advances them and writes their next rows at once (`_Batch`).  A member
+    whose step detects a transition, must halve its front step or raises
+    takes that step alone, through its own Integrator.advance_with_events,
+    and steps on with the others unless it raised.  Each item of the
+    returned list is the member's SimulationResult, bit for bit the one
+    `simulate` returns for it, or the exception its run raised, in set-up
+    too.
     """
     return _simulate(profile, inits, params, disc, solver, ocp, phase_cfg, lockstep=True)
 

@@ -1,7 +1,6 @@
 """State containers for the coupled cell model."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,13 +43,6 @@ class FullState:
     @property
     def two_phase(self) -> bool:
         return self.regime == TWO_PHASE
-
-    def is_finite(self) -> bool:
-        # one sum: concentrations are bounded far below overflow, so the sum
-        # of a finite state is finite and any NaN or inf propagates into it;
-        # Python sums of these few values beat numpy reductions
-        return math.isfinite(sum(self.neg.tolist()) + sum(self.pos.tolist())
-                             + sum(self.elec.tolist()) + self.r_p)
 
 
 @dataclass

@@ -597,3 +597,111 @@ def test_flag_fuzz_exits_with_a_record(fuzz_inputs, argv):
         assert rc in (0, 2, 3, 4, 5, 6), argv
         if rc:
             assert json.loads(err.getvalue().strip().splitlines()[-1])["exit_code"] == rc
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_compare_scheme_without_finite_sweep_points_writes_null(tmp_path, fuzz_profile):
+    """A scheme whose sweep has no finite point (the FVM's on the 20 s 1C
+    discharge from SOC 0.5) gets a null median condition number: the file
+    is valid JSON, with no NaN, and no empty mean is taken."""
+    out = tmp_path / "cmp"
+    rc = main(["compare-scheme", "--profile", str(fuzz_profile), "--soc", "0.5",
+               "--out", str(out)])
+    assert rc == 0
+
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    summary = json.loads((out / "comparison.json").read_text(), parse_constant=reject)
+    assert summary["median_log10_cond"]["fvm"] is None
+    assert math.isfinite(summary["median_log10_cond"]["fdm"])
+
+
+@pytest.mark.parametrize("flag", ["--profile", "--config"])
+@pytest.mark.parametrize("kind, code", [("latin-1", 4), ("directory", 3)])
+def test_unreadable_input_exits_with_a_record(tmp_path, short_profile, capsys, flag, kind,
+                                              code):
+    """A profile or config file that is not UTF-8 text exits 4, naming the
+    file; a path that is a directory exits 3."""
+    path = tmp_path / "input"
+    if kind == "directory":
+        path.mkdir()
+    elif flag == "--profile":
+        path.write_bytes("time_s,current_A\n0,1.0\n10,1.0 # café\n".encode("latin-1"))
+    else:
+        path.write_bytes('{"solver": {"dt": 1.0}, "café": 1}'.encode("latin-1"))
+    inputs = {"--profile": short_profile, flag: path}
+    argv = ["simulate", "--out", str(tmp_path / "out")]
+    assert main(argv + [str(x) for item in inputs.items() for x in item]) == code
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["exit_code"] == code and str(path) in record["message"]
+    assert record["error"] == ("ConfigError" if code == 4 else "IsADirectoryError")
+
+
+# the CSV input each command reads: its columns, each with its usual values
+# (the first one's ascending; the last current is far past any physical
+# one), and the argv that reads it
+_TIMES = ["0", "10", "20", "30", "40"]
+_CURRENTS = ["0", "1", "-2.5", "20", "-1e6"]
+_CSV_TARGETS = {
+    "profile": ({"time_s": _TIMES, "current_A": _CURRENTS},
+                lambda path, fuzz_profile: ["simulate", "--profile", str(path)]),
+    "dataset": ({"time_s": _TIMES, "current_A": _CURRENTS, "voltage_V": ["3.3", "3.43", "2"]},
+                lambda path, fuzz_profile: ["identify", "--data", str(path), "--subset",
+                                            "c2-1c", "--budget", "1"]),
+    "ocp table": ({"theta": ["0", "0.25", "0.5", "0.75", "1"], "volts": ["3.3", "3.45", "4.1"]},
+                  lambda path, fuzz_profile: ["simulate", "--config",
+                                              str(path.with_name("config.json")),
+                                              "--profile", str(fuzz_profile)]),
+}
+# observe reads an OCP table through its PCHIP interpolant too
+_CSV_TARGETS["ocp table, observe"] = (_CSV_TARGETS["ocp table"][0], lambda path, fuzz_profile: [
+    "observe", "--nr", "2", "--config", str(path.with_name("config.json")),
+    "--profile", str(fuzz_profile)])
+# cells past any physical value, or no number at all; no time far from 0
+# that a step grid could take, which the 10^9-step cap rejects anyway
+_CSV_ODD = ["nan", "inf", "-inf", "1e308", "-1e308", "-1", "x", ""]
+_SOMETIMES = st.sampled_from([False, False, False, True])
+
+
+@st.composite
+def _csv_rows(draw, pools: dict) -> bytes:
+    """Up to 5 rows of a cell per column: the column's usual values, and in
+    some bodies odd ones (_CSV_ODD); the first column's in ascending order
+    or drawn, so that it may repeat or descend; one row maybe cut short."""
+    odd = _CSV_ODD * draw(st.booleans())
+    cells = st.tuples(*(st.sampled_from(pool + odd) for pool in pools.values())).map(list)
+    rows = draw(st.lists(cells, max_size=5))
+    if draw(st.booleans()):
+        for row, first in zip(rows, next(iter(pools.values()))):
+            row[0] = first
+    if rows and draw(_SOMETIMES):
+        del rows[draw(st.integers(0, len(rows) - 1))][draw(st.integers(0, len(pools) - 1)):]
+    return "".join(",".join(row) + "\n" for row in rows).encode()
+
+
+@settings(max_examples=450, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_csv_fuzz_exits_with_a_record(fuzz_profile, data):
+    """A profile of `simulate`, a dataset of `identify --budget 1` or an OCP
+    table named by the config of `simulate` or `observe`, made of drawn rows (NaN, infinities, 1e308,
+    repeated or descending times, short rows, no rows) or drawn bytes,
+    under its header or none, ends with a documented exit code, never a
+    traceback, and every nonzero exit writes its JSON error record.  An
+    absurd current may overflow on the way to its exit (numpy's warnings
+    are silenced)."""
+    target = data.draw(st.sampled_from(sorted(_CSV_TARGETS)))
+    pools, argv = _CSV_TARGETS[target]
+    header = not data.draw(_SOMETIMES)
+    body = data.draw(st.one_of(_csv_rows(pools), st.binary(max_size=40)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.csv"
+        path.write_bytes((",".join(pools) + "\n").encode() * header + body)
+        path.with_name("config.json").write_text(json.dumps({"ocp": {"pos_dis": path.name}}))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+                np.errstate(all="ignore"):
+            rc = main(argv(path, fuzz_profile) + ["--out", str(Path(tmp) / "out")])
+        assert rc in (0, 2, 3, 4, 5, 6), (target, body)
+        if rc:
+            assert json.loads(err.getvalue().strip().splitlines()[-1])["exit_code"] == rc

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 
 @pytest.fixture
@@ -39,3 +40,23 @@ def test_fingerprint_lists_and_hashes_a_sweep(load, capsys):
     assert all(name in listed for name in fingerprint.FIXTURES)
     assert fingerprint.main(["sweep_1c_nr2"]) == 0
     assert re.fullmatch(r"sweep_1c_nr2 [0-9a-f]{64} \d+\.\d\n", capsys.readouterr().out)
+
+
+def test_traced_layers_resolve():
+    """Every layer the benchmark's tracer wraps (LAYERS of
+    perfbench/tracing.py, read and run without writing under perfbench/)
+    names a callable of csespm, as the tracer looks it up: a missing class
+    crashes every traced run."""
+    path = ROOT / "perfbench" / "tracing.py"
+    namespace = {"__name__": "tracing"}
+    exec(compile(path.read_text(), str(path), "exec"), namespace)
+    missing = []
+    for module, dotted, _ in namespace["LAYERS"]:
+        owner = importlib.import_module(module)
+        *outer, attr = dotted.split(".")
+        for part in outer:
+            owner = getattr(owner, part, None)
+        fn = vars(owner).get(attr) if isinstance(owner, type) else getattr(owner, attr, None)
+        if not callable(fn):
+            missing.append(f"{module}:{dotted}")
+    assert missing == []

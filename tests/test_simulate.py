@@ -10,8 +10,8 @@ from csespm.errors import CsespmError, ParameterError, PhaseDomainError
 from csespm.params import DiscretizationConfig, ParameterColumns
 from csespm.ocp import synthetic_ocp_set
 from csespm.simulate import (AffinePropagator, Integrator, LoadProfile,
-                             SolverConfig, _fdm_two_phase_substep,
-                             _fvm_two_phase_substep, cc_profile,
+                             SolverConfig, _fdm_two_phase_substep, _finite,
+                             _first_nonfinite, _fvm_two_phase_substep, cc_profile,
                              cycle_profile, initial_state, mass_audit,
                              read_result_csv, simulate, symmetric_band,
                              synthetic_dynamic_profile)
@@ -571,15 +571,22 @@ def test_dynamic_profile_runs_through_flips(params, disc4):
 @pytest.mark.parametrize("where", ["neg", "pos", "elec", "r_p"])
 def test_state_is_finite(params, disc4, where, bad):
     """A NaN or an infinity in any concentration or in r_p reads as
-    non-finite; the NaN core_conc of a one-phase state does not."""
+    non-finite to the checks the time loop runs: `_finite` on the positive
+    particle and its front, `_first_nonfinite` on negative and electrolyte
+    rows; the NaN core_conc of a one-phase state does not."""
     state = initial_state(params, disc4, 0.9, "dis")
     assert state.regime != "two_phase" and np.isnan(state.core_conc)
-    assert state.is_finite()
+    rows = {k: np.tile(getattr(state, k), (3, 1)) for k in ("neg", "elec")}
+    assert _finite(state.pos, state.r_p)
+    assert [_first_nonfinite(r) for r in rows.values()] == [3, 3]
     if where == "r_p":
-        state.r_p = bad
+        assert not _finite(state.pos, bad)
+    elif where == "pos":
+        state.pos[1] = bad
+        assert not _finite(state.pos, state.r_p)
     else:
-        getattr(state, where)[1] = bad
-    assert not state.is_finite()
+        rows[where][1, 1] = bad
+        assert _first_nonfinite(rows[where]) == 1
 
 
 def test_zero_current_zero_drift(params, disc4):
