@@ -203,7 +203,7 @@ def sweep_fdm_1c_nr3(d):
 def sweep_dynamic_nr3(d):
     """Ranks and conds of a 7 s stride sweep of the 600 s synthetic drive
     profile from SOC 0.6, FVM, N_r = 3: some points sit on rows where the
-    current changes, so the input's derivative enters the Lie derivatives."""
+    current steps, which the sweep evaluates at u' = 0 like any other row."""
     params = CellParameters()
     ocp = synthetic_ocp_set(params)
     disc = DiscretizationConfig(N_r=3, N_e=6)

@@ -44,7 +44,7 @@ def config(params: CellParameters) -> dict:
                    "v_min": 2.0, "v_max": 3.65, "cutoffs_enabled": True},
         "phase": {"delta_init": 1e-3, "r_eps_rel": 1e-3, "shell_eps_rel": 1e-4,
                   "mass_tol": 1e-10},
-        "observability": {"jacobian_step": 1e-6, "rank_tol": 1e-8, "stride_s": 30.0},
+        "observability": {"rank_tol": 1e-8, "stride_s": 30.0},
     }
 
 

@@ -57,13 +57,11 @@ def margins(res, params, ocp):
         if p.regime != TWO_PHASE:
             continue
         i = int(np.searchsorted(res.time, p.time))     # the row the sweep took
-        i_dot = 0.0 if i == 0 or res.time[i] == res.time[i - 1] else (
-            (res.current[i] - res.current[i - 1]) / (res.time[i] - res.time[i - 1]))
         state = res.state_at(i)
         c_e_avg = electrode_c_e_avg(params, state.elec, "pos", res.meta["split"])
         f, h, x0, scales = positive_model(state, params, ocp, c_e_avg, config)
-        O = scale_columns(observability_matrix(f, h, x0, float(res.current[i]), i_dot,
-                                               config, scales), scales)
+        O = scale_columns(observability_matrix(f, h, x0, float(res.current[i]), 0.0, scales),
+                          scales)
         s = np.linalg.svd(O, compute_uv=False)
         threshold = config.rank_tol * s[0] * max(O.shape)
         assert int(np.sum(s > threshold)) == p.rank

@@ -6,9 +6,8 @@ identification, and an FVM-vs-FDM scheme comparison.  All tabular output is
 CSV; reports are JSON.  Nonzero exits carry a machine-readable error record
 on stderr.
 
-Exit codes: 0 ok, 2 usage, 3 missing file (or a directory where a file
-is read), 4 invalid config/data, 5 numerical blowup, 6 other runtime
-failure.
+Exit codes: 0 ok, 2 usage, 3 a path that is missing or of the wrong kind,
+4 invalid config/data, 5 numerical blowup, 6 other runtime failure.
 """
 from __future__ import annotations
 
@@ -287,7 +286,8 @@ def main(argv=None) -> int:
     try:
         check_soc(getattr(args, "soc", None), "--soc")
         return args.func(args)
-    except (FileNotFoundError, IsADirectoryError) as exc:
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            FileExistsError) as exc:
         return _error_record(EXIT_MISSING_FILE, exc)
     except (ConfigError, ParameterError) as exc:
         return _error_record(EXIT_BAD_CONFIG, exc)

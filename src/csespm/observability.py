@@ -11,7 +11,8 @@ derivatives are zero):
 (`taylor.Jet`, Griewank & Walther, Evaluating Derivatives, SIAM 2008,
 ch. 13): with the input a jet, the series of x follows order by order from
 x_{k+1} = f(x, u)_k / (k + 1), and L^J = J! y_J.  The state gradients are
-one central difference of those exact values.
+exact too: dL^J/dx_j = Im L^J(x + i d e_j) / d, a complex step with no
+difference to round (Squire & Trapp, SIAM Review 40, 1998).
 
 The observability matrix stacks dL^J/dx for J = 0..n-1 (Hermann & Krener,
 IEEE TAC 22, 1977).  Because the state mixes concentrations (~1e4 mol/m^3)
@@ -20,7 +21,7 @@ state scales before rank and condition analysis; raw values are reported
 alongside.
 
 A sweep groups its points by regime, direction and core phase; each group,
-with the stencil rows of its gradients, goes through f and h in one pass.
+with the stepped rows of its gradients, goes through f and h in one pass.
 """
 from __future__ import annotations
 
@@ -50,14 +51,13 @@ class LieDerivativeError(CsespmError, ArithmeticError):
 
 @dataclass(frozen=True)
 class ObservabilityConfig:
-    """Gradient-step and rank-test settings."""
+    """Rank-test and sweep settings."""
 
-    jacobian_step: float = 1e-6     # relative central-difference step of the gradients
     rank_tol: float = 1e-8          # threshold factor on sigma_max * max(dim)
     stride_s: float = 30.0          # sweep subsampling interval
 
     def __post_init__(self):
-        for name in ("jacobian_step", "rank_tol", "stride_s"):
+        for name in ("rank_tol", "stride_s"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ParameterError(f"observability {name} must be positive and finite")
 
@@ -120,8 +120,8 @@ def positive_model(state: FullState, params: CellParameters, ocp: OcpSet,
         raises the SaturationError of the unchecked helpers."""
         with np.errstate(invalid="ignore", divide="ignore"):
             i0 = exchange_current_density(params, "pos", c_eff, c_e_avg, checked=True)
-        c, ce, cu = np.broadcast_arrays(value(c_eff), c_e_avg, value(u))
-        ok = (0.0 < c) & (c < cmax) & ~(ce <= 0.0) & ~(value(i0) <= 0.0)
+        c, ce, cu = np.broadcast_arrays(np.real(value(c_eff)), c_e_avg, value(u))
+        ok = (0.0 < c) & (c < cmax) & ~(ce <= 0.0) & ~(np.real(value(i0)) <= 0.0)
         if not ok.all():
             j = np.unravel_index(np.argmin(ok), ok.shape)
             overpotential(params, "pos", cu[j],
@@ -147,7 +147,7 @@ def positive_model(state: FullState, params: CellParameters, ocp: OcpSet,
 
     def f(x, u):
         c, r_p = x[..., :-1], x[..., -1:]
-        r = value(r_p)
+        r = np.real(value(r_p))
         inside = (0.0 < r) & (r < R)
         if not inside.all():
             raise PhaseDomainError(f"r_p={float(r[~inside][0])!r} outside (0, R_s_p); "
@@ -174,28 +174,26 @@ def positive_model(state: FullState, params: CellParameters, ocp: OcpSet,
 # --- extended Lie derivatives --------------------------------------------------
 
 
-def lie_stack(f, h, x0: np.ndarray, u0, u_dot, orders: int,
-              config: ObservabilityConfig, x_scales: np.ndarray):
+def lie_stack(f, h, x0: np.ndarray, u0, u_dot, orders: int, x_scales: np.ndarray):
     """Values and state gradients of L^0..L^{orders-1} at (x0, u0).
 
     The values are exact in truncated Taylor arithmetic: f runs orders - 1
-    times and h once, each on the jets of x0 and of its stencil together.
-    The gradients are central differences of those values with steps
-    jacobian_step * max(|x_i|, x_scale_i).  Of one state: (orders,) values
-    and (orders, n) gradients; of (P, n) states with (P,) u0 and u_dot:
+    times and h once, each on the complex jets of x0 and of x0 + i d_j e_j,
+    d_j = 1e-100 * max(|x_j|, x_scale_j), together, and dL^J/dx_j is
+    Im L^J(x0 + i d_j e_j) / d_j.  Of one state: (orders,) values and
+    (orders, n) gradients; of (P, n) states with (P,) u0 and u_dot:
     (P, orders) and (P, orders, n).
     """
     x = np.atleast_2d(x0)
     P, n = x.shape
-    d = config.jacobian_step * np.maximum(np.abs(x), x_scales)
-    # each point, then its state plus and minus d_j for each j
-    rows = np.repeat(x[:, None, :], 2 * n + 1, axis=1)
+    d = 1e-100 * np.maximum(np.abs(x), x_scales)
+    # each point, then its state with x_j moved by i d_j for each j
+    rows = np.repeat(x[:, None, :] + 0j, n + 1, axis=1)
     j = np.arange(n)
-    rows[:, 1 + 2 * j, j] += d
-    rows[:, 2 + 2 * j, j] -= d
-    series = np.zeros((orders,) + rows.shape)
+    rows[:, 1 + j, j] += 1j * d
+    series = np.zeros((orders,) + rows.shape, complex)
     series[0] = rows
-    u = np.zeros((orders, P, 2 * n + 1))
+    u = np.zeros((orders, P, n + 1))
     u[0] = np.atleast_1d(u0)[:, None]
     if orders > 1:
         u[1] = np.atleast_1d(u_dot)[:, None]
@@ -205,8 +203,8 @@ def lie_stack(f, h, x0: np.ndarray, u0, u_dot, orders: int,
             series[k + 1] = rate.c[k] / (k + 1)
         y = h(Jet(series), Jet(u))
         L = y.c * np.cumprod([1.0, *range(1, orders)])[:, None, None]
-        values = L[:, :, 0].T
-        grads = ((L[:, :, 1::2] - L[:, :, 2::2]) / (2.0 * d)).transpose(1, 0, 2)
+        values = L[:, :, 0].real.T
+        grads = (L[:, :, 1:].imag / d).transpose(1, 0, 2)
     bad = ~(np.isfinite(values) & np.isfinite(grads).all(axis=-1)).all(axis=0)
     if bad.any():
         raise LieDerivativeError(f"non-finite Lie derivative at order {int(np.argmax(bad))}")
@@ -214,10 +212,10 @@ def lie_stack(f, h, x0: np.ndarray, u0, u_dot, orders: int,
 
 
 def observability_matrix(f, h, x0: np.ndarray, u0, u_dot,
-                         config: ObservabilityConfig, x_scales: np.ndarray) -> np.ndarray:
+                         x_scales: np.ndarray) -> np.ndarray:
     """Raw stacked-gradient matrix, one row per Lie order 0..n-1; (P, n, n)
     of (P, n) states."""
-    return lie_stack(f, h, x0, u0, u_dot, x0.shape[-1], config, x_scales)[1]
+    return lie_stack(f, h, x0, u0, u_dot, x0.shape[-1], x_scales)[1]
 
 
 def scale_columns(O: np.ndarray, x_scales: np.ndarray) -> np.ndarray:
@@ -296,9 +294,9 @@ def sweep(result: SimulationResult, params: CellParameters,
           ocp: OcpSet | None = None, scheme: str | None = None) -> ObservabilitySweep:
     """Rank and condition number along a simulated trajectory.
 
-    The first input derivative is estimated by backward differencing of the
-    recorded current (zero under constant current and on a row with no
-    earlier time); higher derivatives are taken as zero.  The points of one
+    The input derivatives are taken as zero: a recorded profile is held
+    constant over each of its segments (`LoadProfile`), so the current's
+    rate is zero inside every segment.  The points of one
     regime, direction and core phase are evaluated together (`positive_model`
     of their rows).  A point whose evaluation fails is skipped and recorded
     in ``skipped``, with one warning per sweep; when a group fails, each of
@@ -315,32 +313,27 @@ def sweep(result: SimulationResult, params: CellParameters,
         if t < next_t:
             continue
         next_t = t + config.stride_s
-        if i == 0 or result.time[i] == result.time[i - 1]:
-            i_dot = 0.0
-        else:
-            i_dot = (result.current[i] - result.current[i - 1]) / (
-                result.time[i] - result.time[i - 1])
         c_e_avg = electrode_c_e_avg(params, result.elec_c[i], "pos", result.meta["split"])
         key = (result.regime[i], result.direction[i], result.core_phase[i])
         groups.setdefault(key, []).append(len(picked))
         picked.append(i)
-        inputs.append((float(result.current[i]), float(i_dot), c_e_avg))
+        inputs.append((float(result.current[i]), c_e_avg))
 
-    def evaluate(state, u0, u_dot, c_e_avg):
+    def evaluate(state, u0, c_e_avg):
         f, h, x0, scales = positive_model(state, params, ocp, c_e_avg, config, scheme)
-        O = observability_matrix(f, h, x0, u0, u_dot, config, scales)
+        O = observability_matrix(f, h, x0, u0, 0.0, scales)
         rank, cond_s, smin = rank_and_condition(scale_columns(O, scales), config)
         return rank, cond_s, rank_and_condition(O, config)[1], smin, len(scales)
 
     found = {}
     for (regime, direction, core_phase), members in groups.items():
         idx = np.array([picked[k] for k in members])
-        u0, u_dot, c_e_avg = (np.array(col) for col in zip(*(inputs[k] for k in members)))
+        u0, c_e_avg = (np.array(col) for col in zip(*(inputs[k] for k in members)))
         rows = FullState(result.neg_c[idx], result.pos_c[idx], result.elec_c[idx], regime,
                          result.r_p[idx] * result.meta["R_s_p"], result.core_conc[idx],
                          core_phase, direction)
         try:
-            ranks, conds, raw_conds, smins, n = evaluate(rows, u0, u_dot, c_e_avg)
+            ranks, conds, raw_conds, smins, n = evaluate(rows, u0, c_e_avg)
             for k, *cols in zip(members, ranks, conds, raw_conds, smins):
                 found[k] = (*cols, n)
         except CsespmError:

@@ -50,13 +50,13 @@ class OcpTable:
         """Monotone cubic (PCHIP) interpolation, smooth enough for the
         observability model to differentiate: a float of a float, or an
         array of an array of theta, in one evaluation.  A jet of theta
-        (`taylor.Jet`) gives the jet of U, exact on the cubic piece of its
-        value: the sum of U^(j)/j! delta^j.
+        (`taylor.Jet`) gives the jet of U, exact on the cubic piece of the
+        real part a of its value: the sum of U^(j)(a)/j! (theta - a)^j.
 
         Constant extrapolation at the table ends, with one logged warning
         per call that counts the values extrapolated.
         """
-        t = np.asarray(value(theta), dtype=float)
+        t = np.asarray(np.real(value(theta)), dtype=float)
         bad = ~((0.0 <= t) & (t <= 1.0))
         if bad.any():
             raise OcpDomainError(f"theta={float(t[bad].flat[0])!r} outside [0, 1]")
@@ -69,7 +69,7 @@ class OcpTable:
             t = np.clip(t, lo, hi)
         if isinstance(theta, Jet):
             coefs = [self._pchip(t)]
-            for j in range(1, min(len(theta.c), 4)):
+            for j in range(1, 4):
                 coefs.append(np.where(outside, 0.0, self._pchip(t, nu=j) / math.factorial(j)))
             return theta.series(coefs)
         v = self._pchip(t)

@@ -48,7 +48,7 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _quotient(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """q with q * b = a, of two aligned coefficient arrays."""
-    q = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    q = np.empty(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b))
     q[0] = a[0] / b[0]
     for k in range(1, len(q)):
         q[k] = (a[k] - (b[1:k + 1] * q[k - 1::-1]).sum(axis=0)) / b[0]
@@ -65,8 +65,8 @@ class Jet:
 
     @classmethod
     def const(cls, x, K: int) -> "Jet":
-        x = np.asarray(x, dtype=float)
-        c = np.zeros((K,) + x.shape)
+        x = np.asarray(x)
+        c = np.zeros((K,) + x.shape, np.result_type(x, float))
         c[0] = x
         return cls(c)
 
@@ -134,11 +134,11 @@ class Jet:
         return Jet(out)
 
     def series(self, coefs) -> "Jet":
-        """g of this jet, from the Taylor coefficients of g at its value
-        (coefs[j] = g^(j)(value) / j!, each of the data's shape): the sum of
-        coefs[j] * delta^j with delta the jet less its value, by Horner."""
+        """g of this jet, from the Taylor coefficients of g at the real part
+        a of its value (coefs[j] = g^(j)(a) / j!, each of the data's shape):
+        the sum of coefs[j] * (jet - a)^j, by Horner."""
         delta = Jet(self.c.copy())
-        delta.c[0] = 0.0
+        delta.c[0] -= delta.c[0].real
         out = Jet.const(coefs[-1], len(self.c))
         for g in coefs[-2::-1]:
             out = out * delta + g

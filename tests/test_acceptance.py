@@ -232,7 +232,7 @@ def test_criterion_8_dynamic_input_fluctuation(params, ocp, sweep_1c_n2):
 
 def test_criterion_9_thin_shell_degeneracy(params, ocp):
     cfg = ObservabilityConfig()
-    sigmas = []
+    sigmas, trend = [], []
     for frac in (0.10, 0.01, 0.001):
         st = FullState(neg=np.full(3, 0.5 * params.c_s_max_n),
                        pos=np.full(3, params.c_alpha("ch")),
@@ -242,12 +242,19 @@ def test_criterion_9_thin_shell_degeneracy(params, ocp):
                        direction="ch")
         f, h, x0, scales = positive_model(st, params, ocp, params.c_e0, cfg)
         u0 = -params.current_for_c_rate(1.0)
-        O = observability_matrix(f, h, x0, u0, 0.0, cfg, scales)
+        O = observability_matrix(f, h, x0, u0, 0.0, scales)
         s = np.linalg.svd(scale_columns(O, scales), compute_uv=False)
         sigmas.append(float(s[-1] / s[0]))
-    ok = sigmas[0] > sigmas[1] > sigmas[2]
+        trend.append(float(s[-2] / s[0]))
+    # the uniform shell at g is structurally rank n - 1, so sigma_min lies
+    # below what an SVD resolves (eps * n of sigma_max); the resolved
+    # degeneracy trend is sigma_{n-1}
+    resolved = np.finfo(float).eps * len(x0)
+    ok = (sigmas[0] > sigmas[1] > sigmas[2]
+          and trend[0] > trend[1] > trend[2] > resolved)
     assert report(9, ok, "normalized sigma_min at shell 10%/1%/0.1%: "
-                         + "/".join(f"{s:.1e}" for s in sigmas))
+                         + "/".join(f"{s:.1e}" for s in sigmas)
+                         + "; sigma_{n-1}: " + "/".join(f"{s:.1e}" for s in trend))
 
 
 def test_criterion_10_lie_derivative_oracle(params, ocp):
@@ -268,8 +275,8 @@ def test_criterion_10_lie_derivative_oracle(params, ocp):
         u0 = float(rng.uniform(-1.0, 1.0)) * p.current_for_c_rate(1.0)
         f, h, x0, scales = positive_model(st, p, ocp, p.c_e0, cfg)
         u_scale = p.current_for_c_rate(1.0)
-        # linearize the true output at the expansion point, then the FD
-        # machinery must reproduce the analytic [C; C A] stack
+        # linearize the true output at the expansion point, then the Lie
+        # stack must reproduce the analytic [C; C A] stack
         eps = 1e-6
         C = np.empty(2)
         for j in range(2):
@@ -283,7 +290,7 @@ def test_criterion_10_lie_derivative_oracle(params, ocp):
         h0 = h(x0, u0)
         h_lin = lambda x, u: h0 + (x - x0) @ C + d_u * (u - u0)  # noqa: E731
         A = systems.build_one_phase_solid_system(p, "pos", 2).A
-        O = observability_matrix(f, h_lin, x0, u0, 0.0, cfg, scales)
+        O = observability_matrix(f, h_lin, x0, u0, 0.0, scales)
         O_true = np.vstack([C, C @ A])
         err = np.abs(O - O_true).max() / np.abs(O_true).max()
         worst = max(worst, float(err))

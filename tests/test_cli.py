@@ -86,7 +86,7 @@ def _no_simulation(*args, **kwargs):
     ({"solver": {"event_tol": float("nan")}}, [], "event_tol"),
     ({"solver": {"dt": float("nan")}}, [], "solver dt"),
     ({"solver": {"dt": float("inf")}}, [], "solver dt"),
-    ({"observability": {"jacobian_step": 0.0}}, [], "jacobian_step"),
+    ({"observability": {"jacobian_step": 1e-6}}, [], "jacobian_step"),    # removed
     ({"observability": {"rank_tol": -1e-8}}, [], "rank_tol"),
     ({"observability": {"stride_s": 0.0}}, [], "stride_s"),
     ({}, ["--stride", "0"], "stride_s"),
@@ -113,8 +113,8 @@ def _no_simulation(*args, **kwargs):
 def test_bad_setting_gives_exit_4_before_simulating(tmp_path, short_profile, capsys,
                                                     monkeypatch, config, extra, needle):
     """A non-positive or non-finite solver or observability value (a zero
-    event_tol hangs the event bisection, a NaN dt fails in the time loop, a
-    zero jacobian_step gives an empty sweep), a removed setting or section,
+    event_tol hangs the event bisection, a NaN dt fails in the time loop),
+    a removed setting or section (even at its old default),
     an unknown key of any section, a value of the wrong type, a non-finite
     parameter, an initial SOC outside [0, 1] (in the config or as --soc)
     and an OCP entry that is not a path are rejected, naming the setting,
@@ -617,25 +617,38 @@ def test_compare_scheme_without_finite_sweep_points_writes_null(tmp_path, fuzz_p
     assert math.isfinite(summary["median_log10_cond"]["fdm"])
 
 
-@pytest.mark.parametrize("flag", ["--profile", "--config"])
-@pytest.mark.parametrize("kind, code", [("latin-1", 4), ("directory", 3)])
-def test_unreadable_input_exits_with_a_record(tmp_path, short_profile, capsys, flag, kind,
-                                              code):
+_PATH_ERRORS = {"latin-1": ("ConfigError", 4), "directory": ("IsADirectoryError", 3),
+                "below-a-file": ("NotADirectoryError", 3),
+                "existing-file": ("FileExistsError", 3)}
+
+
+@pytest.mark.parametrize("flag, kind", [
+    pytest.param(flag, kind, id=f"{kind}-{_PATH_ERRORS[kind][1]}-{flag}")
+    for flag, kind in (("--profile", "latin-1"), ("--config", "latin-1"),
+                       ("--profile", "directory"), ("--config", "directory"),
+                       ("--profile", "below-a-file"), ("--out", "existing-file"))])
+def test_unreadable_input_exits_with_a_record(tmp_path, short_profile, capsys, flag, kind):
     """A profile or config file that is not UTF-8 text exits 4, naming the
-    file; a path that is a directory exits 3."""
+    file; a path of the wrong kind exits 3, naming it: a directory where a
+    file is read, a path below a file, and an output directory that is an
+    existing file."""
     path = tmp_path / "input"
     if kind == "directory":
         path.mkdir()
+    elif kind == "below-a-file":
+        path = short_profile / "x"
+    elif kind == "existing-file":
+        path.write_text("not a directory\n")
     elif flag == "--profile":
         path.write_bytes("time_s,current_A\n0,1.0\n10,1.0 # café\n".encode("latin-1"))
     else:
         path.write_bytes('{"solver": {"dt": 1.0}, "café": 1}'.encode("latin-1"))
-    inputs = {"--profile": short_profile, flag: path}
-    argv = ["simulate", "--out", str(tmp_path / "out")]
-    assert main(argv + [str(x) for item in inputs.items() for x in item]) == code
+    inputs = {"--profile": short_profile, "--out": tmp_path / "out", flag: path}
+    error, code = _PATH_ERRORS[kind]
+    assert main(["simulate"] + [str(x) for item in inputs.items() for x in item]) == code
     record = json.loads(capsys.readouterr().err.strip())
     assert record["exit_code"] == code and str(path) in record["message"]
-    assert record["error"] == ("ConfigError" if code == 4 else "IsADirectoryError")
+    assert record["error"] == error
 
 
 # the CSV input each command reads: its columns, each with its usual values
