@@ -188,11 +188,10 @@ def lie_stack(f, h, x0: np.ndarray, u0, u_dot, orders: int, x_scales: np.ndarray
     P, n = x.shape
     d = 1e-100 * np.maximum(np.abs(x), x_scales)
     # each point, then its state with x_j moved by i d_j for each j
-    rows = np.repeat(x[:, None, :] + 0j, n + 1, axis=1)
+    series = np.zeros((orders, P, n + 1, n), complex)
+    series[0] = x[:, None, :]
     j = np.arange(n)
-    rows[:, 1 + j, j] += 1j * d
-    series = np.zeros((orders,) + rows.shape, complex)
-    series[0] = rows
+    series[0][:, 1 + j, j] += 1j * d
     u = np.zeros((orders, P, n + 1))
     u[0] = np.atleast_1d(u0)[:, None]
     if orders > 1:
