@@ -5,14 +5,17 @@ Everything here is deterministic; rerunning reproduces the committed files.
 """
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
+from csespm.observability import ObservabilityConfig  # noqa: E402
 from csespm.ocp import synthetic_negative_table, synthetic_positive_table  # noqa: E402
-from csespm.params import CellParameters  # noqa: E402
-from csespm.simulate import cc_profile, synthetic_dynamic_profile  # noqa: E402
+from csespm.params import CellParameters, DiscretizationConfig  # noqa: E402
+from csespm.phase import PhaseConfig  # noqa: E402
+from csespm.simulate import SolverConfig, cc_profile, synthetic_dynamic_profile  # noqa: E402
 
 
 def tables(params: CellParameters) -> dict:
@@ -31,7 +34,8 @@ def tables(params: CellParameters) -> dict:
 
 
 def config(params: CellParameters) -> dict:
-    """The shipped run config, as assets/config.json holds it."""
+    """The shipped run config, as assets/config.json holds it: the code's
+    default settings, with these parameters and the shipped OCP tables."""
     return {
         "parameters": params.to_dict(),
         "ocp": {
@@ -39,12 +43,10 @@ def config(params: CellParameters) -> dict:
             "pos_ch": "ocp_pos_charge.csv",
             "pos_dis": "ocp_pos_discharge.csv",
         },
-        "discretization": {"N_r": 4, "N_e": 6, "scheme": "fvm"},
-        "solver": {"dt": 1.0, "event_tol": 1e-3,
-                   "v_min": 2.0, "v_max": 3.65, "cutoffs_enabled": True},
-        "phase": {"delta_init": 1e-3, "r_eps_rel": 1e-3, "shell_eps_rel": 1e-4,
-                  "mass_tol": 1e-10},
-        "observability": {"rank_tol": 1e-8, "stride_s": 30.0},
+        "discretization": asdict(DiscretizationConfig()),
+        "solver": asdict(SolverConfig()),
+        "phase": asdict(PhaseConfig()),
+        "observability": asdict(ObservabilityConfig()),
     }
 
 

@@ -58,7 +58,7 @@ def margins(res, params, ocp):
             continue
         i = int(np.searchsorted(res.time, p.time))     # the row the sweep took
         state = res.state_at(i)
-        c_e_avg = electrode_c_e_avg(params, state.elec, "pos", res.meta["split"])
+        c_e_avg = electrode_c_e_avg(state.elec, "pos")
         f, h, x0, scales = positive_model(state, params, ocp, c_e_avg, config)
         O = scale_columns(observability_matrix(f, h, x0, float(res.current[i]), 0.0, scales),
                           scales)

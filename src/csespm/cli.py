@@ -159,7 +159,8 @@ def cmd_observe(args) -> int:
     (out / "summary.json").write_text(json.dumps({
         "points": len(sw),
         "skipped": [{"time_s": t, "reason": reason} for t, reason in sw.skipped],
-        "full_rank_everywhere": full}, indent=2) + "\n")
+        "full_rank_everywhere": full,
+        "counters": result.meta["counters"]}, indent=2) + "\n")
     print(f"wrote {out / 'sweep.csv'} ({len(sw)} points, {len(sw.skipped)} skipped, "
           f"full rank everywhere: {full})")
     return 0

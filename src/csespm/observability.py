@@ -312,7 +312,7 @@ def sweep(result: SimulationResult, params: CellParameters,
         if t < next_t:
             continue
         next_t = t + config.stride_s
-        c_e_avg = electrode_c_e_avg(params, result.elec_c[i], "pos", result.meta["split"])
+        c_e_avg = electrode_c_e_avg(result.elec_c[i], "pos")
         key = (result.regime[i], result.direction[i], result.core_phase[i])
         groups.setdefault(key, []).append(len(picked))
         picked.append(i)

@@ -78,11 +78,11 @@ def electrolyte_potential_drop(params: CellParameters, c_e: np.ndarray):
     return (2.0 * params.R_gas * params.T * params.nu / params.F) * np.log(cL / c0)
 
 
-def electrode_c_e_avg(params: CellParameters, c_e: np.ndarray, electrode: str,
-                      split: tuple[int, int, int]):
-    """Arithmetic mean of the electrolyte CVs in one electrode region."""
-    n_a, n_s, _ = split
-    region = c_e[..., :n_a] if electrode == "neg" else c_e[..., n_a + n_s:]
+def electrode_c_e_avg(c_e: np.ndarray, electrode: str):
+    """Arithmetic mean of the electrolyte CVs in one electrode region, the
+    first or last third of a state's (or of each row's) CVs."""
+    n = systems.electrolyte_third(c_e.shape[-1])
+    region = c_e[..., :n] if electrode == "neg" else c_e[..., 2 * n:]
     avg = region.sum(axis=-1) / region.shape[-1]
     return float(avg) if avg.ndim == 0 else avg
 
@@ -113,7 +113,6 @@ def _domain_error(params, c_eff_p, c_e_p, c_surf_n, c_e_n, c_e) -> SaturationErr
 
 
 def cell_voltage(state: FullState, current, params: CellParameters, ocp: OcpSet,
-                 split: tuple[int, int, int],
                  counters: dict | None = None) -> OutputSnapshot:
     """Compose the full output map of one state (floats) or of a FullState
     of T rows under (T,) currents ((T,) arrays).
@@ -137,12 +136,10 @@ def cell_voltage(state: FullState, current, params: CellParameters, ocp: OcpSet,
     c_bulk_p = systems.solid_moles(rows.pos, params.R_s_p, rows.r_p, rows.core_conc) / (
         systems.FOUR_THIRDS_PI * params.R_s_p**3)
     c_eff_p = c_bulk_p.copy()
-    c_eff_p[one] = systems.surface_concentration(
-        rows.pos[one], current[one], params, "pos", params.R_s_p / rows.pos.shape[1])
-    c_surf_n = systems.surface_concentration(
-        rows.neg, current, params, "neg", params.R_s_n / rows.neg.shape[1])
-    c_e_p = electrode_c_e_avg(params, rows.elec, "pos", split)
-    c_e_n = electrode_c_e_avg(params, rows.elec, "neg", split)
+    c_eff_p[one] = systems.surface_concentration(rows.pos[one], current[one], params, "pos")
+    c_surf_n = systems.surface_concentration(rows.neg, current, params, "neg")
+    c_e_p = electrode_c_e_avg(rows.elec, "pos")
+    c_e_n = electrode_c_e_avg(rows.elec, "neg")
     with np.errstate(invalid="ignore", divide="ignore"):
         i0_p = exchange_current_density(params, "pos", c_eff_p, c_e_p, checked=True)
         i0_n = exchange_current_density(params, "neg", c_surf_n, c_e_n, checked=True)

@@ -236,11 +236,7 @@ class DiscretizationConfig:
     def __post_init__(self):
         if self.N_r < 2:
             raise ParameterError("N_r must be >= 2")
-        if self.N_e < 3 or self.N_e % 3 != 0:
-            raise ParameterError("N_e must be a multiple of 3, at least 3")
+        from .systems import electrolyte_third
+        electrolyte_third(self.N_e)
         if self.scheme not in ("fvm", "fdm"):
             raise ParameterError("scheme must be 'fvm' or 'fdm'")
-
-    def electrolyte_split(self) -> tuple[int, int, int]:
-        n = self.N_e // 3
-        return (n, n, n)

@@ -276,12 +276,9 @@ class AffinePropagator:
         zb = _matvec(self._to, b)
         lh = lam * h
         elh = np.exp(lh)
-        if min(map(abs, lh.ravel().tolist())) < 1e-8:
-            # phi's series where lam h is too small for (e^{lam h} - 1) / lam
-            small = np.abs(lh) < 1e-8
-            phi = np.where(small, h * (1.0 + 0.5 * lh), (elh - 1.0) / np.where(small, 1.0, lam))
-        else:
-            phi = (elh - 1.0) / lam
+        # phi's series where lam h is too small for (e^{lam h} - 1) / lam
+        small = np.abs(lh) < 1e-8
+        phi = np.where(small, h * (1.0 + 0.5 * lh), (elh - 1.0) / np.where(small, 1.0, lam))
         return _matvec(self._back, elh * z + phi * zb)
 
 
@@ -578,15 +575,12 @@ class Integrator:
         self.disc = disc
         self.solver = solver
         self.phase_cfg = phase_cfg or PhaseConfig()
-        split = disc.electrolyte_split()
-        self.split = split
         self.neg, self.pos1p = (
             LinearBlock(systems.build_one_phase_solid_system(params, e, disc.N_r, disc.scheme),
                         systems.cell_geometry(0.0, params.R_s(e), disc.N_r, disc.scheme)[2])
             for e in ("neg", "pos"))
-        dx, eps, _ = systems.electrolyte_geometry(params, disc.N_e, split)
-        self.elec = LinearBlock(systems.build_electrolyte_system(params, disc.N_e, split),
-                                eps * dx)
+        dx, eps, _ = systems.electrolyte_geometry(params, disc.N_e)
+        self.elec = LinearBlock(systems.build_electrolyte_system(params, disc.N_e), eps * dx)
         self.max_closure = 0.0
         self.substeps = 0       # two-phase substeps taken, rejected front steps included
         # numerical decisions of a run, see records.tally
@@ -1115,7 +1109,7 @@ class _Run:
         cols = self.cols
         states = FullState(self.neg[a:b], self.pos[a:b], self.elec[a:b], np.array(regime),
                            cols[3, a:b], cols[4, a:b], None, np.array(direction))
-        return cell_voltage(states, cols[1, a:b], self.integ.params, self.ocp, self.integ.split,
+        return cell_voltage(states, cols[1, a:b], self.integ.params, self.ocp,
                             counters=self.integ.counters)
 
     def settle(self) -> bool:
@@ -1150,7 +1144,7 @@ class _Run:
         time, current, charge, r_p, core_conc, voltage, soc_p, soc_n = self.cols[:, :n]
         neg_c, pos_c, elec_c = self.neg[:n], self.pos[:n], self.elec[:n]
         regime, direction, core_phase = (list(x) for x in zip(*self.label_rows(0, n)))
-        dx, eps, _ = systems.electrolyte_geometry(params, disc.N_e, self.integ.split)
+        dx, eps, _ = systems.electrolyte_geometry(params, disc.N_e)
         result = SimulationResult(
             time=time, current=current, voltage=voltage, soc_p=soc_p, soc_n=soc_n,
             r_p=r_p / params.R_s_p, regime=regime, direction=direction,
@@ -1163,7 +1157,7 @@ class _Run:
             mass_elec=elec_c @ (params.A_cell * (dx * eps)),
             drift_rel=None, events=self.events, status=self.status,
             meta={"R_s_p": params.R_s_p, "scheme": disc.scheme, "N_r": disc.N_r,
-                  "N_e": disc.N_e, "split": self.integ.split,
+                  "N_e": disc.N_e, "split": (systems.electrolyte_third(disc.N_e),) * 3,
                   "max_closure": float(self.closure[n - 1]),
                   "counters": dict(self.integ.counters,
                                    two_phase_substeps=int(self.substeps[n - 1]))})

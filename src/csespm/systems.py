@@ -299,8 +299,7 @@ def front_rate(params: CellParameters, r_p: float, N_r: int, g: float,
     return 2.0 * params.D_s_p / (dr * dc), -2.0 * params.D_s_p * g / (dr * dc)
 
 
-def build_electrolyte_system(params: CellParameters, N_e: int,
-                             split: tuple[int, int, int]) -> AffineSystem:
+def build_electrolyte_system(params: CellParameters, N_e: int) -> AffineSystem:
     """FVM electrolyte diffusion across anode/separator/cathode.
 
     Effective diffusivity D_e * eps^brugg per region, series (harmonic mean)
@@ -308,10 +307,7 @@ def build_electrolyte_system(params: CellParameters, N_e: int,
     a uniform volumetric source +-(1 - t_plus) I / (F A L eps_e) in the two
     electrode regions.
     """
-    if len(split) != 3 or any(n < 1 for n in split) or sum(split) != N_e:
-        raise ParameterError("electrolyte split must be three counts >= 1 summing to N_e")
-
-    dx, eps, region = electrolyte_geometry(params, N_e, split)
+    dx, eps, region = electrolyte_geometry(params, N_e)
     deff = np.array([params.D_e * e**params.brugg
                      for e in (params.eps_e_n, params.eps_e_s, params.eps_e_p)])[region]
     # series resistance of the two half cells meeting at each face
@@ -325,25 +321,32 @@ def build_electrolyte_system(params: CellParameters, N_e: int,
     return AffineSystem(A, B)
 
 
-def electrolyte_geometry(params: CellParameters, N_e: int,
-                         split: tuple[int, int, int]):
+def electrolyte_third(N_e: int) -> int:
+    """CVs per region: the N_e electrolyte CVs lie in equal thirds over
+    anode, separator and cathode, so N_e must be a positive multiple of 3."""
+    if N_e < 3 or N_e % 3:
+        raise ParameterError(f"N_e must be a positive multiple of 3, got {N_e}")
+    return N_e // 3
+
+
+def electrolyte_geometry(params: CellParameters, N_e: int):
     """Per-CV width, porosity and region index (0=anode, 1=sep, 2=cathode)."""
-    widths = [length / n for length, n in zip((params.L_n, params.L_s, params.L_p), split)]
-    return (np.repeat(widths, split),
-            np.repeat([params.eps_e_n, params.eps_e_s, params.eps_e_p], split),
-            np.repeat([0, 1, 2], split))
+    n = electrolyte_third(N_e)
+    return (np.repeat([params.L_n / n, params.L_s / n, params.L_p / n], n),
+            np.repeat([params.eps_e_n, params.eps_e_s, params.eps_e_p], n),
+            np.repeat([0, 1, 2], n))
 
 
 # --- concentration reconstructions -----------------------------------------
 
 def surface_concentration(c_bar: np.ndarray, current, params: CellParameters,
-                          electrode: str, dr: float):
+                          electrode: str):
     """Surface value from the outermost CV average plus the half-cell
     extrapolation along the flux boundary gradient, of one state or of rows
-    (c_bar (T, N), current (T,)).  Not clamped: the output map rejects a
-    value outside (0, c_s_max)."""
-    D = params.D_s(electrode)
-    grad = molar_flux_density(params, electrode, current) / D
+    (c_bar (T, N), current (T,)), on the fixed grid of N CVs of width R / N.
+    Not clamped: the output map rejects a value outside (0, c_s_max)."""
+    dr = params.R_s(electrode) / c_bar.shape[-1]
+    grad = molar_flux_density(params, electrode, current) / params.D_s(electrode)
     return c_bar[..., -1] + 0.5 * dr * grad
 
 

@@ -342,7 +342,7 @@ def test_criterion_12_output_map_identities(params, ocp):
         st.neg = st.neg * rng.uniform(0.95, 1.05)
         st.elec = st.elec * rng.uniform(0.9, 1.1, 6)
         cur = rng.uniform(-1.0, 1.0) * params.current_for_c_rate(1.0)
-        snap = cell_voltage(st, cur, params, ocp, (2, 2, 2))
+        snap = cell_voltage(st, cur, params, ocp)
         worst_recompose = max(worst_recompose, abs(
             snap.V_cell - snap.recompose(cur, params.R_l)))
     # SOC affine endpoints per the identified window values

@@ -293,21 +293,24 @@ def test_observe_takes_the_config_initial_soc(tmp_path, short_profile):
     assert sweeps[0] == sweeps[1] != sweeps[2]
 
 
-def test_observe_summary_counts_skipped_points(tmp_path, short_profile, monkeypatch):
+def test_observe_summary_counts_skipped_points(tmp_path, short_profile, monkeypatch, params):
     """observe writes summary.json with the sweep's point count, each skipped
-    point's time and reason, and whether the rank is full everywhere."""
+    point's time and reason, whether the rank is full everywhere, and the
+    simulation's counters of numerical decisions."""
     from csespm import observability
     real = observability.electrode_c_e_avg
     monkeypatch.setattr(observability, "electrode_c_e_avg",
-                        lambda params, c_e, *args: -1.0 if c_e[0] == params.c_e0
-                        else real(params, c_e, *args))
+                        lambda c_e, electrode: -1.0 if c_e[0] == params.c_e0
+                        else real(c_e, electrode))
     out = tmp_path / "obs"
     rc = main(["observe", "--profile", str(short_profile), "--nr", "2", "--stride", "120",
                "--out", str(out)])
     assert rc == 0
     assert json.loads((out / "summary.json").read_text()) == {
         "points": 7, "full_rank_everywhere": True,
-        "skipped": [{"time_s": 0.0, "reason": "non-positive electrolyte concentration -1"}]}
+        "skipped": [{"time_s": 0.0, "reason": "non-positive electrolyte concentration -1"}],
+        "counters": {"ocp_extrapolations": 0, "event_cap_hits": 0, "front_floor_accepts": 0,
+                     "bisection_probes": 10, "front_halvings": 0, "two_phase_substeps": 503}}
     assert len((out / "sweep.csv").read_text().splitlines()) == 1 + 7
 
 

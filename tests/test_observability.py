@@ -87,8 +87,7 @@ def test_order_zero_is_ocp_at_rest(params, ocp):
     st = initial_state(params, disc, 0.9, "dis")
     f, h, x0, scales = positive_model(st, params, ocp, params.c_e0, CFG)
     vals, _ = lie_stack(f, h, x0, 0.0, 0.0, 1, scales)
-    theta = systems.surface_concentration(
-        st.pos, 0.0, params, "pos", params.R_s_p / 2) / params.c_s_max_p
+    theta = systems.surface_concentration(st.pos, 0.0, params, "pos") / params.c_s_max_p
     assert vals[0] == pytest.approx(ocp.pos_dis(theta), abs=1e-12)
 
 
@@ -137,8 +136,10 @@ def test_nonfinite_reports_failing_order(params, ocp):
 
 
 def test_thin_shell_degeneracy(params, ocp):
-    """Normalized smallest singular value collapses as the shell thins at a
-    fixed uniform shell concentration."""
+    """The degeneracy grows as the shell thins at a fixed uniform shell
+    concentration.  That state is structurally rank n - 1, so sigma_min lies
+    below what an SVD resolves (eps * n of sigma_max); the resolved trend is
+    sigma_{n-1} / sigma_max, which falls and stays above eps * n."""
     ratios = []
     for frac in (0.10, 0.01, 0.001):
         st = FullState(neg=np.full(3, 0.5 * params.c_s_max_n),
@@ -151,8 +152,8 @@ def test_thin_shell_degeneracy(params, ocp):
         u0 = -params.current_for_c_rate(1.0)
         O = observability_matrix(f, h, x0, u0, 0.0, scales)
         s = np.linalg.svd(scale_columns(O, scales), compute_uv=False)
-        ratios.append(s[-1] / s[0])
-    assert ratios[0] > ratios[1] > ratios[2]
+        ratios.append(s[-2] / s[0])
+    assert ratios[0] > ratios[1] > ratios[2] > np.finfo(float).eps * len(x0)
 
 
 def test_sweep_emits_points_and_csv(tmp_path, params, ocp):
@@ -271,7 +272,7 @@ def charge_1c(params, ocp):
 
 def model_at(res, i, params, ocp):
     state = res.state_at(i)
-    c_e_avg = electrode_c_e_avg(params, state.elec, "pos", res.meta["split"])
+    c_e_avg = electrode_c_e_avg(state.elec, "pos")
     return positive_model(state, params, ocp, c_e_avg, CFG, res.meta["scheme"])
 
 
@@ -315,8 +316,7 @@ def test_memoized_lie_stack_is_bit_identical(params, ocp, charge_1c, N_r, regime
     res, i = case_row(charge_1c, N_r, regime, scheme)
     rows = [i - 30, i, i + 30]
     assert len({res.regime[k] for k in rows}) == 1
-    split = res.meta["split"]
-    c_e_avg = np.array([electrode_c_e_avg(params, res.elec_c[k], "pos", split) for k in rows])
+    c_e_avg = np.array([electrode_c_e_avg(res.elec_c[k], "pos") for k in rows])
     state = FullState(res.neg_c[rows], res.pos_c[rows], res.elec_c[rows], res.regime[i],
                       res.r_p[rows] * res.meta["R_s_p"], res.core_conc[rows],
                       res.core_phase[i], res.direction[i])

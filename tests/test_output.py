@@ -93,7 +93,7 @@ def test_soc_affine_endpoints(params):
 
 def test_equilibrium_voltage_is_ocv_difference(params, ocp, disc4):
     state = initial_state(params, disc4, 0.5, "dis")
-    snap = cell_voltage(state, 0.0, params, ocp, (2, 2, 2))
+    snap = cell_voltage(state, 0.0, params, ocp)
     want = (ocp.pick("pos", "dis").lookup(np.array([snap.theta_p]))
             - ocp.pick("neg", "dis").lookup(np.array([snap.theta_n])))[0]
     assert snap.V_cell == pytest.approx(want, abs=1e-12)
@@ -103,8 +103,8 @@ def test_equilibrium_voltage_is_ocv_difference(params, ocp, disc4):
 def test_voltage_recomposition_and_current_asymmetry(params, ocp, disc4):
     state = initial_state(params, disc4, 0.5, "dis")
     current = params.current_for_c_rate(0.5)
-    up = cell_voltage(state, current, params, ocp, (2, 2, 2))
-    dn = cell_voltage(state, -current, params, ocp, (2, 2, 2))
+    up = cell_voltage(state, current, params, ocp)
+    dn = cell_voltage(state, -current, params, ocp)
     assert up.V_cell == pytest.approx(up.recompose(current, params.R_l), abs=1e-14)
     assert dn.V_cell == pytest.approx(dn.recompose(-current, params.R_l), abs=1e-14)
     # eta is odd up to the I-dependence of i0 through the surface value

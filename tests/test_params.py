@@ -3,6 +3,7 @@ import pytest
 from csespm.errors import ParameterError
 from csespm.params import (CellParameters, DiscretizationConfig,
                            DEFAULT_RATE_OVERRIDES, params_for_rate)
+from csespm.simulate import SolverConfig, cc_profile, initial_state, simulate
 
 
 def test_defaults_valid(params):
@@ -46,7 +47,7 @@ def test_rate_overrides(params):
     assert set(DEFAULT_RATE_OVERRIDES) == {"C/4", "C/2", "1C"}
 
 
-def test_discretization_invariants():
+def test_discretization_invariants(params):
     with pytest.raises(ParameterError):
         DiscretizationConfig(N_r=1)
     with pytest.raises(ParameterError):
@@ -55,4 +56,7 @@ def test_discretization_invariants():
         DiscretizationConfig(scheme="fem")
     with pytest.raises(ParameterError):
         DiscretizationConfig(N_e=7)  # not divisible by 3
-    assert DiscretizationConfig(N_e=9).electrolyte_split() == (3, 3, 3)
+    disc = DiscretizationConfig(N_e=9)
+    res = simulate(cc_profile(params, 1.0, "dis", duration=10.0),
+                   initial_state(params, disc, 0.5, "dis"), params, disc, SolverConfig())
+    assert res.meta["split"] == (3, 3, 3)

@@ -231,7 +231,7 @@ def test_euler_single_step_mass_exact(params, disc4):
 
 def _fixed_grid_blocks(params, disc, integ):
     """(block, capacity weights, concentration scale) of the three blocks."""
-    dx, eps, _ = systems.electrolyte_geometry(params, disc.N_e, integ.split)
+    dx, eps, _ = systems.electrolyte_geometry(params, disc.N_e)
     return ((integ.neg, systems.cell_volumes(params.R_s_n, disc.N_r), params.c_s_max_n),
             (integ.pos1p, systems.cell_volumes(params.R_s_p, disc.N_r), params.c_s_max_p),
             (integ.elec, dx * eps, params.c_e0))
@@ -420,7 +420,7 @@ def test_block_rows_stay_on_the_conservation_line(params, scheme, c_rate):
         integ = Integrator(params, disc, SolverConfig())
         w_solid = [systems.cell_geometry(0.0, R, N_r, scheme)[2]
                    for R in (params.R_s_n, params.R_s_p)]
-        dx, e, _ = systems.electrolyte_geometry(params, N_e, integ.split)
+        dx, e, _ = systems.electrolyte_geometry(params, N_e)
         for block, w, scale in zip((integ.neg, integ.pos1p, integ.elec), w_solid + [dx * e],
                                    (params.c_s_max_n, params.c_s_max_p, params.c_e0)):
             b = block.B * current
@@ -668,7 +668,7 @@ def test_one_direction_charge_matches_current_sign_rule(params):
 
 # --- the columnar output pass ------------------------------------------------------
 
-def _scalar_outputs(state, current, params, ocp, split):
+def _scalar_outputs(state, current, params, ocp):
     """(V, SOC_p, SOC_n) of one state composed from the scalar helpers, the
     way the output map was evaluated one recorded step at a time."""
     from csespm.output import (electrode_c_e_avg, electrolyte_potential_drop,
@@ -679,15 +679,11 @@ def _scalar_outputs(state, current, params, ocp, split):
         c_eff = bulk_p = systems.two_phase_bulk(state.pos, state.r_p, state.core_conc,
                                                 params.R_s_p)
     else:
-        c_eff = systems.surface_concentration(state.pos, current, params, "pos",
-                                              params.R_s_p / len(state.pos))
+        c_eff = systems.surface_concentration(state.pos, current, params, "pos")
         bulk_p = systems.one_phase_bulk(state.pos, params.R_s_p)
-    c_n = systems.surface_concentration(state.neg, current, params, "neg",
-                                        params.R_s_n / len(state.neg))
-    i0_p = exchange_current_density(params, "pos", c_eff,
-                                    electrode_c_e_avg(params, state.elec, "pos", split))
-    i0_n = exchange_current_density(params, "neg", c_n,
-                                    electrode_c_e_avg(params, state.elec, "neg", split))
+    c_n = systems.surface_concentration(state.neg, current, params, "neg")
+    i0_p = exchange_current_density(params, "pos", c_eff, electrode_c_e_avg(state.elec, "pos"))
+    i0_n = exchange_current_density(params, "neg", c_n, electrode_c_e_avg(state.elec, "neg"))
     U_p = ocp.pick("pos", direction).lookup(np.clip([c_eff / params.c_s_max_p], 0.0, 1.0))[0]
     U_n = ocp.neg.lookup(np.clip([c_n / params.c_s_max_n], 0.0, 1.0))[0]
     v = (U_p + overpotential(params, "pos", current, i0_p)
@@ -713,12 +709,11 @@ def test_columnar_outputs_match_scalar_replay(params, ocp, disc4, run):
                    solver, ocp=ocp)
     # both regimes in one pass; both directions (hysteresis branches) in one pass
     assert len(set(res.regime)) == 3 if run == "c4_cycle" else set(res.direction) == {"ch", "dis"}
-    split = res.meta["split"]
     for i in range(len(res)):
         state, current = res.state_at(i), float(res.current[i])
-        snap = cell_voltage(state, current, params, ocp, split)
+        snap = cell_voltage(state, current, params, ocp)
         for got, want in zip((res.voltage[i], res.soc_p[i], res.soc_n[i]),
-                             _scalar_outputs(state, current, params, ocp, split)):
+                             _scalar_outputs(state, current, params, ocp)):
             assert abs(got - want) <= 1e-12, (i, got, want)
         assert abs(snap.V_cell - res.voltage[i]) <= 1e-12
         assert abs(snap.SOC_p - res.soc_p[i]) <= 1e-12
@@ -745,13 +740,12 @@ def _per_step_run(profile, init, params, disc, solver, ocp):
     from csespm.output import cell_voltage
     from csespm.phase import detect_transition
     integ = Integrator(params, disc, solver)
-    split = disc.electrolyte_split()
     (t0, t1, current), = profile.segments()
     v_lo = -np.inf if solver.v_min is None else solver.v_min
     v_hi = np.inf if solver.v_max is None else solver.v_max
     state, events, t, q, rows = init.copy(), [], t0, 0.0, 1
     anchor, t_a = init.pos, t0
-    cell_voltage(state, current, params, ocp, split)
+    cell_voltage(state, current, params, ocp)
     while t < t1 - 1e-9:
         h = min(solver.dt, t1 - t)
         t_next = t + h
@@ -766,7 +760,7 @@ def _per_step_run(profile, init, params, disc, solver, ocp):
         new.neg = integ.neg.step(init.neg, current, t_next - t0)
         new.elec = integ.elec.step(init.elec, current, t_next - t0)
         state, t, q, rows = new, t_next, q + current * h, rows + 1
-        v = cell_voltage(state, current, params, ocp, split).V_cell
+        v = cell_voltage(state, current, params, ocp).V_cell
         if solver.cutoffs_enabled and (v < v_lo or v > v_hi):
             status = "cutoff_low" if v < v_lo else "cutoff_high"
             return status, rows, t, q, events, integ.max_closure
@@ -852,8 +846,8 @@ def test_cutoff_counts_only_rows_it_keeps(params, disc4):
     prof = cc_profile(params, 1.0, "dis", duration=400.0)
     init = initial_state(params, disc4, 1.0, "dis")
     free = simulate(prof, init, params, disc4, SolverConfig(cutoffs_enabled=False))
-    theta = systems.surface_concentration(free.pos_c, free.current, params, "pos",
-                                          params.R_s_p / disc4.N_r) / params.c_s_max_p
+    theta = systems.surface_concentration(free.pos_c, free.current, params,
+                                          "pos") / params.c_s_max_p
     assert np.all(np.diff(theta) > 0.0)
     k = 200
     assert k // _CHUNK == (k - 4) // _CHUNK

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from csespm.errors import ParameterError, PhaseDomainError
+from csespm.output import cell_voltage, electrode_c_e_avg
 from csespm.params import DiscretizationConfig
 from csespm.simulate import SolverConfig, cc_profile, initial_state, simulate
 from csespm import systems
@@ -203,15 +204,15 @@ def test_two_phase_b_vector_on_outermost_cell(params):
 # --- electrolyte builder -----------------------------------------------------------
 
 def test_electrolyte_rest_uniform_stationary(params):
-    sysm = systems.build_electrolyte_system(params, 9, (3, 3, 3))
+    sysm = systems.build_electrolyte_system(params, 9)
     c = np.full(9, params.c_e0)
     assert np.abs(sysm.rhs(c, 0.0)).max() < np.abs(sysm.A).max() * params.c_e0 * 1e-12
 
 
 def test_electrolyte_source_cancels(params):
-    for N_e, split in ((6, (2, 2, 2)), (12, (4, 4, 4)), (10, (4, 3, 3))):
-        sysm = systems.build_electrolyte_system(params, N_e, split)
-        dx, eps, _ = systems.electrolyte_geometry(params, N_e, split)
+    for N_e in (6, 12):
+        sysm = systems.build_electrolyte_system(params, N_e)
+        dx, eps, _ = systems.electrolyte_geometry(params, N_e)
         v = dx * eps * params.A_cell
         assert abs(float(v @ sysm.B)) < 1e-12 * np.abs(v * sysm.B).max()
         assert np.abs(sysm.A.sum(axis=1)).max() < 1e-10 * np.abs(sysm.A).max()
@@ -222,8 +223,8 @@ def test_electrolyte_relaxes_to_uniform(params):
     spatially uniform state at the initial mean."""
     from csespm.simulate import AffinePropagator
     N_e = 6
-    sysm = systems.build_electrolyte_system(params, N_e, (2, 2, 2))
-    dx, eps, _ = systems.electrolyte_geometry(params, N_e, (2, 2, 2))
+    sysm = systems.build_electrolyte_system(params, N_e)
+    dx, eps, _ = systems.electrolyte_geometry(params, N_e)
     w = dx * eps
     prop = AffinePropagator(np.diag(sysm.A, -1), np.diag(sysm.A), np.diag(sysm.A, 1),
                             weights=w)
@@ -238,12 +239,40 @@ def test_electrolyte_relaxes_to_uniform(params):
 
 
 def test_electrolyte_bad_split(params):
-    with pytest.raises(ParameterError):
-        systems.build_electrolyte_system(params, 7, (2, 2, 2))
-    with pytest.raises(ParameterError):
-        systems.build_electrolyte_system(params, 7, (5, 1, 2))
-    with pytest.raises(ParameterError):
-        systems.build_electrolyte_system(params, 7, (6, 1, 0))
+    for N_e in (7, 5, 2):
+        with pytest.raises(ParameterError):
+            systems.build_electrolyte_system(params, N_e)
+
+
+def test_electrolyte_thirds(params):
+    """N_e = 9 lies in thirds of 3 CVs: the geometry's regions and the
+    electrode averages of a state and of rows read them."""
+    _, _, region = systems.electrolyte_geometry(params, 9)
+    assert region.tolist() == [0] * 3 + [1] * 3 + [2] * 3
+    c_e = np.arange(9.0)
+    assert electrode_c_e_avg(c_e, "neg") == 1.0
+    assert electrode_c_e_avg(c_e, "pos") == 7.0
+    assert electrode_c_e_avg(np.stack([c_e, 2 * c_e]), "pos").tolist() == [7.0, 14.0]
+
+
+@pytest.mark.parametrize("N_e", [-3, 0, 1, 2, 4, 7, 10])
+def test_electrolyte_width_not_in_thirds(params, ocp, N_e):
+    """An N_e, or a row width, that is not a positive multiple of 3 raises
+    ParameterError in the builder, the geometry, the electrode averages and
+    the output map, rather than reading a wrong region."""
+    with pytest.raises(ParameterError, match="positive multiple of 3"):
+        systems.build_electrolyte_system(params, N_e)
+    with pytest.raises(ParameterError, match="positive multiple of 3"):
+        systems.electrolyte_geometry(params, N_e)
+    rows = np.full((2, max(N_e, 0)), params.c_e0)
+    for c_e in (rows[0], rows):
+        for electrode in ("neg", "pos"):
+            with pytest.raises(ParameterError, match="positive multiple of 3"):
+                electrode_c_e_avg(c_e, electrode)
+    state = initial_state(params, DiscretizationConfig(N_r=4, N_e=6), 0.5, "dis")
+    state.elec = rows[0]
+    with pytest.raises(ParameterError, match="positive multiple of 3"):
+        cell_voltage(state, 1.0, params, ocp)
 
 
 # --- reconstructions ------------------------------------------------------------
@@ -251,14 +280,13 @@ def test_electrolyte_bad_split(params):
 def test_surface_concentration_rest_and_slope(params):
     c = np.full(4, 10000.0)
     dr = params.R_s_p / 4
-    assert systems.surface_concentration(c, 0.0, params, "pos", dr) == 10000.0
-    c_s1 = systems.surface_concentration(c, 2.0, params, "pos", dr)
+    assert systems.surface_concentration(c, 0.0, params, "pos") == 10000.0
+    c_s1 = systems.surface_concentration(c, 2.0, params, "pos")
     slope = dr / (2 * params.D_s_p * params.F * params.A_cell
                   * params.L_p * params.a_s("pos"))
     assert c_s1 - 10000.0 == pytest.approx(2.0 * slope, rel=1e-12)
     # negative electrode loses lithium on discharge
-    dr_n = params.R_s_n / 4
-    c_n = systems.surface_concentration(c, 2.0, params, "neg", dr_n)
+    c_n = systems.surface_concentration(c, 2.0, params, "neg")
     assert c_n < 10000.0
 
 
@@ -274,9 +302,8 @@ def test_surface_concentration_fine_grid_oracle(params):
                            SolverConfig(cutoffs_enabled=False))
     for N in (4, 200):
         r = runs[N]
-        dr = params.R_s_p / N
         runs[N] = np.array([
-            systems.surface_concentration(r.pos_c[i], r.current[i], params, "pos", dr)
+            systems.surface_concentration(r.pos_c[i], r.current[i], params, "pos")
             for i in range(len(r))])
     diff = np.abs(runs[4][100:] - runs[200][100:]) / params.c_s_max_p
     assert diff.max() < 0.02
