@@ -10,10 +10,14 @@ a change with its parent by running the script in each checkout:
     python3 scripts/fingerprint.py --list
 
 Each line is `<fixture> <sha256> <seconds>`.  The script imports csespm from
-src/ of the checkout it sits in.  OpenBLAS splits a large product over its
-threads in an order that moves the last bits (discharge_c4_nr200 hashes
-differently with one thread and with two), so the script runs one BLAS
-thread unless OPENBLAS_NUM_THREADS says otherwise.
+src/ of the checkout it sits in.  OpenBLAS may split a large product over
+its threads in an order that moves the last bits.  No fixture shows it:
+discharge_c4_nr200, the one at N_r = 200, hashes alike under one and two
+threads; its FVM substeps call no BLAS, and what it still hands to BLAS
+includes the fixed-grid blocks' matrix-vector products and the dgemm
+inside LAPACK's dstevd.  The script runs one BLAS thread unless
+OPENBLAS_NUM_THREADS says otherwise, so that no host's thread count can
+move a hash.
 """
 import hashlib
 import os

@@ -130,15 +130,12 @@ def positive_model(state: FullState, params: CellParameters, ocp: OcpSet,
 
     if state.regime != TWO_PHASE:
         blk = systems.solid_block(params, "pos", 0.0, N_r, scheme)
-        dr = R / N_r
-        grad_per_amp = 1.0 / (params.D_s_p * params.F * params.A_cell
-                              * params.L_p * params.a_s("pos"))
 
         def f(x, u):
             return _shell_rows(blk, x, u[..., None], 0.0)
 
         def h(x, u):
-            return output(x[..., -1] + 0.5 * dr * grad_per_amp * u, u)
+            return output(systems.surface_concentration(x, u, params, "pos"), u)
 
         return _rowwise(f), _rowwise(h), state.pos.copy(), np.full(N_r, cmax)
 

@@ -54,12 +54,11 @@ steps taken alone, and the substep is an array kernel whose
 leading member axis leaves each member's arithmetic as it is, so each
 member's result is bit for bit its `simulate`.  One member's FVM substep
 runs on Python floats (`_member_substep`), the row kernel's operations in
-its order, its two shell grids (`systems.spherical_cells`) included; it
-calls numpy only where numpy decides the bits: LAPACK's dstevd, the
-C-ordered eigenvector scaling and the gemv products (their layout picks
-the BLAS path), ndarray.dot and ndarray.sum for cell sums (numpy sums
-pairwise from 8 cells on), and numpy's SIMD exp and cube, which differ
-from libm's in the last bit.  A step with a transition or a halved front
+its order: every cell sum and eigenvector product is a sequential sum,
+which Python floats and numpy column accumulations state alike, and every
+cube is f * f * f.  Numpy decides the bits in two calls only: LAPACK's
+dstevd, and numpy's SIMD exp, which differs from libm's in the last bit.
+A step with a transition or a halved front
 step is taken by the member alone, which then steps on with the batch, or
 alone in one-phase until its next entry; only an error ends a member's
 block early, and its run.
@@ -71,7 +70,9 @@ import logging
 import math
 from array import array
 from dataclasses import dataclass, field
+from functools import cache, reduce
 from itertools import accumulate
+from operator import add, mul, sub, truediv
 
 import numpy as np
 from scipy.linalg.lapack import dstevd as _dstevd
@@ -81,13 +82,15 @@ from .errors import (BlowupError, CsespmError, ParameterError, PhaseDomainError,
 from .ocp import OcpSet, synthetic_ocp_set
 from .output import OutputSnapshot, cell_voltage
 from .params import CellParameters, DiscretizationConfig, ParameterColumns
-from .phase import (PhaseConfig, annulus_remap, apply_sign_flip,
+# annulus_remap is not called here: the benchmark's tracer (perfbench/tracing.py)
+# wraps it under this module's name too
+from .phase import (PhaseConfig, annulus_remap, apply_sign_flip,  # noqa: F401
                     detect_transition, enter_two_phase, exit_two_phase,
                     transition_kinds, transition_margin)
 from .records import read_csv_columns, tally, write_csv_columns
 from .states import FullState, ONE_PHASE_ALPHA, ONE_PHASE_BETA, TWO_PHASE
 from . import systems
-from .systems import FOUR_THIRDS_PI, cell_dot, cell_sum, cell_value, set_cell
+from .systems import FOUR_THIRDS_PI, cell_value, set_cell
 
 log = logging.getLogger(__name__)
 
@@ -362,17 +365,6 @@ def _each(f, *args):
     return tuple(np.array(x)[:, None] for x in zip(*map(f, *cols)))
 
 
-def _shell_step(state: FullState, current: float, h: float, params: CellParameters,
-                N_r: int, g, scheme: str):
-    """Exact step of the shell on its frozen grid; returns (shell, block)."""
-    blk, g_row = systems.shell_block(params, state.r_p, current, N_r, g, scheme)
-    b = np.zeros(state.pos.shape)
-    set_cell(b, 0, g_row)
-    set_cell(b, N_r - 1, blk.surface * current)
-    prop = AffinePropagator(blk.lower, blk.diag, blk.upper, blk.caps)
-    return prop.step(state.pos, b, h), blk
-
-
 def _fvm_two_phase_substep(state: FullState, current: float, h: float,
                            params: CellParameters, N_r: int):
     """One conservative substep; returns (shell, r_p, closure_rel).  One
@@ -383,146 +375,224 @@ def _fvm_two_phase_substep(state: FullState, current: float, h: float,
     return _rows_substep(state, current, h, params, N_r)
 
 
+# The FVM substep of both kernels, operation by operation.  Each cell sum,
+# and each product with the shell's eigenvectors Q (z_k = sum_i Q_ik s_i x_i
+# into eigen coordinates, c_i = sum_k Q_ik w_k / s_i back, s_i the square
+# root of CV volume i), is a sequential sum in cell or mode order: at n <= 4
+# it is as accurate as a pairwise or a blocked sum (Higham, Accuracy and
+# Stability of Numerical Algorithms, 2nd ed., 2002, sec. 4.2), and Python
+# floats and numpy column accumulations (np.cumsum, documented as
+# sequential) state it alike.  BLAS products and numpy's pairwise sum do
+# not: their order depends on the layout and the length.  Builtin sum() is
+# not used either, since Python 3.12 compensates it.  Every cube is f * f * f,
+# taken once per grid.  So the kernels agree bit for bit through LAPACK's
+# dstevd and numpy's exp alone.
+
+def _row_sums(terms: np.ndarray) -> np.ndarray:
+    """Sequential sums of B members' terms along the last axis (the last
+    partial sum of np.cumsum), that axis kept with length 1."""
+    return terms.cumsum(axis=-1)[..., -1:]
+
+
+_UNROLLED = 512     # terms of the longest compiled dot; CPython nests one per term
+
+
+@cache
+def _float_dot(n: int):
+    """a[0] * b[0] + a[1] * b[1] + ... + a[n - 1] * b[n - 1] of two
+    sequences of n floats, added left to right as Python evaluates one
+    expression: the sequential sum of `_row_sums`.  The expression is
+    compiled once per n, as dataclasses compiles its methods; at n = 4 it
+    takes a third of the time of reduce(add, map(mul, a, b)), which calls a
+    function per term.  Past _UNROLLED terms, whose expression would nest
+    too deep for the compiler, the reduce form is taken."""
+    if n > _UNROLLED:
+        return lambda a, b: reduce(add, map(mul, a, b))
+    return eval("lambda a, b: " + " + ".join(f"a[{i}] * b[{i}]" for i in range(n)))
+
+
+def _float_cells(r_inner: float, R: float, u: list):
+    """Faces, cubed faces and CV volumes of `systems.spherical_cells` over
+    [r_inner, R] on Python floats, by its operations; u holds the unit
+    faces."""
+    w = R - r_inner
+    faces = [r_inner + w * x for x in u]
+    cubes = [f * f * f for f in faces]
+    return faces, cubes, [FOUR_THIRDS_PI * (c1 - c0) for c0, c1 in zip(cubes, cubes[1:])]
+
+
 def _rows_substep(state: FullState, current: float, h: float, params: ParameterColumns,
                   N_r: int):
-    """The substep of B members' rows, as arrays with a leading member axis."""
+    """The substep of B members' rows, (B, N_r) shells and (B, 1) columns of
+    r_p, core_conc and parameters, as arrays: the shell's bands and forcing
+    of `systems.solid_block`, the exact step in the eigenbasis of the
+    volume-symmetrized bands (one dstevd per member), the front
+    (`_front_move`, per member), the conservative remap of the swept
+    annulus and the old shell onto the new grid, and the closure; each cell
+    sum a column accumulation (`_row_sums`)."""
     R = params.R_s_p
-    r_p = state.r_p
+    r_p, x = state.r_p, state.pos
     g, c_core = systems.interface_values(params, state.core_phase, state.direction)
-    c_new, blk = _shell_step(state, current, h, params, N_r, g, "fvm")
-    vols = blk.caps
-    shell_old = cell_dot(vols, state.pos)
+    if not ((0.0 < r_p) & (r_p < R)).all():
+        raise PhaseDomainError(f"r_p={r_p!r} outside (0, R_s_p); transition regimes first")
+    faces, areas, vols = systems.spherical_cells(r_p, R, N_r)
+    cubes = faces * faces * faces
+
+    # the shell's bands and forcing (systems.solid_block, shell_block)
+    D = params.D_s_p
+    dr_vols = (R - r_p) / N_r * vols
+    flows = D * areas[:, 1:-1]
+    w_lo = flows / dr_vols[:, 1:]
+    w_hi = flows / dr_vols[:, :-1]
+    diag = np.zeros(vols.shape)     # (0.0 - w_lo[i - 1]) - w_hi[i], an absent one 0
+    diag[:, 1:] -= w_lo
+    diag[:, :-1] -= w_hi
+    if current != 0.0:
+        inner = 2.0 * D * areas[:, :1] / dr_vols[:, :1]
+        diag[:, :1] -= inner
+        b_0 = inner * g
+        b_n = areas[:, -1:] / (vols[:, -1:] * params.F * params.A_cell * params.L_p
+                               * params.a_s("pos")) * current
+
+    # the exact step in the eigenbasis of the volume-symmetrized bands
+    s = np.sqrt(vols)
+    band = 0.5 * (w_hi * (s[:, :-1] / s[:, 1:]) + w_lo * (s[:, 1:] / s[:, :-1]))
+    lam, Q = (np.array(a) for a in zip(*map(_eigh, diag, band)))
+    lh = lam * h
+    e = np.exp(lh)
+    z = _row_sums(Q.swapaxes(1, 2) * (s * x)[:, None, :])[..., 0]
+    if current != 0.0:
+        small = np.abs(lh) < 1e-8
+        phi = np.where(small, h * (1.0 + 0.5 * lh), (e - 1.0) / np.where(small, 1.0, lam))
+        zb = Q[:, 0] * (s[:, :1] * b_0) + Q[:, -1] * (s[:, -1:] * b_n)
+        w = e * z + phi * zb
+    else:
+        w = e * z
+    c_new = _row_sums(Q * w[:, None, :])[..., 0] / s
+    shell_old = _row_sums(vols * x)
 
     # lithium delivered to the front: surface influx minus shell gain
     q_surf = systems.molar_flux_density(params, "pos", current) * 4.0 * np.pi * (R * R)
-    spill = q_surf * h - cell_dot(vols, c_new - state.pos)
-
+    spill = q_surf * h - _row_sums(vols * (c_new - x))
     if current == 0.0:
         # frozen front; close propagator rounding so rest is drift free
-        c_new = c_new + (shell_old - cell_dot(vols, c_new)) / cell_sum(vols)
+        c_new = c_new + (shell_old - _row_sums(vols * c_new)) / _row_sums(vols)
         return c_new, r_p, 0.0
-
     r_new, r_lo, annulus_conc, core_vol, core_vol_new = _each(
         _front_move, r_p, R, spill, g, c_core, state.core_conc)
 
     # conservative remap of (swept annulus + old shell) onto the new grid; a
     # member whose front moves out sweeps a zero-width annulus cell
     new_faces, _, vols_new = systems.spherical_cells(r_new, R, N_r)
-    shell = annulus_remap(np.hstack([r_lo, blk.faces]), np.hstack([annulus_conc, c_new]),
-                          new_faces)
+    new_cubes = new_faces * new_faces * new_faces
+    w_old = FOUR_THIRDS_PI * np.hstack(
+        [np.where(r_lo < r_p, new_cubes[:, :1], cubes[:, :1]), cubes])
+    values = np.hstack([annulus_conc, c_new])
+    cum = np.zeros(w_old.shape)
+    np.cumsum(values * (w_old[:, 1:] - w_old[:, :-1]), axis=-1, out=cum[:, 1:])
+    # the new grid starts at the annulus' inner edge or above it, and a last
+    # face past the old grid's is taken at it
+    hi = faces[:, -1:]
+    r = np.minimum(new_faces, hi)
+    r3 = np.where(new_faces >= hi, cubes[:, -1:], new_cubes)
+    # the old cell of each new face: the count of interior old edges (r_p and
+    # the shell's inner faces) at or below it
+    at = np.arange(len(r))[:, None], (faces[:, None, :-1] <= r[:, :, None]).sum(axis=-1)
+    cum_new = cum[at] + values[at] * (FOUR_THIRDS_PI * r3 - w_old[at])
+    shell = (cum_new[:, 1:] - cum_new[:, :-1]) / vols_new
 
     # close rounding (and, for an outward front, the swept-profile mismatch)
     # so the per-electrode balance is exact: core + shell changes only by the
     # surface influx
     expected = shell_old + core_vol * state.core_conc + q_surf * h
-    actual = core_vol_new * state.core_conc + cell_dot(vols_new, shell)
+    actual = core_vol_new * state.core_conc + _row_sums(vols_new * shell)
     residual = expected - actual
-    shell = shell + residual / cell_sum(vols_new)
-    closure_rel = abs(residual) / _clip(abs(expected), 1e-300)
-    return shell, r_new, closure_rel
+    shell = shell + residual / _row_sums(vols_new)
+    return shell, r_new, np.abs(residual) / np.maximum(np.abs(expected), 1e-300)
 
 
 def _member_substep(state: FullState, current: float, h: float, params: CellParameters,
                     N_r: int):
     """The substep of one member on Python floats, bit for bit its row's in
-    `_rows_substep`: the IEEE operations of `spherical_cells` (the old and
-    the new shell grid), `shell_block`, `AffinePropagator` and
-    `annulus_remap` in their order, with numpy's calls kept where they
-    decide the bits (see the module docstring); only the volumes that numpy
-    dots and sums become arrays."""
+    `_rows_substep`: the same IEEE operations in the same order, each column
+    accumulation a left-to-right sum (`_float_dot`, reduce); numpy only for
+    LAPACK's dstevd and the exp of lam h."""
     R = params.R_s_p
     r_p = state.r_p
     g, c_core = systems.interface_values(params, state.core_phase, state.direction)
     if not 0.0 < r_p < R:
         raise PhaseDomainError(f"r_p={r_p!r} outside (0, R_s_p); transition regimes first")
     u = systems.unit_faces(N_r).tolist()
-    faces, vols = _float_cells(r_p, R, u)
-    areas = [4.0 * math.pi * f * f for f in faces]
-    vols_a = np.array(vols)
+    faces, cubes, vols = _float_cells(r_p, R, u)
+    x = state.pos.tolist()
+    dot = _float_dot(N_r)
 
-    # the shell's bands and forcing (systems.solid_block, shell_block)
+    # the shell's bands, forcing and exact step
     D = params.D_s_p
     dr = (R - r_p) / N_r
     dr_vols = [dr * v for v in vols]
-    flows = [D * a for a in areas[1:-1]]
-    w_lo = [f / c for f, c in zip(flows, dr_vols[1:])]
-    w_hi = [f / c for f, c in zip(flows, dr_vols)]
+    flows = [D * (4.0 * math.pi * f * f) for f in faces[1:-1]]
+    w_lo = list(map(truediv, flows, dr_vols[1:]))
+    w_hi = list(map(truediv, flows, dr_vols))
     diag = [0.0 - w_hi[0], *[(0.0 - lo) - hi for lo, hi in zip(w_lo, w_hi[1:])],
             0.0 - w_lo[-1]]
-    b = [0.0] * N_r
-    if current != 0.0:
-        inner = 2.0 * D * areas[0] / dr_vols[0]
-        diag[0] -= inner
-        b[0] = inner * g
-    b[-1] = areas[N_r] / (vols[-1] * params.F * params.A_cell * params.L_p
-                          * params.a_s("pos")) * current
-
-    # the exact step (AffinePropagator)
-    s_a = np.sqrt(vols_a)
-    s = s_a.tolist()
+    s = [math.sqrt(v) for v in vols]
     band = [0.5 * (hi * (s0 / s1) + lo * (s1 / s0))
             for lo, hi, s0, s1 in zip(w_lo, w_hi, s, s[1:])]
+    if current != 0.0:
+        inner = 2.0 * D * (4.0 * math.pi * r_p * r_p) / dr_vols[0]
+        diag[0] -= inner
     lam, Q = _eigh(diag, band)
-    Q = np.ascontiguousarray(Q)
-    s_a = s_a[:, None]
-    to = (Q * s_a).T
     lh = lam * h
-    w = []
-    for lam_k, x, e, z, zb in zip(lam.tolist(), lh.tolist(), np.exp(lh).tolist(),
-                                  (to @ state.pos).tolist(), (to @ np.array(b)).tolist()):
-        phi = h * (1.0 + 0.5 * x) if abs(x) < 1e-8 else (e - 1.0) / lam_k
-        w.append(e * z + phi * zb)
-    c_new = (Q / s_a) @ np.array(w)
-    shell_old = float(vols_a.dot(state.pos))
+    e = np.exp(lh).tolist()
+    modes = Q.T.tolist()
+    sx = list(map(mul, s, x))
+    if current != 0.0:
+        sb_0 = s[0] * (inner * g)
+        sb_n = s[-1] * (4.0 * math.pi * faces[-1] * faces[-1] / (
+            vols[-1] * params.F * params.A_cell * params.L_p * params.a_s("pos")) * current)
+        w = [e_k * dot(q, sx)
+             + (h * (1.0 + 0.5 * x_k) if abs(x_k) < 1e-8 else (e_k - 1.0) / l_k)
+             * (q[0] * sb_0 + q[-1] * sb_n)
+             for e_k, x_k, l_k, q in zip(e, lh.tolist(), lam.tolist(), modes)]
+    else:
+        w = [e_k * dot(q, sx) for e_k, q in zip(e, modes)]
+    c_new = [dot(q, w) / s_i for q, s_i in zip(Q.tolist(), s)]
+    shell_old = dot(vols, x)
 
     # lithium delivered to the front: surface influx minus shell gain
     q_surf = systems.molar_flux_density(params, "pos", current) * 4.0 * math.pi * (R * R)
-    spill = q_surf * h - float(vols_a.dot(c_new - state.pos))
+    spill = q_surf * h - dot(vols, list(map(sub, c_new, x)))
     if current == 0.0:
-        c_new = c_new + (shell_old - float(vols_a.dot(c_new))) / vols_a.sum()
-        return c_new, r_p, 0.0
+        shift = (shell_old - dot(vols, c_new)) / reduce(add, vols)
+        return np.array([c + shift for c in c_new]), r_p, 0.0
     r_new, r_lo, annulus_conc, core_vol, core_vol_new = _front_move(
         r_p, R, spill, g, c_core, state.core_conc)
 
-    # the remap (annulus_remap); an outward front sweeps no annulus
-    new_faces, vols_new = _float_cells(r_new, R, u)
-    vols_new = np.array(vols_new)
-    values = c_new.tolist()
+    # the remap; an outward front sweeps no annulus, and a last new face past
+    # the old grid's is taken at it
+    new_faces, new_cubes, vols_new = _float_cells(r_new, R, u)
+    values = c_new
     if r_lo != r_p:
-        faces.insert(0, r_lo)
-        values.insert(0, annulus_conc)
-    m = len(faces)
-    cubes = (np.array(faces + new_faces)**3).tolist()
-    w_old = [FOUR_THIRDS_PI * c for c in cubes[:m]]
-    cum = [0.0, *accumulate(v * (hi - lo) for v, lo, hi in zip(values, w_old, w_old[1:]))]
-    lo, hi, interior = faces[0], faces[-1], faces[1:-1]
+        faces, cubes, values = [r_lo, *faces], [new_cubes[0], *cubes], [annulus_conc, *c_new]
+    w_old = [FOUR_THIRDS_PI * c for c in cubes]
+    cum = [0.0, *accumulate(map(mul, values, map(sub, w_old[1:], w_old)))]
+    hi, interior = faces[-1], faces[1:-1]
     cum_new = []
-    for r, r3 in zip(new_faces, cubes[m:]):
-        if r <= lo:
-            r, r3 = lo, cubes[0]
-        elif r >= hi:
-            r, r3 = hi, cubes[m - 1]
+    for r, r3 in zip(new_faces, new_cubes):
+        if r >= hi:
+            r, r3 = hi, cubes[-1]
         i = bisect.bisect_right(interior, r)
         cum_new.append(cum[i] + values[i] * (FOUR_THIRDS_PI * r3 - w_old[i]))
-    shell = np.array([(c1 - c0) / (FOUR_THIRDS_PI * (v1 - v0)) for c0, c1, v0, v1
-                      in zip(cum_new, cum_new[1:], cubes[m:], cubes[m + 1:])])
+    shell = list(map(truediv, map(sub, cum_new[1:], cum_new), vols_new))
 
-    # the closure of _rows_substep
+    # the closure
     expected = shell_old + core_vol * state.core_conc + q_surf * h
-    actual = core_vol_new * state.core_conc + float(vols_new.dot(shell))
+    actual = core_vol_new * state.core_conc + dot(vols_new, shell)
     residual = expected - actual
-    return (shell + residual / vols_new.sum(), r_new,
+    shift = residual / reduce(add, vols_new)
+    return (np.array([c + shift for c in shell]), r_new,
             abs(residual) / max(abs(expected), 1e-300))
-
-
-def _float_cells(r_inner: float, R: float, u: list):
-    """Faces and CV volumes of `systems.spherical_cells` over [r_inner, R] on
-    Python floats, by its IEEE operations in its order; u holds the unit
-    faces."""
-    w = R - r_inner
-    faces = [r_inner + w * x for x in u]
-    cubes = [f * f * f for f in faces]
-    return faces, [FOUR_THIRDS_PI * (c1 - c0) for c0, c1 in zip(cubes, cubes[1:])]
 
 
 def _front_move(r_p: float, R: float, spill: float, g: float, c_core: float,
@@ -553,9 +623,14 @@ def _front_ok(r_old, r_new, R):
 
 def _fdm_two_phase_substep(state: FullState, current: float, h: float,
                            params: CellParameters, N_r: int):
-    """Naive collocated step of the FDM two-phase system (no remap)."""
+    """Naive collocated step of the FDM two-phase system (no remap): the
+    shell's exact step on its frozen grid, then the front's."""
     g, c_core = systems.interface_values(params, state.core_phase, state.direction)
-    c_new, _ = _shell_step(state, current, h, params, N_r, g, "fdm")
+    blk, g_row = systems.shell_block(params, state.r_p, current, N_r, g, "fdm")
+    b = np.zeros(state.pos.shape)
+    set_cell(b, 0, g_row)
+    set_cell(b, N_r - 1, blk.surface * current)
+    c_new = AffinePropagator(blk.lower, blk.diag, blk.upper, blk.caps).step(state.pos, b, h)
     k, k0 = (systems.front_rate(params, state.r_p, N_r, g, c_core) if current != 0.0
              else (0.0, 0.0))
     rdot_mid = k * 0.5 * (cell_value(state.pos, 0) + cell_value(c_new, 0)) + k0

@@ -1,12 +1,12 @@
 """Discretized state-space systems for solid and electrolyte diffusion.
 
-The builders return affine systems dx/dt = A x + B I (+ G).  The solid
+The builders return affine systems dx/dt = A x + B I.  The solid
 assembly itself (`solid_block`, `shell_block`) returns the three bands of
 its tridiagonal A, which the two-phase substep steps without a dense
 matrix; `tridiagonal` makes the dense A where one is needed.  Finite
 volume assemblies balance face fluxes over spherical control volumes, so
 volume-weighted row sums vanish except where a physical boundary flux
-enters through B or G; that is what makes the scheme conservative.
+enters through B; that is what makes the scheme conservative.
 
 The solid assembly and the helpers below it take one member (float radii
 and parameters, 1-D cell arrays) or B members at once (`params.
@@ -54,27 +54,10 @@ FOUR_THIRDS_PI = 4.0 / 3.0 * np.pi      # sphere volume per cubed radius
 
 @dataclass(frozen=True)
 class AffineSystem:
-    """Matrices of dx/dt = A x + B I + G (G optional)."""
+    """Matrices of dx/dt = A x + B I."""
 
     A: np.ndarray
     B: np.ndarray
-    G: np.ndarray | None = None
-
-    @property
-    def dim(self) -> int:
-        return self.A.shape[0]
-
-    def rhs(self, x: np.ndarray, current) -> np.ndarray:
-        """dx/dt of one state under a float current, or of (m, n) rows under
-        an (m,) current column, each row by the matrix-vector product of its
-        own A (a stack, or one A shared by all rows) as for one state."""
-        if x.ndim == 1:
-            out = self.A @ x + self.B * current
-        else:
-            out = (self.A @ x[..., None])[..., 0] + self.B * current[:, None]
-        if self.G is not None:
-            out = out + self.G
-        return out
 
 
 _UNIT_FACES: dict[int, np.ndarray] = {}
@@ -356,19 +339,6 @@ def one_phase_bulk(c_bar: np.ndarray, R: float) -> float:
     v = cell_volumes(R, c_bar.shape[-1])
     bulk = cell_dot(v, c_bar) / cell_sum(v)
     return bulk if c_bar.ndim > 1 else float(bulk)
-
-
-def two_phase_bulk(c_shell: np.ndarray, r_p, core_conc: float, R: float):
-    """Particle average: uniform core plus shell CV averages; of one state, or
-    the (m,) averages of (m, N) shell rows with (m,) radii, each by the
-    arithmetic of one state (a BLAS dot per row, Python's r_p**3, which
-    numpy's vectorized power can miss by an ulp; a row with r_p <= 0 has
-    no core)."""
-    if c_shell.ndim == 1:
-        return solid_moles(c_shell, R, r_p, core_conc) / (FOUR_THIRDS_PI * R**3)
-    core = [FOUR_THIRDS_PI * r**3 * core_conc if r > 0.0 else 0.0 for r in r_p.tolist()]
-    v = cell_volumes(R, c_shell.shape[1], r_inner=np.where(r_p > 0.0, r_p, 0.0))
-    return (np.vecdot(v, c_shell) + core) / (FOUR_THIRDS_PI * R**3)
 
 
 def solid_moles(c_bar: np.ndarray, R: float, r_p=0.0, core_conc=0.0):

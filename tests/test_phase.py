@@ -12,7 +12,7 @@ from csespm.simulate import (LoadProfile, SolverConfig, cc_profile,
 from csespm.states import TWO_PHASE
 from csespm import systems
 
-from dense_systems import two_phase_system
+from dense_systems import two_phase_bulk, two_phase_system
 
 CFG = PhaseConfig()
 
@@ -107,7 +107,7 @@ def test_enter_two_phase_discharge(params, disc4):
     assert new.r_p == pytest.approx((1 - CFG.delta_init) * params.R_s_p, rel=1e-9)
     # shell seeded at the nucleating phase value
     assert np.allclose(new.pos, params.c_beta("dis"), rtol=1e-6)
-    post_bulk = systems.two_phase_bulk(new.pos, new.r_p, new.core_conc, params.R_s_p)
+    post_bulk = two_phase_bulk(new.pos, new.r_p, new.core_conc, params.R_s_p)
     assert post_bulk == pytest.approx(pre_bulk, rel=1e-12)
     assert ev.kind == "enter_two_phase"
     assert ev.mass_error_rel <= CFG.mass_tol
@@ -129,7 +129,7 @@ def test_entry_with_gradient_preserves_bulk(params, disc4, rng):
     st.pos = st.pos + rng.uniform(-30.0, 30.0, disc4.N_r)
     pre = systems.one_phase_bulk(st.pos, params.R_s_p)
     new, ev = enter_two_phase(st, 10.0, params, CFG, time=0.0)
-    post = systems.two_phase_bulk(new.pos, new.r_p, new.core_conc, params.R_s_p)
+    post = two_phase_bulk(new.pos, new.r_p, new.core_conc, params.R_s_p)
     assert post == pytest.approx(pre, rel=1e-12)
 
 

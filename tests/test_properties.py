@@ -132,3 +132,63 @@ def test_member_substep_equals_its_row_on_drawn_states(N_r, rp_frac, core_phase,
     assert shell.tobytes() == want[0].tobytes()
     assert (r_new, closure) == (want[1][0], want[2][0])
     assert math.isfinite(r_new)
+
+
+# One substep's closure leaves the positive particle's lithium, core plus
+# shell, changed by the surface influx q_surf h up to the rounding of a few
+# sums over the N_r cells: the kernel's two sequential cell sums of the old
+# and the new shell, each within (N_r - 1) eps of the content (Higham, 2002,
+# sec. 4.2), the products and the additions of the closure, and the test's
+# own products.  The bound is per step, so it does not grow with the steps.
+def _balance_bound(N_r: int) -> float:
+    return (2 * N_r + 8) * np.finfo(float).eps
+
+
+def _lithium(shell, r, core_conc, R):
+    """Core plus shell lithium of one member, the shell's cell products
+    summed exactly (math.fsum) on the CV volumes of `systems.cell_volumes`."""
+    vols = systems.cell_volumes(R, len(shell), r_inner=r)
+    return math.fsum((vols * shell).tolist()) + systems.FOUR_THIRDS_PI * r**3 * core_conc
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(N_r=st.sampled_from([2, 3, 4, 8]), c_rate=st.sampled_from([-1.0, 0.0, 1.0]),
+       scale=st.floats(0.05, 2.0), core_phase=st.sampled_from(["alpha", "beta"]),
+       rest_direction=st.sampled_from(["dis", "ch"]), h=st.floats(1e-3, 10.0),
+       rp_fracs=st.lists(st.floats(0.05, 0.95), min_size=3, max_size=3),
+       decades=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+       seed=st.integers(0, 2**32 - 1), near_g=st.booleans())
+def test_substep_changes_lithium_by_the_surface_influx(N_r, c_rate, scale, core_phase,
+                                                       rest_direction, h, rp_fracs, decades,
+                                                       seed, near_g):
+    """Each kernel's substep of drawn two-phase states, under charge,
+    discharge and rest, changes core plus shell lithium by q_surf h to within
+    `_balance_bound` of its magnitude: the float kernel on one member, the
+    rows kernel on a batch of three with their own D_s_p and fronts."""
+    current = c_rate * scale * ONE_C
+    direction = systems.direction_for_current(current, rest_direction)
+    g, c_core = systems.interface_values(PARAMS, core_phase, direction)
+    rng = np.random.default_rng(seed)
+    if near_g:
+        shells = g * (1.0 + 1e-9 * rng.uniform(-1.0, 1.0, (3, N_r)))
+    else:
+        shells = PARAMS.c_s_max_p * rng.uniform(0.02, 0.98, (3, N_r))
+    sets = [PARAMS.replace(D_s_p=PARAMS.D_s_p * 10.0**d) for d in decades]
+    R = PARAMS.R_s_p
+    radii = [f * R for f in rp_fracs]
+    rows = FullState(None, shells, None, TWO_PHASE, np.array(radii)[:, None],
+                     np.full((3, 1), c_core), core_phase, direction)
+    batch = _fvm_two_phase_substep(rows, current, h, ParameterColumns(sets), N_r)
+    member = FullState(None, shells[0], None, TWO_PHASE, radii[0], c_core, core_phase,
+                       direction)
+    alone = _fvm_two_phase_substep(member, current, h, sets[0], N_r)
+    steps = [(p, shells[i], radii[i], np.ravel(batch[0][i]), float(np.ravel(batch[1])[i]))
+             for i, p in enumerate(sets)]
+    steps.append((sets[0], shells[0], radii[0], alone[0], alone[1]))
+    for p, shell, r_p, new_shell, r_new in steps:
+        q_surf = systems.molar_flux_density(p, "pos", current) * 4.0 * np.pi * R * R
+        before = _lithium(shell, r_p, c_core, R)
+        after = _lithium(new_shell, r_new, c_core, R)
+        magnitude = max(abs(before), abs(after))
+        assert abs(after - before - q_surf * h) <= _balance_bound(N_r) * magnitude, (
+            (after - before - q_surf * h) / magnitude / np.finfo(float).eps)

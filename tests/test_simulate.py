@@ -11,14 +11,15 @@ from csespm.params import DiscretizationConfig, ParameterColumns
 from csespm.ocp import synthetic_ocp_set
 from csespm.simulate import (AffinePropagator, Integrator, LoadProfile,
                              SolverConfig, _fdm_two_phase_substep, _finite,
-                             _first_nonfinite, _fvm_two_phase_substep, cc_profile,
+                             _first_nonfinite, _float_dot, _fvm_two_phase_substep,
+                             cc_profile,
                              cycle_profile, initial_state, mass_audit,
                              read_result_csv, simulate, symmetric_band,
                              synthetic_dynamic_profile)
 from csespm.states import FullState, TWO_PHASE
 from csespm import systems
 
-from dense_systems import two_phase_system
+from dense_systems import rhs, two_phase_bulk, two_phase_system
 
 
 def test_load_profile_validation():
@@ -162,9 +163,7 @@ def test_member_substep_equals_its_row(params, N_r, rp_frac, core_phase):
     array kernel's substep of the same state as a (1, N_r) row: shell, r_p
     and closure, with the front moving in and out and at rest (I = 0, where
     the propagator takes its series branch), for a bisection-sized, a full
-    and a 60 s step.  From N_r = 8 on numpy sums cells pairwise; the
-    closure's cell sum shows in the shell's bits only where the closure is
-    large, as for the random shells and 60 s steps."""
+    and a 60 s step."""
     R = params.R_s_p
     rows_params = ParameterColumns([params])
     rng = np.random.default_rng(N_r)
@@ -192,6 +191,20 @@ def test_member_substep_equals_its_row(params, N_r, rp_frac, core_phase):
                     fronts.add("rest" if r_new == member.r_p
                                else "in" if r_new < member.r_p else "out")
     assert fronts == {"in", "out", "rest"}
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 200, 600])
+def test_float_dot_is_the_sequential_sum(n):
+    """The float kernel's compiled dot, and its reduce form past the
+    compiled length, add the products left to right, bit for bit the last
+    partial sum of np.cumsum, the rows kernel's column accumulation."""
+    rng = np.random.default_rng(n)
+    a, b = rng.uniform(-1.0, 1.0, (2, n)) * 10.0**rng.uniform(-3.0, 3.0, (2, n))
+    acc = a[0] * b[0]
+    for x, y in zip(a[1:].tolist(), b[1:].tolist()):
+        acc += x * y
+    got = _float_dot(n)(a.tolist(), b.tolist())
+    assert got == acc == np.cumsum(a * b)[-1]
 
 
 @pytest.mark.parametrize("rp_frac", [0.0, -0.5, 1.0, 1.5, math.nan])
@@ -224,7 +237,7 @@ def test_euler_single_step_mass_exact(params, disc4):
     v = systems.cell_volumes(params.R_s_n, disc4.N_r)
     c = np.full(disc4.N_r, 0.5 * params.c_s_max_n)
     current, dt = 20.0, 1.0
-    c1 = c + dt * sysm.rhs(c, current)
+    c1 = c + dt * rhs(sysm, c, current)
     flux = systems.molar_flux_density(params, "neg", current) * 4 * np.pi * params.R_s_n**2
     assert float(v @ (c1 - c)) == pytest.approx(flux * dt, rel=1e-12)
 
@@ -676,8 +689,7 @@ def _scalar_outputs(state, current, params, ocp):
                                soc_from_theta)
     direction = systems.direction_for_current(current, state.direction)
     if state.regime == "two_phase":
-        c_eff = bulk_p = systems.two_phase_bulk(state.pos, state.r_p, state.core_conc,
-                                                params.R_s_p)
+        c_eff = bulk_p = two_phase_bulk(state.pos, state.r_p, state.core_conc, params.R_s_p)
     else:
         c_eff = systems.surface_concentration(state.pos, current, params, "pos")
         bulk_p = systems.one_phase_bulk(state.pos, params.R_s_p)
