@@ -10,7 +10,8 @@ the lockstep batch's kernel) on B members at N_r = 4 for each B of --batch.
 The states are drawn from a fixed seed: fronts inside the particle, shells
 at the interface value to within 1e-9 relative, and a C/4 current, half of
 them charging and half discharging, for 1 s steps as in `cycle_c4`; the
-batch's members each have their own D_s_p and k_p (x 10^U(-1, 1)).  Each
+batch's members each have their own D_s_p and k_p (x 10^U(-1, 1)), and
+their core phases come as a column, as in the lockstep batch.  Each
 line is the best of --repeat passes over the states, in microseconds per
 substep (float) or per batched substep (rows).  The script imports csespm
 from src/ of the checkout it sits in and runs one BLAS thread unless
@@ -93,7 +94,7 @@ def rows_cost(B: int, repeat: int) -> float:
         rows = FullState(None, np.array([s.pos for s in drawn]), None, TWO_PHASE,
                          np.array([[s.r_p] for s in drawn]),
                          np.array([[s.core_conc] for s in drawn]),
-                         drawn[0].core_phase, drawn[0].direction)
+                         np.array([[s.core_phase] for s in drawn]), drawn[0].direction)
         batches.append((rows, current, ParameterColumns(members)))
 
     def run():

@@ -117,16 +117,16 @@ def positive_model(state: FullState, params: CellParameters, ocp: OcpSet,
 
     def output(c_eff, u):
         """h of the rows' effective concentrations; a row outside the domain
-        raises the SaturationError of the unchecked helpers."""
+        raises the SaturationError the helpers raise for its floats."""
         with np.errstate(invalid="ignore", divide="ignore"):
-            i0 = exchange_current_density(params, "pos", c_eff, c_e_avg, checked=True)
+            i0 = exchange_current_density(params, "pos", c_eff, c_e_avg)
         c, ce, cu = np.broadcast_arrays(np.real(value(c_eff)), c_e_avg, value(u))
         ok = (0.0 < c) & (c < cmax) & ~(ce <= 0.0) & ~(np.real(value(i0)) <= 0.0)
         if not ok.all():
             j = np.unravel_index(np.argmin(ok), ok.shape)
             overpotential(params, "pos", cu[j],
                           exchange_current_density(params, "pos", c[j], ce[j]))
-        return table(c_eff / cmax) + overpotential(params, "pos", u, i0, checked=True)
+        return table(c_eff / cmax) + overpotential(params, "pos", u, i0)
 
     if state.regime != TWO_PHASE:
         blk = systems.solid_block(params, "pos", 0.0, N_r, scheme)

@@ -41,16 +41,17 @@ class OutputSnapshot:
         return self.U_p + self.eta_p - self.U_n - self.eta_n + self.dphi_e - R_l * current
 
 
-def exchange_current_density(params: CellParameters, electrode: str,
-                             c_eff, c_e_avg, checked: bool = False):
+def exchange_current_density(params: CellParameters, electrode: str, c_eff, c_e_avg):
     """i0 = k F sqrt(c_e * c_eff * (c_max - c_eff)).
 
     ``c_eff`` is the surface concentration (negative electrode and one-phase
-    positive) or the bulk concentration (two-phase positive).  Arrays of
-    rows are taken as they are when the caller has ``checked`` them.
+    positive) or the bulk concentration (two-phase positive).  A float
+    c_eff outside (0, c_max), or beside a non-positive c_e_avg, raises
+    SaturationError; arrays and jets of rows are taken as they are, each
+    caller masking the rows outside the domain.
     """
     cmax = params.c_s_max(electrode)
-    if not checked:
+    if np.isscalar(c_eff):
         if not 0.0 < c_eff < cmax:
             raise SaturationError(
                 f"{electrode} effective concentration {c_eff:.6g} outside (0, {cmax:g})")
@@ -59,10 +60,11 @@ def exchange_current_density(params: CellParameters, electrode: str,
     return params.k(electrode) * params.F * np.sqrt(c_e_avg * c_eff * (cmax - c_eff))
 
 
-def overpotential(params: CellParameters, electrode: str, current, i0,
-                  checked: bool = False):
-    """eta = (2RT/F) asinh(I p / (2 a_s A L i0)), p = -1 positive, +1 negative."""
-    if not checked and i0 <= 0.0:
+def overpotential(params: CellParameters, electrode: str, current, i0):
+    """eta = (2RT/F) asinh(I p / (2 a_s A L i0)), p = -1 positive, +1 negative;
+    a float i0 <= 0 raises SaturationError, arrays and jets are taken as
+    they are."""
+    if np.isscalar(i0) and i0 <= 0.0:
         raise SaturationError(f"exchange current density must be positive, got {i0!r}")
     p = -1.0 if electrode == "pos" else 1.0
     denom = 2.0 * params.a_s(electrode) * params.A_cell * params.L(electrode) * i0
@@ -141,8 +143,8 @@ def cell_voltage(state: FullState, current, params: CellParameters, ocp: OcpSet,
     c_e_p = electrode_c_e_avg(rows.elec, "pos")
     c_e_n = electrode_c_e_avg(rows.elec, "neg")
     with np.errstate(invalid="ignore", divide="ignore"):
-        i0_p = exchange_current_density(params, "pos", c_eff_p, c_e_p, checked=True)
-        i0_n = exchange_current_density(params, "neg", c_surf_n, c_e_n, checked=True)
+        i0_p = exchange_current_density(params, "pos", c_eff_p, c_e_p)
+        i0_n = exchange_current_density(params, "neg", c_surf_n, c_e_n)
     # per row, the checks of the scalar helpers
     ok = ((0.0 < c_eff_p) & (c_eff_p < cmax_p) & ~(c_e_p <= 0.0)
           & (0.0 < c_surf_n) & (c_surf_n < cmax_n) & ~(c_e_n <= 0.0)
@@ -155,8 +157,8 @@ def cell_voltage(state: FullState, current, params: CellParameters, ocp: OcpSet,
     current, c_eff_p, c_surf_n, i0_p, i0_n = (
         a[:n] for a in (current, c_eff_p, c_surf_n, i0_p, i0_n))
     dis = np.where(current != 0.0, current > 0.0, rows.direction[:n] == "dis")
-    eta_p = overpotential(params, "pos", current, i0_p, checked=True)
-    eta_n = overpotential(params, "neg", current, i0_n, checked=True)
+    eta_p = overpotential(params, "pos", current, i0_p)
+    eta_n = overpotential(params, "neg", current, i0_n)
     dphi = electrolyte_potential_drop(params, rows.elec[:n])
     theta_p, theta_n = c_eff_p / cmax_p, c_surf_n / cmax_n
     U_p = np.empty(n)

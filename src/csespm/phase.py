@@ -16,7 +16,7 @@ from .params import CellParameters
 from .states import (FullState, TransitionEvent, ONE_PHASE_ALPHA,
                      ONE_PHASE_BETA, TWO_PHASE)
 from . import systems
-from .systems import FOUR_THIRDS_PI, cell_value
+from .systems import FOUR_THIRDS_PI
 
 
 def annulus_remap(old_edges: np.ndarray, old_values: np.ndarray,
@@ -26,27 +26,21 @@ def annulus_remap(old_edges: np.ndarray, old_values: np.ndarray,
     ``old_values[i]`` holds on [old_edges[i], old_edges[i+1]].  New cells
     outside the old domain pick up zero.  Returns new CV averages; total
     content over the intersection is preserved exactly up to rounding.
-    The arrays may also be (B, ·) rows of B profiles, each remapped alone.
     """
     w_old = FOUR_THIRDS_PI * old_edges**3
     # cumulative lithium at the old edges
     cum = np.empty(old_edges.shape)
-    cum[..., 0] = 0.0
-    (old_values * (w_old[..., 1:] - w_old[..., :-1])).cumsum(axis=-1, out=cum[..., 1:])
+    cum[0] = 0.0
+    (old_values * (w_old[1:] - w_old[:-1])).cumsum(out=cum[1:])
 
     # cumulative lithium at the new edges, clipped to the old domain
-    r = np.minimum(np.maximum(new_edges, cell_value(old_edges, 0)), cell_value(old_edges, -1))
+    r = np.minimum(np.maximum(new_edges, old_edges[0]), old_edges[-1])
     # old cell of each: the count of interior old edges at or below it
-    if r.ndim == 1:
-        idx = old_edges[1:-1].searchsorted(r, side="right")
-    else:
-        idx = (np.arange(len(r))[:, None],
-               (old_edges[:, None, 1:-1] <= r[..., None]).sum(axis=-1))
+    idx = old_edges[1:-1].searchsorted(r, side="right")
     w = FOUR_THIRDS_PI * r**3
     cum_new = cum[idx] + old_values[idx] * (w - w_old[idx])
     v_new = new_edges**3
-    return (cum_new[..., 1:] - cum_new[..., :-1]) / (
-        FOUR_THIRDS_PI * (v_new[..., 1:] - v_new[..., :-1]))
+    return (cum_new[1:] - cum_new[:-1]) / (FOUR_THIRDS_PI * (v_new[1:] - v_new[:-1]))
 
 
 @dataclass(frozen=True)

@@ -342,10 +342,10 @@ class LinearBlock:
 
 # --- two-phase positive electrode steppers ------------------------------------
 #
-# A substep takes one member (a FullState, CellParameters) or B members of
-# one core phase and direction (a FullState of rows: (B, N_r) shells, (B, 1)
-# columns r_p and core_conc; params.ParameterColumns) and returns the shell,
-# r_p and closure of each, with the same arithmetic per member.
+# A substep takes one member (a FullState, CellParameters) or B members (a
+# FullState of rows: (B, N_r) shells, (B, 1) columns r_p, core_conc and
+# core_phase; params.ParameterColumns) and returns the shell, r_p and
+# closure of each, with the same arithmetic per member.
 
 def _clip(x, lo, hi=None):
     """min(max(x, lo), hi) of one member or of B members' columns; max(x,
@@ -424,10 +424,10 @@ def _float_cells(r_inner: float, R: float, u: list):
 def _rows_substep(state: FullState, current: float, h: float, params: ParameterColumns,
                   N_r: int):
     """The substep of B members' rows, (B, N_r) shells and (B, 1) columns of
-    r_p, core_conc and parameters, as arrays: the shell's bands and forcing
-    of `systems.solid_block`, the exact step in the eigenbasis of the
-    volume-symmetrized bands (one dstevd per member), the front
-    (`_front_move`, per member), the conservative remap of the swept
+    r_p, core_conc, core phases and parameters, as arrays: the shell's
+    bands and forcing of `systems.solid_block`, the exact step in the
+    eigenbasis of the volume-symmetrized bands (one dstevd per member), the
+    front (`_front_move`, per member), the conservative remap of the swept
     annulus and the old shell onto the new grid, and the closure; each cell
     sum a column accumulation (`_row_sums`)."""
     R = params.R_s_p
@@ -786,9 +786,10 @@ class _Batch:
     rows up to and through its entry step, are written by the serial
     server's per-member loop (`_alone`).  The members in two-phase step in
     lockstep: step k gathers their rows k from the store, shells as a
-    (B, N_r) copy and r_p and core_conc as (B, 1) columns; the members of
-    one core phase and direction take one array substep and one test of
-    their transition margins, and the step writes their rows k + 1 at once.
+    (B, N_r) copy and r_p and core_conc as (B, 1) columns, beside the
+    columns of their parameters and core phases gathered when the live
+    members change; they take one array substep and one test of their
+    transition margins, and the step writes their rows k + 1 at once.
     A member whose step detects a transition or must halve its front step
     takes it alone through its own integrator (`_step_alone`); one that
     leaves two-phase there goes on alone in one-phase and rejoins the
@@ -809,7 +810,7 @@ class _Batch:
         self.current, self.b, self.stopped = self.grid.currents[s], b, {}
         self.bad = [_fixed_rows(run, s, b) for run in runs]
         self.live = [False] * len(runs)     # the members stepping in lockstep
-        self.groups = None
+        self.active = None                  # None until gathered (_gather)
         self.rejoin: dict = {}              # member -> the step it rejoins at
         for p in range(len(runs)):
             self._resume(p, s)
@@ -817,9 +818,9 @@ class _Batch:
         while k < b:
             for p in [p for p, j in self.rejoin.items() if j == k]:
                 del self.rejoin[p]
-                self.live[p], self.groups = True, None
-            if self.groups is None:
-                self.groups = self._groups()
+                self.live[p], self.active = True, None
+            if self.active is None:
+                self._gather()
             if self.active:
                 self._lockstep(k)
                 k += 1
@@ -835,27 +836,21 @@ class _Batch:
         one-phase rows, until it is in two-phase at a row from which it
         steps in lockstep again, or its block ends."""
         run = self.runs[p]
-        self.live[p], self.groups = False, None
+        self.live[p], self.active = False, None
         k, error = _alone(run, k, self.b, self.bad[p], rejoin=k + 1 if alone else k)
         if error is not None:
             self.stopped[run] = error
         elif k < self.b:
             self.rejoin[p] = k
 
-    def _groups(self) -> list[tuple]:
-        """((core_phase, direction), rows, parameters) of each group of live
-        members that steps as one, its rows those of the live members'
-        gathered rows; sets the live members and their places in the
-        store."""
+    def _gather(self):
+        """Set the live members, their places in the store, their parameter
+        columns and the (B, 1) column of their core phases."""
         self.active = [p for p, live in enumerate(self.live) if live]
-        self.members = [self.runs[p].member for p in self.active]
-        found: dict[tuple, list[int]] = {}
-        for i, p in enumerate(self.active):
-            _, direction, core_phase = self.runs[p].log[-1][1]
-            found.setdefault((core_phase, direction), []).append(i)
-        return [(key, slice(None) if len(idx) == len(self.active) else idx,
-                 self.params.take([self.active[i] for i in idx]))
-                for key, idx in found.items()]
+        # an index array: numpy indexes the store faster by one than by a list
+        self.members = np.array([self.runs[p].member for p in self.active], dtype=np.intp)
+        self.columns = self.params.take(self.active)
+        self.core_phase = np.array([self.runs[p].log[-1][1][2] for p in self.active])[:, None]
 
     def _lockstep(self, k: int):
         """Step k of the live members, and their rows k + 1; those whose step
@@ -873,44 +868,40 @@ class _Batch:
         stay = [i for i, out in enumerate(alone) if not out]
         if not stay:
             return
-        m, pos, r_p = [members[i] for i in stay], pos[stay], r_p[stay]
+        m, pos, r_p = members[stay], pos[stay], r_p[stay]
         store["pos"][m, k + 1] = pos
         store["cols"][m, 3, k + 1] = r_p
         store["cols"][m, 4, k + 1] = store["cols"][m, 4, k]
-        store["closure"][m, k + 1] = np.maximum(store["closure"][m, k], closure[stay])
+        store["closure"][m, k + 1] = closure[stay]
         store["substeps"][m, k + 1] = store["substeps"][m, k] + 1.0
         nonfinite = _nonfinite(pos, r_p)
         for j, p in enumerate(active[i] for i in stay):
             if j in nonfinite or self.bad[p] == k:
                 self.stopped[self.runs[p]] = k, _blowup(self.grid, k)
-                self.live[p], self.groups = False, None
+                self.live[p], self.active = False, None
 
     def _step(self, k: int):
         """Step k of the live members from their rows k: their stepped
-        shells and fronts, each member's substep closure (0 without one),
-        and whether its step detects a transition or must halve its front
-        step, so that it must take the step alone."""
-        store, m = self.store, self.members
-        pos = store["pos"][m, k]
-        r_p = store["cols"][m, 3, k][:, None]
-        core_conc = store["cols"][m, 4, k][:, None]
+        shells and fronts, each member's max_closure after the step, and
+        whether its step detects a transition or must halve its front step,
+        so that it must take the step alone."""
+        store, m, params = self.store, self.members, self.columns
         integ = self.runs[0].integ
-        disc, pcfg, current = integ.disc, integ.phase_cfg, self.current
-        new_pos, new_r_p = np.empty(pos.shape), np.empty(r_p.shape)
-        closure = np.zeros(r_p.shape)
-        alone = np.zeros(r_p.shape, dtype=bool)
+        disc, current = integ.disc, self.current
+        # one direction for all: _Run.start and enter_two_phase set each member's
+        # from the current, and at rest neither kernel reads the g and c_core it picks
+        rows = FullState(None, store["pos"][m, k], None, TWO_PHASE,
+                         store["cols"][m, 3, k][:, None], store["cols"][m, 4, k][:, None],
+                         self.core_phase, systems.direction_for_current(current))
         substep = _fvm_two_phase_substep if disc.scheme == "fvm" else _fdm_two_phase_substep
-        for key, sel, params in self.groups:
-            rows = FullState(None, pos[sel], None, TWO_PHASE, r_p[sel], core_conc[sel], *key)
-            shell, r_new, closure[sel] = substep(rows, current, self.grid.hs[k], params,
-                                                 disc.N_r)
-            out = ~_front_ok(rows.r_p, r_new, params.R_s_p)
-            rows.pos, rows.r_p = shell, r_new
-            new_pos[sel], new_r_p[sel] = shell, r_new
-            for kind in transition_kinds(TWO_PHASE, current):
-                out |= transition_margin(kind, rows, current, params, pcfg) >= 0.0
-            alone[sel] = out
-        return new_pos, new_r_p[:, 0], closure[:, 0], alone[:, 0].tolist()
+        shell, r_new, closure = substep(rows, current, self.grid.hs[k], params, disc.N_r)
+        alone = ~_front_ok(rows.r_p, r_new, params.R_s_p)
+        rows.pos, rows.r_p = shell, r_new
+        for kind in transition_kinds(TWO_PHASE, current):
+            alone |= transition_margin(kind, rows, current, params, integ.phase_cfg) >= 0.0
+        # each run's max_closure; a kernel without a closure returns 0.0
+        closure = np.maximum(store["closure"][m, k][:, None], closure)
+        return shell, r_new[:, 0], closure[:, 0], alone[:, 0].tolist()
 
 
 # --- initial states -------------------------------------------------------------

@@ -115,18 +115,16 @@ def cell_volumes(R: float, n: int, r_inner=0.0) -> np.ndarray:
     return spherical_cells(r_inner, R, n)[2]
 
 
-def tridiagonal(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
-                size: int | None = None) -> np.ndarray:
+def tridiagonal(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """Dense matrix of three bands: A[i + 1, i] = lower[i], A[i, i] = diag[i],
-    A[i, i + 1] = upper[i]; zero-padded to size x size when size is given.
-    Rows of bands give the (m, size, size) stack of their matrices."""
+    A[i, i + 1] = upper[i].  Rows of bands give the (m, n, n) stack of their
+    matrices."""
     n = diag.shape[-1]
-    size = size or n
-    A = np.zeros(diag.shape[:-1] + (size, size))
+    A = np.zeros(diag.shape[:-1] + (n, n))
     flat = A.reshape(diag.shape[:-1] + (-1,))
-    flat[..., size::size + 1][..., :n - 1] = lower
-    flat[..., 1::size + 1][..., :n - 1] = upper
-    flat[..., ::size + 1][..., :n] = diag
+    flat[..., n::n + 1] = lower
+    flat[..., 1::n + 1] = upper
+    flat[..., ::n + 1] = diag
     return A
 
 
@@ -234,12 +232,20 @@ def interface_values(params: CellParameters, core_phase: str,
     c_alpha around a beta core; the direction only picks the hysteresis
     branch.  The front speed D dc/dr / (c_core - g) thus carries the factor
     +1/(c_alpha - c_beta) for an alpha core and -1/(c_alpha - c_beta) for a
-    beta core, whatever the sign of the current.
+    beta core, whatever the sign of the current.  A (B, 1) column of B
+    members' core phases, beside `params.ParameterColumns`, gives (B, 1)
+    columns, each entry picked from its member's plateau edges.
     """
     c_a, c_b = params.c_alpha(direction), params.c_beta(direction)
-    if core_phase == "alpha":
+    alpha = core_phase == "alpha"
+    if isinstance(core_phase, np.ndarray):
+        odd = core_phase[~alpha & (core_phase != "beta")].tolist()
+        if not odd:
+            return np.where(alpha, c_b, c_a), np.where(alpha, c_a, c_b)
+        core_phase = odd[0]
+    elif alpha:
         return c_b, c_a
-    if core_phase == "beta":
+    elif core_phase == "beta":
         return c_a, c_b
     raise PhaseDomainError(f"core phase {core_phase!r} is neither 'alpha' nor 'beta'")
 
@@ -256,17 +262,11 @@ def shell_block(params: CellParameters, r_p: float, current: float, N_r: int,
                 g: float, scheme: str = "fvm") -> tuple[SolidBlock, float]:
     """The shell's solid block on its N_r cells, with the interface held at g
     under current and zero flux at rest, and the first row's constant (w g
-    under current, 0 at rest).  A (B, 1) column of currents, beside one of
-    radii, holds or frees each row's interface by its own current."""
+    under current, 0 at rest)."""
     inside = (0.0 < r_p) & (r_p < params.R_s_p)
     if not (inside if isinstance(inside, bool) else inside.all()):
         raise PhaseDomainError(f"r_p={r_p!r} outside (0, R_s_p); transition regimes first")
     blk = solid_block(params, "pos", r_p, N_r, scheme)
-    if isinstance(current, np.ndarray):
-        on = current != 0.0
-        first = cell_value(blk.diag, 0)
-        set_cell(blk.diag, 0, np.where(on, first - blk.inner, first))
-        return blk, np.where(on, blk.inner * g, 0.0)
     if current == 0.0:
         return blk, 0.0
     set_cell(blk.diag, 0, cell_value(blk.diag, 0) - blk.inner)

@@ -49,15 +49,18 @@ def two_phase_system(params, r_p, current, N_r, direction=None, core_phase=None,
     if core_phase is None:
         core_phase = systems.entry_core_phase(direction)
     g, c_core = systems.interface_values(params, core_phase, direction)
-    blk, g_row = systems.shell_block(params, r_p, current, N_r, g, scheme)
-    n = N_r + 1
-    A = systems.tridiagonal(blk.lower, blk.diag, blk.upper, size=n)
+    # each row's interface held under current, free at rest
+    on = current != 0.0
+    blk, g_row = systems.shell_block(params, r_p, 1.0, N_r, g, scheme)
+    free, _ = systems.shell_block(params, r_p, 0.0, N_r, g, scheme)
+    shell = systems.tridiagonal(blk.lower, np.where(on, blk.diag, free.diag), blk.upper)
+    A = np.zeros(shell.shape[:-2] + (N_r + 1, N_r + 1))
+    A[..., :N_r, :N_r] = shell
     B = np.zeros(A.shape[:-1])
     systems.set_cell(B, N_r - 1, blk.surface)
     G = np.zeros(A.shape[:-1])
-    systems.set_cell(G, 0, g_row)
+    systems.set_cell(G, 0, np.where(on, g_row, 0.0))
     k, k0 = systems.front_rate(params, r_p, N_r, g, c_core)
-    on = current != 0.0
     systems.set_cell(A[..., N_r, :], 0, np.where(on, k, 0.0))
     systems.set_cell(G, N_r, np.where(on, k0, 0.0))
     return DenseSystem(A, B, G)

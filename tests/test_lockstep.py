@@ -274,6 +274,28 @@ def test_members_enter_in_different_rows_of_one_block(params, ocp, disc4):
     assert len(set(rows)) == 3 and all(w.regime[-1] == "two_phase" for w in want)
 
 
+@pytest.mark.parametrize("scheme", ["fvm", "fdm"])
+def test_members_of_both_core_phases_in_one_row(params, ocp, scheme):
+    """A 1C discharge for 60 s, then a 1C charge, from SOC 0.5, 0.02 and
+    0.6: the first and last members start two-phase around alpha cores and
+    keep them through the reversal, the second enters two-phase on the
+    charge around a beta core.  Rows exist where all three are two-phase
+    with both core phases among them, and each member equals its serial
+    run."""
+    disc = DiscretizationConfig(N_r=4, N_e=6, scheme=scheme)
+    i = params.current_for_c_rate(1.0)
+    profile = LoadProfile(np.array([0.0, 60.0, 1500.0]), np.array([i, -i, -i]))
+    inits = [initial_state(params, disc, soc, "dis") for soc in (0.5, 0.02, 0.6)]
+    assert [x.core_phase for x in inits] == ["alpha", None, "alpha"]
+    want = _same_as_serial(profile, inits, [params] * 3, disc,
+                           dataclasses.replace(SOLVER, dt=5.0), ocp)
+    assert [e.kind for e in want[1].events] == ["enter_two_phase"]
+    mixed = [k for k in range(len(want[0]))
+             if all(w.regime[k] == "two_phase" for w in want)
+             and {w.core_phase[k] for w in want} == {"alpha", "beta"}]
+    assert mixed
+
+
 def test_exit_then_one_phase_rows_in_one_block(params, ocp, disc4):
     """On a C/4 cycle from SOC 0 each member's front exits two-phase during
     the charge (near 11,740 s) and the one-phase rows after the exit step

@@ -41,6 +41,29 @@ def test_exchange_current_saturation_errors(params):
         exchange_current_density(params, "pos", 1000.0, -1.0)
 
 
+def test_rows_outside_the_domain_are_left_to_the_caller(params):
+    """Arrays with rows outside the domain go through both helpers under
+    the callers' np.errstate, those rows NaN or infinite and the others as
+    their floats give them; a float outside the domain, numpy scalars
+    included, still raises SaturationError."""
+    cmax = params.c_s_max_p
+    c_eff = np.array([0.5 * cmax, 0.0, 1.5 * cmax, 0.25 * cmax])
+    c_e = np.array([params.c_e0, params.c_e0, params.c_e0, -1.0])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        i0 = exchange_current_density(params, "pos", c_eff, c_e)
+        eta = overpotential(params, "pos", 2.0, i0)
+    assert i0[0] == exchange_current_density(params, "pos", float(c_eff[0]), params.c_e0)
+    assert eta[0] == overpotential(params, "pos", 2.0, float(i0[0]))
+    assert i0[1] == 0.0 and np.isnan(i0[2:]).all() and not np.isfinite(eta[1:]).any()
+    for c, ce in ((0.0, params.c_e0), (np.float64(1.5 * cmax), params.c_e0),
+                  (np.float64(0.25 * cmax), -1.0)):
+        with pytest.raises(SaturationError):
+            exchange_current_density(params, "pos", c, ce)
+    for i0 in (0.0, np.float64(-1.0)):
+        with pytest.raises(SaturationError):
+            overpotential(params, "pos", 2.0, i0)
+
+
 def test_overpotential_odd_and_signs(params, rng):
     i0 = 0.03
     assert overpotential(params, "pos", 0.0, i0) == 0.0

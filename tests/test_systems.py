@@ -5,7 +5,7 @@ import pytest
 
 from csespm.errors import ParameterError, PhaseDomainError
 from csespm.output import cell_voltage, electrode_c_e_avg
-from csespm.params import DiscretizationConfig
+from csespm.params import DiscretizationConfig, ParameterColumns
 from csespm.simulate import SolverConfig, cc_profile, initial_state, simulate
 from csespm import systems
 
@@ -93,6 +93,16 @@ def test_interface_concentration_trichotomy(params):
         assert systems.interface_values(params, "beta", direction) == (ca, cb)
     with pytest.raises(PhaseDomainError):
         systems.interface_values(params, None, "dis")
+    # a column of members' core phases: each entry picked as for its member
+    members = ParameterColumns([params, params.replace(theta_p_alpha_dis=0.2)] * 2)
+    phases = np.array(["alpha", "alpha", "beta", "beta"])[:, None]
+    g, c_core = systems.interface_values(members, phases, "dis")
+    assert list(zip(g[:, 0].tolist(), c_core[:, 0].tolist())) == [
+        systems.interface_values(p, c, "dis") for p, c in zip(members.members, phases[:, 0])]
+    for odd in (None, "gamma"):
+        with pytest.raises(PhaseDomainError, match=repr(odd)):
+            systems.interface_values(members, np.array(["alpha", odd, "beta", "beta"])[:, None],
+                                     "dis")
 
     N, r_p = 4, 0.5 * params.R_s_p
     dr = (params.R_s_p - r_p) / N
