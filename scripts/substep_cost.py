@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Print the cost of one FVM two-phase substep, per kernel and size.
+"""Print the cost of one FVM two-phase substep, per kernel and size, and of
+one serial two-phase step.
 
     python3 scripts/substep_cost.py                      # the whole table
     python3 scripts/substep_cost.py --nr 4 --batch 8     # chosen sizes
@@ -13,8 +14,12 @@ them charging and half discharging, for 1 s steps as in `cycle_c4`; the
 batch's members each have their own D_s_p and k_p (x 10^U(-1, 1)), and
 their core phases come as a column, as in the lockstep batch.  Each
 line is the best of --repeat passes over the states, in microseconds per
-substep (float) or per batched substep (rows).  The script imports csespm
-from src/ of the checkout it sits in and runs one BLAS thread unless
+substep (float) or per batched substep (rows).  The last line times
+`simulate` at N_r = 4 from the two-phase state at SOC 0.5 under a C/4
+discharge of SERIAL_STEPS 1 s steps, which stays inside the plateau, and
+divides by the steps: the float kernel plus the time loop's cost per
+step, set-up and output map included.  The script imports csespm from
+src/ of the checkout it sits in and runs one BLAS thread unless
 OPENBLAS_NUM_THREADS says otherwise.
 """
 import argparse
@@ -31,7 +36,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from csespm import systems  # noqa: E402
-from csespm.params import CellParameters, ParameterColumns  # noqa: E402
+from csespm.params import CellParameters, DiscretizationConfig, ParameterColumns  # noqa: E402
 from csespm.states import FullState, TWO_PHASE  # noqa: E402
 
 # the module; the package attribute csespm.simulate is the function
@@ -40,6 +45,7 @@ simulate = importlib.import_module("csespm.simulate")
 PARAMS = CellParameters()
 STATES = 16         # drawn states per size
 BATCH_N_R = 4
+SERIAL_STEPS = 1800
 
 
 def _current(rng):
@@ -49,13 +55,13 @@ def _current(rng):
 
 def _draw(rng, params, N_r, current):
     """One member's state under the current, its core phase the one entered
-    in the current's direction."""
+    in the current's direction, and its interface values (g, c_core)."""
     direction = systems.direction_for_current(current)
     core_phase = systems.entry_core_phase(direction)
     g, c_core = systems.interface_values(params, core_phase, direction)
     shell = g * (1.0 + 1e-9 * rng.uniform(-1.0, 1.0, N_r))
     r_p = rng.uniform(0.1, 0.9) * params.R_s_p
-    return FullState(None, shell, None, TWO_PHASE, r_p, c_core, core_phase, direction)
+    return FullState(None, shell, None, TWO_PHASE, r_p, c_core, core_phase, direction), g
 
 
 def _best(run, repeat: int) -> float:
@@ -72,11 +78,11 @@ def float_cost(N_r: int, repeat: int) -> float:
     """Microseconds per substep of the float kernel at N_r."""
     rng = np.random.default_rng(N_r)
     currents = [_current(rng) for _ in range(STATES)]
-    cases = [(_draw(rng, PARAMS, N_r, current), current) for current in currents]
+    cases = [(*_draw(rng, PARAMS, N_r, current), current) for current in currents]
 
     def run():
-        for state, current in cases:
-            simulate._member_substep(state, current, 1.0, PARAMS, N_r)
+        for state, g, current in cases:
+            simulate._member_substep(state, current, 1.0, PARAMS, N_r, g, state.core_conc)
     return 1e6 * _best(run, repeat) / STATES
 
 
@@ -90,17 +96,37 @@ def rows_cost(B: int, repeat: int) -> float:
                                   k_p=PARAMS.k_p * 10.0**rng.uniform(-1.0, 1.0))
                    for _ in range(B)]
         current = _current(rng)
-        drawn = [_draw(rng, p, BATCH_N_R, current) for p in members]
+        drawn = [_draw(rng, p, BATCH_N_R, current)[0] for p in members]
         rows = FullState(None, np.array([s.pos for s in drawn]), None, TWO_PHASE,
                          np.array([[s.r_p] for s in drawn]),
                          np.array([[s.core_conc] for s in drawn]),
                          np.array([[s.core_phase] for s in drawn]), drawn[0].direction)
-        batches.append((rows, current, ParameterColumns(members)))
+        columns = ParameterColumns(members)
+        # the batch computes them once per gather of its members
+        edges = systems.interface_values(columns, rows.core_phase, rows.direction)
+        batches.append((rows, current, columns, edges))
 
     def run():
-        for rows, current, columns in batches:
-            simulate._rows_substep(rows, current, 1.0, columns, BATCH_N_R)
+        for rows, current, columns, edges in batches:
+            simulate._rows_substep(rows, current, 1.0, columns, BATCH_N_R, *edges)
     return 1e6 * _best(run, repeat) / STATES
+
+
+def serial_cost(repeat: int) -> float:
+    """Microseconds per step of a serial run at N_r = 4 whose every step is
+    two-phase: `simulate` of SERIAL_STEPS 1 s steps of C/4 discharge from
+    SOC 0.5, after one untimed run that checks that no row leaves
+    two-phase."""
+    disc = DiscretizationConfig(N_r=BATCH_N_R, N_e=6)
+    profile = simulate.cc_profile(PARAMS, 0.25, "dis", duration=float(SERIAL_STEPS))
+    init = simulate.initial_state(PARAMS, disc, 0.5, "dis")
+    solver = simulate.SolverConfig(dt=1.0, cutoffs_enabled=False)
+
+    def run():
+        return simulate.simulate(profile, init, PARAMS, disc, solver)
+    if set(run().regime) != {TWO_PHASE}:
+        raise RuntimeError("the serial run leaves two-phase")
+    return 1e6 * _best(run, repeat) / SERIAL_STEPS
 
 
 def main(argv):
@@ -117,6 +143,8 @@ def main(argv):
     for B in args.batch:
         print(f"rows  B={B:<6d} {rows_cost(B, args.repeat):10.1f} us per substep "
               f"(N_r={BATCH_N_R})", flush=True)
+    print(f"serial N_r={BATCH_N_R:<3d} {serial_cost(args.repeat):10.1f} us per step "
+          f"(simulate, C/4 in two-phase)", flush=True)
     return 0
 
 

@@ -44,15 +44,21 @@ Each closed form starts from the first row of the run of segments at one
 current, or from the row after the last step taken alone, and reads its
 offsets from the step grid's times, so a row does not depend on where
 blocks end.  Only two-phase steps and those crossing steps are
-taken one at a time.  `simulate` takes each alone (`_serve`).
-`simulate_many` runs B members (one parameter set and initial state each)
-on one profile in lockstep (`_Batch`): each step gathers its two-phase
-members' rows from the row store, shells as (B, N_r) arrays, and one
-batched substep serves them all and writes their next rows at once.  The
-servers share one per-member loop (`_alone`) for the closed forms and the
-steps taken alone, and the substep is an array kernel whose
-leading member axis leaves each member's arithmetic as it is, so each
-member's result is bit for bit its `simulate`.  One member's FVM substep
+taken one at a time.  `simulate` (`_serve`) takes a two-phase stretch
+one substep a step (`_two_phase_rows`): it reads the stretch's first row
+once and writes each next row from its step's substep, as the lockstep
+batch steps a member; a step whose substep raises, detects a transition
+or must halve its front step (`_keeps_substep`) is taken alone, through
+`Integrator.advance_with_events` (`_step_alone`), and the stretch goes
+on after it.  `simulate_many` runs B members (one parameter set and
+initial state each) on one profile in lockstep (`_Batch`): each step
+gathers its two-phase members' rows from the row store, shells as
+(B, N_r) arrays, and one batched substep serves them all and writes
+their next rows at once.  The servers share one per-member loop
+(`_alone`) for the closed forms and the steps taken alone, and the
+substep is an array kernel whose leading member axis leaves each
+member's arithmetic as it is, so each member's result is bit for bit its
+`simulate`.  One member's FVM substep
 runs on Python floats (`_member_substep`), the row kernel's operations in
 its order: every cell sum and eigenvector product is a sequential sum,
 which Python floats and numpy column accumulations state alike, and every
@@ -344,8 +350,11 @@ class LinearBlock:
 #
 # A substep takes one member (a FullState, CellParameters) or B members (a
 # FullState of rows: (B, N_r) shells, (B, 1) columns r_p, core_conc and
-# core_phase; params.ParameterColumns) and returns the shell, r_p and
-# closure of each, with the same arithmetic per member.
+# core_phase; params.ParameterColumns), with the interface value g and the
+# core concentration of each (`systems.interface_values`: floats or (B, 1)
+# columns, which its callers compute once for all the substeps they take),
+# and returns the shell, r_p and closure of each, with the same arithmetic
+# per member.
 
 def _clip(x, lo, hi=None):
     """min(max(x, lo), hi) of one member or of B members' columns; max(x,
@@ -366,13 +375,13 @@ def _each(f, *args):
 
 
 def _fvm_two_phase_substep(state: FullState, current: float, h: float,
-                           params: CellParameters, N_r: int):
+                           params: CellParameters, N_r: int, g, c_core):
     """One conservative substep; returns (shell, r_p, closure_rel).  One
     member (a 1-D shell) takes the float kernel, B members' rows the array
     kernel, with the same arithmetic per member."""
     if state.pos.ndim == 1:
-        return _member_substep(state, current, h, params, N_r)
-    return _rows_substep(state, current, h, params, N_r)
+        return _member_substep(state, current, h, params, N_r, g, c_core)
+    return _rows_substep(state, current, h, params, N_r, g, c_core)
 
 
 # The FVM substep of both kernels, operation by operation.  Each cell sum,
@@ -422,7 +431,7 @@ def _float_cells(r_inner: float, R: float, u: list):
 
 
 def _rows_substep(state: FullState, current: float, h: float, params: ParameterColumns,
-                  N_r: int):
+                  N_r: int, g, c_core):
     """The substep of B members' rows, (B, N_r) shells and (B, 1) columns of
     r_p, core_conc, core phases and parameters, as arrays: the shell's
     bands and forcing of `systems.solid_block`, the exact step in the
@@ -432,7 +441,6 @@ def _rows_substep(state: FullState, current: float, h: float, params: ParameterC
     sum a column accumulation (`_row_sums`)."""
     R = params.R_s_p
     r_p, x = state.r_p, state.pos
-    g, c_core = systems.interface_values(params, state.core_phase, state.direction)
     if not ((0.0 < r_p) & (r_p < R)).all():
         raise PhaseDomainError(f"r_p={r_p!r} outside (0, R_s_p); transition regimes first")
     faces, areas, vols = systems.spherical_cells(r_p, R, N_r)
@@ -512,14 +520,13 @@ def _rows_substep(state: FullState, current: float, h: float, params: ParameterC
 
 
 def _member_substep(state: FullState, current: float, h: float, params: CellParameters,
-                    N_r: int):
+                    N_r: int, g: float, c_core: float):
     """The substep of one member on Python floats, bit for bit its row's in
     `_rows_substep`: the same IEEE operations in the same order, each column
     accumulation a left-to-right sum (`_float_dot`, reduce); numpy only for
     LAPACK's dstevd and the exp of lam h."""
     R = params.R_s_p
     r_p = state.r_p
-    g, c_core = systems.interface_values(params, state.core_phase, state.direction)
     if not 0.0 < r_p < R:
         raise PhaseDomainError(f"r_p={r_p!r} outside (0, R_s_p); transition regimes first")
     u = systems.unit_faces(N_r).tolist()
@@ -621,11 +628,30 @@ def _front_ok(r_old, r_new, R):
     return abs(r_new - r_old) <= 0.25 * (R - r_old)
 
 
+# the errors a two-phase substep raises on a member's data (a front outside the
+# particle, an overflow, a failed eigensolver); the step taken alone
+# (`_step_alone`) raises the member's own
+_SUBSTEP_ERRORS = (CsespmError, ArithmeticError, ValueError)
+
+
+def _keeps_substep(r_old, post: FullState, current: float, params, cfg: PhaseConfig):
+    """Whether a two-phase step is its one substep, which took the front
+    from r_old to the state post: the front moves by at most a quarter of
+    the shell (`_front_ok`) and no transition is due (every margin < 0; a
+    NaN front already fails `_front_ok`).  Else the step must be taken
+    alone, through `Integrator.advance_with_events`, which halves it or
+    finds the transition.  One member's bool, or B members' (B, 1)
+    mask."""
+    keep = _front_ok(r_old, post.r_p, params.R_s_p)
+    for kind in transition_kinds(TWO_PHASE, current):
+        keep = keep & (transition_margin(kind, post, current, params, cfg) < 0.0)
+    return keep
+
+
 def _fdm_two_phase_substep(state: FullState, current: float, h: float,
-                           params: CellParameters, N_r: int):
+                           params: CellParameters, N_r: int, g, c_core):
     """Naive collocated step of the FDM two-phase system (no remap): the
     shell's exact step on its frozen grid, then the front's."""
-    g, c_core = systems.interface_values(params, state.core_phase, state.direction)
     blk, g_row = systems.shell_block(params, state.r_p, current, N_r, g, "fdm")
     b = np.zeros(state.pos.shape)
     set_cell(b, 0, g_row)
@@ -682,12 +708,14 @@ class Integrator:
 
         substep = (_fvm_two_phase_substep if self.disc.scheme == "fvm"
                    else _fdm_two_phase_substep)
+        g, c_core = systems.interface_values(self.params, state.core_phase, state.direction)
         R = self.params.R_s_p
         remaining = h
         while remaining > 1e-12:
             hs = remaining
             while True:
-                shell, r_new, closure = substep(new, current, hs, self.params, self.disc.N_r)
+                shell, r_new, closure = substep(new, current, hs, self.params, self.disc.N_r,
+                                                g, c_core)
                 self.substeps += 1
                 if _front_ok(new.r_p, r_new, R):
                     break
@@ -791,10 +819,12 @@ class _Batch:
     members change; they take one array substep and one test of their
     transition margins, and the step writes their rows k + 1 at once.
     A member whose step detects a transition or must halve its front step
-    takes it alone through its own integrator (`_step_alone`); one that
-    leaves two-phase there goes on alone in one-phase and rejoins the
-    lockstep after its next entry step.  So each member's rows are bit for
-    bit its own.  An error ends a member's block.
+    (`_keeps_substep`), or all of them when the batched substep raises,
+    takes it alone through its own integrator (`_step_alone`), and its
+    batched substep is dropped; one that leaves two-phase there goes on
+    alone in one-phase and rejoins the lockstep after its next entry step.
+    So each member's rows are bit for bit its own.  An error ends a
+    member's block.
     """
 
     def __init__(self, store: dict):
@@ -831,13 +861,17 @@ class _Batch:
         return self.stopped
 
     def _resume(self, p: int, k: int, alone: bool = False):
-        """Member p out of the lockstep from row k, by the serial server's
-        loop (`_alone`): its step k taken alone if ``alone``, then its
-        one-phase rows, until it is in two-phase at a row from which it
-        steps in lockstep again, or its block ends."""
+        """Member p out of the lockstep from row k: its step k taken alone
+        if ``alone`` (`_step_alone`), then its one-phase rows by the serial
+        server's loop (`_alone`), until it is in two-phase at a row from
+        which it steps in lockstep again, or its block ends."""
         run = self.runs[p]
         self.live[p], self.active = False, None
-        k, error = _alone(run, k, self.b, self.bad[p], rejoin=k + 1 if alone else k)
+        error = None
+        if alone:
+            k, error = _step_alone(run, k)
+        if error is None:
+            k, error = _alone(run, k, self.b, self.bad[p], lockstep=True)
         if error is not None:
             self.stopped[run] = error
         elif k < self.b:
@@ -845,27 +879,27 @@ class _Batch:
 
     def _gather(self):
         """Set the live members, their places in the store, their parameter
-        columns and the (B, 1) column of their core phases."""
+        columns and the (B, 1) column of their core phases; their interface
+        values follow at the first step (`_step`)."""
         self.active = [p for p, live in enumerate(self.live) if live]
         # an index array: numpy indexes the store faster by one than by a list
         self.members = np.array([self.runs[p].member for p in self.active], dtype=np.intp)
         self.columns = self.params.take(self.active)
         self.core_phase = np.array([self.runs[p].log[-1][1][2] for p in self.active])[:, None]
+        self.edges = None
 
     def _lockstep(self, k: int):
         """Step k of the live members, and their rows k + 1; those whose step
         must be taken alone take it out of the lockstep (`_resume`)."""
         active, members, store = self.active, self.members, self.store
         try:
-            pos, r_p, closure, alone = self._step(k)
-        except (CsespmError, ArithmeticError, ValueError):
-            # some member's data fails the step: each takes it alone, and
-            # raises its own error there
-            alone = [True] * len(active)
-        for p, out in zip(active, alone):
-            if out:
+            pos, r_p, closure, keep = self._step(k)
+        except _SUBSTEP_ERRORS:     # each member takes the step alone
+            keep = [False] * len(active)
+        for p, kept in zip(active, keep):
+            if not kept:
                 self._resume(p, k, alone=True)
-        stay = [i for i, out in enumerate(alone) if not out]
+        stay = [i for i, kept in enumerate(keep) if kept]
         if not stay:
             return
         m, pos, r_p = members[stay], pos[stay], r_p[stay]
@@ -883,8 +917,8 @@ class _Batch:
     def _step(self, k: int):
         """Step k of the live members from their rows k: their stepped
         shells and fronts, each member's max_closure after the step, and
-        whether its step detects a transition or must halve its front step,
-        so that it must take the step alone."""
+        whether its step is its substep (`_keeps_substep`), else it must
+        take the step alone."""
         store, m, params = self.store, self.members, self.columns
         integ = self.runs[0].integ
         disc, current = integ.disc, self.current
@@ -893,15 +927,16 @@ class _Batch:
         rows = FullState(None, store["pos"][m, k], None, TWO_PHASE,
                          store["cols"][m, 3, k][:, None], store["cols"][m, 4, k][:, None],
                          self.core_phase, systems.direction_for_current(current))
+        if self.edges is None:     # here, where an odd core phase sends every member alone
+            self.edges = systems.interface_values(params, rows.core_phase, rows.direction)
         substep = _fvm_two_phase_substep if disc.scheme == "fvm" else _fdm_two_phase_substep
-        shell, r_new, closure = substep(rows, current, self.grid.hs[k], params, disc.N_r)
-        alone = ~_front_ok(rows.r_p, r_new, params.R_s_p)
-        rows.pos, rows.r_p = shell, r_new
-        for kind in transition_kinds(TWO_PHASE, current):
-            alone |= transition_margin(kind, rows, current, params, integ.phase_cfg) >= 0.0
+        shell, r_new, closure = substep(rows, current, self.grid.hs[k], params, disc.N_r,
+                                        *self.edges)
+        r_p, rows.pos, rows.r_p = rows.r_p, shell, r_new
+        keep = _keeps_substep(r_p, rows, current, params, integ.phase_cfg)
         # each run's max_closure; a kernel without a closure returns 0.0
         closure = np.maximum(store["closure"][m, k][:, None], closure)
-        return shell, r_new[:, 0], closure[:, 0], alone[:, 0].tolist()
+        return shell, r_new[:, 0], closure[:, 0], keep[:, 0].tolist()
 
 
 # --- initial states -------------------------------------------------------------
@@ -1079,7 +1114,9 @@ class _Run:
     labelled by the last entry at or before it, and a run stopped at a row
     rolls back to that entry.  The rows and the log are the run's only
     record of its state between steps: the state a step starts from is
-    its last row, labelled by the log's last entry (`row_state`).  Its
+    its last row, labelled by the log's last entry (`row_state`); a
+    two-phase stretch reads its first row so and steps on from the
+    substep each row was written from (`_two_phase_rows`).  Its
     anchor is the row the positive particle's one-phase rows are taken
     from: the first of the run of segments at one current, or the row after
     the last step taken alone, whichever is later; so the rows do not
@@ -1293,6 +1330,47 @@ def _one_phase_rows(run: _Run, k: int, end: int):
     return _step_alone(run, j)
 
 
+def _two_phase_rows(run: _Run, k: int, end: int):
+    """Steps k..end - 1 of a run's two-phase positive particle from row k,
+    read once, as `_Batch._step` takes a lockstep member's: each step one
+    substep of the module's kernel, kept unless `_keeps_substep` or
+    `_finite` rejects it, and row k + 1 written from it (pos, r_p,
+    core_conc, the running max_closure and substep count).  The first step
+    not kept, or whose data fails its substep, is taken through
+    `_step_alone`, which ends the stretch.  Returns (the next step, None),
+    or (k', (step, error)) when a step raises or leaves a non-finite
+    state."""
+    integ, grid = run.integ, run.grid
+    params, N_r, cfg = integ.params, integ.disc.N_r, integ.phase_cfg
+    substep = (_fvm_two_phase_substep if integ.disc.scheme == "fvm"
+               else _fdm_two_phase_substep)
+    state = run.row_state(k)
+    current, closure, count = grid.currents[k], float(run.closure[k]), int(run.substeps[k])
+    try:
+        g, c_core = systems.interface_values(params, state.core_phase, state.direction)
+        while k < end:
+            r_p = state.r_p
+            shell, r_new, step_closure = substep(state, current, grid.hs[k], params, N_r,
+                                                 g, c_core)
+            state.pos, state.r_p = shell, r_new
+            if not _keeps_substep(r_p, state, current, params, cfg):
+                break
+            if not _finite(shell, r_new):
+                return k, (k, _blowup(grid, k))
+            closure, count = max(closure, step_closure), count + 1
+            run.pos[k + 1] = shell
+            run.cols[3, k + 1] = r_new
+            run.cols[4, k + 1] = state.core_conc
+            run.closure[k + 1] = closure
+            run.substeps[k + 1] = count
+            k += 1
+        else:
+            return k, None
+    except _SUBSTEP_ERRORS:
+        pass        # step k, taken alone, raises its own error there
+    return _step_alone(run, k)
+
+
 def _step_alone(run: _Run, k: int):
     """Step k of a run's positive particle from row k (`_Run.row_state`),
     through `Integrator.advance_with_events`, its max_closure and substep
@@ -1313,22 +1391,22 @@ def _step_alone(run: _Run, k: int):
     return k + 1, None
 
 
-def _alone(run: _Run, k: int, b: int, bad: int, rejoin: float = math.inf):
+def _alone(run: _Run, k: int, b: int, bad: int, lockstep: bool = False):
     """Steps k..b-1 of a run served alone, its fixed-grid rows written up to
     step ``bad`` (`_fixed_rows`): its one-phase stretches in closed form
-    (`_one_phase_rows`), each two-phase step before step ``rejoin`` through
-    `_step_alone`; from step ``rejoin`` on it stops at the first two-phase
-    row, from which a lockstep member steps with the batch.  Both servers
-    call it per member.  Returns (the step it stopped at, None), or (k,
-    (step, error)) of an error."""
+    (`_one_phase_rows`), its two-phase stretches one substep a step
+    (`_two_phase_rows`); a ``lockstep`` member stops at its first
+    two-phase row instead, from which it steps with the batch.  Both
+    servers call it per member.  Returns (the step it stopped at, None),
+    or (k, (step, error)) of an error."""
     end, error = min(bad + 1, b), None
     while k < end and error is None:
         if run.log[-1][1][0] != TWO_PHASE:
             k, error = _one_phase_rows(run, k, end)
-        elif k < rejoin:
-            k, error = _step_alone(run, k)
-        else:
+        elif lockstep:
             return k, None
+        else:
+            k, error = _two_phase_rows(run, k, end)
     if error is None and bad < b:
         error = bad, _blowup(run.grid, bad)
     return k, error

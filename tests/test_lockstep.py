@@ -361,8 +361,8 @@ def test_rejected_batched_front_step_leaves_no_closure(params, ocp, disc4, monke
     real = sim._rows_substep
     rejected = []       # (D_s_p, closure) of each rejected batched substep
 
-    def recorded(state, current, h, params, N_r):
-        shell, r_new, closure = real(state, current, h, params, N_r)
+    def recorded(state, current, h, params, N_r, g, c_core):
+        shell, r_new, closure = real(state, current, h, params, N_r, g, c_core)
         out = ~sim._front_ok(state.r_p, r_new, params.R_s_p)
         rejected.extend(zip(params.D_s_p[out].tolist(), closure[out].tolist()))
         return shell, r_new, closure

@@ -126,9 +126,10 @@ def test_member_substep_equals_its_row_on_drawn_states(N_r, rp_frac, core_phase,
     member = FullState(None, x, None, TWO_PHASE, r_p, c_core, core_phase, direction)
     row = FullState(None, x[None, :], None, TWO_PHASE, np.array([[r_p]]),
                     np.array([[c_core]]), core_phase, direction)
-    shell, r_new, closure = _fvm_two_phase_substep(member, current, h, PARAMS, N_r)
-    want = [np.ravel(a) for a in _fvm_two_phase_substep(row, current, h,
-                                                         ParameterColumns([PARAMS]), N_r)]
+    shell, r_new, closure = _fvm_two_phase_substep(member, current, h, PARAMS, N_r, g, c_core)
+    columns = ParameterColumns([PARAMS])
+    want = [np.ravel(a) for a in _fvm_two_phase_substep(
+        row, current, h, columns, N_r, *systems.interface_values(columns, core_phase, direction))]
     assert shell.tobytes() == want[0].tobytes()
     assert (r_new, closure) == (want[1][0], want[2][0])
     assert math.isfinite(r_new)
@@ -178,10 +179,13 @@ def test_substep_changes_lithium_by_the_surface_influx(N_r, c_rate, scale, core_
     radii = [f * R for f in rp_fracs]
     rows = FullState(None, shells, None, TWO_PHASE, np.array(radii)[:, None],
                      np.full((3, 1), c_core), core_phase, direction)
-    batch = _fvm_two_phase_substep(rows, current, h, ParameterColumns(sets), N_r)
+    columns = ParameterColumns(sets)
+    batch = _fvm_two_phase_substep(rows, current, h, columns, N_r,
+                                   *systems.interface_values(columns, core_phase, direction))
     member = FullState(None, shells[0], None, TWO_PHASE, radii[0], c_core, core_phase,
                        direction)
-    alone = _fvm_two_phase_substep(member, current, h, sets[0], N_r)
+    alone = _fvm_two_phase_substep(member, current, h, sets[0], N_r,
+                                   *systems.interface_values(sets[0], core_phase, direction))
     steps = [(p, shells[i], radii[i], np.ravel(batch[0][i]), float(np.ravel(batch[1])[i]))
              for i, p in enumerate(sets)]
     steps.append((sets[0], shells[0], radii[0], alone[0], alone[1]))

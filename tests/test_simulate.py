@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from csespm.errors import CsespmError, ParameterError, PhaseDomainError
+from csespm.errors import BlowupError, CsespmError, ParameterError, PhaseDomainError
 from csespm.params import DiscretizationConfig, ParameterColumns
 from csespm.ocp import synthetic_ocp_set
 from csespm.simulate import (AffinePropagator, Integrator, LoadProfile,
@@ -86,7 +86,7 @@ def test_affine_propagator_matches_expm(params, scheme, N_r, rp_frac):
     r_p = rp_frac * R
     current = params.current_for_c_rate(1.0)
     x = params.c_s_max_p * np.random.default_rng(N_r).uniform(0.2, 0.8, N_r)
-    g, _ = systems.interface_values(params, "alpha", "dis")
+    g, c_core = systems.interface_values(params, "alpha", "dis")
     blk, g_row = systems.shell_block(params, r_p, current, N_r, g, scheme)
     A = systems.tridiagonal(blk.lower, blk.diag, blk.upper)
     b = np.zeros(N_r)
@@ -102,7 +102,7 @@ def test_affine_propagator_matches_expm(params, scheme, N_r, rp_frac):
         if scheme == "fvm":
             got = AffinePropagator(blk.lower, blk.diag, blk.upper, vols).step(x, b, h)
         else:
-            got = _fdm_two_phase_substep(state, current, h, params, N_r)[0]
+            got = _fdm_two_phase_substep(state, current, h, params, N_r, g, c_core)[0]
         want = _van_loan_increment(A, x, b, h)
         err = np.linalg.norm((got - x) - want) / np.linalg.norm(want)
         assert err <= 1e-10, (h, err)
@@ -182,9 +182,10 @@ def test_member_substep_equals_its_row(params, N_r, rp_frac, core_phase):
                             np.array([[c_core]]), core_phase, direction)
             for h in (0.3171875, 1.0, 60.0):
                 shell, r_new, closure = _fvm_two_phase_substep(member, current, h, params,
-                                                               N_r)
-                want = [np.ravel(a) for a in _fvm_two_phase_substep(row, current, h,
-                                                                     rows_params, N_r)]
+                                                               N_r, g, c_core)
+                want = [np.ravel(a) for a in _fvm_two_phase_substep(
+                    row, current, h, rows_params, N_r,
+                    *systems.interface_values(rows_params, core_phase, direction))]
                 assert shell.tobytes() == want[0].tobytes(), (current_c, h)
                 assert (r_new, closure) == (want[1][0], want[2][0]), (current_c, h)
                 if x is at_g:
@@ -217,7 +218,8 @@ def test_substep_outside_the_particle_raises(params, rp_frac):
                     np.array([[params.c_alpha("dis")]]), "alpha", "dis")
     for state, p in ((member, params), (row, ParameterColumns([params]))):
         with pytest.raises(PhaseDomainError, match="outside"):
-            _fvm_two_phase_substep(state, 1.0, 1.0, p, 4)
+            _fvm_two_phase_substep(state, 1.0, 1.0, p, 4,
+                                   *systems.interface_values(p, "alpha", "dis"))
 
 
 def test_zero_current_is_fixed_point(params, disc4):
@@ -934,9 +936,9 @@ def test_event_cap_and_front_floor_are_counted(params, monkeypatch):
     real = sim._fvm_two_phase_substep
     calls = []
 
-    def jumpy(s, current, h, params, N_r):
+    def jumpy(s, current, h, params, N_r, g, c_core):
         # a front move too large to accept until the halving reaches its floor
-        shell, r_new, closure = real(s, current, h, params, N_r)
+        shell, r_new, closure = real(s, current, h, params, N_r, g, c_core)
         calls.append(h)
         return shell, (0.5 * s.r_p if len(calls) <= 21 else r_new), closure
 
@@ -999,3 +1001,153 @@ def test_bisection_below_float_spacing_returns(params, ocp):
     assert abs(tight.events[0].time - default.events[0].time) <= 1e-3
     assert default.meta["counters"]["bisection_probes"] == 10
     assert tight.meta["counters"]["bisection_probes"] > 40
+
+
+# --- serial two-phase stretches ---------------------------------------------------
+
+def _stepped(monkeypatch, *args, **kwargs):
+    """Reference for the serial two-phase stretch (`_two_phase_rows`): the
+    run, or its error, with every two-phase step taken through
+    Integrator.advance_with_events from the state of its row
+    (`_step_alone`), one step per call of the time loop."""
+    from test_lockstep import _run
+    sim = sys.modules["csespm.simulate"]
+    with monkeypatch.context() as m:
+        m.setattr(sim, "_two_phase_rows", lambda run, k, end: sim._step_alone(run, k))
+        return _run(simulate, *args, **kwargs)
+
+
+def _two_phase_case(params, case):
+    """(profile, initial state, discretization, solver) of each case."""
+    disc = DiscretizationConfig(N_r=4, N_e=6, scheme="fdm" if case == "fdm_1c" else "fvm")
+    free = SolverConfig(cutoffs_enabled=False)
+    if case == "cycle_c4":
+        return cycle_profile(params, 0.25, 1), initial_state(params, disc, 0.0, "ch"), disc, free
+    if case == "drive_flips":
+        profile = synthetic_dynamic_profile(params, duration=1200.0, seed=71, mean_c=0.0)
+        return profile, initial_state(params, disc, 0.5, "dis"), disc, SolverConfig()
+    if case == "fdm_1c":
+        return cycle_profile(params, 1.0, 1), initial_state(params, disc, 0.0, "ch"), disc, free
+    # a 1C discharge whose lower cutoff lies between rows k - 1 and k, mid-plateau
+    # and mid-chunk, so the stretch runs past row k before the output map stops it
+    profile, init = cc_profile(params, 1.0, "dis"), initial_state(params, disc, 1.0, "dis")
+    v = simulate(profile, init, params, disc, free).voltage
+    k = 1000
+    assert v[1:k].min() > v[k]
+    return profile, init, disc, SolverConfig(v_min=0.5 * (v[1:k].min() + v[k]))
+
+
+@pytest.mark.parametrize("case", ["cycle_c4", "drive_flips", "fdm_1c", "cutoff_mid_stretch"])
+def test_serial_two_phase_rows_match_per_step_loop(params, ocp, monkeypatch, case):
+    """A serial run's two-phase stretches, one substep a step, give bit for
+    bit the rows, events, counters, max_closure, substep count and status
+    of a loop that takes every two-phase step through
+    Integrator.advance_with_events: on the C/4 N_r = 4 cycle, a
+    charge-sustaining drive profile whose current flips sign inside
+    two-phase, an FDM 1C cycle, and a run that a cutoff stops mid-stretch."""
+    from test_lockstep import _assert_same
+    profile, init, disc, solver = _two_phase_case(params, case)
+    got = simulate(profile, init, params, disc, solver, ocp=ocp)
+    _assert_same(got, _stepped(monkeypatch, profile, init, params, disc, solver, ocp=ocp))
+    kinds = [e.kind for e in got.events]
+    assert "two_phase" in got.regime and got.meta["counters"]["two_phase_substeps"] > 0
+    if case == "drive_flips":
+        assert "sign_flip" in kinds and got.status == "completed"
+    if case == "cutoff_mid_stretch":
+        assert (got.status, len(got), kinds) == ("cutoff_low", 1001, ["enter_two_phase"])
+        assert got.regime[-1] == "two_phase"
+
+
+def _steps_alone(monkeypatch) -> list:
+    """The start times of the steps taken through
+    Integrator.advance_with_events from now on."""
+    step = Integrator.advance_with_events
+    starts = []
+
+    def counted(self, s, current, t, h, events):
+        starts.append(t)
+        return step(self, s, current, t, h, events)
+
+    monkeypatch.setattr(Integrator, "advance_with_events", counted)
+    return starts
+
+
+def test_serial_two_phase_steps_alone_only_at_events(params, ocp, monkeypatch):
+    """On the C/4 cycle, Integrator.advance_with_events runs only for the
+    steps that enter or leave two-phase; every other two-phase step is its
+    stretch's one substep."""
+    profile, init, disc, solver = _two_phase_case(params, "cycle_c4")
+    starts = _steps_alone(monkeypatch)
+    res = simulate(profile, init, params, disc, solver, ocp=ocp)
+    kinds = [e.kind for e in res.events]
+    assert kinds == ["enter_two_phase", "exit_two_phase"] * 2
+    assert starts == [math.floor(e.time / solver.dt) * solver.dt for e in res.events]
+
+
+def _failing_kernel(monkeypatch, failure):
+    """Replace the FVM substep by one that fails, by ``failure``, on every
+    single-member state whose front lies below half the radius."""
+    sim = sys.modules["csespm.simulate"]
+    real = sim._fvm_two_phase_substep
+
+    def kernel(state, current, h, params, N_r, g, c_core):
+        shell, r_new, closure = real(state, current, h, params, N_r, g, c_core)
+        if state.pos.ndim == 1 and state.r_p < 0.5 * params.R_s_p:
+            return failure(state, shell, r_new, closure)
+        return shell, r_new, closure
+
+    monkeypatch.setattr(sim, "_fvm_two_phase_substep", kernel)
+
+
+def _raises(state, *out):
+    raise ZeroDivisionError(f"front at {state.r_p!r}")
+
+
+def _nonfinite_shell(state, shell, r_new, closure):
+    return shell * math.nan, r_new, closure
+
+
+@pytest.mark.parametrize("failure", [_raises, _nonfinite_shell])
+def test_failing_two_phase_substep_ends_the_run_as_per_step(params, ocp, monkeypatch,
+                                                            failure):
+    """A substep that raises mid-stretch, or returns a non-finite shell,
+    ends the serial run with the error, at the step, of the loop that
+    takes each two-phase step through Integrator.advance_with_events: the
+    kernel's own error, or BlowupError with its last good time."""
+    from test_lockstep import _assert_same
+    sim = sys.modules["csespm.simulate"]
+    serve = sim._serve
+    stops = []
+
+    def recorded(runs, s, b):
+        stopped = serve(runs, s, b)
+        stops.extend(k for k, _ in stopped.values())
+        return stopped
+
+    monkeypatch.setattr(sim, "_serve", recorded)
+    _failing_kernel(monkeypatch, failure)
+    disc = DiscretizationConfig(N_r=4, N_e=6)
+    args = (cc_profile(params, 1.0, "dis"), initial_state(params, disc, 1.0, "dis"), params,
+            disc, SolverConfig(cutoffs_enabled=False))
+    with pytest.raises(ZeroDivisionError if failure is _raises else BlowupError) as got:
+        simulate(*args, ocp=ocp)
+    want = _stepped(monkeypatch, *args, ocp=ocp)
+    _assert_same(got.value, want)
+    # both stop at one step inside the two-phase stretch, which starts at row 553
+    assert len(stops) == 2 and stops[0] == stops[1] > 553
+
+
+def test_front_step_that_must_halve_is_taken_alone(params, ocp, monkeypatch):
+    """A 1C discharge at dt = 10 s moves the front too far for one substep in
+    the steps after its entry: each is taken alone and halved
+    (front_halvings), bit for bit the per-step loop's run."""
+    from test_lockstep import _assert_same
+    disc = DiscretizationConfig(N_r=4, N_e=6)
+    args = (cc_profile(params, 1.0, "dis", duration=900.0),
+            initial_state(params, disc, 1.0, "dis"), params, disc,
+            SolverConfig(dt=10.0, cutoffs_enabled=False))
+    starts = _steps_alone(monkeypatch)
+    got = simulate(*args, ocp=ocp)
+    assert [e.kind for e in got.events] == ["enter_two_phase"]
+    assert len(starts) > 1 and got.meta["counters"]["front_halvings"] > 0
+    _assert_same(got, _stepped(monkeypatch, *args, ocp=ocp))
