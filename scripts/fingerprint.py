@@ -226,9 +226,9 @@ def discharge_c4_nr200(d):
 
 
 def many_mixed(d):
-    """simulate_many of the lockstep tests' mixed batch (D_s_p x {0.3, 1, 3}
-    by k_p x {0.25, 1}, a larger particle, a saturating negative electrode)
-    on their 4-segment profile from SOC 1, N_r = 4, dt = 10 s: cutoffs off,
+    """simulate_many of the mixed members of tests/test_lockstep.py (D_s_p
+    x {0.3, 1, 3} by k_p x {0.25, 1}, a larger particle, a saturating
+    negative electrode) on their 4-segment profile from SOC 1, N_r = 4, dt = 10 s: cutoffs off,
     then a lower cutoff between the two lowest voltage minima that stops
     members early.  Each member hashes its result, or its error's type and
     message."""

@@ -9,8 +9,8 @@ The optimizer is a seeded particle-swarm search with reflection at the
 bounds; scale-like parameters are searched in log space.  Objective
 evaluations are full simulations, so budgets are counted in evaluations.
 The candidates of one generation share each dataset's profile, so they are
-simulated in lockstep (`simulate.simulate_many`), each bit for bit as it
-would be alone.
+simulated together on one step grid (`simulate.simulate_many`), one at a
+time, each bit for bit as it would be alone.
 """
 from __future__ import annotations
 
@@ -245,7 +245,8 @@ def generation_rmse(values: np.ndarray, subset: ParameterSubset, base: CellParam
                     phase_cfg: PhaseConfig | None = None,
                     penalties: dict | None = None) -> list[float]:
     """Summed voltage RMSE over the datasets of each row of ``values`` (one
-    candidate per row), its simulations of one dataset run in lockstep.
+    candidate per row), its simulations of one dataset on one step grid
+    (`simulate.simulate_many`).
 
     Each dataset's score comes from `voltage_rmse` given the candidate's
     result, so it equals the serial objective bit for bit; a candidate

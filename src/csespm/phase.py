@@ -88,8 +88,8 @@ def transition_margin(kind: str, state: FullState, current: float,
     """Signed distance past the threshold of one transition kind.
 
     Margins are continuous along a trajectory, so a sign change between two
-    states brackets the crossing time for bisection.  Rows of B members of
-    one regime (params.ParameterColumns, (B, 1) r_p) give a (B, 1) column.
+    states brackets the crossing time for bisection.  The (T, N) one-phase
+    rows of one run give its T entry margins.
     """
     R = params.R_s_p
     if kind == "exit_two_phase_core":

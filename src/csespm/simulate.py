@@ -27,47 +27,34 @@ shell matrix changes every substep, so both schemes step it through a
 fresh symmetric eigendecomposition: it is similar to a symmetric matrix
 under the cell capacities of its geometry (CV volumes or r_i^2 h).
 
-The time loop (`_simulate`) steps one run (`_Run`: an integrator, its rows
+The time loop (`simulate_many`) steps one run (`_Run`: an integrator, its rows
 and events, its output map) per member through blocks of steps, ranges of
 the shared step grid: the rest of a run of profile segments at one current,
 which with voltage cutoffs on also ends at the next output-map chunk.  A
 run's rows and change log are its only record of its state between steps:
 each step reads its row and writes the next.  The loop computes each
-block's end once for all live runs and hands the runs to one of two
-servers, which fill the block's rows and report the runs an error
-stopped.  Both write a member's negative and electrolyte rows for the whole
-block in one closed form (`_fixed_rows`): they never read the positive
-particle.  A one-phase positive particle's rows follow in closed form too,
-up to the row before the first whose transition margin is >= 0; that step
-is taken through `Integrator.advance_with_events` (`_one_phase_rows`).
-Each closed form starts from the first row of the run of segments at one
-current, or from the row after the last step taken alone, and reads its
-offsets from the step grid's times, so a row does not depend on where
-blocks end.  Only two-phase steps and those crossing steps are
-taken one at a time.  `simulate` (`_serve`) takes a two-phase stretch
-one substep a step (`_two_phase_rows`): it reads the stretch's first row
-once and writes each next row from its step's substep, as the lockstep
-batch steps a member; a step whose substep raises, detects a transition
-or must halve its front step (`_keeps_substep`) is taken alone, through
-`Integrator.advance_with_events` (`_step_alone`), and the stretch goes
-on after it.  `simulate_many` runs B members (one parameter set and
-initial state each) on one profile in lockstep (`_Batch`): each step
-gathers its two-phase members' rows from the row store, shells as
-(B, N_r) arrays, and one batched substep serves them all and writes
-their next rows at once.  The servers share one per-member loop
-(`_alone`) for the closed forms and the steps taken alone, and the
-substep is an array kernel whose leading member axis leaves each
-member's arithmetic as it is, so each member's result is bit for bit its
-`simulate`.  One member's FVM substep
-runs on Python floats (`_member_substep`), the row kernel's operations in
-its order: every cell sum and eigenvector product is a sequential sum,
-which Python floats and numpy column accumulations state alike, and every
-cube is f * f * f.  Numpy decides the bits in two calls only: LAPACK's
-dstevd, and numpy's SIMD exp, which differs from libm's in the last bit.
-A step with a transition or a halved front
-step is taken by the member alone, which then steps on with the batch, or
-alone in one-phase until its next entry; only an error ends a member's
-block early, and its run.
+block's end once for all live runs and hands the runs to one server
+(`_serve`), which fills the block's rows one run at a time and reports the
+runs an error stopped.  It writes a run's negative and electrolyte rows
+for the whole block in one closed form (`_fixed_rows`): they never read
+the positive particle.  A one-phase positive particle's rows follow in
+closed form too, up to the row before the first whose transition margin is
+>= 0; that step is taken through `Integrator.advance_with_events`
+(`_one_phase_rows`).  Each closed form starts from the first row of the
+run of segments at one current, or from the row after the last step taken
+alone, and reads its offsets from the step grid's times, so a row does not
+depend on where blocks end.  A two-phase stretch is taken one substep a
+step (`_two_phase_rows`): it reads the stretch's first row once and writes
+each next row from its step's substep; a step whose substep raises,
+detects a transition or must halve its front step (`_keeps_substep`) is
+taken alone, through `Integrator.advance_with_events` (`_step_alone`), and
+the stretch goes on after it.  `simulate` runs one member, `simulate_many`
+B members (one parameter set and initial state each) on one profile and
+one step grid, each bit for bit its `simulate`.  The FVM substep runs on
+Python floats (`_fvm_two_phase_substep`): every cell sum and eigenvector
+product is a sequential sum, and every cube is f * f * f, so numpy decides
+the bits in two calls only: LAPACK's dstevd, and numpy's SIMD exp, which
+differs from libm's in the last bit.
 """
 from __future__ import annotations
 
@@ -87,7 +74,7 @@ from .errors import (BlowupError, CsespmError, ParameterError, PhaseDomainError,
                      SaturationError)
 from .ocp import OcpSet, synthetic_ocp_set
 from .output import OutputSnapshot, cell_voltage
-from .params import CellParameters, DiscretizationConfig, ParameterColumns
+from .params import CellParameters, DiscretizationConfig
 # annulus_remap is not called here: the benchmark's tracer (perfbench/tracing.py)
 # wraps it under this module's name too
 from .phase import (PhaseConfig, annulus_remap, apply_sign_flip,  # noqa: F401
@@ -96,7 +83,7 @@ from .phase import (PhaseConfig, annulus_remap, apply_sign_flip,  # noqa: F401
 from .records import read_csv_columns, tally, write_csv_columns
 from .states import FullState, ONE_PHASE_ALPHA, ONE_PHASE_BETA, TWO_PHASE
 from . import systems
-from .systems import FOUR_THIRDS_PI, cell_value, set_cell
+from .systems import FOUR_THIRDS_PI
 
 log = logging.getLogger(__name__)
 
@@ -227,13 +214,7 @@ def synthetic_dynamic_profile(params: CellParameters, duration: float = 1370.0,
 def symmetric_band(lower: np.ndarray, upper: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Off-diagonal band of the symmetric part of diag(s) A diag(1/s) for a
     tridiagonal A: entry for entry the dense 0.5 (As + As^T)."""
-    return 0.5 * (upper * (s[..., :-1] / s[..., 1:]) + lower * (s[..., 1:] / s[..., :-1]))
-
-
-def _matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """M @ x of one member, or of B members' (B, n, n) stack and (B, n) rows:
-    numpy makes the same BLAS call for each matrix of a stack."""
-    return M @ x if x.ndim == 1 else (M @ x[..., None])[..., 0]
+    return 0.5 * (upper * (s[:-1] / s[1:]) + lower * (s[1:] / s[:-1]))
 
 
 def _eigh(diag: np.ndarray, band: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -248,15 +229,15 @@ def _eigh(diag: np.ndarray, band: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class AffinePropagator:
     """Exact step of dx/dt = A x + b for a constant tridiagonal A, given by
     its bands (A[i + 1, i] = lower[i], A[i, i] = diag[i], A[i, i + 1] =
-    upper[i]); bands with a leading axis of B members step B systems.
+    upper[i]).
 
     The positive weights w must make diag(w) A symmetric, so that
     diag(sqrt w) A diag(1/sqrt w) is symmetric and a symmetric
     eigensolver applies: the cell capacities of `systems.cell_geometry`, CV
     volumes for the FVM and r_i^2 h for the FDM (w_i A[i, i+1] = w_{i+1}
     A[i+1, i]).  The scaled bands are averaged with their transposes and
-    the diagonal is kept.  LAPACK's dstevd takes the diagonal and the band
-    of each member: it is the divide-and-conquer solver dsyevd (numpy's
+    the diagonal is kept.  LAPACK's dstevd takes the diagonal and the band:
+    it is the divide-and-conquer solver dsyevd (numpy's
     eigh) ends in, after a reduction that leaves a tridiagonal matrix as it
     is, so the two agree bit for bit.  The Fortran-ordered eigenvectors are
     copied to C order, the layout numpy's eigh returns: the step's matrix
@@ -267,28 +248,24 @@ class AffinePropagator:
     def __init__(self, lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
                  weights: np.ndarray):
         s = np.sqrt(weights)
-        band = symmetric_band(lower, upper, s)
-        if s.ndim == 1:
-            self.lam, Q = _eigh(diag, band)
-            Q = np.ascontiguousarray(Q)
-        else:       # np.array copies each member's eigenvectors to C order
-            self.lam, Q = (np.array(x) for x in zip(*map(_eigh, diag, band)))
+        self.lam, Q = _eigh(diag, symmetric_band(lower, upper, s))
+        Q = np.ascontiguousarray(Q)
         # x -> eigen coords: the transpose of a C-ordered product, the layout
         # of Q.T * s
-        self._to = (Q * s[..., None]).swapaxes(-1, -2)
-        self._back = Q / s[..., None]        # eigen coords -> x
+        self._to = (Q * s[:, None]).T
+        self._back = Q / s[:, None]         # eigen coords -> x
 
     def step(self, x: np.ndarray, b: np.ndarray, h: float) -> np.ndarray:
         """x(h) = e^{Ah} x + phi(h) b with phi = integral of e^{As} ds."""
         lam = self.lam
-        z = _matvec(self._to, x)
-        zb = _matvec(self._to, b)
+        z = self._to @ x
+        zb = self._to @ b
         lh = lam * h
         elh = np.exp(lh)
         # phi's series where lam h is too small for (e^{lam h} - 1) / lam
         small = np.abs(lh) < 1e-8
         phi = np.where(small, h * (1.0 + 0.5 * lh), (elh - 1.0) / np.where(small, 1.0, lam))
-        return _matvec(self._back, elh * z + phi * zb)
+        return self._back @ (elh * z + phi * zb)
 
 
 class LinearBlock:
@@ -348,60 +325,20 @@ class LinearBlock:
 
 # --- two-phase positive electrode steppers ------------------------------------
 #
-# A substep takes one member (a FullState, CellParameters) or B members (a
-# FullState of rows: (B, N_r) shells, (B, 1) columns r_p, core_conc and
-# core_phase; params.ParameterColumns), with the interface value g and the
-# core concentration of each (`systems.interface_values`: floats or (B, 1)
-# columns, which its callers compute once for all the substeps they take),
-# and returns the shell, r_p and closure of each, with the same arithmetic
-# per member.
-
-def _clip(x, lo, hi=None):
-    """min(max(x, lo), hi) of one member or of B members' columns; max(x,
-    lo) without hi."""
-    if isinstance(x, np.ndarray):
-        x = np.maximum(x, lo)
-        return x if hi is None else np.minimum(x, hi)
-    x = max(x, lo)
-    return x if hi is None else min(x, hi)
-
-
-def _each(f, *args):
-    """f mapped over B members' (B, 1) columns (and floats shared by all),
-    its results stacked back into columns."""
-    n = len(args[0])
-    cols = [a.ravel().tolist() if isinstance(a, np.ndarray) else [a] * n for a in args]
-    return tuple(np.array(x)[:, None] for x in zip(*map(f, *cols)))
-
-
-def _fvm_two_phase_substep(state: FullState, current: float, h: float,
-                           params: CellParameters, N_r: int, g, c_core):
-    """One conservative substep; returns (shell, r_p, closure_rel).  One
-    member (a 1-D shell) takes the float kernel, B members' rows the array
-    kernel, with the same arithmetic per member."""
-    if state.pos.ndim == 1:
-        return _member_substep(state, current, h, params, N_r, g, c_core)
-    return _rows_substep(state, current, h, params, N_r, g, c_core)
-
-
-# The FVM substep of both kernels, operation by operation.  Each cell sum,
-# and each product with the shell's eigenvectors Q (z_k = sum_i Q_ik s_i x_i
-# into eigen coordinates, c_i = sum_k Q_ik w_k / s_i back, s_i the square
-# root of CV volume i), is a sequential sum in cell or mode order: at n <= 4
-# it is as accurate as a pairwise or a blocked sum (Higham, Accuracy and
-# Stability of Numerical Algorithms, 2nd ed., 2002, sec. 4.2), and Python
-# floats and numpy column accumulations (np.cumsum, documented as
-# sequential) state it alike.  BLAS products and numpy's pairwise sum do
-# not: their order depends on the layout and the length.  Builtin sum() is
-# not used either, since Python 3.12 compensates it.  Every cube is f * f * f,
-# taken once per grid.  So the kernels agree bit for bit through LAPACK's
-# dstevd and numpy's exp alone.
-
-def _row_sums(terms: np.ndarray) -> np.ndarray:
-    """Sequential sums of B members' terms along the last axis (the last
-    partial sum of np.cumsum), that axis kept with length 1."""
-    return terms.cumsum(axis=-1)[..., -1:]
-
+# A substep takes one member (a FullState, CellParameters) with its
+# interface value g and core concentration (`systems.interface_values`, which
+# its callers compute once for all the substeps they take), and returns its
+# shell, r_p and closure.
+#
+# Each cell sum of the FVM substep, and each product with the shell's
+# eigenvectors Q (z_k = sum_i Q_ik s_i x_i into eigen coordinates,
+# c_i = sum_k Q_ik w_k / s_i back, s_i the square root of CV volume i), is a
+# sequential sum in cell or mode order: at n <= 4 it is as accurate as a
+# pairwise or a blocked sum (Higham, Accuracy and Stability of Numerical
+# Algorithms, 2nd ed., 2002, sec. 4.2), and its bits depend neither on a
+# BLAS layout nor on the Python version (builtin sum() compensates since
+# Python 3.12, and is not used).  Every cube is f * f * f, taken once per
+# grid.  So only LAPACK's dstevd and numpy's exp decide the kernel's bits.
 
 _UNROLLED = 512     # terms of the longest compiled dot; CPython nests one per term
 
@@ -410,11 +347,11 @@ _UNROLLED = 512     # terms of the longest compiled dot; CPython nests one per t
 def _float_dot(n: int):
     """a[0] * b[0] + a[1] * b[1] + ... + a[n - 1] * b[n - 1] of two
     sequences of n floats, added left to right as Python evaluates one
-    expression: the sequential sum of `_row_sums`.  The expression is
-    compiled once per n, as dataclasses compiles its methods; at n = 4 it
-    takes a third of the time of reduce(add, map(mul, a, b)), which calls a
-    function per term.  Past _UNROLLED terms, whose expression would nest
-    too deep for the compiler, the reduce form is taken."""
+    expression: a sequential sum.  The expression is compiled once per n,
+    as dataclasses compiles its methods; at n = 4 it takes a third of the
+    time of reduce(add, map(mul, a, b)), which calls a function per term.
+    Past _UNROLLED terms, whose expression would nest too deep for the
+    compiler, the reduce form is taken."""
     if n > _UNROLLED:
         return lambda a, b: reduce(add, map(mul, a, b))
     return eval("lambda a, b: " + " + ".join(f"a[{i}] * b[{i}]" for i in range(n)))
@@ -430,101 +367,15 @@ def _float_cells(r_inner: float, R: float, u: list):
     return faces, cubes, [FOUR_THIRDS_PI * (c1 - c0) for c0, c1 in zip(cubes, cubes[1:])]
 
 
-def _rows_substep(state: FullState, current: float, h: float, params: ParameterColumns,
-                  N_r: int, g, c_core):
-    """The substep of B members' rows, (B, N_r) shells and (B, 1) columns of
-    r_p, core_conc, core phases and parameters, as arrays: the shell's
-    bands and forcing of `systems.solid_block`, the exact step in the
-    eigenbasis of the volume-symmetrized bands (one dstevd per member), the
-    front (`_front_move`, per member), the conservative remap of the swept
-    annulus and the old shell onto the new grid, and the closure; each cell
-    sum a column accumulation (`_row_sums`)."""
-    R = params.R_s_p
-    r_p, x = state.r_p, state.pos
-    if not ((0.0 < r_p) & (r_p < R)).all():
-        raise PhaseDomainError(f"r_p={r_p!r} outside (0, R_s_p); transition regimes first")
-    faces, areas, vols = systems.spherical_cells(r_p, R, N_r)
-    cubes = faces * faces * faces
-
-    # the shell's bands and forcing (systems.solid_block, shell_block)
-    D = params.D_s_p
-    dr_vols = (R - r_p) / N_r * vols
-    flows = D * areas[:, 1:-1]
-    w_lo = flows / dr_vols[:, 1:]
-    w_hi = flows / dr_vols[:, :-1]
-    diag = np.zeros(vols.shape)     # (0.0 - w_lo[i - 1]) - w_hi[i], an absent one 0
-    diag[:, 1:] -= w_lo
-    diag[:, :-1] -= w_hi
-    if current != 0.0:
-        inner = 2.0 * D * areas[:, :1] / dr_vols[:, :1]
-        diag[:, :1] -= inner
-        b_0 = inner * g
-        b_n = areas[:, -1:] / (vols[:, -1:] * params.F * params.A_cell * params.L_p
-                               * params.a_s("pos")) * current
-
-    # the exact step in the eigenbasis of the volume-symmetrized bands
-    s = np.sqrt(vols)
-    band = 0.5 * (w_hi * (s[:, :-1] / s[:, 1:]) + w_lo * (s[:, 1:] / s[:, :-1]))
-    lam, Q = (np.array(a) for a in zip(*map(_eigh, diag, band)))
-    lh = lam * h
-    e = np.exp(lh)
-    z = _row_sums(Q.swapaxes(1, 2) * (s * x)[:, None, :])[..., 0]
-    if current != 0.0:
-        small = np.abs(lh) < 1e-8
-        phi = np.where(small, h * (1.0 + 0.5 * lh), (e - 1.0) / np.where(small, 1.0, lam))
-        zb = Q[:, 0] * (s[:, :1] * b_0) + Q[:, -1] * (s[:, -1:] * b_n)
-        w = e * z + phi * zb
-    else:
-        w = e * z
-    c_new = _row_sums(Q * w[:, None, :])[..., 0] / s
-    shell_old = _row_sums(vols * x)
-
-    # lithium delivered to the front: surface influx minus shell gain
-    q_surf = systems.molar_flux_density(params, "pos", current) * 4.0 * np.pi * (R * R)
-    spill = q_surf * h - _row_sums(vols * (c_new - x))
-    if current == 0.0:
-        # frozen front; close propagator rounding so rest is drift free
-        c_new = c_new + (shell_old - _row_sums(vols * c_new)) / _row_sums(vols)
-        return c_new, r_p, 0.0
-    r_new, r_lo, annulus_conc, core_vol, core_vol_new = _each(
-        _front_move, r_p, R, spill, g, c_core, state.core_conc)
-
-    # conservative remap of (swept annulus + old shell) onto the new grid; a
-    # member whose front moves out sweeps a zero-width annulus cell
-    new_faces, _, vols_new = systems.spherical_cells(r_new, R, N_r)
-    new_cubes = new_faces * new_faces * new_faces
-    w_old = FOUR_THIRDS_PI * np.hstack(
-        [np.where(r_lo < r_p, new_cubes[:, :1], cubes[:, :1]), cubes])
-    values = np.hstack([annulus_conc, c_new])
-    cum = np.zeros(w_old.shape)
-    np.cumsum(values * (w_old[:, 1:] - w_old[:, :-1]), axis=-1, out=cum[:, 1:])
-    # the new grid starts at the annulus' inner edge or above it, and a last
-    # face past the old grid's is taken at it
-    hi = faces[:, -1:]
-    r = np.minimum(new_faces, hi)
-    r3 = np.where(new_faces >= hi, cubes[:, -1:], new_cubes)
-    # the old cell of each new face: the count of interior old edges (r_p and
-    # the shell's inner faces) at or below it
-    at = np.arange(len(r))[:, None], (faces[:, None, :-1] <= r[:, :, None]).sum(axis=-1)
-    cum_new = cum[at] + values[at] * (FOUR_THIRDS_PI * r3 - w_old[at])
-    shell = (cum_new[:, 1:] - cum_new[:, :-1]) / vols_new
-
-    # close rounding (and, for an outward front, the swept-profile mismatch)
-    # so the per-electrode balance is exact: core + shell changes only by the
-    # surface influx
-    expected = shell_old + core_vol * state.core_conc + q_surf * h
-    actual = core_vol_new * state.core_conc + _row_sums(vols_new * shell)
-    residual = expected - actual
-    shell = shell + residual / _row_sums(vols_new)
-    return shell, r_new, np.abs(residual) / np.maximum(np.abs(expected), 1e-300)
-
-
-def _member_substep(state: FullState, current: float, h: float, params: CellParameters,
-                    N_r: int, g: float, c_core: float):
-    """The substep of one member on Python floats, bit for bit its row's in
-    `_rows_substep`: the same IEEE operations in the same order, each column
-    accumulation a left-to-right sum (`_float_dot`, reduce); numpy only for
-    LAPACK's dstevd and the exp of lam h."""
+def _fvm_two_phase_substep(state: FullState, current: float, h: float,
+                           params: CellParameters, N_r: int, g: float, c_core: float):
+    """One conservative substep on Python floats; returns (shell, r_p,
+    closure_rel).  The shell's bands and forcing of `systems.solid_block`,
+    the exact step in the eigenbasis of the volume-symmetrized bands, the
+    front (`_front_move`), the conservative remap of the swept annulus and
+    the old shell onto the new grid, and the closure; each cell sum a
+    left-to-right sum (`_float_dot`, reduce), numpy only for LAPACK's
+    dstevd and the exp of lam h."""
     R = params.R_s_p
     r_p = state.r_p
     if not 0.0 < r_p < R:
@@ -623,8 +474,7 @@ def _front_move(r_p: float, R: float, spill: float, g: float, c_core: float,
 
 def _front_ok(r_old, r_new, R):
     """Whether a substep moves the front by at most a quarter of the shell's
-    width (one member's bool, or B members' (B, 1) mask); a larger move
-    halves the substep."""
+    width; a larger move halves the substep."""
     return abs(r_new - r_old) <= 0.25 * (R - r_old)
 
 
@@ -640,12 +490,13 @@ def _keeps_substep(r_old, post: FullState, current: float, params, cfg: PhaseCon
     the shell (`_front_ok`) and no transition is due (every margin < 0; a
     NaN front already fails `_front_ok`).  Else the step must be taken
     alone, through `Integrator.advance_with_events`, which halves it or
-    finds the transition.  One member's bool, or B members' (B, 1)
-    mask."""
-    keep = _front_ok(r_old, post.r_p, params.R_s_p)
+    finds the transition."""
+    if not _front_ok(r_old, post.r_p, params.R_s_p):
+        return False
     for kind in transition_kinds(TWO_PHASE, current):
-        keep = keep & (transition_margin(kind, post, current, params, cfg) < 0.0)
-    return keep
+        if not transition_margin(kind, post, current, params, cfg) < 0.0:
+            return False
+    return True
 
 
 def _fdm_two_phase_substep(state: FullState, current: float, h: float,
@@ -653,15 +504,15 @@ def _fdm_two_phase_substep(state: FullState, current: float, h: float,
     """Naive collocated step of the FDM two-phase system (no remap): the
     shell's exact step on its frozen grid, then the front's."""
     blk, g_row = systems.shell_block(params, state.r_p, current, N_r, g, "fdm")
-    b = np.zeros(state.pos.shape)
-    set_cell(b, 0, g_row)
-    set_cell(b, N_r - 1, blk.surface * current)
+    b = np.zeros(N_r)
+    b[0] = g_row
+    b[-1] = blk.surface * current
     c_new = AffinePropagator(blk.lower, blk.diag, blk.upper, blk.caps).step(state.pos, b, h)
     k, k0 = (systems.front_rate(params, state.r_p, N_r, g, c_core) if current != 0.0
              else (0.0, 0.0))
-    rdot_mid = k * 0.5 * (cell_value(state.pos, 0) + cell_value(c_new, 0)) + k0
+    rdot_mid = k * 0.5 * (state.pos[0] + c_new[0]) + k0
     R = params.R_s_p
-    r_new = _clip(state.r_p + h * rdot_mid, 1e-9 * R, (1.0 - 1e-9) * R)
+    r_new = min(max(state.r_p + h * rdot_mid, 1e-9 * R), (1.0 - 1e-9) * R)
     return c_new, r_new, 0.0
 
 
@@ -786,159 +637,6 @@ class Integrator:
         return self.advance(s, current, remaining)
 
 
-# --- lockstep steps of many members ----------------------------------------------
-
-def _finite(pos: np.ndarray, r_p: float) -> bool:
-    """Whether a positive particle's concentrations and front are finite, by
-    one sum: concentrations are bounded far below overflow, so the sum of a
-    finite particle is finite and any NaN or inf propagates into it; Python
-    sums of these few values beat numpy reductions."""
-    return math.isfinite(sum(pos.tolist()) + r_p)
-
-
-def _nonfinite(pos: np.ndarray, r_p: np.ndarray) -> list[int]:
-    """The indices of the (B, N_r) shells and (B,) fronts whose positive
-    particle is not finite (`_finite`)."""
-    if float(np.vdot(pos, pos)) + float(np.vdot(r_p, r_p)) < 1e300:
-        return []       # no entry reaches 1e150, so every member's sum is finite
-    return [i for i in range(len(pos)) if not _finite(pos[i], float(r_p[i]))]
-
-
-class _Batch:
-    """The lockstep server of simulate_many: B runs of one discretization and
-    phase configuration at once.  It keeps no copy of its members' states:
-    between steps each member's state is its rows in the row store and the
-    last label of its change log.
-
-    Each member's negative and electrolyte rows, and its one-phase positive
-    rows up to and through its entry step, are written by the serial
-    server's per-member loop (`_alone`).  The members in two-phase step in
-    lockstep: step k gathers their rows k from the store, shells as a
-    (B, N_r) copy and r_p and core_conc as (B, 1) columns, beside the
-    columns of their parameters and core phases gathered when the live
-    members change; they take one array substep and one test of their
-    transition margins, and the step writes their rows k + 1 at once.
-    A member whose step detects a transition or must halve its front step
-    (`_keeps_substep`), or all of them when the batched substep raises,
-    takes it alone through its own integrator (`_step_alone`), and its
-    batched substep is dropped; one that leaves two-phase there goes on
-    alone in one-phase and rejoins the lockstep after its next entry step.
-    So each member's rows are bit for bit its own.  An error ends a
-    member's block.
-    """
-
-    def __init__(self, store: dict):
-        self.store, self.grid = store, store["grid"]
-        self.runs: list = []            # the runs the parameter columns are of
-
-    def serve(self, runs: list, s: int, b: int) -> dict:
-        """Steps s..b-1 of the runs from their rows s; returns {run: (step,
-        error)} of the runs an error stopped."""
-        if runs != self.runs:
-            self.runs = list(runs)
-            self.params = ParameterColumns(run.integ.params for run in runs)
-        self.current, self.b, self.stopped = self.grid.currents[s], b, {}
-        self.bad = [_fixed_rows(run, s, b) for run in runs]
-        self.live = [False] * len(runs)     # the members stepping in lockstep
-        self.active = None                  # None until gathered (_gather)
-        self.rejoin: dict = {}              # member -> the step it rejoins at
-        for p in range(len(runs)):
-            self._resume(p, s)
-        k = s
-        while k < b:
-            for p in [p for p, j in self.rejoin.items() if j == k]:
-                del self.rejoin[p]
-                self.live[p], self.active = True, None
-            if self.active is None:
-                self._gather()
-            if self.active:
-                self._lockstep(k)
-                k += 1
-            elif self.rejoin:
-                k = min(self.rejoin.values())
-            else:
-                break
-        return self.stopped
-
-    def _resume(self, p: int, k: int, alone: bool = False):
-        """Member p out of the lockstep from row k: its step k taken alone
-        if ``alone`` (`_step_alone`), then its one-phase rows by the serial
-        server's loop (`_alone`), until it is in two-phase at a row from
-        which it steps in lockstep again, or its block ends."""
-        run = self.runs[p]
-        self.live[p], self.active = False, None
-        error = None
-        if alone:
-            k, error = _step_alone(run, k)
-        if error is None:
-            k, error = _alone(run, k, self.b, self.bad[p], lockstep=True)
-        if error is not None:
-            self.stopped[run] = error
-        elif k < self.b:
-            self.rejoin[p] = k
-
-    def _gather(self):
-        """Set the live members, their places in the store, their parameter
-        columns and the (B, 1) column of their core phases; their interface
-        values follow at the first step (`_step`)."""
-        self.active = [p for p, live in enumerate(self.live) if live]
-        # an index array: numpy indexes the store faster by one than by a list
-        self.members = np.array([self.runs[p].member for p in self.active], dtype=np.intp)
-        self.columns = self.params.take(self.active)
-        self.core_phase = np.array([self.runs[p].log[-1][1][2] for p in self.active])[:, None]
-        self.edges = None
-
-    def _lockstep(self, k: int):
-        """Step k of the live members, and their rows k + 1; those whose step
-        must be taken alone take it out of the lockstep (`_resume`)."""
-        active, members, store = self.active, self.members, self.store
-        try:
-            pos, r_p, closure, keep = self._step(k)
-        except _SUBSTEP_ERRORS:     # each member takes the step alone
-            keep = [False] * len(active)
-        for p, kept in zip(active, keep):
-            if not kept:
-                self._resume(p, k, alone=True)
-        stay = [i for i, kept in enumerate(keep) if kept]
-        if not stay:
-            return
-        m, pos, r_p = members[stay], pos[stay], r_p[stay]
-        store["pos"][m, k + 1] = pos
-        store["cols"][m, 3, k + 1] = r_p
-        store["cols"][m, 4, k + 1] = store["cols"][m, 4, k]
-        store["closure"][m, k + 1] = closure[stay]
-        store["substeps"][m, k + 1] = store["substeps"][m, k] + 1.0
-        nonfinite = _nonfinite(pos, r_p)
-        for j, p in enumerate(active[i] for i in stay):
-            if j in nonfinite or self.bad[p] == k:
-                self.stopped[self.runs[p]] = k, _blowup(self.grid, k)
-                self.live[p], self.active = False, None
-
-    def _step(self, k: int):
-        """Step k of the live members from their rows k: their stepped
-        shells and fronts, each member's max_closure after the step, and
-        whether its step is its substep (`_keeps_substep`), else it must
-        take the step alone."""
-        store, m, params = self.store, self.members, self.columns
-        integ = self.runs[0].integ
-        disc, current = integ.disc, self.current
-        # one direction for all: _Run.start and enter_two_phase set each member's
-        # from the current, and at rest neither kernel reads the g and c_core it picks
-        rows = FullState(None, store["pos"][m, k], None, TWO_PHASE,
-                         store["cols"][m, 3, k][:, None], store["cols"][m, 4, k][:, None],
-                         self.core_phase, systems.direction_for_current(current))
-        if self.edges is None:     # here, where an odd core phase sends every member alone
-            self.edges = systems.interface_values(params, rows.core_phase, rows.direction)
-        substep = _fvm_two_phase_substep if disc.scheme == "fvm" else _fdm_two_phase_substep
-        shell, r_new, closure = substep(rows, current, self.grid.hs[k], params, disc.N_r,
-                                        *self.edges)
-        r_p, rows.pos, rows.r_p = rows.r_p, shell, r_new
-        keep = _keeps_substep(r_p, rows, current, params, integ.phase_cfg)
-        # each run's max_closure; a kernel without a closure returns 0.0
-        closure = np.maximum(store["closure"][m, k][:, None], closure)
-        return shell, r_new[:, 0], closure[:, 0], keep[:, 0].tolist()
-
-
 # --- initial states -------------------------------------------------------------
 
 def initial_state(params: CellParameters, disc: DiscretizationConfig,
@@ -1059,8 +757,8 @@ class _Grid:
 
     def offsets(self, a: int, s: int, b: int) -> np.ndarray:
         """The times of rows s + 1..b from the start of step a, as the
-        grid's times give them (never accumulated), so every server and
-        every split of the rows into blocks takes the same offsets."""
+        grid's times give them (never accumulated), so every split of the
+        rows into blocks takes the same offsets."""
         return np.frombuffer(self.times)[s:b] - self.starts[a]
 
     def first(self, s: int) -> int:
@@ -1147,7 +845,7 @@ class _Run:
     def row_state(self, i: int) -> FullState:
         """The positive particle at row i, labelled by the change log's last
         entry, as a step from row i starts from it (its negative and
-        electrolyte arrays None: the servers write those rows a block at a
+        electrolyte arrays None: the server writes those rows a block at a
         time)."""
         regime, direction, core_phase = self.log[-1][1]
         return FullState(None, self.pos[i], None, regime, float(self.cols[3, i]),
@@ -1291,6 +989,14 @@ def _fixed_rows(run: _Run, s: int, b: int) -> int:
     return s + bad
 
 
+def _finite(pos: np.ndarray, r_p: float) -> bool:
+    """Whether a positive particle's concentrations and front are finite, by
+    one sum: concentrations are bounded far below overflow, so the sum of a
+    finite particle is finite and any NaN or inf propagates into it; Python
+    sums of these few values beat numpy reductions."""
+    return math.isfinite(sum(pos.tolist()) + r_p)
+
+
 def _first_nonfinite(rows: np.ndarray) -> int:
     """The index of the first of (K, n) rows that holds a NaN or an
     infinity, else K."""
@@ -1313,9 +1019,8 @@ def _one_phase_rows(run: _Run, k: int, end: int):
     pos = integ.pos1p.rows(run.pos[a], current, grid.offsets(a, k, end))
     n = bad = _first_nonfinite(pos)
     rows = FullState(None, pos[:n], None, regime)
-    columns = ParameterColumns([integ.params])
     for kind in transition_kinds(regime, current):
-        hits = np.flatnonzero(transition_margin(kind, rows, current, columns,
+        hits = np.flatnonzero(transition_margin(kind, rows, current, integ.params,
                                                 integ.phase_cfg) >= 0.0)
         n = min(n, int(hits[0])) if hits.size else n
     j = k + n
@@ -1332,11 +1037,10 @@ def _one_phase_rows(run: _Run, k: int, end: int):
 
 def _two_phase_rows(run: _Run, k: int, end: int):
     """Steps k..end - 1 of a run's two-phase positive particle from row k,
-    read once, as `_Batch._step` takes a lockstep member's: each step one
-    substep of the module's kernel, kept unless `_keeps_substep` or
-    `_finite` rejects it, and row k + 1 written from it (pos, r_p,
-    core_conc, the running max_closure and substep count).  The first step
-    not kept, or whose data fails its substep, is taken through
+    read once: each step one substep of the module's kernel, kept unless
+    `_keeps_substep` or `_finite` rejects it, and row k + 1 written from it
+    (pos, r_p, core_conc, the running max_closure and substep count).  The
+    first step not kept, or whose data fails its substep, is taken through
     `_step_alone`, which ends the stretch.  Returns (the next step, None),
     or (k', (step, error)) when a step raises or leaves a non-finite
     state."""
@@ -1374,9 +1078,9 @@ def _two_phase_rows(run: _Run, k: int, end: int):
 def _step_alone(run: _Run, k: int):
     """Step k of a run's positive particle from row k (`_Run.row_state`),
     through `Integrator.advance_with_events`, its max_closure and substep
-    count seeded from the row (in a serial run they are that already), and
-    its row k + 1; returns (k + 1, None), or (k, (k, error)) when the step
-    raises or leaves a non-finite state."""
+    count seeded from the row (a two-phase stretch writes them to its rows
+    only), and its row k + 1; returns (k + 1, None), or (k, (k, error))
+    when the step raises or leaves a non-finite state."""
     grid, integ = run.grid, run.integ
     integ.max_closure, integ.substeps = float(run.closure[k]), int(run.substeps[k])
     try:
@@ -1391,33 +1095,24 @@ def _step_alone(run: _Run, k: int):
     return k + 1, None
 
 
-def _alone(run: _Run, k: int, b: int, bad: int, lockstep: bool = False):
-    """Steps k..b-1 of a run served alone, its fixed-grid rows written up to
-    step ``bad`` (`_fixed_rows`): its one-phase stretches in closed form
-    (`_one_phase_rows`), its two-phase stretches one substep a step
-    (`_two_phase_rows`); a ``lockstep`` member stops at its first
-    two-phase row instead, from which it steps with the batch.  Both
-    servers call it per member.  Returns (the step it stopped at, None),
-    or (k, (step, error)) of an error."""
-    end, error = min(bad + 1, b), None
-    while k < end and error is None:
-        if run.log[-1][1][0] != TWO_PHASE:
-            k, error = _one_phase_rows(run, k, end)
-        elif lockstep:
-            return k, None
-        else:
-            k, error = _two_phase_rows(run, k, end)
-    if error is None and bad < b:
-        error = bad, _blowup(run.grid, bad)
-    return k, error
-
-
 def _serve(runs: list, s: int, b: int) -> dict:
-    """Steps s..b-1 of each run served alone (`_alone`); returns {run:
-    (step, error)} of the runs an error stopped."""
+    """Steps s..b-1 of each run, one run at a time: its fixed-grid rows
+    (`_fixed_rows`), then its positive particle's up to the first step
+    whose fixed-grid row is not finite, its one-phase stretches in closed
+    form (`_one_phase_rows`) and its two-phase stretches one substep a step
+    (`_two_phase_rows`).  Returns {run: (step, error)} of the runs an error
+    stopped."""
     stopped = {}
     for run in runs:
-        _, error = _alone(run, s, b, _fixed_rows(run, s, b))
+        bad = _fixed_rows(run, s, b)
+        k, end, error = s, min(bad + 1, b), None
+        while k < end and error is None:
+            if run.log[-1][1][0] != TWO_PHASE:
+                k, error = _one_phase_rows(run, k, end)
+            else:
+                k, error = _two_phase_rows(run, k, end)
+        if error is None and bad < b:
+            error = bad, _blowup(run.grid, bad)
         if error is not None:
             stopped[run] = error
     return stopped
@@ -1437,8 +1132,7 @@ def simulate(profile: LoadProfile, init: FullState, params: CellParameters,
     integrated after that row leave no row, event, counter or error behind.
     A non-finite state raises BlowupError.
     """
-    outcome, = _simulate(profile, [init], [params], disc, solver, ocp, phase_cfg,
-                         lockstep=False)
+    outcome, = simulate_many(profile, [init], [params], disc, solver, ocp, phase_cfg)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
@@ -1449,36 +1143,19 @@ def simulate_many(profile: LoadProfile, inits: list[FullState],
                   solver: SolverConfig | None = None, ocp: OcpSet | None = None,
                   phase_cfg: PhaseConfig | None = None) -> list:
     """`simulate` of B members (one initial state and parameter set each) on
-    one profile, stepped in lockstep.
-
-    Each member's fixed-grid and one-phase rows are written in closed
-    form, a block at a time, as `simulate` writes them; one batched step
-    reads the rows of every member in two-phase from the row store,
-    advances them and writes their next rows at once (`_Batch`).  A member
-    whose step detects a transition, must halve its front step or raises
-    takes that step alone, through its own Integrator.advance_with_events,
-    and steps on with the others unless it raised.  Each item of the
-    returned list is the member's SimulationResult, bit for bit the one
+    one profile: the time loop of one run (_Run) per member.  Each item of
+    the returned list is the member's SimulationResult, bit for bit the one
     `simulate` returns for it, or the exception its run raised, in set-up
     too.
-    """
-    return _simulate(profile, inits, params, disc, solver, ocp, phase_cfg, lockstep=True)
 
-
-def _simulate(profile: LoadProfile, inits: list[FullState], params: list[CellParameters],
-              disc: DiscretizationConfig, solver: SolverConfig | None, ocp: OcpSet | None,
-              phase_cfg: PhaseConfig | None, lockstep: bool) -> list:
-    """The time loop of one run (_Run) per initial state and parameter set
-    on one profile; returns each run's SimulationResult, or the error that
-    ended it.  Every live run takes the same blocks of the shared step
-    grid: the rest of a run of profile segments at one current, which with
-    cutoffs on also ends at the next _CHUNK-row chunk of the output map, so
-    at most one chunk is integrated past a stop.  A block's runs are served
-    one at a time (_serve) or in lockstep (_Batch)."""
+    The runs share one step grid and take the same blocks of it: the rest
+    of a run of profile segments at one current, which with cutoffs on also
+    ends at the next _CHUNK-row chunk of the output map, so at most one
+    chunk is integrated past a stop.  One server call fills a block's rows
+    of every live run (_serve)."""
     solver = solver or SolverConfig()
     grid = _step_grid(profile, solver.dt)
     store = _row_store(len(inits), grid, disc)
-    serve = _Batch(store).serve if lockstep else _serve
     outcomes: list = [None] * len(inits)
     runs = []
     for i, (x0, p) in enumerate(zip(inits, params)):
@@ -1509,7 +1186,7 @@ def _simulate(profile: LoadProfile, inits: list[FullState], params: list[CellPar
         b = grid.bounds[bisect.bisect_right(grid.bounds, s)]
         if solver.cutoffs_enabled:
             b = min(b, done + _CHUNK - 1)       # row b ends the chunk
-        stopped = serve(runs, s, b)
+        stopped = _serve(runs, s, b)
         for run in list(runs):
             k, error = stopped.get(run, (b, None))
             run.n = k + 1

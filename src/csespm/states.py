@@ -22,9 +22,7 @@ class FullState:
     branch of OCP curves and stoichiometric windows.  The output map also
     takes T states as rows: (T, N) concentrations and (T,) arrays of the
     rest (core_phase unused).  The simulation's time loop steps states of
-    the positive particle only, with ``neg`` and ``elec`` None; a lockstep
-    step's rows hold B members' (B, N) shells and (B, 1) columns of r_p,
-    core_conc and core_phase, under one direction.
+    the positive particle only, with ``neg`` and ``elec`` None.
     """
 
     neg: np.ndarray

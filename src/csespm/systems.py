@@ -8,14 +8,12 @@ volume assemblies balance face fluxes over spherical control volumes, so
 volume-weighted row sums vanish except where a physical boundary flux
 enters through B; that is what makes the scheme conservative.
 
-The solid assembly and the helpers below it take one member (float radii
-and parameters, 1-D cell arrays) or B members at once (`params.
-ParameterColumns`, (B, 1) columns of radii, (B, N) rows of cells) with the
-same arithmetic, so the batched simulation of `simulate.simulate_many`
-reproduces each member's serial run bit for bit.  The geometry, the solid
-assembly and the front rate also take jets (`taylor.Jet`) of radii, whose
-values they compute by the same float operations: the observability model
-differentiates the simulation's own assembly along the flow.
+The geometry, the solid assembly and the front rate take one state (float
+radii, 1-D cell arrays) or many at once ((B, 1) columns of radii, (B, N)
+rows of cells) with the same arithmetic per row, and jets (`taylor.Jet`)
+of radii, whose values they compute by the same float operations: the
+observability model differentiates the simulation's own assembly along the
+flow, a sweep's points at once.
 
 Both schemes share one solid assembly (`solid_block`) and differ only in
 the geometry it is fed (`cell_geometry`): the FVM's CV volumes and 4 pi f^2
@@ -83,17 +81,6 @@ def set_cell(a: np.ndarray, k: int, value):
         a[k] = value
     else:
         a[:, k, None] = value
-
-
-def cell_dot(a: np.ndarray, b: np.ndarray):
-    """Cell sum of a * b: a float for one member, a (B, 1) column for rows
-    (the same BLAS dot per member)."""
-    return float(a.dot(b)) if a.ndim == 1 else np.vecdot(a, b)[:, None]
-
-
-def cell_sum(a: np.ndarray):
-    """Cell sum of one member's cells, or the (B, 1) column of B members' rows."""
-    return a.sum() if a.ndim == 1 else a.sum(axis=-1, keepdims=True)
 
 
 def spherical_cells(r_inner, r_outer, n: int):
@@ -232,20 +219,12 @@ def interface_values(params: CellParameters, core_phase: str,
     c_alpha around a beta core; the direction only picks the hysteresis
     branch.  The front speed D dc/dr / (c_core - g) thus carries the factor
     +1/(c_alpha - c_beta) for an alpha core and -1/(c_alpha - c_beta) for a
-    beta core, whatever the sign of the current.  A (B, 1) column of B
-    members' core phases, beside `params.ParameterColumns`, gives (B, 1)
-    columns, each entry picked from its member's plateau edges.
+    beta core, whatever the sign of the current.
     """
     c_a, c_b = params.c_alpha(direction), params.c_beta(direction)
-    alpha = core_phase == "alpha"
-    if isinstance(core_phase, np.ndarray):
-        odd = core_phase[~alpha & (core_phase != "beta")].tolist()
-        if not odd:
-            return np.where(alpha, c_b, c_a), np.where(alpha, c_a, c_b)
-        core_phase = odd[0]
-    elif alpha:
+    if core_phase == "alpha":
         return c_b, c_a
-    elif core_phase == "beta":
+    if core_phase == "beta":
         return c_a, c_b
     raise PhaseDomainError(f"core phase {core_phase!r} is neither 'alpha' nor 'beta'")
 
@@ -333,12 +312,13 @@ def surface_concentration(c_bar: np.ndarray, current, params: CellParameters,
     return c_bar[..., -1] + 0.5 * dr * grad
 
 
-def one_phase_bulk(c_bar: np.ndarray, R: float) -> float:
-    """Volume-weighted particle average on the fixed grid: a float, or the
-    (B, 1) column of B members' rows under a column of radii."""
+def one_phase_bulk(c_bar: np.ndarray, R: float):
+    """Volume-weighted particle average on the fixed grid: a float of one
+    state, or the (T,) averages of (T, N) rows (the same BLAS dot per row)."""
     v = cell_volumes(R, c_bar.shape[-1])
-    bulk = cell_dot(v, c_bar) / cell_sum(v)
-    return bulk if c_bar.ndim > 1 else float(bulk)
+    if c_bar.ndim == 1:
+        return float(v.dot(c_bar) / v.sum())
+    return np.vecdot(v, c_bar) / v.sum()
 
 
 def solid_moles(c_bar: np.ndarray, R: float, r_p=0.0, core_conc=0.0):

@@ -1,6 +1,6 @@
-"""Lockstep simulation of many members (simulate_many) and the identification
-that uses it: every member and every fit equals its one-at-a-time run bit for
-bit."""
+"""Simulation of many members on one step grid (simulate_many) and the
+identification that uses it: every member and every fit equals its
+one-at-a-time run bit for bit."""
 import dataclasses
 import sys
 
@@ -110,7 +110,7 @@ def test_members_equal_their_serial_runs_off_the_step_grid(params, ocp, disc4):
 
 
 def test_member_that_fails_its_first_step(params, ocp, disc4):
-    """A member whose state turns non-finite in the batched step raises the
+    """A member whose state turns non-finite in its first step raises the
     BlowupError of its serial run; the others are untouched."""
     members = [params, params.replace(D_s_n=1e292), params.replace(k_p=2.0 * params.k_p)]
     inits = [initial_state(p, disc4, 1.0, "dis") for p in members]
@@ -158,53 +158,68 @@ def test_member_that_turns_non_finite_later(params, ocp, disc4):
     assert type(blowup).__name__ == "BlowupError" and blowup.last_good_time > 0.0
 
 
-def test_batched_step_that_raises_is_taken_alone(params, ocp, disc4, monkeypatch):
-    """When the batched two-phase substep raises, every member takes that
-    step alone, through its own integrator, and still equals its serial
-    run."""
+def test_substep_that_raises_in_a_stretch_is_taken_alone(params, ocp, disc4, monkeypatch):
+    """When a substep of a two-phase stretch raises (here every 50th one
+    taken outside Integrator.advance), the member takes that step alone,
+    through its own integrator, whose substep does not raise, and its
+    stretch goes on after it: each member still equals its serial run with
+    the kernel intact."""
     sim = sys.modules["csespm.simulate"]
-    real = sim._fvm_two_phase_substep
-
-    def one_at_a_time(state, *args):
-        if state.pos.ndim > 1:
-            raise ZeroDivisionError("a batched substep")
-        return real(state, *args)
-
-    monkeypatch.setattr(sim, "_fvm_two_phase_substep", one_at_a_time)
     members = _members(params)[:3]
     inits = [initial_state(p, disc4, 1.0, "dis") for p in members]
     profile = _profile(params)
+    want = [simulate(profile, x0, p, disc4, SOLVER, ocp=ocp) for x0, p in zip(inits, members)]
+    real, real_advance = sim._fvm_two_phase_substep, sim.Integrator.advance
+    inside, stretch = [], []        # open advance calls; each stretch substep's raise
+
+    def advance(self, *args):
+        inside.append(self)
+        try:
+            return real_advance(self, *args)
+        finally:
+            inside.pop()
+
+    def flaky(*args):
+        if not inside:
+            stretch.append(len(stretch) % 50 == 49)
+            if stretch[-1]:
+                raise ZeroDivisionError("a substep")
+        return real(*args)
+
+    monkeypatch.setattr(sim.Integrator, "advance", advance)
+    monkeypatch.setattr(sim, "_fvm_two_phase_substep", flaky)
     got = simulate_many(profile, inits, members, disc4, SOLVER, ocp=ocp)
-    for g, x0, p in zip(got, inits, members):
-        _assert_same(g, simulate(profile, x0, p, disc4, SOLVER, ocp=ocp))
-    assert all("two_phase" in g.regime for g in got)
+    for g, w in zip(got, want):
+        _assert_same(g, w)
+    assert stretch.count(True) > 3 and all("two_phase" in g.regime for g in got)
 
 
 def test_one_block_per_segment_and_step_taken_alone(params, ocp, disc4, monkeypatch):
-    """With cutoffs off, each run's blocks, served alone or in lockstep, are
-    one per profile segment: a step a lockstep member takes alone, mid-block
-    or at a block's end, starts no block of its own.  Segments that go on
-    at the same current, starting where the last step ended, share a
-    block."""
+    """With cutoffs off, simulate_many builds one step grid for all its
+    members and serves all of them in one call per block, one block per
+    profile segment: a step a member takes alone, mid-block or at a block's
+    end, starts no block of its own.  Segments that go on at the same
+    current, starting where the last step ended, share a block.  A loop of
+    `simulate` calls builds a grid and serves a block per member."""
     sim = sys.modules["csespm.simulate"]
-    real_serve, real_batch = sim._serve, sim._Batch.serve
+    real_serve, real_grid = sim._serve, sim._step_grid
     real_step = sim.Integrator.advance_with_events
-    served, alone = [], {}
+    served, grids, alone = [], [], {}
 
     def counted_serve(runs, s, b):
         served.append(("alone", len(runs)))
         return real_serve(runs, s, b)
 
-    def counted_batch(self, runs, s, b):
-        served.append(("lockstep", len(runs)))
-        return real_batch(self, runs, s, b)
+    def counted_grid(*args):
+        grids.append(args)
+        return real_grid(*args)
 
     def counted_step(self, s, current, t, h, events):
         alone.setdefault(id(self.params), []).append(t + h)
         return real_step(self, s, current, t, h, events)
 
     monkeypatch.setattr(sim, "_serve", counted_serve)
-    monkeypatch.setattr(sim._Batch, "serve", counted_batch)
+    monkeypatch.setattr(sim, "_step_grid", counted_grid)
     monkeypatch.setattr(sim.Integrator, "advance_with_events", counted_step)
     i = params.current_for_c_rate(0.25)
     # _profile with its discharge cut into three segments
@@ -215,10 +230,13 @@ def test_one_block_per_segment_and_step_taken_alone(params, ocp, disc4, monkeypa
     for x0, p in zip(inits, members):
         simulate(profile, x0, p, disc4, SOLVER, ocp=ocp)
     assert served == [("alone", 1)] * 3 * len(members)
+    assert len(grids) == len(members)
     served.clear()
+    grids.clear()
     alone.clear()
     simulate_many(profile, inits, members, disc4, SOLVER, ocp=ocp)
-    assert served == [("lockstep", len(members))] * 3
+    assert served == [("alone", len(members))] * 3
+    assert len(grids) == 1
     block_ends = {3000.0, 3200.0, 4000.0}
     assert any(t not in block_ends for ts in alone.values() for t in ts)
 
@@ -262,9 +280,9 @@ def _same_as_serial(profile, inits, members, disc, solver, ocp):
 def test_members_enter_in_different_rows_of_one_block(params, ocp, disc4):
     """Members with D_s_p spread over a decade, from three start SOCs, enter
     two-phase in three different rows of one block (one segment, cutoffs
-    off): each writes its one-phase rows alone and takes its entry step
-    alone, then steps in lockstep with those already in two-phase; each
-    equals its serial run."""
+    off): each writes its one-phase rows in closed form and takes its entry
+    step alone, then steps on one substep a step; each equals its serial
+    run."""
     profile = cc_profile(params, 0.25, "dis", duration=3600.0)
     members = [params.replace(D_s_p=params.D_s_p * f) for f in (0.3, 1.0, 3.0)]
     inits = [initial_state(p, disc4, soc, "dis") for p, soc in zip(members, (1.0, 0.97, 0.94))]
@@ -351,31 +369,6 @@ def test_nonfinite_row_inside_a_one_phase_stretch(params, ocp, disc4):
     assert want[2].status == "completed"
 
 
-def test_rejected_batched_front_step_leaves_no_closure(params, ocp, disc4, monkeypatch):
-    """On a 2C discharge into two-phase, members whose batched step moves the
-    front too far take that step alone, halved.  The closure of the
-    rejected batched substep, above the member's whole serial run's
-    max_closure, stays out of its run: each member equals its serial run,
-    max_closure included."""
-    sim = sys.modules["csespm.simulate"]
-    real = sim._rows_substep
-    rejected = []       # (D_s_p, closure) of each rejected batched substep
-
-    def recorded(state, current, h, params, N_r, g, c_core):
-        shell, r_new, closure = real(state, current, h, params, N_r, g, c_core)
-        out = ~sim._front_ok(state.r_p, r_new, params.R_s_p)
-        rejected.extend(zip(params.D_s_p[out].tolist(), closure[out].tolist()))
-        return shell, r_new, closure
-
-    monkeypatch.setattr(sim, "_rows_substep", recorded)
-    profile = cc_profile(params, 2.0, "dis", duration=360.0)
-    members = [params.replace(D_s_p=params.D_s_p * f) for f in (0.3, 1.0, 3.0)]
-    inits = [initial_state(p, disc4, 1.0, "dis") for p in members]
-    want = _same_as_serial(profile, inits, members, disc4, SOLVER, ocp)
-    top = {p.D_s_p: w.meta["max_closure"] for p, w in zip(members, want)}
-    assert any(closure > top[d] for d, closure in rejected)
-
-
 # --- identification -------------------------------------------------------------
 
 def _serial_identify(datasets, subset, base, disc, solver, seed, budget, ocp):
@@ -445,7 +438,7 @@ def two_rates(params, disc4):
 
 @pytest.mark.parametrize("budget", [1, 12, 40])
 def test_identify_equals_one_candidate_at_a_time(params, disc4, two_rates, budget):
-    """A generation in lockstep gives the serial swarm's best values, best
+    """A generation scored at once gives the serial swarm's best values, best
     RMSE and whole trace: budget 1, a partial last generation (12 of 8 + 8)
     and five full generations, over two datasets of different rates."""
     datasets, sub = two_rates

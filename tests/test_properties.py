@@ -1,13 +1,14 @@
-"""Property tests of the invariants, on drawn inputs: the lockstep batch
-equals each member's serial run, every FVM run keeps its lithium to the
-rounding level, and the two two-phase substep kernels agree bit for bit.
-Each test draws derandomized, so a run of the suite is repeatable."""
+"""Property tests of the invariants, on drawn inputs: each member of
+simulate_many equals its serial run, every FVM run keeps its lithium to the
+rounding level, and each FVM substep changes the particle's lithium by the
+surface influx.  Each test draws derandomized, so a run of the suite is
+repeatable."""
 import math
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from csespm.params import CellParameters, DiscretizationConfig, ParameterColumns
+from csespm.params import CellParameters, DiscretizationConfig
 from csespm.ocp import synthetic_ocp_set
 from csespm.simulate import (LoadProfile, SolverConfig, _fvm_two_phase_substep,
                              initial_state, mass_audit, simulate, simulate_many)
@@ -54,7 +55,7 @@ def _setup(profile, N_r, scheme, dt, cutoffs):
        N_r=st.integers(2, 5), scheme=st.sampled_from(["fvm", "fdm"]),
        dt=st.sampled_from([1.0, 5.0, 10.0]), cutoffs=st.booleans())
 def test_simulate_many_equals_simulate(profile, drawn, N_r, scheme, dt, cutoffs):
-    """Each member of a lockstep batch is bit for bit its `simulate`, or
+    """Each member of simulate_many is bit for bit its `simulate`, or
     raises its error: states, voltages, events, status, counters and
     closure (test_lockstep._assert_same)."""
     disc, solver, direction = _setup(profile, N_r, scheme, dt, cutoffs)
@@ -84,55 +85,20 @@ DRIFT_ULPS_PER_CELL_ROW = 4
        dt=st.sampled_from([1.0, 5.0, 10.0]), cutoffs=st.booleans())
 def test_fvm_runs_keep_their_lithium(profile, drawn, N_r, dt, cutoffs):
     """Every FVM run that returns a result (completed or stopped at a
-    cutoff) keeps its mass-audit drift under the rounding bound above: the
-    first member's `simulate` (the float substep kernel) and every member of
-    the lockstep batch of all of them (the row kernel).  The FDM is the
-    non-conservative reference and is exempt."""
+    cutoff) keeps its mass-audit drift under the rounding bound above, for
+    each drawn member.  The FDM is the non-conservative reference and is
+    exempt."""
     disc, solver, direction = _setup(profile, N_r, "fvm", dt, cutoffs)
     sets, socs = drawn
     inits = [initial_state(p, disc, soc, direction) for p, soc in zip(sets, socs)]
     with np.errstate(all="ignore"):
-        runs = [_run(simulate, profile, inits[0], sets[0], disc, solver, ocp=OCP)]
-        runs += simulate_many(profile, inits, sets, disc, solver, ocp=OCP)
-    for res, p in zip(runs, sets[:1] + sets):
+        runs = simulate_many(profile, inits, sets, disc, solver, ocp=OCP)
+    for res, p in zip(runs, sets):
         if isinstance(res, Exception):
             continue
         n, K = max(N_r, disc.N_e), len(res.time)
         bound = DRIFT_ULPS_PER_CELL_ROW * (n + 4) * K * np.finfo(float).eps
         assert mass_audit(res, p).max_drift_rel <= bound, (K, bound)
-
-
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(N_r=st.integers(2, 50), rp_frac=st.floats(1e-6, 1.0 - 1e-6),
-       core_phase=st.sampled_from(["alpha", "beta"]), c_rate=C_RATES,
-       rest_direction=st.sampled_from(["dis", "ch"]), h=st.floats(1e-3, 60.0),
-       seed=st.integers(0, 2**32 - 1), near_g=st.booleans())
-def test_member_substep_equals_its_row_on_drawn_states(N_r, rp_frac, core_phase, c_rate,
-                                                       rest_direction, h, seed, near_g):
-    """One member's FVM substep (the float kernel) equals, bit for bit, the
-    array kernel's substep of the same state as a (1, N_r) row: shell, r_p
-    and closure, on drawn fronts, shells, currents (or rest), step lengths
-    and grids (widening test_simulate.test_member_substep_equals_its_row)."""
-    R = PARAMS.R_s_p
-    current = c_rate * ONE_C
-    direction = systems.direction_for_current(current, rest_direction)
-    g, c_core = systems.interface_values(PARAMS, core_phase, direction)
-    rng = np.random.default_rng(seed)
-    if near_g:
-        x = g * (1.0 + 1e-9 * rng.uniform(-1.0, 1.0, N_r))
-    else:
-        x = PARAMS.c_s_max_p * rng.uniform(0.02, 0.98, N_r)
-    r_p = rp_frac * R
-    member = FullState(None, x, None, TWO_PHASE, r_p, c_core, core_phase, direction)
-    row = FullState(None, x[None, :], None, TWO_PHASE, np.array([[r_p]]),
-                    np.array([[c_core]]), core_phase, direction)
-    shell, r_new, closure = _fvm_two_phase_substep(member, current, h, PARAMS, N_r, g, c_core)
-    columns = ParameterColumns([PARAMS])
-    want = [np.ravel(a) for a in _fvm_two_phase_substep(
-        row, current, h, columns, N_r, *systems.interface_values(columns, core_phase, direction))]
-    assert shell.tobytes() == want[0].tobytes()
-    assert (r_new, closure) == (want[1][0], want[2][0])
-    assert math.isfinite(r_new)
 
 
 # One substep's closure leaves the positive particle's lithium, core plus
@@ -162,10 +128,10 @@ def _lithium(shell, r, core_conc, R):
 def test_substep_changes_lithium_by_the_surface_influx(N_r, c_rate, scale, core_phase,
                                                        rest_direction, h, rp_fracs, decades,
                                                        seed, near_g):
-    """Each kernel's substep of drawn two-phase states, under charge,
-    discharge and rest, changes core plus shell lithium by q_surf h to within
-    `_balance_bound` of its magnitude: the float kernel on one member, the
-    rows kernel on a batch of three with their own D_s_p and fronts."""
+    """The FVM substep of drawn two-phase states, under charge, discharge
+    and rest, changes core plus shell lithium by q_surf h to within
+    `_balance_bound` of its magnitude: on each of three members with their
+    own D_s_p, fronts and shells."""
     current = c_rate * scale * ONE_C
     direction = systems.direction_for_current(current, rest_direction)
     g, c_core = systems.interface_values(PARAMS, core_phase, direction)
@@ -177,19 +143,9 @@ def test_substep_changes_lithium_by_the_surface_influx(N_r, c_rate, scale, core_
     sets = [PARAMS.replace(D_s_p=PARAMS.D_s_p * 10.0**d) for d in decades]
     R = PARAMS.R_s_p
     radii = [f * R for f in rp_fracs]
-    rows = FullState(None, shells, None, TWO_PHASE, np.array(radii)[:, None],
-                     np.full((3, 1), c_core), core_phase, direction)
-    columns = ParameterColumns(sets)
-    batch = _fvm_two_phase_substep(rows, current, h, columns, N_r,
-                                   *systems.interface_values(columns, core_phase, direction))
-    member = FullState(None, shells[0], None, TWO_PHASE, radii[0], c_core, core_phase,
-                       direction)
-    alone = _fvm_two_phase_substep(member, current, h, sets[0], N_r,
-                                   *systems.interface_values(sets[0], core_phase, direction))
-    steps = [(p, shells[i], radii[i], np.ravel(batch[0][i]), float(np.ravel(batch[1])[i]))
-             for i, p in enumerate(sets)]
-    steps.append((sets[0], shells[0], radii[0], alone[0], alone[1]))
-    for p, shell, r_p, new_shell, r_new in steps:
+    for p, shell, r_p in zip(sets, shells, radii):
+        member = FullState(None, shell, None, TWO_PHASE, r_p, c_core, core_phase, direction)
+        new_shell, r_new, _ = _fvm_two_phase_substep(member, current, h, p, N_r, g, c_core)
         q_surf = systems.molar_flux_density(p, "pos", current) * 4.0 * np.pi * R * R
         before = _lithium(shell, r_p, c_core, R)
         after = _lithium(new_shell, r_new, c_core, R)

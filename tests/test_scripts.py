@@ -43,13 +43,12 @@ def test_fingerprint_lists_and_hashes_a_sweep(load, capsys):
 
 
 def test_substep_cost_times_each_kernel_at_one_size(load, capsys):
-    assert load("substep_cost").main(["--nr", "4", "--batch", "2", "--repeat", "1"]) == 0
+    assert load("substep_cost").main(["--nr", "4", "--repeat", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 3
+    assert len(lines) == 2
     assert re.fullmatch(r"float N_r=4 +\d+\.\d us per substep", lines[0])
-    assert re.fullmatch(r"rows  B=2 +\d+\.\d us per substep \(N_r=4\)", lines[1])
     assert re.fullmatch(r"serial N_r=4 +\d+\.\d us per step \(simulate, C/4 in two-phase\)",
-                        lines[2])
+                        lines[1])
 
 
 def test_traced_layers_resolve():

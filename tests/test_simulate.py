@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from csespm.errors import BlowupError, CsespmError, ParameterError, PhaseDomainError
-from csespm.params import DiscretizationConfig, ParameterColumns
+from csespm.params import DiscretizationConfig
 from csespm.ocp import synthetic_ocp_set
 from csespm.simulate import (AffinePropagator, Integrator, LoadProfile,
                              SolverConfig, _fdm_two_phase_substep, _finite,
@@ -155,50 +155,11 @@ def test_banded_propagator_matches_dense_eigh(params, scheme, N_r, rp_frac,
         assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want), h
 
 
-@pytest.mark.parametrize("core_phase", ["alpha", "beta"])
-@pytest.mark.parametrize("rp_frac", [0.05, 0.5, 0.99])
-@pytest.mark.parametrize("N_r", [2, 3, 4, 8, 9, 16, 50])
-def test_member_substep_equals_its_row(params, N_r, rp_frac, core_phase):
-    """One member's FVM substep (the float kernel) equals, bit for bit, the
-    array kernel's substep of the same state as a (1, N_r) row: shell, r_p
-    and closure, with the front moving in and out and at rest (I = 0, where
-    the propagator takes its series branch), for a bisection-sized, a full
-    and a 60 s step."""
-    R = params.R_s_p
-    rows_params = ParameterColumns([params])
-    rng = np.random.default_rng(N_r)
-    fronts = set()
-    for current_c in (1.0, -1.0, 0.0):
-        current = current_c * params.current_for_c_rate(1.0)
-        direction = systems.direction_for_current(current)
-        g, c_core = systems.interface_values(params, core_phase, direction)
-        # a shell at the interface value, its last bits scattered, where the
-        # current alone decides which way the front moves; and a random one
-        at_g = g * (1.0 + 1e-12 * rng.uniform(-1.0, 1.0, N_r))
-        for x in (at_g, params.c_s_max_p * rng.uniform(0.2, 0.8, N_r)):
-            member = FullState(None, x, None, TWO_PHASE, rp_frac * R, c_core, core_phase,
-                               direction)
-            row = FullState(None, x[None, :], None, TWO_PHASE, np.array([[rp_frac * R]]),
-                            np.array([[c_core]]), core_phase, direction)
-            for h in (0.3171875, 1.0, 60.0):
-                shell, r_new, closure = _fvm_two_phase_substep(member, current, h, params,
-                                                               N_r, g, c_core)
-                want = [np.ravel(a) for a in _fvm_two_phase_substep(
-                    row, current, h, rows_params, N_r,
-                    *systems.interface_values(rows_params, core_phase, direction))]
-                assert shell.tobytes() == want[0].tobytes(), (current_c, h)
-                assert (r_new, closure) == (want[1][0], want[2][0]), (current_c, h)
-                if x is at_g:
-                    fronts.add("rest" if r_new == member.r_p
-                               else "in" if r_new < member.r_p else "out")
-    assert fronts == {"in", "out", "rest"}
-
-
 @pytest.mark.parametrize("n", [1, 2, 4, 200, 600])
 def test_float_dot_is_the_sequential_sum(n):
     """The float kernel's compiled dot, and its reduce form past the
     compiled length, add the products left to right, bit for bit the last
-    partial sum of np.cumsum, the rows kernel's column accumulation."""
+    partial sum of np.cumsum (a sequential accumulation)."""
     rng = np.random.default_rng(n)
     a, b = rng.uniform(-1.0, 1.0, (2, n)) * 10.0**rng.uniform(-3.0, 3.0, (2, n))
     acc = a[0] * b[0]
@@ -210,16 +171,13 @@ def test_float_dot_is_the_sequential_sum(n):
 
 @pytest.mark.parametrize("rp_frac", [0.0, -0.5, 1.0, 1.5, math.nan])
 def test_substep_outside_the_particle_raises(params, rp_frac):
-    """A front outside (0, R) raises PhaseDomainError from either kernel."""
+    """A front outside (0, R) raises PhaseDomainError from the FVM substep."""
     r_p = rp_frac * params.R_s_p
     x = np.full(4, params.c_beta("dis"))
-    member = FullState(None, x, None, TWO_PHASE, r_p, params.c_alpha("dis"), "alpha", "dis")
-    row = FullState(None, x[None, :], None, TWO_PHASE, np.array([[r_p]]),
-                    np.array([[params.c_alpha("dis")]]), "alpha", "dis")
-    for state, p in ((member, params), (row, ParameterColumns([params]))):
-        with pytest.raises(PhaseDomainError, match="outside"):
-            _fvm_two_phase_substep(state, 1.0, 1.0, p, 4,
-                                   *systems.interface_values(p, "alpha", "dis"))
+    state = FullState(None, x, None, TWO_PHASE, r_p, params.c_alpha("dis"), "alpha", "dis")
+    with pytest.raises(PhaseDomainError, match="outside"):
+        _fvm_two_phase_substep(state, 1.0, 1.0, params, 4,
+                               *systems.interface_values(params, "alpha", "dis"))
 
 
 def test_zero_current_is_fixed_point(params, disc4):
@@ -1086,13 +1044,13 @@ def test_serial_two_phase_steps_alone_only_at_events(params, ocp, monkeypatch):
 
 def _failing_kernel(monkeypatch, failure):
     """Replace the FVM substep by one that fails, by ``failure``, on every
-    single-member state whose front lies below half the radius."""
+    state whose front lies below half the radius."""
     sim = sys.modules["csespm.simulate"]
     real = sim._fvm_two_phase_substep
 
     def kernel(state, current, h, params, N_r, g, c_core):
         shell, r_new, closure = real(state, current, h, params, N_r, g, c_core)
-        if state.pos.ndim == 1 and state.r_p < 0.5 * params.R_s_p:
+        if state.r_p < 0.5 * params.R_s_p:
             return failure(state, shell, r_new, closure)
         return shell, r_new, closure
 
@@ -1151,3 +1109,39 @@ def test_front_step_that_must_halve_is_taken_alone(params, ocp, monkeypatch):
     assert [e.kind for e in got.events] == ["enter_two_phase"]
     assert len(starts) > 1 and got.meta["counters"]["front_halvings"] > 0
     _assert_same(got, _stepped(monkeypatch, *args, ocp=ocp))
+
+
+def test_rejected_front_step_leaves_no_closure(params, ocp, monkeypatch):
+    """On a 2C discharge into two-phase at dt = 10 s, stretch substeps that
+    `_keeps_substep` rejects move the front too far, and the step is taken
+    alone, halved.  The closure of a rejected substep, above the run's final
+    max_closure, stays out of the run: each run equals the per-step loop's,
+    max_closure included."""
+    from test_lockstep import _assert_same
+    sim = sys.modules["csespm.simulate"]
+    real, keeps = sim._fvm_two_phase_substep, sim._keeps_substep
+    last, rejected = [], []     # the last substep's closure; (D_s_p, closure) of each rejected
+
+    def recorded(state, current, h, params, N_r, g, c_core):
+        out = real(state, current, h, params, N_r, g, c_core)
+        last[:] = [out[2]]
+        return out
+
+    def judged(r_old, post, current, params, cfg):
+        kept = keeps(r_old, post, current, params, cfg)
+        if not kept:
+            rejected.append((params.D_s_p, last[0]))
+        return kept
+
+    monkeypatch.setattr(sim, "_fvm_two_phase_substep", recorded)
+    monkeypatch.setattr(sim, "_keeps_substep", judged)
+    disc = DiscretizationConfig(N_r=4, N_e=6)
+    solver = SolverConfig(dt=10.0, cutoffs_enabled=False)
+    profile = cc_profile(params, 2.0, "dis", duration=360.0)
+    top = {}
+    for p in [params.replace(D_s_p=params.D_s_p * f) for f in (0.3, 1.0, 3.0)]:
+        args = (profile, initial_state(p, disc, 1.0, "dis"), p, disc, solver)
+        got = simulate(*args, ocp=ocp)
+        _assert_same(got, _stepped(monkeypatch, *args, ocp=ocp))
+        top[p.D_s_p] = got.meta["max_closure"]
+    assert any(closure > top[d] for d, closure in rejected)
